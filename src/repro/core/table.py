@@ -111,10 +111,6 @@ class LogicalTable:
         """Record the Object Address (or NIL) for an object."""
         self.get(loid).object_address = address
 
-    def set_magistrates(self, loid: LOID, magistrates: List[LOID]) -> None:
-        """Replace the Current Magistrate List."""
-        self.get(loid).current_magistrates = list(magistrates)
-
     def add_magistrate(self, loid: LOID, magistrate: LOID) -> None:
         """Add a magistrate to the Current Magistrate List (idempotent)."""
         row = self.get(loid)

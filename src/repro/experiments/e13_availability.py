@@ -142,7 +142,7 @@ def shard_units(quick: bool = True, faults: Optional[float] = None) -> list:
 
     Every level builds its own system, chaos plan, and fault log from
     the seed, so levels may run in separate worker processes
-    (``--shards N``) in any order; only the *merge* -- the repair-traffic
+    (``--jobs N``) in any order; only the *merge* -- the repair-traffic
     overhead against the level-0 control -- is cross-level, and that
     happens in :func:`shard_finish`.
     """
@@ -291,7 +291,7 @@ def run(
     names a directory for the JSON availability/FaultLog artifact.
 
     Composed from the shard protocol, so the sequential run IS the
-    ``--shards 1`` reference the sharded runner reproduces.
+    ``--jobs 1`` reference the sharded runner reproduces.
     """
     partials = [
         shard_measure(intensity, quick=quick, seed=seed, faults=faults)

@@ -37,7 +37,13 @@ import os
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import LegionError, Overloaded
-from repro.experiments.common import ExperimentResult, export_trace, trace_recorder
+from repro.experiments.common import (
+    ExperimentResult,
+    all_runtimes,
+    export_trace,
+    settles,
+    trace_recorder,
+)
 from repro.faults.log import FaultLog
 from repro.flow import FlowConfig
 from repro.metrics.counters import ComponentKind, MetricsRegistry
@@ -70,32 +76,6 @@ FLOW = FlowConfig(
     admit_kinds=frozenset({ComponentKind.APPLICATION}),
     credit_window=8,
 )
-
-
-def _all_runtimes(system, clients):
-    servers = (
-        list(system.host_servers.values())
-        + list(system.magistrates.values())
-        + list(system.agents.values())
-        + list(clients)
-    )
-    for host_server in system.host_servers.values():
-        for entry in host_server.impl.processes.running():
-            servers.append(entry.server)
-    return [s.runtime for s in servers]
-
-
-def _settles(runtime) -> bool:
-    """The RuntimeStats settlement identity, shed included."""
-    s = runtime.stats
-    settled = (
-        s.replies_received
-        + s.timeouts
-        + s.delivery_failures
-        + s.cancelled
-        + s.shed
-    )
-    return s.requests_sent == settled and not runtime._pending
 
 
 def _drive(system, clients, target, interval: float, duration: float):
@@ -194,7 +174,7 @@ def _run_level(
     faultlog_shed = sum(
         1 for i in system.services.fault_log.observed if i.kind == "request-shed"
     )
-    runtimes = _all_runtimes(system, clients)
+    runtimes = all_runtimes(system, clients)
     wire_shed = sum(rt.stats.shed for rt in runtimes)
 
     audits: List[Any] = []
@@ -222,7 +202,7 @@ def _run_level(
         "metrics_shed": metrics_shed,
         "faultlog_shed": faultlog_shed,
         "wire_shed": wire_shed,
-        "settled": all(_settles(rt) for rt in runtimes),
+        "settled": all(settles(rt) for rt in runtimes),
         "audits": audits,
         "trace_path": trace_path,
         "sim_clock": system.kernel.now,
@@ -240,7 +220,7 @@ def shard_units(
     Each unit is one (offered-load level, arm) pair; every unit builds
     its own single-site system from the seed and shares nothing with the
     others, so units may run in separate worker processes
-    (``--shards N``) in any order.  The unit *shape* is the same with
+    (``--jobs N``) in any order.  The unit *shape* is the same with
     ``--mega N`` -- the measure step then runs the columnar overload
     kernel over an N-object frame instead of the live testbed.
     """
@@ -510,7 +490,7 @@ def run(
     shape, three to four orders of magnitude more objects.
 
     Composed from the shard protocol, so the sequential run IS the
-    ``--shards 1`` reference the sharded runner reproduces.
+    ``--jobs 1`` reference the sharded runner reproduces.
     """
     partials = [
         shard_measure(

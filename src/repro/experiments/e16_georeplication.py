@@ -30,7 +30,7 @@ compared across arms; the on arm must also end with the group regrown
 to 3 live members each holding every key.  Every runtime must settle
 the flow-era identity (requests == replies + timeouts + failures +
 cancelled + shed).  All simulated time from seeded state:
-byte-identical across ``--jobs`` and ``--shards``.
+byte-identical across ``--jobs``.
 """
 
 from __future__ import annotations
@@ -40,7 +40,12 @@ import os
 from typing import Any, Dict, List, Optional
 
 from repro.errors import LegionError, Overloaded
-from repro.experiments.common import ExperimentResult, uniform_sites
+from repro.experiments.common import (
+    ExperimentResult,
+    all_runtimes,
+    settles,
+    uniform_sites,
+)
 from repro.flow import FlowConfig
 from repro.metrics.counters import ComponentKind
 from repro.metrics.recorder import SeriesRecorder
@@ -120,33 +125,6 @@ def _build_store(seed: int, replicas: int, flow, service_time: float):
         )
     )
     return system, directory, cls, binding
-
-
-def _all_runtimes(system, clients):
-    servers = (
-        list(system.host_servers.values())
-        + list(system.magistrates.values())
-        + list(system.agents.values())
-        + [system.console]
-        + list(clients)
-    )
-    for host_server in system.host_servers.values():
-        for entry in host_server.impl.processes.running():
-            servers.append(entry.server)
-    return [s.runtime for s in servers]
-
-
-def _settles(runtime) -> bool:
-    """The RuntimeStats settlement identity, shed included."""
-    s = runtime.stats
-    settled = (
-        s.replies_received
-        + s.timeouts
-        + s.delivery_failures
-        + s.cancelled
-        + s.shed
-    )
-    return s.requests_sent == settled and not runtime._pending
 
 
 # ---------------------------------------------------------------- phase A
@@ -238,7 +216,9 @@ def _measure_locality(replicas: int, seed: int, quick: bool) -> Dict[str, Any]:
         "partition_reads": len(in_part),
         "wan_msgs": wan,
         "wan_per_read": wan / len(records) if records else 0.0,
-        "settled": all(_settles(rt) for rt in _all_runtimes(system, clients)),
+        "settled": all(
+            settles(rt) for rt in all_runtimes(system, [system.console] + clients)
+        ),
         "sim_clock": kernel.now,
         "sim_events": kernel.events_executed,
     }
@@ -394,7 +374,7 @@ def _measure_repair(arm: str, seed: int, quick: bool, mult: int) -> Dict[str, An
     outcomes = {"ok": 0, "shed": 0, "failed": 0}
     for rec in records:
         outcomes[rec["outcome"]] += 1
-    runtimes = _all_runtimes(system, clients + repair_clients)
+    runtimes = all_runtimes(system, [system.console] + clients + repair_clients)
     return {
         "arm": arm,
         "mult": mult,
@@ -404,7 +384,7 @@ def _measure_repair(arm: str, seed: int, quick: bool, mult: int) -> Dict[str, An
         "regrows": regrows,
         "restored": restored,
         "replica_keys": replica_keys,
-        "settled": all(_settles(rt) for rt in runtimes),
+        "settled": all(settles(rt) for rt in runtimes),
         "sim_clock": kernel.now,
         "sim_events": kernel.events_executed,
     }
@@ -423,7 +403,7 @@ def shard_units(
     Phase A is one unit per replica count (1, 2, top); phase B is one
     unit per repair arm.  Each unit builds its own 3-site system from
     the seed and shares nothing, so units may run in separate worker
-    processes (``--shards N``) in any order.
+    processes (``--jobs N``) in any order.
     """
     top = min(N_SITES * HOSTS_PER_SITE, max(2, int(replicas))) if replicas else N_SITES
     units = [("locality", r) for r in sorted({1, 2, top})]
@@ -624,7 +604,7 @@ def run(
     ``report`` names a directory for the JSON artifact.
 
     Composed from the shard protocol, so the sequential run IS the
-    ``--shards 1`` reference the sharded runner reproduces.
+    ``--jobs 1`` reference the sharded runner reproduces.
     """
     units = shard_units(quick=quick, replicas=replicas)
     partials = [

@@ -24,7 +24,7 @@ historical ungoverned path.  Both arms keep the settlement identity
 shed``) and the governed arm's three shed ledgers must agree
 (triple-entry: metrics == FaultLog == wire).  Everything runs on
 simulated time from seeded state: reports and ledgers are byte-identical
-across ``--jobs``/``--shards``.
+across ``--jobs``.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import LegionError, Overloaded
 from repro.core.runtime import RetryPolicy
-from repro.experiments.common import ExperimentResult
+from repro.experiments.common import ExperimentResult, all_runtimes, settles
 from repro.faults.driver import ChaosDriver, eligible_hosts
 from repro.faults.log import FaultLog
 from repro.faults.plan import FaultKind, FaultPlan
@@ -113,32 +113,6 @@ def _phases(quick: bool, mult: float) -> List[Tuple[str, float, float]]:
         ("storm", 400.0, mult),
         ("recovery", 900.0, 0.5),
     ]
-
-
-def _all_runtimes(system, clients):
-    servers = (
-        list(system.host_servers.values())
-        + list(system.magistrates.values())
-        + list(system.agents.values())
-        + list(clients)
-    )
-    for host_server in system.host_servers.values():
-        for entry in host_server.impl.processes.running():
-            servers.append(entry.server)
-    return [s.runtime for s in servers]
-
-
-def _settles(runtime) -> bool:
-    """The RuntimeStats settlement identity, shed included."""
-    s = runtime.stats
-    settled = (
-        s.replies_received
-        + s.timeouts
-        + s.delivery_failures
-        + s.cancelled
-        + s.shed
-    )
-    return s.requests_sent == settled and not runtime._pending
 
 
 def _drive(system, clients, target, phases):
@@ -344,7 +318,7 @@ def _run_arm(
     metrics = system.services.metrics
     metrics_shed = sum(metrics.snapshot(None, MetricsRegistry.SHED).values())
     faultlog_shed = sum(1 for i in log.observed if i.kind == "request-shed")
-    runtimes = _all_runtimes(system, clients)
+    runtimes = all_runtimes(system, clients)
     wire_shed = sum(rt.stats.shed for rt in runtimes)
     lost = set(log.lost_objects())
     recovered = set(log.recovered_objects())
@@ -356,7 +330,7 @@ def _run_arm(
         "metrics_shed": metrics_shed,
         "faultlog_shed": faultlog_shed,
         "wire_shed": wire_shed,
-        "settled": all(_settles(rt) for rt in runtimes),
+        "settled": all(settles(rt) for rt in runtimes),
         "chaos_events": len(plan.events),
         "lost": len(lost),
         "unrecovered": len(lost - recovered),
@@ -564,7 +538,7 @@ def run(
     the JSON phase artifact and the JSONL transition ledger.
 
     Composed from the shard protocol, so the sequential run IS the
-    ``--shards 1`` reference the sharded runner reproduces.
+    ``--jobs 1`` reference the sharded runner reproduces.
     """
     partials = [
         shard_measure(unit, quick=quick, seed=seed, governor=governor)

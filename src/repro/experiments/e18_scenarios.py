@@ -33,7 +33,7 @@ from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.runtime import RetryPolicy
-from repro.experiments.common import ExperimentResult
+from repro.experiments.common import ExperimentResult, all_runtimes, settles
 from repro.faults.driver import ChaosDriver, eligible_hosts
 from repro.faults.log import FaultLog
 from repro.faults.plan import FaultPlan
@@ -105,33 +105,6 @@ def _sized(spec: ScenarioSpec, quick: bool) -> ScenarioSpec:
     return replace(spec, phases=phases)
 
 
-def _all_runtimes(system, clients):
-    servers = (
-        list(system.host_servers.values())
-        + list(system.magistrates.values())
-        + list(system.agents.values())
-        + [system.console]
-        + list(clients)
-    )
-    for host_server in system.host_servers.values():
-        for entry in host_server.impl.processes.running():
-            servers.append(entry.server)
-    return [s.runtime for s in servers]
-
-
-def _settles(runtime) -> bool:
-    """The RuntimeStats settlement identity, shed included."""
-    s = runtime.stats
-    settled = (
-        s.replies_received
-        + s.timeouts
-        + s.delivery_failures
-        + s.cancelled
-        + s.shed
-    )
-    return s.requests_sent == settled and not runtime._pending
-
-
 def _phase_outcomes(driver: ScenarioDriver) -> Dict[str, Dict[str, int]]:
     """Per-phase outcome counts (by issue time, like phase_goodput)."""
     out: Dict[str, Dict[str, int]] = {}
@@ -182,7 +155,7 @@ def _drain(driver: ScenarioDriver, stats_fut):
 def _base_partial(driver: ScenarioDriver) -> dict:
     """The fields every rich arm reports."""
     system = driver.deployment.system
-    runtimes = _all_runtimes(system, driver.deployment.all_clients())
+    runtimes = all_runtimes(system, [system.console] + driver.deployment.all_clients())
     return {
         "outcomes": driver.outcome_counts(),
         "sessions": {
@@ -193,7 +166,7 @@ def _base_partial(driver: ScenarioDriver) -> dict:
         },
         "phases": driver.phase_goodput(),
         "phase_outcomes": _phase_outcomes(driver),
-        "settled": all(_settles(rt) for rt in runtimes),
+        "settled": all(settles(rt) for rt in runtimes),
         "sim_clock": system.kernel.now,
         "sim_events": system.kernel.events_executed,
     }
@@ -521,7 +494,7 @@ def shard_units(
     """One unit per (scenario, arm) cell of the matrix.
 
     Every cell builds its own system from the seed, so cells may run in
-    separate worker processes (``--shards N``) in any order; the merge in
+    separate worker processes (``--jobs N``) in any order; the merge in
     :func:`shard_finish` consumes partials in this declaration order, so
     the report is byte-identical however the cells were scheduled.
     """
@@ -807,7 +780,7 @@ def run(
     mega: Optional[int] = None,
     report: Optional[str] = None,
 ) -> ExperimentResult:
-    """The whole matrix in-process (the --shards path splits the units)."""
+    """The whole matrix in-process (the --jobs path splits the units)."""
     units = shard_units(
         quick,
         faults=faults,

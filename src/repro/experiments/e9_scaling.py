@@ -132,7 +132,7 @@ def shard_units(quick: bool = True, mega: Optional[int] = None) -> list:
     Each unit is one (configuration arm, system size) pair: every unit
     builds its own :class:`LegionSystem` from the seed and shares
     nothing with the others, so units may run in separate worker
-    processes (``--shards N``) in any order.
+    processes (``--jobs N``) in any order.
 
     With ``mega`` (the ``--mega N`` flag), the columnar size ladder rides
     along: one extra ``("mega", population)`` unit per rung, each running
@@ -319,7 +319,6 @@ def shard_finish(
             mega_slope < 0.35,
             f"log-log slope {mega_slope:.3f}",
         )
-        result.mega_slope = mega_slope
         result.notes += (
             ("\n" if result.notes else "")
             + mega_recorder.to_table(title="columnar mega-scale ladder:")
@@ -346,7 +345,7 @@ def run(
     through the frame-at-once backend.
 
     Composed from the shard protocol, so the sequential run IS the
-    ``--shards 1`` reference the sharded runner reproduces.
+    ``--jobs 1`` reference the sharded runner reproduces.
     """
     partials = [
         shard_measure(unit, quick=quick, seed=seed, trace=trace, mega=mega)

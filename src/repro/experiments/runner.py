@@ -53,10 +53,10 @@ from repro.experiments.ablation_ttl_locality import run_locality, run_ttl
 #: own seeded system), ``shard_measure(unit, ...)`` (run one unit in any
 #: process; returns a picklable partial), and ``shard_finish(partials,
 #: ...)`` (merge in deterministic unit order; returns the
-#: ExperimentResult).  ``run_one(..., shards=N)`` fans the units of
-#: these experiments across worker processes; everything else ignores
-#: ``shards``.  The merge consumes partials in unit order, so reports
-#: are byte-identical at any shard count.
+#: ExperimentResult).  ``run_many(..., jobs=N)`` runs the units of these
+#: experiments on the same worker pool as the whole experiments.  The
+#: merge consumes partials in unit order, so reports are byte-identical
+#: at any ``jobs``.
 SHARDED = {
     "e9": e9_scaling,
     "e13": e13_availability,
@@ -118,41 +118,30 @@ def _accepts(runner, keyword: str) -> bool:
         return False
 
 
-def _accepts_trace(runner) -> bool:
-    """Whether an experiment runner takes the ``trace`` keyword."""
-    return _accepts(runner, "trace")
-
-
 def _filter_kwargs(fn, kwargs: dict) -> dict:
     """The subset of ``kwargs`` that ``fn``'s signature declares."""
     return {k: v for k, v in kwargs.items() if _accepts(fn, k)}
 
 
-def _run_sharded(module, shards: int, kwargs: dict):
-    """Fan one experiment's units across ``shards`` worker processes.
+def _run_sharded(module, pool: ProcessPoolExecutor, kwargs: dict):
+    """Run one experiment's units on ``pool`` and merge them in the parent.
 
     Units are independent by the shard contract (each builds its own
     seeded system), so scheduling is purely a wall-clock optimisation:
-    partials are collected in submission (= unit) order and merged by
-    the module's ``shard_finish``, which produces the same
-    ExperimentResult as the sequential run byte-for-byte.
+    partials are collected in unit order and merged by the module's
+    ``shard_finish``, which produces the same ExperimentResult as the
+    sequential run byte-for-byte.
     """
     units = module.shard_units(**_filter_kwargs(module.shard_units, kwargs))
     measure_kwargs = _filter_kwargs(module.shard_measure, kwargs)
-    if shards <= 1 or len(units) <= 1:
-        partials = [module.shard_measure(unit, **measure_kwargs) for unit in units]
-    else:
-        with ProcessPoolExecutor(max_workers=min(shards, len(units))) as pool:
-            # Submit in reverse unit order: sweeps list units smallest
-            # first, so reverse submission approximates longest-first
-            # scheduling and keeps the expensive tail unit off the end
-            # of the critical path.  Merge order is unaffected -- the
-            # partials list is rebuilt in unit order.
-            futures = {
-                index: pool.submit(module.shard_measure, units[index], **measure_kwargs)
-                for index in reversed(range(len(units)))
-            }
-            partials = [futures[index].result() for index in range(len(units))]
+    # Submit in reverse unit order: sweeps list units smallest first, so
+    # reverse submission approximates longest-first scheduling and keeps
+    # the expensive tail unit off the end of the critical path.
+    futures = [
+        pool.submit(module.shard_measure, unit, **measure_kwargs)
+        for unit in reversed(units)
+    ]
+    partials = [future.result() for future in reversed(futures)]
     return module.shard_finish(
         partials, **_filter_kwargs(module.shard_finish, kwargs)
     )
@@ -170,7 +159,7 @@ def run_one(
     replicas: Optional[int] = None,
     governor: Optional[float] = None,
     mega: Optional[int] = None,
-    shards: int = 1,
+    pool: Optional[ProcessPoolExecutor] = None,
 ) -> RunOutcome:
     """Execute one experiment; never raises (a crash is a failed outcome).
 
@@ -183,9 +172,10 @@ def run_one(
     to the mega-scale-aware experiments (e9/e14/e15).  The rest run
     exactly as without the flags.
 
-    ``shards`` > 1 runs the independent units (jurisdictions) of
-    :data:`SHARDED` experiments on separate worker processes with a
-    deterministic cross-shard merge; non-sharded experiments ignore it.
+    ``pool`` (given only by :func:`run_many`, in the parent process) runs
+    the independent units of a :data:`SHARDED` experiment on that pool's
+    workers with a deterministic merge; a crashed unit is a crashed
+    experiment.  Non-sharded experiments ignore it.
     """
     started = time.perf_counter()
     try:
@@ -204,8 +194,8 @@ def run_one(
             if value is not None and _accepts(runner, keyword):
                 kwargs[keyword] = value
         module = SHARDED.get(name)
-        if shards > 1 and module is not None:
-            result = _run_sharded(module, shards, kwargs)
+        if pool is not None and module is not None:
+            result = _run_sharded(module, pool, kwargs)
         else:
             result = runner(**kwargs)
         report = result.render()
@@ -238,7 +228,6 @@ def run_many(
     replicas: Optional[int] = None,
     governor: Optional[float] = None,
     mega: Optional[int] = None,
-    shards: int = 1,
 ) -> List[RunOutcome]:
     """Run ``names`` x ``seeds``, ``jobs`` at a time; outcomes in input order.
 
@@ -249,23 +238,40 @@ def run_many(
     deterministic seed, so reports and exported artifacts are identical
     at any ``jobs``.
 
-    ``shards`` fans each SHARDED experiment's units across worker
-    processes *inside* its run; combine with ``jobs=1`` (nesting a shard
-    pool inside a job pool multiplies processes).
+    ``jobs > 1`` opens the one worker pool.  Whole experiments and the
+    units of :data:`SHARDED` experiments share its workers: the former
+    are submitted as ``run_one`` calls, the latter are driven from this
+    process, which submits their units and merges the partials, so no
+    worker ever opens a pool of its own.
     """
     tasks = [
         (
             name, quick, seed, trace, faults, report,
-            autoscale, overload, replicas, governor, mega, shards,
+            autoscale, overload, replicas, governor, mega,
         )
         for seed in seeds
         for name in names
     ]
-    if jobs <= 1 or len(tasks) <= 1:
+    if jobs <= 1:
         return [run_one(*task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-        futures = [pool.submit(run_one, *task) for task in tasks]
-        return [f.result() for f in futures]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # Whole experiments are queued first, so the workers are busy
+        # while this process walks the sharded ones, and read last, so a
+        # long one never holds up the submission of a later sweep's units.
+        whole = {
+            index: pool.submit(run_one, *task)
+            for index, task in enumerate(tasks)
+            if task[0] not in SHARDED
+        }
+        driven = {
+            index: run_one(*task, pool=pool)
+            for index, task in enumerate(tasks)
+            if index not in whole
+        }
+        return [
+            whole[index].result() if index in whole else driven[index]
+            for index in range(len(tasks))
+        ]
 
 
 def render_summary(outcomes: Sequence[RunOutcome], multi_seed: bool) -> str:
@@ -307,17 +313,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         type=int,
         default=1,
         metavar="N",
-        help="run up to N experiments in parallel processes (default 1)",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        metavar="N",
         help=(
-            "run each sharded experiment's independent units (e9/e13/e15/"
-            "e16/e17/e18 sweeps) on up to N worker processes; reports "
-            "are byte-identical at any N (default 1)"
+            "run on N worker processes shared by whole experiments and "
+            "the independent units of the e9/e13/e15/e16/e17/e18 sweeps; "
+            "reports are byte-identical at any N (default 1)"
         ),
     )
     parser.add_argument(
@@ -423,8 +422,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("--full and --quick are mutually exclusive")
     if args.jobs < 1:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
-    if args.shards < 1:
-        parser.error(f"--shards must be >= 1, got {args.shards}")
 
     if args.list:
         for name in RUNNERS:
@@ -459,7 +456,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         replicas=args.replicas,
         governor=args.governor,
         mega=args.mega,
-        shards=args.shards,
     )
 
     for outcome in outcomes:

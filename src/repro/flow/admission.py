@@ -40,10 +40,6 @@ class AdmissionStats:
     #: reason → logical requests shed ("capacity", "deadline", "evicted").
     shed: Dict[str, int] = field(default_factory=dict)
 
-    def shed_total(self) -> int:
-        """All logical requests shed, any reason."""
-        return sum(self.shed.values())
-
 
 class AdmissionController:
     """The bounded queue in front of one ObjectServer's dispatch loop."""

@@ -23,7 +23,7 @@ Bands change *policy*, not just reporting (see :mod:`repro.health.governor`):
   first-class reason) while a critical allowlist keeps serving.
 
 Everything runs on simulated time from seeded state: band timelines and
-ledgers are byte-identical across ``--jobs``/``--shards``.  With no
+ledgers are byte-identical across ``--jobs``.  With no
 governor installed nothing in this package runs: zero hot-path cost.
 """
 

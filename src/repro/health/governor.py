@@ -140,10 +140,6 @@ class Governor:
     def band(self) -> Band:
         return self.machine.band
 
-    def band_history(self) -> List[Tuple[float, str, str]]:
-        """(time, from, to) per ledgered transition, in order."""
-        return [(r.time, r.from_band, r.to_band) for r in self.ledger.records]
-
     def track(self, *clients) -> None:
         """Register caller consoles: their wire stats join the evidence
         and their retry-token refill joins the governed knobs."""

@@ -10,7 +10,7 @@ intact (or name the first corrupted sequence number).
 
 Canonical form: JSON with sorted keys and compact separators, floats
 pre-rounded by ``HealthEvidence.to_json``.  Serialization is therefore
-byte-deterministic across ``--jobs``/``--shards``, which is what makes
+byte-deterministic across ``--jobs``, which is what makes
 the E17 ledgers merge- and diff-stable artifacts.
 """
 

@@ -8,7 +8,7 @@ Each LEDGER is a JSONL file written by :meth:`HealthLedger.write` (one
 canonical record per line).  The chain is recomputed from GENESIS: any
 edited, dropped, or reordered record makes the process exit non-zero and
 name the first bad sequence number.  Verification depends only on the
-file bytes, so it is stable across ``--jobs``/``--shards`` and across
+file bytes, so it is stable across ``--jobs`` and across
 machines -- CI verifies the E17 ledger artifacts with exactly this
 entry point.
 """

@@ -18,7 +18,7 @@ Three adapters, one per experiment the flag wires into:
 
 Every adapter returns a picklable dict of *deterministic* values (no
 wall-clock anywhere), so the sharded runners merge partials into
-byte-identical reports at any ``--shards``/``--jobs``.
+byte-identical reports at any ``--jobs``.
 """
 
 from __future__ import annotations

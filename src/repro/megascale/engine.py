@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.errors import LegionError
-from repro.megascale.frame import BULK, LOST, PROMOTED, StateFrame
+from repro.megascale.frame import BULK, PROMOTED, StateFrame
 
 
 @dataclass
@@ -99,6 +99,10 @@ class BulkEngine:
             self.hot[i] = True
         #: promoted id → last tick a call touched it (drives demotion).
         self._last_touch: Dict[int, int] = {}
+        #: promoted id → escalated calls issued and not yet settled; a
+        #: twin is never folded back with one outstanding, or the frame
+        #: would lose the value the late reply carries.
+        self._in_flight: Dict[int, int] = {}
         #: promoted id → dict twin (only when no live boundary is set).
         self._twins: Dict[int, Dict[str, int]] = {}
 
@@ -156,6 +160,7 @@ class BulkEngine:
         if int(self.frame.state[i]) != PROMOTED:
             self._promote([i], reason="touch")
         self._last_touch[i] = tick
+        self._in_flight[i] += 1
         self.ledger.escalated_issued += 1
         if self.boundary is not None:
             self.boundary.call(i)
@@ -166,6 +171,7 @@ class BulkEngine:
 
     def note_escalated_done(self, i: int) -> None:
         """One escalated call settled on the rich side; close the ledger."""
+        self._in_flight[i] -= 1
         self.ledger.escalated_completed += 1
         self.frame.class_calls[int(self.frame.klass[i])] += 1
 
@@ -173,6 +179,8 @@ class BulkEngine:
 
     def _promote(self, ids: List[int], reason: str) -> None:
         snapshots = self.frame.promote(ids)
+        for i in ids:
+            self._in_flight[i] = 0
         self.ledger.promotions += len(snapshots)
         if reason == "fault":
             self.ledger.fault_promotions += len(snapshots)
@@ -188,7 +196,7 @@ class BulkEngine:
         idle = sorted(
             i
             for i, last in self._last_touch.items()
-            if tick - last >= self.demote_after
+            if tick - last >= self.demote_after and not self._in_flight[i]
         )
         for i in idle:
             self._demote(i)
@@ -244,10 +252,6 @@ class BulkEngine:
         self.frame.restore_host(host_id)
 
     # --------------------------------------------------------------- reporting
-
-    def promoted_ids(self) -> List[int]:
-        """Currently promoted ids, in dense-id order."""
-        return sorted(self._last_touch)
 
     def settled(self) -> bool:
         """The engine-side settlement identity (shed term included)."""

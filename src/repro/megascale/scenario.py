@@ -81,7 +81,7 @@ def build_plan(spec: MegaScenario, seed: int) -> List[Any]:
 
     A pure function of (spec, seed): the draw comes from the named numpy
     stream ``mega-calls`` of a fresh :class:`RngStreams`, consumed tick
-    by tick, so both backends -- and every ``--jobs``/``--shards``
+    by tick, so both backends -- and every ``--jobs``
     worker -- see byte-identical plans.
     """
     np = require_numpy("the mega scenario plan")

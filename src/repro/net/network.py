@@ -226,13 +226,6 @@ class Network:
         if ep is not None and ep.active:
             ep.handler(notice)
 
-    # -- introspection ------------------------------------------------------------
-
-    @property
-    def endpoint_count(self) -> int:
-        """Number of live endpoints (== active Legion object processes)."""
-        return len(self._endpoints)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<Network endpoints={len(self._endpoints)} "

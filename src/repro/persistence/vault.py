@@ -12,7 +12,7 @@ Magistrate needs to find the OPR of an object it manages.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.errors import StorageError
 from repro.naming.loid import LOID
@@ -80,10 +80,6 @@ class Vault:
     def holds(self, loid: LOID) -> bool:
         """Whether this vault currently holds an OPR for ``loid``."""
         return loid.identity in self._index
-
-    def address_of(self, loid: LOID) -> Optional[PersistentAddress]:
-        """The Object Persistent Address of ``loid``'s OPR, if held."""
-        return self._index.get(loid.identity)
 
     def delete_opr(self, loid: LOID) -> None:
         """Remove the OPR of ``loid`` (idempotent)."""

@@ -20,8 +20,7 @@ Modules: :mod:`selection` (config + locality ordering), :mod:`catalog`
 (the two-tier replica-location fabric), :mod:`policy` (consistency
 sessions), :mod:`store` (the versioned KV workload), :mod:`repair`
 (probes, one-shot repair, background service), :mod:`directory` (the
-ambient handle + ``enable_replication``).  The legacy ``manager`` module
-survives as a compatibility shim over :mod:`repair`.
+ambient handle + ``enable_replication``).
 """
 
 from repro.replication.catalog import GlobalReplicaIndexImpl, ReplicaCatalogImpl

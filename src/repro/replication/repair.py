@@ -2,10 +2,9 @@
 
 The one-shot helpers (:func:`probe_replicas`,
 :func:`repair_replica_group`) are the original section-4.3 maintenance
-generators, relocated here from the legacy ``replication/manager.py``
-(which remains as a compatibility shim).  They use only public Legion
-member functions -- Ping on the replicas, ReportDeadReplica on the class
--- so they model what a monitoring object built *on* Legion would do.
+generators.  They use only public Legion member functions -- Ping on the
+replicas, ReportDeadReplica on the class -- so they model what a
+monitoring object built *on* Legion would do.
 
 :class:`ReplicaRepairService` is the background half: one sweep loop per
 jurisdiction (mirroring :class:`repro.faults.recovery.RecoverySweeper`,

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 from repro.megascale.compat import require_numpy
 
@@ -238,13 +238,3 @@ def run_scenario_mega(
     ).hexdigest()
     report["checksum"] = digest[:16]
     return report
-
-
-def mega_summary(report: Dict) -> str:
-    """One-line summary for tables and logs."""
-    return (
-        f"{report['scenario']}: pop={report['population']} "
-        f"served={report['served']} shed={report['shed']} "
-        f"denied={report['denied']} settled={report['settled']} "
-        f"checksum={report['checksum']}"
-    )

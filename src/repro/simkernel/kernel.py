@@ -395,8 +395,9 @@ class SimKernel:
         Parameters
         ----------
         until:
-            Stop once simulated time would exceed this (the clock is left at
-            ``until``; later events remain queued).
+            Stop once simulated time would exceed this (the clock is
+            advanced to ``until``, never moved back; later events remain
+            queued).
         max_events:
             Safety valve for runaway simulations.
         """
@@ -415,7 +416,8 @@ class SimKernel:
             if nxt is None:
                 break
             if until is not None and nxt[0] > until:
-                self._now = until
+                if self._now < until:
+                    self._now = until
                 return
             self.step()
             executed += 1

@@ -84,7 +84,6 @@ class SiteSpec:
     hosts: int = 2
     host_type: str = "unix"
     disks: int = 1
-    disk_capacity: Optional[int] = None
     #: Processes per host (None = the host type's default).
     max_processes: Optional[int] = None
 
@@ -265,9 +264,7 @@ class LegionSystem:
         """One site: jurisdiction, disks, hosts, magistrate, binding agent."""
         jurisdiction = Jurisdiction(spec.name)
         for i in range(spec.disks):
-            jurisdiction.vault.add_store(
-                PersistentStore(spec.name, f"disk{i}", capacity_bytes=spec.disk_capacity)
-            )
+            jurisdiction.vault.add_store(PersistentStore(spec.name, f"disk{i}"))
         self.jurisdictions[spec.name] = jurisdiction
 
         host_class_name, _parent = HOST_CLASS_HIERARCHY[spec.host_type]

@@ -201,15 +201,6 @@ class SpanRecorder:
         ids = {s.span_id for s in pool}
         return [s for s in pool if s.parent_id == 0 or s.parent_id not in ids]
 
-    def children_index(
-        self, spans: Optional[Iterable[Span]] = None
-    ) -> Dict[int, List[Span]]:
-        """parent span id → children, over the given set (default: all)."""
-        index: Dict[int, List[Span]] = {}
-        for span in self.spans if spans is None else spans:
-            index.setdefault(span.parent_id, []).append(span)
-        return index
-
     def __len__(self) -> int:
         return len(self.spans)
 

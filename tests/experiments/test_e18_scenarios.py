@@ -1,7 +1,7 @@
 """E18: the scenario x subsystem matrix and its CLI surface.
 
-The cross-shard byte-identity of the *default* E18 arms is covered by
-the shard matrix (``test_shard_matrix.py``); here the same contract is
+The cross-``--jobs`` byte-identity of the *default* E18 arms is covered
+by the jobs matrix (``test_jobs_matrix.py``); here the same contract is
 pinned with the subsystem flags applied -- every scenario must stay
 deterministic under ``--faults``, ``--governor``, and ``--mega`` -- plus
 the report artifact and the ``--list-scenarios`` listing.
@@ -30,10 +30,10 @@ def test_optional_flags_add_their_arms():
     assert {"overload", "autoscale", "replicas"} <= arms
 
 
-def test_e18_is_byte_identical_across_shards_under_the_subsystem_flags():
-    kwargs = dict(quick=True, seed=0, faults=2.0, governor=4.0, mega=50_000)
-    seq = runner.run_one("e18", shards=1, **kwargs)
-    par = runner.run_one("e18", shards=4, **kwargs)
+def test_e18_is_byte_identical_across_jobs_under_the_subsystem_flags():
+    kwargs = dict(quick=True, seeds=(0,), faults=2.0, governor=4.0, mega=50_000)
+    (seq,) = runner.run_many(["e18"], jobs=1, **kwargs)
+    (par,) = runner.run_many(["e18"], jobs=4, **kwargs)
     assert seq.passed, seq.report
     assert seq.report == par.report
     assert "faults arm" in seq.report

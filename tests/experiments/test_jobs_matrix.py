@@ -4,14 +4,16 @@
 optimisation: every experiment builds its own seeded universe, so the
 rendered reports -- claim tables, check details, kernel fingerprints --
 must match the sequential reference run byte for byte.  This matrix pins
-that across E1-E15, including e14 whose autoscaler actions (spawn/retire
-schedules) feed directly into the printed table and e15 whose per-call
-overload records decide every goodput figure.
+that across E1-E18, including e14 whose autoscaler actions (spawn/retire
+schedules) feed directly into the printed table, e15 whose per-call
+overload records decide every goodput figure, and the six SHARDED sweeps
+(e9/e13/e15/e16/e17/e18), whose units run on the same pool and are
+merged in unit order by ``shard_finish``.
 """
 
 from repro.experiments.runner import RUNNERS, run_many
 
-MATRIX = [f"e{i}" for i in range(1, 16)]
+MATRIX = [f"e{i}" for i in range(1, 19)]
 
 
 def test_registry_covers_the_matrix():

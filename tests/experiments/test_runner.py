@@ -1,7 +1,11 @@
 """The parallel experiment runner: fan-out equivalence and CLI plumbing."""
 
+import os
+from concurrent.futures import ProcessPoolExecutor
+
 import pytest
 
+from repro.experiments import e9_scaling, runner
 from repro.experiments.runner import (
     RUNNERS,
     RunOutcome,
@@ -32,6 +36,29 @@ def test_parallel_matches_sequential():
     assert [(o.name, o.seed) for o in par] == [("e1", 0), ("e12", 0), ("e13", 0)]
 
 
+def test_units_and_whole_experiments_share_one_pool(monkeypatch):
+    """e15's units run beside e1 and e12 on the pool ``run_many`` opens:
+    the parent constructs exactly one, and a worker that tried to open
+    its own would crash its experiment and break the report equality."""
+    parent = os.getpid()
+    opened = []
+
+    class OnePool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            assert os.getpid() == parent, "a worker opened a pool"
+            opened.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", OnePool)
+    names = ["e1", "e15", "e12"]
+    seq = run_many(names, quick=True, seeds=(0,), jobs=1)
+    assert opened == []
+    par = run_many(names, quick=True, seeds=(0,), jobs=2)
+    assert opened == [{"max_workers": 2}]
+    assert all(o.passed for o in seq)
+    assert [o.report for o in par] == [o.report for o in seq]
+
+
 def test_multi_seed_ordering():
     outcomes = run_many(["e1"], quick=True, seeds=(0, 1), jobs=2)
     assert [(o.name, o.seed) for o in outcomes] == [("e1", 0), ("e1", 1)]
@@ -45,6 +72,19 @@ def test_crashed_experiment_is_a_failure(monkeypatch):
     outcome = run_one("e1", quick=True, seed=0)
     assert not outcome.passed
     assert "injected crash" in outcome.report
+
+
+def _crashing_unit(unit, quick, seed):
+    raise RuntimeError(f"injected unit crash {unit}")
+
+
+def test_crashed_unit_in_a_worker_is_a_crashed_experiment(monkeypatch):
+    monkeypatch.setattr(e9_scaling, "shard_measure", _crashing_unit)
+    e9, e12 = run_many(["e9", "e12"], quick=True, seeds=(0,), jobs=2)
+    assert not e9.passed
+    assert "e9: CRASHED" in e9.report
+    assert "injected unit crash" in e9.report
+    assert e12.passed  # the sweep went on
 
 
 def test_render_summary_verdict():
@@ -71,3 +111,8 @@ def test_cli_rejects_full_and_quick():
 def test_cli_rejects_bad_jobs():
     with pytest.raises(SystemExit):
         main(["--jobs", "0"])
+
+
+def test_cli_has_no_shards_flag():
+    with pytest.raises(SystemExit):
+        main(["--shards", "2"])

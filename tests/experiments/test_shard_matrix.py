@@ -1,16 +1,15 @@
-"""Cross ``--shards`` determinism matrix: sharded sweeps are byte-identical.
+"""The shard protocol: registry and hooks of the unit-sharded sweeps.
 
-The sharded runner's contract mirrors ``--jobs``: ``--shards N`` is
-purely a wall-clock optimisation.  Each SHARDED experiment decomposes
-into independent units (one seeded universe per jurisdiction sweep
-point), measured in any order on worker processes, and
-``shard_finish`` merges the partials in unit order -- so the rendered
-report must match the sequential reference byte for byte at any shard
-count.  ``run()`` itself is composed from the same three hooks, which
-is what makes the sequential run the reference.
+Each SHARDED experiment decomposes into independent units (one seeded
+universe per jurisdiction sweep point) that ``run_many(..., jobs=N)``
+measures in any order on its worker pool; ``shard_finish`` merges the
+partials in unit order.  ``run()`` itself is composed from the same
+three hooks, which is what makes the sequential run the reference.  The
+byte-identity of the reports across ``--jobs`` is pinned by
+``test_jobs_matrix.py``.
 """
 
-from repro.experiments.runner import SHARDED, run_one
+from repro.experiments.runner import SHARDED
 
 MATRIX = ["e9", "e13", "e15", "e16", "e17", "e18"]
 
@@ -38,10 +37,3 @@ def test_run_is_composed_from_the_shard_hooks():
     direct = module.run(quick=True, seed=0)
     assert composed.render() == direct.render()
 
-
-def test_shards_1_and_shards_4_reports_are_byte_identical():
-    for name in MATRIX:
-        seq = run_one(name, quick=True, seed=0, shards=1)
-        par = run_one(name, quick=True, seed=0, shards=4)
-        assert seq.passed, f"{name} failed sequentially:\n{seq.report}"
-        assert seq.report == par.report, f"{name} diverged across --shards"

@@ -20,6 +20,7 @@ import pytest
 
 from repro.megascale import (
     BulkEngine,
+    MegaScenario,
     ReferenceMachine,
     StateFrame,
     differential_spec,
@@ -148,6 +149,17 @@ class TestColumnarVsRichLive:
             "promoted": 0,
             "lost": 0,
         }
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_no_value_is_lost_when_promotions_overrun_the_tick(self, seed):
+        """16 hot ids go idle between touches, and a promotion's blocking
+        ``create_instance`` runs the kernel past the next 20 ms tick
+        boundaries: ``run(until=<past>)`` must not rewind the clock, and
+        a twin must not be folded back while its Increment is in flight."""
+        spec = MegaScenario(population=2000, hot=16, ticks=12, tick_ms=20.0)
+        report = run_columnar(spec, seed=seed).report
+        assert report.settled and report.wire_settled
+        assert report.value_total == report.completed
 
     def test_seed_changes_the_plan_and_the_checksum(self):
         spec = differential_spec(100)

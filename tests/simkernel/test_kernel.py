@@ -43,6 +43,15 @@ class TestScheduling:
         kernel.run()
         assert hits == ["x"]
 
+    def test_run_until_a_past_time_neither_rewinds_nor_runs(self, kernel):
+        hits = []
+        kernel.schedule(5.0, lambda: None)
+        kernel.run()
+        kernel.schedule(10.0, lambda: hits.append("x"))
+        kernel.run(until=2.0)
+        assert kernel.now == 5.0
+        assert hits == []
+
     def test_schedule_at_absolute_time(self, kernel):
         times = []
         kernel.schedule_at(7.0, lambda: times.append(kernel.now))
