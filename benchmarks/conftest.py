@@ -1,32 +1,6 @@
-"""Shared fixtures for the benchmark suite.
+"""pytest anchor for ``benchmarks/``; it holds no fixtures.
 
-Each ``bench_eN_*.py`` regenerates experiment N's claim table (printed
-with ``-s``; always asserted to pass) and times that experiment's core
-operation with pytest-benchmark.  Systems are built once per module --
-the timed operations are repeatable against a live system.
+``PYTHONPATH=src python -m pytest benchmarks/ledger`` runs the ledger's
+self-checks and ``... benchmarks/bench_invoke_path.py`` the call-path
+ablation; both build their own systems.
 """
-
-from __future__ import annotations
-
-import pytest
-
-from repro.experiments.common import uniform_sites
-from repro.system.legion import LegionSystem
-from repro.workloads.apps import CounterImpl
-
-
-@pytest.fixture(scope="module")
-def small_system():
-    """A 2-site, 4-host system with one Counter class and one instance."""
-    system = LegionSystem.build(uniform_sites(2, hosts_per_site=2), seed=42)
-    cls = system.create_class("BenchCounter", factory=CounterImpl)
-    instance = system.create_instance(cls.loid, context_name="bench/counter")
-    return system, cls, instance
-
-
-def assert_and_report(result):
-    """Print an experiment's table and fail the bench if a check failed."""
-    print()
-    print(result.render())
-    failed = [c for c in result.checks if not c.passed]
-    assert not failed, f"experiment {result.experiment} checks failed: {failed}"

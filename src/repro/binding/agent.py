@@ -44,11 +44,6 @@ class AgentStats:
     class_escalations: int = 0
     refreshes: int = 0
 
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of GetBinding requests answered from the local cache."""
-        return self.cache_hits / self.served if self.served else 0.0
-
     def reset(self) -> None:
         """Zero every counter."""
         self.served = self.cache_hits = 0

@@ -106,17 +106,6 @@ class DispatchPathKey:
         """True when requests go straight to the bare execute chain."""
         return not (self.admission or self.flow or self.traced)
 
-    def stages(self) -> Tuple[str, ...]:
-        """The enabled middleware stages, in pipeline order."""
-        out = []
-        if self.admission:
-            out.append("admission")
-        if self.flow:
-            out.append("batch-unpack")
-        if self.traced:
-            out.append("tracing")
-        return tuple(out)
-
 
 def invoke_path_key(runtime) -> InvokePathKey:
     """The key the runtime's invoke pipeline would compile under right now."""

@@ -185,10 +185,6 @@ class RelationGraph:
                 out.append(node)
         return sorted(out)
 
-    def node_count(self) -> int:
-        """Number of objects the graph has seen."""
-        return self._graph.number_of_nodes()
-
     def edge_count(self, kind: Optional[RelationKind] = None) -> int:
         """Number of edges, optionally of one kind."""
         if kind is None:

@@ -101,10 +101,6 @@ class LogicalTable:
         row.current_magistrates = []
         return row
 
-    def drop(self, loid: LOID) -> None:
-        """Physically remove the row (post-deletion garbage collection)."""
-        self._rows.pop(loid.identity, None)
-
     # -- field updates -------------------------------------------------------------
 
     def set_address(self, loid: LOID, address: Optional[ObjectAddress]) -> None:

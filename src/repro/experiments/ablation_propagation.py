@@ -91,7 +91,3 @@ def run(quick: bool = True, seed: int = 0) -> ExperimentResult:
         "agent's repairs."
     )
     return result
-
-
-if __name__ == "__main__":  # pragma: no cover - manual runner
-    print(run().render())

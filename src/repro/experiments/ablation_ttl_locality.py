@@ -154,15 +154,3 @@ def run_locality(quick: bool = True, seed: int = 0) -> ExperimentResult:
         f"{shares[1.0]:.3f}",
     )
     return result
-
-
-def run(quick: bool = True, seed: int = 0):
-    """Run both ablations; returns (A3, A4)."""
-    return run_ttl(quick, seed), run_locality(quick, seed)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual runner
-    a3, a4 = run()
-    print(a3.render())
-    print()
-    print(a4.render())

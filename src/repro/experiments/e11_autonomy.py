@@ -149,7 +149,3 @@ def run(quick: bool = True, seed: int = 0) -> ExperimentResult:
         "Host Objects can refuse objects (SetAccepting)", refused_host
     )
     return result
-
-
-if __name__ == "__main__":  # pragma: no cover - manual runner
-    print(run().render())

@@ -38,7 +38,11 @@ def run(quick: bool = True, seed: int = 0) -> ExperimentResult:
     n_classes = 6 if quick else 16
     instances_per_class = 8 if quick else 24
 
-    system = LegionSystem.build(uniform_sites(2, hosts_per_site=3), seed=seed)
+    # The full arm's 16 x 24 instances plus class objects overflow six
+    # hosts' 64 process slots each; it gets a fourth host per site.
+    system = LegionSystem.build(
+        uniform_sites(2, hosts_per_site=3 if quick else 4), seed=seed
+    )
     secret = system.services.secret
 
     all_loids: List[LOID] = []
@@ -118,7 +122,3 @@ def run(quick: bool = True, seed: int = 0) -> ExperimentResult:
         surgery_ok,
     )
     return result
-
-
-if __name__ == "__main__":  # pragma: no cover - manual runner
-    print(run().render())

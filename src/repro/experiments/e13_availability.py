@@ -298,7 +298,3 @@ def run(
         for intensity in shard_units(quick=quick, faults=faults)
     ]
     return shard_finish(partials, quick=quick, seed=seed, faults=faults, report=report)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual runner
-    print(run().render())

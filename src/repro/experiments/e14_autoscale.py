@@ -180,96 +180,17 @@ def _run_level(level: int, seed: int, quick: bool, autoscaled: bool):
     }
 
 
-def _run_mega(
-    quick: bool, seed: int, levels: list, mega: int
-) -> ExperimentResult:
-    """The mega-scale arm: columnar callers driving the real controller.
-
-    The caller population lives in a frame (its ``cache_epoch`` column is
-    the binding cache); each tick's demand lands on the live pool
-    members' CLASS_OBJECT counters, so the LoadMonitor → CloneController
-    loop reacts to mega-population demand exactly as it would to
-    ordinary clients, including lazy rebinds when the pool epoch moves.
-    """
-    from repro.megascale.adapters import run_mega_autoscale
-
-    recorder = SeriesRecorder(x_label="load_multiplier")
-    result = ExperimentResult(
-        experiment="E14",
-        title=f"load-adaptive cloning (columnar mega callers, N={mega})",
-        claim=(
-            "a mega-scale columnar caller population's demand, injected "
-            "into the pool's counters with lazy per-caller cache rebinds, "
-            "drives the real CloneController to provision for the load "
-            "and drain back after it"
-        ),
-        recorder=recorder,
-    )
-    result.sim_clock = 0.0
-    result.sim_events = 0
-    peaks = []
-    for level in levels:
-        out = run_mega_autoscale(level, seed=seed, quick=quick, population=mega)
-        result.sim_clock += out["sim_clock"]
-        result.sim_events += out["sim_events"]
-        peaks.append(out["peak_members"])
-        recorder.add(
-            level,
-            peak_members=out["peak_members"],
-            final_members=out["final_members_at_load"],
-            rebinds=out["rebinds"],
-            demand=out["issued"],
-        )
-        result.check(
-            f"L={level}: pool provisioned for the injected demand",
-            out["final_members_at_load"] >= out["expected_members"],
-            f"members={out['final_members_at_load']} "
-            f"expected>={out['expected_members']}",
-        )
-        result.check(
-            f"L={level}: every routed call is accounted for",
-            out["issued"] == out["routed"]
-            and out["caller_calls_total"] == out["issued"],
-            f"issued={out['issued']} routed={out['routed']}",
-        )
-        result.check(
-            f"L={level}: stale caches rebind lazily on epoch bumps",
-            0 < out["rebinds"] <= out["issued"] and out["fresh_members_valid"],
-            f"rebinds={out['rebinds']} of {out['issued']} calls",
-        )
-        result.check(
-            f"L={level}: pool drains back after the demand stops",
-            out["drained_to_min"],
-        )
-        result.check(
-            f"L={level}: caller ids stay monotone (no recycling)",
-            out["allocator_high_water"] == mega,
-            f"high_water={out['allocator_high_water']}",
-        )
-    result.check(
-        "peak pool size grows monotonically with offered load",
-        all(a <= b for a, b in zip(peaks, peaks[1:], strict=False))
-        and peaks[-1] > peaks[0],
-        f"peaks={peaks}",
-    )
-    return result
-
-
 def run(
     quick: bool = True,
     seed: int = 0,
     autoscale: Optional[float] = None,
     report: Optional[str] = None,
-    mega: Optional[int] = None,
 ) -> ExperimentResult:
     """Sweep offered load 8x; autoscaled max load must stay bounded.
 
     ``autoscale`` (the runner's ``--autoscale`` flag) overrides the top
     load multiplier: levels become powers of two up to that value.
     ``report`` names a directory for the JSON load-slope artifact.
-    ``mega`` (the ``--mega N`` flag) swaps the live client fleet for a
-    columnar caller population of N: same levels, same controller, with
-    demand injected frame-at-once and binding caches as a column.
     """
     recorder = SeriesRecorder(x_label="load_multiplier")
     result = ExperimentResult(
@@ -287,8 +208,6 @@ def run(
     while level <= max(2, top):
         levels.append(level)
         level *= 2
-    if mega:
-        return _run_mega(quick, seed, levels, int(mega))
     total_clock, total_events = 0.0, 0
     report_rows = []
     clone_counts = []
@@ -373,7 +292,3 @@ def run(
             )
         result.notes = f"report: {path}"
     return result
-
-
-if __name__ == "__main__":  # pragma: no cover - manual runner
-    print(run().render())

@@ -210,19 +210,13 @@ def _run_level(
     }
 
 
-def shard_units(
-    quick: bool = True,
-    overload: Optional[float] = None,
-    mega: Optional[int] = None,
-) -> list:
+def shard_units(quick: bool = True, overload: Optional[float] = None) -> list:
     """The independent work units of one E15 sweep.
 
     Each unit is one (offered-load level, arm) pair; every unit builds
     its own single-site system from the seed and shares nothing with the
     others, so units may run in separate worker processes
-    (``--jobs N``) in any order.  The unit *shape* is the same with
-    ``--mega N`` -- the measure step then runs the columnar overload
-    kernel over an N-object frame instead of the live testbed.
+    (``--jobs N``) in any order.
     """
     top = max(2, int(overload)) if overload else 10
     base = [1, 2, 4] if quick else [1, 2, 3, 4, 6, 8]
@@ -236,7 +230,6 @@ def shard_measure(
     seed: int = 0,
     overload: Optional[float] = None,
     trace: Optional[str] = None,
-    mega: Optional[int] = None,
 ) -> Dict[str, Any]:
     """Run one (level, arm) unit; the returned dict is picklable.
 
@@ -245,10 +238,6 @@ def shard_measure(
     plain picklable records.
     """
     level, arm = unit
-    if mega:
-        from repro.megascale.adapters import run_mega_overload
-
-        return run_mega_overload(level, arm, seed=seed, quick=quick, population=mega)
     flow = arm == "flow"
     out = _run_level(level, seed, quick, flow=flow, trace=trace if flow else None)
     out["level"] = level
@@ -263,7 +252,6 @@ def shard_finish(
     overload: Optional[float] = None,
     trace: Optional[str] = None,
     report: Optional[str] = None,
-    mega: Optional[int] = None,
 ) -> ExperimentResult:
     """Merge unit partials into the E15 result, in deterministic unit order.
 
@@ -272,8 +260,6 @@ def shard_finish(
     accumulation, and the report artifact are byte-identical to the
     sequential run.
     """
-    if mega:
-        return _finish_mega(partials, quick=quick, overload=overload, mega=mega)
     by_unit = {(p["level"], p["arm"]): p for p in partials}
     recorder = SeriesRecorder(x_label="offered_x")
     result = ExperimentResult(
@@ -387,116 +373,25 @@ def shard_finish(
     return result
 
 
-def _finish_mega(
-    partials, quick: bool, overload: Optional[float], mega: int
-) -> ExperimentResult:
-    """The mega-scale merge: plateau vs collapse over the columnar kernel.
-
-    The same claim shape as the live sweep -- admission keeps goodput at
-    the capacity plateau with bounded queues while the baseline's
-    unbounded queues turn every serve late -- proven at 10^6-10^7
-    objects with per-host carryover queues over the frame.
-    """
-    by_unit = {(p["level"], p["arm"]): p for p in partials}
-    recorder = SeriesRecorder(x_label="offered_x")
-    result = ExperimentResult(
-        experiment="E15",
-        title=f"goodput under overload (columnar mega-scale, N={mega})",
-        claim=(
-            "over a columnar mega-population with per-host carryover "
-            "queues, shedding at the queue cap holds goodput at the "
-            "capacity plateau with bounded delay, while the unbounded "
-            "baseline serves ever later and its goodput collapses"
-        ),
-        recorder=recorder,
-    )
-    levels = sorted({level for level, _arm in by_unit})
-    top = levels[-1]
-    mid = 4 if 4 in levels else levels[len(levels) // 2]
-    result.sim_clock = 0.0
-    result.sim_events = 0
-    for level in levels:
-        fl = by_unit[(level, "flow")]
-        bl = by_unit[(level, "baseline")]
-        result.sim_clock += fl["sim_clock"] + bl["sim_clock"]
-        result.sim_events += fl["sim_events"] + bl["sim_events"]
-        recorder.add(
-            level,
-            flow_goodput=fl["goodput_x"],
-            baseline_goodput=bl["goodput_x"],
-            sheds=fl["shed"],
-            flow_max_queue=fl["max_queue"],
-            baseline_max_queue=bl["max_queue"],
-        )
-        for arm, out in (("flow", fl), ("baseline", bl)):
-            result.check(
-                f"x{level} {arm}: every call settles "
-                "(admitted + shed, admitted == served + queued)",
-                out["settled"],
-                f"issued={out['issued']} admitted={out['admitted']} "
-                f"shed={out['shed']} served={out['served']} "
-                f"queued_end={out['queued_end']}",
-            )
-        result.check(
-            f"x{level} flow: per-host queue bounded by the cap",
-            fl["max_queue"] <= fl["qcap"],
-            f"max_queue={fl['max_queue']} qcap={fl['qcap']}",
-        )
-        result.check(
-            f"x{level}: per-class tallies account for every admitted call",
-            fl["class_calls_total"] == fl["admitted"],
-            f"class_calls={fl['class_calls_total']} admitted={fl['admitted']}",
-        )
-    for level in (mid, top):
-        result.check(
-            f"x{level} flow: goodput plateau >= 80% of capacity",
-            by_unit[(level, "flow")]["goodput_x"] >= 0.8,
-            f"{by_unit[(level, 'flow')]['goodput_x']:.2f}x capacity",
-        )
-    result.check(
-        f"x{top} baseline: goodput collapses (<= 50% of capacity)",
-        by_unit[(top, "baseline")]["goodput_x"] <= 0.5,
-        f"{by_unit[(top, 'baseline')]['goodput_x']:.2f}x capacity",
-    )
-    result.check(
-        f"x{top} flow: admission sheds the excess (> 0 sheds)",
-        by_unit[(top, "flow")]["shed"] > 0,
-        f"{by_unit[(top, 'flow')]['shed']} sheds "
-        f"of {by_unit[(top, 'flow')]['issued']} issued",
-    )
-    result.notes = (
-        f"columnar backend: {mega} objects, "
-        f"value checksum at top flow level: "
-        f"{by_unit[(top, 'flow')]['checksum']}"
-    )
-    return result
-
-
 def run(
     quick: bool = True,
     seed: int = 0,
     overload: Optional[float] = None,
     trace: Optional[str] = None,
     report: Optional[str] = None,
-    mega: Optional[int] = None,
 ) -> ExperimentResult:
     """Sweep offered load x1..x10 capacity with and without flow control.
 
     ``overload`` (the runner's ``--overload`` flag) overrides the top
     offered-load multiplier; ``trace`` enables the span-level admission
     audit; ``report`` names a directory for the JSON goodput artifact.
-    ``mega`` (the ``--mega N`` flag) swaps the live testbed for the
-    columnar kernel over an N-object frame -- same levels, same claim
-    shape, three to four orders of magnitude more objects.
 
     Composed from the shard protocol, so the sequential run IS the
     ``--jobs 1`` reference the sharded runner reproduces.
     """
     partials = [
-        shard_measure(
-            unit, quick=quick, seed=seed, overload=overload, trace=trace, mega=mega
-        )
-        for unit in shard_units(quick=quick, overload=overload, mega=mega)
+        shard_measure(unit, quick=quick, seed=seed, overload=overload, trace=trace)
+        for unit in shard_units(quick=quick, overload=overload)
     ]
     return shard_finish(
         partials,
@@ -505,9 +400,4 @@ def run(
         overload=overload,
         trace=trace,
         report=report,
-        mega=mega,
     )
-
-
-if __name__ == "__main__":  # pragma: no cover - manual runner
-    print(run().render())

@@ -621,7 +621,3 @@ def run(
         overload=overload,
         report=report,
     )
-
-
-if __name__ == "__main__":  # pragma: no cover - manual runner
-    print(run().render())

@@ -547,7 +547,3 @@ def run(
     return shard_finish(
         partials, quick=quick, seed=seed, governor=governor, report=report
     )
-
-
-if __name__ == "__main__":  # pragma: no cover - manual runner
-    print(run().render())

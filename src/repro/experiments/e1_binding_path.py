@@ -157,7 +157,3 @@ def run(quick: bool = True, seed: int = 0, trace: Optional[str] = None) -> Exper
     result.sim_clock = system.kernel.now
     result.sim_events = system.kernel.events_executed
     return result
-
-
-if __name__ == "__main__":  # pragma: no cover - manual runner
-    print(run().render())

@@ -85,7 +85,3 @@ def run(quick: bool = True, seed: int = 0) -> ExperimentResult:
         f"log-log slope {growth_slope:.3f}",
     )
     return result
-
-
-if __name__ == "__main__":  # pragma: no cover - manual runner
-    print(run().render())

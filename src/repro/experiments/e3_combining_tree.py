@@ -203,7 +203,3 @@ def run(quick: bool = True, seed: int = 0, trace: Optional[str] = None) -> Exper
         path = export_trace(traced_spans, trace, "e3", seed)
         result.notes = f"trace (largest tree config): {path}"
     return result
-
-
-if __name__ == "__main__":  # pragma: no cover - manual runner
-    print(run().render())

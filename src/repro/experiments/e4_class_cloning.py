@@ -100,7 +100,3 @@ def run(quick: bool = True, seed: int = 0) -> ExperimentResult:
         "request spreading, as the paper's 'different domains' implies."
     )
     return result
-
-
-if __name__ == "__main__":  # pragma: no cover - manual runner
-    print(run().render())

@@ -118,7 +118,3 @@ def run(quick: bool = True, seed: int = 0) -> ExperimentResult:
         ) == 1,
     )
     return result
-
-
-if __name__ == "__main__":  # pragma: no cover - manual runner
-    print(run().render())

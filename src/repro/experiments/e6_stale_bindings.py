@@ -109,7 +109,3 @@ def run(quick: bool = True, seed: int = 0) -> ExperimentResult:
         saw_stale_under_churn,
     )
     return result
-
-
-if __name__ == "__main__":  # pragma: no cover - manual runner
-    print(run().render())

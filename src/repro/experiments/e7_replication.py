@@ -119,7 +119,3 @@ def run(quick: bool = True, seed: int = 0) -> ExperimentResult:
         "availability, which is what section 4.3 claims."
     )
     return result
-
-
-if __name__ == "__main__":  # pragma: no cover - manual runner
-    print(run().render())

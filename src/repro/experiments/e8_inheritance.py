@@ -199,7 +199,3 @@ def run(quick: bool = True, seed: int = 0) -> ExperimentResult:
         f"sinks={[str(s) for s in sinks]}",
     )
     return result
-
-
-if __name__ == "__main__":  # pragma: no cover - manual runner
-    print(run().render())

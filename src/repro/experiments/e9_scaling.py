@@ -24,7 +24,7 @@ are flat (log-log slope ≈ 0) while the strawman's bottleneck grows
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from repro.experiments.common import ExperimentResult, export_trace, uniform_sites
 from repro.metrics.counters import ComponentKind
@@ -126,6 +126,72 @@ def _run_config(
     return maxima, spans, counts
 
 
+#: The mega size ladder spans two decades below the requested scale (so
+#: the log-log load fit has range) but never drops below this population.
+LADDER_FLOOR = 10_000
+
+
+def e9_mega_sizes(mega: int, quick: bool = True) -> List[int]:
+    """The population rungs of one E9 mega sweep (sorted, deduplicated)."""
+    mega = int(mega)
+    floor = min(LADDER_FLOOR, mega)
+    return sorted({max(floor, mega // 100), max(floor, mega // 10), mega})
+
+
+def e9_mega_spec(size: int, quick: bool = True):
+    """One rung's scenario: classes, host slots, and traffic all ∝ size.
+
+    Scaling every axis together is the point: per-class offered load is
+    then *flat* in the population, so a flat max-class-load curve means
+    no component's load is an increasing function of system size -- the
+    paper's principle restated at 10^6-10^7 objects.
+    """
+    from repro.megascale.scenario import MegaScenario
+
+    return MegaScenario(
+        population=size,
+        n_classes=max(4, size // 1_000),
+        bulk_hosts=max(4, size // 2_000),
+        ticks=3 if quick else 5,
+        calls_per_tick=max(256, size // 2),
+        hot=4,
+        touches_per_tick=2,
+        demote_after=2,
+    )
+
+
+def run_e9_mega_unit(size: int, seed: int, quick: bool = True) -> Dict:
+    """Run one ladder rung; returns the deterministic partial.
+
+    The whole population lives in a ``StateFrame`` and the standing hot
+    set is escalated into a real :class:`LegionSystem` through the live
+    boundary.  No wall-clock value enters the partial, so reports merge
+    byte-identically at any ``--jobs``.
+    """
+    from repro.megascale.scenario import run_columnar
+
+    spec = e9_mega_spec(size, quick)
+    out = run_columnar(spec, seed=seed)
+    report, diag = out.report, out.diagnostics
+    return {
+        "arm": "mega",
+        "size": size,
+        "n_classes": spec.n_classes,
+        "issued": report.issued,
+        "completed": report.completed,
+        "shed": report.shed,
+        "max_class_load": max(report.class_calls),
+        "checksum": report.value_checksum,
+        "settled": report.settled,
+        "wire_settled": report.wire_settled,
+        "promotions": diag["promotions"],
+        "demotions": diag["demotions"],
+        "allocator_high_water": diag["allocator_high_water"],
+        "sim_clock": out.sim_clock,
+        "sim_events": out.sim_events,
+    }
+
+
 def shard_units(quick: bool = True, mega: Optional[int] = None) -> list:
     """The independent work units of one E9 sweep.
 
@@ -137,15 +203,13 @@ def shard_units(quick: bool = True, mega: Optional[int] = None) -> list:
     With ``mega`` (the ``--mega N`` flag), the columnar size ladder rides
     along: one extra ``("mega", population)`` unit per rung, each running
     the whole population through the frame-at-once backend with a live
-    escalation boundary (see :mod:`repro.megascale.adapters`).
+    escalation boundary (:func:`run_e9_mega_unit`).
     """
     sweep = [2, 4, 8] if quick else [2, 4, 8, 16, 32]
     units = [
         (arm, n_sites) for n_sites in sweep for arm in ("mitigated", "strawman")
     ]
     if mega:
-        from repro.megascale.adapters import e9_mega_sizes
-
         units.extend(("mega", size) for size in e9_mega_sizes(mega, quick))
     return units
 
@@ -160,11 +224,7 @@ def shard_measure(
     """Run one unit; returns a picklable partial for :func:`shard_finish`."""
     arm, n_sites = unit
     if arm == "mega":
-        from repro.megascale.adapters import run_e9_mega_unit
-
-        partial = run_e9_mega_unit(n_sites, seed=seed, quick=quick)
-        partial["arm"] = "mega"
-        return partial
+        return run_e9_mega_unit(n_sites, seed=seed, quick=quick)
     mitigated = arm == "mitigated"
     maxima, spans, counts = _run_config(
         n_sites,
@@ -352,7 +412,3 @@ def run(
         for unit in shard_units(quick=quick, mega=mega)
     ]
     return shard_finish(partials, quick=quick, seed=seed, trace=trace, mega=mega)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual runner
-    print(run().render())

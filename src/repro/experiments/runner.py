@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import inspect
-import sys
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
@@ -91,6 +90,72 @@ RUNNERS = {
     "a4": run_locality,
 }
 
+#: The subsystem flags, declared once as (keyword, argparse options,
+#: help).  The CLI derives its ``--keyword`` options from this table and
+#: :func:`run_one` validates its ``**flags`` against it.  *Which*
+#: experiment takes which flag is not repeated here: a flag reaches
+#: exactly the runners whose signature declares its keyword.
+FLAGS = (
+    (
+        "trace",
+        {"nargs": "?", "const": "traces", "metavar": "DIR"},
+        "record causal traces: trace-aware experiments audit their "
+        "span trees and write Chrome trace_event JSON under DIR "
+        "(default: traces/)",
+    ),
+    (
+        "faults",
+        {"type": float, "metavar": "RATE"},
+        "chaos intensity (fault events per 1000 simulated time units) "
+        "for fault-aware experiments: e13 then sweeps [0, RATE] "
+        "instead of its default levels",
+    ),
+    (
+        "report",
+        {"nargs": "?", "const": "reports", "metavar": "DIR"},
+        "write machine-readable result artifacts (availability/FaultLog "
+        "JSON) under DIR (default: reports/) for experiments that "
+        "support them",
+    ),
+    (
+        "autoscale",
+        {"type": float, "metavar": "MULT"},
+        "top offered-load multiplier for autoscale-aware experiments: "
+        "e14 then sweeps powers of two up to MULT instead of its "
+        "default 8x",
+    ),
+    (
+        "overload",
+        {"type": float, "metavar": "MULT"},
+        "top offered-load multiplier for overload-aware experiments: "
+        "e15 then sweeps offered load up to MULT x capacity instead "
+        "of its default 10x",
+    ),
+    (
+        "replicas",
+        {"type": int, "metavar": "N"},
+        "top replica count for replication-aware experiments: e16 "
+        "then sweeps replica groups up to N members instead of its "
+        "default 3 (one per jurisdiction)",
+    ),
+    (
+        "governor",
+        {"type": float, "metavar": "MULT"},
+        "storm offered-load multiplier for governor-aware experiments: "
+        "e17 then drives its storm phase at MULT x capacity instead of "
+        "its default 8x",
+    ),
+    (
+        "mega",
+        {"type": int, "metavar": "N"},
+        "columnar mega-scale population for mega-aware experiments: "
+        "e9 appends a frame-at-once size ladder up to N objects, e18 "
+        "replays its scenarios over N columnar callers instead of its "
+        "default 10^6 (requires the numpy 'mega' extra)",
+    ),
+)
+FLAG_NAMES = tuple(keyword for keyword, _options, _help in FLAGS)
+
 
 @dataclass
 class RunOutcome:
@@ -151,48 +216,33 @@ def run_one(
     name: str,
     quick: bool,
     seed: int,
-    trace: Optional[str] = None,
-    faults: Optional[float] = None,
-    report: Optional[str] = None,
-    autoscale: Optional[float] = None,
-    overload: Optional[float] = None,
-    replicas: Optional[int] = None,
-    governor: Optional[float] = None,
-    mega: Optional[int] = None,
     pool: Optional[ProcessPoolExecutor] = None,
+    **flags,
 ) -> RunOutcome:
     """Execute one experiment; never raises (a crash is a failed outcome).
 
-    The optional keywords are forwarded only to runners that declare them:
-    ``trace`` (an output directory) to trace-aware experiments, ``faults``
-    (a chaos intensity) and ``report`` (an artifact directory) to
-    fault-aware ones, ``autoscale`` (a max load multiplier) to e14,
-    ``overload`` (a top offered-load multiplier) to e15/e16, ``replicas``
-    (a top replica count) to e16, ``mega`` (a columnar population size)
-    to the mega-scale-aware experiments (e9/e14/e15).  The rest run
-    exactly as without the flags.
+    ``flags`` are the :data:`FLAGS` keywords; an unknown one is a caller
+    bug and raises ``TypeError`` before anything runs.  Each flag that
+    is not ``None`` is forwarded only to runners that declare its
+    keyword; the rest run exactly as without it.
 
     ``pool`` (given only by :func:`run_many`, in the parent process) runs
     the independent units of a :data:`SHARDED` experiment on that pool's
     workers with a deterministic merge; a crashed unit is a crashed
     experiment.  Non-sharded experiments ignore it.
     """
+    for keyword in flags:
+        if keyword not in FLAG_NAMES:
+            raise TypeError(
+                f"unknown flag {keyword!r}; valid flags: {', '.join(FLAG_NAMES)}"
+            )
     started = time.perf_counter()
     try:
         runner = RUNNERS[name]
         kwargs = {"quick": quick, "seed": seed}
-        for keyword, value in (
-            ("trace", trace),
-            ("faults", faults),
-            ("report", report),
-            ("autoscale", autoscale),
-            ("overload", overload),
-            ("replicas", replicas),
-            ("governor", governor),
-            ("mega", mega),
-        ):
-            if value is not None and _accepts(runner, keyword):
-                kwargs[keyword] = value
+        for keyword in flags:
+            if flags[keyword] is not None and _accepts(runner, keyword):
+                kwargs[keyword] = flags[keyword]
         module = SHARDED.get(name)
         if pool is not None and module is not None:
             result = _run_sharded(module, pool, kwargs)
@@ -220,16 +270,12 @@ def run_many(
     quick: bool = True,
     seeds: Sequence[int] = (0,),
     jobs: int = 1,
-    trace: Optional[str] = None,
-    faults: Optional[float] = None,
-    report: Optional[str] = None,
-    autoscale: Optional[float] = None,
-    overload: Optional[float] = None,
-    replicas: Optional[int] = None,
-    governor: Optional[float] = None,
-    mega: Optional[int] = None,
+    **flags,
 ) -> List[RunOutcome]:
     """Run ``names`` x ``seeds``, ``jobs`` at a time; outcomes in input order.
+
+    ``flags`` (the :data:`FLAGS` keywords) go to every :func:`run_one`,
+    which rejects an unknown one before any experiment runs.
 
     ``jobs=1`` runs inline (no pool, no fork) -- this is the reference
     path whose output the parallel path reproduces byte-for-byte.  Traced
@@ -244,27 +290,20 @@ def run_many(
     process, which submits their units and merges the partials, so no
     worker ever opens a pool of its own.
     """
-    tasks = [
-        (
-            name, quick, seed, trace, faults, report,
-            autoscale, overload, replicas, governor, mega,
-        )
-        for seed in seeds
-        for name in names
-    ]
+    tasks = [(name, quick, seed) for seed in seeds for name in names]
     if jobs <= 1:
-        return [run_one(*task) for task in tasks]
+        return [run_one(*task, **flags) for task in tasks]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         # Whole experiments are queued first, so the workers are busy
         # while this process walks the sharded ones, and read last, so a
         # long one never holds up the submission of a later sweep's units.
         whole = {
-            index: pool.submit(run_one, *task)
+            index: pool.submit(run_one, *task, **flags)
             for index, task in enumerate(tasks)
             if task[0] not in SHARDED
         }
         driven = {
-            index: run_one(*task, pool=pool)
+            index: run_one(*task, pool=pool, **flags)
             for index, task in enumerate(tasks)
             if index not in whole
         }
@@ -319,97 +358,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "reports are byte-identical at any N (default 1)"
         ),
     )
-    parser.add_argument(
-        "--trace",
-        nargs="?",
-        const="traces",
-        default=None,
-        metavar="DIR",
-        help=(
-            "record causal traces: trace-aware experiments audit their "
-            "span trees and write Chrome trace_event JSON under DIR "
-            "(default: traces/)"
-        ),
-    )
-    parser.add_argument(
-        "--faults",
-        type=float,
-        default=None,
-        metavar="RATE",
-        help=(
-            "chaos intensity (fault events per 1000 simulated time units) "
-            "for fault-aware experiments: e13 then sweeps [0, RATE] "
-            "instead of its default levels"
-        ),
-    )
-    parser.add_argument(
-        "--report",
-        nargs="?",
-        const="reports",
-        default=None,
-        metavar="DIR",
-        help=(
-            "write machine-readable result artifacts (availability/FaultLog "
-            "JSON) under DIR (default: reports/) for experiments that "
-            "support them"
-        ),
-    )
-    parser.add_argument(
-        "--autoscale",
-        type=float,
-        default=None,
-        metavar="MULT",
-        help=(
-            "top offered-load multiplier for autoscale-aware experiments: "
-            "e14 then sweeps powers of two up to MULT instead of its "
-            "default 8x"
-        ),
-    )
-    parser.add_argument(
-        "--overload",
-        type=float,
-        default=None,
-        metavar="MULT",
-        help=(
-            "top offered-load multiplier for overload-aware experiments: "
-            "e15 then sweeps offered load up to MULT x capacity instead "
-            "of its default 10x"
-        ),
-    )
-    parser.add_argument(
-        "--replicas",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "top replica count for replication-aware experiments: e16 "
-            "then sweeps replica groups up to N members instead of its "
-            "default 3 (one per jurisdiction)"
-        ),
-    )
-    parser.add_argument(
-        "--governor",
-        type=float,
-        default=None,
-        metavar="MULT",
-        help=(
-            "storm offered-load multiplier for governor-aware experiments: "
-            "e17 then drives its storm phase at MULT x capacity instead of "
-            "its default 8x"
-        ),
-    )
-    parser.add_argument(
-        "--mega",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "columnar mega-scale population for mega-aware experiments: "
-            "e9 appends a frame-at-once size ladder up to N objects, "
-            "e14/e15 run their sweeps over an N-object columnar "
-            "population (requires the numpy 'mega' extra)"
-        ),
-    )
+    for keyword, options, help_text in FLAGS:
+        parser.add_argument(f"--{keyword}", default=None, help=help_text, **options)
     parser.add_argument("--list", action="store_true", help="list experiment ids")
     parser.add_argument(
         "--list-scenarios",
@@ -448,14 +398,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         quick=not args.full,
         seeds=seeds,
         jobs=args.jobs,
-        trace=args.trace,
-        faults=args.faults,
-        report=args.report,
-        autoscale=args.autoscale,
-        overload=args.overload,
-        replicas=args.replicas,
-        governor=args.governor,
-        mega=args.mega,
+        **{keyword: getattr(args, keyword) for keyword in FLAG_NAMES},
     )
 
     for outcome in outcomes:
@@ -463,7 +406,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print()
     print(render_summary(outcomes, multi_seed=len(seeds) > 1))
     return 0 if all(o.passed for o in outcomes) else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -99,11 +99,6 @@ class Vault:
         """Number of Inert objects this vault holds."""
         return len(self._index)
 
-    @property
-    def used_bytes(self) -> int:
-        """Total bytes across all disks."""
-        return sum(s.used_bytes for s in self._stores.values())
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<Vault {self.jurisdiction} stores={len(self._stores)} "

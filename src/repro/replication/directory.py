@@ -67,12 +67,6 @@ class ReplicaDirectory:
             return None
         return binding.address.primary()
 
-    def index_element(self):
-        """The primary address element of the global index, or None."""
-        if self.index is None:
-            return None
-        return self.index.address.primary()
-
     def sites(self) -> List[str]:
         """Catalog sites, sorted (the repair service's sweep order)."""
         return sorted(self.catalogs)

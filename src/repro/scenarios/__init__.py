@@ -15,7 +15,6 @@ from .events import (
     TickPlan,
     compile_events,
     per_tick_arrivals,
-    per_tick_class_arrivals,
     stream_stats,
 )
 from .spec import (
@@ -52,7 +51,6 @@ __all__ = [
     "from_dict",
     "get_scenario",
     "per_tick_arrivals",
-    "per_tick_class_arrivals",
     "scenario_names",
     "stream_stats",
     "validate",

@@ -61,9 +61,6 @@ class SessionTally:
     def active(self) -> int:
         return self.started - self.completed - self.abandoned
 
-    def conserved(self) -> bool:
-        return self.active >= 0
-
 
 @dataclass
 class Deployment:

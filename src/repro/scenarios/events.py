@@ -195,19 +195,6 @@ def per_tick_arrivals(plan: Sequence[TickPlan]) -> List[int]:
     return [len(tick.arrivals) for tick in plan]
 
 
-def per_tick_class_arrivals(
-    plan: Sequence[TickPlan], n_classes: int
-) -> List[List[int]]:
-    """Per-tick, per-class session arrival counts."""
-    out = []
-    for tick in plan:
-        row = [0] * n_classes
-        for a in tick.arrivals:
-            row[a.klass] += 1
-        out.append(row)
-    return out
-
-
 def stream_stats(plan: Sequence[TickPlan]) -> dict:
     """Summary tallies of a compiled stream (sessions, requests, denials)."""
     sessions = requests = denied = completed = 0

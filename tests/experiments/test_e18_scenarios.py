@@ -4,7 +4,8 @@ The cross-``--jobs`` byte-identity of the *default* E18 arms is covered
 by the jobs matrix (``test_jobs_matrix.py``); here the same contract is
 pinned with the subsystem flags applied -- every scenario must stay
 deterministic under ``--faults``, ``--governor``, and ``--mega`` -- plus
-the report artifact and the ``--list-scenarios`` listing.
+the ``--overload``/``--autoscale``/``--replicas`` arms, the report
+artifact and the ``--list-scenarios`` listing.
 """
 
 import json
@@ -39,6 +40,18 @@ def test_e18_is_byte_identical_across_jobs_under_the_subsystem_flags():
     assert "faults arm" in seq.report
     assert "governor arm" in seq.report
     assert "mega arm" in seq.report
+
+
+def test_the_optional_arms_hold_their_claims():
+    # The one tier-1 run of _measure_overload/_autoscale/_replicas and of
+    # scenarios.drive.ReplicaRouting.
+    (out,) = runner.run_many(
+        ["e18"], jobs=2, overload=6.0, autoscale=0.7, replicas=3
+    )
+    assert out.passed, out.report
+    assert "overload arm" in out.report
+    assert "autoscale arm" in out.report
+    assert "replicas arm" in out.report
 
 
 def test_report_artifact_is_written_and_deterministic(tmp_path):

@@ -21,8 +21,8 @@ def test_registry_covers_the_matrix():
     assert not missing, f"experiments absent from the registry: {missing}"
 
 
-def test_jobs_1_and_jobs_4_reports_are_byte_identical():
-    sequential = run_many(MATRIX, quick=True, seeds=(0,), jobs=1)
+def test_jobs_1_and_jobs_4_reports_are_byte_identical(quick_sweep):
+    sequential = [quick_sweep[name] for name in MATRIX]
     parallel = run_many(MATRIX, quick=True, seeds=(0,), jobs=4)
     assert [(o.name, o.seed) for o in sequential] == [
         (o.name, o.seed) for o in parallel

@@ -1,5 +1,6 @@
 """The parallel experiment runner: fan-out equivalence and CLI plumbing."""
 
+import inspect
 import os
 from concurrent.futures import ProcessPoolExecutor
 
@@ -7,6 +8,7 @@ import pytest
 
 from repro.experiments import e9_scaling, runner
 from repro.experiments.runner import (
+    FLAG_NAMES,
     RUNNERS,
     RunOutcome,
     main,
@@ -72,6 +74,39 @@ def test_crashed_experiment_is_a_failure(monkeypatch):
     outcome = run_one("e1", quick=True, seed=0)
     assert not outcome.passed
     assert "injected crash" in outcome.report
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_unknown_flag_fails_loudly_before_any_task_runs(monkeypatch, jobs):
+    ran = []
+    monkeypatch.setitem(RUNNERS, "e1", lambda quick, seed: ran.append(seed))
+    with pytest.raises(TypeError) as exc:
+        run_many(["e1"], jobs=jobs, fualts=2)
+    assert "'fualts'" in str(exc.value)
+    assert all(name in str(exc.value) for name in FLAG_NAMES)
+    assert ran == []
+
+
+def test_flag_table_and_runner_signatures_agree():
+    """A flag reaches the runners whose signature declares it, so every
+    flag needs at least one taker and no runner may declare a keyword
+    the table (and hence the CLI) does not know."""
+    declared = set()
+    for fn in RUNNERS.values():
+        declared |= set(inspect.signature(fn).parameters)
+    assert declared - {"quick", "seed"} == set(FLAG_NAMES)
+
+
+def test_flags_reach_only_the_runners_that_declare_them(monkeypatch):
+    seen = {}
+
+    def takes_faults(quick, seed, faults=None):
+        seen["faults"] = faults
+        raise RuntimeError("stop here")
+
+    monkeypatch.setitem(RUNNERS, "e12", takes_faults)
+    run_one("e12", quick=True, seed=0, faults=2.0, mega=7)
+    assert seen == {"faults": 2.0}
 
 
 def _crashing_unit(unit, quick, seed):

@@ -13,10 +13,26 @@ import pytest
 
 from repro.errors import LegionError
 from repro.experiments import e9_scaling
+from repro.experiments.e9_scaling import e9_mega_sizes, run_e9_mega_unit
 from repro.experiments.runner import run_many
-from repro.megascale.adapters import e9_mega_sizes
 
 MEGA = 20_000  # ladder: [10_000, 20_000] under the LADDER_FLOOR
+
+
+class TestE9MegaUnit:
+    def test_unit_settles_and_exercises_the_boundary(self):
+        unit = run_e9_mega_unit(10_000, seed=0, quick=True)
+        assert unit["settled"] and unit["wire_settled"]
+        assert unit["issued"] == unit["completed"] + unit["shed"]
+        assert unit["promotions"] > 0
+        assert unit["demotions"] == unit["promotions"]
+        assert unit["allocator_high_water"] == 10_000
+        assert unit["max_class_load"] > 0
+
+    def test_unit_is_deterministic(self):
+        a = run_e9_mega_unit(10_000, seed=3, quick=True)
+        b = run_e9_mega_unit(10_000, seed=3, quick=True)
+        assert a == b
 
 
 def test_mega_units_extend_the_sweep():
