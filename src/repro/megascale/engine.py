@@ -2,10 +2,15 @@
 
 :class:`BulkEngine` drives a :class:`~repro.megascale.frame.StateFrame`
 through ticks: each tick takes the whole tick's call targets as one array
-and applies them with a handful of vectorised operations (bincount the
-arrivals, clip at the admission limit, scatter-add the serves and sheds,
-tally per class and per host).  No per-object Python runs for the bulk
-population -- that is the entire point.
+and applies them with a handful of vectorised operations (count the
+arrivals per id, clip at the admission limit, add the serves and sheds,
+tally per class).  No per-object Python runs for the bulk population --
+that is the entire point.
+
+The kernel groups the tick's bulk targets with ``np.unique`` and updates
+only the rows they name -- ``ReferenceMachine.tick``'s ``Counter(bulk)``
+loop, vectorised: O(k log k) in the tick's ``k`` bulk targets, nothing
+proportional to the population, so a tick pays for what it touches.
 
 The *escalation boundary* is where the bulk world meets the rich-object
 path.  Any id the scenario actually touches -- a call on a designated
@@ -109,41 +114,55 @@ class BulkEngine:
     # ------------------------------------------------------------------ kernels
 
     def tick(self, tick: int, targets) -> TickOutcome:
-        """Apply one tick's calls: bulk frame-at-once, the rest escalated."""
+        """Apply one tick's calls: bulk frame-at-once, the rest escalated.
+
+        ``targets`` is a 1-D sequence of integer ids.  Everything is
+        validated before anything is counted, so a rejected tick leaves
+        the frame and the ledger as they were.
+        """
         np = self.np
         frame = self.frame
-        t = np.asarray(targets, dtype=np.int64)
+        t = np.asarray(targets)
+        if t.ndim != 1:
+            raise LegionError(
+                f"tick: targets must be a 1-D sequence of ids, got shape {t.shape}"
+            )
+        if t.size == 0:
+            return TickOutcome(tick=tick)
+        if t.dtype.kind not in "iu":
+            raise LegionError(
+                f"tick: targets must be integer ids, got dtype {t.dtype}"
+            )
+        t = t.astype(np.int64, copy=False)
+        if int(t.min()) < 0 or int(t.max()) >= frame.size:
+            raise LegionError("tick: target id out of range")
+        if self.hot.size < frame.size:  # the frame grew; new rows are not hot
+            self.hot = np.concatenate(
+                [self.hot, np.zeros(frame.size - self.hot.size, dtype=bool)]
+            )
+
         out = TickOutcome(tick=tick, issued=int(t.size))
         self.ledger.issued += out.issued
-        if t.size == 0:
-            return out
-        if bool((t >= frame.size).any()) or bool((t < 0).any()):
-            raise LegionError("tick: target id out of range")
-
         escalate_mask = self.hot[t] | (frame.state[t] != BULK)
         bulk_targets = t[~escalate_mask]
         esc_targets = t[escalate_mask]
 
-        # --- the bulk band: one pass of array arithmetic for the lot.
+        # --- the bulk band: array arithmetic over the rows the tick names
+        # (``ids`` are distinct, which is what makes the fancy ``+=`` exact).
         if bulk_targets.size:
-            arrivals = np.bincount(bulk_targets, minlength=frame.size)
+            ids, arrivals = np.unique(bulk_targets, return_counts=True)
             if self.per_tick_limit is not None:
                 served = np.minimum(arrivals, self.per_tick_limit)
-                shed = arrivals - served
             else:
                 served = arrivals
-                shed = np.zeros_like(arrivals)
-            frame.value += served
-            frame.calls += served
-            frame.shed += shed
-            frame.queue[: arrivals.size] = arrivals.astype(np.int32)
-            frame.class_calls += np.bincount(
-                frame.klass, weights=served, minlength=frame.n_classes
-            ).astype(np.int64)
+            shed = arrivals - served
+            klass = frame.klass[ids]
+            frame.value[ids] += served
+            frame.calls[ids] += served
+            np.add.at(frame.class_calls, klass, served)
             if bool(shed.any()):
-                frame.class_sheds += np.bincount(
-                    frame.klass, weights=shed, minlength=frame.n_classes
-                ).astype(np.int64)
+                frame.shed[ids] += shed
+                np.add.at(frame.class_sheds, klass, shed)
             out.bulk_served = int(served.sum())
             out.shed = int(shed.sum())
             self.ledger.bulk_completed += out.bulk_served
@@ -239,13 +258,13 @@ class BulkEngine:
         recovery shape), and nothing else moves bands.  Returns the
         promoted ids, in dense-id order.
         """
-        affected = self.frame.bulk_ids_on_host(host_id).tolist()
+        affected = self.frame.bulk_ids_on_host(host_id).tolist()  # plain ints
         self.frame.crash_host(host_id)
         if affected:
-            self._promote([int(i) for i in affected], reason="fault")
+            self._promote(affected, reason="fault")
             for i in affected:
-                self._last_touch.setdefault(int(i), 0)
-        return [int(i) for i in affected]
+                self._last_touch.setdefault(i, 0)
+        return affected
 
     def restore_host(self, host_id: int) -> None:
         """Bring the host back; demotion may re-home rows onto it again."""

@@ -5,9 +5,10 @@ scenario -- millions of objects as parallel arrays instead of millions of
 Python objects.  A row is one component: its class, the host slot it
 occupies, its lifecycle band, its application state (a counter value),
 its cumulative call/shed tallies, and its binding-cache entry (the clone
-pool epoch it last bound against).  Whole-population transitions apply
-frame-at-once (vivarium-style): one tick touches every column with a
-handful of vectorised operations, never a per-object callback.
+pool epoch it last bound against).  Transitions apply frame-at-once
+(vivarium-style): one tick is a handful of vectorised operations over
+the rows it names (see :mod:`repro.megascale.engine`), never a
+per-object callback.
 
 Ids are *dense and monotone*: :class:`IdAllocator` hands out contiguous
 ranges and never recycles an id within a run, so escalation/demotion
@@ -63,7 +64,7 @@ class IdAllocator:
 class StateFrame:
     """Parallel columns over a dense id space, plus per-class/host tallies.
 
-    Columns (one entry per id):
+    Seven columns (one entry per id):
 
     * ``klass``      -- class index (int32)
     * ``host``       -- host-slot index (int32)
@@ -73,7 +74,6 @@ class StateFrame:
     * ``shed``       -- calls shed by the bulk admission limit (int64)
     * ``cache_epoch``-- binding-cache entry: the clone-pool epoch this
       component last bound against (int32; -1 = cold)
-    * ``queue``      -- queue depth carried between ticks (int32)
 
     Aggregates maintained incrementally by the kernels:
 
@@ -100,7 +100,6 @@ class StateFrame:
         self.calls = np.empty(size, dtype=np.int64)
         self.shed = np.empty(size, dtype=np.int64)
         self.cache_epoch = np.empty(size, dtype=np.int32)
-        self.queue = np.empty(size, dtype=np.int32)
         self.class_calls = np.zeros(self.n_classes, dtype=np.int64)
         self.class_sheds = np.zeros(self.n_classes, dtype=np.int64)
         self.host_occupancy = np.zeros(self.n_hosts, dtype=np.int64)
@@ -134,7 +133,6 @@ class StateFrame:
             ("calls", 0),
             ("shed", 0),
             ("cache_epoch", -1),
-            ("queue", 0),
         ):
             old = getattr(self, name)
             grown = np.empty(new_size, dtype=old.dtype)
@@ -162,7 +160,6 @@ class StateFrame:
             "calls": int(self.calls[i]),
             "shed": int(self.shed[i]),
             "cache_epoch": int(self.cache_epoch[i]),
-            "queue": int(self.queue[i]),
         }
 
     def promote(self, ids) -> List[Dict[str, int]]:

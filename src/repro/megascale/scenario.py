@@ -160,7 +160,7 @@ def _runtimes_settle(system, clients) -> bool:
             + s.cancelled
             + s.shed
         )
-        if s.requests_sent != settled or server.runtime._pending:
+        if s.requests_sent != settled or server.runtime.pending_count:
             return False
     return True
 
@@ -245,10 +245,7 @@ class LiveEscalationBoundary:
                 self.twins[i] = self.system.create_instance(
                     self.classes[snap["klass"]].loid
                 )
-            server = _instance_servers(self.system).get(self.twins[i].loid)
-            if server is None:
-                raise LegionError(f"promote: twin for id {i} has no live server")
-            server.impl.value = snap["value"]
+            self._twin_server(i, "promote").impl.value = snap["value"]
 
     def call(self, i: int) -> None:
         self.rich_calls += 1
@@ -265,10 +262,20 @@ class LiveEscalationBoundary:
         self.engine.note_escalated_done(i)
 
     def demote(self, i: int) -> int:
-        server = _instance_servers(self.system).get(self.twins[i].loid)
-        if server is None:
-            raise LegionError(f"demote: twin for id {i} has no live server")
-        return int(server.impl.value)
+        return int(self._twin_server(i, "demote").impl.value)
+
+    def _twin_server(self, i: int, verb: str):
+        """The twin's live ObjectServer: one process-table probe per host.
+
+        A crashed-but-unreaped entry counts as absent, as it does in
+        ``ProcessTable.running``.
+        """
+        loid = self.twins[i].loid
+        for host_server in self.system.host_servers.values():
+            entry = host_server.impl.processes.find(loid)
+            if entry is not None and not entry.crashed:
+                return entry.server
+        raise LegionError(f"{verb}: twin for id {i} has no live server")
 
     def twin_class_calls(self, n_classes: int) -> List[int]:
         """Per-class REQUESTS measured at the twins (from the registry)."""

@@ -92,6 +92,8 @@ def assert_twins_equal(engine, ref):
     assert [int(x) for x in frame.class_calls] == ref.class_calls
     assert [int(x) for x in frame.class_sheds] == ref.class_sheds
     assert [int(v) for v in frame.value] == [o.value for o in ref.objects]
+    assert [int(v) for v in frame.calls] == [o.calls for o in ref.objects]
+    assert [int(v) for v in frame.shed] == [o.shed for o in ref.objects]
     assert frame.value_checksum() == ref.value_checksum()
     assert frame.band_histogram() == ref.band_histogram()
 
