@@ -20,9 +20,7 @@ class objects' logical tables; this graph mirrors it.
 from __future__ import annotations
 
 import enum
-from typing import List, Optional, Set
-
-import networkx as nx
+from typing import Dict, List, Optional, Set
 
 from repro.errors import ObjectModelError
 from repro.naming.loid import LOID
@@ -36,15 +34,32 @@ class RelationKind(enum.Enum):
     INHERITS_FROM = "inherits-from"
 
 
+#: node -> neighbour -> kinds of the (parallel) edges between the two.
+_Adjacency = Dict[LOID, Dict[LOID, List[RelationKind]]]
+
+
 class RelationGraph:
     """A typed multigraph over LOIDs recording the three relations.
 
     Edges point from the dependent object to the one it relates to:
     ``O --is-a--> C``, ``D --kind-of--> C``, ``C --inherits-from--> B``.
+
+    Two insertion-ordered adjacency maps, successors and predecessors;
+    every node has an entry in both, so :meth:`forget` costs the degree
+    of the forgotten node, never that of its class.
     """
 
     def __init__(self) -> None:
-        self._graph = nx.MultiDiGraph()
+        self._out: _Adjacency = {}
+        self._in: _Adjacency = {}
+
+    def _add_edge(self, source: LOID, target: LOID, kind: RelationKind) -> None:
+        for node in (source, target):
+            if node not in self._out:
+                self._out[node] = {}
+                self._in[node] = {}
+        self._out[source].setdefault(target, []).append(kind)
+        self._in[target].setdefault(source, []).append(kind)
 
     # -- recording ---------------------------------------------------------------
 
@@ -56,7 +71,7 @@ class RelationGraph:
                 f"{instance} already is-a {existing}; an object belongs to "
                 "exactly one class"
             )
-        self._graph.add_edge(instance, cls, kind=RelationKind.IS_A)
+        self._add_edge(instance, cls, RelationKind.IS_A)
 
     def record_kind_of(self, subclass: LOID, superclass: LOID) -> None:
         """D kind-of C: set on Derive().  At most one superclass."""
@@ -66,7 +81,7 @@ class RelationGraph:
                 f"{subclass} already kind-of {existing}; a class is the "
                 "subclass of exactly one superclass"
             )
-        self._graph.add_edge(subclass, superclass, kind=RelationKind.KIND_OF)
+        self._add_edge(subclass, superclass, RelationKind.KIND_OF)
 
     def record_inherits_from(self, cls: LOID, base: LOID) -> None:
         """C inherits-from B: set on InheritFrom().  Many allowed."""
@@ -81,54 +96,50 @@ class RelationGraph:
             raise ObjectModelError(
                 f"inherits-from cycle: {base} already (transitively) inherits from {cls}"
             )
-        self._graph.add_edge(cls, base, kind=RelationKind.INHERITS_FROM)
+        self._add_edge(cls, base, RelationKind.INHERITS_FROM)
 
     def forget(self, loid: LOID) -> None:
         """Remove an object and its incident edges (Delete())."""
-        if self._graph.has_node(loid):
-            self._graph.remove_node(loid)
+        if loid not in self._out:
+            return
+        for target in self._out.pop(loid):
+            if target != loid:
+                del self._in[target][loid]
+        for source in self._in.pop(loid):
+            if source != loid:
+                del self._out[source][loid]
 
     # -- single-step queries --------------------------------------------------------
 
-    def _out_neighbours(self, loid: LOID, kind: RelationKind) -> List[LOID]:
-        if not self._graph.has_node(loid):
-            return []
+    @staticmethod
+    def _neighbours(adjacency: _Adjacency, loid: LOID, kind: RelationKind) -> List[LOID]:
         return [
-            v
-            for _u, v, data in self._graph.out_edges(loid, data=True)
-            if data["kind"] is kind
-        ]
-
-    def _in_neighbours(self, loid: LOID, kind: RelationKind) -> List[LOID]:
-        if not self._graph.has_node(loid):
-            return []
-        return [
-            u
-            for u, _v, data in self._graph.in_edges(loid, data=True)
-            if data["kind"] is kind
+            other
+            for other, kinds in adjacency.get(loid, {}).items()
+            if kind in kinds
         ]
 
     def class_of(self, instance: LOID) -> Optional[LOID]:
         """The unique class an object is-a, or None."""
-        classes = self._out_neighbours(instance, RelationKind.IS_A)
+        classes = self._neighbours(self._out, instance, RelationKind.IS_A)
         return classes[0] if classes else None
 
     def superclass_of(self, cls: LOID) -> Optional[LOID]:
         """The unique superclass a class is kind-of, or None (roots)."""
-        supers = self._out_neighbours(cls, RelationKind.KIND_OF)
+        supers = self._neighbours(self._out, cls, RelationKind.KIND_OF)
         return supers[0] if supers else None
 
     def bases_of(self, cls: LOID) -> List[LOID]:
         """All base classes (inherits-from targets)."""
-        return self._out_neighbours(cls, RelationKind.INHERITS_FROM)
+        return self._neighbours(self._out, cls, RelationKind.INHERITS_FROM)
 
     def instances_of(self, cls: LOID) -> List[LOID]:
         """All recorded instances (is-a sources) of a class."""
-        return self._in_neighbours(cls, RelationKind.IS_A)
+        return self._neighbours(self._in, cls, RelationKind.IS_A)
 
     def subclasses_of(self, cls: LOID) -> List[LOID]:
         """All direct subclasses (kind-of sources) of a class."""
-        return self._in_neighbours(cls, RelationKind.KIND_OF)
+        return self._neighbours(self._in, cls, RelationKind.KIND_OF)
 
     # -- transitive queries -------------------------------------------------------------
 
@@ -175,29 +186,28 @@ class RelationGraph:
         in the graph that is implied by the union of the kind-of and is-a
         relations" -- tests assert this returns exactly [LegionObject].
         """
-        out: List[LOID] = []
-        for node in self._graph.nodes:
-            edges = [
-                data["kind"]
-                for _u, _v, data in self._graph.out_edges(node, data=True)
-            ]
-            if not any(k in (RelationKind.IS_A, RelationKind.KIND_OF) for k in edges):
-                out.append(node)
-        return sorted(out)
+        return sorted(
+            node
+            for node, targets in self._out.items()
+            if not any(
+                kind in (RelationKind.IS_A, RelationKind.KIND_OF)
+                for kinds in targets.values()
+                for kind in kinds
+            )
+        )
 
     def edge_count(self, kind: Optional[RelationKind] = None) -> int:
         """Number of edges, optionally of one kind."""
-        if kind is None:
-            return self._graph.number_of_edges()
         return sum(
-            1 for _u, _v, data in self._graph.edges(data=True) if data["kind"] is kind
+            1
+            for targets in self._out.values()
+            for kinds in targets.values()
+            for edge_kind in kinds
+            if kind is None or edge_kind is kind
         )
 
     def __contains__(self, loid: LOID) -> bool:
-        return self._graph.has_node(loid)
+        return loid in self._out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<RelationGraph nodes={self._graph.number_of_nodes()} "
-            f"edges={self._graph.number_of_edges()}>"
-        )
+        return f"<RelationGraph nodes={len(self._out)} edges={self.edge_count()}>"

@@ -82,10 +82,6 @@ class RetryPolicy:
     #: BindingNotFound (e.g. the recovery control path is itself cut off by
     #: a partition) instead of giving up on the spot.
     retry_resolution_failures: bool = False
-    #: Wait at least the server's ``retry_after`` pushback hint before the
-    #: attempt after an Overloaded (admission-shed) reply.  Shed replies
-    #: never count as stale bindings: no invalidate, no refresh, no rebind.
-    honor_retry_after: bool = True
     #: Per-runtime global retry *token bucket*: every attempt after the
     #: first spends one token; a dry bucket stops the retry loop
     #: (stats.retry_denied), so N concurrent invokes cannot multiply
@@ -195,7 +191,11 @@ class LegionRuntime:
         #: single GetBinding(stale) instead of storming the agent.
         self._refreshing: Dict[tuple, SimFuture] = {}
         self._pending: Dict[int, SimFuture] = {}
-        self._timeout_handles: Dict[int, Any] = {}
+        #: correlation id → kernel ticket of the request's deadline event.
+        self._timeout_handles: Dict[int, tuple] = {}
+        #: The environment of every call chain this object originates
+        #: (immutable, so one instance serves them all).
+        self._origin_env = CallEnvironment.originating(loid)
         #: Metrics-style "kind:name" label used on spans this runtime
         #: records; the owning ObjectServer overwrites it with its
         #: ComponentId so traces and counters share a vocabulary.
@@ -218,13 +218,8 @@ class LegionRuntime:
             if flow is not None and flow.credit_window is not None
             else None
         )
-        #: Request batcher; created lazily by enable_batching() (or
-        #: eagerly when the config pre-registers batch_methods).
+        #: Request batcher; created lazily by enable_batching().
         self._batcher: Optional[RequestBatcher] = None
-        if flow is not None and flow.batch_window > 0.0 and flow.batch_methods:
-            self._batcher = RequestBatcher(
-                self, flow.batch_window, flow.batch_limit, flow.batch_methods
-            )
         #: Global retry token bucket (None until first use; see
         #: RetryPolicy.retry_tokens).
         self._retry_bucket: Optional[float] = None
@@ -276,9 +271,7 @@ class LegionRuntime:
         if flow is None or flow.batch_window <= 0.0:
             return False
         if self._batcher is None:
-            self._batcher = RequestBatcher(
-                self, flow.batch_window, flow.batch_limit, flow.batch_methods
-            )
+            self._batcher = RequestBatcher(self, flow.batch_window, flow.batch_limit)
         self._batcher.methods.update(methods)
         # Runtime-local config change the services epoch cannot see.
         compile_invoke_path(self)
@@ -343,9 +336,30 @@ class LegionRuntime:
         )
 
     def _cancel_timeout(self, correlation_id: int) -> None:
-        handle = self._timeout_handles.pop(correlation_id, None)
-        if handle is not None:
-            handle.cancel()
+        ticket = self._timeout_handles.pop(correlation_id, None)
+        if ticket is not None:
+            self.kernel.cancel(ticket)
+
+    def _expire(
+        self,
+        correlation_id: int,
+        element: ObjectAddressElement,
+        invocation: MethodInvocation,
+        deadline: float,
+    ) -> None:
+        """The deadline event of one request: fail it if still pending."""
+        pending = self._pending.pop(correlation_id, None)
+        self._timeout_handles.pop(correlation_id, None)
+        if self._request_spans:
+            self._finish_request_span(correlation_id, "timeout")
+        if pending is not None and not pending.done():
+            self.stats.timeouts += 1
+            pending.set_exception(
+                InvocationTimeout(
+                    f"no reply to {invocation} within {deadline}",
+                    element=element,
+                )
+            )
 
     def _finish_request_span(self, correlation_id: int, status: str) -> None:
         span = self._request_spans.pop(correlation_id, None)
@@ -392,22 +406,9 @@ class LegionRuntime:
         deadline = timeout if timeout is not None else self.default_timeout
         if deadline is not None:
             corr = message.correlation_id
-
-            def _expire() -> None:
-                pending = self._pending.pop(corr, None)
-                self._timeout_handles.pop(corr, None)
-                if self._request_spans:
-                    self._finish_request_span(corr, "timeout")
-                if pending is not None and not pending.done():
-                    self.stats.timeouts += 1
-                    pending.set_exception(
-                        InvocationTimeout(
-                            f"no reply to {invocation} within {deadline}",
-                            element=element,
-                        )
-                    )
-
-            self._timeout_handles[corr] = self.kernel.schedule(deadline, _expire)
+            self._timeout_handles[corr] = self.kernel.post(
+                deadline, self._expire, corr, element, invocation, deadline
+            )
         self.services.network.send(message)
         return fut
 
@@ -646,7 +647,7 @@ class LegionRuntime:
                 loid=query,
             )
         self.stats.agent_lookups += 1
-        env = CallEnvironment.originating(self.loid)
+        env = self._origin_env
         if trace is not None:
             env = env.with_trace(trace)
         binding = yield from self.call_address(
@@ -737,7 +738,7 @@ class LegionRuntime:
         stats = self.stats
         stats.invocations += 1
         if env is None:
-            env = CallEnvironment.originating(self.loid)
+            env = self._origin_env
         policy = self.retry_policy
         binding = self.lookup_binding(target)
         if (
@@ -777,7 +778,7 @@ class LegionRuntime:
         """The fully-featured invoke entry (tracing and/or flow enabled)."""
         self.stats.invocations += 1
         if env is None:
-            env = CallEnvironment.originating(self.loid)
+            env = self._origin_env
         tracer = self.services.tracer
         traced = tracer is not None and tracer.active
         span = None
@@ -882,8 +883,7 @@ class LegionRuntime:
                     # The resolution path itself (agent or class) shed
                     # us; always retryable, paced by its pushback hint.
                     last_error = exc
-                    if policy.honor_retry_after:
-                        pushback = exc.retry_after
+                    pushback = exc.retry_after
                     continue
                 except PartitionedError as exc:
                     if not policy.retry_partitions:
@@ -911,8 +911,7 @@ class LegionRuntime:
                 # No invalidate, no refresh, no rebind -- just wait out
                 # the server's retry_after hint and try again.
                 last_error = exc
-                if policy.honor_retry_after:
-                    pushback = exc.retry_after
+                pushback = exc.retry_after
             except PartitionedError as exc:
                 # The destination's site is unreachable; a refreshed
                 # binding cannot help until the partition heals, and

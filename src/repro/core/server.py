@@ -255,7 +255,7 @@ class ObjectServer:
                     f"{self.loid} refused {invocation.method} for "
                     f"{invocation.env.calling_agent}"
                 )
-            export = self.impl.find_export(invocation.method, invocation.arity)
+            export = self.impl.find_export(invocation.method, len(invocation.args))
             if export is None:
                 raise MethodNotFound(
                     f"{self.loid} exports no {invocation.method}/{invocation.arity}"
@@ -266,11 +266,11 @@ class ObjectServer:
             done(MethodResult.failure(exc))
             return
 
-        ctx = InvocationContext(
-            env=env, target=invocation.target, method=invocation.method
-        )
         try:
             if export.wants_ctx:
+                ctx = InvocationContext(
+                    env=env, target=invocation.target, method=invocation.method
+                )
                 outcome = export.fn(self.impl, *invocation.args, ctx=ctx)
             else:
                 outcome = export.fn(self.impl, *invocation.args)

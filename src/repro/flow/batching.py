@@ -66,11 +66,12 @@ class RequestBatcher:
 
     __slots__ = ("runtime", "window", "limit", "methods", "_open", "batches_sent", "calls_batched")
 
-    def __init__(self, runtime, window: float, limit: int, methods) -> None:
+    def __init__(self, runtime, window: float, limit: int) -> None:
         self.runtime = runtime
         self.window = window
         self.limit = limit
-        self.methods = set(methods)
+        #: Methods opted in via ``LegionRuntime.enable_batching``.
+        self.methods: set = set()
         self._open: Dict[Tuple, _OpenBatch] = {}
         self.batches_sent = 0
         self.calls_batched = 0

@@ -50,12 +50,10 @@ class FlowConfig:
     credit_window: Optional[int] = None
     #: Simulated-ms coalescing window for batched methods; 0 disables
     #: batching.  Methods still have to be opted in per runtime via
-    #: ``LegionRuntime.enable_batching`` (or ``batch_methods`` below).
+    #: ``LegionRuntime.enable_batching``.
     batch_window: float = 0.0
     #: Max calls coalesced into one upstream message (flushes early).
     batch_limit: int = 16
-    #: Methods every runtime batches without an explicit opt-in.
-    batch_methods: FrozenSet[str] = frozenset()
 
     def __post_init__(self) -> None:
         if self.capacity is not None and self.capacity < 1:

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import enum
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 
 class ComponentKind(enum.Enum):
@@ -27,10 +26,16 @@ class ComponentKind(enum.Enum):
     APPLICATION = "application"        # user-level objects (not infrastructure)
     OTHER = "other"
 
+    # Identity-compared singletons inside every ComponentId key: hash in C
+    # (see LinkClass for why nothing is given up).
+    __hash__ = object.__hash__
 
-@dataclass(frozen=True)
-class ComponentId:
-    """Identity of one counted component."""
+
+class ComponentId(NamedTuple):
+    """Identity of one counted component.
+
+    A tuple so that the per-request ``incr`` hashes its key in C.
+    """
 
     kind: ComponentKind
     name: str

@@ -17,6 +17,7 @@ level without changing application semantics (section 4.3).
 from __future__ import annotations
 
 import enum
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Tuple
 
@@ -54,28 +55,31 @@ class AddressSemantic(enum.Enum):
     FIRST = "first"
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class ObjectAddressElement:
+class ObjectAddressElement(namedtuple("_ElementFields", "addr_type host port node")):
     """One physical address: a 32-bit type plus 256 bits of information.
 
     ``host`` is the simulated analogue of the 32-bit IP address, ``port``
     the 16-bit port, and ``node`` the 32-bit multiprocessor node number.
+
+    Tuple-backed (immutable, ordered field by field): the network keys
+    its endpoint table by element and looks one up per delivery, so
+    equality and hashing must stay in C.
     """
 
-    addr_type: int
-    host: int
-    port: int
-    node: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (0 <= self.addr_type <= _U32):
-            raise AddressError(f"address type {self.addr_type} exceeds 32 bits")
-        if not (0 <= self.host <= _U32):
-            raise AddressError(f"host field {self.host} exceeds 32 bits")
-        if not (0 <= self.port <= _U16):
-            raise AddressError(f"port field {self.port} exceeds 16 bits")
-        if not (0 <= self.node <= _U32):
-            raise AddressError(f"node field {self.node} exceeds 32 bits")
+    def __new__(
+        cls, addr_type: int, host: int, port: int, node: int = 0
+    ) -> "ObjectAddressElement":
+        if not (0 <= addr_type <= _U32):
+            raise AddressError(f"address type {addr_type} exceeds 32 bits")
+        if not (0 <= host <= _U32):
+            raise AddressError(f"host field {host} exceeds 32 bits")
+        if not (0 <= port <= _U16):
+            raise AddressError(f"port field {port} exceeds 16 bits")
+        if not (0 <= node <= _U32):
+            raise AddressError(f"node field {node} exceeds 32 bits")
+        return tuple.__new__(cls, (addr_type, host, port, node))
 
     # -- bit-level form (paper-faithful packing) ----------------------------
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 
 class LinkClass(enum.Enum):
@@ -29,6 +29,12 @@ class LinkClass(enum.Enum):
     SAME_HOST = "same-host"
     SAME_SITE = "same-site"
     WIDE_AREA = "wide-area"
+
+    # Members are singletons compared by identity, and every message keys
+    # three dicts by its class: hash them in C rather than through
+    # ``Enum.__hash__``'s Python frame (whose string hash is randomised
+    # per process anyway, so no ordering is given up).
+    __hash__ = object.__hash__
 
 
 #: Default one-way base latencies, in simulated milliseconds.
@@ -60,10 +66,18 @@ class LatencyModel:
     jitter_fraction: float = 0.0
     rng: Optional[object] = None
     _site_of: Dict[int, str] = field(default_factory=dict)
+    #: Memo of :meth:`classify` per (src host, dst host): the answer is
+    #: constant between ``assign_host`` calls, and ``Network.send`` asks
+    #: once per message.  Every caller of ``classify`` fills it (replica
+    #: selection and trace labels too), so it is bounded by hosts squared.
+    links: Dict[Tuple[int, int], LinkClass] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def assign_host(self, host: int, site: str) -> None:
         """Record that ``host`` (a 32-bit host id) belongs to ``site``."""
         self._site_of[host] = site
+        self.links.clear()
 
     def site_of(self, host: int) -> Optional[str]:
         """The site a host was assigned to, or None if unassigned."""
@@ -73,15 +87,19 @@ class LatencyModel:
         """The locality class of a (src, dst) host pair.
 
         Unassigned hosts are conservatively treated as wide-area peers
-        (they are "somewhere on the NII").
+        (they are "somewhere on the NII").  The one definition of the
+        rule; each answer is remembered in :attr:`links`.
         """
         if src_host == dst_host:
-            return LinkClass.SAME_HOST
-        src_site = self._site_of.get(src_host)
-        dst_site = self._site_of.get(dst_host)
-        if src_site is not None and src_site == dst_site:
-            return LinkClass.SAME_SITE
-        return LinkClass.WIDE_AREA
+            link = LinkClass.SAME_HOST
+        else:
+            src_site = self._site_of.get(src_host)
+            if src_site is not None and src_site == self._site_of.get(dst_host):
+                link = LinkClass.SAME_SITE
+            else:
+                link = LinkClass.WIDE_AREA
+        self.links[src_host, dst_host] = link
+        return link
 
     def latency(self, src_host: int, dst_host: int) -> float:
         """One-way latency for a message between two hosts."""

@@ -150,8 +150,6 @@ class Network:
         self._partitions.clear()
 
     def _partitioned(self, src_host: int, dst_host: int) -> bool:
-        if not self._partitions:
-            return False
         a = self.latency.site_of(src_host)
         b = self.latency.site_of(dst_host)
         if a is None or b is None or a == b:
@@ -167,23 +165,30 @@ class Network:
         ``DELIVERY_FAILURE`` messages, matching the paper's model where the
         communication layer *detects* invalid addresses (section 4.1.4).
         """
-        src = message.source
-        dst = message.destination
+        src_host = message.source.host
+        dst_host = message.destination.host
+        stats = self.stats
+        latency = self.latency
         message.sent_at = self.kernel.now
-        self.stats.messages_sent += 1
-        link = self.latency.classify(src.host, dst.host)
-        self.stats.by_class[link] += 1
-        one_way = self.latency.latency_of(link)
+        stats.messages_sent += 1
+        link = latency.links.get((src_host, dst_host))
+        if link is None:
+            link = latency.classify(src_host, dst_host)
+        stats.by_class[link] += 1
+        if latency.jitter_fraction > 0.0:
+            one_way = latency.latency_of(link)
+        else:
+            one_way = latency.base[link]
 
-        if self._partitioned(src.host, dst.host):
-            self.stats.partition_blocks += 1
+        if self._partitions and self._partitioned(src_host, dst_host):
+            stats.partition_blocks += 1
             self._trace_incident(message, "partition-block", link)
             self._bounce(message, "network partition", delay=one_way)
             return
 
         drop_p = self.drop_probability.get(link, 0.0)
         if drop_p > 0.0 and self.rng is not None and self.rng.random() < drop_p:
-            self.stats.drops += 1
+            stats.drops += 1
             self._trace_incident(message, "drop", link)
             # A silent drop: the sender only learns via its own timeout.
             return

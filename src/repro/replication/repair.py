@@ -35,7 +35,6 @@ from repro.core.runtime import LegionRuntime, RetryPolicy
 from repro.naming.binding import Binding
 from repro.naming.loid import LOID
 from repro.net.address import ObjectAddressElement
-from repro.replication.selection import ReplicationConfig
 from repro.security.environment import CallEnvironment
 from repro.simkernel.futures import SimFuture
 from repro.simkernel.kernel import Timeout
@@ -133,33 +132,45 @@ def repair_replica_group(
 class ReplicaRepairService:
     """Background re-replication, one staggered sweep loop per site.
 
-    Reads cadence, pacing, priority, and timeouts from the installed
-    :class:`~repro.replication.selection.ReplicationConfig` (overridable
-    per instance).  Requires ``enable_replication`` to have run: the
-    per-site catalogs are the work lists.
+    Requires ``enable_replication`` to have run: the per-site catalogs
+    are the work lists.
+
+    Parameters
+    ----------
+    interval:
+        Simulated ms between repair sweeps of one site's catalog.
+    stagger:
+        Per-site start offset so sweeps do not run in lockstep.
+    priority:
+        Flow-control priority stamped on every repair call.  Negative,
+        so under overload admission control sheds/evicts repair traffic
+        before any foreground request (PR 5 semantics: higher wins).
+    pacing:
+        Simulated ms the repair loop idles between replica groups, so a
+        long catalog never monopolises a sweep tick.
     """
 
     def __init__(
         self,
         system,
-        interval: Optional[float] = None,
-        stagger: Optional[float] = None,
-        priority: Optional[int] = None,
-        pacing: Optional[float] = None,
+        interval: float = 150.0,
+        stagger: float = 11.0,
+        priority: int = -1,
+        pacing: float = 5.0,
     ) -> None:
         directory = getattr(system.services, "replication", None)
         if directory is None:
             raise LegionError(
                 "ReplicaRepairService needs enable_replication() first"
             )
-        config: ReplicationConfig = directory.config
         self.system = system
         self.directory = directory
-        self.interval = config.repair_interval if interval is None else interval
-        self.stagger = config.repair_stagger if stagger is None else stagger
-        self.priority = config.repair_priority if priority is None else priority
-        self.pacing = config.repair_pacing if pacing is None else pacing
-        self.timeout = config.repair_timeout
+        self.interval = interval
+        self.stagger = stagger
+        self.priority = priority
+        self.pacing = pacing
+        #: Per-attempt timeout for repair probes and copy calls.
+        self.timeout = 250.0
         #: site -> client console the repair traffic originates from
         #: (placed at the site, so probes of local replicas stay local).
         self._clients: dict = {}

@@ -7,9 +7,8 @@ by trying a FIRST group's elements nearest-first.  Nearness is the
 before same-site before wide-area.  The sort is stable, so replicas at
 equal distance keep their group order and every run stays deterministic.
 
-``ReplicationConfig`` is the one knob bundle for the whole subsystem:
-selection (``locality``), the repair service's cadence and priority, and
-the catalog placement policy all read from it.
+``ReplicationConfig`` holds the subsystem's one knob, ``locality``; the
+repair service's cadence and priority are its own constructor arguments.
 """
 
 from __future__ import annotations
@@ -37,27 +36,9 @@ class ReplicationConfig:
         Compile locality-aware selection into runtime call paths (FIRST
         groups tried nearest-first).  Off leaves the historical group
         order untouched.
-    repair_interval:
-        Simulated ms between repair sweeps of one site's catalog.
-    repair_stagger:
-        Per-site start offset so sweeps do not run in lockstep.
-    repair_priority:
-        Flow-control priority stamped on every repair call.  Negative,
-        so under overload admission control sheds/evicts repair traffic
-        before any foreground request (PR 5 semantics: higher wins).
-    repair_pacing:
-        Simulated ms the repair loop idles between replica groups, so a
-        long catalog never monopolises a sweep tick.
-    repair_timeout:
-        Per-attempt timeout for repair probes and copy calls.
     """
 
     locality: bool = True
-    repair_interval: float = 150.0
-    repair_stagger: float = 11.0
-    repair_priority: int = -1
-    repair_pacing: float = 5.0
-    repair_timeout: float = 250.0
 
 
 class LocalitySelector:

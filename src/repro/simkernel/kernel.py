@@ -20,7 +20,10 @@ Hot-path design (the fast path every experiment sweep lives on):
 
 * The heap holds bare tuples ``(time, seq, fn, args)`` -- no per-event
   object allocation, no comparison ever reaches ``fn`` because ``seq`` is
-  unique.  Cancellation is a side set of sequence numbers checked on pop.
+  unique.  Cancellation is a side set of sequence numbers checked on pop;
+  the queued tuple itself is the cancellation *ticket* (:meth:`SimKernel.post`
+  returns it), so a cancellable event allocates nothing more either and
+  there is one way to schedule and one way to cancel.
 * Resuming a process from a resolved future does **not** allocate a fresh
   0-delay event when nothing else is due at the current instant; the
   resume runs on a bounded FIFO *trampoline* drained after the current
@@ -63,31 +66,6 @@ class Timeout:
     def __post_init__(self) -> None:
         if self.delay < 0:
             raise SimulationError(f"negative timeout {self.delay}")
-
-
-class EventHandle:
-    """Returned by :meth:`SimKernel.schedule`; allows cancellation."""
-
-    __slots__ = ("_kernel", "_seq", "_time")
-
-    def __init__(self, kernel: "SimKernel", seq: int, time: float) -> None:
-        self._kernel = kernel
-        self._seq = seq
-        self._time = time
-
-    def cancel(self) -> None:
-        """Prevent the event from running (no-op if already run).
-
-        Cancelled entries stay in the heap as placeholders and are
-        discarded on pop; the kernel compacts the heap when placeholders
-        outnumber live events (see :meth:`SimKernel._compact`).
-        """
-        self._kernel._cancel(self._seq)
-
-    @property
-    def time(self) -> float:
-        """Simulated time at which the event is (was) due."""
-        return self._time
 
 
 class Process:
@@ -133,7 +111,16 @@ class Process:
         except BaseException as exc:  # noqa: BLE001 - mirrored to future
             self._fail(exc)
             return
-        self._handle_yield(yielded)
+        if (
+            type(yielded) is SimFuture
+            and yielded._cb is None
+            and yielded._state == "pending"
+        ):
+            # The step every remote call parks on: first waiter of a
+            # pending future is add_done_callback's slot store, done here.
+            yielded._cb = self._fut_cb
+        else:
+            self._handle_yield(yielded)
 
     def _step_throw(self, exc: BaseException) -> None:
         if not self._alive:
@@ -211,7 +198,9 @@ class SimKernel:
     COMPACT_MIN_CANCELLED = 64
 
     def __init__(self) -> None:
-        self._now = 0.0
+        #: Current simulated time.  A plain attribute because every layer
+        #: reads it on every message; only the run loops below write it.
+        self.now = 0.0
         self._seq = 0
         self._queue: List[_Entry] = []
         #: seqs of cancelled-but-still-queued entries (lazy deletion).
@@ -222,11 +211,6 @@ class SimKernel:
         self._events_executed = 0
 
     # -- clock & stats ------------------------------------------------------
-
-    @property
-    def now(self) -> float:
-        """Current simulated time."""
-        return self._now
 
     @property
     def events_executed(self) -> int:
@@ -245,34 +229,26 @@ class SimKernel:
 
     # -- scheduling ---------------------------------------------------------
 
-    def schedule(self, delay: float, fn: Callable[..., None], *args: Any) -> EventHandle:
-        """Run ``fn(*args)`` after ``delay`` simulated time units."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        self._seq += 1
-        when = self._now + delay
-        heapq.heappush(self._queue, (when, self._seq, fn, args))
-        return EventHandle(self, self._seq, when)
+    def post(self, delay: float, fn: Callable[..., None], *args: Any) -> _Entry:
+        """Run ``fn(*args)`` after ``delay`` simulated time units.
 
-    def post(self, delay: float, fn: Callable[..., None], *args: Any) -> None:
-        """:meth:`schedule` without the :class:`EventHandle`.
-
-        The handle exists only to support cancellation; hot paths that
-        never cancel (process steps, message delivery) use this to skip
-        the per-event handle allocation.
+        The queued entry is returned as the event's *ticket*: a caller
+        that may :meth:`cancel` keeps it (``ticket[0]`` is the time the
+        event is due), everyone else drops it.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         self._seq += 1
-        heapq.heappush(self._queue, (self._now + delay, self._seq, fn, args))
+        entry = (self.now + delay, self._seq, fn, args)
+        heapq.heappush(self._queue, entry)
+        return entry
 
-    def schedule_at(self, when: float, fn: Callable[..., None], *args: Any) -> EventHandle:
+    #: The same method under its callback-style names.
+    schedule = call_later = post
+
+    def schedule_at(self, when: float, fn: Callable[..., None], *args: Any) -> _Entry:
         """Run ``fn(*args)`` at absolute simulated time ``when`` (>= now)."""
-        return self.schedule(when - self._now, fn, *args)
-
-    def call_later(self, delay: float, fn: Callable[..., None], *args: Any) -> EventHandle:
-        """Alias of :meth:`schedule` (kept for callback-style call sites)."""
-        return self.schedule(delay, fn, *args)
+        return self.post(when - self.now, fn, *args)
 
     def spawn(self, gen: ProcessGen, name: str = "") -> SimFuture:
         """Start ``gen`` as a process; returns a future for its return value.
@@ -290,7 +266,9 @@ class SimKernel:
             )
         self._processes_spawned += 1
         proc = Process(self, gen, name or f"proc-{self._processes_spawned}")
-        self.post(0.0, proc._step_cb, None)
+        # post(0.0, proc._step_cb, None), minus the frame: one spawn per call.
+        self._seq += 1
+        heapq.heappush(self._queue, (self.now, self._seq, proc._step_cb, (None,)))
         return proc.future
 
     def spawn_process(self, gen: ProcessGen, name: str = "") -> Process:
@@ -306,8 +284,24 @@ class SimKernel:
 
     # -- cancellation -------------------------------------------------------
 
-    def _cancel(self, seq: int) -> None:
-        self._cancelled.add(seq)
+    def cancel(self, ticket: _Entry) -> None:
+        """Prevent the event :meth:`post` returned ``ticket`` for from running.
+
+        A no-op if the event already ran: one whose time has not come is
+        certainly still queued, so only a cancel at or past the event's
+        own instant has to look -- an O(queue) scan, which a deadline
+        cancelled before it is due never pays.
+
+        Cancelled entries stay in the heap as placeholders and are
+        discarded on pop; :meth:`_compact` sweeps them once they
+        outnumber live events.  The ticket carries no state, so its
+        holder forgets it on the first cancel (the runtime pops its
+        deadline table): a repeat is a no-op only until that sweep, after
+        which it parks a stray seq until the next one.
+        """
+        if ticket[0] <= self.now and ticket not in self._queue:
+            return
+        self._cancelled.add(ticket[1])
         if (
             len(self._cancelled) > self.COMPACT_MIN_CANCELLED
             and len(self._cancelled) * 2 > len(self._queue)
@@ -318,8 +312,8 @@ class SimKernel:
         """Drop cancelled placeholders and re-heapify.
 
         O(n), amortised free: it only runs once cancellations exceed half
-        the queue, and it also sweeps out any stray seqs from handles
-        cancelled after their event already ran.
+        the queue, and it also sweeps out a stray seq left by a ticket
+        cancelled again after an earlier sweep.
 
         Mutates the queue list *in place*: the run loops keep a local
         alias to it across callbacks, and a compaction triggered inside a
@@ -343,7 +337,7 @@ class SimKernel:
         so it keeps its place in seq order.
         """
         queue = self._queue
-        if queue and queue[0][0] <= self._now:
+        if queue and queue[0][0] <= self.now:
             self.post(0.0, fn, arg)
         else:
             self._micro.append((fn, arg))
@@ -379,9 +373,9 @@ class SimKernel:
             if cancelled and seq in cancelled:
                 cancelled.discard(seq)
                 continue
-            if time < self._now:  # pragma: no cover - defensive
+            if time < self.now:  # pragma: no cover - defensive
                 raise SimulationError("event queue went backwards in time")
-            self._now = time
+            self.now = time
             self._events_executed += 1
             fn(*args)
             if self._micro:
@@ -416,13 +410,13 @@ class SimKernel:
             if nxt is None:
                 break
             if until is not None and nxt[0] > until:
-                if self._now < until:
-                    self._now = until
+                if self.now < until:
+                    self.now = until
                 return
             self.step()
             executed += 1
-        if until is not None and self._now < until:
-            self._now = until
+        if until is not None and self.now < until:
+            self.now = until
 
     def _run_fast(self) -> None:
         """The unguarded drain loop: same order as step(), fewer frames."""
@@ -439,7 +433,7 @@ class SimKernel:
             if cancelled and seq in cancelled:
                 cancelled.discard(seq)
                 continue
-            self._now = time
+            self.now = time
             self._events_executed += 1
             fn(*args)
 
@@ -449,7 +443,7 @@ class SimKernel:
         Raises :class:`SimulationDeadlock` if the queue drains first.
         """
         executed = 0
-        while not fut.done():
+        while fut._state == "pending":
             if max_events is not None and executed >= max_events:
                 raise SimulationError(f"exceeded max_events={max_events}")
             if not self.step():
@@ -476,4 +470,4 @@ class SimKernel:
         return fut
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<SimKernel t={self._now:.3f} queued={len(self._queue)}>"
+        return f"<SimKernel t={self.now:.3f} queued={len(self._queue)}>"

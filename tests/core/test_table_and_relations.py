@@ -156,3 +156,51 @@ class TestRelationGraph:
         assert graph.edge_count(RelationKind.IS_A) == 1
         assert graph.edge_count(RelationKind.KIND_OF) == 1
         assert graph.edge_count(RelationKind.INHERITS_FROM) == 1
+
+    def test_parallel_edges_and_neighbour_order(self):
+        """A class may be kind-of and inherit-from the same class; results
+        list neighbours in the order their first edge was recorded."""
+        graph = RelationGraph()
+        graph.record_kind_of(loid(11), loid(10))
+        graph.record_inherits_from(loid(11), loid(12))
+        graph.record_inherits_from(loid(11), loid(10))
+        assert graph.bases_of(loid(11)) == [loid(10), loid(12)]
+        assert graph.superclass_of(loid(11)) == loid(10)
+        assert graph.edge_count() == 3
+        graph.forget(loid(10))
+        assert graph.bases_of(loid(11)) == [loid(12)]
+        assert graph.superclass_of(loid(11)) is None
+        assert graph.edge_count() == 1
+        assert loid(12) in graph and loid(10) not in graph
+
+    def test_forget_costs_the_degree_of_the_forgotten_node(self):
+        """Delete() of one instance must not walk its 4,000 siblings:
+        the hash and equality probes of a forget do not grow with the
+        class."""
+
+        class Node:
+            probes = 0
+
+            def __init__(self, key):
+                self.key = key
+
+            def __hash__(self):
+                Node.probes += 1
+                return hash(self.key)
+
+            def __eq__(self, other):
+                Node.probes += 1
+                return self.key == other.key
+
+        def probes_to_forget_one_of(instances: int) -> int:
+            graph = RelationGraph()
+            cls = Node("class")
+            nodes = [Node(i) for i in range(instances)]
+            for node in nodes:
+                graph.record_is_a(node, cls)
+            Node.probes = 0
+            graph.forget(nodes[instances // 2])
+            assert len(graph.instances_of(cls)) == instances - 1
+            return Node.probes
+
+        assert probes_to_forget_one_of(4_000) == probes_to_forget_one_of(4)

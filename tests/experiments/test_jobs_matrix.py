@@ -9,6 +9,14 @@ schedules) feed directly into the printed table, e15 whose per-call
 overload records decide every goodput figure, and the six SHARDED sweeps
 (e9/e13/e15/e16/e17/e18), whose units run on the same pool and are
 merged in unit order by ``shard_finish``.
+
+It is also the cover for the identity-hashed enums (``LinkClass``,
+``ComponentKind``): ``NetworkStats.by_class`` and the metrics registry
+are keyed by them, every worker builds and reads those dicts under its
+own ``id()``-based hashes, and the per-class message counts and
+per-kind loads the reports print must still come back byte-identical
+(whatever crosses the pool boundary pickles members by name and
+re-hashes on load).
 """
 
 from repro.experiments.runner import RUNNERS, run_many

@@ -1,5 +1,6 @@
 """Unit tests for Object Addresses and their elements (paper 3.4)."""
 
+import pickle
 import random
 
 import pytest
@@ -49,6 +50,34 @@ class TestElement:
 
     def test_sim_constructor_uses_sim_type(self):
         assert ObjectAddressElement.sim(1, 2).addr_type == AddressType.SIM
+
+    def test_equal_elements_hash_equal(self):
+        a = ObjectAddressElement.sim(host=7, port=1024, node=2)
+        b = ObjectAddressElement(AddressType.SIM, 7, 1024, node=2)
+        assert a == b and hash(a) == hash(b)
+        assert a != ObjectAddressElement.sim(host=7, port=1025, node=2)
+        assert len({a, b}) == 1
+
+    def test_elements_are_immutable(self):
+        element = ObjectAddressElement.sim(1, 2)
+        with pytest.raises(AttributeError):
+            element.port = 3
+        with pytest.raises(AttributeError):
+            element.extra = 1
+
+    def test_pickled_element_still_finds_its_endpoint(self):
+        from repro.net.network import Network
+        from repro.simkernel.kernel import SimKernel
+
+        network = Network(SimKernel())
+        element = network.allocate_element(host=4, node=1)
+        network.register(element, lambda message: None)
+        clone = pickle.loads(pickle.dumps(element))
+        assert clone is not element
+        assert type(clone) is ObjectAddressElement and clone == element
+        assert repr(clone) == repr(element)
+        assert network.is_registered(clone)
+        assert network._endpoints[clone] is network._endpoints[element]
 
 
 class TestObjectAddress:

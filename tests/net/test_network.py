@@ -1,5 +1,6 @@
 """Unit tests for the network fabric: delivery, staleness, partitions."""
 
+import pickle
 import random
 
 import pytest
@@ -64,6 +65,17 @@ class TestDelivery:
         kernel.run()
         assert net.stats.by_class[LinkClass.WIDE_AREA] == 1
         assert net.stats.messages_delivered == 1
+
+    def test_per_class_counts_survive_pickling(self, net, kernel):
+        """LinkClass members hash by identity; a pickled stats object
+        (what a --jobs worker would hand back) must still answer by member."""
+        src, _ = register_sink(net, 1)
+        dst, _ = register_sink(net, 3)
+        net.send(Message.request(src, dst, "x"))
+        clone = pickle.loads(pickle.dumps(net.stats))
+        assert clone.by_class == net.stats.by_class
+        assert clone.by_class[LinkClass.WIDE_AREA] == 1
+        assert list(clone.by_class) == list(LinkClass)
 
     def test_stale_destination_bounces_failure(self, net, kernel):
         src_element = net.allocate_element(1)

@@ -29,8 +29,8 @@ class TestScheduling:
 
     def test_cancellation(self, kernel):
         hits = []
-        handle = kernel.schedule(1.0, lambda: hits.append("x"))
-        handle.cancel()
+        ticket = kernel.schedule(1.0, lambda: hits.append("x"))
+        kernel.cancel(ticket)
         kernel.run()
         assert hits == []
 
@@ -167,11 +167,11 @@ class TestProcesses:
                 cleaned.append(True)
                 raise
 
-        handle = kernel.spawn_process(proc())
-        kernel.schedule(1.0, lambda: handle.kill("stop"))
+        ticket = kernel.spawn_process(proc())
+        kernel.schedule(1.0, lambda: ticket.kill("stop"))
         kernel.run()
         assert cleaned == [True]
-        assert handle.future.failed()
+        assert ticket.future.failed()
 
     def test_deadlock_detected(self, kernel):
         never = SimFuture()

@@ -17,33 +17,98 @@ from repro.simkernel.kernel import SimKernel, Timeout
 class TestCancellationAccounting:
     def test_pending_events_excludes_cancelled(self):
         kernel = SimKernel()
-        handles = [kernel.schedule(1.0, lambda: None) for _ in range(3)]
+        tickets = [kernel.schedule(1.0, lambda: None) for _ in range(3)]
         assert kernel.pending_events == 3
-        handles[0].cancel()
+        kernel.cancel(tickets[0])
         assert kernel.pending_events == 2
-        handles[0].cancel()  # idempotent
+        kernel.cancel(tickets[0])  # a repeat before any sweep: no-op
         assert kernel.pending_events == 2
 
     def test_cancel_after_run_does_not_go_negative(self):
         kernel = SimKernel()
-        handle = kernel.schedule(1.0, lambda: None)
+        ticket = kernel.schedule(1.0, lambda: None)
         kernel.run()
-        handle.cancel()  # stray seq: the event already ran
+        kernel.cancel(ticket)  # stray seq: the event already ran
         assert kernel.pending_events == 0
+
+    def test_late_cancel_leaves_the_books_alone(self):
+        """Regression: a cancel after the event ran used to park its seq
+        in ``_cancelled`` forever -- ``pending_events`` then under-counted
+        every later event by one and each pop paid the set probe."""
+        kernel = SimKernel()
+        ticket = kernel.schedule(1, lambda: None)
+        kernel.run()
+        kernel.cancel(ticket)
+        assert kernel._cancelled == set()
+        kernel.schedule(5, lambda: None)
+        assert kernel.pending_events == 1
+        kernel.run()
+        assert kernel.events_executed == 2
+
+    def test_cancel_at_the_events_own_instant(self):
+        """At ``time == now`` the event may or may not have run yet; only
+        one still queued is cancelled."""
+        kernel = SimKernel()
+        ran = []
+        tickets = {}
+
+        def first():
+            ran.append("first")
+            kernel.cancel(tickets["first"])  # running right now: a no-op
+            kernel.cancel(tickets["second"])  # same instant, still queued
+
+        tickets["first"] = kernel.post(1.0, first)
+        tickets["second"] = kernel.post(1.0, ran.append, "second")
+        kernel.post(1.0, ran.append, "third")
+        assert kernel.pending_events == 3
+        kernel.step()
+        assert kernel.pending_events == 1
+        kernel.run()
+        assert ran == ["first", "third"]
+        assert kernel.events_executed == 2
+        assert kernel._cancelled == set()
+
+    def test_peak_pending_stays_exact_across_late_cancels(self):
+        """The ledger's ``simkernel.peak_pending_events`` is the running
+        max of ``pending_events``: late cancels must not bend it."""
+        kernel = SimKernel()
+        peak = 0
+        for round_ in range(5):
+            tickets = [kernel.schedule(1.0, lambda: None) for _ in range(4)]
+            peak = max(peak, kernel.pending_events)
+            kernel.run()
+            for ticket in tickets:
+                kernel.cancel(ticket)  # all late
+            assert kernel.pending_events == 0
+        assert peak == 4
+        assert kernel._cancelled == set()
+
+    def test_a_cancelled_event_counts_no_event(self):
+        kernel = SimKernel()
+        ran = []
+        ticket = kernel.post(1.0, ran.append, "a")
+        assert ticket[0] == 1.0  # the time the event is due
+        kernel.post(2.0, ran.append, "b")
+        kernel.cancel(ticket)
+        assert kernel.pending_events == 1
+        kernel.run()
+        assert ran == ["b"]
+        assert kernel.events_executed == 1  # a cancelled event counts none
+        assert kernel._cancelled == set()
 
     def test_cancelled_event_never_runs(self):
         kernel = SimKernel()
         ran = []
-        handle = kernel.schedule(1.0, ran.append, "a")
+        ticket = kernel.schedule(1.0, ran.append, "a")
         kernel.schedule(2.0, ran.append, "b")
-        handle.cancel()
+        kernel.cancel(ticket)
         kernel.run()
         assert ran == ["b"]
 
     def test_run_until_stops_on_cancelled_only_queue(self):
         kernel = SimKernel()
-        handle = kernel.schedule(5.0, lambda: None)
-        handle.cancel()
+        ticket = kernel.schedule(5.0, lambda: None)
+        kernel.cancel(ticket)
         kernel.run(until=10.0)
         assert kernel.now == 10.0
         assert kernel.events_executed == 0
@@ -53,14 +118,14 @@ class TestCompaction:
     def test_mass_cancellation_compacts_heap(self):
         kernel = SimKernel()
         keep = kernel.schedule(500.0, lambda: None)
-        handles = [kernel.schedule(float(i), lambda: None) for i in range(200)]
-        for h in handles:
-            h.cancel()
+        tickets = [kernel.schedule(float(i), lambda: None) for i in range(200)]
+        for h in tickets:
+            kernel.cancel(h)
         # Past the threshold the bulk of the placeholders is swept out
         # (a sub-threshold tail may linger until the next sweep).
         assert len(kernel._queue) < 100
         assert kernel.pending_events == 1
-        keep.cancel()
+        kernel.cancel(keep)
         kernel.run()
         assert kernel.events_executed == 0
 
@@ -72,11 +137,11 @@ class TestCompaction:
         """
         kernel = SimKernel()
         ran = []
-        handles = [kernel.schedule(10.0, lambda: None) for _ in range(200)]
+        tickets = [kernel.schedule(10.0, lambda: None) for _ in range(200)]
 
         def cancel_then_schedule():
-            for h in handles:
-                h.cancel()  # triggers _compact mid-run
+            for h in tickets:
+                kernel.cancel(h)  # triggers _compact mid-run
             kernel.schedule(1.0, ran.append, "after-compact")
 
         kernel.schedule(0.0, cancel_then_schedule)
@@ -90,7 +155,7 @@ class TestCompaction:
         for i in range(5):
             kernel.schedule(float(i + 1), ran.append, i)
         for h in doomed:
-            h.cancel()
+            kernel.cancel(h)
         kernel.run()
         assert ran == [0, 1, 2, 3, 4]
 
