@@ -116,28 +116,12 @@ class SystemServices:
     #: path guards on ``flow is None`` so the default costs nothing.
     flow: Any = None
     #: The geo-replication directory (:class:`repro.replication.ReplicaDirectory`),
-    #: or ``None`` when the data plane is off.  When set, runtimes compile a
-    #: locality-aware replica selector into their call path (FIRST groups are
-    #: tried nearest-first by link class) and class objects gossip replica
-    #: placement news to the per-site ReplicaCatalogs.  Installed once by
-    #: ``repro.replication.enable_replication``; assignment bumps the epoch
-    #: exactly once, so the compiled fast path never pays a per-call check.
+    #: or ``None`` when the data plane is off.  When set, a call on a
+    #: multi-element FIRST address tries the group nearest-first by link
+    #: class and class objects gossip replica placement news to the
+    #: per-site ReplicaCatalogs.  Installed once by
+    #: ``repro.replication.enable_replication``.
     replication: Any = None
-    #: Monotonic configuration epoch for the call-path compiler
-    #: (:mod:`repro.core.callpath`).  Bumped automatically whenever
-    #: ``tracer``, ``flow``, or ``replication`` is (re)assigned; compiled
-    #: invoke/dispatch pipelines compare their stamped epoch against this
-    #: one integer and recompile lazily when stale.
-    callpath_epoch: int = 0
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        object.__setattr__(self, name, value)
-        if name in ("tracer", "flow", "replication"):
-            # getattr-with-default: during dataclass __init__ the epoch
-            # field has not been assigned yet when tracer/flow land.
-            object.__setattr__(
-                self, "callpath_epoch", getattr(self, "callpath_epoch", 0) + 1
-            )
 
     def well_known_loid(self, role: str) -> LOID:
         """The LOID of a core object by role; raises if not bootstrapped."""

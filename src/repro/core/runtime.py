@@ -32,7 +32,6 @@ from repro.errors import (
     Overloaded,
     PartitionedError,
 )
-from repro.core.callpath import compile_invoke_path
 from repro.core.method import MethodInvocation, MethodResult
 from repro.flow.batching import RequestBatcher
 from repro.flow.credits import CreditLedger
@@ -118,7 +117,8 @@ class RuntimeStats:
         requests_sent == replies_received + timeouts
                          + delivery_failures + cancelled + shed
 
-    -- every request settles exactly one way; the property test pins this.
+    -- every request settles exactly one way; :attr:`LegionRuntime.settled`
+    is that test, and the property test pins it.
     """
 
     invocations: int = 0
@@ -224,10 +224,6 @@ class LegionRuntime:
         #: RetryPolicy.retry_tokens).
         self._retry_bucket: Optional[float] = None
         self._retry_bucket_at = 0.0
-        # Compile the invoke pipeline for the current configuration
-        # (repro.core.callpath); sets _invoke_key, _plain_path and the
-        # _callpath_epoch stamp the per-call staleness check compares.
-        compile_invoke_path(self)
 
     # ------------------------------------------------------------------ wiring
 
@@ -235,6 +231,15 @@ class LegionRuntime:
     def pending_count(self) -> int:
         """Outstanding requests awaiting replies (client-side queue depth)."""
         return len(self._pending)
+
+    @property
+    def settled(self) -> bool:
+        """The :class:`RuntimeStats` settlement identity: nothing pending
+        and every request sent has settled exactly one way."""
+        s = self.stats
+        return not self._pending and s.requests_sent == (
+            s.replies_received + s.timeouts + s.delivery_failures + s.cancelled + s.shed
+        )
 
     def set_binding_agent(self, agent: Binding) -> None:
         """Install the Binding Agent this object consults on cache misses."""
@@ -273,8 +278,6 @@ class LegionRuntime:
         if self._batcher is None:
             self._batcher = RequestBatcher(self, flow.batch_window, flow.batch_limit)
         self._batcher.methods.update(methods)
-        # Runtime-local config change the services epoch cannot see.
-        compile_invoke_path(self)
         return True
 
     def _take_retry_token(self) -> bool:
@@ -448,27 +451,27 @@ class LegionRuntime:
         priority: int = 0,
     ):
         """Process-style call of one element; returns the unwrapped value."""
-        if self._flow is None:
-            invocation = MethodInvocation(
-                target=target, method=method, args=args, env=env
-            )
-            result: MethodResult = yield self.send_request(element, invocation, timeout)
-            return result.unwrap()
-        invocation = self._flow_invocation(target, method, args, env, timeout, priority)
+        invocation = self._invocation(target, method, args, env, timeout, priority)
         batcher = self._batcher
         if batcher is not None and method in batcher.methods:
             # Coalesced path: credits are bypassed on purpose -- the
             # batch window itself paces upstream traffic, and one wire
             # message per window is the bound we are after.
-            result = yield batcher.submit(element, invocation, timeout)
-            return result.unwrap()
-        result = yield from self._credited_send(element, invocation, timeout)
+            fut = batcher.submit(element, invocation, timeout)
+        elif self.credits is None:
+            fut = self.send_request(element, invocation, timeout)
+        else:
+            fut = yield from self._credited_send(element, invocation, timeout)
+        result: MethodResult = yield fut
         return result.unwrap()
 
-    def _flow_invocation(
+    def _invocation(
         self, target, method, args, env, timeout, priority
     ) -> MethodInvocation:
-        """An invocation stamped with flow metadata (deadline, priority)."""
+        """The invocation to put on the wire; under a FlowConfig it also
+        carries the flow metadata (absolute deadline, priority)."""
+        if self._flow is None:
+            return MethodInvocation(target=target, method=method, args=args, env=env)
         deadline = timeout if timeout is not None else self.default_timeout
         return MethodInvocation(
             target=target,
@@ -480,16 +483,14 @@ class LegionRuntime:
         )
 
     def _credited_send(self, element, invocation: MethodInvocation, timeout):
-        """send_request behind the element's credit window (if any).
+        """send_request once the element's credit window has room.
 
-        Any settlement of the wire future -- reply, shed, failure,
-        timeout, cancellation -- releases the credit exactly once.
+        Returns the wire future (not its result), so a fan-out can fire
+        every leg before gathering.  Any settlement of that future --
+        reply, shed, failure, timeout, cancellation -- releases the
+        credit exactly once.
         """
-        credits = self.credits
-        if credits is None:
-            result = yield self.send_request(element, invocation, timeout)
-            return result
-        window = credits.window(invocation.target.identity, element)
+        window = self.credits.window(invocation.target.identity, element)
         waiter = window.try_acquire()
         if waiter is not None:
             self.stats.credit_waits += 1
@@ -505,8 +506,7 @@ class LegionRuntime:
             yield waiter
         fut = self.send_request(element, invocation, timeout)
         fut.add_done_callback(window.release)
-        result = yield fut
-        return result
+        return fut
 
     def call_address(
         self,
@@ -528,13 +528,15 @@ class LegionRuntime:
         semantic = address.semantic
         if semantic is AddressSemantic.FIRST:
             elements = address.elements
-            selector = self._replica_selector
-            if selector is not None and len(elements) > 1:
+            replication = self.services.replication
+            if replication is not None and len(elements) > 1:
                 # Locality-aware selection (repro.replication): try the
                 # group nearest-first by link class from *this* caller's
                 # host.  The sort is stable, so equally-near replicas keep
                 # their group order and the schedule stays deterministic.
-                elements = selector.order(self.element.host, elements)
+                elements = replication.nearest_first(
+                    self.services.network.latency, self.element.host, elements
+                )
             last_error: Optional[BaseException] = None
             for element in elements:
                 try:
@@ -553,36 +555,17 @@ class LegionRuntime:
                 element, target, method, args, env, timeout, priority
             )
             return value
-        if self._flow is None:
-            invocation_futs = [
-                self.send_request(
-                    element,
-                    MethodInvocation(target=target, method=method, args=args, env=env),
-                    timeout,
-                )
-                for element in address.elements
-            ]
-        else:
-            # Fan-out under flow control: acquire each element's credit
-            # (possibly waiting) before its leg fires, sequentially in
-            # element order so the acquisition schedule is deterministic.
-            invocation = self._flow_invocation(
-                target, method, args, env, timeout, priority
-            )
-            invocation_futs = []
-            credits = self.credits
-            for element in address.elements:
-                if credits is not None:
-                    waiter = credits.window(target.identity, element).try_acquire()
-                    if waiter is not None:
-                        self.stats.credit_waits += 1
-                        yield waiter
+        # Fan-out.  Under credit windows each element's credit is acquired
+        # (possibly waiting) before its leg fires, sequentially in element
+        # order so the acquisition schedule is deterministic.
+        invocation = self._invocation(target, method, args, env, timeout, priority)
+        invocation_futs = []
+        for element in address.elements:
+            if self.credits is None:
                 fut = self.send_request(element, invocation, timeout)
-                if credits is not None:
-                    fut.add_done_callback(
-                        credits.window(target.identity, element).release
-                    )
-                invocation_futs.append(fut)
+            else:
+                fut = yield from self._credited_send(element, invocation, timeout)
+            invocation_futs.append(fut)
         if semantic is AddressSemantic.ALL:
             results: List[MethodResult] = yield gather(invocation_futs)
             return [r.unwrap() for r in results]
@@ -706,83 +689,26 @@ class LegionRuntime:
         ``ctx.nested_env(self.loid)`` instead to preserve the Responsible
         Agent across hops.
 
-        A plain dispatcher: returns the compiled entry generator, so
-        configuration checks and the cache lookup happen when the call
-        first *runs*, not when the generator is created -- a spawned
-        invoke may start many events after the spawn, across a config
-        change.
+        One body serves every configuration, and everything it decides it
+        decides when the call *runs* (a spawned invoke may start many
+        events after the spawn, across a config change): a span is opened
+        iff a tracer is active, and an attempt on a single-element FIRST
+        binding with no FlowConfig installed puts its one request on the
+        wire from this frame -- :meth:`call_address` would do exactly that
+        two generators deeper.
         """
-        return self._invoke_entry(target, method, args, env, timeout, priority)
-
-    def _invoke_entry(self, target, method, args, env, timeout, priority):
-        """The compiled invoke pipeline (repro.core.callpath).
-
-        For the zero-middleware configuration (no tracer installed, no
-        flow config) hitting a warm single-element FIRST binding, the
-        whole call is this one flat generator frame: lookup, one
-        request, one reply, unwrap -- instead of the historical
-        invoke -> resolve -> call_address -> call_element ->
-        send_request generator nest.  Anything else -- enabled
-        middleware, a cold cache, a replicated address, a failed first
-        attempt, an exhausted attempt budget -- falls through to
-        :meth:`_invoke_loop`, the single source of truth for
-        retry/refresh/backoff semantics.
-        """
-        if self._callpath_epoch != self.services.callpath_epoch:
-            compile_invoke_path(self)
-        if not self._plain_path:
-            value = yield from self._invoke_general(
-                target, method, args, env, timeout, priority
-            )
-            return value
         stats = self.stats
         stats.invocations += 1
         if env is None:
             env = self._origin_env
-        policy = self.retry_policy
+        # One probe up front keeps a warm call out of resolve() altogether.
+        # On a miss resolve() probes again before it asks the agent: the
+        # ledger's expected.json pins that second lookup in every sim
+        # digest, so it stays until the baseline is re-cut.
         binding = self.lookup_binding(target)
-        if (
-            binding is None
-            or policy.max_attempts < 1
-            or binding.address.semantic is not AddressSemantic.FIRST
-            or len(binding.address.elements) != 1
-        ):
-            value = yield from self._invoke_loop(
-                target, method, args, env, timeout, priority,
-                None, False, policy, self.kernel.now, None, None,
-            )
-            return value
-        started = self.kernel.now
-        stats.attempts += 1
-        invocation = MethodInvocation(target=target, method=method, args=args, env=env)
-        try:
-            result: MethodResult = yield self.send_request(
-                binding.address.elements[0], invocation, timeout
-            )
-            return result.unwrap()
-        except (Overloaded, DeliveryFailure) as exc:
-            # PartitionedError and InvocationTimeout are DeliveryFailure
-            # subclasses, so this catches every retryable transport-level
-            # outcome; application errors propagate exactly as they do
-            # from call_element.  Re-raising the failure inside the
-            # loop's first iteration runs the identical handler chain
-            # (shed pushback / staleness / refresh) the general path
-            # would have run for a failed first attempt.
-            value = yield from self._invoke_loop(
-                target, method, args, env, timeout, priority,
-                None, False, policy, started, binding, exc,
-            )
-            return value
-
-    def _invoke_general(self, target, method, args, env, timeout, priority):
-        """The fully-featured invoke entry (tracing and/or flow enabled)."""
-        self.stats.invocations += 1
-        if env is None:
-            env = self._origin_env
         tracer = self.services.tracer
-        traced = tracer is not None and tracer.active
         span = None
-        if traced:
+        if tracer is not None and tracer.active:
             # The logical operation's span: roots a fresh trace at a call
             # chain's origin, or nests under the server dispatch span the
             # caller's environment carries (ctx.nested_env propagation).
@@ -794,12 +720,148 @@ class LegionRuntime:
             )
             span.annotate(target=str(target))
             env = env.with_trace(span.context)
+            if binding is not None:
+                tracer.instant(
+                    "resolve",
+                    "resolve",
+                    parent=env.trace,
+                    component=self.component_label,
+                    cache="hit",
+                )
+        policy = self.retry_policy
+        started = self.kernel.now
+        last_error: Optional[BaseException] = None
+        pushback = 0.0
         try:
-            value = yield from self._invoke_loop(
-                target, method, args, env, timeout, priority,
-                span, traced, self.retry_policy, self.kernel.now, None, None,
-            )
-            return value
+            attempt = 0
+            while attempt < policy.max_attempts:  # no range object per call
+                attempt += 1
+                if attempt > 1:
+                    if not self._take_retry_token():
+                        break
+                    delay = policy.backoff_delay(
+                        attempt, self.services.rng.stream("retry-backoff")
+                    )
+                    if pushback > 0.0:
+                        # The server told us when admission is plausible;
+                        # hammering the queue any earlier is wasted wire.
+                        if delay < pushback:
+                            delay = pushback
+                        pushback = 0.0
+                    if (
+                        policy.budget is not None
+                        and self.kernel.now - started + delay >= policy.budget
+                    ):
+                        stats.budget_exhausted += 1
+                        break
+                    if delay > 0.0:
+                        if span is not None:
+                            tracer.instant(
+                                "retry-backoff",
+                                "retry",
+                                parent=env.trace,
+                                component=self.component_label,
+                                attempt=attempt,
+                                delay=round(delay, 3),
+                            )
+                        yield Timeout(delay)
+                stats.attempts += 1
+                if binding is None:
+                    # Resolution is part of the attempt: the walk to the
+                    # agent (and onward to the class) crosses the same
+                    # faulty network the call does, so a patient policy
+                    # retries its partitions and losses under the same
+                    # backoff/budget instead of leaking them to the caller.
+                    try:
+                        binding = yield from self.resolve(target, trace=env.trace)
+                    except Overloaded as exc:
+                        # The resolution path itself (agent or class) shed
+                        # us; always retryable, paced by its pushback hint.
+                        last_error = exc
+                        pushback = exc.retry_after
+                        continue
+                    except PartitionedError as exc:
+                        if not policy.retry_partitions:
+                            raise
+                        last_error = exc
+                        continue
+                    except (DeliveryFailure, BindingNotFound) as exc:
+                        if not policy.retry_resolution_failures:
+                            raise
+                        last_error = exc
+                        continue
+                try:
+                    address = binding.address
+                    if (
+                        self._flow is None
+                        and address.semantic is AddressSemantic.FIRST
+                        and len(address.elements) == 1
+                    ):
+                        result: MethodResult = yield self.send_request(
+                            address.elements[0],
+                            MethodInvocation(
+                                target=target, method=method, args=args, env=env
+                            ),
+                            timeout,
+                        )
+                        value = result.unwrap()
+                    else:
+                        value = yield from self.call_address(
+                            address, target, method, args, env, timeout, priority
+                        )
+                    if span is not None and attempt > 1:
+                        span.annotate(attempts=attempt)
+                    return value
+                except Overloaded as exc:
+                    # Admission-control shed: the binding is *not* stale.
+                    # No invalidate, no refresh, no rebind -- just wait out
+                    # the server's retry_after hint and try again.
+                    last_error = exc
+                    pushback = exc.retry_after
+                except PartitionedError as exc:
+                    # The destination's site is unreachable; a refreshed
+                    # binding cannot help until the partition heals, and
+                    # retrying through intermediaries just multiplies
+                    # traffic.  A patient policy instead backs off and
+                    # waits the heal out.
+                    stats.stale_detected += 1
+                    if not policy.retry_partitions:
+                        raise
+                    last_error = exc
+                except DeliveryFailure as exc:
+                    # Stale binding (4.1.4): drop it and ask for a refresh,
+                    # passing the stale binding so the agent knows not to
+                    # hand back its own identical cached copy.
+                    stats.stale_detected += 1
+                    self.cache.invalidate_exact(binding)
+                    last_error = exc
+                    try:
+                        binding = yield from self._refresh_binding(
+                            binding, trace=env.trace
+                        )
+                        stats.rebinds += 1
+                    except BindingNotFound as missing:
+                        # The agent (or the recovery path behind it) found
+                        # nothing.  Usually fatal; a patient policy keeps
+                        # the old binding and retries -- recovery may still
+                        # be running, or the control path may be
+                        # partitioned.
+                        if not policy.retry_resolution_failures:
+                            raise missing from exc
+                        last_error = missing
+                    except DeliveryFailure:
+                        # The refresh leg itself was lost (a lossy network,
+                        # not a stale binding).  Keep the old binding and
+                        # let the retry budget govern: the next attempt may
+                        # get through, and a genuinely dead address will
+                        # exhaust the attempts into BindingNotFound below.
+                        pass
+            if isinstance(last_error, (PartitionedError, Overloaded)):
+                raise last_error
+            raise BindingNotFound(
+                f"could not reach {target} after {policy.max_attempts} attempts",
+                loid=target,
+            ) from last_error
         except BaseException as exc:
             if span is not None:
                 span.status = type(exc).__name__
@@ -807,153 +869,6 @@ class LegionRuntime:
         finally:
             if span is not None:
                 tracer.finish(span)
-
-    def _invoke_loop(
-        self,
-        target,
-        method,
-        args,
-        env,
-        timeout,
-        priority,
-        span,
-        traced,
-        policy,
-        started,
-        binding: Optional[Binding],
-        injected: Optional[BaseException],
-    ):
-        """The resolution/call/refresh/retry loop behind every invoke.
-
-        ``traced`` is the per-invoke cached tracing predicate -- computed
-        once by the caller instead of re-testing ``tracer is not None
-        and tracer.active`` on every backoff.
-
-        ``binding``/``injected`` resume a fast-path attempt that already
-        went to the wire and failed: the injected exception is re-raised
-        inside the first iteration's try block (which is why that
-        iteration neither counts an attempt nor resolves -- the fast
-        path already did both), so the fallback behaves exactly as if
-        the loop itself had made the attempt.
-        """
-        tracer = self.services.tracer
-        last_error: Optional[BaseException] = None
-        pushback = 0.0
-        for attempt in range(1, policy.max_attempts + 1):
-            if attempt > 1:
-                if not self._take_retry_token():
-                    break
-                delay = policy.backoff_delay(
-                    attempt, self.services.rng.stream("retry-backoff")
-                )
-                if pushback > 0.0:
-                    # The server told us when admission is plausible;
-                    # hammering the queue any earlier is wasted wire.
-                    if delay < pushback:
-                        delay = pushback
-                    pushback = 0.0
-                if (
-                    policy.budget is not None
-                    and self.kernel.now - started + delay >= policy.budget
-                ):
-                    self.stats.budget_exhausted += 1
-                    break
-                if delay > 0.0:
-                    if traced:
-                        tracer.instant(
-                            "retry-backoff",
-                            "retry",
-                            parent=env.trace,
-                            component=self.component_label,
-                            attempt=attempt,
-                            delay=round(delay, 3),
-                        )
-                    yield Timeout(delay)
-            if injected is None:
-                self.stats.attempts += 1
-            if binding is None:
-                # Resolution is part of the attempt: the walk to the
-                # agent (and onward to the class) crosses the same
-                # faulty network the call does, so a patient policy
-                # retries its partitions and losses under the same
-                # backoff/budget instead of leaking them to the caller.
-                try:
-                    binding = yield from self.resolve(target, trace=env.trace)
-                except Overloaded as exc:
-                    # The resolution path itself (agent or class) shed
-                    # us; always retryable, paced by its pushback hint.
-                    last_error = exc
-                    pushback = exc.retry_after
-                    continue
-                except PartitionedError as exc:
-                    if not policy.retry_partitions:
-                        raise
-                    last_error = exc
-                    continue
-                except (DeliveryFailure, BindingNotFound) as exc:
-                    if not policy.retry_resolution_failures:
-                        raise
-                    last_error = exc
-                    continue
-            try:
-                if injected is not None:
-                    error, injected = injected, None
-                    raise error
-                value = yield from self.call_address(
-                    binding.address, target, method, args, env, timeout,
-                    priority,
-                )
-                if span is not None and attempt > 1:
-                    span.annotate(attempts=attempt)
-                return value
-            except Overloaded as exc:
-                # Admission-control shed: the binding is *not* stale.
-                # No invalidate, no refresh, no rebind -- just wait out
-                # the server's retry_after hint and try again.
-                last_error = exc
-                pushback = exc.retry_after
-            except PartitionedError as exc:
-                # The destination's site is unreachable; a refreshed
-                # binding cannot help until the partition heals, and
-                # retrying through intermediaries just multiplies traffic.
-                # A patient policy instead backs off and waits the heal out.
-                self.stats.stale_detected += 1
-                if not policy.retry_partitions:
-                    raise
-                last_error = exc
-            except DeliveryFailure as exc:
-                # Stale binding (4.1.4): drop it and ask for a refresh,
-                # passing the stale binding so the agent knows not to
-                # hand back its own identical cached copy.
-                self.stats.stale_detected += 1
-                self.cache.invalidate_exact(binding)
-                last_error = exc
-                try:
-                    binding = yield from self._refresh_binding(
-                        binding, trace=env.trace
-                    )
-                    self.stats.rebinds += 1
-                except BindingNotFound as missing:
-                    # The agent (or the recovery path behind it) found
-                    # nothing.  Usually fatal; a patient policy keeps the
-                    # old binding and retries -- recovery may still be
-                    # running, or the control path may be partitioned.
-                    if not policy.retry_resolution_failures:
-                        raise missing from exc
-                    last_error = missing
-                except DeliveryFailure:
-                    # The refresh leg itself was lost (a lossy network,
-                    # not a stale binding).  Keep the old binding and let
-                    # the retry budget govern: the next attempt may get
-                    # through, and a genuinely dead address will exhaust
-                    # the attempts into BindingNotFound below.
-                    pass
-        if isinstance(last_error, (PartitionedError, Overloaded)):
-            raise last_error
-        raise BindingNotFound(
-            f"could not reach {target} after {policy.max_attempts} attempts",
-            loid=target,
-        ) from last_error
 
     # ---------------------------------------------------------------- teardown
 

@@ -25,7 +25,6 @@ from functools import partial
 from typing import Optional
 
 from repro.errors import LegionError, MethodNotFound, Overloaded, SecurityDenied
-from repro.core.callpath import compile_dispatch_path
 from repro.core.method import InvocationContext, MethodInvocation, MethodResult
 from repro.core.object_base import LegionObjectImpl
 from repro.core.runtime import LegionRuntime
@@ -89,10 +88,6 @@ class ObjectServer:
             if flow_config is not None and flow_config.admits(component_kind)
             else None
         )
-        # Compile the request-dispatch pipeline for the current
-        # configuration (repro.core.callpath); sets _dispatch_key,
-        # _request_path and the _dispatch_epoch staleness stamp.
-        compile_dispatch_path(self)
         # Seed the runtime: well-known core bindings plus the system's
         # default Binding Agent (creators may override either afterwards).
         for core_binding in services.core_bindings.values():
@@ -124,17 +119,14 @@ class ObjectServer:
     # ----------------------------------------------------------------- dispatch
 
     def handle_message(self, message: Message) -> None:
-        """The endpoint handler: route by message kind.
-
-        The endpoint captures this bound method at registration, so the
-        method itself stays stable; REQUESTs go through the *compiled*
-        ``_request_path`` (repro.core.callpath), revalidated against the
-        services config epoch with one integer compare per message.
-        """
+        """The endpoint handler: route by message kind."""
         if message.kind is MessageKind.REQUEST:
-            if self._dispatch_epoch != self.services.callpath_epoch:
-                compile_dispatch_path(self)
-            self._request_path(message)
+            if self.admission is not None:
+                # Admission owns the whole intake; what it admits comes
+                # back through _dispatch, now or when a slot frees up.
+                self.admission.arrive(message)
+            else:
+                self._dispatch(message)
             return
         if message.kind is MessageKind.REPLY:
             self.runtime.handle_reply(message)
@@ -153,29 +145,17 @@ class ObjectServer:
             )
         self.impl.handle_event(message.payload, message.source)
 
-    def _dispatch_plain(self, message: Message) -> None:
-        """Compiled REQUEST path for the zero-middleware configuration.
+    def _dispatch(self, message: Message) -> None:
+        """Start executing one (admitted) REQUEST.
 
-        No admission queue exists, no flow config means no batched
-        payloads can arrive, and no tracer is installed -- so the whole
-        dispatch is the bare in_flight/metrics/execute chain.
+        A batched payload can arrive whatever this server was built
+        with -- the sender's FlowConfig decides -- so the check is per
+        request, not per configuration.
         """
-        invocation: MethodInvocation = message.payload
-        self.in_flight += 1
-        self.services.metrics.incr(self.component, MetricsRegistry.REQUESTS)
-        self._execute(invocation, invocation.env, None, partial(self._reply, message))
-
-    def _dispatch_flow(self, message: Message) -> None:
-        """Compiled REQUEST path when a flow config exists but this
-        server has no admission queue: batched payloads may arrive and
-        must be unpacked."""
-        if type(message.payload) is BatchInvocation:
+        invocation = message.payload
+        if type(invocation) is BatchInvocation:
             self._dispatch_batch(message)
             return
-        self._dispatch_request(message)
-
-    def _dispatch_request(self, message: Message) -> None:
-        invocation: MethodInvocation = message.payload
         self.in_flight += 1
         self.services.metrics.incr(self.component, MetricsRegistry.REQUESTS)
         tracer = self.services.tracer

@@ -141,28 +141,3 @@ def site_of_binding(system: LegionSystem, binding: Binding) -> Optional[str]:
     return system.network.latency.site_of(binding.address.primary().host)
 
 
-def all_runtimes(system: LegionSystem, clients) -> list:
-    """The runtime of every server in ``system`` plus those of ``clients``."""
-    servers = (
-        list(system.host_servers.values())
-        + list(system.magistrates.values())
-        + list(system.agents.values())
-        + list(clients)
-    )
-    for host_server in system.host_servers.values():
-        for entry in host_server.impl.processes.running():
-            servers.append(entry.server)
-    return [s.runtime for s in servers]
-
-
-def settles(runtime) -> bool:
-    """The RuntimeStats settlement identity, shed included."""
-    s = runtime.stats
-    settled = (
-        s.replies_received
-        + s.timeouts
-        + s.delivery_failures
-        + s.cancelled
-        + s.shed
-    )
-    return s.requests_sent == settled and not runtime._pending

@@ -129,7 +129,7 @@ def _run_level(level: int, seed: int, quick: bool, autoscaled: bool):
     # right inside the measured window.  Counters reset mid-flight at the
     # phase boundary instead; the LoadMonitor re-baselines on the reset.
     driver = OpenLoopDriver(
-        system.kernel, clients, choose_call, interval, warmup + measure, timeout=400.0
+        system.kernel, clients, choose_call, [(warmup + measure, interval)], timeout=400.0
     )
     stats_fut = driver.start()
     phase_start = system.kernel.now

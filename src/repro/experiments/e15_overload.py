@@ -36,23 +36,15 @@ import json
 import os
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.errors import LegionError, Overloaded
-from repro.experiments.common import (
-    ExperimentResult,
-    all_runtimes,
-    export_trace,
-    settles,
-    trace_recorder,
-)
+from repro.experiments.common import ExperimentResult, export_trace, trace_recorder
 from repro.faults.log import FaultLog
 from repro.flow import FlowConfig
 from repro.metrics.counters import ComponentKind, MetricsRegistry
 from repro.metrics.recorder import SeriesRecorder
-from repro.simkernel.futures import gather
-from repro.simkernel.kernel import Timeout
 from repro.system.legion import LegionSystem, SiteSpec
 from repro.trace.audit import TraceAudit
 from repro.workloads.apps import SerialServiceImpl
+from repro.workloads.generators import OpenLoopDriver
 
 #: Exclusive service per Work() call; capacity is its reciprocal.
 SERVICE_TIME = 2.0
@@ -76,58 +68,6 @@ FLOW = FlowConfig(
     admit_kinds=frozenset({ComponentKind.APPLICATION}),
     credit_window=8,
 )
-
-
-def _drive(system, clients, target, interval: float, duration: float):
-    """Open-loop Work() traffic with a per-call outcome record.
-
-    Unlike :class:`~repro.workloads.generators.OpenLoopDriver` this keeps
-    (issue, settle, outcome) per call, because goodput and latency
-    percentiles need the raw samples, not just success counts.  Client
-    start phases are staggered across one interval so the offered load is
-    smooth rather than N-synchronised bursts.
-    """
-    kernel = system.kernel
-    records: List[Dict[str, Any]] = []
-
-    def one_call(client, rec):
-        try:
-            yield from client.runtime.invoke(target, "Work", timeout=TIMEOUT)
-            rec["outcome"] = "ok"
-        except Overloaded:
-            rec["outcome"] = "shed"
-        except LegionError as exc:
-            rec["outcome"] = "failed"
-            rec["error"] = type(exc).__name__
-        rec["done"] = kernel.now
-
-    def loop(client, offset):
-        if offset > 0.0:
-            yield Timeout(offset)
-        end = kernel.now + duration
-        calls = []
-        while kernel.now < end:
-            rec: Dict[str, Any] = {
-                "issue": kernel.now,
-                "done": None,
-                "outcome": "pending",
-            }
-            records.append(rec)
-            calls.append(
-                kernel.spawn(one_call(client, rec), name=f"e15-call-{client.loid}")
-            )
-            yield Timeout(interval)
-        for fut in calls:  # drain: every fired call must settle
-            yield fut
-
-    futures = [
-        kernel.spawn(
-            loop(client, i * interval / len(clients)),
-            name=f"e15-loop-{client.loid}",
-        )
-        for i, client in enumerate(clients)
-    ]
-    return gather(futures), records
 
 
 def _run_level(
@@ -155,8 +95,18 @@ def _run_level(
 
     interval = N_CLIENTS / (level * CAPACITY)
     start = system.kernel.now
-    done, records = _drive(system, clients, instance.loid, interval, warmup + measure)
-    system.kernel.run_until_complete(done, max_events=50_000_000)
+    # Client start phases are staggered across one interval so the offered
+    # load is smooth rather than N-synchronised bursts.
+    driver = OpenLoopDriver(
+        system.kernel,
+        clients,
+        lambda _client: (instance.loid, "Work", ()),
+        [(warmup + measure, interval)],
+        stagger=interval / N_CLIENTS,
+        timeout=TIMEOUT,
+    )
+    records = driver.records
+    system.kernel.run_until_complete(driver.start(), max_events=50_000_000)
     system.kernel.run()  # drain the service backlog and late replies
 
     w0, w1 = start + warmup, start + warmup + measure
@@ -174,7 +124,7 @@ def _run_level(
     faultlog_shed = sum(
         1 for i in system.services.fault_log.observed if i.kind == "request-shed"
     )
-    runtimes = all_runtimes(system, clients)
+    runtimes = system.runtimes(clients)
     wire_shed = sum(rt.stats.shed for rt in runtimes)
 
     audits: List[Any] = []
@@ -202,7 +152,7 @@ def _run_level(
         "metrics_shed": metrics_shed,
         "faultlog_shed": faultlog_shed,
         "wire_shed": wire_shed,
-        "settled": all(settles(rt) for rt in runtimes),
+        "settled": all(rt.settled for rt in runtimes),
         "audits": audits,
         "trace_path": trace_path,
         "sim_clock": system.kernel.now,

@@ -39,13 +39,8 @@ import json
 import os
 from typing import Any, Dict, List, Optional
 
-from repro.errors import LegionError, Overloaded
-from repro.experiments.common import (
-    ExperimentResult,
-    all_runtimes,
-    settles,
-    uniform_sites,
-)
+from repro.errors import LegionError
+from repro.experiments.common import ExperimentResult, uniform_sites
 from repro.flow import FlowConfig
 from repro.metrics.counters import ComponentKind
 from repro.metrics.recorder import SeriesRecorder
@@ -57,6 +52,7 @@ from repro.security.environment import CallEnvironment
 from repro.simkernel.futures import gather
 from repro.simkernel.kernel import Timeout
 from repro.system.legion import LegionSystem
+from repro.workloads.generators import OpenLoopDriver
 
 N_SITES = 3
 HOSTS_PER_SITE = 2
@@ -217,7 +213,7 @@ def _measure_locality(replicas: int, seed: int, quick: bool) -> Dict[str, Any]:
         "wan_msgs": wan,
         "wan_per_read": wan / len(records) if records else 0.0,
         "settled": all(
-            settles(rt) for rt in all_runtimes(system, [system.console] + clients)
+            rt.settled for rt in system.runtimes([system.console] + clients)
         ),
         "sim_clock": kernel.now,
         "sim_events": kernel.events_executed,
@@ -225,56 +221,6 @@ def _measure_locality(replicas: int, seed: int, quick: bool) -> Dict[str, Any]:
 
 
 # ---------------------------------------------------------------- phase B
-
-
-def _drive(system, clients, target, interval: float, duration: float):
-    """Open-loop Get() traffic with per-call outcome records (E15 shape)."""
-    kernel = system.kernel
-    records: List[Dict[str, Any]] = []
-
-    def one_call(client, rec, key):
-        try:
-            yield from client.runtime.invoke(target, "Get", key, timeout=FG_TIMEOUT)
-            rec["outcome"] = "ok"
-        except Overloaded:
-            rec["outcome"] = "shed"
-        except LegionError as exc:
-            rec["outcome"] = "failed"
-            rec["error"] = type(exc).__name__
-        rec["done"] = kernel.now
-
-    def loop(client, offset):
-        if offset > 0.0:
-            yield Timeout(offset)
-        end = kernel.now + duration
-        calls = []
-        n = 0
-        while kernel.now < end:
-            rec: Dict[str, Any] = {
-                "issue": kernel.now,
-                "done": None,
-                "outcome": "pending",
-            }
-            records.append(rec)
-            calls.append(
-                kernel.spawn(
-                    one_call(client, rec, KEYS[n % len(KEYS)]),
-                    name=f"e16-call-{client.loid}",
-                )
-            )
-            n += 1
-            yield Timeout(interval)
-        for fut in calls:  # drain: every fired call must settle
-            yield fut
-
-    futures = [
-        kernel.spawn(
-            loop(client, i * interval / len(clients)),
-            name=f"e16-loop-{client.loid}",
-        )
-        for i, client in enumerate(clients)
-    ]
-    return gather(futures), records
 
 
 def _measure_repair(arm: str, seed: int, quick: bool, mult: int) -> Dict[str, Any]:
@@ -320,7 +266,23 @@ def _measure_repair(arm: str, seed: int, quick: bool, mult: int) -> Dict[str, An
 
     interval = FG_CLIENTS / (mult * CAPACITY)
     start = kernel.now
-    done, records = _drive(system, clients, binding.loid, interval, warmup + measure)
+    fired = {client.loid: 0 for client in clients}
+
+    def choose_call(client):
+        n = fired[client.loid]
+        fired[client.loid] = n + 1
+        return (binding.loid, "Get", (KEYS[n % len(KEYS)],))
+
+    driver = OpenLoopDriver(
+        kernel,
+        clients,
+        choose_call,
+        [(warmup + measure, interval)],
+        stagger=interval / FG_CLIENTS,
+        timeout=FG_TIMEOUT,
+    )
+    records = driver.records
+    done = driver.start()
     chaos_fut = system.spawn(chaos(), name="e16-crash")
     kernel.run_until_complete(gather([done, chaos_fut]), max_events=50_000_000)
     if service is not None:
@@ -374,7 +336,7 @@ def _measure_repair(arm: str, seed: int, quick: bool, mult: int) -> Dict[str, An
     outcomes = {"ok": 0, "shed": 0, "failed": 0}
     for rec in records:
         outcomes[rec["outcome"]] += 1
-    runtimes = all_runtimes(system, [system.console] + clients + repair_clients)
+    runtimes = system.runtimes([system.console] + clients + repair_clients)
     return {
         "arm": arm,
         "mult": mult,
@@ -384,7 +346,7 @@ def _measure_repair(arm: str, seed: int, quick: bool, mult: int) -> Dict[str, An
         "regrows": regrows,
         "restored": restored,
         "replica_keys": replica_keys,
-        "settled": all(settles(rt) for rt in runtimes),
+        "settled": all(rt.settled for rt in runtimes),
         "sim_clock": kernel.now,
         "sim_events": kernel.events_executed,
     }

@@ -34,9 +34,9 @@ import os
 from dataclasses import replace
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.errors import LegionError, Overloaded
+from repro.errors import LegionError
 from repro.core.runtime import RetryPolicy
-from repro.experiments.common import ExperimentResult, all_runtimes, settles
+from repro.experiments.common import ExperimentResult
 from repro.faults.driver import ChaosDriver, eligible_hosts
 from repro.faults.log import FaultLog
 from repro.faults.plan import FaultKind, FaultPlan
@@ -50,6 +50,7 @@ from repro.simkernel.kernel import Timeout
 from repro.system.legion import LegionSystem, SiteSpec
 from repro.trace.audit import TraceAudit
 from repro.workloads.apps import CounterImpl, SerialServiceImpl
+from repro.workloads.generators import OpenLoopDriver
 
 #: Exclusive service per Work() call; capacity is its reciprocal.
 SERVICE_TIME = 2.0
@@ -113,55 +114,6 @@ def _phases(quick: bool, mult: float) -> List[Tuple[str, float, float]]:
         ("storm", 400.0, mult),
         ("recovery", 900.0, 0.5),
     ]
-
-
-def _drive(system, clients, target, phases):
-    """Open-loop Work() traffic walking the phase schedule.
-
-    Like E15's driver but phased: each client issues at the phase's
-    offered-load interval until the phase ends, with per-call
-    (issue, settle, outcome) records for phase-windowed goodput.
-    """
-    kernel = system.kernel
-    records: List[Dict[str, Any]] = []
-
-    def one_call(client, rec):
-        try:
-            yield from client.runtime.invoke(target, "Work", timeout=TIMEOUT)
-            rec["outcome"] = "ok"
-        except Overloaded:
-            rec["outcome"] = "shed"
-        except LegionError as exc:
-            rec["outcome"] = "failed"
-            rec["error"] = type(exc).__name__
-        rec["done"] = kernel.now
-
-    def loop(client, offset):
-        if offset > 0.0:
-            yield Timeout(offset)
-        calls = []
-        for _name, duration, level in phases:
-            interval = N_CLIENTS / (level * CAPACITY)
-            end = kernel.now + duration
-            while kernel.now < end:
-                rec: Dict[str, Any] = {
-                    "issue": kernel.now,
-                    "done": None,
-                    "outcome": "pending",
-                }
-                records.append(rec)
-                calls.append(
-                    kernel.spawn(one_call(client, rec), name=f"e17-call-{client.loid}")
-                )
-                yield Timeout(min(interval, end - kernel.now))
-        for fut in calls:  # drain: every fired call must settle
-            yield fut
-
-    futures = [
-        kernel.spawn(loop(client, i * 0.5), name=f"e17-loop-{client.loid}")
-        for i, client in enumerate(clients)
-    ]
-    return gather(futures), records
 
 
 def _run_arm(
@@ -242,7 +194,16 @@ def _run_arm(
     start = system.kernel.now
     total = sum(d for _n, d, _l in phases)
     system.kernel.schedule(storm_start, driver.start)
-    done, records = _drive(system, clients[:N_CLIENTS], instance.loid, phases)
+    traffic = OpenLoopDriver(
+        system.kernel,
+        clients[:N_CLIENTS],
+        lambda _client: (instance.loid, "Work", ()),
+        [(duration, N_CLIENTS / (level * CAPACITY)) for _n, duration, level in phases],
+        stagger=0.5,
+        timeout=TIMEOUT,
+    )
+    records = traffic.records
+    done = traffic.start()
 
     def probe_loop():
         end = system.kernel.now + total
@@ -318,7 +279,7 @@ def _run_arm(
     metrics = system.services.metrics
     metrics_shed = sum(metrics.snapshot(None, MetricsRegistry.SHED).values())
     faultlog_shed = sum(1 for i in log.observed if i.kind == "request-shed")
-    runtimes = all_runtimes(system, clients)
+    runtimes = system.runtimes(clients)
     wire_shed = sum(rt.stats.shed for rt in runtimes)
     lost = set(log.lost_objects())
     recovered = set(log.recovered_objects())
@@ -330,7 +291,7 @@ def _run_arm(
         "metrics_shed": metrics_shed,
         "faultlog_shed": faultlog_shed,
         "wire_shed": wire_shed,
-        "settled": all(settles(rt) for rt in runtimes),
+        "settled": all(rt.settled for rt in runtimes),
         "chaos_events": len(plan.events),
         "lost": len(lost),
         "unrecovered": len(lost - recovered),

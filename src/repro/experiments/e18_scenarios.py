@@ -33,7 +33,7 @@ from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.runtime import RetryPolicy
-from repro.experiments.common import ExperimentResult, all_runtimes, settles
+from repro.experiments.common import ExperimentResult
 from repro.faults.driver import ChaosDriver, eligible_hosts
 from repro.faults.log import FaultLog
 from repro.faults.plan import FaultPlan
@@ -155,7 +155,7 @@ def _drain(driver: ScenarioDriver, stats_fut):
 def _base_partial(driver: ScenarioDriver) -> dict:
     """The fields every rich arm reports."""
     system = driver.deployment.system
-    runtimes = all_runtimes(system, [system.console] + driver.deployment.all_clients())
+    runtimes = system.runtimes([system.console] + driver.deployment.all_clients())
     return {
         "outcomes": driver.outcome_counts(),
         "sessions": {
@@ -166,7 +166,7 @@ def _base_partial(driver: ScenarioDriver) -> dict:
         },
         "phases": driver.phase_goodput(),
         "phase_outcomes": _phase_outcomes(driver),
-        "settled": all(settles(rt) for rt in runtimes),
+        "settled": all(rt.settled for rt in runtimes),
         "sim_clock": system.kernel.now,
         "sim_events": system.kernel.events_executed,
     }

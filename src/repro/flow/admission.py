@@ -71,7 +71,7 @@ class AdmissionController:
         size = self._size(message)
         if not self.waiting and server.in_flight + size <= config.capacity:
             self.stats.admitted += size
-            self._dispatch(message)
+            server._dispatch(message)
             return
         if size > config.capacity:
             # A batch wider than the whole server can never be dispatched
@@ -123,7 +123,7 @@ class AdmissionController:
                         self._shed(message, "deadline")
                         continue
                 self.stats.admitted += size
-                self._dispatch(message)
+                server._dispatch(message)
         finally:
             self._pumping = False
 
@@ -163,12 +163,6 @@ class AdmissionController:
             ):
                 worst, worst_priority = i, candidate
         return worst
-
-    def _dispatch(self, message: Message) -> None:
-        if isinstance(message.payload, BatchInvocation):
-            self.server._dispatch_batch(message)
-        else:
-            self.server._dispatch_request(message)
 
     def _shed(self, message: Message, reason: str) -> None:
         config = self.config

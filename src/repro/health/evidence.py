@@ -112,7 +112,7 @@ class EvidenceCollector:
     Client consoles are not reachable from the system object, so callers
     whose wire-level sheds and retry denials should count must be
     registered with :meth:`track` -- experiments track their traffic
-    clients, exactly as E15 summed ``_all_runtimes``.
+    clients, the ones they also hand to ``system.runtimes(clients)``.
     """
 
     def __init__(self, system, window: float = 60.0) -> None:
@@ -135,22 +135,6 @@ class EvidenceCollector:
                 self._tracked.append(runtime)
 
     # ---------------------------------------------------------------- reading
-
-    def _runtimes(self) -> List[Any]:
-        """Every runtime whose stats settle requests: infrastructure,
-        residents of host process tables, and tracked clients."""
-        system = self.system
-        servers = (
-            [system.host_servers[h] for h in sorted(system.host_servers)]
-            + [system.magistrates[s] for s in sorted(system.magistrates)]
-            + [system.agents[s] for s in sorted(system.agents)]
-        )
-        for host_id in sorted(system.host_servers):
-            for entry in system.host_servers[host_id].impl.processes.running():
-                servers.append(entry.server)
-        runtimes = [s.runtime for s in servers]
-        runtimes.extend(self._tracked)
-        return runtimes
 
     def admitted_servers(self) -> List[Any]:
         """Live servers with an admission controller, in deterministic
@@ -210,7 +194,7 @@ class EvidenceCollector:
         now = system.kernel.now
         metrics = system.services.metrics
         shed_metrics = sum(metrics.snapshot(None, MetricsRegistry.SHED).values())
-        runtimes = self._runtimes()
+        runtimes = system.runtimes() + self._tracked
         shed_wire = sum(rt.stats.shed for rt in runtimes)
         retry_denied = sum(rt.stats.retry_denied for rt in runtimes)
         fault_log = system.services.fault_log

@@ -140,31 +140,6 @@ def _instance_servers(system) -> Dict[Any, Any]:
     return out
 
 
-def _runtimes_settle(system, clients) -> bool:
-    """Every runtime's settlement identity closes, nothing pending."""
-    servers = (
-        list(system.host_servers.values())
-        + list(system.magistrates.values())
-        + list(system.agents.values())
-        + list(clients)
-    )
-    for host_server in system.host_servers.values():
-        for entry in host_server.impl.processes.running():
-            servers.append(entry.server)
-    for server in servers:
-        s = server.runtime.stats
-        settled = (
-            s.replies_received
-            + s.timeouts
-            + s.delivery_failures
-            + s.cancelled
-            + s.shed
-        )
-        if s.requests_sent != settled or server.runtime.pending_count:
-            return False
-    return True
-
-
 # --------------------------------------------------------------------- report
 
 
@@ -338,7 +313,7 @@ def run_columnar(spec: MegaScenario, seed: int) -> MegaOutcome:
         value_total=int(frame.value.sum()),
         value_checksum=frame.value_checksum(),
         settled=engine.settled() and not boundary.failures,
-        wire_settled=_runtimes_settle(system, [client]),
+        wire_settled=all(rt.settled for rt in system.runtimes([client])),
     )
     return MegaOutcome(
         report=report,
@@ -429,7 +404,7 @@ def run_rich(spec: MegaScenario, seed: int) -> MegaOutcome:
         value_total=sum(values),
         value_checksum=checksum % mod,
         settled=completed[0] == issued and not failures,
-        wire_settled=_runtimes_settle(system, [client]),
+        wire_settled=all(rt.settled for rt in system.runtimes([client])),
     )
     return MegaOutcome(
         report=report,

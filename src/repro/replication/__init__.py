@@ -9,7 +9,7 @@ physical addresses."  The creation side lives on class objects
     enable_replication(system)          # catalogs + index + directory
       ├─ ReplicaCatalog (per site)      # LOID -> local replica set
       ├─ GlobalReplicaIndex (one)       # LOID -> {site: count}
-      └─ services.replication           # ReplicaDirectory (epoch bump)
+      └─ services.replication           # ReplicaDirectory
     class Derive(..., consistency=...)  # per-class policy choice
     cls.CreateReplicated(n, ...)        # places replicas, gossips news
     runtime.invoke(loid, "Get", ...)    # locality-ordered FIRST reads

@@ -10,10 +10,9 @@ config is in force.  All *state* lives in the catalog and index objects,
 which are ordinary application-level Legion objects reached through the
 message plane.
 
-Installing the directory bumps the callpath epoch exactly once; every
-runtime recompiles its invoke pipeline lazily on its next call and from
-then on pays zero per-call checks (the locality selector is compiled
-in, not consulted).
+Runtimes read the directory where they need it -- when a call reaches a
+multi-element FIRST address -- so installing it takes effect on the next
+such call and costs single-element calls nothing.
 """
 
 from __future__ import annotations
@@ -39,16 +38,15 @@ class ReplicaDirectory:
         self.index: Any = None
         self._selector: Optional[LocalitySelector] = None
 
-    @property
-    def locality(self) -> bool:
-        """Whether locality-aware selection should be compiled in."""
-        return self.config.locality
-
-    def selector(self, latency: LatencyModel) -> LocalitySelector:
-        """The (shared) locality selector compiled into runtimes."""
+    def nearest_first(self, latency: LatencyModel, src_host: int, elements: tuple) -> tuple:
+        """The order a caller on ``src_host`` should try a replica group in:
+        nearest-first by link class with ``locality`` on, group order with
+        it off.  Every runtime shares the one (memoised) selector."""
+        if not self.config.locality:
+            return elements
         if self._selector is None or self._selector.latency is not latency:
             self._selector = LocalitySelector(latency)
-        return self._selector
+        return self._selector.order(src_host, elements)
 
     def register_catalog(self, site: str, binding: Any) -> None:
         """Record ``site``'s catalog binding."""
@@ -118,6 +116,5 @@ def enable_replication(system, config: Optional[ReplicationConfig] = None):
         system.call(binding.loid, "SetIndex", index_element)
         directory.register_catalog(site, binding)
 
-    # One assignment, one epoch bump: every runtime recompiles lazily.
     system.services.replication = directory
     return directory

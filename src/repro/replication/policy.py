@@ -171,12 +171,12 @@ class ReplicaSession:
             version, value, _fresh = max(replies, key=lambda r: r[0])
             return value
         # PRIMARY_COPY: nearest copy first, primary on staleness.
-        selector = getattr(self.runtime, "_replica_selector", None)
-        ordered = (
-            selector.order(self.runtime.element.host, self.elements)
-            if selector is not None
-            else self.elements
-        )
+        services = self.runtime.services
+        ordered = self.elements
+        if services.replication is not None:
+            ordered = services.replication.nearest_first(
+                services.network.latency, self.runtime.element.host, ordered
+            )
         for element in ordered:
             if element == self.primary:
                 break  # no point asking a copy ranked behind the source

@@ -33,9 +33,8 @@ class ReplicationConfig:
     Parameters
     ----------
     locality:
-        Compile locality-aware selection into runtime call paths (FIRST
-        groups tried nearest-first).  Off leaves the historical group
-        order untouched.
+        Try FIRST groups nearest-first from the caller's host.  Off
+        leaves the historical group order untouched.
     """
 
     locality: bool = True
@@ -44,9 +43,9 @@ class ReplicationConfig:
 class LocalitySelector:
     """Orders a replica group nearest-first from a given source host.
 
-    One instance is compiled into each runtime's call path
-    (:func:`repro.core.callpath.compile_invoke_path`); ``order`` is a
-    pure function of its arguments, so sharing is safe.  A tiny
+    Every runtime shares the directory's one instance
+    (:meth:`~repro.replication.directory.ReplicaDirectory.nearest_first`);
+    ``order`` is a pure function of its arguments, so sharing is safe.  A tiny
     per-(src, group) memo keeps the warm path at one dict hit -- group
     tuples are immutable and hosts never change sites mid-run.
     """

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.errors import LegionError, Overloaded, SecurityDenied
 from repro.naming.loid import LOID
 from repro.security.mayi import ACLPolicy
 from repro.simkernel.kernel import Timeout
@@ -205,31 +204,12 @@ class ScenarioDriver(SessionLoopDriver):
         method, args = method_for(self.spec, a, req)
         yield from client.runtime.invoke(target, method, *args, timeout=timeout)
 
-    def _call(self, client, a: Arrival, req: Request, timeout, rec: dict):
-        invoke = self.invoke_via or ScenarioDriver._default_invoke
-        try:
-            yield from invoke(self, client, a, req, timeout)
-        except Overloaded:
-            rec["outcome"] = "shed"
-            self.stats.calls_failed += 1
-        except SecurityDenied:
-            rec["outcome"] = "denied"
-            self.stats.calls_failed += 1
-        except LegionError as exc:
-            rec["outcome"] = "failed"
-            self.stats.calls_failed += 1
-            if len(self.stats.errors) < 32:
-                self.stats.errors.append(f"{req.kind}: {exc}")
-        else:
-            rec["outcome"] = "ok"
-            self.stats.calls_succeeded += 1
-        rec["done"] = self.kernel.now
-
     def _session(self, a: Arrival, phase: str):
         client = self.deployment.client_of(a)
         timeout = self.timeout
         if self.use_deadlines and self.spec.tenants[a.tenant].deadline is not None:
             timeout = self.spec.tenants[a.tenant].deadline
+        invoke = self.invoke_via or ScenarioDriver._default_invoke
         for req in a.requests:
             if req.think > 0:
                 yield Timeout(req.think)
@@ -246,7 +226,9 @@ class ScenarioDriver(SessionLoopDriver):
             }
             self.records.append(rec)
             self.stats.calls_issued += 1
-            yield from self._call(client, a, req, timeout, rec)
+            yield from self._invoke_once(
+                invoke(self, client, a, req, timeout), rec, req.kind
+            )
         if a.completed:
             self.sessions.completed += 1
         else:

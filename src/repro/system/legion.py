@@ -388,6 +388,20 @@ class LegionSystem:
         server.runtime.set_binding_agent(self.agents[site].binding())
         return server
 
+    def runtimes(self, clients=()) -> list:
+        """The runtime of every live server of the system -- host objects,
+        magistrates, agents and the objects running on the hosts -- plus
+        those of ``clients`` (which the system does not track)."""
+        servers = [
+            *self.host_servers.values(),
+            *self.magistrates.values(),
+            *self.agents.values(),
+            *clients,
+        ]
+        for host_server in self.host_servers.values():
+            servers += [entry.server for entry in host_server.impl.processes.running()]
+        return [server.runtime for server in servers]
+
     # --------------------------------------------------------------------- running
 
     def run(self, until: Optional[float] = None) -> None:

@@ -15,7 +15,7 @@ try:  # numpy is the optional ``repro[mega]`` extra; only Zipf sampling needs it
 except ImportError:  # pragma: no cover - numpy-less installs only
     np = None  # type: ignore[assignment]
 
-from repro.errors import LegionError
+from repro.errors import LegionError, Overloaded, SecurityDenied
 from repro.core.server import ObjectServer
 from repro.naming.loid import LOID
 from repro.simkernel.futures import SimFuture, gather
@@ -133,19 +133,33 @@ class SessionLoopDriver:
         self.timeout = timeout
         self.stats = TrafficStats()
 
-    def _invoke_once(self, client: ObjectServer, target, method: str, args):
-        """One tallied invocation; yields True on success, False on error."""
+    def _invoke_once(self, call, rec: dict, what: str):
+        """Run one invocation (the generator ``call``) to its outcome.
+
+        The outcome -- ``ok``, ``shed`` (Overloaded), ``denied``
+        (SecurityDenied) or ``failed`` (any other LegionError) -- is
+        tallied in ``stats`` and stamped on the call's record ``rec``
+        with the settle time.  ``what`` names the call in
+        ``stats.errors``, which keeps the first few ``failed`` messages.
+        """
+        stats = self.stats
         try:
-            yield from client.runtime.invoke(
-                target, method, *args, timeout=self.timeout
-            )
+            yield from call
+        except Overloaded:
+            rec["outcome"] = "shed"
+            stats.calls_failed += 1
+        except SecurityDenied:
+            rec["outcome"] = "denied"
+            stats.calls_failed += 1
         except LegionError as exc:
-            self.stats.calls_failed += 1
-            if len(self.stats.errors) < 32:
-                self.stats.errors.append(f"{target}.{method}: {exc}")
-            return False
-        self.stats.calls_succeeded += 1
-        return True
+            rec["outcome"] = "failed"
+            stats.calls_failed += 1
+            if len(stats.errors) < 32:
+                stats.errors.append(f"{what}: {exc}")
+        else:
+            rec["outcome"] = "ok"
+            stats.calls_succeeded += 1
+        rec["done"] = self.kernel.now
 
     def _client_loop(self, client: ObjectServer):
         raise NotImplementedError
@@ -194,7 +208,11 @@ class TrafficDriver(SessionLoopDriver):
         for _i in range(self.calls_per_client):
             target = self.choose_target(client)
             self.stats.calls_issued += 1
-            yield from self._invoke_once(client, target, self.method, self.args)
+            call = client.runtime.invoke(
+                target, self.method, *self.args, timeout=self.timeout
+            )
+            # Closed loops report totals only: the record is not kept.
+            yield from self._invoke_once(call, {}, self.method)
             if self.think_time > 0:
                 yield Timeout(self.think_time)
 
@@ -205,13 +223,18 @@ class OpenLoopDriver(SessionLoopDriver):
     The closed-loop :class:`TrafficDriver` caps throughput at
     clients/latency -- useless for saturation studies, where the point is
     that the *offered* rate keeps growing whether or not the target keeps
-    up.  Here each client fires one invocation every ``interval``
-    simulated ms without waiting for the previous reply; the driver
-    future resolves when every fired call has completed.
+    up.  Here each client walks ``schedule``, a list of ``(duration,
+    interval)`` phases, firing one invocation every ``interval``
+    simulated ms until the phase ends, without waiting for the previous
+    reply; the driver future resolves when every fired call has settled.
+    Client ``i`` starts ``i * stagger`` ms late, so the offered load can
+    be smooth rather than N-synchronised bursts.
 
     ``choose_call(client)`` returns ``(target_loid, method, args)`` per
     call, so a mixed workload (cheap method traffic plus occasional
-    Create()s) is one callback.
+    Create()s) is one callback.  ``records`` keeps one ``{"issue",
+    "done", "outcome"}`` dict per fired call, in firing order: goodput
+    windows and latency percentiles need the raw samples.
     """
 
     kind = "openloop"
@@ -221,29 +244,41 @@ class OpenLoopDriver(SessionLoopDriver):
         kernel: SimKernel,
         clients: Sequence[ObjectServer],
         choose_call,
-        interval: float,
-        duration: float,
+        schedule: Sequence[Tuple[float, float]],
+        stagger: float = 0.0,
         timeout: Optional[float] = None,
     ) -> None:
         super().__init__(kernel, clients, timeout=timeout)
         self.choose_call = choose_call
-        self.interval = interval
-        self.duration = duration
+        self.schedule = list(schedule)
+        self.stagger = stagger
+        self.records: List[dict] = []
 
     def _client_loop(self, client: ObjectServer):
-        deadline = self.kernel.now + self.duration
+        kernel = self.kernel
+        offset = self.clients.index(client) * self.stagger
+        if offset > 0.0:
+            yield Timeout(offset)
         calls = []
-        while self.kernel.now < deadline:
-            target, method, args = self.choose_call(client)
-            self.stats.calls_issued += 1
-            calls.append(
-                self.kernel.spawn(
-                    self._invoke_once(client, target, method, args),
-                    name=f"openloop-{client.loid}",
+        for duration, interval in self.schedule:
+            end = kernel.now + duration
+            while kernel.now < end:
+                target, method, args = self.choose_call(client)
+                rec = {"issue": kernel.now, "done": None, "outcome": "pending"}
+                self.records.append(rec)
+                self.stats.calls_issued += 1
+                call = client.runtime.invoke(
+                    target, method, *args, timeout=self.timeout
                 )
-            )
-            yield Timeout(self.interval)
-        for fut in calls:  # drain: every fired call must resolve
+                calls.append(
+                    kernel.spawn(
+                        self._invoke_once(call, rec, method),
+                        name=f"openloop-{client.loid}",
+                    )
+                )
+                # Never sleep past the phase: the next one starts on time.
+                yield Timeout(min(interval, end - kernel.now))
+        for fut in calls:  # drain: every fired call must settle
             yield fut
 
 

@@ -55,6 +55,19 @@ class TestInvocation:
         services.kernel.run()
         assert slow.done()
 
+    def test_settled_means_nothing_pending_and_every_request_accounted(
+        self, services, echo_pair
+    ):
+        caller, callee = echo_pair
+        assert caller.runtime.settled
+        slow = services.kernel.spawn(caller.runtime.invoke(callee.loid, "Slow", 5.0))
+        services.kernel.run(until=1.0)
+        assert not caller.runtime.settled  # one request out, no reply yet
+        services.kernel.run()
+        assert slow.done() and caller.runtime.settled
+        caller.runtime.stats.requests_sent += 1  # a request nobody settled
+        assert not caller.runtime.settled
+
     def test_ctx_carries_calling_agent(self, services, echo_pair):
         caller, callee = echo_pair
         who = run_call(services, caller, callee.loid, "WhoCalls")

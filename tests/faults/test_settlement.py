@@ -21,20 +21,9 @@ from repro.workloads.apps import CounterImpl, SerialServiceImpl
 from repro.workloads.generators import OpenLoopDriver, TrafficDriver
 
 
-def _all_runtimes(system, clients):
-    servers = (
-        list(system.host_servers.values())
-        + list(system.magistrates.values())
-        + list(system.agents.values())
-        + list(clients)
-    )
-    for host_server in system.host_servers.values():
-        for entry in host_server.impl.processes.running():
-            servers.append(entry.server)
-    return [s.runtime for s in servers]
-
-
 def _reconcile(runtime):
+    """The identity written out: the reference ``LegionRuntime.settled``
+    is pinned against (every other caller uses the property)."""
     stats = runtime.stats
     settled = (
         stats.replies_received
@@ -43,7 +32,9 @@ def _reconcile(runtime):
         + stats.cancelled
         + stats.shed
     )
-    return stats.requests_sent == settled and not runtime._pending
+    written_out = stats.requests_sent == settled and not runtime._pending
+    assert runtime.settled == written_out
+    return written_out
 
 
 @settings(
@@ -91,7 +82,7 @@ def test_every_request_settles(seed, drop_wide, drop_site, partition_at):
     assert stats.calls_issued == len(clients) * 8
     assert stats.calls_succeeded + stats.calls_failed == stats.calls_issued
 
-    for runtime in _all_runtimes(system, clients):
+    for runtime in system.runtimes(clients):
         assert _reconcile(runtime), (
             f"{runtime!r} leaked a request: {runtime.stats}"
         )
@@ -123,8 +114,7 @@ def test_shed_storm_settles_and_every_shed_ledger_agrees():
         system.kernel,
         clients,
         choose_call=lambda _c: (binding.loid, "Work", ()),
-        interval=1.0,  # 3 req/ms offered against 0.5 req/ms capacity
-        duration=60.0,
+        schedule=[(60.0, 1.0)],  # 3 req/ms offered against 0.5 req/ms capacity
         timeout=50.0,
     )
     stats_future = driver.start()
@@ -143,7 +133,7 @@ def test_shed_storm_settles_and_every_shed_ledger_agrees():
     assert wire_sheds > 0, "the storm must actually overflow admission"
     assert wire_sheds == metric_sheds == log_sheds
 
-    for runtime in _all_runtimes(system, clients):
+    for runtime in system.runtimes(clients):
         assert _reconcile(runtime), (
             f"{runtime!r} leaked a request: {runtime.stats}"
         )

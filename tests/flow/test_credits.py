@@ -4,6 +4,9 @@ from __future__ import annotations
 
 from repro.flow.config import FlowConfig
 from repro.flow.credits import CreditLedger, CreditWindow
+from repro.net.address import AddressSemantic, ObjectAddress
+from repro.security.environment import CallEnvironment
+from repro.trace.recorder import SpanRecorder
 from tests.core.conftest import EchoImpl, start_object
 
 # ----------------------------------------------------------------- unit level
@@ -112,3 +115,31 @@ def test_timeouts_release_credits_so_traffic_resumes(services):
     # second call went through instead of deadlocking on a lost credit.
     assert quick.done() and quick.result() == "callee:next"
     assert caller.runtime.stats.credit_waits == 1
+
+
+def test_fan_out_parks_on_an_exhausted_window_and_records_the_wait(services):
+    services.flow = FlowConfig(credit_window=1)
+    recorder = services.tracer = SpanRecorder(services.kernel)
+    caller = start_object(services, EchoImpl("caller"), host=1)
+    replicas = [start_object(services, EchoImpl(f"r{i}"), host=2 + i) for i in range(2)]
+    group = ObjectAddress(
+        elements=tuple(r.element for r in replicas), semantic=AddressSemantic.ALL
+    )
+    target = replicas[0].loid
+    env = CallEnvironment.originating(caller.loid)
+    kernel = services.kernel
+    # One slow call holds the only credit toward the first replica...
+    slow = kernel.spawn(
+        caller.runtime.call_element(replicas[0].element, target, "Slow", (5.0,), env)
+    )
+    kernel.run(until=1.0)
+    # ...so the fan-out's first leg has to wait for it, like any other send.
+    fan_out = kernel.spawn(
+        caller.runtime.call_address(group, target, "Echo", ("x",), env)
+    )
+    assert sorted(kernel.run_until_complete(fan_out)) == ["r0:x", "r1:x"]
+    assert slow.done()
+    assert caller.runtime.stats.credit_waits == 1
+    waits = [s for s in recorder.spans if s.kind == "credit"]
+    assert [s.name for s in waits] == ["credit-wait Echo"]
+    assert waits[0].annotations == {"window": 1}

@@ -50,31 +50,6 @@ RETRY = RetryPolicy(
 )
 
 
-def settles(runtime) -> bool:
-    s = runtime.stats
-    settled = (
-        s.replies_received
-        + s.timeouts
-        + s.delivery_failures
-        + s.cancelled
-        + s.shed
-    )
-    return s.requests_sent == settled and not runtime._pending
-
-
-def all_runtimes(system, clients):
-    servers = (
-        list(system.host_servers.values())
-        + list(system.magistrates.values())
-        + list(system.agents.values())
-        + list(clients)
-    )
-    for host_server in system.host_servers.values():
-        for entry in host_server.impl.processes.running():
-            servers.append(entry.server)
-    return [s.runtime for s in servers]
-
-
 def one_step_each(ledger) -> bool:
     for record in ledger.records:
         a = Band[record.from_band.upper()]
@@ -178,8 +153,8 @@ class TestGovernedChaosOverload:
         assert any(c.runtime.stats.shed > 0 for c in clients)
         assert log.injected  # chaos really fired
         # Settlement identity holds on every runtime in the system.
-        for runtime in all_runtimes(system, clients):
-            assert settles(runtime)
+        for runtime in system.runtimes(clients):
+            assert runtime.settled
         # Triple entry: metrics == faultlog == wire on the final snapshot.
         governor.poll()
         evidence = governor.last_evidence

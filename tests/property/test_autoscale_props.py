@@ -46,13 +46,13 @@ def _drive(config: AutoscaleConfig):
 
     # Burst: 2 req/ms aggregate, above any drawn high_water, so most
     # configs grow the pool...
-    burst = OpenLoopDriver(system.kernel, clients, choose_call, 1.0, 500.0)
+    burst = OpenLoopDriver(system.kernel, clients, choose_call, [(500.0, 1.0)])
     fut = burst.start()
     system.kernel.run_until_complete(fut, max_events=10_000_000)
     # ...then a live trickle (0.05 req/ms aggregate) below any drawn
     # low_water: the controller retires clones *while* traffic still
     # routes at them through possibly-stale router pools.
-    trickle = OpenLoopDriver(system.kernel, clients, choose_call, 40.0, 900.0)
+    trickle = OpenLoopDriver(system.kernel, clients, choose_call, [(900.0, 40.0)])
     fut = trickle.start()
     system.kernel.run_until_complete(fut, max_events=10_000_000)
     controller.stop()

@@ -74,33 +74,6 @@ def replica_impls(system, loid):
     return out
 
 
-def all_runtimes(system, extra_clients=()):
-    servers = (
-        [system.console]
-        + list(system.host_servers.values())
-        + list(system.magistrates.values())
-        + list(system.agents.values())
-        + list(extra_clients)
-    )
-    for host_server in system.host_servers.values():
-        for entry in host_server.impl.processes.running():
-            servers.append(entry.server)
-    return [s.runtime for s in servers]
-
-
-def settles(runtime):
-    """The RuntimeStats settlement identity, shed included."""
-    s = runtime.stats
-    settled = (
-        s.replies_received
-        + s.timeouts
-        + s.delivery_failures
-        + s.cancelled
-        + s.shed
-    )
-    return s.requests_sent == settled and not runtime._pending
-
-
 class TestQuorumReadYourWrites:
     @PROPERTY_SETTINGS
     @given(
@@ -251,4 +224,4 @@ class TestChaosComposition:
         for impl in impls.values():  # no member lost any seeded key
             assert sorted(impl.data) == sorted(KEYS)
         clients = list(service._clients.values())
-        assert all(settles(rt) for rt in all_runtimes(system, clients))
+        assert all(rt.settled for rt in system.runtimes([system.console] + clients))

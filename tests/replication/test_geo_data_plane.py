@@ -1,7 +1,7 @@
 """The geo-replication data plane: directory, catalogs, selection, repair.
 
 Covers the subsystem around ``CreateReplicated`` (PR 7): the
-``enable_replication`` fabric and its one-time epoch bump, the gossip-fed
+``enable_replication`` fabric and its idempotence, the gossip-fed
 two-tier catalogs, locality-aware replica selection on the call path, the
 grow-side AddReplica semantics (size cap, concurrent-grow coalescing,
 seed-before-publish), the replica-group guard in stale-binding recovery,
@@ -16,6 +16,7 @@ from repro.net.latency import LinkClass
 from repro.replication import (
     ReplicaRepairService,
     ReplicaSession,
+    ReplicationConfig,
     enable_replication,
 )
 from repro.replication.store import ReplicatedStoreImpl
@@ -65,34 +66,16 @@ class TestEnableReplication:
         for site in directory.sites():
             assert isinstance(directory.catalogs[site], Binding)
 
-    def test_idempotent_and_single_epoch_bump(self):
+    def test_idempotent_same_directory(self):
         system = LegionSystem.build(
             [SiteSpec(f"site{i}", hosts=2) for i in range(2)], seed=3
         )
-        before = system.services.callpath_epoch
         directory = enable_replication(system)
-        assert system.services.callpath_epoch == before + 1
+        assert system.services.replication is directory
+        catalogs = dict(directory.catalogs)
         assert enable_replication(system) is directory
-        assert system.services.callpath_epoch == before + 1
-
-    def test_locality_compiles_into_the_invoke_key(self):
-        system, _directory, _cls, binding = build_geo()
-        system.call(binding.loid, "Get", KEYS[0])  # force a (re)compile
-        runtime = system.console.runtime
-        assert runtime._invoke_key.locality
-        assert runtime._replica_selector is not None
-        # Locality never invalidates the zero-middleware fast path.
-        assert runtime._plain_path
-
-    def test_without_replication_key_stays_plain(self):
-        system = LegionSystem.build([SiteSpec("uva", hosts=2)], seed=5)
-        cls = system.create_class("Store", factory=ReplicatedStoreImpl)
-        obj = system.create_instance(cls.loid)
-        system.call(obj.loid, "Size")
-        runtime = system.console.runtime
-        assert not runtime._invoke_key.locality
-        assert runtime._replica_selector is None
-        assert runtime._plain_path
+        assert system.services.replication is directory
+        assert directory.catalogs == catalogs
 
 
 class TestCatalogGossip:
@@ -144,6 +127,34 @@ class TestLocalitySelection:
             for element, impl in replica_impls(system, binding.loid).items()
         }
         assert all(count > 0 for count in served.values())
+
+    @pytest.mark.parametrize("replication", ["locality", "locality-off", "none"])
+    def test_first_group_try_order(self, replication):
+        """Nearest-first from the caller's host with locality on; plain
+        group order with it off or with no directory installed."""
+        system = LegionSystem.build(
+            [SiteSpec(f"site{i}", hosts=2) for i in range(3)], seed=0
+        )
+        if replication != "none":
+            enable_replication(
+                system, ReplicationConfig(locality=replication == "locality")
+            )
+        cls = system.create_class("GeoStore", factory=ReplicatedStoreImpl)
+        binding = system.call(cls.loid, "CreateReplicated", 3, "first", 1)
+        session = ReplicaSession(system.console.runtime, binding, "read-any")
+        system.kernel.run_until_complete(system.spawn(session.seed([("k", "v")])))
+        site_of = system.network.latency.site_of
+        first, *_rest, last = binding.address.elements
+        client = system.new_client("far", site=site_of(last.host))
+        assert site_of(first.host) != site_of(last.host)
+        for _ in range(3):
+            assert system.call(binding.loid, "Get", "k", client=client) == "v"
+        served = {
+            element: impl.reads_served
+            for element, impl in replica_impls(system, binding.loid).items()
+        }
+        expected = last if replication == "locality" else first
+        assert served[expected] == 3 and sum(served.values()) == 3
 
     def test_selection_masks_a_partitioned_remote_replica(self):
         system, _directory, _cls, binding = build_geo()

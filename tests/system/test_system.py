@@ -137,6 +137,24 @@ class TestFacade:
             system.core.loid("LegionClass"), "ClassCount", client=client
         ) > 0
 
+    def test_runtimes_lists_infrastructure_running_objects_and_given_clients(
+        self, fresh_legion
+    ):
+        system, cls = fresh_legion
+        instance = system.create_instance(cls.loid)
+        system.call(instance.loid, "Ping")  # activates it on some host
+        client = system.new_client("counted")
+        loids = {runtime.loid for runtime in system.runtimes([client])}
+        infrastructure = (
+            list(system.host_servers.values())
+            + list(system.magistrates.values())
+            + list(system.agents.values())
+        )
+        assert {server.loid for server in infrastructure} <= loids
+        assert {instance.loid, cls.loid, client.loid} <= loids
+        assert client.loid not in {rt.loid for rt in system.runtimes()}
+        assert all(runtime.settled for runtime in system.runtimes([client]))
+
     def test_reset_measurements(self, legion):
         system, cls = legion
         system.call(cls.loid, "GetInstanceInterface")

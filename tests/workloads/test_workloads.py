@@ -5,7 +5,12 @@ import pytest
 
 from repro.errors import LegionError
 from repro.workloads.apps import KVStoreImpl, WorkerImpl
-from repro.workloads.generators import LocalityMix, TrafficDriver, ZipfPopularity
+from repro.workloads.generators import (
+    LocalityMix,
+    OpenLoopDriver,
+    TrafficDriver,
+    ZipfPopularity,
+)
 
 
 class TestZipfPopularity:
@@ -124,6 +129,45 @@ class TestTrafficDriver:
         assert stats.calls_failed == 3
         assert stats.success_rate == 0.0
         assert stats.errors
+
+
+class TestOpenLoopDriver:
+    def test_schedule_stagger_and_per_call_records(self, fresh_legion):
+        system, cls = fresh_legion
+        target = system.call(cls.loid, "Create", {})
+        clients = [system.new_client(f"o{i}") for i in range(2)]
+        start = system.kernel.now
+        driver = OpenLoopDriver(
+            system.kernel,
+            clients,
+            choose_call=lambda _c: (target.loid, "Increment", (1,)),
+            # 10 ms at one call per 5 ms, then 9 ms at one per 4 ms: the
+            # second phase starts on time and its last sleep stops at its end.
+            schedule=[(10.0, 5.0), (9.0, 4.0)],
+            stagger=1.0,
+        )
+        stats = system.kernel.run_until_complete(driver.start())
+        issued = sorted(round(r["issue"] - start, 6) for r in driver.records)
+        per_client = [0.0, 5.0, 10.0, 14.0, 18.0]
+        assert issued == sorted(per_client + [t + 1.0 for t in per_client])
+        assert stats.calls_issued == stats.calls_succeeded == 10
+        assert all(r["outcome"] == "ok" and r["done"] > r["issue"] for r in driver.records)
+        assert system.call(target.loid, "Get") == 10
+
+    def test_outcomes_are_classified_once_for_every_driver(self, fresh_legion):
+        system, cls = fresh_legion
+        target = system.call(cls.loid, "Create", {})
+        methods = iter(["Get", "NoSuchMethod"])
+        driver = OpenLoopDriver(
+            system.kernel,
+            [system.new_client("o")],
+            choose_call=lambda _c: (target.loid, next(methods), ()),
+            schedule=[(2.0, 1.0)],
+        )
+        stats = system.kernel.run_until_complete(driver.start())
+        assert [r["outcome"] for r in driver.records] == ["ok", "failed"]
+        assert (stats.calls_succeeded, stats.calls_failed) == (1, 1)
+        assert len(stats.errors) == 1 and stats.errors[0].startswith("NoSuchMethod: ")
 
 
 class TestApps:
