@@ -267,9 +267,7 @@ class ObjectServer:
 
         if isinstance(outcome, types.GeneratorType):
             # Long-running method: its own process; reply when it returns.
-            fut = self.services.kernel.spawn(
-                outcome, name=f"{self.loid}.{invocation.method}"
-            )
+            fut = self.services.kernel.spawn(outcome, name=invocation.method)
 
             def _finish(done_fut) -> None:
                 if span is not None:

@@ -44,13 +44,16 @@ class AdmissionStats:
 class AdmissionController:
     """The bounded queue in front of one ObjectServer's dispatch loop."""
 
-    __slots__ = ("server", "config", "waiting", "stats", "paused", "_pumping")
+    __slots__ = ("server", "config", "waiting", "stats", "paused", "_pumping", "_queued")
 
     def __init__(self, server, config) -> None:
         self.server = server
         self.config = config
         #: FIFO of REQUEST messages waiting for a dispatch slot.
         self.waiting: List[Message] = []
+        #: Logical requests in ``waiting``: kept in step at the three
+        #: places the list changes, so ``backlog`` is O(1).
+        self._queued = 0
         self.stats = AdmissionStats()
         #: Failed-band switch (repro.health): a paused server sheds every
         #: new arrival with reason "paused" (already-queued work drains).
@@ -82,7 +85,7 @@ class AdmissionController:
         deadline = None if size > 1 else payload.deadline
         if deadline is not None:
             now = server.services.kernel.now
-            wait = (self._backlog() + size) * config.service_estimate / config.capacity
+            wait = (self.backlog + size) * config.service_estimate / config.capacity
             if now + wait > deadline:
                 self._shed(message, "deadline")
                 return
@@ -92,8 +95,10 @@ class AdmissionController:
                 self._shed(message, "capacity")
                 return
             evicted = self.waiting.pop(victim)
+            self._queued -= self._size(evicted)
             self._shed(evicted, "evicted")
         self.waiting.append(message)
+        self._queued += size
         self.stats.queued += size
         # A higher-priority arrival may overtake a head batch that is too
         # wide for the free slots; give it a dispatch chance immediately.
@@ -116,6 +121,7 @@ class AdmissionController:
                 if server.in_flight + size > config.capacity:
                     break  # head-of-line needs more free slots
                 del self.waiting[index]
+                self._queued -= size
                 deadline = None if size > 1 else message.payload.deadline
                 if deadline is not None:
                     now = server.services.kernel.now
@@ -132,15 +138,17 @@ class AdmissionController:
     @staticmethod
     def _size(message: Message) -> int:
         payload = message.payload
-        return len(payload.calls) if isinstance(payload, BatchInvocation) else 1
+        return len(payload.calls) if type(payload) is BatchInvocation else 1
 
     @staticmethod
     def _priority(message: Message) -> int:
         payload = message.payload
-        return 0 if isinstance(payload, BatchInvocation) else payload.priority
+        return 0 if type(payload) is BatchInvocation else payload.priority
 
-    def _backlog(self) -> int:
-        return self.server.in_flight + sum(self._size(m) for m in self.waiting)
+    @property
+    def backlog(self) -> int:
+        """Logical requests in the building: dispatched plus queued."""
+        return self.server.in_flight + self._queued
 
     def _next_index(self) -> int:
         """Highest priority wins; FIFO within a priority."""
@@ -168,7 +176,7 @@ class AdmissionController:
         config = self.config
         retry_after = max(
             config.service_estimate,
-            (self._backlog() + self._size(message))
+            (self.backlog + self._size(message))
             * config.service_estimate
             / config.capacity,
         )

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Tuple
 
 from repro.metrics.counters import MetricsRegistry
 
@@ -157,12 +157,8 @@ class EvidenceCollector:
                 server = entry.server
                 if not server.active:
                     continue
-                backlog = server.in_flight
-                if server.admission is not None:
-                    backlog += sum(
-                        server.admission._size(m) for m in server.admission.waiting
-                    )
-                out.append(backlog)
+                admission = server.admission
+                out.append(server.in_flight if admission is None else admission.backlog)
         return out
 
     def _under_replicated(self) -> int:

@@ -26,6 +26,7 @@ The columnar backend is only trusted where that proof holds.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -202,16 +203,29 @@ class LiveEscalationBoundary:
     state back for the frame (the twin stays inert and is reused if the
     id is promoted again -- its Legion identity, like the dense id, is
     never recycled).
+
+    The engine owns the boundary (and the frame); the boundary only
+    *refers* to its engine, weakly -- no cycle, so dropping the engine
+    frees a 10^6-row frame by refcount, not at the next gen-2 collection.
     """
 
     def __init__(self, system, classes, client) -> None:
         self.system = system
         self.classes = classes
         self.client = client
-        self.engine: Optional[BulkEngine] = None
+        self._engine: Optional[weakref.ref] = None
         self.twins: Dict[int, Any] = {}  # dense id → instance Binding
         self.failures: List[str] = []
         self.rich_calls = 0
+
+    @property
+    def engine(self) -> Optional[BulkEngine]:
+        """The engine whose escalations land here (None once it is gone)."""
+        return None if self._engine is None else self._engine()
+
+    @engine.setter
+    def engine(self, engine: BulkEngine) -> None:
+        self._engine = weakref.ref(engine)
 
     def promote(self, snapshots, reason: str) -> None:
         for snap in snapshots:

@@ -245,8 +245,7 @@ class ScenarioDriver(SessionLoopDriver):
                 self.sessions.started += 1
                 live.append(
                     self.kernel.spawn(
-                        self._session(a, tick.phase),
-                        name=f"scenario-session-{self.sessions.started}",
+                        self._session(a, tick.phase), name="scenario-session"
                     )
                 )
         for fut in live:  # every session must run to disposition

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass
 from types import GeneratorType
 from typing import Any, Callable, Deque, Generator, List, Optional, Tuple
 
@@ -57,15 +56,26 @@ ProcessGen = Generator[Any, Any, Any]
 _Entry = Tuple[float, int, Callable[..., None], Tuple[Any, ...]]
 
 
-@dataclass(frozen=True)
 class Timeout:
     """Yieldable marker: suspend the yielding process for ``delay`` time."""
 
-    delay: float
+    __slots__ = ("delay",)
 
-    def __post_init__(self) -> None:
-        if self.delay < 0:
-            raise SimulationError(f"negative timeout {self.delay}")
+    def __init__(self, delay: float) -> None:
+        if delay < 0:
+            raise SimulationError(f"negative timeout {delay}")
+        self.delay = delay
+
+
+def _spent(_value: Any) -> None:
+    """What a finished :class:`Process` points its two callbacks at.
+
+    They were bound methods of itself -- the only cycle -- so a finished
+    process, its generator and its future are freed by refcount when the
+    last waiter lets go.  A callable, not ``None``: a resume still on its
+    way (killed while parked, the future resolves later) is queued all
+    the same and counts its one event -- ``events_executed`` is in digests.
+    """
 
 
 class Process:
@@ -119,6 +129,15 @@ class Process:
             # The step every remote call parks on: first waiter of a
             # pending future is add_done_callback's slot store, done here.
             yielded._cb = self._fut_cb
+        elif type(yielded) is Timeout:
+            # post(yielded.delay, self._step_cb, None), minus the frame
+            # (the delay was checked when the Timeout was built).
+            kernel = self.kernel
+            kernel._seq += 1
+            heapq.heappush(
+                kernel._queue,
+                (kernel.now + yielded.delay, kernel._seq, self._step_cb, (None,)),
+            )
         else:
             self._handle_yield(yielded)
 
@@ -153,23 +172,28 @@ class Process:
             )
 
     def _on_future(self, fut: SimFuture) -> None:
-        # Resume via the kernel trampoline: synchronous-ish (no heap event)
-        # when nothing else is due now, but never re-entrant -- the resume
-        # runs only after the currently-executing callback returns, exactly
-        # where the old always-scheduled 0-delay event would have run.
+        # Queue the resume, never re-entrantly: on the trampoline when
+        # nothing else is due at this instant, else as a real 0-delay event
+        # that keeps its place in seq order (module docstring, "Hot-path").
         if fut._state == "failed":
-            exc = fut._exception
-            assert exc is not None
-            self.kernel._resume(self._step_throw, exc)
+            fn, arg = self._step_throw, fut._exception
         else:
-            self.kernel._resume(self._step_cb, fut._result)
+            fn, arg = self._step_cb, fut._result
+        kernel = self.kernel
+        queue = kernel._queue
+        if queue and queue[0][0] <= kernel.now:
+            kernel.post(0.0, fn, arg)
+        else:
+            kernel._micro.append((fn, arg))
 
     def _finish(self, value: Any) -> None:
         self._alive = False
+        self._step_cb = self._fut_cb = _spent
         self.future.set_result(value)
 
     def _fail(self, exc: BaseException) -> None:
         self._alive = False
+        self._step_cb = self._fut_cb = _spent
         self.future.set_exception(exc)
 
 
@@ -327,21 +351,6 @@ class SimKernel:
 
     # -- trampoline ---------------------------------------------------------
 
-    def _resume(self, fn: Callable[[Any], None], arg: Any) -> None:
-        """Queue a process resume for "as soon as the naive kernel would".
-
-        Fast path: nothing else is due at the current instant, so the
-        resume goes on the FIFO trampoline (drained right after the
-        current callback returns) instead of through the heap.  Slow
-        path: an event *is* due now -- fall back to a real 0-delay event
-        so it keeps its place in seq order.
-        """
-        queue = self._queue
-        if queue and queue[0][0] <= self.now:
-            self.post(0.0, fn, arg)
-        else:
-            self._micro.append((fn, arg))
-
     def _drain_micro(self) -> None:
         micro = self._micro
         budget = self.TRAMPOLINE_LIMIT
@@ -393,73 +402,62 @@ class SimKernel:
             advanced to ``until``, never moved back; later events remain
             queued).
         max_events:
-            Safety valve for runaway simulations.
+            Safety valve for runaway simulations: raises once this many
+            units of work (see :meth:`_drive`) have run and another is due.
         """
-        if until is None and max_events is None:
-            self._run_fast()
-            return
-        executed = 0
-        while self._queue or self._micro:
-            if max_events is not None and executed >= max_events:
-                raise SimulationError(f"run() exceeded max_events={max_events}")
-            if self._micro:
-                self._drain_micro()
-                executed += 1
-                continue
-            nxt = self._peek()
-            if nxt is None:
-                break
-            if until is not None and nxt[0] > until:
-                if self.now < until:
-                    self.now = until
-                return
-            self.step()
-            executed += 1
+        self._drive(until, max_events, None)
         if until is not None and self.now < until:
             self.now = until
-
-    def _run_fast(self) -> None:
-        """The unguarded drain loop: same order as step(), fewer frames."""
-        queue = self._queue
-        micro = self._micro
-        cancelled = self._cancelled
-        pop = heapq.heappop
-        while True:
-            if micro:
-                self._drain_micro()  # leaves micro empty (spills go to queue)
-            if not queue:
-                break
-            time, seq, fn, args = pop(queue)
-            if cancelled and seq in cancelled:
-                cancelled.discard(seq)
-                continue
-            self.now = time
-            self._events_executed += 1
-            fn(*args)
 
     def run_until_complete(self, fut: SimFuture, max_events: Optional[int] = None) -> Any:
         """Run until ``fut`` resolves; return its result (or raise).
 
         Raises :class:`SimulationDeadlock` if the queue drains first.
         """
-        executed = 0
-        while fut._state == "pending":
-            if max_events is not None and executed >= max_events:
-                raise SimulationError(f"exceeded max_events={max_events}")
-            if not self.step():
-                raise SimulationDeadlock(
-                    f"event queue drained before future {fut.name!r} resolved"
-                )
-            executed += 1
+        self._drive(None, max_events, fut)
+        if fut._state == "pending":
+            raise SimulationDeadlock(
+                f"event queue drained before future {fut.name!r} resolved"
+            )
         return fut.result()
 
-    def _peek(self) -> Optional[_Entry]:
+    def _drive(
+        self, until: Optional[float], max_events: Optional[int], fut: Optional[SimFuture]
+    ) -> None:
+        """The one loop: :meth:`step` after :meth:`step`, minus the frames.
+
+        Stops when nothing is pending, *before* the first live event later
+        than ``until``, or once ``fut`` is no longer pending; raises past
+        ``max_events`` units of work, a unit being what one ``step()``
+        does -- a heap event with the resumes it trampolines, or a
+        stand-alone drain of resumes queued outside an event.
+        """
         queue = self._queue
+        micro = self._micro
         cancelled = self._cancelled
-        while queue and queue[0][1] in cancelled:
-            cancelled.discard(queue[0][1])
-            heapq.heappop(queue)
-        return queue[0] if queue else None
+        pop = heapq.heappop
+        executed = 0
+        while fut is None or fut._state == "pending":
+            if not micro:  # else: resumes queued outside an event; no pop
+                if not queue:
+                    return
+                time, seq, fn, args = queue[0]
+                if cancelled and seq in cancelled:
+                    cancelled.discard(seq)
+                    pop(queue)
+                    continue
+                if until is not None and time > until:
+                    return
+            if executed == max_events:
+                raise SimulationError(f"exceeded max_events={max_events}")
+            executed += 1
+            if not micro:
+                pop(queue)
+                self.now = time
+                self._events_executed += 1
+                fn(*args)
+            if micro:
+                self._drain_micro()  # leaves micro empty (spills go to queue)
 
     # -- helpers ------------------------------------------------------------
 

@@ -272,8 +272,7 @@ class OpenLoopDriver(SessionLoopDriver):
                 )
                 calls.append(
                     kernel.spawn(
-                        self._invoke_once(call, rec, method),
-                        name=f"openloop-{client.loid}",
+                        self._invoke_once(call, rec, method), name="openloop-call"
                     )
                 )
                 # Never sleep past the phase: the next one starts on time.

@@ -139,3 +139,38 @@ def test_batch_within_capacity_is_admitted_whole(services):
     assert [f.result() for f in futs] == ["callee:a", "callee:b"]
     assert callee.admission.stats.admitted == 2
     assert callee.admission.stats.shed == {}
+
+
+def test_backlog_is_the_queue_resummed_at_every_step(services):
+    """``AdmissionController.backlog`` is a running total kept at the three
+    places ``waiting`` changes (queue, evict, pump): stepping through
+    batches, singles, an eviction and the drain, it equals in-flight plus
+    the re-summed queue after every event."""
+    services.flow = FlowConfig(
+        capacity=2, queue_limit=3, service_estimate=1.0, batch_window=1.0, batch_limit=2
+    )
+    caller, callee = _pair(services)
+    caller.runtime.retry_policy = NO_RETRY
+    assert caller.runtime.enable_batching("Echo")
+    kernel = services.kernel
+    runtime = caller.runtime
+
+    def fire(method, arg, priority=0):
+        kernel.spawn(runtime.invoke(callee.loid, method, arg, priority=priority))
+
+    for at in (0.0, 0.1):
+        kernel.schedule(at, fire, "Slow", 10.0)  # fill both slots
+    for at in (0.2, 0.3, 0.4, 0.5):
+        kernel.schedule(at, fire, "Echo", f"pair-{at}")  # two batches of two
+    kernel.schedule(2.5, fire, "Slow", 1.0, 3)  # a single: the queue is full
+    kernel.schedule(3.0, fire, "Slow", 1.0, 5)  # evicts a batch (priority 0)
+
+    admission = callee.admission
+    peak = 0
+    while kernel.step():
+        queued = sum(admission._size(m) for m in admission.waiting)
+        assert admission.backlog == callee.in_flight + queued
+        peak = max(peak, queued)
+    assert peak == 5  # two two-call batches and a single were queued at once
+    assert admission.stats.shed == {"evicted": 2}
+    assert admission.backlog == 0 and not admission.waiting

@@ -7,10 +7,14 @@
   engine was built keeps working;
 * a sparse tick on a 10^6-row frame allocates in proportion to the tick,
   not the frame (the clock-free form of "O(touched)");
-* a twin whose process entry is ``crashed`` is no live server.
+* a twin whose process entry is ``crashed`` is no live server;
+* the boundary does not own its engine: dropping the engine frees the
+  frame by refcount.
 """
 
+import gc
 import tracemalloc
+import weakref
 
 import pytest
 
@@ -133,3 +137,22 @@ class TestCrashedTwinIsNoLiveServer:
         self.crash_twin(system, engine)
         with pytest.raises(LegionError, match="promote: twin for id 7 has no live server"):
             engine.tick(1, [7])
+
+
+def test_dropping_the_engine_frees_the_frame_without_the_collector():
+    """The engine owns the boundary and the frame; the boundary refers
+    back weakly.  As a cycle, a dropped 10^6-row frame lived until the
+    next gen-2 collection -- +38 MB on ``mega_dense``'s peak RSS once the
+    call path stopped making the garbage that triggered one."""
+    system, frame, engine = TestCrashedTwinIsNoLiveServer().make()
+    boundary = engine.boundary
+    assert boundary.engine is engine
+    gc.collect()
+    gc.disable()
+    try:
+        watched = weakref.ref(frame)
+        del frame, engine
+        assert watched() is None
+        assert boundary.engine is None
+    finally:
+        gc.enable()

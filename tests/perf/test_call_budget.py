@@ -12,16 +12,23 @@ Every configuration walks the same invoke and dispatch bodies, so each
 has its own steady-state ceiling here, and going back to the plain
 configuration costs the plain figure on the very next call.
 
+The open-loop row is the same count over a whole scenario driven the way
+the ledger's ``scenario_open`` drives it -- ``run(until=)`` slices, one
+process per session, a think ``Timeout`` per request -- which is the
+half of the kernel a closed-loop Ping never enters.
+
 Counts are exact for a given interpreter; other versions inline or
 split calls differently, so the ratchet runs on CPython 3.11 only (the
 version the ledger's baseline was cut on).
 """
 
 import sys
+from dataclasses import replace
 
 import pytest
 
 from repro.flow.config import FlowConfig
+from repro.scenarios import ScenarioDriver, compile_events, deploy, get_scenario
 from repro.system.legion import LegionSystem, SiteSpec
 from repro.workloads.apps import CounterImpl
 
@@ -30,9 +37,9 @@ pytestmark = pytest.mark.skipif(
     reason="call counts are pinned on CPython 3.11",
 )
 
-#: Python + builtin calls one warm call may make (ROADMAP item 1; 87
+#: Python + builtin calls one warm call may make (ROADMAP item 1; 84
 #: measured -- the slack catches a step change, not a single call).
-CALL_BUDGET = 90
+CALL_BUDGET = 86
 
 
 def warm_testbed(flow=None):
@@ -45,27 +52,32 @@ def warm_testbed(flow=None):
     return system, loid
 
 
-def calls_of_one_ping(system, loid) -> int:
-    """Python + builtin calls of one warm Ping (4 events, 2 messages)."""
+def count_calls(fn, *args):
+    """``(fn(*args), the Python + builtin calls it made)``."""
     counts = {"call": 0, "c_call": 0}
 
     def hook(_frame, event, _arg):
         if event in counts:
             counts[event] += 1
 
-    events = system.kernel.events_executed
-    messages = system.network.stats.messages_sent
     previous = sys.getprofile()
     sys.setprofile(hook)
     try:
-        result = system.call(loid, "Ping")
+        result = fn(*args)
     finally:
         sys.setprofile(previous)  # itself one counted c_call
+    return result, counts["call"] + counts["c_call"]
 
+
+def calls_of_one_ping(system, loid) -> int:
+    """Python + builtin calls of one warm Ping (4 events, 2 messages)."""
+    events = system.kernel.events_executed
+    messages = system.network.stats.messages_sent
+    result, calls = count_calls(system.call, loid, "Ping")
     assert result == "pong"
     assert system.kernel.events_executed - events == 4
     assert system.network.stats.messages_sent - messages == 2
-    return counts["call"] + counts["c_call"]
+    return calls
 
 
 def test_a_warm_call_fits_the_budget():
@@ -76,8 +88,8 @@ def test_a_warm_call_fits_the_budget():
     "flow, traced, ceiling",
     [
         (None, False, CALL_BUDGET),
-        (None, True, 127),  # + invoke / resolve / request / handle spans
-        (FlowConfig(capacity=64, credit_window=8), False, 111),  # + admission, credits
+        (None, True, 124),  # + invoke / resolve / request / handle spans
+        (FlowConfig(capacity=64, credit_window=8), False, 106),  # + admission, credits
     ],
     ids=["plain", "traced", "flow"],
 )
@@ -97,3 +109,37 @@ def test_removing_the_tracer_restores_the_plain_figure_at_once():
     assert calls_of_one_ping(system, loid) > plain
     system.disable_tracing()
     assert calls_of_one_ping(system, loid) == plain
+
+
+def test_an_open_loop_request_fits_its_budget():
+    """``diurnal-regional`` at seed 0, phases stretched x4, driven in eight
+    ``run(until=)`` slices and drained: 3,521 requests, all settled.
+
+    Measured before the kernel had one loop (PR 20): 156.91 calls per
+    request sliced (145.19 under a bare ``run()`` -- the slices alone cost
+    11.7, ``run`` -> ``_peek`` -> ``step`` per event), 26,724 kernel
+    events = 7.58989 per request.  Now 131.29 sliced or not; the events
+    are the simulation's and may not move at all.
+    """
+    spec = get_scenario("diurnal-regional")
+    spec = replace(
+        spec, phases=tuple(replace(p, duration=p.duration * 4) for p in spec.phases)
+    )
+    deployment = deploy(spec, 0)
+    driver = ScenarioDriver(deployment, compile_events(spec, 0))
+    kernel = deployment.system.kernel
+    length = sum(p.duration for p in spec.phases)
+    events = kernel.events_executed
+
+    def drive():
+        start = kernel.now
+        driver.start()
+        for part in range(1, 9):
+            kernel.run(until=start + length * part / 8)
+        kernel.run()  # every session runs to its disposition
+
+    _, calls = count_calls(drive)
+    settled = driver.stats.calls_succeeded + driver.stats.calls_failed
+    assert settled == driver.stats.calls_issued == 3521
+    assert kernel.events_executed - events == 26724
+    assert calls / settled <= 136
