@@ -3,26 +3,15 @@
 The paper has no results tables -- it is a design document -- so each
 experiment here reproduces a *mechanism figure* or a *scalability claim*
 as a measurable run on the simulated testbed, prints the table the paper
-would have shown, and checks the claimed shape.  See DESIGN.md section 3
-for the experiment index and EXPERIMENTS.md for recorded outcomes.
+would have shown, and checks the claimed shape.  There are 22 (E1-E18
+and the ablations A1-A4; ``python -m repro.experiments --list``): each
+module's docstring states its claim and method, DESIGN.md section 3 is
+the index and EXPERIMENTS.md records the outcomes.
 
-===  ==========================================================
-E1   the binding walk of Figs. 13/17 and its cache behaviour
-E2   bounded object→Binding-Agent load (5.2.1)
-E3   combining trees flatten LegionClass load (5.2.2)
-E4   class cloning relieves hot classes (5.2.2)
-E5   activation/deactivation/migration lifecycle (Fig. 11)
-E6   stale-binding detection and repair under churn (4.1.4)
-E7   replication semantics mask replica failures (4.3, Fig. 1)
-E8   Create/Derive/InheritFrom relations and class types (2.1)
-E9   the distributed-systems principle end to end (5.2)
-E10  bootstrap: bring-up from nothing (4.2.1)
-E11  site autonomy: magistrates/hosts refuse untrusted work (2.2, Fig. 9)
-E12  LOID allocation: uniqueness and structure at scale (3.2)
-E13  availability under scheduled chaos: self-healing runtime (4.1.4)
-===  ==========================================================
-
-Every module exposes ``run(quick=True, seed=0) -> ExperimentResult``.
+Every experiment is one :class:`~repro.experiments.common.Experiment`
+record in ``runner.RUNNERS`` -- ``units → measure → finish`` -- and
+``RUNNERS[id].run(quick=True, seed=0)`` returns its
+:class:`ExperimentResult`.
 """
 
 from repro.experiments.common import ExperimentResult, count_messages, populate

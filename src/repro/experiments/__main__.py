@@ -10,17 +10,15 @@ Usage::
     python -m repro.experiments --seed 7 --list
 
 Exit status is non-zero if any claim check fails.  The implementation
-lives in :mod:`repro.experiments.runner`; this module keeps the
-``python -m`` entry point and the historical import surface.
+lives in :mod:`repro.experiments.runner`; this module is only the
+``python -m`` entry point.
 """
 
 from __future__ import annotations
 
 import sys
 
-from repro.experiments.runner import RUNNERS, main
-
-__all__ = ["RUNNERS", "main"]
+from repro.experiments.runner import main
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -1,11 +1,16 @@
-"""Shared experiment machinery: results, checks, and testbed helpers."""
+"""Shared experiment machinery: the experiment record, results, checks,
+the recipes several experiments share, and testbed helpers."""
 
 from __future__ import annotations
 
+import json
 import os
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
+from repro.flow import FlowConfig
+from repro.metrics.counters import ComponentKind
 from repro.metrics.recorder import SeriesRecorder
 from repro.naming.binding import Binding
 from repro.naming.loid import LOID
@@ -69,6 +74,65 @@ class ExperimentResult:
         return "\n".join(lines)
 
 
+#: What every hook receives: the experiment's declared flag keywords,
+#: each mapped to its value (``None`` when unset).
+Flags = Mapping[str, Any]
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One experiment, as the record the runner interprets.
+
+    ``flags`` names the ``runner.FLAGS`` keywords it takes.  ``units(
+    quick, flags)`` lists the independent work units in canonical order:
+    each builds its own seeded system and shares nothing, so units may
+    run in any process in any order.  ``measure(unit, quick, seed,
+    flags)`` runs one and reduces it to a partial.  ``finish(partials,
+    quick, seed, flags)`` merges *in unit order* into the
+    :class:`ExperimentResult`, so recorder rows, check lists, float
+    accumulation and written artifacts do not depend on where the units
+    ran.  Units and partials cross the worker-pool boundary: both must
+    pickle, and no wall-clock value may enter them.
+    """
+
+    flags: Tuple[str, ...]
+    units: Callable[[bool, Flags], list]
+    measure: Callable[[Any, bool, int, Flags], Any]
+    finish: Callable[[list, bool, int, Flags], "ExperimentResult"]
+
+    def bind(self, flags: Flags) -> Dict[str, Any]:
+        """What the hooks receive: the declared keywords, ``None`` if unset."""
+        return {keyword: flags.get(keyword) for keyword in self.flags}
+
+    def run(self, quick: bool = True, seed: int = 0, **flags) -> "ExperimentResult":
+        """The sequential reference: measure every unit, then finish.
+        ``runner.run_many`` walks the same hooks and renders the same bytes."""
+        unknown = sorted(set(flags) - set(self.flags))
+        if unknown:
+            raise TypeError(f"unknown flag(s) {unknown}; valid flags: {self.flags}")
+        own = self.bind(flags)
+        partials = [
+            self.measure(unit, quick, seed, own) for unit in self.units(quick, own)
+        ]
+        return self.finish(partials, quick, seed, own)
+
+
+def _run_whole(run, _unit, quick: bool, seed: int, flags: Flags):
+    return run(quick=quick, seed=seed, **flags)
+
+
+def whole(run: Callable[..., "ExperimentResult"], *flags: str) -> Experiment:
+    """An experiment that stays one ``run(quick, seed, **flags)``: a sweep
+    of one unit whose partial is its result.  Only ``measure`` is ever
+    sent to a worker, so it alone is spelt so that it pickles."""
+    return Experiment(
+        flags,
+        units=lambda quick, flags: [None],
+        measure=partial(_run_whole, run),
+        finish=lambda partials, quick, seed, flags: partials[0],
+    )
+
+
 def trace_recorder(system: LegionSystem, trace: Optional[str]):
     """Install causal tracing on ``system`` when ``trace`` names an output
     directory (the ``--trace`` flag); returns the recorder, or None.
@@ -95,6 +159,47 @@ def export_trace(recorder, trace: str, experiment: str, seed: int) -> str:
     path = os.path.join(trace, f"{experiment.lower()}-seed{seed}.trace.json")
     write_chrome_trace(getattr(recorder, "spans", recorder), path)
     return path
+
+
+def write_report(report: str, stem: str, seed: int, payload: Any) -> str:
+    """Write one machine-readable result artifact (the ``--report`` flag)
+    as ``<report>/<stem>-seed<seed>.json``; returns the path for the notes."""
+    os.makedirs(report, exist_ok=True)
+    path = os.path.join(report, f"{stem}-seed{seed}.json")
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+    return path
+
+
+def serial_flow(service_time: float) -> FlowConfig:
+    """The flow regime of every overload arm (E15-E18): serial admission
+    (capacity 1 matches a serial service's own discipline), a bounded
+    queue, pushback-capable shedding, and caller credit windows.
+    Application objects only -- infrastructure (agents, magistrates,
+    hosts) is never shed."""
+    return FlowConfig(
+        capacity=1,
+        queue_limit=14,
+        service_estimate=service_time,
+        admit_kinds=frozenset({ComponentKind.APPLICATION}),
+        credit_window=8,
+    )
+
+
+def checkpoint(system: LegionSystem, class_loid: LOID, loid: LOID) -> None:
+    """Checkpoint ``loid`` at its first magistrate, so a crash can cost
+    repair traffic but never the state."""
+    row = system.call(class_loid, "GetRow", loid)
+    system.call(row.current_magistrates[0], "Checkpoint", loid)
+
+
+def final_sweep(system: LegionSystem) -> None:
+    """One final ``sweep_hosts`` per magistrate, in site order, so losses
+    after the traffic window are also repaired (and logged) before
+    reconciliation."""
+    for site in sorted(system.magistrates):
+        fut = system.spawn(system.magistrates[site].impl.sweep_hosts())
+        system.kernel.run_until_complete(fut)
 
 
 def count_messages(system: LegionSystem, fn: Callable[[], Any]) -> Tuple[Any, int]:
@@ -139,5 +244,3 @@ def populate(
 def site_of_binding(system: LegionSystem, binding: Binding) -> Optional[str]:
     """The site of a binding's primary element (None if unassigned)."""
     return system.network.latency.site_of(binding.address.primary().host)
-
-

@@ -18,12 +18,16 @@ bit-identical per seed.
 
 from __future__ import annotations
 
-import json
-import os
-from typing import Optional
-
 from repro.core.runtime import RetryPolicy
-from repro.experiments.common import ExperimentResult, uniform_sites
+from repro.experiments.common import (
+    Experiment,
+    ExperimentResult,
+    Flags,
+    checkpoint,
+    final_sweep,
+    uniform_sites,
+    write_report,
+)
 from repro.faults.driver import ChaosDriver, eligible_hosts
 from repro.faults.log import FaultLog
 from repro.faults.plan import FaultPlan
@@ -70,8 +74,7 @@ def _run_level(intensity: float, seed: int, quick: bool):
     for i, binding in enumerate(objects):
         system.call(binding.loid, "Increment", i + 1)
     for binding in objects:
-        row = system.call(cls.loid, "GetRow", binding.loid)
-        system.call(row.current_magistrates[0], "Checkpoint", binding.loid)
+        checkpoint(system, cls.loid, binding.loid)
 
     clients = [
         system.new_client(f"e13-{i}", site=system.sites[i % len(system.sites)].name)
@@ -111,11 +114,7 @@ def _run_level(intensity: float, seed: int, quick: bool):
     system.kernel.run()  # late chaos events, heals, and restores drain here
     repair_messages = system.network.stats.messages_sent
 
-    # One final sweep per magistrate so losses after the traffic window are
-    # also repaired (and logged) before reconciliation.
-    for site in sorted(system.magistrates):
-        fut = system.spawn(system.magistrates[site].impl.sweep_hosts())
-        system.kernel.run_until_complete(fut)
+    final_sweep(system)
 
     # Verification: every object answers with its checkpointed state.  A
     # still-lost object is recovered by this very call (the reactive path),
@@ -137,26 +136,21 @@ def _run_level(intensity: float, seed: int, quick: bool):
     }
 
 
-def shard_units(quick: bool = True, faults: Optional[float] = None) -> list:
+def units(quick: bool, flags: Flags) -> list:
     """The independent work units of one E13 sweep (one per intensity).
 
     Every level builds its own system, chaos plan, and fault log from
     the seed, so levels may run in separate worker processes
     (``--jobs N``) in any order; only the *merge* -- the repair-traffic
     overhead against the level-0 control -- is cross-level, and that
-    happens in :func:`shard_finish`.
+    happens in :func:`finish`.
     """
-    if faults is not None:
-        return [0.0, float(faults)]
+    if flags["faults"] is not None:
+        return [0.0, float(flags["faults"])]
     return [0.0, 1.0, 3.0] if quick else [0.0, 0.5, 1.0, 2.0, 4.0]
 
 
-def shard_measure(
-    intensity: float,
-    quick: bool = True,
-    seed: int = 0,
-    faults: Optional[float] = None,
-) -> dict:
+def measure(intensity: float, quick: bool, seed: int, flags: Flags) -> dict:
     """Run one intensity; reduce the live system to a picklable partial."""
     out = _run_level(intensity, seed, quick)
     log = out["log"]
@@ -174,16 +168,10 @@ def shard_measure(
     }
 
 
-def shard_finish(
-    partials,
-    quick: bool = True,
-    seed: int = 0,
-    faults: Optional[float] = None,
-    report: Optional[str] = None,
-) -> ExperimentResult:
+def finish(partials, quick: bool, seed: int, flags: Flags) -> ExperimentResult:
     """Merge level partials into the E13 result, in level order.
 
-    Partials are consumed in :func:`shard_units` order regardless of
+    Partials are consumed in :func:`units` order regardless of
     worker completion order, so recorder rows, checks, the overhead
     denominator (level 0's message count), and the report artifact are
     byte-identical to the sequential run.
@@ -200,7 +188,7 @@ def shard_finish(
         ),
         recorder=recorder,
     )
-    levels = shard_units(quick=quick, faults=faults)
+    levels = units(quick, flags)
     baseline_messages = None
     total_clock = 0.0
     total_events = 0
@@ -264,37 +252,19 @@ def shard_finish(
     )
     result.sim_clock = total_clock
     result.sim_events = total_events
-    if report is not None:
-        os.makedirs(report, exist_ok=True)
-        path = os.path.join(report, f"e13-availability-seed{seed}.json")
-        with open(path, "w") as fh:
-            json.dump(
-                {"seed": seed, "quick": quick, "levels": report_rows},
-                fh,
-                indent=2,
-                sort_keys=True,
-            )
+    if flags["report"] is not None:
+        path = write_report(
+            flags["report"],
+            "e13-availability",
+            seed,
+            {"seed": seed, "quick": quick, "levels": report_rows},
+        )
         result.notes = f"report: {path}"
     return result
 
 
-def run(
-    quick: bool = True,
-    seed: int = 0,
-    faults: Optional[float] = None,
-    report: Optional[str] = None,
-) -> ExperimentResult:
-    """Sweep fault intensity; verify availability stays at 100%.
-
-    ``faults`` (the runner's ``--faults`` flag) replaces the sweep with
-    [0, faults]: a control level plus one chosen intensity.  ``report``
-    names a directory for the JSON availability/FaultLog artifact.
-
-    Composed from the shard protocol, so the sequential run IS the
-    ``--jobs 1`` reference the sharded runner reproduces.
-    """
-    partials = [
-        shard_measure(intensity, quick=quick, seed=seed, faults=faults)
-        for intensity in shard_units(quick=quick, faults=faults)
-    ]
-    return shard_finish(partials, quick=quick, seed=seed, faults=faults, report=report)
+#: Sweep fault intensity; verify availability stays at 100%.  ``faults``
+#: replaces the sweep with [0, faults]: a control level plus one chosen
+#: intensity.  ``report`` names a directory for the JSON
+#: availability/FaultLog artifact.
+EXPERIMENT = Experiment(("faults", "report"), units, measure, finish)

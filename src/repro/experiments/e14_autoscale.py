@@ -24,9 +24,7 @@ state: byte-identical across --jobs 1 and --jobs N.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from typing import Optional
 
 from repro.autoscale import (
@@ -35,7 +33,7 @@ from repro.autoscale import (
     ClonePoolRouter,
     build_placement_agent,
 )
-from repro.experiments.common import ExperimentResult
+from repro.experiments.common import ExperimentResult, write_report
 from repro.metrics.counters import ComponentKind
 from repro.metrics.recorder import SeriesRecorder
 from repro.system.legion import LegionSystem, SiteSpec
@@ -275,20 +273,17 @@ def run(
     result.sim_clock = total_clock
     result.sim_events = total_events
     if report is not None:
-        os.makedirs(report, exist_ok=True)
-        path = os.path.join(report, f"e14-autoscale-seed{seed}.json")
-        with open(path, "w") as fh:
-            json.dump(
-                {
-                    "seed": seed,
-                    "quick": quick,
-                    "autoscale_slope": auto_slope,
-                    "static_slope": static_slope,
-                    "levels": report_rows,
-                },
-                fh,
-                indent=2,
-                sort_keys=True,
-            )
+        path = write_report(
+            report,
+            "e14-autoscale",
+            seed,
+            {
+                "seed": seed,
+                "quick": quick,
+                "autoscale_slope": auto_slope,
+                "static_slope": static_slope,
+                "levels": report_rows,
+            },
+        )
         result.notes = f"report: {path}"
     return result

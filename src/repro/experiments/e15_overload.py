@@ -32,14 +32,19 @@ across ``--jobs 1`` and ``--jobs N``.
 
 from __future__ import annotations
 
-import json
-import os
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.experiments.common import ExperimentResult, export_trace, trace_recorder
+from repro.experiments.common import (
+    Experiment,
+    ExperimentResult,
+    Flags,
+    export_trace,
+    serial_flow,
+    trace_recorder,
+    write_report,
+)
 from repro.faults.log import FaultLog
-from repro.flow import FlowConfig
-from repro.metrics.counters import ComponentKind, MetricsRegistry
+from repro.metrics.counters import MetricsRegistry
 from repro.metrics.recorder import SeriesRecorder
 from repro.system.legion import LegionSystem, SiteSpec
 from repro.trace.audit import TraceAudit
@@ -57,17 +62,7 @@ TIMEOUT = 60.0
 #: wait (<= 15 slots x 2 ms) + service + a few shed/pushback round trips.
 P99_BOUND = 200.0
 
-#: The flow arm's regime: serial admission (capacity 1 matches the
-#: service's own discipline), a bounded queue, pushback-capable shedding,
-#: and caller credit windows.  Application objects only -- infrastructure
-#: (agents, magistrates, hosts) is never shed.
-FLOW = FlowConfig(
-    capacity=1,
-    queue_limit=14,
-    service_estimate=SERVICE_TIME,
-    admit_kinds=frozenset({ComponentKind.APPLICATION}),
-    credit_window=8,
-)
+FLOW = serial_flow(SERVICE_TIME)
 
 
 def _run_level(
@@ -160,7 +155,7 @@ def _run_level(
     }
 
 
-def shard_units(quick: bool = True, overload: Optional[float] = None) -> list:
+def units(quick: bool, flags: Flags) -> list:
     """The independent work units of one E15 sweep.
 
     Each unit is one (offered-load level, arm) pair; every unit builds
@@ -168,19 +163,13 @@ def shard_units(quick: bool = True, overload: Optional[float] = None) -> list:
     others, so units may run in separate worker processes
     (``--jobs N``) in any order.
     """
-    top = max(2, int(overload)) if overload else 10
+    top = max(2, int(flags["overload"])) if flags["overload"] else 10
     base = [1, 2, 4] if quick else [1, 2, 3, 4, 6, 8]
     levels = [lvl for lvl in base if lvl < top] + [top]
     return [(level, arm) for level in levels for arm in ("flow", "baseline")]
 
 
-def shard_measure(
-    unit,
-    quick: bool = True,
-    seed: int = 0,
-    overload: Optional[float] = None,
-    trace: Optional[str] = None,
-) -> Dict[str, Any]:
+def measure(unit, quick: bool, seed: int, flags: Flags) -> Dict[str, Any]:
     """Run one (level, arm) unit; the returned dict is picklable.
 
     The trace export (when tracing) happens worker-side; only its path
@@ -188,24 +177,16 @@ def shard_measure(
     plain picklable records.
     """
     level, arm = unit
-    flow = arm == "flow"
-    out = _run_level(level, seed, quick, flow=flow, trace=trace if flow else None)
+    out = _run_level(level, seed, quick, flow=arm == "flow", trace=flags["trace"])
     out["level"] = level
     out["arm"] = arm
     return out
 
 
-def shard_finish(
-    partials,
-    quick: bool = True,
-    seed: int = 0,
-    overload: Optional[float] = None,
-    trace: Optional[str] = None,
-    report: Optional[str] = None,
-) -> ExperimentResult:
+def finish(partials, quick: bool, seed: int, flags: Flags) -> ExperimentResult:
     """Merge unit partials into the E15 result, in deterministic unit order.
 
-    Partials are consumed in :func:`shard_units` order regardless of
+    Partials are consumed in :func:`units` order regardless of
     worker completion order, so recorder rows, checks, float
     accumulation, and the report artifact are byte-identical to the
     sequential run.
@@ -223,7 +204,7 @@ def shard_finish(
         ),
         recorder=recorder,
     )
-    levels = sorted({level for level, _arm in shard_units(quick=quick, overload=overload)})
+    levels = sorted({level for level, _arm in units(quick, flags)})
     top = levels[-1]
     mid = 4 if 4 in levels else levels[len(levels) // 2]
 
@@ -308,46 +289,20 @@ def shard_finish(
     notes = []
     if top_flow["trace_path"]:
         notes.append(f"trace: {top_flow['trace_path']}")
-    if report is not None:
-        os.makedirs(report, exist_ok=True)
-        path = os.path.join(report, f"e15-overload-seed{seed}.json")
-        with open(path, "w") as fh:
-            json.dump(
-                {"seed": seed, "quick": quick, "levels": report_rows},
-                fh,
-                indent=2,
-                sort_keys=True,
-            )
+    if flags["report"] is not None:
+        path = write_report(
+            flags["report"],
+            "e15-overload",
+            seed,
+            {"seed": seed, "quick": quick, "levels": report_rows},
+        )
         notes.append(f"report: {path}")
     result.notes = "\n".join(notes)
     return result
 
 
-def run(
-    quick: bool = True,
-    seed: int = 0,
-    overload: Optional[float] = None,
-    trace: Optional[str] = None,
-    report: Optional[str] = None,
-) -> ExperimentResult:
-    """Sweep offered load x1..x10 capacity with and without flow control.
-
-    ``overload`` (the runner's ``--overload`` flag) overrides the top
-    offered-load multiplier; ``trace`` enables the span-level admission
-    audit; ``report`` names a directory for the JSON goodput artifact.
-
-    Composed from the shard protocol, so the sequential run IS the
-    ``--jobs 1`` reference the sharded runner reproduces.
-    """
-    partials = [
-        shard_measure(unit, quick=quick, seed=seed, overload=overload, trace=trace)
-        for unit in shard_units(quick=quick, overload=overload)
-    ]
-    return shard_finish(
-        partials,
-        quick=quick,
-        seed=seed,
-        overload=overload,
-        trace=trace,
-        report=report,
-    )
+#: Sweep offered load x1..x10 capacity with and without flow control.
+#: ``overload`` overrides the top offered-load multiplier; ``trace``
+#: enables the span-level admission audit; ``report`` names a directory
+#: for the JSON goodput artifact.
+EXPERIMENT = Experiment(("overload", "trace", "report"), units, measure, finish)

@@ -35,14 +35,17 @@ byte-identical across ``--jobs``.
 
 from __future__ import annotations
 
-import json
-import os
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.errors import LegionError
-from repro.experiments.common import ExperimentResult, uniform_sites
-from repro.flow import FlowConfig
-from repro.metrics.counters import ComponentKind
+from repro.experiments.common import (
+    Experiment,
+    ExperimentResult,
+    Flags,
+    serial_flow,
+    uniform_sites,
+    write_report,
+)
 from repro.metrics.recorder import SeriesRecorder
 from repro.net.latency import LinkClass
 from repro.core.runtime import RetryPolicy
@@ -85,15 +88,7 @@ SERVICE_TIME = 2.0
 CAPACITY = 1.0 / SERVICE_TIME
 FG_CLIENTS = 4
 FG_TIMEOUT = 60.0
-#: Same regime as E15: serial admission, bounded queue, pushback sheds,
-#: caller credit windows; infrastructure is never shed.
-FLOW = FlowConfig(
-    capacity=1,
-    queue_limit=14,
-    service_estimate=SERVICE_TIME,
-    admit_kinds=frozenset({ComponentKind.APPLICATION}),
-    credit_window=8,
-)
+FLOW = serial_flow(SERVICE_TIME)
 #: The remote replica dies this long after the measured window opens.
 CRASH_AT = 40.0
 REPAIR_INTERVAL = 60.0
@@ -352,14 +347,10 @@ def _measure_repair(arm: str, seed: int, quick: bool, mult: int) -> Dict[str, An
     }
 
 
-# ---------------------------------------------------------- shard protocol
+# ------------------------------------------------------------- the record
 
 
-def shard_units(
-    quick: bool = True,
-    replicas: Optional[int] = None,
-    overload: Optional[float] = None,
-) -> list:
+def units(quick: bool, flags: Flags) -> list:
     """The independent work units of one E16 sweep.
 
     Phase A is one unit per replica count (1, 2, top); phase B is one
@@ -367,41 +358,30 @@ def shard_units(
     the seed and shares nothing, so units may run in separate worker
     processes (``--jobs N``) in any order.
     """
+    replicas = flags["replicas"]
     top = min(N_SITES * HOSTS_PER_SITE, max(2, int(replicas))) if replicas else N_SITES
-    units = [("locality", r) for r in sorted({1, 2, top})]
-    units += [("repair", "off"), ("repair", "on")]
-    return units
+    return [("locality", r) for r in sorted({1, 2, top})] + [
+        ("repair", "off"),
+        ("repair", "on"),
+    ]
 
 
-def shard_measure(
-    unit,
-    quick: bool = True,
-    seed: int = 0,
-    replicas: Optional[int] = None,
-    overload: Optional[float] = None,
-) -> Dict[str, Any]:
+def measure(unit, quick: bool, seed: int, flags: Flags) -> Dict[str, Any]:
     """Run one unit; the returned dict is picklable."""
     kind, param = unit
     if kind == "locality":
         out = _measure_locality(param, seed, quick)
     else:
-        mult = max(2, int(overload)) if overload else 4
+        mult = max(2, int(flags["overload"])) if flags["overload"] else 4
         out = _measure_repair(param, seed, quick, mult)
     out["kind"] = kind
     out["param"] = param
     return out
 
 
-def shard_finish(
-    partials,
-    quick: bool = True,
-    seed: int = 0,
-    replicas: Optional[int] = None,
-    overload: Optional[float] = None,
-    report: Optional[str] = None,
-) -> ExperimentResult:
+def finish(partials, quick: bool, seed: int, flags: Flags) -> ExperimentResult:
     """Merge unit partials into the E16 result, in deterministic unit
-    order, so reports are byte-identical at any shard count."""
+    order, so reports are byte-identical at any ``--jobs``."""
     by_unit = {(p["kind"], p["param"]): p for p in partials}
     recorder = SeriesRecorder(x_label="r_or_x")
     result = ExperimentResult(
@@ -416,7 +396,7 @@ def shard_finish(
         ),
         recorder=recorder,
     )
-    counts = [p for k, p in shard_units(quick=quick, replicas=replicas) if k == "locality"]
+    counts = [p for k, p in units(quick, flags) if k == "locality"]
     top = counts[-1]
 
     total_clock, total_events = 0.0, 0
@@ -538,48 +518,19 @@ def shard_finish(
     result.sim_clock = total_clock
     result.sim_events = total_events
 
-    if report is not None:
-        os.makedirs(report, exist_ok=True)
-        path = os.path.join(report, f"e16-georeplication-seed{seed}.json")
-        with open(path, "w") as fh:
-            json.dump(
-                {"seed": seed, "quick": quick, "units": report_rows},
-                fh,
-                indent=2,
-                sort_keys=True,
-            )
+    if flags["report"] is not None:
+        path = write_report(
+            flags["report"],
+            "e16-georeplication",
+            seed,
+            {"seed": seed, "quick": quick, "units": report_rows},
+        )
         result.notes = f"report: {path}"
     return result
 
 
-def run(
-    quick: bool = True,
-    seed: int = 0,
-    replicas: Optional[int] = None,
-    overload: Optional[float] = None,
-    report: Optional[str] = None,
-) -> ExperimentResult:
-    """Sweep replica counts (phase A) and repair arms (phase B).
-
-    ``replicas`` (the runner's ``--replicas`` flag) overrides the top
-    replica count; ``overload`` sets the phase-B offered-load multiplier;
-    ``report`` names a directory for the JSON artifact.
-
-    Composed from the shard protocol, so the sequential run IS the
-    ``--jobs 1`` reference the sharded runner reproduces.
-    """
-    units = shard_units(quick=quick, replicas=replicas)
-    partials = [
-        shard_measure(
-            unit, quick=quick, seed=seed, replicas=replicas, overload=overload
-        )
-        for unit in units
-    ]
-    return shard_finish(
-        partials,
-        quick=quick,
-        seed=seed,
-        replicas=replicas,
-        overload=overload,
-        report=report,
-    )
+#: Sweep replica counts (phase A) and repair arms (phase B).  ``replicas``
+#: overrides the top replica count; ``overload`` sets the phase-B
+#: offered-load multiplier; ``report`` names a directory for the JSON
+#: artifact.
+EXPERIMENT = Experiment(("replicas", "overload", "report"), units, measure, finish)

@@ -29,21 +29,27 @@ across ``--jobs``.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import replace
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.errors import LegionError
 from repro.core.runtime import RetryPolicy
-from repro.experiments.common import ExperimentResult
+from repro.experiments.common import (
+    Experiment,
+    ExperimentResult,
+    Flags,
+    checkpoint,
+    final_sweep,
+    serial_flow,
+    write_report,
+)
 from repro.faults.driver import ChaosDriver, eligible_hosts
 from repro.faults.log import FaultLog
 from repro.faults.plan import FaultKind, FaultPlan
 from repro.faults.recovery import RecoverySweeper
-from repro.flow import FlowConfig
 from repro.health import GovernorConfig, HealthLedger, enable_governor
-from repro.metrics.counters import ComponentKind, MetricsRegistry
+from repro.metrics.counters import MetricsRegistry
 from repro.metrics.recorder import SeriesRecorder
 from repro.simkernel.futures import gather
 from repro.simkernel.kernel import Timeout
@@ -60,15 +66,9 @@ TIMEOUT = 60.0
 #: Bystander objects the chaos plan may crash (the loss-evidence feed).
 N_FODDER = 6
 
-#: The governed arm's flow regime (E15's, unchanged): serial admission,
-#: a bounded queue the governor tightens per band, credit windows.
-FLOW = FlowConfig(
-    capacity=1,
-    queue_limit=14,
-    service_estimate=SERVICE_TIME,
-    admit_kinds=frozenset({ComponentKind.APPLICATION}),
-    credit_window=8,
-)
+#: The governed arm's flow regime: the governor tightens its bounded
+#: queue per band.
+FLOW = serial_flow(SERVICE_TIME)
 
 #: Both arms' client policy: patient (rides out crashes) but budgeted --
 #: the retry-token bucket is the knob the governor's refill scaling
@@ -140,8 +140,7 @@ def _run_arm(
     instance = system.create_instance(cls.loid)
     # Checkpoint the service so a storm-phase host crash is recoverable
     # (reactive rebind + magistrate restore, as in E13).
-    row = system.call(cls.loid, "GetRow", instance.loid)
-    system.call(row.current_magistrates[0], "Checkpoint", instance.loid)
+    checkpoint(system, cls.loid, instance.loid)
     # Chaos fodder: checkpointed counters the plan crashes, feeding the
     # loss-backlog evidence signal without taking the service itself down
     # on every draw.
@@ -154,8 +153,7 @@ def _run_arm(
     fodder = [system.create_instance(fodder_cls.loid) for _ in range(N_FODDER)]
     for i, binding in enumerate(fodder):
         system.call(binding.loid, "Increment", i + 1)
-        row = system.call(fodder_cls.loid, "GetRow", binding.loid)
-        system.call(row.current_magistrates[0], "Checkpoint", binding.loid)
+        checkpoint(system, fodder_cls.loid, binding.loid)
 
     clients = [system.new_client(f"e17-{i}") for i in range(N_CLIENTS)]
     # The probe console: periodic Get()s over the fodder keep the
@@ -224,11 +222,7 @@ def _run_arm(
         governor.stop_loop()  # endless tick loop would pin the drain below
     system.kernel.run()  # drain backlog, late chaos restores, retries
 
-    # Post-run repair: one final sweep per magistrate so chaos losses are
-    # recovered (and logged) before reconciliation reads the backlog.
-    for site in sorted(system.magistrates):
-        fut = system.spawn(system.magistrates[site].impl.sweep_hosts())
-        system.kernel.run_until_complete(fut)
+    final_sweep(system)
     # Touch every fodder object: a straggler lost on a live host is
     # recovered by this very call (the reactive path), as in E13.  The
     # tracked prober does the touching so any shed stays triple-entry.
@@ -303,36 +297,29 @@ def _run_arm(
     }
 
 
-def shard_units(quick: bool = True, governor: Optional[float] = None) -> list:
+def _mult(flags: Flags) -> float:
+    """The storm's offered-load multiple (``--governor``; default 8)."""
+    return float(flags["governor"]) if flags["governor"] else 8.0
+
+
+def units(quick: bool, flags: Flags) -> list:
     """The two independent arms; each builds its own seeded system."""
     return ["governed", "baseline"]
 
 
-def shard_measure(
-    unit,
-    quick: bool = True,
-    seed: int = 0,
-    governor: Optional[float] = None,
-) -> Dict[str, Any]:
+def measure(unit, quick: bool, seed: int, flags: Flags) -> Dict[str, Any]:
     """Run one arm; the returned dict is picklable."""
-    mult = float(governor) if governor else 8.0
-    out = _run_arm(seed, quick, governed=unit == "governed", mult=mult)
+    out = _run_arm(seed, quick, governed=unit == "governed", mult=_mult(flags))
     out["arm"] = unit
     return out
 
 
-def shard_finish(
-    partials,
-    quick: bool = True,
-    seed: int = 0,
-    governor: Optional[float] = None,
-    report: Optional[str] = None,
-) -> ExperimentResult:
+def finish(partials, quick: bool, seed: int, flags: Flags) -> ExperimentResult:
     """Merge the two arms, in unit order, into the E17 result."""
     by_arm = {p["arm"]: p for p in partials}
     gov = by_arm["governed"]
     base = by_arm["baseline"]
-    mult = float(governor) if governor else 8.0
+    mult = _mult(flags)
 
     recorder = SeriesRecorder(x_label="phase")
     result = ExperimentResult(
@@ -456,55 +443,35 @@ def shard_finish(
             else "(no transitions)"
         )
     ]
+    report = flags["report"]
     if report is not None:
         from repro.health.ledger import canonical
 
-        os.makedirs(report, exist_ok=True)
+        path = write_report(
+            report,
+            "e17-governor",
+            seed,
+            {
+                "seed": seed,
+                "quick": quick,
+                "mult": mult,
+                "governed": gov["phases"],
+                "baseline": base["phases"],
+                "bands": visited,
+                "transitions": len(ledger),
+            },
+        )
         ledger_path = os.path.join(report, f"e17-ledger-seed{seed}.jsonl")
         with open(ledger_path, "w") as fh:
             for rec in ledger:
                 fh.write(canonical(rec) + "\n")
-        path = os.path.join(report, f"e17-governor-seed{seed}.json")
-        with open(path, "w") as fh:
-            json.dump(
-                {
-                    "seed": seed,
-                    "quick": quick,
-                    "mult": mult,
-                    "governed": gov["phases"],
-                    "baseline": base["phases"],
-                    "bands": visited,
-                    "transitions": len(ledger),
-                },
-                fh,
-                indent=2,
-                sort_keys=True,
-            )
         notes.append(f"report: {path}")
         notes.append(f"ledger: {ledger_path}")
     result.notes = "\n".join(notes)
     return result
 
 
-def run(
-    quick: bool = True,
-    seed: int = 0,
-    governor: Optional[float] = None,
-    report: Optional[str] = None,
-) -> ExperimentResult:
-    """Governed vs ungoverned under compounded overload + chaos.
-
-    ``governor`` (the runner's ``--governor`` flag) overrides the storm's
-    offered-load multiplier (default 8); ``report`` names a directory for
-    the JSON phase artifact and the JSONL transition ledger.
-
-    Composed from the shard protocol, so the sequential run IS the
-    ``--jobs 1`` reference the sharded runner reproduces.
-    """
-    partials = [
-        shard_measure(unit, quick=quick, seed=seed, governor=governor)
-        for unit in shard_units(quick=quick, governor=governor)
-    ]
-    return shard_finish(
-        partials, quick=quick, seed=seed, governor=governor, report=report
-    )
+#: Governed vs ungoverned under compounded overload + chaos.  ``governor``
+#: overrides the storm's offered-load multiplier; ``report`` names a
+#: directory for the JSON phase artifact and the JSONL transition ledger.
+EXPERIMENT = Experiment(("governor", "report"), units, measure, finish)

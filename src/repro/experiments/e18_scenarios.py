@@ -27,20 +27,25 @@ different ticks per site, the repository must stay reader-heavy.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from repro.core.runtime import RetryPolicy
-from repro.experiments.common import ExperimentResult
+from repro.experiments.common import (
+    Experiment,
+    ExperimentResult,
+    Flags,
+    checkpoint,
+    final_sweep,
+    serial_flow,
+    write_report,
+)
+from repro.experiments.e13_availability import CHAOS_RETRY_POLICY
+from repro.experiments.e17_governor import GOVERNOR
 from repro.faults.driver import ChaosDriver, eligible_hosts
 from repro.faults.log import FaultLog
 from repro.faults.plan import FaultPlan
 from repro.faults.recovery import RecoverySweeper
-from repro.flow import FlowConfig
-from repro.health import GovernorConfig, HealthLedger, enable_governor
-from repro.metrics.counters import ComponentKind
+from repro.health import HealthLedger, enable_governor
 from repro.metrics.recorder import SeriesRecorder
 from repro.scenarios import (
     ReplicaRouting,
@@ -54,17 +59,6 @@ from repro.scenarios import (
 )
 from repro.scenarios.spec import ScenarioSpec
 
-#: The fault arm's client policy: E13's patient, budgeted retry.
-CHAOS_RETRY_POLICY = RetryPolicy(
-    max_attempts=12,
-    base_backoff=10.0,
-    backoff_factor=2.0,
-    max_backoff=300.0,
-    jitter=0.5,
-    budget=10_000.0,
-    retry_partitions=True,
-    retry_resolution_failures=True,
-)
 #: Per-call deadline under chaos (rides out a crash + recovery).
 CHAOS_TIMEOUT = 600.0
 #: The checkpointed sentinel key every instance must answer after chaos.
@@ -75,26 +69,7 @@ DEFAULT_FAULTS = 1.0
 DEFAULT_GOVERNOR_MULT = 3.0
 DEFAULT_MEGA = 1_000_000
 
-#: The governed/overload arms' governor: E17's dwells and ladder.
-GOVERNOR = GovernorConfig(
-    degrade_dwell=30.0,
-    recover_dwell=80.0,
-    tick=10.0,
-    window=40.0,
-)
-
 MAX_EVENTS = 50_000_000
-
-
-def _flow(spec: ScenarioSpec) -> FlowConfig:
-    """E15's admission regime sized to the scenario's service time."""
-    return FlowConfig(
-        capacity=1,
-        queue_limit=14,
-        service_estimate=spec.service_time,
-        admit_kinds=frozenset({ComponentKind.APPLICATION}),
-        credit_window=8,
-    )
 
 
 def _sized(spec: ScenarioSpec, quick: bool) -> ScenarioSpec:
@@ -175,7 +150,7 @@ def _base_partial(driver: ScenarioDriver) -> dict:
 # ------------------------------------------------------------------- arms
 
 
-def _measure_plain(spec: ScenarioSpec, seed: int) -> dict:
+def _measure_plain(spec: ScenarioSpec, seed: int, _param: float) -> dict:
     plan = compile_events(spec, seed)
     dep = deploy(spec, seed)
     driver = ScenarioDriver(dep, plan)
@@ -209,8 +184,7 @@ def _measure_faults(spec: ScenarioSpec, seed: int, intensity: float) -> dict:
         for si in range(spec.sites):
             for loid in dep.instances[(k, si)]:
                 system.call(loid, "Write", SENTINEL_KEY)
-                row = system.call(cls.loid, "GetRow", loid)
-                system.call(row.current_magistrates[0], "Checkpoint", loid)
+                checkpoint(system, cls.loid, loid)
     for client in dep.all_clients():
         client.runtime.retry_policy = CHAOS_RETRY_POLICY
 
@@ -234,9 +208,7 @@ def _measure_faults(spec: ScenarioSpec, seed: int, intensity: float) -> dict:
     system.kernel.run_until_complete(stats_fut, max_events=MAX_EVENTS)
     sweeper.stop()
     system.kernel.run()  # late chaos events, heals, and restores drain here
-    for site in sorted(system.magistrates):
-        fut = system.spawn(system.magistrates[site].impl.sweep_hosts())
-        system.kernel.run_until_complete(fut)
+    final_sweep(system)
     # Every instance must still answer with the checkpointed sentinel; a
     # straggler lost on a live host is recovered by this very call.
     state_intact = all(
@@ -260,7 +232,7 @@ def _measure_governor(spec: ScenarioSpec, seed: int, mult: float) -> dict:
     # The same spec at ``mult`` x its offered load, behind E15's flow
     # admission, with the operating-mode governor watching the consoles.
     plan = compile_events(spec, seed, rate_scale=mult)
-    dep = deploy(spec, seed, flow=_flow(spec))
+    dep = deploy(spec, seed, flow=serial_flow(spec.service_time))
     system = dep.system
     critical = frozenset(
         str(loid) for key in sorted(dep.instances) for loid in dep.instances[key]
@@ -293,7 +265,7 @@ def _measure_governor(spec: ScenarioSpec, seed: int, mult: float) -> dict:
 def _measure_overload(spec: ScenarioSpec, seed: int, mult: float) -> dict:
     """Flow admission alone (no governor) at ``mult`` x offered load."""
     plan = compile_events(spec, seed, rate_scale=mult)
-    dep = deploy(spec, seed, flow=_flow(spec))
+    dep = deploy(spec, seed, flow=serial_flow(spec.service_time))
     driver = ScenarioDriver(dep, plan, use_deadlines=False)
     _drain(driver, driver.start())
     return _base_partial(driver)
@@ -452,53 +424,36 @@ _MEASURES = {
 }
 
 
-# --------------------------------------------------------- shard protocol
+# ------------------------------------------------------------- the record
 
 
-def _arms(
-    faults: Optional[float] = None,
-    governor: Optional[float] = None,
-    overload: Optional[float] = None,
-    autoscale: Optional[float] = None,
-    replicas: Optional[int] = None,
-    mega: Optional[int] = None,
-) -> List[Tuple[str, float]]:
+def _arms(flags: Flags) -> List[Tuple[str, float]]:
     """The (arm, parameter) columns of the matrix, flags applied."""
+
+    def param(keyword: str, default: float) -> float:
+        return float(flags[keyword]) if flags[keyword] is not None else default
+
     arms = [
         ("plain", 0.0),
-        ("faults", float(faults) if faults is not None else DEFAULT_FAULTS),
-        (
-            "governor",
-            float(governor) if governor is not None else DEFAULT_GOVERNOR_MULT,
-        ),
-        ("mega", float(mega) if mega is not None else float(DEFAULT_MEGA)),
+        ("faults", param("faults", DEFAULT_FAULTS)),
+        ("governor", param("governor", DEFAULT_GOVERNOR_MULT)),
+        ("mega", param("mega", float(DEFAULT_MEGA))),
     ]
-    if overload is not None:
-        arms.insert(3, ("overload", float(overload)))
-    if autoscale is not None:
-        arms.insert(3, ("autoscale", float(autoscale)))
-    if replicas is not None:
-        arms.insert(3, ("replicas", float(replicas)))
+    for optional in ("overload", "autoscale", "replicas"):
+        if flags[optional] is not None:
+            arms.insert(3, (optional, float(flags[optional])))
     return arms
 
 
-def shard_units(
-    quick: bool = True,
-    faults: Optional[float] = None,
-    governor: Optional[float] = None,
-    overload: Optional[float] = None,
-    autoscale: Optional[float] = None,
-    replicas: Optional[int] = None,
-    mega: Optional[int] = None,
-) -> list:
+def units(quick: bool, flags: Flags) -> list:
     """One unit per (scenario, arm) cell of the matrix.
 
     Every cell builds its own system from the seed, so cells may run in
     separate worker processes (``--jobs N``) in any order; the merge in
-    :func:`shard_finish` consumes partials in this declaration order, so
-    the report is byte-identical however the cells were scheduled.
+    :func:`finish` consumes partials in this declaration order, so the
+    report is byte-identical however the cells were scheduled.
     """
-    arms = _arms(faults, governor, overload, autoscale, replicas, mega)
+    arms = _arms(flags)
     return [
         (name, arm, param)
         for name in scenario_names()
@@ -506,28 +461,11 @@ def shard_units(
     ]
 
 
-def shard_measure(
-    unit,
-    quick: bool = True,
-    seed: int = 0,
-    faults: Optional[float] = None,
-    governor: Optional[float] = None,
-    overload: Optional[float] = None,
-    autoscale: Optional[float] = None,
-    replicas: Optional[int] = None,
-    mega: Optional[int] = None,
-) -> dict:
+def measure(unit, quick: bool, seed: int, flags: Flags) -> dict:
     """Run one (scenario, arm) cell; reduce to a picklable partial."""
     name, arm, param = unit
     spec = _sized(get_scenario(name), quick)
-    if arm == "plain":
-        partial = _measure_plain(spec, seed)
-    elif arm == "replicas":
-        partial = _measure_replicas(spec, seed, int(param))
-    elif arm == "mega":
-        partial = _measure_mega(spec, seed, int(param))
-    else:
-        partial = _MEASURES[arm](spec, seed, param)
+    partial = _MEASURES[arm](spec, seed, param)
     partial.update({"scenario": name, "arm": arm, "param": param})
     return partial
 
@@ -560,20 +498,9 @@ def _matrix_row(by_arm: Dict[str, dict]) -> Dict[str, float]:
     return row
 
 
-def shard_finish(
-    partials,
-    quick: bool = True,
-    seed: int = 0,
-    faults: Optional[float] = None,
-    governor: Optional[float] = None,
-    overload: Optional[float] = None,
-    autoscale: Optional[float] = None,
-    replicas: Optional[int] = None,
-    mega: Optional[int] = None,
-    report: Optional[str] = None,
-) -> ExperimentResult:
+def finish(partials, quick: bool, seed: int, flags: Flags) -> ExperimentResult:
     """Merge cell partials into the E18 result, in unit order."""
-    arms = [a for a, _p in _arms(faults, governor, overload, autoscale, replicas, mega)]
+    arms = [a for a, _p in _arms(flags)]
     names = scenario_names()
     cells: Dict[str, Dict[str, dict]] = {n: {} for n in names}
     for p in partials:
@@ -739,9 +666,7 @@ def shard_finish(
         cells[n][a]["sim_events"] for n in names for a in arms
     )
 
-    if report is not None:
-        os.makedirs(report, exist_ok=True)
-        path = os.path.join(report, f"e18-scenarios-seed{seed}.json")
+    if flags["report"] is not None:
         payload = {
             "experiment": "E18",
             "seed": seed,
@@ -763,56 +688,17 @@ def shard_finish(
                 for c in result.checks
             ],
         }
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+        path = write_report(flags["report"], "e18-scenarios", seed, payload)
         result.notes += f"\nreport: {path}"
     return result
 
 
-def run(
-    quick: bool = True,
-    seed: int = 0,
-    faults: Optional[float] = None,
-    governor: Optional[float] = None,
-    overload: Optional[float] = None,
-    autoscale: Optional[float] = None,
-    replicas: Optional[int] = None,
-    mega: Optional[int] = None,
-    report: Optional[str] = None,
-) -> ExperimentResult:
-    """The whole matrix in-process (the --jobs path splits the units)."""
-    units = shard_units(
-        quick,
-        faults=faults,
-        governor=governor,
-        overload=overload,
-        autoscale=autoscale,
-        replicas=replicas,
-        mega=mega,
-    )
-    partials = [
-        shard_measure(
-            unit,
-            quick=quick,
-            seed=seed,
-            faults=faults,
-            governor=governor,
-            overload=overload,
-            autoscale=autoscale,
-            replicas=replicas,
-            mega=mega,
-        )
-        for unit in units
-    ]
-    return shard_finish(
-        partials,
-        quick=quick,
-        seed=seed,
-        faults=faults,
-        governor=governor,
-        overload=overload,
-        autoscale=autoscale,
-        replicas=replicas,
-        mega=mega,
-        report=report,
-    )
+#: ``faults``, ``governor`` and ``mega`` set the parameter of their
+#: (always present) arms; ``overload``, ``autoscale`` and ``replicas``
+#: each add an arm; ``report`` names a directory for the JSON matrix.
+EXPERIMENT = Experiment(
+    ("faults", "governor", "overload", "autoscale", "replicas", "mega", "report"),
+    units,
+    measure,
+    finish,
+)

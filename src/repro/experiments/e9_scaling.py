@@ -24,9 +24,15 @@ are flat (log-log slope ≈ 0) while the strawman's bottleneck grows
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.experiments.common import ExperimentResult, export_trace, uniform_sites
+from repro.experiments.common import (
+    Experiment,
+    ExperimentResult,
+    Flags,
+    export_trace,
+    uniform_sites,
+)
 from repro.metrics.counters import ComponentKind
 from repro.metrics.recorder import SeriesRecorder
 from repro.system.legion import LegionSystem
@@ -192,7 +198,7 @@ def run_e9_mega_unit(size: int, seed: int, quick: bool = True) -> Dict:
     }
 
 
-def shard_units(quick: bool = True, mega: Optional[int] = None) -> list:
+def units(quick: bool, flags: Flags) -> list:
     """The independent work units of one E9 sweep.
 
     Each unit is one (configuration arm, system size) pair: every unit
@@ -206,22 +212,16 @@ def shard_units(quick: bool = True, mega: Optional[int] = None) -> list:
     escalation boundary (:func:`run_e9_mega_unit`).
     """
     sweep = [2, 4, 8] if quick else [2, 4, 8, 16, 32]
-    units = [
+    out = [
         (arm, n_sites) for n_sites in sweep for arm in ("mitigated", "strawman")
     ]
-    if mega:
-        units.extend(("mega", size) for size in e9_mega_sizes(mega, quick))
-    return units
+    if flags["mega"]:
+        out.extend(("mega", size) for size in e9_mega_sizes(flags["mega"], quick))
+    return out
 
 
-def shard_measure(
-    unit,
-    quick: bool = True,
-    seed: int = 0,
-    trace: Optional[str] = None,
-    mega: Optional[int] = None,
-) -> dict:
-    """Run one unit; returns a picklable partial for :func:`shard_finish`."""
+def measure(unit, quick: bool, seed: int, flags: Flags) -> dict:
+    """Run one unit; returns a picklable partial for :func:`finish`."""
     arm, n_sites = unit
     if arm == "mega":
         return run_e9_mega_unit(n_sites, seed=seed, quick=quick)
@@ -231,7 +231,7 @@ def shard_measure(
         mitigated=mitigated,
         seed=seed,
         quick=quick,
-        traced=mitigated and trace is not None,
+        traced=mitigated and flags["trace"] is not None,
     )
     return {
         "arm": arm,
@@ -242,16 +242,10 @@ def shard_measure(
     }
 
 
-def shard_finish(
-    partials,
-    quick: bool = True,
-    seed: int = 0,
-    trace: Optional[str] = None,
-    mega: Optional[int] = None,
-) -> ExperimentResult:
+def finish(partials, quick: bool, seed: int, flags: Flags) -> ExperimentResult:
     """Merge unit partials into the E9 result, in deterministic unit order.
 
-    Partials are consumed in :func:`shard_units` order regardless of the
+    Partials are consumed in :func:`units` order regardless of the
     order workers finished in, so the recorder rows, the check list, and
     the float accumulation of ``sim_clock`` are byte-identical to the
     sequential run.
@@ -345,7 +339,7 @@ def shard_finish(
             all(reconciliations),
             f"{sum(reconciliations)}/{len(reconciliations)} sizes agree",
         )
-        path = export_trace(last_spans, trace, "e9", seed)
+        path = export_trace(last_spans, flags["trace"], "e9", seed)
         result.notes += f"\ntrace (largest mitigated config): {path}"
 
     if mega_partials:
@@ -386,29 +380,12 @@ def shard_finish(
     return result
 
 
-def run(
-    quick: bool = True,
-    seed: int = 0,
-    trace: Optional[str] = None,
-    mega: Optional[int] = None,
-) -> ExperimentResult:
-    """Sweep sites; compare mitigated vs strawman bottleneck growth.
-
-    With ``trace``, every mitigated configuration also records causal
-    spans; the claim is then re-checked from the *trace side*: the
-    span-ledger's max per-component load must be ~flat in system size,
-    and at every size the ledger must reconcile exactly with the request
-    counters the table is built from.
-
-    ``mega`` (the runner's ``--mega N`` flag) appends the columnar
-    size ladder: the same load-slope claim checked at 10^6-10^7 objects
-    through the frame-at-once backend.
-
-    Composed from the shard protocol, so the sequential run IS the
-    ``--jobs 1`` reference the sharded runner reproduces.
-    """
-    partials = [
-        shard_measure(unit, quick=quick, seed=seed, trace=trace, mega=mega)
-        for unit in shard_units(quick=quick, mega=mega)
-    ]
-    return shard_finish(partials, quick=quick, seed=seed, trace=trace, mega=mega)
+#: Sweep sites; compare mitigated vs strawman bottleneck growth.  With
+#: ``trace``, every mitigated configuration also records causal spans and
+#: the claim is re-checked from the *trace side*: the span ledger's max
+#: per-component load must be ~flat in system size, and at every size the
+#: ledger must reconcile exactly with the request counters the table is
+#: built from.  ``mega`` appends the columnar size ladder: the same
+#: load-slope claim checked at 10^6-10^7 objects through the
+#: frame-at-once backend.
+EXPERIMENT = Experiment(("trace", "mega"), units, measure, finish)

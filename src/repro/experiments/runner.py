@@ -1,14 +1,12 @@
-"""The experiment runner: registry, parallel fan-out, and the CLI.
+"""The experiment runner: the registry, the one execution path, the CLI.
 
-The full sweep (E1-E18 plus the A1-A4 ablations) is embarrassingly
-parallel: every experiment builds its own :class:`LegionSystem` from a
-seed and shares nothing with the others.  ``run_many`` therefore fans the
-sweep across a :class:`concurrent.futures.ProcessPoolExecutor` when asked
-(``--jobs N``), while keeping the *printed output* byte-identical to the
-sequential run: workers return rendered reports, and the parent prints
-them in submission order.  Simulated-time results are deterministic per
-(experiment, quick, seed) regardless of scheduling, so parallelism is
-purely a wall-clock optimisation.
+Every experiment is one :class:`~repro.experiments.common.Experiment`
+record (``units → measure → finish``), and the full sweep (E1-E18 plus
+the A1-A4 ablations) is embarrassingly parallel at the grain of the
+unit: each builds its own :class:`LegionSystem` from a seed and shares
+nothing.  ``run_many`` submits every unit and merges the partials in
+unit order in this process, so ``--jobs N`` is purely a wall-clock
+optimisation: the *printed output* is byte-identical at any ``N``.
 
 ``python -m repro.experiments`` dispatches here; see :func:`main`.
 """
@@ -16,16 +14,18 @@ purely a wall-clock optimisation.
 from __future__ import annotations
 
 import argparse
-import inspect
+import functools
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments import (
     ablation_caching,
     ablation_propagation,
+    ablation_ttl_locality,
     e1_binding_path,
     e2_agent_load,
     e3_combining_tree,
@@ -45,56 +45,42 @@ from repro.experiments import (
     e17_governor,
     e18_scenarios,
 )
-from repro.experiments.ablation_ttl_locality import run_locality, run_ttl
+from repro.experiments.common import Experiment, whole
 
-#: Experiments refactored onto the shard protocol: a module exposing
-#: ``shard_units(...)`` (the picklable independent work units, each its
-#: own seeded system), ``shard_measure(unit, ...)`` (run one unit in any
-#: process; returns a picklable partial), and ``shard_finish(partials,
-#: ...)`` (merge in deterministic unit order; returns the
-#: ExperimentResult).  ``run_many(..., jobs=N)`` runs the units of these
-#: experiments on the same worker pool as the whole experiments.  The
-#: merge consumes partials in unit order, so reports are byte-identical
-#: at any ``jobs``.
-SHARDED = {
-    "e9": e9_scaling,
-    "e13": e13_availability,
-    "e15": e15_overload,
-    "e16": e16_georeplication,
-    "e17": e17_governor,
-    "e18": e18_scenarios,
-}
-
-RUNNERS = {
-    "e1": e1_binding_path.run,
-    "e2": e2_agent_load.run,
-    "e3": e3_combining_tree.run,
-    "e4": e4_class_cloning.run,
-    "e5": e5_lifecycle.run,
-    "e6": e6_stale_bindings.run,
-    "e7": e7_replication.run,
-    "e8": e8_inheritance.run,
-    "e9": e9_scaling.run,
-    "e10": e10_bootstrap.run,
-    "e11": e11_autonomy.run,
-    "e12": e12_loids.run,
-    "e13": e13_availability.run,
-    "e14": e14_autoscale.run,
-    "e15": e15_overload.run,
-    "e16": e16_georeplication.run,
-    "e17": e17_governor.run,
-    "e18": e18_scenarios.run,
-    "a1": ablation_propagation.run,
-    "a2": ablation_caching.run,
-    "a3": run_ttl,
-    "a4": run_locality,
+#: The registry: id -> the record ``run_many`` interprets.  A sweep whose
+#: points are independent seeded universes lists them as its units; an
+#: experiment that stays one ``run(quick, seed, ...)`` is ``whole`` -- one
+#: unit -- with the flags its signature takes named here.
+RUNNERS: Dict[str, Experiment] = {
+    "e1": whole(e1_binding_path.run, "trace"),
+    "e2": whole(e2_agent_load.run),
+    "e3": whole(e3_combining_tree.run, "trace"),
+    "e4": whole(e4_class_cloning.run),
+    "e5": whole(e5_lifecycle.run),
+    "e6": whole(e6_stale_bindings.run),
+    "e7": whole(e7_replication.run),
+    "e8": whole(e8_inheritance.run),
+    "e9": e9_scaling.EXPERIMENT,
+    "e10": whole(e10_bootstrap.run),
+    "e11": whole(e11_autonomy.run),
+    "e12": whole(e12_loids.run),
+    "e13": e13_availability.EXPERIMENT,
+    "e14": whole(e14_autoscale.run, "autoscale", "report"),
+    "e15": e15_overload.EXPERIMENT,
+    "e16": e16_georeplication.EXPERIMENT,
+    "e17": e17_governor.EXPERIMENT,
+    "e18": e18_scenarios.EXPERIMENT,
+    "a1": whole(ablation_propagation.run),
+    "a2": whole(ablation_caching.run),
+    "a3": whole(ablation_ttl_locality.run_ttl),
+    "a4": whole(ablation_ttl_locality.run_locality),
 }
 
 #: The subsystem flags, declared once as (keyword, argparse options,
 #: help).  The CLI derives its ``--keyword`` options from this table and
-#: :func:`run_one` validates its ``**flags`` against it.  *Which*
+#: :func:`run_many` validates its ``**flags`` against it.  *Which*
 #: experiment takes which flag is not repeated here: a flag reaches
-#: exactly the runners whose signature declares its keyword.
+#: exactly the experiments whose record declares its keyword.
 FLAGS = (
     (
         "trace",
@@ -159,12 +145,11 @@ FLAG_NAMES = tuple(keyword for keyword, _options, _help in FLAGS)
 
 @dataclass
 class RunOutcome:
-    """One experiment run, reduced to picklable primitives.
-
-    Workers in the process pool return these instead of
-    :class:`~repro.experiments.common.ExperimentResult` (whose recorder
-    holds arbitrary objects); the parent only needs the rendered report
-    and the verdict.
+    """One experiment run as the CLI and the performance ledger read it:
+    the rendered report, the verdict, the failed checks' names
+    (``("crashed",)`` for a crash), and ``elapsed``: the sum of the unit
+    walls, each timed in the process that ran it, plus ``finish`` -- the
+    same at any ``jobs``, never time queued behind other experiments.
     """
 
     name: str
@@ -173,95 +158,55 @@ class RunOutcome:
     report: str
     elapsed: float
     seed: int
+    failed: Tuple[str, ...] = ()
 
 
-def _accepts(runner, keyword: str) -> bool:
-    """Whether an experiment runner takes ``keyword`` as a parameter."""
-    try:
-        return keyword in inspect.signature(runner).parameters
-    except (TypeError, ValueError):  # pragma: no cover - builtins only
-        return False
-
-
-def _filter_kwargs(fn, kwargs: dict) -> dict:
-    """The subset of ``kwargs`` that ``fn``'s signature declares."""
-    return {k: v for k, v in kwargs.items() if _accepts(fn, k)}
-
-
-def _run_sharded(module, pool: ProcessPoolExecutor, kwargs: dict):
-    """Run one experiment's units on ``pool`` and merge them in the parent.
-
-    Units are independent by the shard contract (each builds its own
-    seeded system), so scheduling is purely a wall-clock optimisation:
-    partials are collected in unit order and merged by the module's
-    ``shard_finish``, which produces the same ExperimentResult as the
-    sequential run byte-for-byte.
-    """
-    units = module.shard_units(**_filter_kwargs(module.shard_units, kwargs))
-    measure_kwargs = _filter_kwargs(module.shard_measure, kwargs)
-    # Submit in reverse unit order: sweeps list units smallest first, so
-    # reverse submission approximates longest-first scheduling and keeps
-    # the expensive tail unit off the end of the critical path.
-    futures = [
-        pool.submit(module.shard_measure, unit, **measure_kwargs)
-        for unit in reversed(units)
-    ]
-    partials = [future.result() for future in reversed(futures)]
-    return module.shard_finish(
-        partials, **_filter_kwargs(module.shard_finish, kwargs)
-    )
-
-
-def run_one(
-    name: str,
-    quick: bool,
-    seed: int,
-    pool: Optional[ProcessPoolExecutor] = None,
-    **flags,
-) -> RunOutcome:
-    """Execute one experiment; never raises (a crash is a failed outcome).
-
-    ``flags`` are the :data:`FLAGS` keywords; an unknown one is a caller
-    bug and raises ``TypeError`` before anything runs.  Each flag that
-    is not ``None`` is forwarded only to runners that declare its
-    keyword; the rest run exactly as without it.
-
-    ``pool`` (given only by :func:`run_many`, in the parent process) runs
-    the independent units of a :data:`SHARDED` experiment on that pool's
-    workers with a deterministic merge; a crashed unit is a crashed
-    experiment.  Non-sharded experiments ignore it.
-    """
-    for keyword in flags:
-        if keyword not in FLAG_NAMES:
-            raise TypeError(
-                f"unknown flag {keyword!r}; valid flags: {', '.join(FLAG_NAMES)}"
-            )
+def _timed(hook, *args):
+    """``(hook(*args), its wall time)``, taken in the process that runs it."""
     started = time.perf_counter()
+    value = hook(*args)
+    return value, time.perf_counter() - started
+
+
+def _crashed(name: str, seed: int, elapsed: float) -> RunOutcome:
+    """Call from an ``except``: a task that raised is a FAIL, not an abort."""
+    report = f"== {name}: CRASHED ==\n{traceback.format_exc().rstrip()}"
+    return RunOutcome(name, name.upper(), False, report, elapsed, seed, ("crashed",))
+
+
+def _queue(submit, name: str, quick: bool, seed: int, flags: dict):
+    """Submit every unit of one task; returns what :func:`_merge` reads."""
     try:
-        runner = RUNNERS[name]
-        kwargs = {"quick": quick, "seed": seed}
-        for keyword in flags:
-            if flags[keyword] is not None and _accepts(runner, keyword):
-                kwargs[keyword] = flags[keyword]
-        module = SHARDED.get(name)
-        if pool is not None and module is not None:
-            result = _run_sharded(module, pool, kwargs)
-        else:
-            result = runner(**kwargs)
-        report = result.render()
-        experiment = result.experiment
-        passed = result.passed
+        experiment = RUNNERS[name]
+        own = experiment.bind(flags)
+        reads = [
+            submit(_timed, experiment.measure, unit, quick, seed, own)
+            for unit in experiment.units(quick, own)
+        ]
     except Exception:  # noqa: BLE001 - a crashed experiment is a FAIL, not an abort
-        report = f"== {name}: CRASHED ==\n{traceback.format_exc().rstrip()}"
-        experiment = name.upper()
-        passed = False
+        return _crashed(name, seed, 0.0)
+    return experiment, own, reads
+
+
+def _merge(name: str, quick: bool, seed: int, queued) -> RunOutcome:
+    """Read one task's partials back in unit order and finish it."""
+    if isinstance(queued, RunOutcome):
+        return queued
+    experiment, own, reads = queued
+    elapsed = 0.0
+    try:
+        partials = []
+        for read in reads:
+            partial, wall = read()
+            partials.append(partial)
+            elapsed += wall
+        result, wall = _timed(experiment.finish, partials, quick, seed, own)
+        report = result.render()
+    except Exception:  # noqa: BLE001 - a crashed experiment is a FAIL, not an abort
+        return _crashed(name, seed, elapsed)
+    failed = tuple(check.name for check in result.checks if not check.passed)
     return RunOutcome(
-        name=name,
-        experiment=experiment,
-        passed=passed,
-        report=report,
-        elapsed=time.perf_counter() - started,
-        seed=seed,
+        name, result.experiment, not failed, report, elapsed + wall, seed, failed
     )
 
 
@@ -274,43 +219,43 @@ def run_many(
 ) -> List[RunOutcome]:
     """Run ``names`` x ``seeds``, ``jobs`` at a time; outcomes in input order.
 
-    ``flags`` (the :data:`FLAGS` keywords) go to every :func:`run_one`,
-    which rejects an unknown one before any experiment runs.
+    ``flags`` are the :data:`FLAGS` keywords; an unknown one is a caller
+    bug and raises ``TypeError`` before anything runs.  Each experiment
+    receives exactly the flags its record declares (``None`` when
+    unset) and runs the same with or without the rest.
 
-    ``jobs=1`` runs inline (no pool, no fork) -- this is the reference
-    path whose output the parallel path reproduces byte-for-byte.  Traced
-    and fault-injected runs keep that contract: span ids, timestamps, and
-    chaos schedules are functions of the per-experiment kernel's
-    deterministic seed, so reports and exported artifacts are identical
-    at any ``jobs``.
-
-    ``jobs > 1`` opens the one worker pool.  Whole experiments and the
-    units of :data:`SHARDED` experiments share its workers: the former
-    are submitted as ``run_one`` calls, the latter are driven from this
-    process, which submits their units and merges the partials, so no
-    worker ever opens a pool of its own.
+    There is one path: every unit of every task is submitted, then each
+    task's partials are read back in unit order and merged by its
+    ``finish`` in this process.  ``jobs > 1`` submits to the one worker
+    pool, so all units are queued on it before any is read and no worker
+    ever opens a pool of its own.  ``jobs=1`` defers each call until it
+    is read -- experiment after experiment, each merged before the next
+    starts; no future, no pool, no fork -- and is the reference whose
+    output the pool reproduces byte-for-byte.  Traced and fault-injected
+    runs keep that contract: span ids, timestamps, and chaos schedules
+    are functions of the per-unit kernel's deterministic seed, so
+    reports and exported artifacts are identical at any ``jobs``.
     """
+    for keyword in flags:
+        if keyword not in FLAG_NAMES:
+            raise TypeError(
+                f"unknown flag {keyword!r}; valid flags: {', '.join(FLAG_NAMES)}"
+            )
     tasks = [(name, quick, seed) for seed in seeds for name in names]
-    if jobs <= 1:
-        return [run_one(*task, **flags) for task in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        # Whole experiments are queued first, so the workers are busy
-        # while this process walks the sharded ones, and read last, so a
-        # long one never holds up the submission of a later sweep's units.
-        whole = {
-            index: pool.submit(run_one, *task, **flags)
-            for index, task in enumerate(tasks)
-            if task[0] not in SHARDED
-        }
-        driven = {
-            index: run_one(*task, pool=pool, **flags)
-            for index, task in enumerate(tasks)
-            if index not in whole
-        }
-        return [
-            whole[index].result() if index in whole else driven[index]
-            for index in range(len(tasks))
-        ]
+    with (ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext()) as pool:
+        # ``submit`` returns the call that reads the result back: a pool
+        # future's ``result``, or (no pool) the deferred call itself.
+        submit = (
+            (lambda *call: pool.submit(*call).result) if pool else functools.partial
+        )
+        queued = [_queue(submit, *task, flags) for task in tasks]
+        return [_merge(*task, entry) for task, entry in zip(tasks, queued, strict=True)]
+
+
+def run_one(name: str, quick: bool, seed: int, **flags) -> RunOutcome:
+    """:func:`run_many` of one task, inline."""
+    (outcome,) = run_many([name], quick=quick, seeds=(seed,), **flags)
+    return outcome
 
 
 def render_summary(outcomes: Sequence[RunOutcome], multi_seed: bool) -> str:
@@ -320,6 +265,7 @@ def render_summary(outcomes: Sequence[RunOutcome], multi_seed: bool) -> str:
         status = "PASS" if o.passed else "FAIL"
         tag = f"({o.name}, seed {o.seed})" if multi_seed else f"({o.name})"
         lines.append(f"  {status}  {o.experiment:<4} {tag}  {o.elapsed:6.1f}s")
+        lines.extend(f"        - {name}" for name in o.failed)
     lines.append("=" * 60)
     all_passed = all(o.passed for o in outcomes)
     lines.append("all claims hold" if all_passed else "SOME CLAIMS FAILED")
@@ -353,9 +299,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         default=1,
         metavar="N",
         help=(
-            "run on N worker processes shared by whole experiments and "
-            "the independent units of the e9/e13/e15/e16/e17/e18 sweeps; "
-            "reports are byte-identical at any N (default 1)"
+            "run on N worker processes shared by the independent units "
+            "of every experiment; reports are byte-identical at any N "
+            "(default 1)"
         ),
     )
     for keyword, options, help_text in FLAGS:

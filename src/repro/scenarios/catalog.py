@@ -137,7 +137,6 @@ _CATALOG_DICTS = (
         "n_classes": 2,
         "service_time": 2.0,
         "batch_units": 3.0,
-        "checkpoint_restart": True,
         "mix": {"kinds": {"batch": 1.0}, "locality": 1.0},
         "phases": [
             {

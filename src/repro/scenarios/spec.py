@@ -115,7 +115,6 @@ class ScenarioSpec:
     batch_units: float = 3.0
     tick_ms: float = 20.0
     consistency: str = "primary-copy"
-    checkpoint_restart: bool = False
     tenants: Tuple[TenantSpec, ...] = (TenantSpec(),)
     mix: MixSpec = field(default_factory=MixSpec)
     phases: Tuple[PhaseSpec, ...] = ()

@@ -3,7 +3,7 @@
 
 import pytest
 
-from repro.experiments.__main__ import RUNNERS, main
+from repro.experiments.runner import RUNNERS, main
 
 
 class TestCLI:

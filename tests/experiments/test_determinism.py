@@ -13,8 +13,8 @@ from repro.experiments.runner import RUNNERS
 
 @pytest.mark.parametrize("name", ["e1", "e9"])
 def test_same_seed_same_universe(name):
-    first = RUNNERS[name](quick=True, seed=0)
-    second = RUNNERS[name](quick=True, seed=0)
+    first = RUNNERS[name].run(quick=True, seed=0)
+    second = RUNNERS[name].run(quick=True, seed=0)
     assert first.passed and second.passed
     # Claim tables and check details are identical text.
     assert first.render() == second.render()
@@ -25,8 +25,8 @@ def test_same_seed_same_universe(name):
 
 
 def test_different_seed_different_universe():
-    base = RUNNERS["e9"](quick=True, seed=0)
-    other = RUNNERS["e9"](quick=True, seed=1)
+    base = RUNNERS["e9"].run(quick=True, seed=0)
+    other = RUNNERS["e9"].run(quick=True, seed=1)
     # Claims hold either way; the realized universe differs.
     assert base.passed and other.passed
     assert (base.sim_clock, base.sim_events) != (other.sim_clock, other.sim_events)

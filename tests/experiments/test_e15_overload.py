@@ -5,13 +5,13 @@ from __future__ import annotations
 import json
 import os
 
-from repro.experiments import e15_overload
+from repro.experiments.e15_overload import EXPERIMENT as E15
 
 
 def test_traced_overload_run_audits_and_exports(tmp_path):
     trace_dir = str(tmp_path / "traces")
     report_dir = str(tmp_path / "reports")
-    result = e15_overload.run(
+    result = E15.run(
         quick=True, seed=0, overload=2, trace=trace_dir, report=report_dir
     )
     failed = [c for c in result.checks if not c.passed]
@@ -31,6 +31,6 @@ def test_traced_overload_run_audits_and_exports(tmp_path):
 
 
 def test_overload_multiplier_overrides_the_sweep_top():
-    result = e15_overload.run(quick=True, seed=0, overload=3)
+    result = E15.run(quick=True, seed=0, overload=3)
     assert result.passed, [str(c) for c in result.checks if not c.passed]
     assert max(result.recorder.xs) == 3

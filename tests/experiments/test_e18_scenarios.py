@@ -10,12 +10,13 @@ artifact and the ``--list-scenarios`` listing.
 
 import json
 
-from repro.experiments import e18_scenarios, runner
+from repro.experiments import runner
+from repro.experiments.e18_scenarios import EXPERIMENT as E18
 from repro.scenarios import scenario_names
 
 
 def test_units_cover_the_scenario_x_arm_matrix():
-    units = e18_scenarios.shard_units(quick=True)
+    units = E18.units(True, E18.bind({}))
     names = {u[0] for u in units}
     arms = {u[1] for u in units}
     assert names == set(scenario_names())
@@ -24,9 +25,8 @@ def test_units_cover_the_scenario_x_arm_matrix():
 
 
 def test_optional_flags_add_their_arms():
-    units = e18_scenarios.shard_units(
-        quick=True, overload=6.0, autoscale=0.7, replicas=3
-    )
+    flags = E18.bind({"overload": 6.0, "autoscale": 0.7, "replicas": 3})
+    units = E18.units(True, flags)
     arms = {u[1] for u in units}
     assert {"overload", "autoscale", "replicas"} <= arms
 
@@ -56,8 +56,8 @@ def test_the_optional_arms_hold_their_claims():
 
 def test_report_artifact_is_written_and_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
-    ra = e18_scenarios.run(quick=True, seed=0, report=str(a))
-    rb = e18_scenarios.run(quick=True, seed=0, report=str(b))
+    ra = E18.run(quick=True, seed=0, report=str(a))
+    rb = E18.run(quick=True, seed=0, report=str(b))
     assert ra.passed and rb.passed
     pa = a / "e18-scenarios-seed0.json"
     pb = b / "e18-scenarios-seed0.json"

@@ -6,9 +6,9 @@ rendered reports -- claim tables, check details, kernel fingerprints --
 must match the sequential reference run byte for byte.  This matrix pins
 that across E1-E18, including e14 whose autoscaler actions (spawn/retire
 schedules) feed directly into the printed table, e15 whose per-call
-overload records decide every goodput figure, and the six SHARDED sweeps
-(e9/e13/e15/e16/e17/e18), whose units run on the same pool and are
-merged in unit order by ``shard_finish``.
+overload records decide every goodput figure, and the six multi-unit
+sweeps (e9/e13/e15/e16/e17/e18), whose units share the pool with
+everything else and are merged in unit order by their ``finish``.
 
 It is also the cover for the identity-hashed enums (``LinkClass``,
 ``ComponentKind``): ``NetworkStats.by_class`` and the metrics registry

@@ -1,12 +1,13 @@
-"""The parallel experiment runner: fan-out equivalence and CLI plumbing."""
+"""The experiment runner: one path at any ``jobs``, crashes, flags, CLI."""
 
-import inspect
+import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from repro.experiments import e9_scaling, runner
+from repro.experiments import runner
+from repro.experiments.common import Experiment, ExperimentResult, whole
 from repro.experiments.runner import (
     FLAG_NAMES,
     RUNNERS,
@@ -16,13 +17,33 @@ from repro.experiments.runner import (
     run_many,
     run_one,
 )
+from repro.metrics.recorder import SeriesRecorder
+
+
+def _result(partials, quick, seed, flags):
+    result = ExperimentResult("T", "test sweep", "units merge", SeriesRecorder())
+    result.check("partials arrive in unit order", partials == sorted(partials))
+    return result
+
+
+def _sweep(units=lambda quick, flags: [1, 2, 3], measure=None, finish=_result):
+    """A three-unit experiment whose hooks a test can swap out."""
+    return Experiment((), units, measure or _echo, finish)
+
+
+def _echo(unit, quick, seed, flags):
+    return unit
+
+
+def _boom(*_args, **_kwargs):
+    raise RuntimeError("injected crash")
 
 
 def test_run_one_returns_primitives():
     outcome = run_one("e1", quick=True, seed=0)
     assert outcome.name == "e1"
     assert outcome.experiment == "E1"
-    assert outcome.passed
+    assert outcome.passed and outcome.failed == ()
     assert "binding resolution path" in outcome.report
     assert outcome.elapsed >= 0.0
     assert outcome.seed == 0
@@ -66,20 +87,69 @@ def test_multi_seed_ordering():
     assert [(o.name, o.seed) for o in outcomes] == [("e1", 0), ("e1", 1)]
 
 
-def test_crashed_experiment_is_a_failure(monkeypatch):
-    def boom(quick, seed):
-        raise RuntimeError("injected crash")
+def test_jobs_1_merges_each_experiment_before_measuring_the_next(monkeypatch):
+    log = []
 
-    monkeypatch.setitem(RUNNERS, "e1", boom)
+    def sweep(name):
+        def measure(unit, quick, seed, flags):
+            log.append((name, unit))
+            return unit
+
+        def finish(partials, quick, seed, flags):
+            log.append((name, "finish"))
+            return _result(partials, quick, seed, flags)
+
+        return _sweep(measure=measure, finish=finish)
+
+    monkeypatch.setitem(RUNNERS, "e1", sweep("first"))
+    monkeypatch.setitem(RUNNERS, "e2", sweep("second"))
+    assert all(o.passed for o in run_many(["e1", "e2"], jobs=1))
+    assert log == [
+        (name, step) for name in ("first", "second") for step in (1, 2, 3, "finish")
+    ]
+
+
+def test_elapsed_is_the_unit_walls_plus_finish(monkeypatch):
+    # Every clock read advances one tick, so each timed span is one tick
+    # wide wherever and whenever it ran.
+    monkeypatch.setattr(runner.time, "perf_counter", itertools.count().__next__)
+    monkeypatch.setitem(RUNNERS, "e1", _sweep())
+    first, second = run_many(["e1", "e2"], jobs=1)
+    assert first.elapsed == 3 + 1  # three units and finish
+    assert second.elapsed == 1 + 1  # a whole experiment is one unit
+
+
+def test_crashed_experiment_is_a_failure(monkeypatch):
+    monkeypatch.setitem(RUNNERS, "e1", whole(_boom))
     outcome = run_one("e1", quick=True, seed=0)
-    assert not outcome.passed
+    assert not outcome.passed and outcome.failed == ("crashed",)
+    assert "e1: CRASHED" in outcome.report
     assert "injected crash" in outcome.report
+
+
+def _assert_the_crash_is_contained(monkeypatch, hook, jobs):
+    monkeypatch.setitem(RUNNERS, "e9", _sweep(**{hook: _boom}))
+    e9, e12 = run_many(["e9", "e12"], quick=True, seeds=(0,), jobs=jobs)
+    assert not e9.passed and e9.failed == ("crashed",)
+    assert "e9: CRASHED" in e9.report
+    assert "injected crash" in e9.report
+    assert e12.passed  # the sweep went on
+
+
+def test_crashed_unit_in_a_worker_is_a_crashed_experiment(monkeypatch):
+    _assert_the_crash_is_contained(monkeypatch, "measure", jobs=2)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("hook", ["units", "finish"])
+def test_units_or_finish_raising_is_a_crashed_experiment(monkeypatch, hook, jobs):
+    _assert_the_crash_is_contained(monkeypatch, hook, jobs)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_unknown_flag_fails_loudly_before_any_task_runs(monkeypatch, jobs):
     ran = []
-    monkeypatch.setitem(RUNNERS, "e1", lambda quick, seed: ran.append(seed))
+    monkeypatch.setitem(RUNNERS, "e1", whole(lambda quick, seed: ran.append(seed)))
     with pytest.raises(TypeError) as exc:
         run_many(["e1"], jobs=jobs, fualts=2)
     assert "'fualts'" in str(exc.value)
@@ -88,46 +158,43 @@ def test_unknown_flag_fails_loudly_before_any_task_runs(monkeypatch, jobs):
 
 
 def test_flag_table_and_runner_signatures_agree():
-    """A flag reaches the runners whose signature declares it, so every
-    flag needs at least one taker and no runner may declare a keyword
+    """A flag reaches the experiments whose record declares it, so every
+    flag needs at least one taker and no record may declare a keyword
     the table (and hence the CLI) does not know."""
     declared = set()
-    for fn in RUNNERS.values():
-        declared |= set(inspect.signature(fn).parameters)
-    assert declared - {"quick", "seed"} == set(FLAG_NAMES)
+    for experiment in RUNNERS.values():
+        declared |= set(experiment.flags)
+    assert declared == set(FLAG_NAMES)
 
 
 def test_flags_reach_only_the_runners_that_declare_them(monkeypatch):
     seen = {}
 
-    def takes_faults(quick, seed, faults=None):
+    def takes_faults(quick, seed, faults):
         seen["faults"] = faults
         raise RuntimeError("stop here")
 
-    monkeypatch.setitem(RUNNERS, "e12", takes_faults)
+    monkeypatch.setitem(RUNNERS, "e12", whole(takes_faults, "faults"))
     run_one("e12", quick=True, seed=0, faults=2.0, mega=7)
     assert seen == {"faults": 2.0}
-
-
-def _crashing_unit(unit, quick, seed):
-    raise RuntimeError(f"injected unit crash {unit}")
-
-
-def test_crashed_unit_in_a_worker_is_a_crashed_experiment(monkeypatch):
-    monkeypatch.setattr(e9_scaling, "shard_measure", _crashing_unit)
-    e9, e12 = run_many(["e9", "e12"], quick=True, seeds=(0,), jobs=2)
-    assert not e9.passed
-    assert "e9: CRASHED" in e9.report
-    assert "injected unit crash" in e9.report
-    assert e12.passed  # the sweep went on
+    # Direct use of a record is strict: a flag it does not declare is a bug.
+    with pytest.raises(TypeError, match="mega"):
+        RUNNERS["e12"].run(quick=True, seed=0, mega=7)
 
 
 def test_render_summary_verdict():
     ok = RunOutcome("e1", "E1", True, "", 0.1, 0)
-    bad = RunOutcome("e2", "E2", False, "", 0.2, 0)
+    bad = RunOutcome("e2", "E2", False, "", 0.2, 0, ("x1 flow: settles", "crashed"))
     text = render_summary([ok, bad], multi_seed=False)
     assert "SOME CLAIMS FAILED" in text
     assert "PASS  E1" in text and "FAIL  E2" in text
+    # The failing checks are named, indented, under their FAIL row.
+    rows = text.splitlines()
+    at = next(i for i, row in enumerate(rows) if "FAIL  E2" in row)
+    assert [row.strip() for row in rows[at + 1 : at + 3]] == [
+        "- x1 flow: settles",
+        "- crashed",
+    ]
     assert "all claims hold" in render_summary([ok], multi_seed=False)
 
 

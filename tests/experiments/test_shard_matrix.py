@@ -1,39 +1,38 @@
-"""The shard protocol: registry and hooks of the unit-sharded sweeps.
+"""The unit protocol: which experiments shard, and what may cross the pool.
 
-Each SHARDED experiment decomposes into independent units (one seeded
-universe per jurisdiction sweep point) that ``run_many(..., jobs=N)``
-measures in any order on its worker pool; ``shard_finish`` merges the
-partials in unit order.  ``run()`` itself is composed from the same
-three hooks, which is what makes the sequential run the reference.  The
+Every experiment is ``units → measure → finish``
+(:class:`repro.experiments.common.Experiment`); the sweeps whose points
+are independent seeded universes list more than one unit, and
+``run_many(..., jobs=N)`` measures those in any order on its worker
+pool before ``finish`` merges the partials in unit order.  The
 byte-identity of the reports across ``--jobs`` is pinned by
-``test_jobs_matrix.py``.
+``test_jobs_matrix.py``; here, the structure it rests on.
 """
 
-from repro.experiments.runner import SHARDED
+import pickle
+
+from repro.experiments.runner import RUNNERS
 
 MATRIX = ["e9", "e13", "e15", "e16", "e17", "e18"]
 
 
-def test_sharded_registry_covers_the_matrix():
-    assert sorted(SHARDED) == sorted(MATRIX)
-    for name, module in SHARDED.items():
-        for hook in ("shard_units", "shard_measure", "shard_finish"):
-            assert hasattr(module, hook), f"{name} lacks {hook}"
-
-
 def test_every_sharded_sweep_has_parallelism_to_farm_out():
-    for name, module in SHARDED.items():
-        assert len(module.shard_units(quick=True)) > 1, name
-
-
-def test_run_is_composed_from_the_shard_hooks():
-    """The sequential ``run()`` and a hand-driven measure/finish agree."""
-    module = SHARDED["e9"]
-    partials = [
-        module.shard_measure(unit, quick=True, seed=0)
-        for unit in module.shard_units(quick=True)
+    sharded = [
+        name
+        for name, experiment in RUNNERS.items()
+        if len(experiment.units(True, experiment.bind({}))) > 1
     ]
-    composed = module.shard_finish(partials, quick=True, seed=0)
-    direct = module.run(quick=True, seed=0)
-    assert composed.render() == direct.render()
+    assert sharded == MATRIX
 
+
+def test_partials_survive_the_pool_boundary(quick_sweep, quick_partials):
+    """A partial that has been through pickle merges to the same bytes:
+    at ``--jobs N`` every partial reaches ``finish`` that way, so a live
+    object (a system, a generator, a lambda) in one must fail here, by
+    name, rather than as a worker-side traceback in a sweep."""
+    assert sorted(quick_partials) == sorted(RUNNERS)
+    for name, partials in quick_partials.items():
+        experiment = RUNNERS[name]
+        shipped = pickle.loads(pickle.dumps(partials))
+        result = experiment.finish(shipped, True, 0, experiment.bind({}))
+        assert result.render() == quick_sweep[name].report, name

@@ -12,7 +12,7 @@ install must fail with one actionable LegionError, not a traceback.
 import pytest
 
 from repro.errors import LegionError
-from repro.experiments import e9_scaling
+from repro.experiments.e9_scaling import EXPERIMENT as E9
 from repro.experiments.e9_scaling import e9_mega_sizes, run_e9_mega_unit
 from repro.experiments.runner import run_many
 
@@ -36,8 +36,8 @@ class TestE9MegaUnit:
 
 
 def test_mega_units_extend_the_sweep():
-    base = e9_scaling.shard_units(quick=True)
-    mega = e9_scaling.shard_units(quick=True, mega=MEGA)
+    base = E9.units(True, E9.bind({}))
+    mega = E9.units(True, E9.bind({"mega": MEGA}))
     assert base == [u for u in mega if u[0] != "mega"]
     assert [u for u in mega if u[0] == "mega"] == [
         ("mega", 10_000),
@@ -60,16 +60,6 @@ def test_jobs_1_and_2_mega_reports_are_byte_identical():
     assert seq.passed, f"e9 --mega failed sequentially:\n{seq.report}"
     assert seq.report == par.report, "e9 --mega diverged across --jobs"
     assert "mega" in seq.report
-
-
-def test_run_composes_from_the_shard_hooks_with_mega():
-    partials = [
-        e9_scaling.shard_measure(unit, quick=True, seed=0, mega=MEGA)
-        for unit in e9_scaling.shard_units(quick=True, mega=MEGA)
-    ]
-    composed = e9_scaling.shard_finish(partials, quick=True, seed=0, mega=MEGA)
-    direct = e9_scaling.run(quick=True, seed=0, mega=MEGA)
-    assert composed.render() == direct.render()
 
 
 def test_numpyless_install_gets_one_actionable_error(monkeypatch):

@@ -96,6 +96,7 @@ def test_missing_name_is_actionable():
             lambda d: d.update(tenants=[{"name": "a", "weight": 0}]),
             "tenants[0].weight",
         ),
+        (lambda d: d.update(checkpoint_restart=True), "'checkpoint_restart'"),
     ],
 )
 def test_invalid_specs_fail_with_the_offending_path(mutate, needle):
