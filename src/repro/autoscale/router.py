@@ -58,10 +58,6 @@ class ClonePoolRouter:
     def start(self) -> None:
         """Spawn the refresh loop (idempotent)."""
         if self._proc is None:
-            # CloneEpoch/GetClonePool are idempotent metadata reads; when
-            # the flow subsystem enables batching, concurrent routers on
-            # one client runtime share a single upstream poll message.
-            self.client.runtime.enable_batching("CloneEpoch", "GetClonePool")
             self._proc = self.client.services.kernel.spawn_process(
                 self._loop(), name=f"clone-pool-{self.client.loid}"
             )

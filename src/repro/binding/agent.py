@@ -62,12 +62,6 @@ class BindingAgentImpl(LegionObjectImpl):
     def on_activated(self) -> None:
         if self.parent is not None:
             self.runtime.seed_binding(self.parent)
-        # Flow control (repro.flow): GetBinding escalations are idempotent
-        # metadata reads, so child queries missing the cache inside one
-        # batch window coalesce into a single upstream message -- the
-        # combining tree made real on the data plane.  No-op without a
-        # FlowConfig batch window.
-        self.runtime.enable_batching("GetBinding")
 
     # The agent's cache *is* its runtime's cache: one binding cache per
     # Legion object, exactly as the paper draws it.  The server gives

@@ -111,9 +111,9 @@ class SystemServices:
     fault_log: Any = None
     #: The flow-control configuration (:class:`repro.flow.FlowConfig`), or
     #: ``None`` for the historical unthrottled behaviour.  When set, new
-    #: ObjectServers gain bounded admission queues, runtimes gain credit
-    #: windows and (opt-in) request batching.  Like ``tracer``, every hot
-    #: path guards on ``flow is None`` so the default costs nothing.
+    #: ObjectServers gain bounded admission queues and runtimes gain
+    #: credit windows.  Like ``tracer``, every hot path guards on
+    #: ``flow is None`` so the default costs nothing.
     flow: Any = None
     #: The geo-replication directory (:class:`repro.replication.ReplicaDirectory`),
     #: or ``None`` when the data plane is off.  When set, a call on a

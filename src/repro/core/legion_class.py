@@ -55,7 +55,7 @@ from repro.naming.binding import Binding, NEVER_EXPIRES
 from repro.naming.loid import LOID
 from repro.persistence.opr import OPRecord
 from repro.security.environment import CallEnvironment
-from repro.simkernel.futures import SimFuture
+from repro.simkernel.futures import SimFuture, single_flight
 from repro.simkernel.kernel import Timeout
 
 #: Factory-registry name under which the class-object implementation itself
@@ -176,6 +176,32 @@ class ClassObjectImpl(LegionObjectImpl):
         )
         return Binding(loid, address, expires)
 
+    def _live_row(self, loid: LOID) -> TableRow:
+        """The table row of an object we created and have not deleted."""
+        row = self.table.find(loid)
+        if row is None:
+            raise UnknownObject(f"class {self.class_name} never created {loid}")
+        if row.deleted:
+            raise ObjectDeleted(f"{loid} was deleted")
+        return row
+
+    def _instance_opr(self, loid: LOID, init: Dict[str, Any]) -> OPRecord:
+        """The OPR a magistrate instantiates ``loid`` from: our factory
+        (its kwargs overlaid with ``init``) ahead of the inherited chain."""
+        if not self.instance_factory:
+            raise ObjectModelError(
+                f"class {self.class_name} has no instance implementation registered"
+            )
+        return OPRecord(
+            loid=loid,
+            class_loid=self.loid,
+            factory_chain=[
+                (self.instance_factory, {**self.instance_init, **init}),
+                *self.base_chain,
+            ],
+            component_kind=self.instance_component_kind,
+        )
+
     # ------------------------------------------------------------ magistrate choice
 
     def _choose_magistrate(self, hints: Dict[str, Any], env: CallEnvironment):
@@ -243,22 +269,9 @@ class ClassObjectImpl(LegionObjectImpl):
             )
             return binding
 
-        if not self.instance_factory:
-            raise ObjectModelError(
-                f"class {self.class_name} has no instance implementation registered"
-            )
         loid = self._allocate_instance_loid()
+        opr = self._instance_opr(loid, hints.get("init", {}))
         magistrate = yield from self._choose_magistrate(hints, env)
-        init = dict(self.instance_init)
-        init.update(hints.get("init", {}))
-        chain: List[Tuple[str, Dict[str, Any]]] = [(self.instance_factory, init)]
-        chain.extend(self.base_chain)
-        opr = OPRecord(
-            loid=loid,
-            class_loid=self.loid,
-            factory_chain=chain,
-            component_kind=self.instance_component_kind,
-        )
         address = yield from self.runtime.invoke(
             magistrate, "CreateObject", opr, hints.get("host"), env=env
         )
@@ -297,22 +310,9 @@ class ClassObjectImpl(LegionObjectImpl):
         self.flavor.check_create(self.class_name)
         if n < 1:
             raise ObjectModelError(f"replica count must be >= 1, got {n}")
-        if not self.instance_factory:
-            raise ObjectModelError(
-                f"class {self.class_name} has no instance implementation registered"
-            )
         env = ctx.nested_env(self.loid) if ctx else self.own_env()
         loid = self._allocate_instance_loid()
-        chain: List[Tuple[str, Dict[str, Any]]] = [
-            (self.instance_factory, dict(self.instance_init))
-        ]
-        chain.extend(self.base_chain)
-        opr = OPRecord(
-            loid=loid,
-            class_loid=self.loid,
-            factory_chain=chain,
-            component_kind=self.instance_component_kind,
-        )
+        opr = self._instance_opr(loid, {})
         elements = []
         magistrates_used: List[LOID] = []
         for _i in range(n):
@@ -348,11 +348,7 @@ class ClassObjectImpl(LegionObjectImpl):
     def report_dead_replica(self, loid: LOID, element, *, ctx: Optional[InvocationContext] = None):
         """Shrink a replica group after a member failed; returns the new
         binding (or raises BindingNotFound when no replica remains)."""
-        row = self.table.find(loid)
-        if row is None:
-            raise UnknownObject(f"class {self.class_name} never created {loid}")
-        if row.deleted:
-            raise ObjectDeleted(f"{loid} was deleted")
+        row = self._live_row(loid)
         if row.object_address is None:
             raise BindingNotFound(f"{loid} has no current address", loid=loid)
         shrunk = row.object_address.without(element)
@@ -398,54 +394,26 @@ class ClassObjectImpl(LegionObjectImpl):
         arrives when the group is already at target is a no-op returning
         the current binding.
         """
-        row = self.table.find(loid)
-        if row is None:
-            raise UnknownObject(f"class {self.class_name} never created {loid}")
-        if row.deleted:
-            raise ObjectDeleted(f"{loid} was deleted")
+        row = self._live_row(loid)
         if row.object_address is None:
             raise BindingNotFound(
                 f"{loid} has no current address to grow", loid=loid
             )
-        inflight = self._growing.get(loid.identity)
-        if inflight is not None:
-            binding = yield inflight
-            return binding
-        if 0 < row.replica_want <= len(row.object_address):
-            return self._binding_for(loid, row.object_address)
-        fut = SimFuture(f"grow {loid}")
-        self._growing[loid.identity] = fut
-        try:
-            binding = yield from self._grow_replica(row, loid, magistrate_hint, ctx)
-        except BaseException as exc:
-            self._growing.pop(loid.identity, None)
-            fut.set_exception(exc)
-            raise
-        self._growing.pop(loid.identity, None)
-        fut.set_result(binding)
+        grow = self._grow_replica(row, loid, magistrate_hint, ctx)
+        binding = yield from single_flight(self._growing, loid.identity, "grow", grow)
         return binding
 
     def _grow_replica(
         self, row, loid: LOID, magistrate_hint: Optional[LOID], ctx
     ):
-        """The uncoalesced grow-by-one body behind :meth:`add_replica`."""
+        """The uncoalesced body behind :meth:`add_replica`: grow by one,
+        unless the group already is at its target size."""
         from repro.net.address import ObjectAddress
 
-        if not self.instance_factory:
-            raise ObjectModelError(
-                f"class {self.class_name} has no instance implementation registered"
-            )
+        if 0 < row.replica_want <= len(row.object_address):
+            return self._binding_for(loid, row.object_address)
         env = ctx.nested_env(self.loid) if ctx else self.own_env()
-        chain: List[Tuple[str, Dict[str, Any]]] = [
-            (self.instance_factory, dict(self.instance_init))
-        ]
-        chain.extend(self.base_chain)
-        opr = OPRecord(
-            loid=loid,
-            class_loid=self.loid,
-            factory_chain=chain,
-            component_kind=self.instance_component_kind,
-        )
+        opr = self._instance_opr(loid, {})
         pool: List[LOID] = []
         if magistrate_hint is not None:
             pool.append(magistrate_hint)
@@ -503,18 +471,13 @@ class ClassObjectImpl(LegionObjectImpl):
         yielded its state -- every member dead, partitioned away, or
         shedding under overload.
         """
-        from repro.net.latency import LinkClass
+        from repro.replication.selection import LINK_RANK
 
         sources = list(row.object_address.elements)
         network = getattr(self.services, "network", None)
         if network is not None:
-            rank = {
-                LinkClass.SAME_HOST: 0,
-                LinkClass.SAME_SITE: 1,
-                LinkClass.WIDE_AREA: 2,
-            }
             classify = network.latency.classify
-            sources.sort(key=lambda s: rank[classify(element.host, s.host)])
+            sources.sort(key=lambda s: LINK_RANK[classify(element.host, s.host)])
         for source in sources:
             try:
                 blob = yield from self.runtime.call_element(
@@ -721,10 +684,9 @@ class ClassObjectImpl(LegionObjectImpl):
         Both Active and Inert copies are removed; later GetBinding()
         requests for the LOID report the deletion.
         """
-        row = self.table.find(loid)
-        if row is None:
-            raise UnknownObject(f"class {self.class_name} never created {loid}")
-        if row.deleted:
+        try:
+            row = self._live_row(loid)
+        except ObjectDeleted:
             return  # idempotent
         env = ctx.nested_env(self.loid) if ctx else self.own_env()
         for magistrate in list(row.current_magistrates):
@@ -752,6 +714,7 @@ class ClassObjectImpl(LegionObjectImpl):
         if isinstance(loid, Binding):
             result = yield from self.get_binding_stale(loid, ctx=ctx)
             return result
+        # _live_row, inline: every cold bind in the system reads through here.
         row = self.table.find(loid)
         if row is None:
             raise UnknownObject(f"class {self.class_name} never created {loid}")
@@ -789,11 +752,7 @@ class ClassObjectImpl(LegionObjectImpl):
         A plain Activate() would trust the magistrate's Active record and
         hand the dead address straight back.
         """
-        row = self.table.find(stale.loid)
-        if row is None:
-            raise UnknownObject(f"class {self.class_name} never created {stale.loid}")
-        if row.deleted:
-            raise ObjectDeleted(f"{stale.loid} was deleted")
+        row = self._live_row(stale.loid)
         if row.object_address == stale.address:
             if row.object_address is not None and (
                 row.replicated or len(row.object_address) > 1

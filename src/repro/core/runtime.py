@@ -33,7 +33,6 @@ from repro.errors import (
     PartitionedError,
 )
 from repro.core.method import MethodInvocation, MethodResult
-from repro.flow.batching import RequestBatcher
 from repro.flow.credits import CreditLedger
 from repro.naming.binding import Binding
 from repro.naming.cache import BindingCache
@@ -41,7 +40,7 @@ from repro.naming.loid import LOID
 from repro.net.address import AddressSemantic, ObjectAddress, ObjectAddressElement
 from repro.net.message import Message
 from repro.security.environment import CallEnvironment
-from repro.simkernel.futures import SimFuture, gather, k_of
+from repro.simkernel.futures import SimFuture, gather, k_of, single_flight
 from repro.simkernel.kernel import SimKernel, Timeout
 
 
@@ -218,8 +217,6 @@ class LegionRuntime:
             if flow is not None and flow.credit_window is not None
             else None
         )
-        #: Request batcher; created lazily by enable_batching().
-        self._batcher: Optional[RequestBatcher] = None
         #: Global retry token bucket (None until first use; see
         #: RetryPolicy.retry_tokens).
         self._retry_bucket: Optional[float] = None
@@ -263,22 +260,6 @@ class LegionRuntime:
             if binding is not None:
                 self.cache.insert(binding)
         return binding
-
-    def enable_batching(self, *methods: str) -> bool:
-        """Opt this runtime's calls to ``methods`` into request batching.
-
-        Binding agents call this for GetBinding (the combining tree's
-        data plane) and clone-pool routers for CloneEpoch/GetClonePool;
-        only idempotent metadata reads belong here.  A no-op returning
-        False unless the installed FlowConfig enables a batch window.
-        """
-        flow = self._flow
-        if flow is None or flow.batch_window <= 0.0:
-            return False
-        if self._batcher is None:
-            self._batcher = RequestBatcher(self, flow.batch_window, flow.batch_limit)
-        self._batcher.methods.update(methods)
-        return True
 
     def _take_retry_token(self) -> bool:
         """Spend one global retry token; False (and counted) when dry."""
@@ -452,13 +433,7 @@ class LegionRuntime:
     ):
         """Process-style call of one element; returns the unwrapped value."""
         invocation = self._invocation(target, method, args, env, timeout, priority)
-        batcher = self._batcher
-        if batcher is not None and method in batcher.methods:
-            # Coalesced path: credits are bypassed on purpose -- the
-            # batch window itself paces upstream traffic, and one wire
-            # message per window is the bound we are after.
-            fut = batcher.submit(element, invocation, timeout)
-        elif self.credits is None:
+        if self.credits is None:
             fut = self.send_request(element, invocation, timeout)
         else:
             fut = yield from self._credited_send(element, invocation, timeout)
@@ -649,22 +624,12 @@ class LegionRuntime:
         GetBinding on the wire, one cache insert, no refresh storm.
         """
         key = (stale.loid.identity, stale.address)
-        inflight = self._refreshing.get(key)
-        if inflight is not None:
-            binding = yield inflight
-            return binding
-        fut = SimFuture(f"refresh {stale.loid}")
-        self._refreshing[key] = fut
+        return single_flight(self._refreshing, key, "refresh", self._refresh(stale, trace))
+
+    def _refresh(self, stale: Binding, trace: Any):
         self.stats.refreshes += 1
-        try:
-            binding = yield from self._agent_get_binding(stale, trace=trace)
-        except BaseException as exc:
-            self._refreshing.pop(key, None)
-            fut.set_exception(exc)
-            raise
-        self._refreshing.pop(key, None)
+        binding = yield from self._agent_get_binding(stale, trace=trace)
         self.cache.insert(binding)
-        fut.set_result(binding)
         return binding
 
     # ------------------------------------------------------------------- invoke

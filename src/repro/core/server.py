@@ -21,7 +21,6 @@ registry -- the raw data of the Section 5 scalability experiments.
 from __future__ import annotations
 
 import types
-from functools import partial
 from typing import Optional
 
 from repro.errors import LegionError, MethodNotFound, Overloaded, SecurityDenied
@@ -29,7 +28,6 @@ from repro.core.method import InvocationContext, MethodInvocation, MethodResult
 from repro.core.object_base import LegionObjectImpl
 from repro.core.runtime import LegionRuntime
 from repro.flow.admission import AdmissionController
-from repro.flow.batching import BatchInvocation
 from repro.metrics.counters import ComponentId, ComponentKind, MetricsRegistry
 from repro.naming.binding import Binding
 from repro.naming.loid import LOID
@@ -75,9 +73,7 @@ class ObjectServer:
         self._endpoint = services.network.register(self.element, self.handle_message)
         self.active = True
         #: Requests dispatched but not yet replied to -- the server-side
-        #: queue depth the autoscaler's LoadMonitor samples.  Batched
-        #: dispatch adds the full member count, so coalescing never
-        #: under-reports depth.
+        #: queue depth the autoscaler's LoadMonitor samples.
         self.in_flight = 0
         #: Bounded admission queue (repro.flow), or None for the
         #: historical accept-everything behaviour.  ``flow`` overrides the
@@ -146,16 +142,8 @@ class ObjectServer:
         self.impl.handle_event(message.payload, message.source)
 
     def _dispatch(self, message: Message) -> None:
-        """Start executing one (admitted) REQUEST.
-
-        A batched payload can arrive whatever this server was built
-        with -- the sender's FlowConfig decides -- so the check is per
-        request, not per configuration.
-        """
+        """Start executing one (admitted) REQUEST."""
         invocation = message.payload
-        if type(invocation) is BatchInvocation:
-            self._dispatch_batch(message)
-            return
         self.in_flight += 1
         self.services.metrics.incr(self.component, MetricsRegistry.REQUESTS)
         tracer = self.services.tracer
@@ -172,62 +160,11 @@ class ObjectServer:
                 component=self._component_label,
             )
             env = env.with_trace(span.context)
-        self._execute(invocation, env, span, partial(self._reply, message))
+        self._execute(message, env, span)
 
-    def _dispatch_batch(self, message: Message) -> None:
-        """Unpack a BatchInvocation into per-call dispatches + one reply.
-
-        Each member counts fully toward ``in_flight`` (and the request
-        metric) for exactly as long as it runs, so the autoscaler's queue
-        depth never under-reports under coalesced dispatch; the combined
-        reply leaves once the last member settles.
-        """
-        batch: BatchInvocation = message.payload
-        count = len(batch.calls)
-        self.in_flight += count
-        self.services.metrics.incr(self.component, MetricsRegistry.REQUESTS, count)
-        tracer = self.services.tracer
-        traced = tracer is not None and tracer.active
-        if traced:
-            tracer.instant(
-                "unbatch " + batch.method,
-                "batch",
-                parent=message.trace,
-                component=self._component_label,
-                n=count,
-            )
-        results: list = [None] * count
-        remaining = [count]
-
-        def member_done(index: int, result: MethodResult) -> None:
-            results[index] = result
-            if self.in_flight > 0:
-                self.in_flight -= 1
-            remaining[0] -= 1
-            if remaining[0] == 0 and self.active:
-                self.services.network.send(
-                    message.reply_with(MethodResult.success(tuple(results)))
-                )
-            if self.admission is not None:
-                self.admission.pump()
-
-        for index, invocation in enumerate(batch.calls):
-            span = None
-            env = invocation.env
-            if traced:
-                span = tracer.start(
-                    "handle " + invocation.method,
-                    "handle",
-                    parent=message.trace,
-                    component=self._component_label,
-                )
-                env = env.with_trace(span.context)
-            self._execute(
-                invocation, env, span, partial(member_done, index)
-            )
-
-    def _execute(self, invocation: MethodInvocation, env, span, done) -> None:
-        """Run one invocation; call ``done(MethodResult)`` exactly once."""
+    def _execute(self, request: Message, env, span) -> None:
+        """Run one invocation; ``_reply`` to it exactly once."""
+        invocation: MethodInvocation = request.payload
         tracer = self.services.tracer
         try:
             if not self.impl.may_i(invocation.method, invocation.env):
@@ -243,7 +180,7 @@ class ObjectServer:
         except LegionError as exc:
             if span is not None:
                 tracer.finish(span, type(exc).__name__)
-            done(MethodResult.failure(exc))
+            self._reply(request, MethodResult.failure(exc))
             return
 
         try:
@@ -257,12 +194,12 @@ class ObjectServer:
         except LegionError as exc:
             if span is not None:
                 tracer.finish(span, type(exc).__name__)
-            done(MethodResult.failure(exc))
+            self._reply(request, MethodResult.failure(exc))
             return
         except Exception as exc:  # noqa: BLE001 - marshalled to caller
             if span is not None:
                 tracer.finish(span, type(exc).__name__)
-            done(MethodResult.failure(exc))
+            self._reply(request, MethodResult.failure(exc))
             return
 
         if isinstance(outcome, types.GeneratorType):
@@ -274,15 +211,15 @@ class ObjectServer:
                     exc = done_fut.exception()
                     tracer.finish(span, type(exc).__name__ if exc else "ok")
                 if done_fut.failed():
-                    done(MethodResult.failure(done_fut.exception()))
+                    self._reply(request, MethodResult.failure(done_fut.exception()))
                 else:
-                    done(MethodResult.success(done_fut.result()))
+                    self._reply(request, MethodResult.success(done_fut.result()))
 
             fut.add_done_callback(_finish)
         else:
             if span is not None:
                 tracer.finish(span)
-            done(MethodResult.success(outcome))
+            self._reply(request, MethodResult.success(outcome))
 
     def _reply(self, request: Message, result: MethodResult) -> None:
         if self.in_flight > 0:
@@ -296,30 +233,27 @@ class ObjectServer:
     def _shed_reply(self, request: Message, retry_after: float, reason: str) -> None:
         """Refuse ``request`` with Overloaded(retry_after); never dispatched.
 
-        Counts the shed against the SHED metric (one per logical request,
-        so batch sheds count every member), records the incident on the
-        FaultLog and as a "shed" span, and replies without ever touching
-        ``in_flight``.
+        Counts the shed against the SHED metric, records the incident on
+        the FaultLog and as a "shed" span, and replies without ever
+        touching ``in_flight``.
         """
         payload = request.payload
-        count = len(payload.calls) if type(payload) is BatchInvocation else 1
-        self.services.metrics.incr(self.component, MetricsRegistry.SHED, count)
+        self.services.metrics.incr(self.component, MetricsRegistry.SHED)
         fault_log = self.services.fault_log
-        now = self.services.kernel.now
+        if fault_log is not None:
+            fault_log.observe(
+                self.services.kernel.now, "request-shed", self._component_label, reason
+            )
         tracer = self.services.tracer
-        traced = tracer is not None and tracer.active
-        for _ in range(count):
-            if fault_log is not None:
-                fault_log.observe(now, "request-shed", self._component_label, reason)
-            if traced:
-                tracer.instant(
-                    "shed " + payload.method,
-                    "shed",
-                    parent=request.trace,
-                    component=self._component_label,
-                    reason=reason,
-                    retry_after=round(retry_after, 3),
-                )
+        if tracer is not None and tracer.active:
+            tracer.instant(
+                "shed " + payload.method,
+                "shed",
+                parent=request.trace,
+                component=self._component_label,
+                reason=reason,
+                retry_after=round(retry_after, 3),
+            )
         if not self.active:
             return
         result = MethodResult.failure(

@@ -1,24 +1,20 @@
-"""repro.flow -- admission control, credits, and request batching.
+"""repro.flow -- admission control and credit-based backpressure.
 
 The dynamic complement to the paper's structural scalability story: once
 offered load exceeds a component's capacity, bounded queues shed with
-``Overloaded`` + ``retry_after`` pushback, caller credit windows bound
-in-flight work end-to-end, and compatible metadata reads coalesce into
-batched upstream messages.  All mechanisms are off unless a
+``Overloaded`` + ``retry_after`` pushback and caller credit windows
+bound in-flight work end-to-end.  Both mechanisms are off unless a
 :class:`FlowConfig` is installed on ``SystemServices.flow``.
 """
 
 from repro.flow.admission import AdmissionController, AdmissionStats
-from repro.flow.batching import BatchInvocation, RequestBatcher
 from repro.flow.config import FlowConfig
 from repro.flow.credits import CreditLedger, CreditWindow
 
 __all__ = [
     "AdmissionController",
     "AdmissionStats",
-    "BatchInvocation",
     "CreditLedger",
     "CreditWindow",
     "FlowConfig",
-    "RequestBatcher",
 ]

@@ -27,33 +27,29 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from repro.flow.batching import BatchInvocation
 from repro.net.message import Message
 
 
 @dataclass
 class AdmissionStats:
-    """Per-server admission counters (logical requests, not messages)."""
+    """Per-server admission counters."""
 
     admitted: int = 0
     queued: int = 0
-    #: reason → logical requests shed ("capacity", "deadline", "evicted").
+    #: reason → requests shed ("capacity", "deadline", "evicted", "paused").
     shed: Dict[str, int] = field(default_factory=dict)
 
 
 class AdmissionController:
     """The bounded queue in front of one ObjectServer's dispatch loop."""
 
-    __slots__ = ("server", "config", "waiting", "stats", "paused", "_pumping", "_queued")
+    __slots__ = ("server", "config", "waiting", "stats", "paused", "_pumping")
 
     def __init__(self, server, config) -> None:
         self.server = server
         self.config = config
         #: FIFO of REQUEST messages waiting for a dispatch slot.
         self.waiting: List[Message] = []
-        #: Logical requests in ``waiting``: kept in step at the three
-        #: places the list changes, so ``backlog`` is O(1).
-        self._queued = 0
         self.stats = AdmissionStats()
         #: Failed-band switch (repro.health): a paused server sheds every
         #: new arrival with reason "paused" (already-queued work drains).
@@ -71,38 +67,27 @@ class AdmissionController:
             return
         server = self.server
         config = self.config
-        size = self._size(message)
-        if not self.waiting and server.in_flight + size <= config.capacity:
-            self.stats.admitted += size
+        if not self.waiting and server.in_flight < config.capacity:
+            self.stats.admitted += 1
             server._dispatch(message)
             return
-        if size > config.capacity:
-            # A batch wider than the whole server can never be dispatched
-            # as a unit; queueing it would starve the head of the line.
-            self._shed(message, "capacity")
-            return
         payload = message.payload
-        deadline = None if size > 1 else payload.deadline
-        if deadline is not None:
+        if payload.deadline is not None:
             now = server.services.kernel.now
-            wait = (self.backlog + size) * config.service_estimate / config.capacity
-            if now + wait > deadline:
+            wait = (self.backlog + 1) * config.service_estimate / config.capacity
+            if now + wait > payload.deadline:
                 self._shed(message, "deadline")
                 return
         if len(self.waiting) >= config.queue_limit:
-            victim = self._eviction_index(self._priority(message))
+            victim = self._eviction_index(payload.priority)
             if victim is None:
                 self._shed(message, "capacity")
                 return
-            evicted = self.waiting.pop(victim)
-            self._queued -= self._size(evicted)
-            self._shed(evicted, "evicted")
+            self._shed(self.waiting.pop(victim), "evicted")
+        # Every completion pumps, so a non-empty queue means a full server:
+        # the new waiter's turn comes with the next reply.
         self.waiting.append(message)
-        self._queued += size
-        self.stats.queued += size
-        # A higher-priority arrival may overtake a head batch that is too
-        # wide for the free slots; give it a dispatch chance immediately.
-        self.pump()
+        self.stats.queued += 1
 
     # ------------------------------------------------------------------- drain
 
@@ -114,48 +99,34 @@ class AdmissionController:
         try:
             server = self.server
             config = self.config
-            while self.waiting:
+            while self.waiting and server.in_flight < config.capacity:
                 index = self._next_index()
                 message = self.waiting[index]
-                size = self._size(message)
-                if server.in_flight + size > config.capacity:
-                    break  # head-of-line needs more free slots
                 del self.waiting[index]
-                self._queued -= size
-                deadline = None if size > 1 else message.payload.deadline
+                deadline = message.payload.deadline
                 if deadline is not None:
                     now = server.services.kernel.now
                     if now + config.service_estimate > deadline:
                         self._shed(message, "deadline")
                         continue
-                self.stats.admitted += size
+                self.stats.admitted += 1
                 server._dispatch(message)
         finally:
             self._pumping = False
 
     # ----------------------------------------------------------------- helpers
 
-    @staticmethod
-    def _size(message: Message) -> int:
-        payload = message.payload
-        return len(payload.calls) if type(payload) is BatchInvocation else 1
-
-    @staticmethod
-    def _priority(message: Message) -> int:
-        payload = message.payload
-        return 0 if type(payload) is BatchInvocation else payload.priority
-
     @property
     def backlog(self) -> int:
-        """Logical requests in the building: dispatched plus queued."""
-        return self.server.in_flight + self._queued
+        """Requests in the building: dispatched plus queued."""
+        return self.server.in_flight + len(self.waiting)
 
     def _next_index(self) -> int:
         """Highest priority wins; FIFO within a priority."""
         best = 0
-        best_priority = self._priority(self.waiting[0])
+        best_priority = self.waiting[0].payload.priority
         for i in range(1, len(self.waiting)):
-            priority = self._priority(self.waiting[i])
+            priority = self.waiting[i].payload.priority
             if priority > best_priority:
                 best, best_priority = i, priority
         return best
@@ -165,7 +136,7 @@ class AdmissionController:
         worst = None
         worst_priority = priority
         for i, message in enumerate(self.waiting):
-            candidate = self._priority(message)
+            candidate = message.payload.priority
             if candidate < worst_priority or (
                 worst is not None and candidate == worst_priority
             ):
@@ -176,9 +147,7 @@ class AdmissionController:
         config = self.config
         retry_after = max(
             config.service_estimate,
-            (self.backlog + self._size(message))
-            * config.service_estimate
-            / config.capacity,
+            (self.backlog + 1) * config.service_estimate / config.capacity,
         )
-        self.stats.shed[reason] = self.stats.shed.get(reason, 0) + self._size(message)
+        self.stats.shed[reason] = self.stats.shed.get(reason, 0) + 1
         self.server._shed_reply(message, retry_after, reason)

@@ -4,7 +4,7 @@ Section 5's distributed-systems principle -- the number of requests to
 any single component must not grow with system size -- is enforced
 *structurally* by combining trees, caches and clones.  FlowConfig adds
 the *dynamic* half: what happens when offered load exceeds a component's
-capacity anyway.  Three cooperating mechanisms, all off by default:
+capacity anyway.  Two cooperating mechanisms, both off by default:
 
 * **admission control** (``capacity``/``queue_limit``): every
   ObjectServer of an admitted kind dispatches at most ``capacity``
@@ -14,11 +14,6 @@ capacity anyway.  Three cooperating mechanisms, all off by default:
 * **credit-based backpressure** (``credit_window``): callers hold
   per-(LOID identity, address element) credit windows replenished by
   replies, bounding in-flight work toward any one component end-to-end.
-* **request batching** (``batch_window``/``batch_limit``): runtimes that
-  opt methods in (binding agents for GetBinding, clone routers for
-  GetClonePool/CloneEpoch) coalesce compatible calls inside one
-  simulated-time window into a single upstream message with fan-out
-  replies -- the combining tree, made real on the data plane.
 """
 
 from __future__ import annotations
@@ -48,12 +43,6 @@ class FlowConfig:
     #: Caller-side credits per (LOID identity, address element); ``None``
     #: disables credit windows.
     credit_window: Optional[int] = None
-    #: Simulated-ms coalescing window for batched methods; 0 disables
-    #: batching.  Methods still have to be opted in per runtime via
-    #: ``LegionRuntime.enable_batching``.
-    batch_window: float = 0.0
-    #: Max calls coalesced into one upstream message (flushes early).
-    batch_limit: int = 16
 
     def __post_init__(self) -> None:
         if self.capacity is not None and self.capacity < 1:
@@ -64,10 +53,6 @@ class FlowConfig:
             raise ValueError("service_estimate must be > 0")
         if self.credit_window is not None and self.credit_window < 1:
             raise ValueError("credit_window must be >= 1 (or None to disable)")
-        if self.batch_window < 0.0:
-            raise ValueError("batch_window must be >= 0")
-        if self.batch_limit < 2:
-            raise ValueError("batch_limit must be >= 2")
 
     def admits(self, kind: ComponentKind) -> bool:
         """True when admission control governs servers of ``kind``."""

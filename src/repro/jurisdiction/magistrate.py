@@ -54,7 +54,7 @@ from repro.naming.binding import Binding
 from repro.naming.loid import LOID
 from repro.net.address import ObjectAddress
 from repro.persistence.opr import OPRecord
-from repro.simkernel.futures import SimFuture
+from repro.simkernel.futures import SimFuture, single_flight
 
 
 class ObjectState(enum.Enum):
@@ -303,13 +303,7 @@ class MagistrateImpl(LegionObjectImpl):
             state=ObjectState.ACTIVE,
             host=host,
             address=address,
-            template=OPRecord(
-                loid=opr.loid,
-                class_loid=opr.class_loid,
-                factory_chain=list(opr.factory_chain),
-                component_kind=opr.component_kind,
-                annotations=dict(opr.annotations),
-            ),
+            template=opr.with_state(None),
         )
         return address
 
@@ -348,13 +342,7 @@ class MagistrateImpl(LegionObjectImpl):
                 loid=opr.loid,
                 class_loid=opr.class_loid,
                 state=ObjectState.ACTIVE,
-                template=OPRecord(
-                    loid=opr.loid,
-                    class_loid=opr.class_loid,
-                    factory_chain=list(opr.factory_chain),
-                    component_kind=opr.component_kind,
-                    annotations=dict(opr.annotations),
-                ),
+                template=opr.with_state(None),
             )
             self.managed[opr.loid.identity] = record
         record.replicas.append((host, address))
@@ -479,20 +467,9 @@ class MagistrateImpl(LegionObjectImpl):
         probe + reactivation.
         """
         record = self._get_managed(loid)
-        inflight = self._recovering.get(loid.identity)
-        if inflight is not None:
-            address = yield inflight
-            return address
-        fut = SimFuture(f"recover {loid}")
-        self._recovering[loid.identity] = fut
-        try:
-            address = yield from self._recover_object(record, ctx)
-        except BaseException as exc:
-            self._recovering.pop(loid.identity, None)
-            fut.set_exception(exc)
-            raise
-        self._recovering.pop(loid.identity, None)
-        fut.set_result(address)
+        address = yield from single_flight(
+            self._recovering, loid.identity, "recover", self._recover_object(record, ctx)
+        )
         return address
 
     def _recover_object(self, record: ManagedObject, ctx):
@@ -655,13 +632,7 @@ class MagistrateImpl(LegionObjectImpl):
             loid=opr.loid,
             class_loid=opr.class_loid,
             state=ObjectState.INERT,
-            template=OPRecord(
-                loid=opr.loid,
-                class_loid=opr.class_loid,
-                factory_chain=list(opr.factory_chain),
-                component_kind=opr.component_kind,
-                annotations=dict(opr.annotations),
-            ),
+            template=opr.with_state(None),
         )
 
     @legion_method("Copy(LOID, LOID)")
@@ -673,11 +644,7 @@ class MagistrateImpl(LegionObjectImpl):
         Object Persistent Representation to the other Magistrate."
         """
         env = ctx.nested_env(self.loid) if ctx else self.own_env()
-        blob = yield from self.export_object(loid, ctx=ctx)
-        yield from self.runtime.invoke(
-            target_magistrate, "ImportObject", blob, env=env
-        )
-        record = self._get_managed(loid)
+        record = yield from self._send_opr(loid, target_magistrate, env, ctx)
         yield from self._notify_class(
             record, "NoteCopied", loid, target_magistrate, env=env
         )
@@ -686,16 +653,21 @@ class MagistrateImpl(LegionObjectImpl):
     def move(self, loid: LOID, target_magistrate: LOID, *, ctx: Optional[InvocationContext] = None):
         """Change the managing Magistrate: "equivalent to Copy() then Delete()"."""
         env = ctx.nested_env(self.loid) if ctx else self.own_env()
-        blob = yield from self.export_object(loid, ctx=ctx)
-        yield from self.runtime.invoke(
-            target_magistrate, "ImportObject", blob, env=env
-        )
-        record = self._get_managed(loid)
+        record = yield from self._send_opr(loid, target_magistrate, env, ctx)
         self.jurisdiction.vault.delete_opr(loid)
         del self.managed[loid.identity]
         yield from self._notify_class(
             record, "NoteMigrated", loid, self.loid, target_magistrate, env=env
         )
+
+    def _send_opr(self, loid: LOID, target_magistrate: LOID, env, ctx):
+        """The leg Copy and Move share: export here, ImportObject there.
+        Returns the (still managed) record for the class notification."""
+        blob = yield from self.export_object(loid, ctx=ctx)
+        yield from self.runtime.invoke(
+            target_magistrate, "ImportObject", blob, env=env
+        )
+        return self._get_managed(loid)
 
     # ------------------------------------------------------------------- reporting
 

@@ -65,8 +65,9 @@ class OPRecord:
     #: Extra creation-time annotations (host hints, security labels, ...).
     annotations: Dict[str, Any] = field(default_factory=dict)
 
-    def with_state(self, state: bytes) -> "OPRecord":
-        """A copy carrying freshly saved state (post-deactivation)."""
+    def with_state(self, state: Optional[bytes]) -> "OPRecord":
+        """A copy carrying freshly saved state (post-deactivation), or
+        with ``None`` the stateless template a magistrate keeps."""
         return OPRecord(
             loid=self.loid,
             class_loid=self.class_loid,

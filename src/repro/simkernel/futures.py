@@ -261,3 +261,29 @@ def k_of(futures: Iterable[SimFuture], k: int, name: str = "k_of") -> SimFuture:
     for i, fut in enumerate(futs):
         fut.add_done_callback(make_cb(i))
     return out
+
+
+def single_flight(table: dict, key: Any, name: str, body):
+    """Run ``body`` once per ``key``, however many callers arrive meanwhile.
+
+    A generator for ``yield from``.  The first caller runs the ``body``
+    generator with a future (labelled ``name``) parked under
+    ``table[key]``; later callers yield that future -- their ``body`` is
+    never started -- and get the first one's value or exception.  The
+    key is cleared before the future resolves, so the next caller after
+    either outcome runs its body again.
+    """
+    inflight = table.get(key)
+    if inflight is not None:
+        value = yield inflight
+        return value
+    fut = table[key] = SimFuture(name)
+    try:
+        value = yield from body
+    except BaseException as exc:
+        del table[key]
+        fut.set_exception(exc)
+        raise
+    del table[key]
+    fut.set_result(value)
+    return value

@@ -110,10 +110,9 @@ class LoadLedger:
     def shed_counts(self, prefix: str = "") -> Dict[str, int]:
         """component → requests shed by admission control ("shed" spans).
 
-        One instant span is recorded per shed *logical* request (batch
-        sheds emit one per member), so these counts reconcile exactly
-        with the ``MetricsRegistry`` "shed" counters and the FaultLog's
-        "request-shed" observations.
+        One instant span is recorded per shed request, so these counts
+        reconcile exactly with the ``MetricsRegistry`` "shed" counters
+        and the FaultLog's "request-shed" observations.
         """
         return {
             comp: n for comp, n in self.sheds.items() if comp.startswith(prefix)

@@ -1,9 +1,9 @@
 """The call path: one invoke body and one request dispatch for every
 configuration (plain, traced, flow-controlled).
 
-What a configuration *adds* -- spans, flow metadata, batching -- takes
-effect on the very next call, with no rebuild step; what it must never
-*change* is the books: the same calls cost the same cache lookups,
+What a configuration *adds* -- spans, flow metadata -- takes effect on
+the very next call, with no rebuild step; what it must never *change* is
+the books: the same calls cost the same cache lookups,
 runtime counters, messages, kernel events and simulated time whether or
 not a tracer or a FlowConfig is installed.
 """
@@ -14,7 +14,6 @@ import pytest
 
 from repro.experiments.common import uniform_sites
 from repro.flow.config import FlowConfig
-from repro.metrics.counters import MetricsRegistry
 from repro.naming.binding import Binding
 from repro.net.address import ObjectAddress
 from repro.system.legion import LegionSystem
@@ -44,14 +43,6 @@ def poison(system, runtime, loid):
     runtime.cache.insert(Binding(loid, ObjectAddress.single(dead)))
 
 
-def concurrently(system, client, loid, method, n):
-    """``n`` simultaneous calls from ``client``; returns (values, messages)."""
-    before = system.network.stats.messages_sent
-    futs = [system.spawn(client.runtime.invoke(loid, method)) for _ in range(n)]
-    system.kernel.run()
-    return [f.result() for f in futs], system.network.stats.messages_sent - before
-
-
 # ------------------------------------------------ what a configuration adds
 
 
@@ -71,35 +62,6 @@ def test_tracing_toggles_take_effect_on_the_next_call():
     count = len(recorder.spans)
     assert system.call(loid, "Ping") == "pong"
     assert len(recorder.spans) == count
-
-
-def test_a_batch_is_unpacked_by_a_server_built_before_the_flow_config():
-    system, (loid,) = build_system()
-    assert system.call(loid, "Ping") == "pong"  # activates the object
-    server = server_of(system, loid)
-    system.services.flow = FlowConfig(batch_window=0.5)
-    assert server.admission is None  # built earlier: nothing flow-aware in it
-    client = system.new_client("batcher")  # built later: may batch
-    assert system.call(loid, "Ping", client=client) == "pong"
-    assert client.runtime.enable_batching("Ping")
-
-    metrics = system.services.metrics
-    before = metrics.get(server.component, MetricsRegistry.REQUESTS)
-    values, messages = concurrently(system, client, loid, "Ping", 3)
-    assert values == ["pong"] * 3
-    assert messages == 2  # one BatchInvocation out, one combined reply back
-    assert metrics.get(server.component, MetricsRegistry.REQUESTS) - before == 3
-    assert server.in_flight == 0
-
-
-def test_enable_batching_coalesces_the_next_calls():
-    system, (loid,) = build_system(flow=FlowConfig(batch_window=0.5))
-    console = system.console
-    assert system.call(loid, "Ping") == "pong"
-    assert concurrently(system, console, loid, "Ping", 3) == (["pong"] * 3, 6)
-    assert console.runtime.enable_batching("Ping")
-    assert concurrently(system, console, loid, "Ping", 3) == (["pong"] * 3, 2)
-    assert concurrently(system, console, loid, "Get", 3)[1] == 6  # not opted in
 
 
 # ------------------------------------------- what no configuration may change

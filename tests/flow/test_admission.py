@@ -3,14 +3,22 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.context import SystemServices
 from repro.core.method import MethodResult
 from repro.core.runtime import RetryPolicy
 from repro.core.server import ObjectServer
 from repro.errors import Overloaded
+from repro.faults.log import FaultLog
 from repro.flow.config import FlowConfig
 from repro.metrics.counters import ComponentKind, MetricsRegistry
 from repro.naming.loid import LOID
+from repro.net.latency import LatencyModel
+from repro.net.network import Network
+from repro.simkernel.kernel import SimKernel
+from repro.simkernel.rng import RngStreams
 from tests.core.conftest import EchoImpl, start_object
 
 NO_RETRY = RetryPolicy(max_attempts=1)
@@ -165,6 +173,79 @@ def test_pushback_paced_retry_succeeds_without_rebinding(services):
     assert echo.result() == "callee:again"
 
 
+ARRIVALS = st.lists(
+    st.tuples(
+        st.floats(0.0, 20.0),  # arrival time at the caller
+        st.integers(-1, 2),  # priority
+        st.one_of(st.none(), st.floats(0.5, 30.0)),  # caller deadline
+        st.floats(0.1, 8.0),  # service time
+    ),
+    min_size=1,
+    max_size=24,
+)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    capacity=st.integers(1, 3),
+    queue_limit=st.integers(0, 4),
+    estimate=st.floats(0.5, 4.0),
+    arrivals=ARRIVALS,
+)
+def test_every_arrival_is_admitted_or_shed_within_the_bounds(
+    capacity, queue_limit, estimate, arrivals
+):
+    """The admission books at every kernel step and at quiescence."""
+    kernel = SimKernel()
+    rng = RngStreams(7)
+    services = SystemServices(
+        kernel=kernel,
+        network=Network(kernel, LatencyModel.uniform(1.0), rng=rng.stream("net")),
+        rng=rng,
+        metrics=MetricsRegistry(),
+    )
+    services.fault_log = FaultLog()
+    # Caller-side flow config stamps priority and deadline on invocations.
+    services.flow = FlowConfig(
+        capacity=capacity, queue_limit=queue_limit, service_estimate=estimate
+    )
+    caller, callee = _pair(
+        services, capacity=capacity, queue_limit=queue_limit, service_estimate=estimate
+    )
+    caller.runtime.retry_policy = NO_RETRY
+    # A caller-side timeout invalidates the cached binding; a permanent
+    # seed keeps every later call going to the callee all the same.
+    caller.runtime.seed_binding(callee.binding(), permanent=True)
+
+    def fire(priority, timeout, service):
+        kernel.spawn(
+            caller.runtime.invoke(
+                callee.loid, "Slow", service, priority=priority, timeout=timeout
+            )
+        )
+
+    for at, priority, timeout, service in arrivals:
+        kernel.schedule(at, fire, priority, timeout, service)
+
+    admission = callee.admission
+    while kernel.step():
+        assert admission.backlog == callee.in_flight + len(admission.waiting)
+        assert callee.in_flight <= capacity
+        assert len(admission.waiting) <= queue_limit
+        # Work-conserving: nothing waits beside a free slot.
+        assert not admission.waiting or callee.in_flight == capacity
+
+    stats = admission.stats
+    shed = sum(stats.shed.values())
+    assert admission.backlog == 0
+    assert len(arrivals) == stats.admitted + shed
+    assert services.metrics.get(callee.component, MetricsRegistry.SHED) == shed
+    assert services.metrics.get(callee.component, MetricsRegistry.REQUESTS) == stats.admitted
+    observed = [i for i in services.fault_log.observed if i.kind == "request-shed"]
+    assert len(observed) == shed
+    assert caller.runtime.settled
+
+
 def test_admission_ignores_non_admitted_kinds(services):
     cfg = FlowConfig(
         capacity=1,
@@ -190,13 +271,17 @@ def test_admission_ignores_non_admitted_kinds(services):
         {"queue_limit": -1},
         {"service_estimate": 0.0},
         {"credit_window": 0},
-        {"batch_window": -0.5},
-        {"batch_limit": 1},
     ],
 )
 def test_flow_config_rejects_nonsense(kwargs):
     with pytest.raises(ValueError):
         FlowConfig(**kwargs)
+
+
+@pytest.mark.parametrize("removed", ["window", "limit"])
+def test_flow_config_has_no_batching_options(removed):
+    with pytest.raises(TypeError):
+        FlowConfig(**{f"batch_{removed}": 1.0})
 
 
 def test_flow_config_admits():

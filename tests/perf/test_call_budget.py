@@ -89,7 +89,7 @@ def test_a_warm_call_fits_the_budget():
     [
         (None, False, CALL_BUDGET),
         (None, True, 124),  # + invoke / resolve / request / handle spans
-        (FlowConfig(capacity=64, credit_window=8), False, 106),  # + admission, credits
+        (FlowConfig(capacity=64, credit_window=8), False, 104),  # + admission, credits
     ],
     ids=["plain", "traced", "flow"],
 )

@@ -10,7 +10,9 @@ from repro.simkernel.futures import (
     failed,
     gather,
     k_of,
+    single_flight,
 )
+from repro.simkernel.kernel import SimKernel, Timeout
 
 
 class TestSimFuture:
@@ -147,3 +149,61 @@ class TestKOf:
 
     def test_k_exceeding_inputs_fails_immediately(self):
         assert k_of([SimFuture()], 2).failed()
+
+
+class TestSingleFlight:
+    @staticmethod
+    def _callers(n, outcome):
+        """``n`` concurrent callers of one keyed body that takes 5 ms."""
+        kernel, table, runs = SimKernel(), {}, []
+
+        def body():
+            runs.append(kernel.now)
+            yield Timeout(5.0)
+            if isinstance(outcome, BaseException):
+                raise outcome
+            return outcome
+
+        def caller():
+            value = yield from single_flight(table, "k", "flight k", body())
+            return value
+
+        def wave():
+            futs = [kernel.spawn(caller()) for _ in range(n)]
+            kernel.run()
+            return futs
+
+        return table, runs, wave
+
+    def test_concurrent_callers_run_the_body_once_and_share_its_value(self):
+        table, runs, wave = self._callers(4, "fresh")
+        assert [f.result() for f in wave()] == ["fresh"] * 4
+        assert runs == [0.0]
+        assert table == {}  # cleared: the next caller flies again
+        assert [f.result() for f in wave()] == ["fresh"] * 4
+        assert runs == [0.0, 5.0]
+
+    def test_a_raising_body_fails_every_caller_with_the_same_exception(self):
+        boom = IOError("boom")
+        table, runs, wave = self._callers(3, boom)
+        assert [f.exception() for f in wave()] == [boom] * 3
+        assert runs == [0.0]
+        assert table == {}
+        wave()
+        assert runs == [0.0, 5.0]
+
+    def test_keys_fly_independently(self):
+        kernel, table, runs = SimKernel(), {}, []
+
+        def body(key):
+            runs.append(key)
+            yield Timeout(1.0)
+            return key.upper()
+
+        futs = [
+            kernel.spawn(single_flight(table, key, key, body(key)))
+            for key in ("a", "b", "a")
+        ]
+        kernel.run()
+        assert [f.result() for f in futs] == ["A", "B", "A"]
+        assert runs == ["a", "b"]
