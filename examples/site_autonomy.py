@@ -24,8 +24,8 @@ from repro.workloads.apps import CounterImpl, KVStoreImpl
 class DOEMagistrate(MagistrateImpl):
     """Fig. 9's DOEMagistrate: certified implementations, trusted principals."""
 
-    def __init__(self, jurisdiction, certified, **kwargs):
-        super().__init__(jurisdiction, **kwargs)
+    def __init__(self, jurisdiction, certified):
+        super().__init__(jurisdiction)
         self.certified = set(certified)
         self.trust = TrustSetPolicy()
         self.mayi_policy = self.trust  # every member function gated

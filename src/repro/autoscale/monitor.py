@@ -7,19 +7,14 @@ reads server-side queue depths (``ObjectServer.in_flight``) straight out
 of the host process tables.  Both sources already exist for the Section 5
 experiments, so observing the system costs the system nothing -- the
 controller's probes and spawns are the only traffic autoscaling adds.
-
-A trace-derived cross-check is available too: when a causal trace is
-active, :meth:`LoadMonitor.rates_from_ledger` reads the same rates out of
-a :class:`~repro.trace.ledger.LoadLedger`, span by span.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable
 
 from repro.metrics.counters import ComponentKind, MetricsRegistry
-from repro.trace.ledger import LoadLedger
 
 
 @dataclass
@@ -38,10 +33,6 @@ class LoadSample:
     def pool_rate(self, names: Iterable[str]) -> float:
         """Aggregate rate over a set of components (a clone pool)."""
         return sum(self.rates.get(name, 0.0) for name in names)
-
-    def pool_queue(self, names: Iterable[str]) -> int:
-        """Aggregate queue depth over a set of components."""
-        return sum(self.queues.get(name, 0) for name in names)
 
     def pool_shed_rate(self, names: Iterable[str]) -> float:
         """Aggregate shed rate over a set of components (a clone pool)."""
@@ -105,17 +96,3 @@ class LoadMonitor:
                 if server.component.kind is self.kind and server.active:
                     queues[server.component.name] = server.in_flight
         return queues
-
-    def rates_from_ledger(
-        self, ledger: LoadLedger, prefix: Optional[str] = None
-    ) -> Dict[str, float]:
-        """The trace's view of the same rates (component name → req/ms).
-
-        Labels in the ledger are "kind:name"; this strips the kind prefix
-        so the keys line up with :meth:`sample`'s.
-        """
-        prefix = prefix if prefix is not None else f"{self.kind.value}:"
-        return {
-            comp[len(prefix):]: rate
-            for comp, rate in ledger.rates(prefix).items()
-        }

@@ -239,8 +239,3 @@ def populate(
         ]
         out[cls.loid] = instances
     return out
-
-
-def site_of_binding(system: LegionSystem, binding: Binding) -> Optional[str]:
-    """The site of a binding's primary element (None if unassigned)."""
-    return system.network.latency.site_of(binding.address.primary().host)

@@ -31,8 +31,8 @@ class DOEMagistrateImpl(MagistrateImpl):
     """Fig. 9's DOEMagistrate: certified implementations only, and a
     responsible-agent trust set enforced through MayI."""
 
-    def __init__(self, jurisdiction, certified: Set[str], **kwargs) -> None:
-        super().__init__(jurisdiction, **kwargs)
+    def __init__(self, jurisdiction, certified: Set[str]) -> None:
+        super().__init__(jurisdiction)
         self.certified = set(certified)
         self.trust = TrustSetPolicy()
         self.mayi_policy = self.trust
@@ -59,9 +59,7 @@ def run(quick: bool = True, seed: int = 0) -> ExperimentResult:
     doe_site = system.sites[1].name
     doe_server = system.magistrates[doe_site]
     old_impl: MagistrateImpl = doe_server.impl
-    doe_impl = DOEMagistrateImpl(
-        old_impl.jurisdiction, certified={"app.certified"}, placement="round-robin"
-    )
+    doe_impl = DOEMagistrateImpl(old_impl.jurisdiction, certified={"app.certified"})
     doe_impl.hosts = list(old_impl.hosts)
     # Hot-swap the implementation behind the same LOID/endpoint (a site
     # re-deploying its magistrate binary in place).

@@ -145,10 +145,3 @@ class FaultPlan:
 
     def __iter__(self):
         return iter(self.events)
-
-    def counts(self) -> Dict[str, int]:
-        """Events per kind (for reports)."""
-        out: Dict[str, int] = {}
-        for ev in self.events:
-            out[ev.kind.value] = out.get(ev.kind.value, 0) + 1
-        return out

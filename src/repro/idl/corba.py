@@ -31,6 +31,7 @@ from typing import List, Optional, Tuple
 
 from repro.errors import InterfaceError
 from repro.idl.interface import Interface
+from repro.idl.parser import _Cursor
 from repro.idl.signature import MethodSignature, Parameter
 
 _TOKEN = re.compile(
@@ -54,49 +55,6 @@ _TYPE_MAP = {
 }
 
 _DIRECTIONS = {"in", "out", "inout"}
-
-
-def _tokenize(text: str) -> List[str]:
-    tokens: List[str] = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN.match(text, pos)
-        if match is None:
-            remainder = text[pos:].strip()
-            if not remainder:
-                break
-            raise InterfaceError(f"CORBA IDL syntax error near {remainder[:20]!r}")
-        comment, ident, punct = match.groups()
-        if ident:
-            tokens.append(ident)
-        elif punct:
-            tokens.append(punct)
-        pos = match.end()
-    return tokens
-
-
-class _Cursor:
-    def __init__(self, tokens: List[str]) -> None:
-        self.tokens = tokens
-        self.i = 0
-
-    def peek(self) -> str:
-        if self.i >= len(self.tokens):
-            raise InterfaceError("unexpected end of CORBA IDL input")
-        return self.tokens[self.i]
-
-    def next(self) -> str:
-        token = self.peek()
-        self.i += 1
-        return token
-
-    def expect(self, token: str) -> None:
-        got = self.next()
-        if got != token:
-            raise InterfaceError(f"expected {token!r}, got {got!r}")
-
-    def done(self) -> bool:
-        return self.i >= len(self.tokens)
 
 
 def _normalise_type(cur: _Cursor) -> Optional[str]:
@@ -159,7 +117,7 @@ def _attribute_signatures(cur: _Cursor, readonly: bool) -> List[MethodSignature]
 
 def parse_corba_interface(text: str) -> Interface:
     """Parse a CORBA IDL ``interface`` block into an Interface."""
-    cur = _Cursor(_tokenize(text))
+    cur = _Cursor(text, _TOKEN, "CORBA IDL")
     cur.expect("interface")
     name = cur.next()
     cur.expect("{")

@@ -24,16 +24,16 @@ from repro.idl.signature import MethodSignature, Parameter
 _TOKEN = re.compile(r"\s*(?:(//[^\n]*)|([A-Za-z_][A-Za-z0-9_]*)|([{}();,]))")
 
 
-def _tokenize(text: str) -> List[str]:
+def _tokenize(text: str, token: re.Pattern, dialect: str) -> List[str]:
     tokens: List[str] = []
     pos = 0
     while pos < len(text):
-        match = _TOKEN.match(text, pos)
+        match = token.match(text, pos)
         if match is None:
             remainder = text[pos:].strip()
             if not remainder:
                 break
-            raise InterfaceError(f"IDL syntax error near {remainder[:20]!r}")
+            raise InterfaceError(f"{dialect} syntax error near {remainder[:20]!r}")
         comment, ident, punct = match.groups()
         if ident:
             tokens.append(ident)
@@ -45,13 +45,18 @@ def _tokenize(text: str) -> List[str]:
 
 
 class _Cursor:
-    def __init__(self, tokens: List[str]) -> None:
-        self.tokens = tokens
+    """The token stream of ``text``, shared with :mod:`repro.idl.corba`:
+    ``token`` is the dialect's lexeme pattern (comment, identifier,
+    punctuation groups) and ``dialect`` names it in error messages."""
+
+    def __init__(self, text: str, token: re.Pattern = _TOKEN, dialect: str = "IDL") -> None:
+        self.tokens = _tokenize(text, token, dialect)
+        self.dialect = dialect
         self.i = 0
 
     def peek(self) -> str:
         if self.i >= len(self.tokens):
-            raise InterfaceError("unexpected end of IDL input")
+            raise InterfaceError(f"unexpected end of {self.dialect} input")
         return self.tokens[self.i]
 
     def next(self) -> str:
@@ -98,7 +103,7 @@ def _parse_signature(cur: _Cursor) -> MethodSignature:
 
 def parse_signature(text: str) -> MethodSignature:
     """Parse one signature, e.g. ``"binding GetBinding(LOID)"``."""
-    cur = _Cursor(_tokenize(text))
+    cur = _Cursor(text)
     sig = _parse_signature(cur)
     if not cur.done() and cur.peek() == ";":
         cur.next()
@@ -109,7 +114,7 @@ def parse_signature(text: str) -> MethodSignature:
 
 def parse_interface(text: str) -> Interface:
     """Parse an ``interface Name { ... }`` block into an :class:`Interface`."""
-    cur = _Cursor(_tokenize(text))
+    cur = _Cursor(text)
     cur.expect("interface")
     name = cur.next()
     cur.expect("{")

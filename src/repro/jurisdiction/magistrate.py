@@ -90,15 +90,8 @@ class ManagedObject:
 class MagistrateImpl(LegionObjectImpl):
     """The base Magistrate.  Site-specific subclasses override policy."""
 
-    def __init__(
-        self,
-        jurisdiction: Jurisdiction,
-        placement: str = "round-robin",
-    ) -> None:
-        if placement not in ("round-robin", "least-loaded", "first-fit"):
-            raise ValueError(f"unknown placement policy {placement!r}")
+    def __init__(self, jurisdiction: Jurisdiction) -> None:
         self.jurisdiction = jurisdiction
-        self.placement = placement
         self.managed: Dict[Tuple[int, int], ManagedObject] = {}
         #: Bindings of the jurisdiction's Host Objects, in adoption order.
         self.hosts: List[Binding] = []
@@ -142,13 +135,6 @@ class MagistrateImpl(LegionObjectImpl):
         """
         return [h.loid for h in self.hosts]
 
-    @legion_method("SetPlacementPolicy(string)")
-    def set_placement_policy(self, policy: str) -> None:
-        """Switch the default host-selection policy at run time."""
-        if policy not in ("round-robin", "least-loaded", "first-fit"):
-            raise RequestRefused(f"unknown placement policy {policy!r}")
-        self.placement = policy
-
     @legion_method("SuggestPlacement(LOID, LOID)")
     def suggest_placement(self, loid: LOID, host: LOID) -> None:
         """A Scheduling Agent pre-pins the host for an object's NEXT
@@ -160,8 +146,9 @@ class MagistrateImpl(LegionObjectImpl):
             )
         self.placement_suggestions[loid.identity] = host
 
-    def _choose_host(self, hint: Optional[LOID], env, loid: Optional[LOID] = None) -> LOID:
-        """Pick the Host Object for an activation."""
+    def _choose_host(self, hint: Optional[LOID], loid: Optional[LOID] = None) -> LOID:
+        """Pick the Host Object for an activation: the hint (or a standing
+        suggestion for ``loid``), else round-robin over unsuspected hosts."""
         if hint is None and loid is not None:
             hint = self.placement_suggestions.pop(loid.identity, None)
         if hint is not None:
@@ -174,22 +161,13 @@ class MagistrateImpl(LegionObjectImpl):
             return hint
         if not self.hosts:
             raise NoCapacity(f"jurisdiction {self.jurisdiction.name} has no hosts")
-        if self.placement == "least-loaded":
-            chosen = yield from self._least_loaded_host(env)
-            return chosen
-        if self.placement == "first-fit":
-            chosen = yield from self._first_fit_host(env)
-            return chosen
-        if not self.suspect_hosts:
-            self._host_rr = (self._host_rr + 1) % len(self.hosts)
-            return self.hosts[self._host_rr].loid
-        # Same rotation, skipping suspects (the no-suspects arithmetic above
-        # is kept verbatim so fault-free placement patterns are unchanged).
-        for _ in range(len(self.hosts)):
-            self._host_rr = (self._host_rr + 1) % len(self.hosts)
-            candidate = self.hosts[self._host_rr]
-            if candidate.loid.identity not in self.suspect_hosts:
-                return candidate.loid
+        suspects = self.suspect_hosts
+        n = len(self.hosts)
+        for _ in range(n):
+            self._host_rr = (self._host_rr + 1) % n
+            candidate = self.hosts[self._host_rr].loid
+            if not suspects or candidate.identity not in suspects:
+                return candidate
         raise NoCapacity(
             f"every host in jurisdiction {self.jurisdiction.name} is suspected failed"
         )
@@ -227,42 +205,6 @@ class MagistrateImpl(LegionObjectImpl):
         except LegionError:
             return ("unknown", None)
 
-    def _probe_host_state(self, host: Binding, env):
-        """GetState with failure classification: None means the host is
-        provably dead (now a suspect) or unreachable; the caller skips it."""
-        status, state = yield from self._probe_host(host.loid, "GetState", (), env)
-        if status == "dead":
-            self.suspect_hosts.add(host.loid.identity)
-        return state if status == "alive" else None
-
-    def _first_fit_host(self, env):
-        """The first host (adoption order) that is accepting with a slot."""
-        for host in self.hosts:
-            if host.loid.identity in self.suspect_hosts:
-                continue
-            state = yield from self._probe_host_state(host, env)
-            if state is not None and state.accepting and state.free_slots > 0:
-                return host.loid
-        raise NoCapacity(
-            f"no accepting host with capacity in {self.jurisdiction.name}"
-        )
-
-    def _least_loaded_host(self, env):
-        best: Optional[LOID] = None
-        best_load = float("inf")
-        for host in self.hosts:
-            if host.loid.identity in self.suspect_hosts:
-                continue
-            state = yield from self._probe_host_state(host, env)
-            if state is not None and state.accepting and state.process_count < best_load:
-                best_load = state.process_count
-                best = host.loid
-        if best is None:
-            raise NoCapacity(
-                f"no accepting host in jurisdiction {self.jurisdiction.name}"
-            )
-        return best
-
     # ------------------------------------------------------------------ admission
 
     def admit_opr(self, opr: OPRecord) -> bool:
@@ -295,7 +237,7 @@ class MagistrateImpl(LegionObjectImpl):
         """
         self._checked(opr)
         env = ctx.nested_env(self.loid) if ctx else self.own_env()
-        host = yield from self._choose_host(host_hint, env, opr.loid)
+        host = self._choose_host(host_hint, opr.loid)
         address = yield from self.runtime.invoke(host, "Activate", opr, env=env)
         self.managed[opr.loid.identity] = ManagedObject(
             loid=opr.loid,
@@ -324,7 +266,7 @@ class MagistrateImpl(LegionObjectImpl):
         used = {host for host, _addr in self._replicas_of(opr.loid)}
         host = None
         if host_hint is not None:
-            host = yield from self._choose_host(host_hint, env)
+            host = self._choose_host(host_hint)
         else:
             for candidate in self.hosts:
                 if candidate.loid not in used:
@@ -385,7 +327,7 @@ class MagistrateImpl(LegionObjectImpl):
         env = ctx.nested_env(self.loid) if ctx else self.own_env()
         opr = self.jurisdiction.vault.load_opr(loid)
         self._checked(opr)
-        host = yield from self._choose_host(host_hint, env, loid)
+        host = self._choose_host(host_hint, loid)
         address = yield from self.runtime.invoke(host, "Activate", opr, env=env)
         self.jurisdiction.vault.delete_opr(loid)
         record.state = ObjectState.ACTIVE

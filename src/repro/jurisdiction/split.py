@@ -37,7 +37,6 @@ def split_jurisdiction(
     site: str,
     new_name: Optional[str] = None,
     hosts_to_move: Optional[List[LOID]] = None,
-    placement: str = "round-robin",
 ) -> ObjectServer:
     """Split ``site``'s jurisdiction; returns the new magistrate's server.
 
@@ -80,7 +79,7 @@ def split_jurisdiction(
 
     # -- 3. the new magistrate, started out-of-band like any magistrate.
     magistrate_class = system.standard_classes["StandardMagistrate"]
-    new_impl = MagistrateImpl(new_jurisdiction, placement=placement)
+    new_impl = MagistrateImpl(new_jurisdiction)
     new_loid = magistrate_class.impl._allocate_instance_loid()
     new_server = ObjectServer(
         system.services,

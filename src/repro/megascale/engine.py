@@ -14,8 +14,8 @@ proportional to the population, so a tick pays for what it touches.
 
 The *escalation boundary* is where the bulk world meets the rich-object
 path.  Any id the scenario actually touches -- a call on a designated
-"interesting" id, a fault on its host, a rebind, a clone -- is promoted
-out of the frame: its columns are snapshotted, a rich twin takes over,
+"interesting" id -- is promoted out of the frame: its columns are
+snapshotted, a rich twin takes over,
 and subsequent calls to it run through the ordinary per-object machinery.
 When it goes quiet it is demoted back: the twin's state folds onto the
 *same* dense id (the allocator never recycles ids, so trace identities
@@ -30,7 +30,7 @@ and routes escalated calls through ``runtime.invoke``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.errors import LegionError
@@ -64,8 +64,6 @@ class EngineLedger:
     shed: int = 0
     promotions: int = 0
     demotions: int = 0
-    fault_promotions: int = 0
-    promoted_by_fault: List[int] = field(default_factory=list)
 
     def settled(self) -> bool:
         """issued == bulk + escalated + shed, with no escalation pending."""
@@ -177,7 +175,7 @@ class BulkEngine:
     def _escalated_call(self, i: int, tick: int) -> None:
         """Route one call through the rich-object path (promoting first)."""
         if int(self.frame.state[i]) != PROMOTED:
-            self._promote([i], reason="touch")
+            self._promote([i])
         self._last_touch[i] = tick
         self._in_flight[i] += 1
         self.ledger.escalated_issued += 1
@@ -196,16 +194,13 @@ class BulkEngine:
 
     # --------------------------------------------------------------- promotion
 
-    def _promote(self, ids: List[int], reason: str) -> None:
+    def _promote(self, ids: List[int]) -> None:
         snapshots = self.frame.promote(ids)
         for i in ids:
             self._in_flight[i] = 0
         self.ledger.promotions += len(snapshots)
-        if reason == "fault":
-            self.ledger.fault_promotions += len(snapshots)
-            self.ledger.promoted_by_fault.extend(int(i) for i in ids)
         if self.boundary is not None:
-            self.boundary.promote(snapshots, reason=reason)
+            self.boundary.promote(snapshots)
         else:
             for snap in snapshots:
                 self._twins[snap["id"]] = {"value": snap["value"]}
@@ -229,46 +224,13 @@ class BulkEngine:
         return len(promoted)
 
     def _demote(self, i: int) -> None:
-        home = int(self.frame.host[i])
-        if not bool(self.frame.host_up[home]):
-            home = self._surviving_host()
         if self.boundary is not None:
             value = self.boundary.demote(i)
         else:
             value = self._twins.pop(i)["value"]
-        self.frame.demote(i, value=value, host=home)
+        self.frame.demote(i, value=value)
         self._last_touch.pop(i, None)
         self.ledger.demotions += 1
-
-    def _surviving_host(self) -> int:
-        np = self.np
-        up = np.nonzero(self.frame.host_up)[0]
-        if up.size == 0:
-            raise LegionError("no surviving host to re-home a demoted row")
-        return int(up[0])
-
-    # ------------------------------------------------------------------- chaos
-
-    def crash_host(self, host_id: int) -> List[int]:
-        """A bulk-backed host dies: promote *exactly* the affected ids.
-
-        The bulk rows occupying the crashed host's slots are the blast
-        radius -- each one is promoted into the rich-object path (the
-        frame snapshot is its checkpoint, exactly the magistrate/OPR
-        recovery shape), and nothing else moves bands.  Returns the
-        promoted ids, in dense-id order.
-        """
-        affected = self.frame.bulk_ids_on_host(host_id).tolist()  # plain ints
-        self.frame.crash_host(host_id)
-        if affected:
-            self._promote(affected, reason="fault")
-            for i in affected:
-                self._last_touch.setdefault(i, 0)
-        return affected
-
-    def restore_host(self, host_id: int) -> None:
-        """Bring the host back; demotion may re-home rows onto it again."""
-        self.frame.restore_host(host_id)
 
     # --------------------------------------------------------------- reporting
 

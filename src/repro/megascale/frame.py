@@ -19,18 +19,17 @@ regression pinning this).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.errors import LegionError
 from repro.megascale.compat import require_numpy
 
 #: Lifecycle bands of a bulk row.  BULK rows take frame-at-once
 #: transitions; PROMOTED rows are owned by the rich-object path (their
-#: bulk columns are frozen until demotion); LOST rows sat on a crashed
-#: host and await promotion-on-recovery.
-BULK, PROMOTED, LOST = 0, 1, 2
+#: bulk columns are frozen until demotion).
+BULK, PROMOTED = 0, 1
 
-BAND_NAMES = {BULK: "bulk", PROMOTED: "promoted", LOST: "lost"}
+BAND_NAMES = {BULK: "bulk", PROMOTED: "promoted"}
 
 
 class IdAllocator:
@@ -68,7 +67,7 @@ class StateFrame:
 
     * ``klass``      -- class index (int32)
     * ``host``       -- host-slot index (int32)
-    * ``state``      -- lifecycle band: BULK / PROMOTED / LOST (uint8)
+    * ``state``      -- lifecycle band: BULK / PROMOTED (uint8)
     * ``value``      -- application state: the counter value (int64)
     * ``calls``      -- completed calls while in the bulk band (int64)
     * ``shed``       -- calls shed by the bulk admission limit (int64)
@@ -79,7 +78,6 @@ class StateFrame:
 
     * ``class_calls`` / ``class_sheds`` -- per-class tallies
     * ``host_occupancy`` -- live bulk rows per host slot
-    * ``host_up``        -- host liveness mask
     """
 
     def __init__(self, n_classes: int, n_hosts: int) -> None:
@@ -103,7 +101,6 @@ class StateFrame:
         self.class_calls = np.zeros(self.n_classes, dtype=np.int64)
         self.class_sheds = np.zeros(self.n_classes, dtype=np.int64)
         self.host_occupancy = np.zeros(self.n_hosts, dtype=np.int64)
-        self.host_up = np.ones(self.n_hosts, dtype=bool)
 
     # ------------------------------------------------------------------ sizing
 
@@ -179,73 +176,30 @@ class StateFrame:
         if bool((self.state[id_arr] == PROMOTED).any()):
             raise LegionError("promote: row already promoted")
         snapshots = [self.snapshot_row(int(i)) for i in id_arr]
-        # LOST rows already left their (crashed) host's occupancy count
-        # in mark_lost; only BULK rows vacate a live slot here.
-        bulk = id_arr[self.state[id_arr] == BULK]
         self.state[id_arr] = PROMOTED
-        np.add.at(self.host_occupancy, self.host[bulk], -1)
+        np.add.at(self.host_occupancy, self.host[id_arr], -1)
         return snapshots
 
-    def demote(self, i: int, value: int, host: Optional[int] = None) -> None:
+    def demote(self, i: int, value: int) -> None:
         """Fold a rich twin's state back onto row ``i`` (BULK again).
 
-        ``value`` is the twin's application state; ``host`` optionally
-        re-homes the row (recovery after its original host crashed).  The
-        id is the same one ``promote`` snapshotted -- the allocator never
-        recycled it in between (see :class:`IdAllocator`).
+        ``value`` is the twin's application state.  The id is the same
+        one ``promote`` snapshotted -- the allocator never recycled it in
+        between (see :class:`IdAllocator`).
         """
         if int(self.state[i]) != PROMOTED:
             raise LegionError(f"demote: row {i} is not promoted")
-        if host is not None:
-            if not (0 <= host < self.n_hosts):
-                raise LegionError(f"demote: host {host} out of range")
-            self.host[i] = host
-        if not bool(self.host_up[self.host[i]]):
-            raise LegionError(f"demote: host {int(self.host[i])} is down")
         self.value[i] = int(value)
         self.state[i] = BULK
         self.host_occupancy[self.host[i]] += 1
-
-    # ------------------------------------------------------------------- chaos
-
-    def bulk_ids_on_host(self, host_id: int):
-        """The BULK-band ids currently occupying ``host_id``'s slots."""
-        np = self.np
-        mask = (self.host == host_id) & (self.state == BULK)
-        return np.nonzero(mask)[0].astype(np.int64)
-
-    def crash_host(self, host_id: int) -> None:
-        """Mark a host slot range down (the engine decides who escalates)."""
-        if not (0 <= host_id < self.n_hosts):
-            raise LegionError(f"crash_host: host {host_id} out of range")
-        self.host_up[host_id] = False
-
-    def mark_lost(self, ids) -> None:
-        """Move BULK rows to the LOST band (their host crashed).
-
-        The rows vacate their slots; a later ``promote`` recovers them
-        into the rich-object path without double-counting occupancy.
-        """
-        np = self.np
-        id_arr = np.asarray(ids, dtype=np.int64)
-        if id_arr.size == 0:
-            return
-        if bool((self.state[id_arr] != BULK).any()):
-            raise LegionError("mark_lost: only BULK rows can be lost")
-        self.state[id_arr] = LOST
-        np.add.at(self.host_occupancy, self.host[id_arr], -1)
-
-    def restore_host(self, host_id: int) -> None:
-        """Bring a crashed host slot range back up."""
-        self.host_up[host_id] = True
 
     # --------------------------------------------------------------- reporting
 
     def band_histogram(self) -> Dict[str, int]:
         """Row counts per lifecycle band."""
         np = self.np
-        counts = np.bincount(self.state, minlength=3)
-        return {BAND_NAMES[band]: int(counts[band]) for band in (BULK, PROMOTED, LOST)}
+        counts = np.bincount(self.state, minlength=2)
+        return {BAND_NAMES[band]: int(counts[band]) for band in (BULK, PROMOTED)}
 
     def value_checksum(self) -> int:
         """An order-sensitive digest of per-id application state.

@@ -2,7 +2,7 @@
 
 This is the differential twin of :class:`~repro.megascale.engine.BulkEngine`:
 the same scenario semantics -- admission limit, shedding, escalation on
-touch, fault promotion, idle demotion, the settlement identity --
+touch, idle demotion, the settlement identity --
 implemented over plain Python dicts with an explicit per-object loop and
 *no numpy anywhere*.  The property and differential tests drive both
 machines with identical seeded inputs and assert the final states,
@@ -13,7 +13,7 @@ where this twin proves it interchangeable.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.errors import LegionError
@@ -44,8 +44,6 @@ class RefLedger:
     shed: int = 0
     promotions: int = 0
     demotions: int = 0
-    fault_promotions: int = 0
-    promoted_by_fault: List[int] = field(default_factory=list)
 
     def settled(self) -> bool:
         return (
@@ -71,7 +69,6 @@ class ReferenceMachine:
         self.demote_after = int(demote_after)
         self.objects: List[RefObject] = []
         self.hot = set(int(i) for i in hot_ids)
-        self.host_up = [True] * n_hosts
         self.class_calls = [0] * n_classes
         self.class_sheds = [0] * n_classes
         self.ledger = RefLedger()
@@ -122,7 +119,7 @@ class ReferenceMachine:
     def _escalated_call(self, i: int, tick: int) -> None:
         obj = self.objects[i]
         if obj.state != "promoted":
-            self._promote([i], reason="touch")
+            self._promote([i])
         self._last_touch[i] = tick
         self.ledger.escalated_issued += 1
         self._twins[i] += 1
@@ -131,7 +128,7 @@ class ReferenceMachine:
 
     # --------------------------------------------------------------- promotion
 
-    def _promote(self, ids: List[int], reason: str) -> None:
+    def _promote(self, ids: List[int]) -> None:
         for i in ids:
             obj = self.objects[i]
             if obj.state == "promoted":
@@ -139,9 +136,6 @@ class ReferenceMachine:
             obj.state = "promoted"
             self._twins[i] = obj.value
         self.ledger.promotions += len(ids)
-        if reason == "fault":
-            self.ledger.fault_promotions += len(ids)
-            self.ledger.promoted_by_fault.extend(ids)
 
     def demote_idle(self, tick: int) -> int:
         idle = sorted(
@@ -161,36 +155,10 @@ class ReferenceMachine:
 
     def _demote(self, i: int) -> None:
         obj = self.objects[i]
-        if not self.host_up[obj.host]:
-            obj.host = self._surviving_host()
         obj.value = self._twins.pop(i)
         obj.state = "bulk"
         self._last_touch.pop(i, None)
         self.ledger.demotions += 1
-
-    def _surviving_host(self) -> int:
-        for h, up in enumerate(self.host_up):
-            if up:
-                return h
-        raise LegionError("no surviving host to re-home a demoted row")
-
-    # ------------------------------------------------------------------- chaos
-
-    def crash_host(self, host_id: int) -> List[int]:
-        affected = sorted(
-            i
-            for i, obj in enumerate(self.objects)
-            if obj.host == host_id and obj.state == "bulk"
-        )
-        self.host_up[host_id] = False
-        if affected:
-            self._promote(affected, reason="fault")
-            for i in affected:
-                self._last_touch.setdefault(i, 0)
-        return affected
-
-    def restore_host(self, host_id: int) -> None:
-        self.host_up[host_id] = True
 
     # --------------------------------------------------------------- reporting
 
@@ -205,7 +173,6 @@ class ReferenceMachine:
         return {
             "bulk": counts.get("bulk", 0),
             "promoted": counts.get("promoted", 0),
-            "lost": counts.get("lost", 0),
         }
 
     def settled(self) -> bool:

@@ -227,7 +227,7 @@ class LiveEscalationBoundary:
     def engine(self, engine: BulkEngine) -> None:
         self._engine = weakref.ref(engine)
 
-    def promote(self, snapshots, reason: str) -> None:
+    def promote(self, snapshots) -> None:
         for snap in snapshots:
             i = snap["id"]
             if i not in self.twins:
@@ -335,7 +335,6 @@ def run_columnar(spec: MegaScenario, seed: int) -> MegaOutcome:
         diagnostics={
             "promotions": ledger.promotions,
             "demotions": ledger.demotions,
-            "fault_promotions": ledger.fault_promotions,
             "rich_calls": boundary.rich_calls,
             "twin_class_calls": twin_calls,
             "escalated_by_class_match": twin_calls

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from collections import defaultdict
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, NamedTuple, Optional
 
 
 class ComponentKind(enum.Enum):
@@ -79,13 +79,6 @@ class MetricsRegistry:
         """The counter value (0 if the component never reported)."""
         return self._counts.get(component, {}).get(event, 0)
 
-    def components(self, kind: Optional[ComponentKind] = None) -> List[ComponentId]:
-        """All known components, optionally filtered by kind."""
-        return sorted(
-            (c for c in self._counts if kind is None or c.kind == kind),
-            key=str,
-        )
-
     def totals_by_kind(self, event: str = REQUESTS) -> Dict[ComponentKind, int]:
         """Sum of ``event`` over all components of each kind."""
         out: Dict[ComponentKind, int] = defaultdict(int)
@@ -142,18 +135,6 @@ class MetricsRegistry:
             str(comp): events.get(event, 0)
             for comp, events in self._counts.items()
         }
-
-    def top(
-        self, n: int = 10, event: str = REQUESTS, kind: Optional[ComponentKind] = None
-    ) -> List[Tuple[ComponentId, int]]:
-        """The ``n`` most-loaded components (the would-be bottlenecks)."""
-        items = [
-            (comp, events.get(event, 0))
-            for comp, events in self._counts.items()
-            if kind is None or comp.kind == kind
-        ]
-        items.sort(key=lambda kv: (-kv[1], str(kv[0])))
-        return items[:n]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<MetricsRegistry components={len(self._counts)}>"

@@ -16,11 +16,9 @@ still has exactly one physical location.
 
 from __future__ import annotations
 
-import heapq
-import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.naming.binding import Binding
 from repro.naming.loid import LOID
@@ -70,29 +68,10 @@ class BindingCache:
             raise ValueError(f"capacity must be >= 1 or None, got {capacity}")
         self.capacity = capacity
         self._entries: "OrderedDict[Tuple[int, int], Binding]" = OrderedDict()
-        #: Lazy min-heap of (expires_at, key) for finite-TTL entries, so
-        #: purge_expired is O(expired·log n) instead of a full O(n) scan.
-        #: Entries go stale on replace/invalidate/evict and are skipped on
-        #: pop (the live binding's own expiry is always re-checked).
-        self._expiry: List[Tuple[float, Tuple[int, int]]] = []
-        #: Latest simulated time this cache has observed (monotone in the
-        #: simulation); lets time-less protocols like ``in`` stay honest.
-        self._last_now = 0.0
         self.stats = CacheStats()
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def __contains__(self, loid: LOID) -> bool:
-        """Presence of a *live* entry, judged at the last observed time.
-
-        An entry already expired at the most recent ``now`` this cache saw
-        (via :meth:`lookup` / :meth:`purge_expired`) is reported absent --
-        it can never be returned by a lookup again, so claiming membership
-        would be a lie.  Simulated time is monotone, so this is safe.
-        """
-        binding = self._entries.get(loid.identity)
-        return binding is not None and binding.valid_at(self._last_now)
 
     def lookup(self, loid: LOID, now: float) -> Optional[Binding]:
         """The cached binding for ``loid``, or None on miss/expiry.
@@ -100,8 +79,6 @@ class BindingCache:
         An expired entry is removed and counted both as ``expired`` and as
         a miss (the caller must re-resolve either way).
         """
-        if now > self._last_now:
-            self._last_now = now
         key = loid.identity
         binding = self._entries.get(key)
         if binding is None:
@@ -122,12 +99,6 @@ class BindingCache:
         if key in self._entries:
             self._entries.move_to_end(key)
         self._entries[key] = binding
-        if binding.expires_at != math.inf:
-            heapq.heappush(self._expiry, (binding.expires_at, key))
-            # Replacements/invalidations leave dead heap entries behind;
-            # rebuild when they clearly dominate so the heap stays O(n).
-            if len(self._expiry) > 2 * len(self._entries) + 64:
-                self._rebuild_expiry()
         self.stats.inserts += 1
         if self.capacity is not None and len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
@@ -155,40 +126,9 @@ class BindingCache:
             return True
         return False
 
-    def purge_expired(self, now: float) -> int:
-        """Remove all expired entries; returns how many were dropped.
-
-        O(expired·log n): walks the expiry heap instead of scanning every
-        entry (never-expiring entries are not in the heap at all).
-        """
-        if now > self._last_now:
-            self._last_now = now
-        dropped = 0
-        expiry = self._expiry
-        entries = self._entries
-        while expiry and expiry[0][0] <= now:
-            _, key = heapq.heappop(expiry)
-            binding = entries.get(key)
-            # The heap entry may be stale (replaced/invalidated binding);
-            # only delete when the *live* binding really is expired.
-            if binding is not None and not binding.valid_at(now):
-                del entries[key]
-                dropped += 1
-        self.stats.expired += dropped
-        return dropped
-
-    def _rebuild_expiry(self) -> None:
-        self._expiry = [
-            (b.expires_at, k)
-            for k, b in self._entries.items()
-            if b.expires_at != math.inf
-        ]
-        heapq.heapify(self._expiry)
-
     def clear(self) -> None:
         """Empty the cache (counters are preserved)."""
         self._entries.clear()
-        self._expiry.clear()
 
     def entries(self) -> Tuple[Binding, ...]:
         """A snapshot of current entries, LRU-first."""

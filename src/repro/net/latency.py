@@ -10,7 +10,7 @@ needs a notion of *where* endpoints live.  Hosts are assigned to *sites*
 * ``SAME_SITE``  -- different machines, one campus (LAN),
 * ``WIDE_AREA``  -- across sites (WAN),
 
-and each class has a base latency plus optional jitter.  The defaults are
+and each class has a base latency.  The defaults are
 order-of-magnitude figures for mid-1990s infrastructure (the NII of the
 paper); absolute values don't matter for the reproduced claims, only the
 local ≪ wide-area ordering does.
@@ -53,18 +53,11 @@ class LatencyModel:
     ----------
     base:
         Per-class one-way base latency (milliseconds of simulated time).
-    jitter_fraction:
-        If > 0, each delivery adds uniform jitter in
-        ``[0, jitter_fraction * base)`` drawn from ``rng``.
-    rng:
-        ``random.Random`` used for jitter; required when jitter is on.
     """
 
     base: Dict[LinkClass, float] = field(
         default_factory=lambda: dict(DEFAULT_BASE_LATENCY)
     )
-    jitter_fraction: float = 0.0
-    rng: Optional[object] = None
     _site_of: Dict[int, str] = field(default_factory=dict)
     #: Memo of :meth:`classify` per (src host, dst host): the answer is
     #: constant between ``assign_host`` calls, and ``Network.send`` asks
@@ -100,23 +93,6 @@ class LatencyModel:
                 link = LinkClass.WIDE_AREA
         self.links[src_host, dst_host] = link
         return link
-
-    def latency(self, src_host: int, dst_host: int) -> float:
-        """One-way latency for a message between two hosts."""
-        return self.latency_of(self.classify(src_host, dst_host))
-
-    def latency_of(self, cls: LinkClass) -> float:
-        """One-way latency for an already-classified link.
-
-        The send path classifies once (for per-class stats) and reuses
-        the class here instead of walking the site map twice per message.
-        """
-        value = self.base[cls]
-        if self.jitter_fraction > 0.0:
-            if self.rng is None:
-                raise ValueError("jitter enabled but no rng provided")
-            value += self.rng.uniform(0.0, self.jitter_fraction * value)
-        return value
 
     @classmethod
     def uniform(cls, latency: float) -> "LatencyModel":

@@ -175,10 +175,7 @@ class Network:
         if link is None:
             link = latency.classify(src_host, dst_host)
         stats.by_class[link] += 1
-        if latency.jitter_fraction > 0.0:
-            one_way = latency.latency_of(link)
-        else:
-            one_way = latency.base[link]
+        one_way = latency.base[link]
 
         if self._partitions and self._partitioned(src_host, dst_host):
             stats.partition_blocks += 1

@@ -13,7 +13,7 @@ physical addresses."  The creation side lives on class objects
     class Derive(..., consistency=...)  # per-class policy choice
     cls.CreateReplicated(n, ...)        # places replicas, gossips news
     runtime.invoke(loid, "Get", ...)    # locality-ordered FIRST reads
-    ReplicaSession(runtime, binding, policy)   # quorum / primary-copy
+    ReplicaSession(runtime, binding, policy)   # primary-copy / read-any
     ReplicaRepairService(system)        # background regrow, yields to load
 
 Modules: :mod:`selection` (config + locality ordering), :mod:`catalog`
@@ -25,11 +25,7 @@ ambient handle + ``enable_replication``).
 
 from repro.replication.catalog import GlobalReplicaIndexImpl, ReplicaCatalogImpl
 from repro.replication.directory import ReplicaDirectory, enable_replication
-from repro.replication.policy import (
-    ConsistencyPolicy,
-    ReplicaSession,
-    default_quorums,
-)
+from repro.replication.policy import ConsistencyPolicy, ReplicaSession
 from repro.replication.repair import (
     REPAIR_RETRY_POLICY,
     ReplicaGroupStatus,
@@ -52,7 +48,6 @@ __all__ = [
     "ReplicaSession",
     "ReplicatedStoreImpl",
     "ReplicationConfig",
-    "default_quorums",
     "enable_replication",
     "probe_replicas",
     "repair_replica_group",

@@ -13,7 +13,7 @@ placement through one-way EVENT messages -- class objects gossip
 ``replica-news`` on CreateReplicated / AddReplica / ReportDeadReplica,
 catalogs forward ``site-holds`` digests to the index -- so keeping the
 map current costs no round trips on any foreground path.  Queries
-(lookup, under-replication scans for the repair service) are normal
+(the repair service's ``Tracked`` scans, replica counts) are normal
 method invocations.
 """
 
@@ -50,14 +50,6 @@ class ReplicaCatalogImpl(LegionObjectImpl):
         """Point this catalog at the global index."""
         self.index_element = element
 
-    @legion_method("list LookupReplicas(LOID)")
-    def lookup_replicas(self, loid: LOID) -> List[Any]:
-        """The replica elements of ``loid`` held at this site, sorted."""
-        entry = self.entries.get(loid.identity)
-        if entry is None:
-            return []
-        return sorted(entry["elements"])
-
     @legion_method("int ReplicaCount(LOID)")
     def replica_count(self, loid: LOID) -> int:
         """How many replicas of ``loid`` this site holds."""
@@ -74,11 +66,6 @@ class ReplicaCatalogImpl(LegionObjectImpl):
             (entry["loid"], entry["want"], entry["class_loid"])
             for _identity, entry in sorted(self.entries.items())
         ]
-
-    @legion_method("int Size()")
-    def size(self) -> int:
-        """Number of tracked replica groups."""
-        return len(self.entries)
 
     # ---------------------------------------------------------- event plane
 
@@ -158,11 +145,6 @@ class GlobalReplicaIndexImpl(LegionObjectImpl):
             if want and have < want:
                 out.append((loid, have, want, class_loid))
         return out
-
-    @legion_method("int IndexSize()")
-    def index_size(self) -> int:
-        """Number of indexed replica groups."""
-        return len(self.groups)
 
     def handle_event(self, payload: Any, source: Any) -> None:
         """Site digests from the per-jurisdiction catalogs."""

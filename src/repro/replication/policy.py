@@ -18,10 +18,6 @@ into wire protocol against a replica group:
   write returns.  Reads try the nearest copy and fall back to the
   primary whenever the copy admits staleness -- so a completed write is
   never overwritten by an old value served as fresh.
-* ``QUORUM`` -- explicit-version read/write quorums with R + W > N:
-  a write reads R versions, picks max+1, and lands on W replicas; a
-  read merges R copies by max version.  Read-your-writes holds because
-  any read quorum intersects the last write quorum.
 
 Sessions are client-side coordinator generators: they run inside any
 simulation process and speak to specific elements via
@@ -32,7 +28,7 @@ simulation process and speak to specific elements via
 from __future__ import annotations
 
 import enum
-from typing import Any, List, Optional, Tuple
+from typing import Any, Optional
 
 from repro.errors import DeliveryFailure, ReplicationError
 from repro.security.environment import CallEnvironment
@@ -42,14 +38,7 @@ class ConsistencyPolicy(enum.Enum):
     """The per-class consistency choices (string keys on class objects)."""
 
     PRIMARY_COPY = "primary-copy"
-    QUORUM = "quorum"
     READ_ANY = "read-any"
-
-
-def default_quorums(n: int) -> Tuple[int, int]:
-    """Majority read and write quorums for an ``n``-replica group."""
-    majority = n // 2 + 1
-    return majority, majority
 
 
 class ReplicaSession:
@@ -64,10 +53,6 @@ class ReplicaSession:
     policy:
         A :class:`ConsistencyPolicy` or its string value (a class's
         ``GetConsistencyPolicy()`` result plugs in directly).
-    read_quorum / write_quorum:
-        Override the majority defaults (QUORUM only).  The session
-        refuses configurations with R + W <= N: they cannot give
-        read-your-writes and would silently serve stale data.
     """
 
     def __init__(
@@ -75,25 +60,12 @@ class ReplicaSession:
         runtime,
         binding,
         policy,
-        read_quorum: Optional[int] = None,
-        write_quorum: Optional[int] = None,
         timeout: Optional[float] = None,
         priority: int = 0,
     ) -> None:
         self.runtime = runtime
         self.binding = binding
         self.policy = ConsistencyPolicy(policy)
-        n = len(binding.address.elements)
-        default_r, default_w = default_quorums(n)
-        self.read_quorum = read_quorum if read_quorum is not None else default_r
-        self.write_quorum = write_quorum if write_quorum is not None else default_w
-        if self.policy is ConsistencyPolicy.QUORUM and (
-            self.read_quorum + self.write_quorum <= n
-        ):
-            raise ReplicationError(
-                f"quorums R={self.read_quorum} W={self.write_quorum} do not "
-                f"overlap over {n} replicas (need R + W > N)"
-            )
         self.timeout = timeout
         self.priority = priority
 
@@ -122,32 +94,6 @@ class ReplicaSession:
         )
         return value
 
-    def _collect(self, method: str, args: tuple, need: int):
-        """Call ``need`` replicas in group order, skipping unreachable ones.
-
-        Returns (values, elements_answering).  Raises the last transport
-        error when fewer than ``need`` replicas answered.
-        """
-        values: List[Any] = []
-        answered: List[Any] = []
-        last: Optional[BaseException] = None
-        for element in self.elements:
-            if len(values) >= need:
-                break
-            try:
-                value = yield from self._call(element, method, *args)
-            except DeliveryFailure as exc:
-                last = exc
-                continue
-            values.append(value)
-            answered.append(element)
-        if len(values) < need:
-            raise ReplicationError(
-                f"quorum not met: {len(values)}/{need} replicas of "
-                f"{self.binding.loid} answered {method}"
-            ) from last
-        return values, answered
-
     # ------------------------------------------------------------------ API
 
     def read(self, key: str):
@@ -163,12 +109,6 @@ class ReplicaSession:
                 timeout=self.timeout,
                 priority=self.priority,
             )
-            return value
-        if self.policy is ConsistencyPolicy.QUORUM:
-            replies, _who = yield from self._collect(
-                "GetVersioned", (key,), self.read_quorum
-            )
-            version, value, _fresh = max(replies, key=lambda r: r[0])
             return value
         # PRIMARY_COPY: nearest copy first, primary on staleness.
         services = self.runtime.services
@@ -200,15 +140,6 @@ class ReplicaSession:
             raise ReplicationError(
                 "read-any groups are immutable after seeding; use seed()"
             )
-        if self.policy is ConsistencyPolicy.QUORUM:
-            replies, _who = yield from self._collect(
-                "GetVersioned", (key,), self.read_quorum
-            )
-            version = max(r[0] for r in replies) + 1
-            _acks, _who = yield from self._collect(
-                "PutVersioned", (key, version, value), self.write_quorum
-            )
-            return version
         # PRIMARY_COPY: the primary assigns the version; acked
         # invalidations reach every secondary before the write returns,
         # in group order -- the ordering the property tests pin.

@@ -1,6 +1,6 @@
 """ReplicatedStoreImpl: the versioned KV workload behind the policies.
 
-One implementation serves all three consistency policies
+One implementation serves both consistency policies
 (:mod:`repro.replication.policy`):
 
 * **read-any** -- immutable after ``Freeze()``; ``Get`` is a plain read
@@ -9,9 +9,10 @@ One implementation serves all three consistency policies
 * **primary-copy** -- ``WritePrimary`` assigns the next version at the
   group's primary; sessions then push acked ``Invalidate`` markers to
   the secondaries, whose ``GetVersioned`` flags the copy stale until a
-  newer value lands;
-* **quorum** -- ``PutVersioned``/``GetVersioned`` carry explicit
-  versions; last-writer-wins per key, read quorums take the max.
+  newer value lands.
+
+Seeding writes every copy with ``PutVersioned`` at an explicit version;
+last writer wins per key.
 
 ``service_time`` (optional) makes ``Get`` a strictly serial FIFO server
 exactly like :class:`repro.workloads.apps.SerialServiceImpl`, so
@@ -72,7 +73,7 @@ class ReplicatedStoreImpl(LegionObjectImpl):
 
     @legion_method("int PutVersioned(string, int, value)")
     def put_versioned(self, key: str, version: int, value: Any) -> int:
-        """Quorum/repair write at an explicit version (last writer wins).
+        """Seeding write at an explicit version (last writer wins).
 
         Applies only when ``version`` is newer than the stored copy;
         returns the version now stored either way.
@@ -122,7 +123,7 @@ class ReplicatedStoreImpl(LegionObjectImpl):
         ``fresh`` is False when an Invalidate marker outruns the stored
         copy -- primary-copy sessions then fall back to the primary.
         Missing keys read as (0, None, True): "never written" is a
-        consistent answer, not an error, for quorum merges.
+        consistent answer, not an error.
         """
         version, value = self.data.get(key, (0, None))
         fresh = self.invalid_at.get(key, 0) <= version
@@ -132,13 +133,3 @@ class ReplicatedStoreImpl(LegionObjectImpl):
     def size(self) -> int:
         """Number of stored keys."""
         return len(self.data)
-
-    @legion_method("list Keys()")
-    def keys(self) -> List[str]:
-        """All keys, sorted."""
-        return sorted(self.data)
-
-    @legion_method("int ReadsServed()")
-    def reads_served_count(self) -> int:
-        """How many Get() reads this copy has answered."""
-        return self.reads_served

@@ -20,13 +20,13 @@ Public API
     A single-assignment result container usable from processes.
 :class:`Timeout`
     Yieldable marker that suspends a process for simulated time.
-:func:`gather` / :func:`any_of`
-    Future combinators.
+:func:`gather`
+    Future combinator.
 :class:`RngStreams`
     Named, independently seeded random streams for reproducible runs.
 """
 
-from repro.simkernel.futures import SimFuture, gather, any_of
+from repro.simkernel.futures import SimFuture, gather
 from repro.simkernel.kernel import SimKernel, Timeout, Process
 from repro.simkernel.rng import RngStreams
 
@@ -36,6 +36,5 @@ __all__ = [
     "Timeout",
     "Process",
     "gather",
-    "any_of",
     "RngStreams",
 ]

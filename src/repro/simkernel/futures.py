@@ -192,39 +192,6 @@ def gather(futures: Iterable[SimFuture], name: str = "gather") -> SimFuture:
     return out
 
 
-def any_of(futures: Iterable[SimFuture], name: str = "any_of") -> SimFuture:
-    """Resolve with ``(index, result)`` of the first future to succeed.
-
-    Fails only if *every* input future fails, with the last exception.
-    Used for k-of-n / any-replica Object Address semantics (paper 3.4),
-    where one live replica is enough.
-    """
-    futs = list(futures)
-    out = SimFuture(name)
-    if not futs:
-        out.set_exception(FutureError("any_of() of no futures"))
-        return out
-    failures = 0
-
-    def make_cb(i: int) -> Callable[[SimFuture], None]:
-        def _cb(fut: SimFuture) -> None:
-            nonlocal failures
-            if out.done():
-                return
-            if fut.failed():
-                failures += 1
-                if failures == len(futs):
-                    out.set_exception(fut.exception())  # type: ignore[arg-type]
-                return
-            out.set_result((i, fut._result))
-
-        return _cb
-
-    for i, fut in enumerate(futs):
-        fut.add_done_callback(make_cb(i))
-    return out
-
-
 def k_of(futures: Iterable[SimFuture], k: int, name: str = "k_of") -> SimFuture:
     """Resolve with the first ``k`` successful results (index, value pairs).
 

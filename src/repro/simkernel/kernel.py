@@ -270,10 +270,6 @@ class SimKernel:
     #: The same method under its callback-style names.
     schedule = call_later = post
 
-    def schedule_at(self, when: float, fn: Callable[..., None], *args: Any) -> _Entry:
-        """Run ``fn(*args)`` at absolute simulated time ``when`` (>= now)."""
-        return self.post(when - self.now, fn, *args)
-
     def spawn(self, gen: ProcessGen, name: str = "") -> SimFuture:
         """Start ``gen`` as a process; returns a future for its return value.
 
@@ -458,14 +454,6 @@ class SimKernel:
                 fn(*args)
             if micro:
                 self._drain_micro()  # leaves micro empty (spills go to queue)
-
-    # -- helpers ------------------------------------------------------------
-
-    def sleep(self, delay: float) -> SimFuture:
-        """A future that resolves after ``delay`` (for callback-style code)."""
-        fut = SimFuture(f"sleep-{delay}")
-        self.post(delay, fut.set_result, None)
-        return fut
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<SimKernel t={self.now:.3f} queued={len(self._queue)}>"

@@ -56,9 +56,5 @@ class RngStreams:
             )
         return self._np_streams[name]
 
-    def fork(self, name: str) -> "RngStreams":
-        """A child family, fully determined by (master_seed, name)."""
-        return RngStreams(_derive_seed(self.master_seed, "fork:" + name))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<RngStreams seed={self.master_seed} streams={sorted(self._streams)}>"

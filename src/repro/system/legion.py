@@ -119,7 +119,6 @@ class LegionSystem:
         cls,
         sites: Sequence[SiteSpec],
         seed: int = 0,
-        placement: str = "round-robin",
         agent_cache_capacity: int = 4096,
         binding_ttl: Optional[float] = None,
         latency_model: Optional[LatencyModel] = None,
@@ -162,7 +161,7 @@ class LegionSystem:
 
         # -- per-site infrastructure.
         for spec in system.sites:
-            system._build_site(spec, placement, agent_cache_capacity)
+            system._build_site(spec, agent_cache_capacity)
 
         # -- the default binding agent is the first site's agent.
         first_site = system.sites[0].name
@@ -260,7 +259,7 @@ class LegionSystem:
                 return server
         return None
 
-    def _build_site(self, spec: SiteSpec, placement: str, agent_cache: int) -> None:
+    def _build_site(self, spec: SiteSpec, agent_cache: int) -> None:
         """One site: jurisdiction, disks, hosts, magistrate, binding agent."""
         jurisdiction = Jurisdiction(spec.name)
         for i in range(spec.disks):
@@ -294,7 +293,7 @@ class LegionSystem:
 
         # The site's Magistrate, on the site's first host.
         magistrate_class = self.standard_classes["StandardMagistrate"]
-        magistrate_impl = MagistrateImpl(jurisdiction, placement=placement)
+        magistrate_impl = MagistrateImpl(jurisdiction)
         magistrate_loid = magistrate_class.impl._allocate_instance_loid()
         magistrate_server = ObjectServer(
             self.services,

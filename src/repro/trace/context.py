@@ -27,9 +27,5 @@ class TraceContext:
     span_id: int
     parent_id: int = 0
 
-    def child_of(self, span_id: int) -> "TraceContext":
-        """The context a child span started under ``span_id`` would carry."""
-        return TraceContext(self.trace_id, span_id, self.span_id)
-
     def __str__(self) -> str:
         return f"trace={self.trace_id} span={self.span_id} parent={self.parent_id}"

@@ -1,4 +1,4 @@
-"""Trace exporters: Chrome ``trace_event`` JSON and an aligned text summary.
+"""Trace exporter: Chrome ``trace_event`` JSON.
 
 The JSON format is the ``chrome://tracing`` / Perfetto "JSON Array with
 metadata" flavour: a ``traceEvents`` list of complete ("ph": "X") events
@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 from typing import Dict, Iterable, List
 
-from repro.trace.ledger import LoadLedger
 from repro.trace.recorder import Span
 
 #: pid 0 is reserved so every real component gets a non-zero pid.
@@ -78,58 +77,3 @@ def write_chrome_trace(spans: Iterable[Span], path: str) -> str:
         json.dump(chrome_trace(spans), fh, indent=1, sort_keys=True)
         fh.write("\n")
     return path
-
-
-def text_summary(spans: Iterable[Span], title: str = "trace summary") -> str:
-    """An aligned, human-readable digest of a span set.
-
-    Three sections: span counts by kind, the per-component load ledger
-    (handled requests, load rate, fan-in), and the hop-depth histogram.
-    """
-    spans = list(spans)
-    ledger = LoadLedger(spans)
-    lines: List[str] = [title, "=" * len(title)]
-
-    by_kind: Dict[str, int] = {}
-    for span in spans:
-        by_kind[span.kind] = by_kind.get(span.kind, 0) + 1
-    lines.append(
-        f"{len(spans)} spans over {ledger.duration:.2f} simulated ms"
-    )
-    lines.append(
-        "  " + "  ".join(f"{kind}={n}" for kind, n in sorted(by_kind.items()))
-    )
-
-    if ledger.handled:
-        lines.append("")
-        rows = [
-            (comp, str(n), f"{ledger.load_rate(comp):.4f}", str(ledger.fan_in(comp)))
-            for comp, n in sorted(
-                ledger.handled.items(), key=lambda kv: (-kv[1], kv[0])
-            )
-        ]
-        header = ("component", "handled", "per-ms", "fan-in")
-        widths = [
-            max(len(header[i]), *(len(r[i]) for r in rows)) for i in range(4)
-        ]
-        lines.append(
-            "  ".join(
-                h.ljust(w) if i == 0 else h.rjust(w)
-                for i, (h, w) in enumerate(zip(header, widths, strict=True))
-            )
-        )
-        for row in rows:
-            lines.append(
-                "  ".join(
-                    c.ljust(w) if i == 0 else c.rjust(w)
-                    for i, (c, w) in enumerate(zip(row, widths, strict=True))
-                )
-            )
-
-    hist = ledger.hop_histogram()
-    if hist:
-        lines.append("")
-        lines.append("hop depth histogram (request hops per operation):")
-        for depth, count in hist.items():
-            lines.append(f"  {depth:>3} hops  {count:>6}  {'#' * min(count, 60)}")
-    return "\n".join(lines)

@@ -11,7 +11,6 @@ Definitions:
 
 * **requests handled** by a component = its "handle" spans (one per
   REQUEST dispatched to it);
-* **load rate** = handled / observed simulated-time window;
 * **hop depth** of a logical operation = the maximum number of "request"
   spans on any root-to-leaf path of its span tree (each request span is
   one wire request/reply exchange);
@@ -41,12 +40,7 @@ class LoadLedger:
         self.sheds: Dict[str, int] = {}
         #: component → distinct sender components (fan-in sets).
         self.sources: Dict[str, Set[str]] = {}
-        t0, t1 = None, None
         for span in self.spans:
-            start = span.start
-            end = span.end if span.end is not None else span.start
-            t0 = start if t0 is None or start < t0 else t0
-            t1 = end if t1 is None or end > t1 else t1
             if span.kind == "shed":
                 self.sheds[span.component] = self.sheds.get(span.component, 0) + 1
                 continue
@@ -56,20 +50,8 @@ class LoadLedger:
             parent = self._by_id.get(span.parent_id)
             if parent is not None and parent.kind == "request":
                 self.sources.setdefault(span.component, set()).add(parent.component)
-        #: Observed simulated-time window [first start, last end].
-        self.window: Tuple[float, float] = (t0 or 0.0, t1 or 0.0)
 
     # -- load -----------------------------------------------------------------
-
-    @property
-    def duration(self) -> float:
-        """Length of the observed window (simulated ms)."""
-        return self.window[1] - self.window[0]
-
-    def load_rate(self, component: str) -> float:
-        """Requests handled per unit simulated time (0.0 on empty window)."""
-        span = self.duration
-        return self.handled.get(component, 0) / span if span > 0 else 0.0
 
     def loads(self, prefix: str = "") -> Dict[str, int]:
         """component → handled count, optionally filtered by label prefix.
@@ -82,18 +64,6 @@ class LoadLedger:
             for comp, n in self.handled.items()
             if comp.startswith(prefix)
         }
-
-    def rates(self, prefix: str = "") -> Dict[str, float]:
-        """component → handled per simulated ms over the observed window.
-
-        The trace-derived twin of the LoadMonitor's counter-delta rates:
-        an autoscaler (or an audit of one) can cross-check its sampled
-        rates against what the spans actually recorded.
-        """
-        span = self.duration
-        if span <= 0:
-            return {comp: 0.0 for comp in self.loads(prefix)}
-        return {comp: n / span for comp, n in self.loads(prefix).items()}
 
     def max_load(self, prefix: str = "") -> Tuple[str, int]:
         """The most-loaded component (and its count) under ``prefix``.
@@ -154,10 +124,6 @@ class LoadLedger:
 
     # -- fan-in ----------------------------------------------------------------
 
-    def fan_in(self, component: str) -> int:
-        """Distinct components that sent requests to ``component``."""
-        return len(self.sources.get(component, ()))
-
     def fan_ins(self, prefix: str = "") -> Dict[str, int]:
         """component → fan-in, optionally filtered by label prefix."""
         return {
@@ -194,20 +160,5 @@ class LoadLedger:
         """Per logical operation: max request-hop depth of its span tree."""
         return [self._request_depth(root) for root in self.roots()]
 
-    def hop_histogram(self) -> Dict[int, int]:
-        """hop depth → number of operations that reached it."""
-        hist: Dict[int, int] = {}
-        for depth in self.hop_depths():
-            hist[depth] = hist.get(depth, 0) + 1
-        return dict(sorted(hist.items()))
-
-    def max_hop_depth(self) -> int:
-        """The deepest request chain of any operation (0 if no spans)."""
-        depths = self.hop_depths()
-        return max(depths, default=0)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<LoadLedger spans={len(self.spans)} components={len(self.handled)} "
-            f"window={self.duration:.1f}ms>"
-        )
+        return f"<LoadLedger spans={len(self.spans)} components={len(self.handled)}>"

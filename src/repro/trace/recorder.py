@@ -23,7 +23,7 @@ Hot-path contract (the "zero-overhead no-op mode" of the tracing design):
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.trace.context import TraceContext
 
@@ -81,11 +81,6 @@ class Span:
     def context(self) -> TraceContext:
         """The TraceContext a child of this span should carry."""
         return TraceContext(self.trace_id, self.span_id, self.parent_id)
-
-    @property
-    def duration(self) -> float:
-        """Simulated duration (0.0 while still open)."""
-        return (self.end - self.start) if self.end is not None else 0.0
 
     def annotate(self, **kv: Any) -> None:
         """Attach key/value annotations (lazily allocated)."""
@@ -189,17 +184,6 @@ class SpanRecorder:
         self._by_id.clear()
 
     # -- inspection ---------------------------------------------------------
-
-    def roots(self, spans: Optional[Iterable[Span]] = None) -> List[Span]:
-        """Spans with no parent *within the given set* (default: all).
-
-        A subset sliced out of :attr:`spans` (one experiment phase) may
-        contain spans whose parents were cleared or lie outside the slice;
-        those count as roots of the subset.
-        """
-        pool = list(self.spans if spans is None else spans)
-        ids = {s.span_id for s in pool}
-        return [s for s in pool if s.parent_id == 0 or s.parent_id not in ids]
 
     def __len__(self) -> int:
         return len(self.spans)

@@ -141,11 +141,6 @@ class SerialServiceImpl(LegionObjectImpl):
         self.completed += 1
         return self.busy_until
 
-    @legion_method("int Completed()")
-    def completed_count(self) -> int:
-        """How many Work() calls have finished."""
-        return self.completed
-
 
 class ScenarioServiceImpl(LegionObjectImpl):
     """The scenario catalog's application object (``repro.scenarios``).
@@ -217,14 +212,3 @@ class ScenarioServiceImpl(LegionObjectImpl):
         yield from self._occupy(self.service_time)
         self.privileged_ops += 1
         return self.privileged_ops
-
-    @legion_method("dict Ledger()")
-    def ledger(self) -> Dict[str, Any]:
-        """The service's tally (reads/writes/work/privileged + data sum)."""
-        return {
-            "reads": self.reads,
-            "writes": self.writes,
-            "worked": self.worked,
-            "privileged": self.privileged_ops,
-            "data_sum": sum(self.data.values()),
-        }

@@ -51,15 +51,6 @@ class ZipfPopularity:
         """One index in [0, n), rank 0 most popular."""
         return int(np.searchsorted(self._cdf, self._rng.random(), side="right"))
 
-    def sample_many(self, count: int) -> np.ndarray:
-        """``count`` indices at once (vectorised)."""
-        return np.searchsorted(self._cdf, self._rng.random(count), side="right")
-
-    def probability(self, rank: int) -> float:
-        """Exact probability of the item at ``rank``."""
-        lo = self._cdf[rank - 1] if rank > 0 else 0.0
-        return float(self._cdf[rank] - lo)
-
 
 class LocalityMix:
     """Pick targets with a configured fraction of same-site accesses.
@@ -343,7 +334,3 @@ class ChurnDriver:
                 self.churn_events += 1
             except LegionError:
                 continue  # racing with concurrent traffic is expected
-
-    def start(self) -> SimFuture:
-        """Spawn the churn loop; future resolves when rounds complete."""
-        return self.kernel.spawn(self._loop(), name="churn-driver")

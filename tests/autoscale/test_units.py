@@ -2,17 +2,13 @@
 
 The LoadMonitor's whole contract is "observe without touching": counter
 deltas over simulated-time windows (surviving a mid-flight counter
-reset), queue depths straight out of the process tables, and a
-trace-ledger cross-check that agrees with the counter view.  The
+reset) and queue depths straight out of the process tables.  The
 ClonePoolRouter's contract is epoch-gated refresh plus a round-robin
 index that survives pool shrinkage.
 """
 
 from repro.autoscale import ClonePoolRouter, LoadMonitor, LoadSample
-from repro.metrics.counters import ComponentKind
 from repro.system.legion import LegionSystem, SiteSpec
-from repro.trace.ledger import LoadLedger
-from repro.trace.recorder import Span
 from repro.workloads.apps import CounterImpl
 
 
@@ -60,20 +56,6 @@ class TestLoadMonitor:
         # The hot class is live and idle: present, with nothing in flight.
         assert queues[str(cls.loid)] == 0
 
-    def test_ledger_rates_agree_with_the_span_view(self):
-        system, _cls = _build()
-        monitor = LoadMonitor(system)
-        label = f"{ComponentKind.CLASS_OBJECT.value}:C<9.9>"
-        spans = [
-            Span(1, i + 1, 0, "Create", "handle", label, start=float(10 * i))
-            for i in range(4)
-        ]
-        for span in spans:
-            span.end = span.start + 5.0
-        rates = monitor.rates_from_ledger(LoadLedger(spans))
-        # 4 handles over a [0, 35] window, keyed without the kind prefix.
-        assert rates == {"C<9.9>": 4 / 35.0}
-
     def test_pool_aggregation_ignores_foreign_components(self):
         sample = LoadSample(
             time=0.0,
@@ -81,7 +63,6 @@ class TestLoadMonitor:
             queues={"a": 1, "c": 3},
         )
         assert sample.pool_rate(["a", "b", "missing"]) == 3.0
-        assert sample.pool_queue(["a", "b", "missing"]) == 1
 
 
 class TestClonePoolRouter:

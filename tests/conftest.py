@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.core.context import SystemServices
 from repro.core.relations import RelationGraph
@@ -13,6 +14,14 @@ from repro.simkernel.kernel import SimKernel
 from repro.simkernel.rng import RngStreams
 from repro.system.legion import LegionSystem, SiteSpec
 from repro.workloads.apps import CounterImpl
+
+# One Hypothesis profile for the whole suite.  ``derandomize`` derives each
+# test's examples from the test itself instead of a per-run seed, so every
+# ``@given`` test is a pure function of the tree like the rest of tier-1;
+# ``deadline=None`` because an example builds a whole simulated system and
+# its wall time says nothing about correctness.
+settings.register_profile("repro", derandomize=True, deadline=None)
+settings.load_profile("repro")
 
 
 @pytest.fixture

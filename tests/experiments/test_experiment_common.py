@@ -6,7 +6,6 @@ from repro.experiments.common import (
     ExperimentResult,
     count_messages,
     populate,
-    site_of_binding,
     uniform_sites,
 )
 from repro.metrics.recorder import SeriesRecorder
@@ -70,11 +69,3 @@ class TestHelpers:
             assert len(instances) == 3
             for binding in instances:
                 assert system.call(binding.loid, "Ping") == "pong"
-
-    def test_site_of_binding(self, fresh_legion):
-        system, cls = fresh_legion
-        site = system.sites[1].name
-        binding = system.call(
-            cls.loid, "Create", {"magistrate": system.magistrates[site].loid}
-        )
-        assert site_of_binding(system, binding) == site

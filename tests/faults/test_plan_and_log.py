@@ -61,11 +61,6 @@ class TestFaultPlan:
                 assert a != b
                 assert {a, b} <= set(SITES)
 
-    def test_counts_sum_to_len(self):
-        plan = _plan(intensity=20.0)
-        assert sum(plan.counts().values()) == len(plan)
-
-
 class TestFaultLog:
     def test_recovery_pairs_with_latest_earlier_loss(self):
         log = FaultLog()

@@ -37,9 +37,7 @@ def _reconcile(runtime):
     return written_out
 
 
-@settings(
-    max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow]
-)
+@settings(max_examples=12, suppress_health_check=[HealthCheck.too_slow])
 @given(
     seed=st.integers(0, 2**16),
     drop_wide=st.floats(0.0, 0.6),

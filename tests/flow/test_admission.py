@@ -185,7 +185,7 @@ ARRIVALS = st.lists(
 )
 
 
-@settings(derandomize=True, max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(
     capacity=st.integers(1, 3),
     queue_limit=st.integers(0, 4),

@@ -13,15 +13,6 @@ class TestSchedulingHooks:
         hosts = system.call(magistrate, "GetHosts")
         assert set(hosts) == set(system.jurisdictions[site].host_objects)
 
-    def test_set_placement_policy(self, fresh_legion):
-        system, cls = fresh_legion
-        site = system.sites[0].name
-        magistrate = system.magistrates[site].loid
-        system.call(magistrate, "SetPlacementPolicy", "least-loaded")
-        assert system.magistrates[site].impl.placement == "least-loaded"
-        with pytest.raises(errors.RequestRefused):
-            system.call(magistrate, "SetPlacementPolicy", "coin-flip")
-
     def test_suggest_placement_consumed_on_next_activation(self, fresh_legion):
         system, cls = fresh_legion
         site = system.sites[0].name
@@ -40,29 +31,6 @@ class TestSchedulingHooks:
 
         # Consumed once: the next cycle reverts to the default policy.
         assert binding.loid.identity not in system.magistrates[site].impl.placement_suggestions
-
-    def test_first_fit_packs_the_first_host(self, fresh_legion):
-        system, cls = fresh_legion
-        site = system.sites[0].name
-        magistrate = system.magistrates[site].loid
-        system.call(magistrate, "SetPlacementPolicy", "first-fit")
-        bindings = [
-            system.call(cls.loid, "Create", {"magistrate": magistrate})
-            for _ in range(3)
-        ]
-        first_host_server = next(
-            s
-            for s in system.host_servers.values()
-            if s.loid == system.magistrates[site].impl.hosts[0].loid
-        )
-        hosts_used = {b.address.primary().host for b in bindings}
-        assert hosts_used == {first_host_server.impl.host_id}
-        # Drain the first host: first-fit moves to the second.
-        first_host_server.impl.set_accepting(False)
-        spill = system.call(cls.loid, "Create", {"magistrate": magistrate})
-        assert spill.address.primary().host != first_host_server.impl.host_id
-        first_host_server.impl.set_accepting(True)
-        system.call(magistrate, "SetPlacementPolicy", "round-robin")
 
     def test_suggest_placement_rejects_foreign_host(self, fresh_legion):
         system, cls = fresh_legion

@@ -9,7 +9,7 @@ refer to a different logical object after it.
 import pytest
 
 from repro.errors import LegionError
-from repro.megascale import BULK, LOST, PROMOTED, BulkEngine, IdAllocator, StateFrame
+from repro.megascale import BULK, PROMOTED, BulkEngine, IdAllocator, StateFrame
 
 
 def make_frame(n=12, n_classes=3, n_hosts=4):
@@ -58,7 +58,7 @@ class TestIdAllocatorMonotone:
         engine = BulkEngine(frame)
         before = frame.allocator.high_water
         for _ in range(5):
-            engine._promote([2, 5], reason="touch")
+            engine._promote([2, 5])
             engine._last_touch[2] = engine._last_touch[5] = 0
             engine.demote_all()
         assert frame.allocator.high_water == before
@@ -72,7 +72,7 @@ class TestIdAllocatorMonotone:
 class TestStateFrame:
     def test_new_rows_start_bulk_zeroed_cold(self):
         frame = make_frame(6)
-        assert frame.band_histogram() == {"bulk": 6, "promoted": 0, "lost": 0}
+        assert frame.band_histogram() == {"bulk": 6, "promoted": 0}
         assert int(frame.value.sum()) == 0
         assert bool((frame.cache_epoch == -1).all())
 
@@ -88,10 +88,9 @@ class TestStateFrame:
         assert [int(x) for x in frame.host_occupancy] == [4, 4]
         frame.promote([0, 2])  # both on host 0
         assert [int(x) for x in frame.host_occupancy] == [2, 4]
-        frame.demote(0, value=7, host=1)
-        assert [int(x) for x in frame.host_occupancy] == [2, 5]
+        frame.demote(0, value=7)
+        assert [int(x) for x in frame.host_occupancy] == [3, 4]
         assert int(frame.value[0]) == 7
-        assert int(frame.host[0]) == 1
 
     def test_promote_demote_round_trips_the_value(self):
         frame = make_frame(4)
@@ -109,24 +108,12 @@ class TestStateFrame:
         with pytest.raises(LegionError):
             frame.promote([1])
 
-    def test_demote_requires_promoted_and_live_host(self):
+    def test_demote_requires_promoted(self):
         frame = make_frame(4)
         with pytest.raises(LegionError):
             frame.demote(0, value=1)
         frame.promote([0])
-        frame.crash_host(0)  # row 0 lives on host 0
-        with pytest.raises(LegionError):
-            frame.demote(0, value=1)
-        frame.demote(0, value=1, host=1)  # re-homing works
-
-    def test_mark_lost_vacates_once_then_promote_does_not_double_count(self):
-        frame = make_frame(8, n_hosts=2)
-        ids = frame.bulk_ids_on_host(0)
-        frame.mark_lost(ids)
-        assert [int(x) for x in frame.host_occupancy] == [0, 4]
-        assert int((frame.state == LOST).sum()) == len(ids)
-        frame.promote(ids)  # recovery path: occupancy must not go negative
-        assert [int(x) for x in frame.host_occupancy] == [0, 4]
+        frame.demote(0, value=1)
 
     def test_checksum_is_order_sensitive(self):
         frame = make_frame(4)

@@ -34,20 +34,18 @@ class TestMetricsRegistry:
         metrics.incr(comp("b"), "requests", 9)
         assert metrics.totals_by_kind()[ComponentKind.BINDING_AGENT] == 14
 
-    def test_loads_and_top(self):
+    def test_loads(self):
         metrics = MetricsRegistry()
         for name, n in [("a", 1), ("b", 5), ("c", 3)]:
             metrics.incr(comp(name), "requests", n)
         assert metrics.loads(ComponentKind.BINDING_AGENT) == {"a": 1, "b": 5, "c": 3}
-        top = metrics.top(2)
-        assert [t[0].name for t in top] == ["b", "c"]
 
     def test_reset(self):
         metrics = MetricsRegistry()
         metrics.incr(comp("a"), "requests")
         metrics.reset()
         assert metrics.get(comp("a")) == 0
-        assert metrics.components() == []
+        assert metrics.snapshot() == {}
 
 
 class TestSeriesRecorder:

@@ -91,13 +91,6 @@ class TestBindingCache:
         assert cache.lookup(fresh.loid, 0.0) == fresh
         assert cache.invalidate_exact(fresh)
 
-    def test_purge_expired(self):
-        cache = BindingCache()
-        cache.insert(make_binding(1, expires=5.0))
-        cache.insert(make_binding(2, expires=50.0))
-        assert cache.purge_expired(10.0) == 1
-        assert len(cache) == 1
-
     def test_unbounded_capacity(self):
         cache = BindingCache(capacity=None)
         for i in range(1, 1001):

@@ -56,7 +56,8 @@ class TestDelivery:
         kernel.run()
         # LAN delivery strictly before WAN delivery in simulated time.
         assert lan_inbox and wan_inbox
-        assert net.latency.latency(1, 2) < net.latency.latency(1, 3)
+        base = net.latency.base
+        assert base[net.latency.classify(1, 2)] < base[net.latency.classify(1, 3)]
 
     def test_per_class_accounting(self, net, kernel):
         src, _ = register_sink(net, 1)
@@ -167,19 +168,5 @@ class TestLatencyModel:
 
     def test_uniform_model(self):
         latency = LatencyModel.uniform(2.5)
-        assert latency.latency(1, 1) == 2.5
-        assert latency.latency(1, 99) == 2.5
-
-    def test_jitter_requires_rng(self):
-        latency = LatencyModel(jitter_fraction=0.5)
-        with pytest.raises(ValueError):
-            latency.latency(1, 2)
-
-    def test_jitter_bounded(self):
-        latency = LatencyModel(jitter_fraction=0.5, rng=random.Random(1))
-        latency.assign_host(1, "a")
-        latency.assign_host(2, "a")
-        base = latency.base[LinkClass.SAME_SITE]
-        for _ in range(100):
-            value = latency.latency(1, 2)
-            assert base <= value < base * 1.5
+        assert latency.base[latency.classify(1, 1)] == 2.5
+        assert latency.base[latency.classify(1, 99)] == 2.5

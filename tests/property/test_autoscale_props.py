@@ -10,8 +10,6 @@ contract regardless of where the watermarks land:
   action log;
 * zero lost requests -- retirement drains in-flight work, so trickle
   traffic routed at a retiring clone still completes.
-
-``derandomize=True`` keeps the sweep itself deterministic run to run.
 """
 
 import pytest
@@ -62,12 +60,7 @@ def _drive(config: AutoscaleConfig):
     return controller.actions, burst.stats, trickle.stats
 
 
-@settings(
-    max_examples=6,
-    deadline=None,
-    derandomize=True,
-    suppress_health_check=[HealthCheck.too_slow],
-)
+@settings(max_examples=6, suppress_health_check=[HealthCheck.too_slow])
 @given(
     low=st.floats(min_value=0.05, max_value=0.5),
     gap=st.floats(min_value=0.05, max_value=1.0),
@@ -108,7 +101,7 @@ def test_policy_invariants_hold_for_random_watermarks(low, gap, cooldown):
     low=st.floats(min_value=0.0, max_value=5.0, allow_nan=False),
     high=st.floats(min_value=0.0, max_value=5.0, allow_nan=False),
 )
-@settings(max_examples=50, deadline=None, derandomize=True)
+@settings(max_examples=50)
 def test_config_requires_a_hysteresis_gap(low, high):
     if low >= high:
         with pytest.raises(LegionError):

@@ -12,8 +12,6 @@ uphold the archon72 contract:
   ratchets the band at its worst level instead of flapping;
 * **recovery monotone**: once evidence goes calm for good, the band walks
   monotonically back to Stable and stays there.
-
-``derandomize=True`` keeps the sweep deterministic run to run.
 """
 
 from __future__ import annotations
@@ -64,7 +62,7 @@ def drive(schedule, degrade_dwell=20.0, recover_dwell=60.0):
     return machine, transitions
 
 
-@settings(derandomize=True, max_examples=200)
+@settings(max_examples=200)
 @given(schedule=SCHEDULES, dwells=DWELLS)
 def test_never_skips_a_band(schedule, dwells):
     degrade_dwell, recover_dwell = dwells
@@ -77,7 +75,7 @@ def test_never_skips_a_band(schedule, dwells):
     assert machine.band is band
 
 
-@settings(derandomize=True, max_examples=200)
+@settings(max_examples=200)
 @given(schedule=SCHEDULES, dwells=DWELLS)
 def test_dwell_times_are_respected(schedule, dwells):
     degrade_dwell, recover_dwell = dwells
@@ -94,7 +92,7 @@ def test_dwell_times_are_respected(schedule, dwells):
         entered = transition.time
 
 
-@settings(derandomize=True, max_examples=100)
+@settings(max_examples=100)
 @given(
     hot=st.sampled_from([0.5, 1.0, 5.0, 10.0]),
     period=st.integers(min_value=1, max_value=5),
@@ -109,7 +107,7 @@ def test_alternating_evidence_never_recovers(hot, period, cycles):
     assert all(t.direction == "degrade" for t in transitions)
 
 
-@settings(derandomize=True, max_examples=100)
+@settings(max_examples=100)
 @given(prefix=SCHEDULES)
 def test_recovery_is_monotone_once_calm(prefix):
     # Any stormy prefix, then calm forever: from the first recovery on,

@@ -9,8 +9,6 @@ scenarios; for each one:
 * ``demote(promote(x))`` round-trips a row's columns exactly, for
   arbitrary column contents;
 * the id allocator only ever moves forward, whatever the alloc sequence.
-
-``derandomize=True`` keeps the sweep itself deterministic run to run.
 """
 
 import pytest
@@ -38,12 +36,11 @@ scenarios = st.fixed_dictionaries(
         "per_tick": st.integers(0, 300),
         "limit": st.one_of(st.none(), st.integers(1, 4)),
         "n_hot": st.integers(0, 4),
-        "crash": st.booleans(),
     }
 )
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(cfg=scenarios)
 def test_frame_kernels_match_the_per_agent_reference(cfg):
     rng = np.random.default_rng(cfg["seed"])
@@ -66,15 +63,10 @@ def test_frame_kernels_match_the_per_agent_reference(cfg):
     )
     ref.extend(n, klass=klass, host=host)
 
-    crash_tick = cfg["ticks"] // 2 if cfg["crash"] else None
     for tick in range(cfg["ticks"]):
         targets = rng.integers(0, n, size=cfg["per_tick"])
         engine.tick(tick, targets)
         ref.tick(tick, targets)
-        if crash_tick is not None and tick == crash_tick:
-            assert engine.crash_host(0) == ref.crash_host(0)
-            engine.restore_host(0)
-            ref.restore_host(0)
         engine.demote_idle(tick)
         ref.demote_idle(tick)
     engine.demote_all()
@@ -83,7 +75,7 @@ def test_frame_kernels_match_the_per_agent_reference(cfg):
     assert_twins_equal(engine, ref)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(
     seed=st.integers(0, 2**31 - 1),
     n=st.integers(1, 60),
@@ -116,7 +108,7 @@ def test_demote_promote_round_trips_exactly(seed, n, pick):
     assert frame.value_checksum() == checksum_before
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(counts=st.lists(st.integers(0, 1000), min_size=0, max_size=30))
 def test_allocator_never_reuses_an_id(counts):
     alloc = IdAllocator()

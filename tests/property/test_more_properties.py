@@ -68,7 +68,7 @@ class TestVaultProperties:
         ),
         st.integers(1, 4),
     )
-    @settings(suppress_health_check=[HealthCheck.too_slow], deadline=None)
+    @settings(suppress_health_check=[HealthCheck.too_slow])
     def test_vault_always_returns_latest_state(self, writes, n_disks):
         vault = Vault("p")
         for i in range(n_disks):

@@ -242,7 +242,7 @@ class TestInterfaceProperties:
 
 class TestKernelProperties:
     @given(st.lists(st.floats(0.0, 100.0), min_size=1, max_size=50))
-    @settings(suppress_health_check=[HealthCheck.too_slow], deadline=None)
+    @settings(suppress_health_check=[HealthCheck.too_slow])
     def test_event_execution_times_are_monotone(self, delays):
         from repro.simkernel.kernel import SimKernel
 
@@ -255,7 +255,7 @@ class TestKernelProperties:
         assert len(fired) == len(delays)
 
     @given(st.lists(st.floats(0.1, 50.0), min_size=1, max_size=20))
-    @settings(suppress_health_check=[HealthCheck.too_slow], deadline=None)
+    @settings(suppress_health_check=[HealthCheck.too_slow])
     def test_process_timeouts_accumulate_exactly(self, waits):
         from repro.simkernel.kernel import SimKernel, Timeout
 

@@ -5,7 +5,6 @@ import pytest
 from repro.errors import FutureError
 from repro.simkernel.futures import (
     SimFuture,
-    any_of,
     completed,
     failed,
     gather,
@@ -99,32 +98,6 @@ class TestGather:
         futs[0].set_result(1)  # late success is ignored
         with pytest.raises(RuntimeError):
             out.result()
-
-
-class TestAnyOf:
-    def test_first_success_wins(self):
-        futs = [SimFuture(), SimFuture(), SimFuture()]
-        out = any_of(futs)
-        futs[1].set_result("won")
-        assert out.result() == (1, "won")
-
-    def test_failures_tolerated_until_success(self):
-        futs = [SimFuture(), SimFuture()]
-        out = any_of(futs)
-        futs[0].set_exception(IOError("a"))
-        assert not out.done()
-        futs[1].set_result("ok")
-        assert out.result() == (1, "ok")
-
-    def test_all_failures_fail(self):
-        futs = [SimFuture(), SimFuture()]
-        out = any_of(futs)
-        futs[0].set_exception(IOError("a"))
-        futs[1].set_exception(IOError("b"))
-        assert out.failed()
-
-    def test_empty_fails(self):
-        assert any_of([]).failed()
 
 
 class TestKOf:

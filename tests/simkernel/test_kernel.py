@@ -52,12 +52,6 @@ class TestScheduling:
         assert kernel.now == 5.0
         assert hits == []
 
-    def test_schedule_at_absolute_time(self, kernel):
-        times = []
-        kernel.schedule_at(7.0, lambda: times.append(kernel.now))
-        kernel.run()
-        assert times == [7.0]
-
     def test_max_events_guard(self, kernel):
         def rearm():
             kernel.schedule(1.0, rearm)
@@ -210,11 +204,3 @@ class TestProcesses:
             return log
 
         assert build_and_run() == build_and_run()
-
-
-class TestSleep:
-    def test_sleep_future(self, kernel):
-        fut = kernel.sleep(4.0)
-        kernel.run()
-        assert fut.done()
-        assert kernel.now == 4.0

@@ -379,7 +379,7 @@ def outcome(thunk):
 
 
 class TestOneLoop:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(PROGRAMS)
     def test_run_is_step_after_step(self, spec):
         ref, got = Program(spec), Program(spec)
@@ -388,7 +388,7 @@ class TestOneLoop:
         assert got.state() == ref.state()
         assert got.kernel.pending_events == 0
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(PROGRAMS, st.lists(st.integers(0, 40).map(lambda n: n / 4), max_size=8))
     def test_run_until_in_slices(self, spec, slices):
         """Any slicing -- a slice in the past included -- stops exactly
@@ -404,7 +404,7 @@ class TestOneLoop:
         got.kernel.run()
         assert got.state() == ref.state()
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(PROGRAMS, st.integers(0, 7))
     def test_run_max_events_resumed_after_the_raise(self, spec, chunk):
         """``max_events`` counts step() units, and the raise loses nothing:
@@ -422,7 +422,7 @@ class TestOneLoop:
         got.kernel.run()
         assert got.state() == ref.state()
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(PROGRAMS, st.data())
     def test_run_until_complete_stops_with_its_future(self, spec, data):
         ref, got = Program(spec), Program(spec)

@@ -160,7 +160,7 @@ class TestFacade:
         system.call(cls.loid, "GetInstanceInterface")
         system.reset_measurements()
         assert system.network.stats.messages_sent == 0
-        assert system.services.metrics.components() == []
+        assert system.services.metrics.snapshot() == {}
 
     def test_binding_ttl_option(self):
         system = LegionSystem.build(

@@ -1,9 +1,9 @@
-"""Chrome trace_event export and the text summary."""
+"""Chrome trace_event export."""
 
 import json
 
 from repro.simkernel.kernel import SimKernel
-from repro.trace.export import chrome_trace, text_summary, write_chrome_trace
+from repro.trace.export import chrome_trace, write_chrome_trace
 from repro.trace.recorder import SpanRecorder
 
 
@@ -69,17 +69,3 @@ class TestChromeTrace:
         doc = chrome_trace(rec.spans)
         event = next(e for e in doc["traceEvents"] if e["ph"] == "X")
         assert event["dur"] == 0.0
-
-
-class TestTextSummary:
-    def test_sections_present(self):
-        text = text_summary(sample_recorder().spans, title="sample")
-        assert text.startswith("sample\n======")
-        assert "handle=1" in text and "request=1" in text
-        assert "application:O" in text
-        assert "hop depth histogram" in text
-        assert "  1 hops" in text
-
-    def test_empty_span_set(self):
-        text = text_summary([], title="empty")
-        assert "0 spans" in text

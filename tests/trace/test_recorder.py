@@ -16,13 +16,6 @@ class TestTraceContext:
         assert a == b
         assert hash(a) == hash(b)
 
-    def test_child_of(self):
-        parent = TraceContext(7, 4, 1)
-        child = parent.child_of(9)
-        assert child.trace_id == 7
-        assert child.span_id == 9
-        assert child.parent_id == 4
-
 
 class TestSpanRecorder:
     def test_none_parent_roots_a_fresh_trace(self):
@@ -63,7 +56,7 @@ class TestSpanRecorder:
     def test_instant_spans_have_zero_duration(self):
         rec = make_recorder()
         span = rec.instant("hit", "resolve", cache="hit")
-        assert span.duration == 0.0
+        assert span.end == span.start
         assert span.annotations == {"cache": "hit"}
 
     def test_annotate_via_context(self):
@@ -83,15 +76,6 @@ class TestSpanRecorder:
         # allocation sequence stays a pure function of execution order.
         assert second.span_id > first.span_id
         assert second.trace_id > first.trace_id
-
-    def test_roots_of_a_subset_include_orphans(self):
-        rec = make_recorder()
-        root = rec.start("op", "invoke")
-        child = rec.start("req", "request", parent=root.context)
-        grand = rec.start("handle", "handle", parent=child.context)
-        # Slice that omits the true root: the request becomes the root.
-        assert rec.roots([child, grand]) == [child]
-        assert rec.roots() == [root]
 
     def test_len_counts_spans(self):
         rec = make_recorder()
