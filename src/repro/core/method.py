@@ -11,12 +11,16 @@ name, positional arguments, and the (RA, SA, CA) call environment.  A
 marshalled error.  Errors cross the network as (type-name, message) pairs
 and are reconstructed as the closest :class:`~repro.errors.RemoteError`
 subclass at the caller.
+
+Every round trip builds one of each, so both are named tuples: immutable
+(one invocation is shared by every leg of an ALL / K-of-N fan-out) and
+built by a single ``tuple.__new__`` rather than one
+``object.__setattr__`` per field, as a frozen dataclass would.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Optional, Tuple
+from typing import Any, NamedTuple, Optional, Tuple
 
 from repro import errors
 from repro.naming.loid import LOID
@@ -45,8 +49,7 @@ _REMOTE_ERROR_TYPES = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class MethodInvocation:
+class MethodInvocation(NamedTuple):
     """One non-blocking method call travelling to a target object."""
 
     target: LOID
@@ -70,9 +73,12 @@ class MethodInvocation:
         return f"{self.target}.{self.method}/{self.arity}"
 
 
-@dataclass(frozen=True, slots=True)
-class MethodResult:
-    """The reply to an invocation: a value, or a marshalled error."""
+class MethodResult(NamedTuple):
+    """The reply to an invocation: a value, or a marshalled error.
+
+    A success is ``MethodResult(value)``; a failure is
+    :meth:`failure` of the exception the remote method raised.
+    """
 
     value: Any = None
     error_type: str = ""
@@ -87,19 +93,9 @@ class MethodResult:
         return not self.error_type
 
     @classmethod
-    def success(cls, value: Any = None) -> "MethodResult":
-        """A successful result."""
-        return cls(value=value)
-
-    @classmethod
     def failure(cls, exc: BaseException) -> "MethodResult":
         """Marshal an exception raised by the remote method."""
-        return cls(
-            value=None,
-            error_type=type(exc).__name__,
-            error_message=str(exc),
-            error_detail=getattr(exc, "retry_after", None),
-        )
+        return cls(None, type(exc).__name__, str(exc), getattr(exc, "retry_after", None))
 
     def unwrap(self) -> Any:
         """Return the value or raise the reconstructed remote error."""
@@ -117,7 +113,6 @@ class MethodResult:
         )
 
 
-@dataclass
 class InvocationContext:
     """Server-side context handed to method implementations.
 
@@ -126,9 +121,12 @@ class InvocationContext:
     forwarding nested calls with a correct CA) plus the identities involved.
     """
 
-    env: CallEnvironment
-    target: LOID
-    method: str
+    __slots__ = ("env", "target", "method")
+
+    def __init__(self, env: CallEnvironment, target: LOID, method: str) -> None:
+        self.env = env
+        self.target = target
+        self.method = method
 
     def nested_env(self, self_loid: LOID) -> CallEnvironment:
         """Environment for calls this method makes on other objects."""

@@ -134,8 +134,15 @@ class LegionObjectImpl:
         )
 
     def find_export(self, method: str, arity: int) -> Optional[_Export]:
-        """The export handling (method, arity), or None."""
-        return type(self).exports().get((method, arity))
+        """The export handling (method, arity), or None.
+
+        Runs on every dispatch, so it probes the per-class cache itself;
+        :meth:`exports` is only the fill path, taken once per class.
+        """
+        exports = LegionObjectImpl._exports_cache.get(type(self))
+        if exports is None:
+            exports = type(self).exports()
+        return exports.get((method, arity))
 
     # -- security hooks -----------------------------------------------------------
 

@@ -38,7 +38,7 @@ from repro.naming.binding import Binding
 from repro.naming.cache import BindingCache
 from repro.naming.loid import LOID
 from repro.net.address import AddressSemantic, ObjectAddress, ObjectAddressElement
-from repro.net.message import Message
+from repro.net.message import Message, Undeliverable
 from repro.security.environment import CallEnvironment
 from repro.simkernel.futures import SimFuture, gather, k_of, single_flight
 from repro.simkernel.kernel import SimKernel, Timeout
@@ -310,11 +310,15 @@ class LegionRuntime:
         if fut is None or fut.done():
             return
         self.stats.delivery_failures += 1
-        reason = str(message.payload)
-        exc_type = PartitionedError if "partition" in reason else DeliveryFailure
+        reason: Undeliverable = message.payload
+        exc_type = (
+            PartitionedError if reason is Undeliverable.PARTITION else DeliveryFailure
+        )
+        # ``_value_`` is the member's plain attribute; ``.value`` is a
+        # descriptor that costs two Python calls per bounce.
         fut.set_exception(
             exc_type(
-                f"delivery to {message.source} failed: {reason}",
+                f"delivery to {message.source} failed: {reason._value_}",
                 element=message.source,
             )
         )
@@ -446,15 +450,15 @@ class LegionRuntime:
         """The invocation to put on the wire; under a FlowConfig it also
         carries the flow metadata (absolute deadline, priority)."""
         if self._flow is None:
-            return MethodInvocation(target=target, method=method, args=args, env=env)
+            return MethodInvocation(target, method, args, env)
         deadline = timeout if timeout is not None else self.default_timeout
         return MethodInvocation(
-            target=target,
-            method=method,
-            args=args,
-            env=env,
-            priority=priority,
-            deadline=None if deadline is None else self.kernel.now + deadline,
+            target,
+            method,
+            args,
+            env,
+            priority,
+            None if deadline is None else self.kernel.now + deadline,
         )
 
     def _credited_send(self, element, invocation: MethodInvocation, timeout):
@@ -764,9 +768,7 @@ class LegionRuntime:
                     ):
                         result: MethodResult = yield self.send_request(
                             address.elements[0],
-                            MethodInvocation(
-                                target=target, method=method, args=args, env=env
-                            ),
+                            MethodInvocation(target, method, args, env),
                             timeout,
                         )
                         value = result.unwrap()

@@ -185,9 +185,7 @@ class ObjectServer:
 
         try:
             if export.wants_ctx:
-                ctx = InvocationContext(
-                    env=env, target=invocation.target, method=invocation.method
-                )
+                ctx = InvocationContext(env, invocation.target, invocation.method)
                 outcome = export.fn(self.impl, *invocation.args, ctx=ctx)
             else:
                 outcome = export.fn(self.impl, *invocation.args)
@@ -213,13 +211,13 @@ class ObjectServer:
                 if done_fut.failed():
                     self._reply(request, MethodResult.failure(done_fut.exception()))
                 else:
-                    self._reply(request, MethodResult.success(done_fut.result()))
+                    self._reply(request, MethodResult(done_fut.result()))
 
             fut.add_done_callback(_finish)
         else:
             if span is not None:
                 tracer.finish(span)
-            self._reply(request, MethodResult.success(outcome))
+            self._reply(request, MethodResult(outcome))
 
     def _reply(self, request: Message, result: MethodResult) -> None:
         if self.in_flight > 0:

@@ -25,7 +25,7 @@ from repro.net.address import (
     ObjectAddressElement,
 )
 from repro.net.latency import LatencyModel, LinkClass
-from repro.net.message import Message, MessageKind
+from repro.net.message import Message, MessageKind, Undeliverable
 from repro.net.network import Endpoint, Network, NetworkStats
 
 __all__ = [
@@ -37,6 +37,7 @@ __all__ = [
     "LinkClass",
     "Message",
     "MessageKind",
+    "Undeliverable",
     "Endpoint",
     "Network",
     "NetworkStats",

@@ -28,7 +28,7 @@ from typing import Callable, Dict, Optional, Set
 from repro.errors import NetworkError
 from repro.net.address import ObjectAddressElement
 from repro.net.latency import LatencyModel, LinkClass
-from repro.net.message import Message, MessageKind
+from repro.net.message import Message, MessageKind, Undeliverable
 from repro.simkernel.kernel import SimKernel
 
 Handler = Callable[[Message], None]
@@ -169,7 +169,6 @@ class Network:
         dst_host = message.destination.host
         stats = self.stats
         latency = self.latency
-        message.sent_at = self.kernel.now
         stats.messages_sent += 1
         link = latency.links.get((src_host, dst_host))
         if link is None:
@@ -180,7 +179,7 @@ class Network:
         if self._partitions and self._partitioned(src_host, dst_host):
             stats.partition_blocks += 1
             self._trace_incident(message, "partition-block", link)
-            self._bounce(message, "network partition", delay=one_way)
+            self._bounce(message, Undeliverable.PARTITION, delay=one_way)
             return
 
         drop_p = self.drop_probability.get(link, 0.0)
@@ -196,7 +195,7 @@ class Network:
         ep = self._endpoints.get(message.destination)
         if ep is None or not ep.active:
             # Stale Object Address: element no longer registered.
-            self._bounce(message, "no endpoint registered", delay=one_way)
+            self._bounce(message, Undeliverable.NO_ENDPOINT, delay=one_way)
             return
         self.stats.messages_delivered += 1
         ep.handler(message)
@@ -210,7 +209,7 @@ class Network:
             what, "net", parent=message.trace, component="net:fabric", link=link.value
         )
 
-    def _bounce(self, message: Message, reason: str, delay: float) -> None:
+    def _bounce(self, message: Message, reason: Undeliverable, delay: float) -> None:
         """Schedule a DELIVERY_FAILURE notice back at the sender."""
         if message.kind in (MessageKind.REPLY, MessageKind.DELIVERY_FAILURE):
             # Nobody is waiting on a failed reply's failure; drop it.

@@ -10,8 +10,11 @@ from repro.core.method import (
     MethodResult,
 )
 from repro.naming.loid import LOID
-from repro.net.message import Message, MessageKind
+from repro.net.address import AddressSemantic, ObjectAddress
+from repro.net.message import Message, MessageKind, Undeliverable
 from repro.security.environment import CallEnvironment
+
+from .conftest import EchoImpl, start_object
 
 
 def loid(n=1):
@@ -20,8 +23,26 @@ def loid(n=1):
 
 class TestMethodResult:
     def test_success_unwrap(self):
-        assert MethodResult.success(42).unwrap() == 42
-        assert MethodResult.success().unwrap() is None
+        assert MethodResult(42).unwrap() == 42
+        assert MethodResult().unwrap() is None
+        assert MethodResult(42).ok
+
+    def test_fields_are_read_only(self):
+        result = MethodResult(42)
+        with pytest.raises(AttributeError):
+            result.value = 43
+        with pytest.raises(AttributeError):
+            result.error_type = "ValueError"
+        assert result == MethodResult(42)
+
+    def test_positional_and_keyword_construction_agree(self):
+        assert MethodResult(7) == MethodResult(value=7)
+        assert MethodResult(None, "ValueError", "bad", None) == MethodResult(
+            error_type="ValueError", error_message="bad"
+        )
+        assert MethodResult.failure(ValueError("bad")) == MethodResult(
+            None, "ValueError", "bad"
+        )
 
     def test_known_error_types_reconstruct(self):
         cases = [
@@ -53,10 +74,52 @@ class TestInvocation:
         env = CallEnvironment.originating(loid())
         inv = MethodInvocation(target=loid(2), method="F", args=(1, 2), env=env)
         assert inv.arity == 2
+        assert str(inv) == f"{loid(2)}.F/2"
+
+    def test_fields_are_read_only(self):
+        env = CallEnvironment.originating(loid())
+        inv = MethodInvocation(loid(2), "F", (1,), env)
+        for field, value in (("method", "G"), ("args", ()), ("priority", 9)):
+            with pytest.raises(AttributeError):
+                setattr(inv, field, value)
+        assert inv == MethodInvocation(loid(2), "F", (1,), env)
+
+    def test_positional_and_keyword_construction_agree(self):
+        env = CallEnvironment.originating(loid())
+        assert MethodInvocation(loid(2), "F", (1,), env) == MethodInvocation(
+            target=loid(2), method="F", args=(1,), env=env, priority=0, deadline=None
+        )
+        assert MethodInvocation(loid(2), "F", (), env, 3, 50.0) == MethodInvocation(
+            target=loid(2), method="F", args=(), env=env, priority=3, deadline=50.0
+        )
+
+    def test_an_all_fan_out_shares_one_unchanged_invocation(self, services):
+        caller = start_object(services, EchoImpl("caller"), host=1)
+        replicas = [start_object(services, EchoImpl(f"r{i}"), host=2 + i) for i in range(3)]
+        group = ObjectAddress(
+            elements=tuple(r.element for r in replicas), semantic=AddressSemantic.ALL
+        )
+        env = CallEnvironment.originating(caller.loid)
+        sent = []
+        send_request = caller.runtime.send_request
+
+        def recording_send(element, invocation, timeout=None):
+            sent.append(invocation)
+            return send_request(element, invocation, timeout)
+
+        caller.runtime.send_request = recording_send
+        fut = services.kernel.spawn(
+            caller.runtime.call_address(group, replicas[0].loid, "Echo", ("x",), env)
+        )
+        assert sorted(services.kernel.run_until_complete(fut)) == ["r0:x", "r1:x", "r2:x"]
+        assert len(sent) == 3
+        assert all(invocation is sent[0] for invocation in sent)
+        assert sent[0] == MethodInvocation(replicas[0].loid, "Echo", ("x",), env)
 
     def test_context_nested_env(self):
         env = CallEnvironment.originating(loid(1))
         ctx = InvocationContext(env=env, target=loid(2), method="F")
+        assert (ctx.env, ctx.target, ctx.method) == (env, loid(2), "F")
         nested = ctx.nested_env(loid(2))
         assert nested.responsible_agent == loid(1)
         assert nested.calling_agent == loid(2)
@@ -78,10 +141,20 @@ class TestMessages:
 
     def test_failure_notice(self):
         request = Message.request(self.element(1), self.element(2), "p")
-        notice = request.failure_notice("gone")
+        notice = request.failure_notice(Undeliverable.NO_ENDPOINT)
         assert notice.kind is MessageKind.DELIVERY_FAILURE
         assert notice.correlation_id == request.correlation_id
         assert notice.destination == request.source
+        assert notice.payload is Undeliverable.NO_ENDPOINT
+
+    def test_no_write_only_fields(self):
+        request = Message.request(self.element(1), self.element(2), "p")
+        assert not hasattr(request, "size_hint")
+        assert not hasattr(request, "sent_at")
+        assert request == Message(
+            MessageKind.REQUEST, self.element(1), self.element(2), "p",
+            request.correlation_id,
+        )
 
     def test_distinct_correlation_ids(self):
         a = Message.request(self.element(1), self.element(2), "x")

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import errors
+from repro.core.method import MethodInvocation
 from repro.naming.binding import Binding
 from repro.net.address import AddressSemantic, ObjectAddress
 from repro.security.environment import CallEnvironment
@@ -108,6 +109,35 @@ class TestStaleBindings:
         with pytest.raises(errors.BindingNotFound):
             run_call(services, caller, callee.loid, "Echo", "x")
         assert caller.runtime.stats.stale_detected == 1
+
+    def test_bounce_kind_picks_the_exception(self, services, echo_pair):
+        """A partition bounce is a PartitionedError and a missing endpoint
+        a plain DeliveryFailure -- chosen by the notice's kind, with the
+        exception text naming the reason."""
+        caller, callee = echo_pair
+        latency = services.network.latency
+        latency.assign_host(caller.host, "uva")
+        latency.assign_host(callee.host, "doe")
+        invocation = MethodInvocation(
+            callee.loid, "Ping", (), CallEnvironment.originating(caller.loid)
+        )
+
+        def bounce():
+            fut = caller.runtime.send_request(callee.element, invocation)
+            services.kernel.run()
+            return fut.exception()
+
+        services.network.partition("uva", "doe")
+        partitioned = bounce()
+        assert type(partitioned) is errors.PartitionedError
+        assert str(partitioned) == f"delivery to {callee.element} failed: network partition"
+        services.network.heal_all()
+        callee.deactivate()
+        stale = bounce()
+        assert type(stale) is errors.DeliveryFailure
+        assert str(stale) == f"delivery to {callee.element} failed: no endpoint registered"
+        assert partitioned.element == stale.element == callee.element
+        assert caller.runtime.stats.delivery_failures == 2
 
     def test_expired_cached_binding_is_a_miss(self, services, echo_pair):
         caller, callee = echo_pair
