@@ -190,8 +190,6 @@ class LegionRuntime:
         #: single GetBinding(stale) instead of storming the agent.
         self._refreshing: Dict[tuple, SimFuture] = {}
         self._pending: Dict[int, SimFuture] = {}
-        #: correlation id → kernel ticket of the request's deadline event.
-        self._timeout_handles: Dict[int, tuple] = {}
         #: The environment of every call chain this object originates
         #: (immutable, so one instance serves them all).
         self._origin_env = CallEnvironment.originating(loid)
@@ -287,7 +285,6 @@ class LegionRuntime:
     def handle_reply(self, message: Message) -> None:
         """Route an incoming REPLY to its waiting future."""
         fut = self._pending.pop(message.correlation_id, None)
-        self._cancel_timeout(message.correlation_id)
         if self._request_spans:
             self._finish_request_span(message.correlation_id, "ok")
         if fut is None or fut.done():
@@ -304,7 +301,6 @@ class LegionRuntime:
     def handle_delivery_failure(self, message: Message) -> None:
         """Route a DELIVERY_FAILURE notice to its waiting future."""
         fut = self._pending.pop(message.correlation_id, None)
-        self._cancel_timeout(message.correlation_id)
         if self._request_spans:
             self._finish_request_span(message.correlation_id, "delivery-failure")
         if fut is None or fut.done():
@@ -323,11 +319,6 @@ class LegionRuntime:
             )
         )
 
-    def _cancel_timeout(self, correlation_id: int) -> None:
-        ticket = self._timeout_handles.pop(correlation_id, None)
-        if ticket is not None:
-            self.kernel.cancel(ticket)
-
     def _expire(
         self,
         correlation_id: int,
@@ -335,19 +326,17 @@ class LegionRuntime:
         invocation: MethodInvocation,
         deadline: float,
     ) -> None:
-        """The deadline event of one request: fail it if still pending."""
-        pending = self._pending.pop(correlation_id, None)
-        self._timeout_handles.pop(correlation_id, None)
+        """The deadline of one request; the kernel runs it only while the
+        request's future is pending, that is, while it is in ``_pending``."""
+        pending = self._pending.pop(correlation_id)
         if self._request_spans:
             self._finish_request_span(correlation_id, "timeout")
-        if pending is not None and not pending.done():
-            self.stats.timeouts += 1
-            pending.set_exception(
-                InvocationTimeout(
-                    f"no reply to {invocation} within {deadline}",
-                    element=element,
-                )
+        self.stats.timeouts += 1
+        pending.set_exception(
+            InvocationTimeout(
+                f"no reply to {invocation} within {deadline}", element=element
             )
+        )
 
     def _finish_request_span(self, correlation_id: int, status: str) -> None:
         span = self._request_spans.pop(correlation_id, None)
@@ -393,9 +382,9 @@ class LegionRuntime:
             self._request_spans[message.correlation_id] = span
         deadline = timeout if timeout is not None else self.default_timeout
         if deadline is not None:
-            corr = message.correlation_id
-            self._timeout_handles[corr] = self.kernel.post(
-                deadline, self._expire, corr, element, invocation, deadline
+            self.kernel.deadline(
+                fut, deadline, self._expire,
+                message.correlation_id, element, invocation, deadline,
             )
         self.services.network.send(message)
         return fut
@@ -842,12 +831,11 @@ class LegionRuntime:
     def fail_pending(self, reason: str) -> None:
         """Fail all in-flight calls (object deactivating or migrating).
 
-        Cancels each call's pending ``_expire`` timeout event too, so a
-        stale timeout can never fire after the failure was delivered.
+        Settling each call's future also retires its deadline: the kernel
+        never runs a deadline whose future has settled.
         """
         pending, self._pending = self._pending, {}
         for corr, fut in pending.items():
-            self._cancel_timeout(corr)
             if self._request_spans:
                 self._finish_request_span(corr, "cancelled")
             if not fut.done():

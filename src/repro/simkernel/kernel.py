@@ -20,10 +20,9 @@ Hot-path design (the fast path every experiment sweep lives on):
 
 * The heap holds bare tuples ``(time, seq, fn, args)`` -- no per-event
   object allocation, no comparison ever reaches ``fn`` because ``seq`` is
-  unique.  Cancellation is a side set of sequence numbers checked on pop;
-  the queued tuple itself is the cancellation *ticket* (:meth:`SimKernel.post`
-  returns it), so a cancellable event allocates nothing more either and
-  there is one way to schedule and one way to cancel.
+  unique.  Nothing cancels: a :meth:`SimKernel.deadline` runs only if its
+  future is still pending; one settled first is dropped from its delay's
+  FIFO lane (one heap entry per lane) and counts no event.
 * Resuming a process from a resolved future does **not** allocate a fresh
   0-delay event when nothing else is due at the current instant; the
   resume runs on a bounded FIFO *trampoline* drained after the current
@@ -44,7 +43,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from types import GeneratorType
-from typing import Any, Callable, Deque, Generator, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, Generator, List, Optional, Tuple
 
 from repro.errors import ProcessKilled, SimulationDeadlock, SimulationError
 from repro.simkernel.futures import SimFuture
@@ -52,8 +51,18 @@ from repro.simkernel.futures import SimFuture
 ProcessGen = Generator[Any, Any, Any]
 
 #: Heap entry: (time, seq, fn, args).  seq is unique, so comparisons never
-#: reach fn/args and the tuple order is a strict total order.
-_Entry = Tuple[float, int, Callable[..., None], Tuple[Any, ...]]
+#: reach fn/args and the tuple order is a strict total order.  A deadline
+#: lane's entry is (time, seq, None, lane).
+_Entry = Tuple[float, int, Optional[Callable[..., None]], Any]
+
+
+class _Lane(deque):
+    """The deadlines of one delay, ``(time, seq, fut, fn, args)``: a FIFO
+    already in ``(time, seq)`` order, since the delay is fixed and the
+    clock only moves forward.  Its heap entry is keyed on its head or on
+    a head since dropped (a lower bound either way)."""
+
+    __slots__ = ("delay",)
 
 
 class Timeout:
@@ -217,18 +226,14 @@ class SimKernel:
     #: zero-time loops stay visible to ``max_events`` guards).
     TRAMPOLINE_LIMIT = 10_000
 
-    #: Compaction kicks in only past this many cancelled placeholders
-    #: (avoids thrashing on tiny queues).
-    COMPACT_MIN_CANCELLED = 64
-
     def __init__(self) -> None:
         #: Current simulated time.  A plain attribute because every layer
         #: reads it on every message; only the run loops below write it.
         self.now = 0.0
         self._seq = 0
         self._queue: List[_Entry] = []
-        #: seqs of cancelled-but-still-queued entries (lazy deletion).
-        self._cancelled: set = set()
+        #: delay → its non-empty deadline lane (one heap entry each).
+        self._lanes: Dict[float, _Lane] = {}
         #: pending synchronous resumes: (fn, arg) pairs, FIFO.
         self._micro: Deque[Tuple[Callable[[Any], None], Any]] = deque()
         self._processes_spawned = 0
@@ -247,28 +252,48 @@ class SimKernel:
 
     @property
     def pending_events(self) -> int:
-        """Events still due to run (cancelled placeholders excluded)."""
-        live = len(self._queue) - len(self._cancelled)
-        return (live if live > 0 else 0) + len(self._micro)
+        """Events still due to run (a deadline only while its future is pending)."""
+        lanes = self._lanes
+        live = sum(e[2]._state == "pending" for lane in lanes.values() for e in lane)
+        return len(self._queue) - len(lanes) + live + len(self._micro)
 
     # -- scheduling ---------------------------------------------------------
 
-    def post(self, delay: float, fn: Callable[..., None], *args: Any) -> _Entry:
-        """Run ``fn(*args)`` after ``delay`` simulated time units.
+    def post(self, delay: float, fn: Callable[..., None], *args: Any) -> None:
+        """Run ``fn(*args)`` after ``delay`` simulated time units."""
+        if delay < 0:
+            raise SimulationError(f"cannot schedule in the past (delay={delay})")
+        self._seq += 1
+        heapq.heappush(self._queue, (self.now + delay, self._seq, fn, args))
 
-        The queued entry is returned as the event's *ticket*: a caller
-        that may :meth:`cancel` keeps it (``ticket[0]`` is the time the
-        event is due), everyone else drops it.
+    #: The same method under its callback-style names.
+    schedule = call_later = post
+
+    def deadline(
+        self, fut: SimFuture, delay: float, fn: Callable[..., None], *args: Any
+    ) -> None:
+        """Run ``fn(*args)`` at ``now + delay`` unless ``fut`` has settled.
+
+        Nothing cancels a deadline: settling ``fut`` is enough.  It takes
+        its seq here, as :meth:`post` does, so event order and tie-breaks
+        are a posted event's; a settled one counts no event and never
+        moves the clock.  Queuing first drops the lane's settled heads, so
+        a busy lane does not keep settled futures alive until it comes due.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         self._seq += 1
-        entry = (self.now + delay, self._seq, fn, args)
-        heapq.heappush(self._queue, entry)
-        return entry
-
-    #: The same method under its callback-style names.
-    schedule = call_later = post
+        entry = (self.now + delay, self._seq, fut, fn, args)
+        lanes = self._lanes
+        if delay in lanes:
+            lane = lanes[delay]
+            while lane and lane[0][2]._state != "pending":
+                lane.popleft()
+        else:
+            lane = lanes[delay] = _Lane()
+            lane.delay = delay
+            heapq.heappush(self._queue, (entry[0], entry[1], None, lane))
+        lane.append(entry)
 
     def spawn(self, gen: ProcessGen, name: str = "") -> SimFuture:
         """Start ``gen`` as a process; returns a future for its return value.
@@ -302,48 +327,32 @@ class SimKernel:
         self.post(0.0, proc._step_cb, None)
         return proc
 
-    # -- cancellation -------------------------------------------------------
+    # -- deadline lanes (the lane's entry is on top of the heap) -------------
 
-    def cancel(self, ticket: _Entry) -> None:
-        """Prevent the event :meth:`post` returned ``ticket`` for from running.
+    def _settle(self, lane: _Lane, seq: int) -> bool:
+        """Drop ``lane``'s settled heads; False if the entry is keyed on
+        a live head, which is then the next event.  Else re-key the entry
+        on the first live head (or remove it) and return True: look again."""
+        while lane and lane[0][2]._state != "pending":
+            lane.popleft()
+        if lane and lane[0][1] == seq:
+            return False
+        self._rekey(lane)
+        return True
 
-        A no-op if the event already ran: one whose time has not come is
-        certainly still queued, so only a cancel at or past the event's
-        own instant has to look -- an O(queue) scan, which a deadline
-        cancelled before it is due never pays.
+    def _take(self, lane: _Lane) -> Tuple[Callable[..., None], Tuple[Any, ...]]:
+        """Pop ``lane``'s live head for running: its ``(fn, args)``."""
+        entry = lane.popleft()
+        self._rekey(lane)
+        return entry[3], entry[4]
 
-        Cancelled entries stay in the heap as placeholders and are
-        discarded on pop; :meth:`_compact` sweeps them once they
-        outnumber live events.  The ticket carries no state, so its
-        holder forgets it on the first cancel (the runtime pops its
-        deadline table): a repeat is a no-op only until that sweep, after
-        which it parks a stray seq until the next one.
-        """
-        if ticket[0] <= self.now and ticket not in self._queue:
-            return
-        self._cancelled.add(ticket[1])
-        if (
-            len(self._cancelled) > self.COMPACT_MIN_CANCELLED
-            and len(self._cancelled) * 2 > len(self._queue)
-        ):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop cancelled placeholders and re-heapify.
-
-        O(n), amortised free: it only runs once cancellations exceed half
-        the queue, and it also sweeps out a stray seq left by a ticket
-        cancelled again after an earlier sweep.
-
-        Mutates the queue list *in place*: the run loops keep a local
-        alias to it across callbacks, and a compaction triggered inside a
-        callback must not strand them on a stale list.
-        """
-        cancelled = self._cancelled
-        queue = self._queue
-        queue[:] = [e for e in queue if e[1] not in cancelled]
-        heapq.heapify(queue)
-        cancelled.clear()
+    def _rekey(self, lane: _Lane) -> None:
+        if lane:
+            head = lane[0]
+            heapq.heapreplace(self._queue, (head[0], head[1], None, lane))
+        else:
+            heapq.heappop(self._queue)
+            del self._lanes[lane.delay]
 
     # -- trampoline ---------------------------------------------------------
 
@@ -372,12 +381,14 @@ class SimKernel:
             self._drain_micro()
             return True
         queue = self._queue
-        cancelled = self._cancelled
         while queue:
-            time, seq, fn, args = heapq.heappop(queue)
-            if cancelled and seq in cancelled:
-                cancelled.discard(seq)
-                continue
+            time, seq, fn, args = queue[0]
+            if fn is None:  # a deadline lane
+                if self._settle(args, seq):
+                    continue
+                fn, args = self._take(args)
+            else:
+                heapq.heappop(queue)
             if time < self.now:  # pragma: no cover - defensive
                 raise SimulationError("event queue went backwards in time")
             self.now = time
@@ -430,7 +441,6 @@ class SimKernel:
         """
         queue = self._queue
         micro = self._micro
-        cancelled = self._cancelled
         pop = heapq.heappop
         executed = 0
         while fut is None or fut._state == "pending":
@@ -438,17 +448,18 @@ class SimKernel:
                 if not queue:
                     return
                 time, seq, fn, args = queue[0]
-                if cancelled and seq in cancelled:
-                    cancelled.discard(seq)
-                    pop(queue)
-                    continue
+                if fn is None and self._settle(args, seq):
+                    continue  # a deadline lane re-keyed or gone: look again
                 if until is not None and time > until:
                     return
             if executed == max_events:
                 raise SimulationError(f"exceeded max_events={max_events}")
             executed += 1
             if not micro:
-                pop(queue)
+                if fn is None:
+                    fn, args = self._take(args)
+                else:
+                    pop(queue)
                 self.now = time
                 self._events_executed += 1
                 fn(*args)

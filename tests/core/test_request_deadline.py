@@ -1,10 +1,11 @@
-"""A request's deadline is one cancellable kernel ticket.
+"""A request's deadline is one ``kernel.deadline`` on its future.
 
-``send_request`` posts ``LegionRuntime._expire`` with its arguments in
-the event itself and keeps the kernel's ticket; whatever settles the
-request first cancels it.  A fired deadline is exactly one kernel event
-at exactly ``sent + deadline``; a cancelled one is none, and never
-advances the clock.
+``send_request`` queues ``LegionRuntime._expire`` with its arguments in
+the event itself; whatever settles the request first -- a reply, a
+bounce, ``fail_pending`` -- retires it, because the kernel never runs a
+deadline whose future has settled.  A fired deadline is exactly one
+kernel event at exactly ``sent + deadline``; a retired one is none,
+never advances the clock and is not a pending event.
 """
 
 import pytest
@@ -49,22 +50,21 @@ class TestRequestDeadline:
         # The swallowed delivery plus the deadline itself.
         assert kernel.events_executed - base == 2
         assert caller.runtime.stats.timeouts == 1
-        assert caller.runtime._timeout_handles == {}
-        assert caller.runtime._pending == {}
+        assert kernel.pending_events == 0
+        assert caller.runtime.settled
 
     def test_a_reply_cancels_it_and_it_counts_no_event(self, services, echo_pair):
         kernel = services.kernel
         caller, callee = echo_pair
         fut, base = _request(services, caller, callee.element, timeout=50.0)
-        assert len(caller.runtime._timeout_handles) == 1
         assert kernel.pending_events == 2  # the delivery and the deadline
         kernel.run()
         assert fut.result().unwrap() == "pong"
         assert kernel.events_executed - base == 2  # request and reply delivery
-        assert kernel.now == 2.0  # a cancelled deadline never moves the clock
+        assert kernel.now == 2.0  # a retired deadline never moves the clock
         assert caller.runtime.stats.timeouts == 0
-        assert caller.runtime._timeout_handles == {}
-        assert kernel.pending_events == 0 and kernel._cancelled == set()
+        assert kernel.pending_events == 0
+        assert caller.runtime.settled
 
     def test_a_delivery_failure_cancels_it(self, services, echo_pair):
         kernel = services.kernel
@@ -78,28 +78,29 @@ class TestRequestDeadline:
         assert kernel.now == 2.0
         assert caller.runtime.stats.timeouts == 0
         assert caller.runtime.stats.delivery_failures == 1
-        assert caller.runtime._timeout_handles == {}
-        assert kernel._cancelled == set()
+        assert kernel.pending_events == 0
 
     def test_fail_pending_cancels_it(self, services):
         kernel = services.kernel
         caller = start_object(services, EchoImpl("caller"), host=1)
         fut, base = _request(services, caller, _black_hole(services), timeout=50.0)
+        assert kernel.pending_events == 2
         caller.runtime.fail_pending("deactivating")
-        assert caller.runtime._timeout_handles == {}
         assert kernel.pending_events == 1  # only the doomed delivery
         kernel.run()
         with pytest.raises(errors.DeliveryFailure, match="torn down"):
             fut.result()
         assert kernel.events_executed - base == 1
+        assert kernel.now < 50.0  # the deadline never ran
         assert caller.runtime.stats.timeouts == 0
         assert caller.runtime.stats.cancelled == 1
-        assert kernel._cancelled == set()
+        assert caller.runtime.settled
 
     def test_no_deadline_no_ticket(self, services, echo_pair):
+        kernel = services.kernel
         caller, callee = echo_pair
         caller.runtime.default_timeout = None
         fut, _ = _request(services, caller, callee.element, timeout=None)
-        assert caller.runtime._timeout_handles == {}
-        services.kernel.run()
+        assert kernel.pending_events == 1  # the delivery alone
+        kernel.run()
         assert fut.result().unwrap() == "pong"

@@ -1,9 +1,10 @@
-"""Regression tests: settled requests must cancel their timeout events.
+"""Regression tests: a settled request's deadline never fires.
 
-Every request with a deadline schedules an ``_expire`` kernel event.  When
-the request settles early -- a reply, a delivery failure, or the runtime
-being torn down -- that event must be cancelled, not left to fire against
-a recycled correlation id or to bump the timeout counter spuriously.
+Every request with a deadline queues ``_expire`` as a kernel deadline on
+the request's future.  When the request settles early -- a reply, a
+delivery failure, or the runtime being torn down -- the deadline must
+retire with it, not fire against a recycled correlation id, bump the
+timeout counter spuriously or linger as a pending event.
 """
 
 import pytest
@@ -32,26 +33,29 @@ def _black_hole_binding(services, host=3):
 class TestTimeoutCancellation:
     def test_reply_cancels_the_timeout_event(self, services, echo_pair):
         caller, callee = echo_pair
+        kernel = services.kernel
         assert run_call(services, caller, callee.loid, "Ping") == "pong"
-        assert caller.runtime._timeout_handles == {}
+        assert kernel.pending_events == 0
         # Drive simulated time far beyond the default deadline: the
-        # cancelled _expire must not fire.
+        # retired _expire must not fire, nor count an event.
+        events, now = kernel.events_executed, kernel.now
         _drain(services)
+        assert (kernel.events_executed, kernel.now) == (events, now)
         assert caller.runtime.stats.timeouts == 0
 
     def test_every_settled_request_releases_its_handle(self, services, echo_pair):
         caller, callee = echo_pair
         for i in range(5):
             run_call(services, caller, callee.loid, "Echo", str(i))
-        assert caller.runtime._timeout_handles == {}
-        assert caller.runtime._pending == {}
+        assert services.kernel.pending_events == 0
+        assert caller.runtime.settled
 
     def test_delivery_failure_cancels_the_timeout_event(self, services, echo_pair):
         caller, callee = echo_pair
         callee.deactivate()  # requests now bounce as stale
         with pytest.raises(errors.LegionError):
             run_call(services, caller, callee.loid, "Ping")
-        assert caller.runtime._timeout_handles == {}
+        assert services.kernel.pending_events == 0
         _drain(services)
         assert caller.runtime.stats.timeouts == 0
 
@@ -62,9 +66,8 @@ class TestTimeoutCancellation:
         )
         # Let the request leave but not complete.
         services.kernel.run(until=1.0)
-        assert caller.runtime._timeout_handles
+        assert caller.runtime.pending_count == 1
         caller.runtime.fail_pending("deactivating")
-        assert caller.runtime._timeout_handles == {}
         _drain(services)
         assert caller.runtime.stats.timeouts == 0
         # The teardown surfaces as DeliveryFailure, or -- because the
@@ -86,8 +89,8 @@ class TestTimeoutCancellation:
             excinfo.value, (errors.InvocationTimeout, errors.BindingNotFound)
         )
         assert caller.runtime.stats.timeouts >= 1
-        assert caller.runtime._timeout_handles == {}
-        assert caller.runtime._pending == {}
+        assert services.kernel.pending_events == 0
+        assert caller.runtime.settled
 
     def test_late_reply_after_timeout_is_dropped(self, services, echo_pair):
         caller, callee = echo_pair
@@ -97,7 +100,7 @@ class TestTimeoutCancellation:
         _drain(services)
         assert fut.failed()
         # The reply eventually arrived at the caller and was discarded:
-        # no pending entry, no stale timeout handle, exactly one timeout.
-        assert caller.runtime._pending == {}
-        assert caller.runtime._timeout_handles == {}
+        # nothing pending anywhere, exactly one timeout.
+        assert services.kernel.pending_events == 0
+        assert caller.runtime.settled
         assert caller.runtime.stats.timeouts == 1

@@ -28,11 +28,14 @@ class TestScheduling:
             kernel.schedule(-0.1, lambda: None)
 
     def test_cancellation(self, kernel):
+        """Settling a deadline's future is what cancels it."""
         hits = []
-        ticket = kernel.schedule(1.0, lambda: hits.append("x"))
-        kernel.cancel(ticket)
+        fut = SimFuture()
+        kernel.deadline(fut, 1.0, lambda: hits.append("x"))
+        fut.set_result(None)
         kernel.run()
         assert hits == []
+        assert kernel.now == 0.0  # a settled deadline never moves the clock
 
     def test_run_until_stops_the_clock(self, kernel):
         hits = []

@@ -1,11 +1,12 @@
-"""Fast-path kernel behaviour: cancellation accounting, heap compaction,
-the future-resume trampoline, and the one loop behind every ``run*``.
+"""Fast-path kernel behaviour: deadline accounting, deadline lanes, the
+future-resume trampoline, and the one loop behind every ``run*``.
 
-These pin down the invariants the tuple-heap/trampoline redesign must
-keep: ``pending_events`` never counts cancelled placeholders, compaction
-is invisible to code running inside the event loop, trampolined
-resumes preserve event order and the ``events_executed`` count, and
-``run()``, ``run(until=)``, ``run(max_events=)`` and
+These pin down the invariants the tuple-heap/trampoline design must
+keep: a deadline whose future has settled -- the only way one is
+cancelled -- never runs, counts no event, never moves the clock and is
+not in ``pending_events``; settled deadlines never pile up in the heap;
+trampolined resumes preserve event order and the ``events_executed``
+count; and ``run()``, ``run(until=)``, ``run(max_events=)`` and
 ``run_until_complete`` are ``step()`` after ``step()`` and nothing else.
 """
 
@@ -20,51 +21,61 @@ from repro.simkernel.futures import SimFuture, completed
 from repro.simkernel.kernel import SimKernel, Timeout
 
 
+def deadlines(kernel, n, delay, fn=lambda: None, *args):
+    """``n`` deadlines of one ``delay``; returns their (pending) futures."""
+    futs = [SimFuture() for _ in range(n)]
+    for fut in futs:
+        kernel.deadline(fut, delay, fn, *args)
+    return futs
+
+
 class TestCancellationAccounting:
+    """Nothing cancels: settling a deadline's future is its cancellation."""
+
     def test_pending_events_excludes_cancelled(self):
         kernel = SimKernel()
-        tickets = [kernel.schedule(1.0, lambda: None) for _ in range(3)]
+        futs = deadlines(kernel, 3, 1.0)
         assert kernel.pending_events == 3
-        kernel.cancel(tickets[0])
+        futs[0].set_result(None)
         assert kernel.pending_events == 2
-        kernel.cancel(tickets[0])  # a repeat before any sweep: no-op
-        assert kernel.pending_events == 2
+        kernel.post(1.0, lambda: None)
+        assert kernel.pending_events == 3
 
     def test_cancel_after_run_does_not_go_negative(self):
         kernel = SimKernel()
-        ticket = kernel.schedule(1.0, lambda: None)
+        (fut,) = deadlines(kernel, 1, 1.0)
         kernel.run()
-        kernel.cancel(ticket)  # stray seq: the event already ran
+        fut.set_result(None)  # settles after its deadline ran
         assert kernel.pending_events == 0
 
     def test_late_cancel_leaves_the_books_alone(self):
-        """Regression: a cancel after the event ran used to park its seq
-        in ``_cancelled`` forever -- ``pending_events`` then under-counted
-        every later event by one and each pop paid the set probe."""
+        """Settling a future after its deadline ran touches no kernel
+        state: no lane and no heap entry is left behind to under-count
+        later events."""
         kernel = SimKernel()
-        ticket = kernel.schedule(1, lambda: None)
+        (fut,) = deadlines(kernel, 1, 1.0)
         kernel.run()
-        kernel.cancel(ticket)
-        assert kernel._cancelled == set()
+        fut.set_result(None)
+        assert kernel._lanes == {} and kernel._queue == []
         kernel.schedule(5, lambda: None)
         assert kernel.pending_events == 1
         kernel.run()
         assert kernel.events_executed == 2
 
     def test_cancel_at_the_events_own_instant(self):
-        """At ``time == now`` the event may or may not have run yet; only
-        one still queued is cancelled."""
+        """At ``time == now`` a deadline may or may not have run yet;
+        settling retires only one still queued."""
         kernel = SimKernel()
         ran = []
-        tickets = {}
+        futs = {"first": SimFuture(), "second": SimFuture()}
 
         def first():
             ran.append("first")
-            kernel.cancel(tickets["first"])  # running right now: a no-op
-            kernel.cancel(tickets["second"])  # same instant, still queued
+            futs["first"].set_result(None)  # running right now: nothing to retire
+            futs["second"].set_result(None)  # same instant, still queued
 
-        tickets["first"] = kernel.post(1.0, first)
-        tickets["second"] = kernel.post(1.0, ran.append, "second")
+        kernel.deadline(futs["first"], 1.0, first)
+        kernel.deadline(futs["second"], 1.0, ran.append, "second")
         kernel.post(1.0, ran.append, "third")
         assert kernel.pending_events == 3
         kernel.step()
@@ -72,98 +83,161 @@ class TestCancellationAccounting:
         kernel.run()
         assert ran == ["first", "third"]
         assert kernel.events_executed == 2
-        assert kernel._cancelled == set()
+        assert kernel._lanes == {}
 
     def test_peak_pending_stays_exact_across_late_cancels(self):
         """The ledger's ``simkernel.peak_pending_events`` is the running
-        max of ``pending_events``: late cancels must not bend it."""
+        max of ``pending_events``: late settles must not bend it."""
         kernel = SimKernel()
         peak = 0
         for round_ in range(5):
-            tickets = [kernel.schedule(1.0, lambda: None) for _ in range(4)]
+            futs = deadlines(kernel, 4, 1.0)
             peak = max(peak, kernel.pending_events)
             kernel.run()
-            for ticket in tickets:
-                kernel.cancel(ticket)  # all late
+            for fut in futs:
+                fut.set_result(None)  # all late
             assert kernel.pending_events == 0
         assert peak == 4
-        assert kernel._cancelled == set()
+        assert kernel._lanes == {}
 
     def test_a_cancelled_event_counts_no_event(self):
         kernel = SimKernel()
         ran = []
-        ticket = kernel.post(1.0, ran.append, "a")
-        assert ticket[0] == 1.0  # the time the event is due
+        (fut,) = deadlines(kernel, 1, 1.0, ran.append, "a")
         kernel.post(2.0, ran.append, "b")
-        kernel.cancel(ticket)
+        fut.set_result(None)
         assert kernel.pending_events == 1
         kernel.run()
         assert ran == ["b"]
-        assert kernel.events_executed == 1  # a cancelled event counts none
-        assert kernel._cancelled == set()
+        assert kernel.events_executed == 1  # a settled deadline counts none
+        assert kernel._lanes == {}
 
     def test_cancelled_event_never_runs(self):
         kernel = SimKernel()
         ran = []
-        ticket = kernel.schedule(1.0, ran.append, "a")
+        (fut,) = deadlines(kernel, 1, 1.0, ran.append, "a")
+        kernel.schedule(0.5, fut.set_result, None)
         kernel.schedule(2.0, ran.append, "b")
-        kernel.cancel(ticket)
         kernel.run()
         assert ran == ["b"]
 
     def test_run_until_stops_on_cancelled_only_queue(self):
         kernel = SimKernel()
-        ticket = kernel.schedule(5.0, lambda: None)
-        kernel.cancel(ticket)
+        (fut,) = deadlines(kernel, 1, 5.0)
+        fut.set_result(None)
         kernel.run(until=10.0)
         assert kernel.now == 10.0
         assert kernel.events_executed == 0
 
 
 class TestCompaction:
+    """Settled deadlines never pile up in the heap: a lane is one entry."""
+
     def test_mass_cancellation_compacts_heap(self):
         kernel = SimKernel()
-        keep = kernel.schedule(500.0, lambda: None)
-        tickets = [kernel.schedule(float(i), lambda: None) for i in range(200)]
-        for h in tickets:
-            kernel.cancel(h)
-        # Past the threshold the bulk of the placeholders is swept out
-        # (a sub-threshold tail may linger until the next sweep).
-        assert len(kernel._queue) < 100
+        kernel.schedule(500.0, lambda: None)
+        futs = deadlines(kernel, 200, 10.0)
+        assert len(kernel._queue) == 2  # the event and one lane
+        for fut in futs:
+            fut.set_result(None)
         assert kernel.pending_events == 1
-        kernel.cancel(keep)
+        deadlines(kernel, 1, 10.0)  # queuing drops the settled heads first
+        assert len(kernel._lanes[10.0]) == 1
         kernel.run()
-        assert kernel.events_executed == 0
+        assert kernel.events_executed == 2
 
     def test_compaction_inside_callback_keeps_later_events(self):
-        """Regression: compacting used to rebind the queue list, stranding
-        the run loop's local alias on a stale copy -- events scheduled
-        after the compaction were silently lost (deadlocking E2's
-        bootstrap at scale).  Compaction must mutate the heap in place.
-        """
+        """Settling deadlines and queuing more work inside a callback
+        loses nothing: the run loop's heap alias stays the one heap."""
         kernel = SimKernel()
         ran = []
-        tickets = [kernel.schedule(10.0, lambda: None) for _ in range(200)]
+        futs = deadlines(kernel, 200, 10.0, ran.append, "expired")
 
-        def cancel_then_schedule():
-            for h in tickets:
-                kernel.cancel(h)  # triggers _compact mid-run
-            kernel.schedule(1.0, ran.append, "after-compact")
+        def settle_then_schedule():
+            for fut in futs:
+                fut.set_result(None)
+            kernel.schedule(1.0, ran.append, "after-settle")
+            deadlines(kernel, 1, 0.5, ran.append, "deadline")
 
-        kernel.schedule(0.0, cancel_then_schedule)
+        kernel.schedule(0.0, settle_then_schedule)
         kernel.run()
-        assert ran == ["after-compact"]
+        assert ran == ["deadline", "after-settle"]
 
     def test_compaction_preserves_order(self):
+        """A live deadline behind settled ones in its lane runs in order."""
         kernel = SimKernel()
         ran = []
-        doomed = [kernel.schedule(50.0, lambda: None) for _ in range(150)]
+        doomed = [SimFuture() for _ in range(150)]
+        for n, fut in enumerate(doomed):
+            kernel.deadline(fut, 2.5, ran.append, n)
         for i in range(5):
             kernel.schedule(float(i + 1), ran.append, i)
-        for h in doomed:
-            kernel.cancel(h)
+        for n, fut in enumerate(doomed):
+            if n != 75:
+                fut.set_result(None)
         kernel.run()
-        assert ran == [0, 1, 2, 3, 4]
+        assert ran == [0, 1, 75, 2, 3, 4]
+        assert kernel._lanes == {} and kernel._queue == []
+
+
+class TestDeadlineLanes:
+    def test_a_lane_that_empties_is_reused(self):
+        kernel = SimKernel()
+        ran = []
+        deadlines(kernel, 1, 2.0, ran.append, "a")
+        kernel.run()
+        assert (ran, kernel._lanes) == (["a"], {})
+        deadlines(kernel, 1, 2.0, ran.append, "b")
+        assert list(kernel._lanes) == [2.0]
+        kernel.run()
+        assert (ran, kernel.now) == (["a", "b"], 4.0)
+        # Queuing onto a lane whose settled heads it drops leaves the
+        # lane's heap entry keyed on a dropped head: it re-keys on top.
+        (dead,) = deadlines(kernel, 1, 2.0, ran.append, "dead")
+        dead.set_result(None)
+        kernel.post(1.0, kernel.deadline, SimFuture(), 2.0, ran.append, "c")
+        kernel.run()
+        assert (ran, kernel.now) == (["a", "b", "c"], 7.0)
+        assert kernel.events_executed == 4
+        assert kernel._lanes == {} and kernel._queue == []
+
+    def test_many_distinct_delays_leave_no_lane_behind(self):
+        kernel = SimKernel()
+        futs = [deadlines(kernel, 1, 1.0 + i / 8)[0] for i in range(100)]
+        assert len(kernel._lanes) == 100
+        for fut in futs[::2]:
+            fut.set_result(None)
+        kernel.run()
+        assert kernel.events_executed == 50
+        assert kernel._lanes == {} and kernel._queue == []
+
+    def test_a_settled_deadline_leaves_now_on_the_last_live_event(self):
+        for drive in ("run", "step"):
+            kernel = SimKernel()
+            (fut,) = deadlines(kernel, 1, 9.0)
+            kernel.post(3.0, fut.set_result, None)
+            if drive == "run":
+                kernel.run()
+            else:
+                assert kernel.step() is True
+                assert kernel.step() is False
+            assert (kernel.now, kernel.events_executed) == (3.0, 1)
+            assert kernel._queue == []
+
+    def test_a_deadline_and_a_post_due_together_run_in_seq_order(self):
+        kernel = SimKernel()
+        ran = []
+        kernel.post(2.0, ran.append, "post-1")
+        deadlines(kernel, 1, 2.0, ran.append, "deadline")
+        kernel.post(2.0, ran.append, "post-2")
+        # Queued at 1.0 on another lane, due at 2.0 too: last in seq.
+        kernel.post(1.0, kernel.deadline, SimFuture(), 1.0, ran.append, "late")
+        kernel.run()
+        assert ran == ["post-1", "deadline", "post-2", "late"]
+
+    def test_a_negative_delay_is_rejected(self):
+        with pytest.raises(SimulationError, match="past"):
+            SimKernel().deadline(SimFuture(), -1.0, lambda: None)
 
 
 class TestTrampoline:
@@ -274,9 +348,10 @@ ACTIONS = st.recursive(
         st.tuples(st.just("wait_fail"), DELAYS),  # ... or fails
         st.tuples(st.just("floor")),  # yield None
         st.tuples(st.just("spin"), st.integers(0, 12)),  # zero-time loop
-        # An event and its cancellation; same instant when the delays are
-        # equal, the cancel queued ahead of its target when ``first``.
-        st.tuples(st.just("cancel"), DELAYS, DELAYS, st.booleans()),
+        # A deadline and the settling of its future, before, at or after
+        # it is due; at the same instant the settle is queued ahead of the
+        # deadline when ``first``.
+        st.tuples(st.just("deadline"), DELAYS, DELAYS, st.booleans()),
     ),
     lambda inner: st.tuples(st.just("child"), st.lists(inner, max_size=3)),
     max_leaves=8,
@@ -322,14 +397,14 @@ class Program:
                 elif kind == "spin":
                     for _ in range(action[1]):
                         yield completed(None)
-                elif kind == "cancel":
-                    _, delay, cancel_delay, first = action
-                    holder = []
+                elif kind == "deadline":
+                    _, delay, settle_delay, first = action
+                    fut = SimFuture()
                     if first:
-                        kernel.post(cancel_delay, lambda h=holder: kernel.cancel(h[0]))
-                    holder.append(kernel.post(delay, log.append, (tag, n, "ticket")))
+                        kernel.post(settle_delay, fut.set_result, None)
+                    kernel.deadline(fut, delay, log.append, (tag, n, "deadline"))
                     if not first:
-                        kernel.post(cancel_delay, kernel.cancel, holder[0])
+                        kernel.post(settle_delay, fut.set_result, None)
                 else:
                     yield body(f"{tag}.{n}", action[1])
             log.append((tag, "end", kernel.now))
@@ -355,11 +430,18 @@ class Program:
                 return False
         return self.kernel.pending_events > 0
 
+    def next_due(self):
+        """When the next live heap event or pending deadline is due."""
+        kernel = self.kernel
+        due = [e[0] for e in kernel._queue if e[2] is not None]
+        due += [d[0] for lane in kernel._lanes.values() for d in lane if not d[2].done()]
+        return min(due, default=None)
+
     def steps_until(self, until):
         kernel = self.kernel
         while True:
-            live = [e for e in kernel._queue if e[1] not in kernel._cancelled]
-            if not kernel._micro and (not live or min(live)[0] > until):
+            due = self.next_due()
+            if not kernel._micro and (due is None or due > until):
                 break
             kernel.step()
         kernel.now = max(kernel.now, until)
@@ -457,7 +539,7 @@ class TestOneLoop:
         ran = []
         for due in (1.0, 2.0, 9.0):
             kernel.post(due, ran.append, due)
-        kernel.cancel(kernel.post(3.0, ran.append, "cancelled"))
+        kernel.deadline(completed(None), 3.0, ran.append, "settled")
         kernel.run(until=5.0, max_events=2)  # budget spent, nothing more due by 5
         assert (ran, kernel.now) == ([1.0, 2.0], 5.0)
         with pytest.raises(SimulationError, match="max_events=0"):
