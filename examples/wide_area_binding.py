@@ -79,7 +79,7 @@ def main() -> None:
 
     # -- flat agents vs combining tree for class lookups.
     print("\n== class-lookup burst: flat agents vs 4-ary combining tree ==")
-    from repro.metrics.counters import ComponentId, MetricsRegistry
+    from repro.metrics.counters import ComponentId
 
     def legion_class_load_after_lookups(leaf_servers):
         system.reset_measurements()
@@ -88,8 +88,7 @@ def main() -> None:
             # cold leaf: ask it to resolve every site's first object class
             system.call(leaf.loid, "GetBinding", cls.loid, client=probe)
         return metrics.get(
-            ComponentId(ComponentKind.LEGION_CLASS, "LegionClass"),
-            MetricsRegistry.REQUESTS,
+            ComponentId(ComponentKind.LEGION_CLASS, "LegionClass")
         )
 
     flat = [_spawn_agent_on(system, None, f"flat{i}") for i in range(8)]

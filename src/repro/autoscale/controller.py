@@ -2,16 +2,19 @@
 
 Policy (classic hysteresis + cooldown):
 
-* Every ``tick`` simulated ms, sample the pool's aggregate request rate
-  (parent class + live clones) from the :class:`LoadMonitor`.
-* If the per-member rate exceeds ``high_water``, grow the pool toward
-  ``ceil(total / high_water)`` members, placing each new clone through
-  the scheduling agent's ``ChoosePlacement`` (least-loaded accepting
-  host) -- unless a shrink happened within ``cooldown`` ms.
-* If the per-member rate falls below ``low_water`` (the hysteresis gap),
-  retire the youngest clone via ``RetireClone`` -- the clone leaves the
-  routing pool immediately, drains its in-flight work, and is folded
-  back into an OPR -- unless a spawn happened within ``cooldown`` ms.
+* Every :data:`TICK` simulated ms, sample the pool's aggregate request
+  and shed rates (parent class + live clones) from the
+  :class:`LoadMonitor`.
+* If the per-member request rate exceeds ``high_water``, grow the pool
+  toward ``ceil((requests + sheds) / high_water)`` members, placing each
+  new clone through the scheduling agent's ``ChoosePlacement``
+  (least-loaded accepting host) -- unless a shrink happened within
+  ``cooldown`` ms.
+* If the per-member rate falls below ``low_water`` (the hysteresis gap)
+  and nothing was shed, retire the youngest clone via ``RetireClone``
+  -- the clone leaves the routing pool immediately, drains its
+  in-flight work, and is folded back into an OPR -- unless a spawn
+  happened within ``cooldown`` ms.
 
 Everything runs on simulated time from seeded state, so a run is
 byte-identical across ``--jobs 1`` and ``--jobs N``.
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.errors import LegionError, ProcessKilled
 from repro.autoscale.monitor import LoadMonitor
@@ -41,15 +44,8 @@ class AutoscaleConfig:
     high_water: float
     low_water: float
     cooldown: float = 50.0
-    tick: float = 10.0
     min_clones: int = 0
     max_clones: int = 8
-    #: Admission sheds per simulated ms per member that force a scale-up
-    #: even when the served rate sits below ``high_water``.  A server at
-    #: capacity *serves* at most its capacity, so under flow control the
-    #: demand signal lives in the shed counter; the default (inf) keeps
-    #: the historical served-rate-only policy.
-    shed_water: float = float("inf")
 
     def __post_init__(self) -> None:
         if self.low_water >= self.high_water:
@@ -57,10 +53,6 @@ class AutoscaleConfig:
                 f"hysteresis gap required: low_water {self.low_water} must be "
                 f"< high_water {self.high_water}"
             )
-        if self.shed_water <= 0:
-            raise LegionError(f"shed_water must be > 0, got {self.shed_water}")
-        if self.tick <= 0:
-            raise LegionError(f"tick must be positive, got {self.tick}")
         if self.cooldown < 0:
             raise LegionError(f"cooldown must be >= 0, got {self.cooldown}")
         if not 0 <= self.min_clones <= self.max_clones:
@@ -70,7 +62,11 @@ class AutoscaleConfig:
             )
 
 
-def build_placement_agent(system, name: str = "placement") -> ObjectServer:
+#: Simulated ms between two samples of the control loop.
+TICK = 8.0
+
+
+def build_placement_agent(system) -> ObjectServer:
     """Start a LeastLoadedPlacementAgent as a real Legion object.
 
     Registered out-of-band under StandardScheduler (the same adoption
@@ -89,7 +85,7 @@ def build_placement_agent(system, name: str = "placement") -> ObjectServer:
         impl,
         host=system.site_hosts[system.sites[0].name][0],
         component_kind=ComponentKind.SCHEDULER,
-        component_name=name,
+        component_name="placement",
     )
     system.call(scheduler_class.loid, "RegisterOutOfBand", server.binding())
     return server
@@ -103,14 +99,13 @@ class CloneController:
         system,
         class_binding: Binding,
         config: AutoscaleConfig,
-        placement: Optional[ObjectServer] = None,
-        monitor: Optional[LoadMonitor] = None,
+        placement: ObjectServer,
     ) -> None:
         self.system = system
         self.class_loid = class_binding.loid
         self.config = config
-        self.placement_loid = placement.loid if placement is not None else None
-        self.monitor = monitor or LoadMonitor(system)
+        self.placement_loid = placement.loid
+        self.monitor = LoadMonitor(system)
         self.client = system.new_client(f"autoscaler-{class_binding.loid}")
         self.client.runtime.seed_binding(class_binding)
         #: (simulated time, "spawn" | "retire", clone LOID string) --
@@ -138,7 +133,7 @@ class CloneController:
     # -------------------------------------------------------------------- loop
 
     def _loop(self):
-        yield Timeout(self.config.tick)
+        yield Timeout(TICK)
         while True:
             try:
                 yield from self._tick()
@@ -146,25 +141,25 @@ class CloneController:
                 raise  # stop() tore the loop down; ProcessKilled must win
             except LegionError:
                 pass  # a tick interrupted by faults just runs again later
-            yield Timeout(self.config.tick)
+            yield Timeout(TICK)
 
     def _tick(self):
         sample = self.monitor.sample()
         clones = yield from self.client.runtime.invoke(self.class_loid, "GetClones")
         members = [str(self.class_loid)] + [str(c.loid) for c in clones]
         total = sample.pool_rate(members)
+        shed = sample.pool_shed_rate(members)
         per_member = total / len(members)
-        shed_per_member = sample.pool_shed_rate(members) / len(members)
         now = self.system.kernel.now
         cfg = self.config
         if (
-            (per_member > cfg.high_water or shed_per_member > cfg.shed_water)
+            per_member > cfg.high_water
             and len(clones) < cfg.max_clones
             and now - self._last_shrink >= cfg.cooldown
         ):
             # Served + shed is the *demand* the pool must absorb; under
             # admission control the served rate alone is capacity-capped.
-            demand = total + sample.pool_shed_rate(members)
+            demand = total + shed
             desired = max(
                 len(members) + 1, math.ceil(demand / cfg.high_water)
             )
@@ -173,7 +168,7 @@ class CloneController:
                 yield from self._spawn_clone()
         elif (
             per_member < cfg.low_water
-            and shed_per_member == 0.0
+            and shed == 0.0
             and len(clones) > cfg.min_clones
             and now - self._last_grow >= cfg.cooldown
         ):
@@ -183,14 +178,13 @@ class CloneController:
 
     def _spawn_clone(self):
         opts = {}
-        if self.placement_loid is not None:
-            magistrate, host = yield from self.client.runtime.invoke(
-                self.placement_loid, "ChoosePlacement", self.class_loid, None
-            )
-            if magistrate is not None:
-                opts["magistrate"] = magistrate
-            if host is not None:
-                opts["host"] = host
+        magistrate, host = yield from self.client.runtime.invoke(
+            self.placement_loid, "ChoosePlacement", self.class_loid, None
+        )
+        if magistrate is not None:
+            opts["magistrate"] = magistrate
+        if host is not None:
+            opts["host"] = host
         binding = yield from self.client.runtime.invoke(
             self.class_loid, "Clone", opts
         )

@@ -19,14 +19,16 @@ from repro.naming.binding import Binding
 from repro.naming.loid import LOID
 from repro.simkernel.kernel import Timeout
 
+#: Simulated ms between two ``CloneEpoch()`` polls.
+REFRESH = 20.0
+
 
 class ClonePoolRouter:
     """One client's rotating view of one class's clone pool."""
 
-    def __init__(self, client, class_binding: Binding, refresh: float = 20.0) -> None:
+    def __init__(self, client, class_binding: Binding) -> None:
         self.client = client
         self.class_binding = class_binding
-        self.refresh = refresh
         self.pool: List[Binding] = [class_binding]
         self.epoch: Optional[int] = None
         self._rr = 0
@@ -76,7 +78,7 @@ class ClonePoolRouter:
                 raise
             except LegionError:
                 pass  # the parent is busy or unreachable; keep the old pool
-            yield Timeout(self.refresh)
+            yield Timeout(REFRESH)
 
     def refresh_once(self):
         """One poll: re-fetch the pool only if the epoch moved."""

@@ -52,7 +52,7 @@ def locate_class_binding(runtime: LegionRuntime, class_loid: LOID, env: CallEnvi
         return cached
 
     tracer = services.tracer
-    if tracer is not None and tracer.active:
+    if tracer is not None:
         # One zero-duration span per rung of the responsibility chain;
         # the trace shows exactly how deep 4.1.3's recursion went.
         tracer.instant(
@@ -130,7 +130,7 @@ def resolve_loid(runtime: LegionRuntime, query, env: CallEnvironment):
     class_id, _zero = loid.class_identity()
     responsible = LOID.for_class(class_id, services.secret)
     tracer = services.tracer
-    if tracer is not None and tracer.active:
+    if tracer is not None:
         tracer.annotate(env.trace, responsible=str(responsible))
     yield from locate_class_binding(runtime, responsible, env)
     ask = stale if stale is not None else loid

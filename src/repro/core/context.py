@@ -80,13 +80,6 @@ class SystemServices:
     rng: RngStreams
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
     secret: int = 0x1E610
-    #: Deadline applied to every request that does not set its own (in
-    #: simulated ms).  Far above any legitimate round trip (WAN RTT is
-    #: ~80 ms and even activation chains finish well under a second), so
-    #: it never fires spuriously; its job is turning silently lost
-    #: messages into InvocationTimeout (and thence refresh/retry) instead
-    #: of a hang.  Kept modest because timeouts nest across hops.
-    default_invocation_timeout: float = 2_000.0
     impls: ImplRegistry = field(default_factory=ImplRegistry)
     #: Well-known core objects by role name ("LegionClass", "LegionHost", ...).
     well_known: Dict[str, LOID] = field(default_factory=dict)
@@ -102,8 +95,8 @@ class SystemServices:
     relations: Any = None
     #: The causal-tracing recorder (:class:`repro.trace.SpanRecorder`), or
     #: ``None`` when tracing is off.  Every instrumented hot path guards on
-    #: ``tracer is not None and tracer.active`` -- the zero-overhead no-op
-    #: mode -- so installing a recorder is the *only* cost switch.
+    #: ``tracer is not None`` -- the zero-overhead no-op mode -- so
+    #: installing a recorder is the *only* cost switch.
     tracer: Any = None
     #: The chaos subsystem's :class:`repro.faults.FaultLog`, or ``None``
     #: outside fault experiments.  Recovery paths append *observed*

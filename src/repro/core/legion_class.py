@@ -93,7 +93,6 @@ class ClassObjectImpl(LegionObjectImpl):
         base_chain: Optional[List[Tuple[str, Dict[str, Any]]]] = None,
         bases: Optional[List[LOID]] = None,
         next_sequence: int = 1,
-        consistency: str = "primary-copy",
     ) -> None:
         self.class_name = class_name
         self.class_id = class_id
@@ -110,12 +109,6 @@ class ClassObjectImpl(LegionObjectImpl):
         self.scheduling_agent = scheduling_agent
         self.binding_ttl = binding_ttl
         self.instance_component_kind = instance_component_kind
-        #: Per-class consistency policy for replicated instances (the
-        #: Multicomputer-Object-Store idea: mechanism chosen by access
-        #: pattern, not one global policy).  A string key into
-        #: :class:`repro.replication.ConsistencyPolicy`; purely advisory
-        #: metadata here -- sessions read it via GetConsistencyPolicy().
-        self.consistency = consistency
         #: Implementation chain contributed by InheritFrom() bases.
         self.base_chain: List[Tuple[str, Dict[str, Any]]] = list(base_chain or [])
         self.bases: List[LOID] = list(bases or [])
@@ -152,7 +145,6 @@ class ClassObjectImpl(LegionObjectImpl):
             "scheduling_agent",
             "binding_ttl",
             "instance_component_kind",
-            "consistency",
             "base_chain",
             "bases",
             "_next_sequence",
@@ -491,11 +483,6 @@ class ClassObjectImpl(LegionObjectImpl):
             return True
         return False
 
-    @legion_method("string GetConsistencyPolicy()")
-    def get_consistency_policy(self) -> str:
-        """The per-class consistency policy key (repro.replication)."""
-        return self.consistency
-
     def _replication_news(self, kind: str, loid: LOID, elements, want: int = 0) -> None:
         """One-way placement gossip to the per-jurisdiction ReplicaCatalogs.
 
@@ -540,7 +527,7 @@ class ClassObjectImpl(LegionObjectImpl):
         each overridable through ``options`` (keys: ``instance_factory``,
         ``instance_init``, ``flavor``, ``candidate_magistrates``,
         ``scheduling_agent``, ``binding_ttl``, ``magistrate``, ``host``,
-        ``instance_component_kind``, ``consistency``).
+        ``instance_component_kind``).
         """
         self.flavor.check_derive(self.class_name)
         env = ctx.nested_env(self.loid) if ctx else self.own_env()
@@ -581,7 +568,6 @@ class ClassObjectImpl(LegionObjectImpl):
             "instance_component_kind": options.get(
                 "instance_component_kind", self.instance_component_kind
             ),
-            "consistency": options.get("consistency", self.consistency),
             "base_chain": list(self.base_chain),
             "bases": list(self.bases),
         }

@@ -43,6 +43,17 @@ from repro.security.environment import CallEnvironment
 from repro.simkernel.futures import SimFuture, gather, k_of, single_flight
 from repro.simkernel.kernel import SimKernel, Timeout
 
+#: Multiplier applied to the backoff per further attempt (exponential).
+BACKOFF_FACTOR = 2.0
+
+#: Deadline applied to every request that does not set its own (in
+#: simulated ms).  Far above any legitimate round trip (WAN RTT is ~80 ms
+#: and even activation chains finish well under a second), so it never
+#: fires spuriously; its job is turning silently lost messages into
+#: InvocationTimeout (and thence refresh/retry) instead of a hang.  Kept
+#: modest because timeouts nest across hops.
+DEFAULT_INVOCATION_TIMEOUT = 2_000.0
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -52,7 +63,7 @@ class RetryPolicy:
     attempts back-to-back (no backoff, no jitter, no per-call budget),
     partitions raised immediately, resolution failures fatal.  Chaos-facing
     callers install a patient policy (backoff + jitter + budget +
-    ``retry_partitions``) so calls ride out whole-host crashes and timed
+    ``retry_unreachable``) so calls ride out whole-host crashes and timed
     partitions while recovery runs underneath them.
 
     Frozen so policies can be shared between runtimes and compared by value.
@@ -60,10 +71,9 @@ class RetryPolicy:
 
     #: Total tries of the call itself (1 = no retry).
     max_attempts: int = 4
-    #: Delay before the *second* attempt; 0 disables backoff entirely.
+    #: Delay before the *second* attempt (then times BACKOFF_FACTOR per
+    #: further attempt); 0 disables backoff entirely.
     base_backoff: float = 0.0
-    #: Multiplier applied per further attempt (exponential backoff).
-    backoff_factor: float = 2.0
     #: Ceiling on any single backoff delay.
     max_backoff: float = 1_000.0
     #: Fractional jitter: delay is scaled by 1 + jitter*U(-1, 1) from the
@@ -73,13 +83,12 @@ class RetryPolicy:
     #: first attempt; None = unlimited.  A retry whose backoff would land
     #: past the budget is not attempted (counts as an exhausted budget).
     budget: Optional[float] = None
-    #: Treat PartitionedError like any delivery failure and retry (waiting
-    #: out a heal) instead of raising immediately.
-    retry_partitions: bool = False
-    #: Keep retrying with the old binding when a refresh comes back
-    #: BindingNotFound (e.g. the recovery control path is itself cut off by
-    #: a partition) instead of giving up on the spot.
-    retry_resolution_failures: bool = False
+    #: Ride out unreachable destinations instead of raising on the spot:
+    #: treat PartitionedError like any delivery failure and retry (waiting
+    #: out a heal), and keep retrying with the old binding when a refresh
+    #: comes back BindingNotFound (e.g. the recovery control path is itself
+    #: cut off by a partition).
+    retry_unreachable: bool = False
     #: Per-runtime global retry *token bucket*: every attempt after the
     #: first spends one token; a dry bucket stops the retry loop
     #: (stats.retry_denied), so N concurrent invokes cannot multiply
@@ -94,7 +103,7 @@ class RetryPolicy:
         if attempt <= 1 or self.base_backoff <= 0.0:
             return 0.0
         delay = min(
-            self.base_backoff * self.backoff_factor ** (attempt - 2),
+            self.base_backoff * BACKOFF_FACTOR ** (attempt - 2),
             self.max_backoff,
         )
         if self.jitter > 0.0:
@@ -169,7 +178,6 @@ class LegionRuntime:
         loid: LOID,
         element: ObjectAddressElement,
         cache_capacity: Optional[int] = 128,
-        default_timeout: Optional[float] = None,
     ) -> None:
         self.services = services
         self.kernel: SimKernel = services.kernel
@@ -180,7 +188,7 @@ class LegionRuntime:
         #: The object's Binding Agent (LOID + address), per section 3.6.
         self.binding_agent: Optional[Binding] = None
         #: Per-request deadline when messages can be silently dropped.
-        self.default_timeout = default_timeout
+        self.default_timeout: Optional[float] = DEFAULT_INVOCATION_TIMEOUT
         #: How invoke() spends its failure budget; swap per-object for
         #: chaos-tolerant callers.  The default reproduces the historical
         #: refresh loop bit-for-bit.
@@ -198,7 +206,7 @@ class LegionRuntime:
         #: ComponentId so traces and counters share a vocabulary.
         self.component_label = str(loid)
         #: correlation id → open "request" span (only populated while a
-        #: trace is active; stays empty -- one truthiness test -- otherwise).
+        #: tracer is installed; stays empty -- one truthiness test -- otherwise).
         self._request_spans: Dict[int, Any] = {}
         #: Non-evictable well-known bindings (the core objects).  A
         #: transient failure (e.g. a partition) may invalidate the cached
@@ -367,7 +375,7 @@ class LegionRuntime:
         self._pending[message.correlation_id] = fut
         self.stats.requests_sent += 1
         tracer = self.services.tracer
-        if tracer is not None and tracer.active:
+        if tracer is not None:
             link = self.services.network.latency.classify(
                 self.element.host, element.host
             )
@@ -389,21 +397,15 @@ class LegionRuntime:
         self.services.network.send(message)
         return fut
 
-    def send_event(
-        self, element: ObjectAddressElement, payload: Any, trace: Any = None
-    ) -> None:
-        """Fire-and-forget EVENT (exception reports, invalidation gossip).
-
-        ``trace`` optionally parents the event's span (e.g. the dispatch
-        span of the method emitting invalidation gossip).
-        """
+    def send_event(self, element: ObjectAddressElement, payload: Any) -> None:
+        """Fire-and-forget EVENT (exception reports, invalidation gossip);
+        under a tracer it roots a fresh trace."""
         message = Message.event(self.element, element, payload)
         tracer = self.services.tracer
-        if tracer is not None and tracer.active:
+        if tracer is not None:
             span = tracer.instant(
                 "event",
                 "event",
-                parent=trace,
                 component=self.component_label,
                 link=self.services.network.latency.classify(
                     self.element.host, element.host
@@ -463,7 +465,7 @@ class LegionRuntime:
         if waiter is not None:
             self.stats.credit_waits += 1
             tracer = self.services.tracer
-            if tracer is not None and tracer.active:
+            if tracer is not None:
                 tracer.instant(
                     "credit-wait " + invocation.method,
                     "credit",
@@ -554,7 +556,7 @@ class LegionRuntime:
         """
         cached = self.lookup_binding(loid)
         tracer = self.services.tracer
-        traced = tracer is not None and tracer.active
+        traced = tracer is not None
         if cached is not None:
             if traced:
                 tracer.instant(
@@ -650,7 +652,7 @@ class LegionRuntime:
         One body serves every configuration, and everything it decides it
         decides when the call *runs* (a spawned invoke may start many
         events after the spawn, across a config change): a span is opened
-        iff a tracer is active, and an attempt on a single-element FIRST
+        iff a tracer is installed, and an attempt on a single-element FIRST
         binding with no FlowConfig installed puts its one request on the
         wire from this frame -- :meth:`call_address` would do exactly that
         two generators deeper.
@@ -666,7 +668,7 @@ class LegionRuntime:
         binding = self.lookup_binding(target)
         tracer = self.services.tracer
         span = None
-        if tracer is not None and tracer.active:
+        if tracer is not None:
             # The logical operation's span: roots a fresh trace at a call
             # chain's origin, or nests under the server dispatch span the
             # caller's environment carries (ctx.nested_env propagation).
@@ -738,13 +740,10 @@ class LegionRuntime:
                         last_error = exc
                         pushback = exc.retry_after
                         continue
-                    except PartitionedError as exc:
-                        if not policy.retry_partitions:
-                            raise
-                        last_error = exc
-                        continue
                     except (DeliveryFailure, BindingNotFound) as exc:
-                        if not policy.retry_resolution_failures:
+                        # PartitionedError included: the walk could not
+                        # get through.
+                        if not policy.retry_unreachable:
                             raise
                         last_error = exc
                         continue
@@ -781,7 +780,7 @@ class LegionRuntime:
                     # traffic.  A patient policy instead backs off and
                     # waits the heal out.
                     stats.stale_detected += 1
-                    if not policy.retry_partitions:
+                    if not policy.retry_unreachable:
                         raise
                     last_error = exc
                 except DeliveryFailure as exc:
@@ -802,7 +801,7 @@ class LegionRuntime:
                         # the old binding and retries -- recovery may still
                         # be running, or the control path may be
                         # partitioned.
-                        if not policy.retry_resolution_failures:
+                        if not policy.retry_unreachable:
                             raise missing from exc
                         last_error = missing
                     except DeliveryFailure:

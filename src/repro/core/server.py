@@ -34,9 +34,6 @@ from repro.naming.loid import LOID
 from repro.net.address import ObjectAddress
 from repro.net.message import Message, MessageKind
 
-#: Sentinel expiry for bindings that never go stale on their own.
-_NO_EXPIRY = float("inf")
-
 
 class ObjectServer:
     """One active Legion object: implementation + endpoint + runtime."""
@@ -51,20 +48,13 @@ class ObjectServer:
         component_kind: ComponentKind = ComponentKind.APPLICATION,
         component_name: str = "",
         cache_capacity: Optional[int] = 128,
-        flow=None,
     ) -> None:
         self.services = services
         self.loid = loid
         self.impl = impl
         self.host = host
         self.element = services.network.allocate_element(host, node)
-        self.runtime = LegionRuntime(
-            services,
-            loid,
-            self.element,
-            cache_capacity,
-            default_timeout=getattr(services, "default_invocation_timeout", None),
-        )
+        self.runtime = LegionRuntime(services, loid, self.element, cache_capacity)
         self.component = ComponentId(component_kind, component_name or str(loid))
         #: Pre-rendered span label; shared with the runtime so client-side
         #: (request) and server-side (handle) spans name components alike.
@@ -75,10 +65,10 @@ class ObjectServer:
         #: Requests dispatched but not yet replied to -- the server-side
         #: queue depth the autoscaler's LoadMonitor samples.
         self.in_flight = 0
-        #: Bounded admission queue (repro.flow), or None for the
-        #: historical accept-everything behaviour.  ``flow`` overrides the
-        #: system-wide ``services.flow`` config per server.
-        flow_config = flow if flow is not None else getattr(services, "flow", None)
+        #: Bounded admission queue (repro.flow) under the system-wide
+        #: ``services.flow`` config, or None for the historical
+        #: accept-everything behaviour.
+        flow_config = services.flow
         self.admission = (
             AdmissionController(self, flow_config)
             if flow_config is not None and flow_config.admits(component_kind)
@@ -108,9 +98,9 @@ class ObjectServer:
         """This server's single-element Object Address."""
         return ObjectAddress.single(self.element)
 
-    def binding(self, expires_at: float = _NO_EXPIRY) -> Binding:
-        """A Binding for this server's LOID and address."""
-        return Binding(self.loid, self.address, expires_at)
+    def binding(self) -> Binding:
+        """A never-expiring Binding for this server's LOID and address."""
+        return Binding(self.loid, self.address)
 
     # ----------------------------------------------------------------- dispatch
 
@@ -132,7 +122,7 @@ class ObjectServer:
             return
         # EVENT
         tracer = self.services.tracer
-        if tracer is not None and tracer.active:
+        if tracer is not None:
             tracer.instant(
                 "deliver event",
                 "event",
@@ -149,7 +139,7 @@ class ObjectServer:
         tracer = self.services.tracer
         span = None
         env = invocation.env
-        if tracer is not None and tracer.active:
+        if tracer is not None:
             # The server-side dispatch span.  Nested calls the method makes
             # flow through ctx.nested_env, whose environment carries this
             # span's context -- so the whole downstream subtree hangs here.
@@ -243,7 +233,7 @@ class ObjectServer:
                 self.services.kernel.now, "request-shed", self._component_label, reason
             )
         tracer = self.services.tracer
-        if tracer is not None and tracer.active:
+        if tracer is not None:
             tracer.instant(
                 "shed " + payload.method,
                 "shed",

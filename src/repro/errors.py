@@ -205,7 +205,7 @@ class NoCapacity(HostError):
 
 
 class StorageError(LegionError):
-    """Persistent-store problems: unknown persistent address, disk full."""
+    """Persistent-store problems: unknown or foreign persistent address, no disks."""
 
 
 class BootstrapError(LegionError):

@@ -209,20 +209,16 @@ def count_messages(system: LegionSystem, fn: Callable[[], Any]) -> Tuple[Any, in
     return result, system.network.stats.messages_sent - before
 
 
-def uniform_sites(n_sites: int, hosts_per_site: int, prefix: str = "site") -> List[SiteSpec]:
-    """N identical workstation sites."""
-    return [
-        SiteSpec(name=f"{prefix}{i}", hosts=hosts_per_site) for i in range(n_sites)
-    ]
+def uniform_sites(n_sites: int, hosts_per_site: int) -> List[SiteSpec]:
+    """N identical workstation sites, ``site0`` onward."""
+    return [SiteSpec(name=f"site{i}", hosts=hosts_per_site) for i in range(n_sites)]
 
 
 def populate(
-    system: LegionSystem,
-    n_classes: int,
-    instances_per_class: int,
-    name_prefix: str = "app",
+    system: LegionSystem, n_classes: int, instances_per_class: int
 ) -> Dict[LOID, List[Binding]]:
-    """Create ``n_classes`` Counter classes × ``instances_per_class`` each.
+    """Create ``n_classes`` Counter classes (``app0`` onward) ×
+    ``instances_per_class`` instances each.
 
     Returns class LOID → list of instance bindings.  Instances spread over
     magistrates round-robin via the classes' inherited candidate lists.
@@ -230,7 +226,7 @@ def populate(
     out: Dict[LOID, List[Binding]] = {}
     for c in range(n_classes):
         cls = system.create_class(
-            f"{name_prefix}{c}",
+            f"app{c}",
             instance_factory="app.counter",
             factory=CounterImpl if c == 0 else None,
         )

@@ -44,12 +44,10 @@ from repro.workloads.generators import TrafficDriver
 CHAOS_RETRY_POLICY = RetryPolicy(
     max_attempts=12,
     base_backoff=10.0,
-    backoff_factor=2.0,
     max_backoff=300.0,
     jitter=0.5,
     budget=10_000.0,
-    retry_partitions=True,
-    retry_resolution_failures=True,
+    retry_unreachable=True,
 )
 
 

@@ -55,7 +55,6 @@ MAX_PROCESSES = 1_024
 HIGH_WATER = 0.7
 LOW_WATER = 0.12
 COOLDOWN = 30.0
-TICK = 8.0
 MAX_CLONES = 8
 #: Per-level spawn budget: each clone spawn costs a placement probe plus
 #: a Derive (~0.5 simulated s); warm up long enough for the controller to
@@ -90,10 +89,9 @@ def _run_level(level: int, seed: int, quick: bool, autoscaled: bool):
                 high_water=HIGH_WATER,
                 low_water=LOW_WATER,
                 cooldown=COOLDOWN,
-                tick=TICK,
                 max_clones=MAX_CLONES,
             ),
-            placement=placement,
+            placement,
         )
         controller.start()
     else:
@@ -103,7 +101,7 @@ def _run_level(level: int, seed: int, quick: bool, autoscaled: bool):
         system.new_client(f"e14-{i}", site=system.sites[i % len(system.sites)].name)
         for i in range(N_CLIENTS)
     ]
-    routers = [ClonePoolRouter(client, hot, refresh=20.0) for client in clients]
+    routers = [ClonePoolRouter(client, hot) for client in clients]
     by_client = {id(c): r for c, r in zip(clients, routers, strict=True)}
     for router in routers:
         router.start()

@@ -71,16 +71,14 @@ READ_TIMEOUT = 400.0
 PART_AT = 30.0
 PART_LEN = 100.0
 #: Readers ride out the timed partition instead of failing: wide backoff,
-#: ``retry_partitions``, zero jitter for byte-identical schedules.
+#: ``retry_unreachable``, zero jitter for byte-identical schedules.
 PATIENT = RetryPolicy(
     max_attempts=12,
     base_backoff=10.0,
-    backoff_factor=2.0,
     max_backoff=200.0,
     jitter=0.0,
     budget=5_000.0,
-    retry_partitions=True,
-    retry_resolution_failures=True,
+    retry_unreachable=True,
 )
 
 # -- phase B (repair yields) knobs --------------------------------------------
@@ -92,7 +90,6 @@ FLOW = serial_flow(SERVICE_TIME)
 #: The remote replica dies this long after the measured window opens.
 CRASH_AT = 40.0
 REPAIR_INTERVAL = 60.0
-REPAIR_STAGGER = 7.0
 
 
 def _build_store(seed: int, replicas: int, flow, service_time: float):
@@ -106,7 +103,6 @@ def _build_store(seed: int, replicas: int, flow, service_time: float):
     cls = system.create_class(
         "GeoStore",
         factory=lambda: ReplicatedStoreImpl(service_time=service_time),
-        consistency="read-any",
     )
     binding = system.call(cls.loid, "CreateReplicated", replicas, "first", 1)
     session = ReplicaSession(system.console.runtime, binding, "read-any")
@@ -237,9 +233,7 @@ def _measure_repair(arm: str, seed: int, quick: bool, mult: int) -> Dict[str, An
 
     service = None
     if arm == "on":
-        service = ReplicaRepairService(
-            system, interval=REPAIR_INTERVAL, stagger=REPAIR_STAGGER
-        )
+        service = ReplicaRepairService(system, interval=REPAIR_INTERVAL)
         service.start()
     system.reset_measurements()
 

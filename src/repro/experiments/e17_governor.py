@@ -30,7 +30,6 @@ across ``--jobs``.
 from __future__ import annotations
 
 import os
-from dataclasses import replace
 from typing import Any, Dict, List, Tuple
 
 from repro.errors import LegionError
@@ -76,26 +75,11 @@ FLOW = serial_flow(SERVICE_TIME)
 E17_RETRY_POLICY = RetryPolicy(
     max_attempts=6,
     base_backoff=5.0,
-    backoff_factor=2.0,
     max_backoff=100.0,
     budget=2_000.0,
-    retry_partitions=True,
-    retry_resolution_failures=True,
+    retry_unreachable=True,
     retry_tokens=60.0,
     retry_token_refill=0.5,
-)
-
-#: The governed arm's governor: default thresholds/ladder, E17-paced
-#: dwells (short enough that a 240 ms phase fits two one-band steps).
-#: The critical allowlist is filled in per run with the serial service's
-#: LOID (an application server's component name defaults to its LOID
-#: string), so the Failed band pauses everything *except* the service
-#: under test -- the allowlist protecting the one class that must serve.
-GOVERNOR = GovernorConfig(
-    degrade_dwell=30.0,
-    recover_dwell=80.0,
-    tick=10.0,
-    window=40.0,
 )
 
 
@@ -184,7 +168,11 @@ def _run_arm(
 
     governor = None
     if governed:
-        config = replace(GOVERNOR, critical=frozenset({str(instance.loid)}))
+        # The critical allowlist is the serial service's LOID (an
+        # application server's component name defaults to its LOID
+        # string), so the Failed band pauses everything *except* the
+        # service under test -- the one class that must serve.
+        config = GovernorConfig(critical=frozenset({str(instance.loid)}))
         governor = enable_governor(system, config)
         governor.track(*clients)
         governor.attach(sweeper=sweeper)

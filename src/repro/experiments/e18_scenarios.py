@@ -40,12 +40,11 @@ from repro.experiments.common import (
     write_report,
 )
 from repro.experiments.e13_availability import CHAOS_RETRY_POLICY
-from repro.experiments.e17_governor import GOVERNOR
 from repro.faults.driver import ChaosDriver, eligible_hosts
 from repro.faults.log import FaultLog
 from repro.faults.plan import FaultPlan
 from repro.faults.recovery import RecoverySweeper
-from repro.health import HealthLedger, enable_governor
+from repro.health import GovernorConfig, HealthLedger, enable_governor
 from repro.metrics.recorder import SeriesRecorder
 from repro.scenarios import (
     ReplicaRouting,
@@ -68,6 +67,9 @@ SENTINEL_KEY = 7
 DEFAULT_FAULTS = 1.0
 DEFAULT_GOVERNOR_MULT = 3.0
 DEFAULT_MEGA = 1_000_000
+#: The autoscale arm's per-member high-water rate (requests per
+#: simulated ms); ``--autoscale`` scales the offered load instead.
+AUTOSCALE_HIGH_WATER = 0.7
 
 MAX_EVENTS = 50_000_000
 
@@ -237,8 +239,7 @@ def _measure_governor(spec: ScenarioSpec, seed: int, mult: float) -> dict:
     critical = frozenset(
         str(loid) for key in sorted(dep.instances) for loid in dep.instances[key]
     )
-    config = replace(GOVERNOR, critical=critical)
-    governor = enable_governor(system, config)
+    governor = enable_governor(system, GovernorConfig(critical=critical))
     governor.track(*dep.all_clients())
     driver = ScenarioDriver(dep, plan, use_deadlines=False)
     stats_fut = driver.start()
@@ -271,8 +272,9 @@ def _measure_overload(spec: ScenarioSpec, seed: int, mult: float) -> dict:
     return _base_partial(driver)
 
 
-def _measure_autoscale(spec: ScenarioSpec, seed: int, high_water: float) -> dict:
-    """Class 0 under a CloneController; its sessions ride the clone pool."""
+def _measure_autoscale(spec: ScenarioSpec, seed: int, mult: float) -> dict:
+    """Class 0 under a CloneController at ``mult`` x offered load; its
+    sessions ride the clone pool."""
     from repro.autoscale import (
         AutoscaleConfig,
         CloneController,
@@ -280,7 +282,7 @@ def _measure_autoscale(spec: ScenarioSpec, seed: int, high_water: float) -> dict
         build_placement_agent,
     )
 
-    plan = compile_events(spec, seed)
+    plan = compile_events(spec, seed, rate_scale=mult)
     dep = deploy(spec, seed)
     system = dep.system
     hot = dep.classes[0]
@@ -288,17 +290,16 @@ def _measure_autoscale(spec: ScenarioSpec, seed: int, high_water: float) -> dict
         system,
         hot,
         AutoscaleConfig(
-            high_water=high_water,
-            low_water=high_water / 6.0,
+            high_water=AUTOSCALE_HIGH_WATER,
+            low_water=AUTOSCALE_HIGH_WATER / 6.0,
             cooldown=40.0,
-            tick=8.0,
             max_clones=6,
         ),
-        placement=build_placement_agent(system),
+        build_placement_agent(system),
     )
     controller.start()
     routers = {
-        id(client): ClonePoolRouter(client, hot, refresh=20.0)
+        id(client): ClonePoolRouter(client, hot)
         for client in dep.all_clients()
     }
     for router in routers.values():
@@ -360,7 +361,6 @@ def _measure_replicas(spec: ScenarioSpec, seed: int, replicas: int) -> dict:
         cls = system.create_class(
             f"ScenarioStore{k}",
             factory=lambda: ReplicatedStoreImpl(service_time=spec.read_time),
-            consistency=spec.consistency,
         )
         binding = system.call(cls.loid, "CreateReplicated", members, "first", 1)
         session = ReplicaSession(system.console.runtime, binding, spec.consistency)

@@ -26,7 +26,7 @@ from typing import List, Optional
 from repro.binding.agent import BindingAgentImpl
 from repro.binding.hierarchy import build_agent_tree
 from repro.experiments.common import ExperimentResult, populate, uniform_sites
-from repro.metrics.counters import ComponentId, ComponentKind, MetricsRegistry
+from repro.metrics.counters import ComponentId, ComponentKind
 from repro.metrics.recorder import SeriesRecorder
 from repro.naming.binding import Binding
 from repro.core.server import ObjectServer
@@ -73,8 +73,7 @@ def _legion_class_load(
             )
             system.kernel.run_until_complete(fut)
     return system.services.metrics.get(
-        ComponentId(ComponentKind.LEGION_CLASS, "LegionClass"),
-        MetricsRegistry.REQUESTS,
+        ComponentId(ComponentKind.LEGION_CLASS, "LegionClass")
     )
 
 

@@ -52,7 +52,6 @@ def _run_level(churn_interval: float, seed: int, quick: bool):
             cls.loid,
             rng=system.services.rng.stream("e6-churn"),
             interval=churn_interval,
-            rounds=10**6,  # bounded by traffic finishing first
         )
         churn_proc = system.kernel.spawn_process(churn._loop(), name="churn")
     stats_fut = traffic.start()

@@ -28,8 +28,8 @@ from repro.system.legion import LegionSystem
 class NamedImpl(LegionObjectImpl):
     """Base-class implementation contributing a Name() method."""
 
-    def __init__(self, name: str = "anonymous") -> None:
-        self.name = name
+    def __init__(self) -> None:
+        self.name = "anonymous"
 
     def persistent_attributes(self):
         return ["name"]
@@ -42,8 +42,8 @@ class NamedImpl(LegionObjectImpl):
 class GreeterImpl(LegionObjectImpl):
     """Another base: contributes Greet()."""
 
-    def __init__(self, greeting: str = "hello") -> None:
-        self.greeting = greeting
+    def __init__(self) -> None:
+        self.greeting = "hello"
 
     def persistent_attributes(self):
         return ["greeting"]

@@ -108,7 +108,7 @@ FLAGS = (
         {"type": float, "metavar": "MULT"},
         "top offered-load multiplier for autoscale-aware experiments: "
         "e14 then sweeps powers of two up to MULT instead of its "
-        "default 8x",
+        "default 8x; e18 adds an autoscale arm at MULT x offered load",
     ),
     (
         "overload",

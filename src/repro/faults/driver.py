@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.faults.log import FaultLog
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
@@ -31,15 +31,10 @@ class ChaosDriver:
     recoveries they perform.
     """
 
-    def __init__(
-        self,
-        system,
-        plan: FaultPlan,
-        log: Optional[FaultLog] = None,
-    ) -> None:
+    def __init__(self, system, plan: FaultPlan, log: FaultLog) -> None:
         self.system = system
         self.plan = plan
-        self.log = log or FaultLog()
+        self.log = log
         self._protected = {ids[0] for ids in system.site_hosts.values() if ids}
         self._started = False
 

@@ -38,6 +38,9 @@ class FaultEvent:
     severity: float = 0.0
 
 
+#: The link classes a LINK_DEGRADE may hit (LinkClass value strings).
+LINK_CLASSES = ("same-site", "wide-area")
+
 #: Default probability mix over fault kinds.
 DEFAULT_MIX: Dict[FaultKind, float] = {
     FaultKind.HOST_CRASH: 0.4,
@@ -67,7 +70,6 @@ class FaultPlan:
         hosts: Sequence[int],
         sites: Sequence[str],
         objects: Sequence[str],
-        link_classes: Sequence[str] = ("same-site", "wide-area"),
         mix: Optional[Dict[FaultKind, float]] = None,
     ) -> "FaultPlan":
         """Draw a plan: ~``intensity`` events per 1000 time units, Poisson
@@ -85,8 +87,6 @@ class FaultPlan:
             weights.pop(FaultKind.HOST_CRASH, None)
         if not objects:
             weights.pop(FaultKind.OBJECT_CRASH, None)
-        if not link_classes:
-            weights.pop(FaultKind.LINK_DEGRADE, None)
         if len(sites) < 2:
             weights.pop(FaultKind.PARTITION, None)
         if not weights:
@@ -114,7 +114,7 @@ class FaultPlan:
                 target = objects[rng.randrange(len(objects))]
                 events.append(FaultEvent(time=t, kind=kind, target=target))
             elif kind is FaultKind.LINK_DEGRADE:
-                link = link_classes[rng.randrange(len(link_classes))]
+                link = LINK_CLASSES[rng.randrange(len(LINK_CLASSES))]
                 events.append(
                     FaultEvent(
                         time=t,

@@ -15,6 +15,10 @@ from typing import List
 from repro.errors import LegionError, ProcessKilled
 from repro.simkernel.kernel import Timeout
 
+#: Per-magistrate start offset (simulated ms) so sweeps do not run in
+#: lockstep.
+STAGGER = 7.0
+
 
 class RecoverySweeper:
     """One sweep process per magistrate, staggered to avoid lockstep.
@@ -25,12 +29,9 @@ class RecoverySweeper:
     replica groups -- one switch arms both halves of self-healing.
     """
 
-    def __init__(
-        self, system, interval: float = 120.0, stagger: float = 7.0, repair=None
-    ) -> None:
+    def __init__(self, system, interval: float = 120.0, repair=None) -> None:
         self.system = system
         self.interval = interval
-        self.stagger = stagger
         self.repair = repair
         self._procs: List = []
 
@@ -49,7 +50,7 @@ class RecoverySweeper:
             )
 
     def _loop(self, server, index: int):
-        yield Timeout(self.interval + index * self.stagger)
+        yield Timeout(self.interval + index * STAGGER)
         while True:
             try:
                 yield from server.impl.sweep_hosts()

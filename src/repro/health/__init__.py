@@ -27,7 +27,7 @@ ledgers are byte-identical across ``--jobs``.  With no
 governor installed nothing in this package runs: zero hot-path cost.
 """
 
-from repro.health.bands import Band, BandMachine, BandRules, Transition
+from repro.health.bands import Band, BandMachine, Transition
 from repro.health.evidence import EvidenceCollector, HealthEvidence
 from repro.health.governor import (
     DEFAULT_POLICIES,
@@ -42,7 +42,6 @@ __all__ = [
     "Band",
     "BandMachine",
     "BandPolicy",
-    "BandRules",
     "DEFAULT_POLICIES",
     "EvidenceCollector",
     "Governor",

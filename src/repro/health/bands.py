@@ -9,14 +9,14 @@ recovering system must climb back through every band it fell through.
 Transitions are driven by windowed :class:`~repro.health.evidence
 .HealthEvidence` against a threshold ladder:
 
-* **degrading**: a signal exceeding ``threshold * ladder[s-1]`` indicates
+* **degrading**: a signal exceeding ``threshold * LADDER[s-1]`` indicates
   severity ``s``; when the indicated severity exceeds the current band
   (and the degrade dwell since entering the band has elapsed), the band
   moves one step down the health scale.
 * **recovering**: recovery demands more than the absence of the degrade
   trigger -- every signal must sit below the *hysteresis-scaled*
-  thresholds of the current band (``recover_fraction < 1``) continuously
-  for ``recover_dwell`` simulated ms.  One hot tick resets the calm
+  thresholds of the current band (``RECOVER_FRACTION < 1``) continuously
+  for ``RECOVER_DWELL`` simulated ms.  One hot tick resets the calm
   streak, so alternating hot/calm evidence ratchets the band at its
   worst level instead of oscillating.
 
@@ -30,8 +30,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
-
-from repro.errors import LegionError
 
 
 class Band(enum.IntEnum):
@@ -71,78 +69,60 @@ SIGNALS: Tuple[Tuple[str, str], ...] = (
     ("under_replicated", "under_replicated"),
 )
 
-
-@dataclass(frozen=True)
-class BandRules:
-    """Thresholds at severity 1 (Strained) plus the escalation ladder.
-
-    A signal value strictly above ``base * ladder[s-1]`` indicates
-    severity ``s`` (1-based; ``ladder`` must be strictly increasing so
-    severities nest).  ``recover_fraction`` scales every threshold down
-    for the recovery test -- the per-direction hysteresis gap.
-    """
-
-    #: Admission sheds per simulated ms, system-wide (severity-1 level).
-    shed_rate: float = 0.3
-    #: Retry-token denials per simulated ms, system-wide.
-    retry_denied_rate: float = 0.1
+#: Severity-1 (Strained) threshold of each signal.  A value strictly
+#: above ``THRESHOLDS[name] * LADDER[s-1]`` indicates severity ``s``.
+THRESHOLDS = {
     #: Objects lost (FaultLog) and not yet observed recovered.
-    loss_backlog: float = 2.0
-    #: Replica groups below their target size (0 without replication).
-    under_replicated: float = 1.0
+    "loss_backlog": 2.0,
     #: Worst per-server backlog (in flight + admission queue).
-    queue_depth: float = 24.0
-    #: Multiplier per severity step; strictly increasing, one per band
-    #: below Stable (Strained, Eroding, Compromised, Failed).
-    ladder: Tuple[float, float, float, float] = (1.0, 3.0, 9.0, 27.0)
-    #: Recovery thresholds as a fraction of the degrade thresholds
-    #: (must be in (0, 1]: the hysteresis gap between the two directions).
-    recover_fraction: float = 0.5
+    "queue_depth": 24.0,
+    #: Retry-token denials per simulated ms, system-wide.
+    "retry_denied_rate": 0.1,
+    #: Admission sheds per simulated ms, system-wide.
+    "shed_rate": 0.3,
+    #: Replica groups below their target size (0 without replication).
+    "under_replicated": 1.0,
+}
+#: Multiplier per severity step; strictly increasing so severities nest,
+#: one per band below Stable (Strained, Eroding, Compromised, Failed).
+LADDER: Tuple[float, ...] = (1.0, 3.0, 9.0, 27.0)
+#: Recovery thresholds as a fraction of the degrade thresholds, in
+#: (0, 1]: the per-direction hysteresis gap.
+RECOVER_FRACTION = 0.5
+#: Minimum simulated ms in a band before degrading one further step.
+DEGRADE_DWELL = 30.0
+#: Minimum continuously-calm simulated ms before recovering one step.
+RECOVER_DWELL = 80.0
 
-    def __post_init__(self) -> None:
-        if len(self.ladder) != len(Band) - 1:
-            raise LegionError(
-                f"ladder needs {len(Band) - 1} rungs, got {len(self.ladder)}"
-            )
-        if any(b <= a for a, b in zip(self.ladder, self.ladder[1:], strict=False)):
-            raise LegionError(f"ladder must strictly increase, got {self.ladder}")
-        if not 0.0 < self.recover_fraction <= 1.0:
-            raise LegionError(
-                f"recover_fraction must be in (0, 1], got {self.recover_fraction}"
-            )
-        for name, _attr in SIGNALS:
-            if getattr(self, name) <= 0:
-                raise LegionError(f"threshold {name} must be > 0")
 
-    # ------------------------------------------------------------- evaluation
+def breaches(evidence, scale: float = 1.0) -> List[Tuple[str, int]]:
+    """(signal, severity) for every signal above a scaled threshold.
 
-    def breaches(self, evidence, scale: float = 1.0) -> List[Tuple[str, int]]:
-        """(signal, severity) for every signal above a scaled threshold.
+    ``scale`` < 1 tightens the thresholds (the recovery test); severity
+    is the highest rung the signal clears.  Sorted by signal name so
+    reasons are deterministic.
+    """
+    out: List[Tuple[str, int]] = []
+    for name, attr in SIGNALS:
+        value = float(getattr(evidence, attr))
+        base = THRESHOLDS[name] * scale
+        severity = 0
+        for rung, multiplier in enumerate(LADDER, start=1):
+            if value > base * multiplier:
+                severity = rung
+        if severity:
+            out.append((name, severity))
+    return out
 
-        ``scale`` < 1 tightens the thresholds (the recovery test);
-        severity is the highest rung the signal clears.  Sorted by signal
-        name so reasons are deterministic.
-        """
-        out: List[Tuple[str, int]] = []
-        for name, attr in SIGNALS:
-            value = float(getattr(evidence, attr))
-            base = getattr(self, name) * scale
-            severity = 0
-            for rung, multiplier in enumerate(self.ladder, start=1):
-                if value > base * multiplier:
-                    severity = rung
-            if severity:
-                out.append((name, severity))
-        return out
 
-    def severity(self, evidence, scale: float = 1.0) -> Band:
-        """The worst indicated severity (Stable when nothing breaches)."""
-        breached = self.breaches(evidence, scale)
-        return Band(max((s for _n, s in breached), default=0))
+def severity(evidence, scale: float = 1.0) -> Band:
+    """The worst indicated severity (Stable when nothing breaches)."""
+    return Band(max((s for _n, s in breaches(evidence, scale)), default=0))
 
-    def reasons_at(self, evidence, severity: int) -> List[str]:
-        """Signals indicating at least ``severity`` (the transition reason)."""
-        return [n for n, s in self.breaches(evidence) if s >= severity]
+
+def reasons_at(evidence, at_least: int) -> List[str]:
+    """Signals indicating at least ``at_least`` (the transition reason)."""
+    return [n for n, s in breaches(evidence) if s >= at_least]
 
 
 @dataclass(frozen=True)
@@ -163,25 +143,14 @@ class Transition:
 class BandMachine:
     """Current band + the transition rules (pure; no kernel, no wires).
 
-    ``degrade_dwell`` is the minimum time in a band before degrading
+    :data:`DEGRADE_DWELL` is the minimum time in a band before degrading
     further (one step per dwell, even under catastrophic evidence -- the
-    "never skips a band" rule).  ``recover_dwell`` is the minimum
+    "never skips a band" rule).  :data:`RECOVER_DWELL` is the minimum
     *continuously calm* time before recovering one step; any hot tick
     resets the streak.
     """
 
-    def __init__(
-        self,
-        rules: Optional[BandRules] = None,
-        degrade_dwell: float = 40.0,
-        recover_dwell: float = 120.0,
-        now: float = 0.0,
-    ) -> None:
-        if degrade_dwell < 0 or recover_dwell < 0:
-            raise LegionError("dwell times must be >= 0")
-        self.rules = rules or BandRules()
-        self.degrade_dwell = degrade_dwell
-        self.recover_dwell = recover_dwell
+    def __init__(self, now: float = 0.0) -> None:
         self.band = Band.STABLE
         #: Simulated time the current band was entered.
         self.entered_at = now
@@ -197,16 +166,15 @@ class BandMachine:
         callers tick on a cadence, so the dwell times bound the slew rate
         in simulated time, not in tick counts.
         """
-        rules = self.rules
-        severity = rules.severity(evidence)
-        if severity > self.band:
+        indicated = severity(evidence)
+        if indicated > self.band:
             # Degrading: evidence indicates a worse band than we are in.
             self._calm_since = None
-            if now - self.entered_at < self.degrade_dwell and self.band > Band.STABLE:
+            if now - self.entered_at < DEGRADE_DWELL and self.band > Band.STABLE:
                 return None
             target = Band(self.band + 1)
-            reason = ",".join(rules.reasons_at(evidence, target))
-            return self._move(target, "degrade", reason, severity, now)
+            reason = ",".join(reasons_at(evidence, target))
+            return self._move(target, "degrade", reason, indicated, now)
         if self.band is Band.STABLE:
             self._calm_since = None
             return None
@@ -214,20 +182,20 @@ class BandMachine:
         # hysteresis-scaled thresholds of the band we would drop to the
         # edge of -- i.e. the tightened evidence reads below the current
         # band, not merely "no longer above it".
-        calm = rules.severity(evidence, rules.recover_fraction) < self.band
+        calm = severity(evidence, RECOVER_FRACTION) < self.band
         if not calm:
             self._calm_since = None
             return None
         if self._calm_since is None:
             self._calm_since = now
-        streak_ok = now - self._calm_since >= self.recover_dwell
-        dwell_ok = now - self.entered_at >= self.recover_dwell
+        streak_ok = now - self._calm_since >= RECOVER_DWELL
+        dwell_ok = now - self.entered_at >= RECOVER_DWELL
         if not (streak_ok and dwell_ok):
             return None
-        return self._move(Band(self.band - 1), "recover", "calm", severity, now)
+        return self._move(Band(self.band - 1), "recover", "calm", indicated, now)
 
     def _move(
-        self, to_band: Band, direction: str, reason: str, severity: Band, now: float
+        self, to_band: Band, direction: str, reason: str, indicated: Band, now: float
     ) -> Transition:
         transition = Transition(
             time=now,
@@ -235,7 +203,7 @@ class BandMachine:
             to_band=to_band,
             direction=direction,
             reason=reason,
-            severity=severity,
+            severity=indicated,
         )
         self.band = to_band
         self.entered_at = now

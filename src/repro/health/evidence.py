@@ -23,6 +23,9 @@ from typing import Any, Deque, Dict, List, Tuple
 
 from repro.metrics.counters import MetricsRegistry
 
+#: Sliding evidence window the rates are computed over (simulated ms).
+WINDOW = 40.0
+
 
 @dataclass(frozen=True)
 class HealthEvidence:
@@ -106,8 +109,8 @@ class EvidenceCollector:
     """Sample the existing ledgers into :class:`HealthEvidence` snapshots.
 
     Keeps a sliding deque of cumulative samples; rates diff the newest
-    against the oldest sample still inside ``window`` simulated ms, so a
-    single quiet tick cannot hide a hot window (and vice versa).
+    against the oldest sample still inside :data:`WINDOW` simulated ms, so
+    a single quiet tick cannot hide a hot window (and vice versa).
 
     Client consoles are not reachable from the system object, so callers
     whose wire-level sheds and retry denials should count must be
@@ -115,11 +118,8 @@ class EvidenceCollector:
     clients, the ones they also hand to ``system.runtimes(clients)``.
     """
 
-    def __init__(self, system, window: float = 60.0) -> None:
-        if window <= 0:
-            raise ValueError(f"window must be > 0, got {window}")
+    def __init__(self, system) -> None:
         self.system = system
-        self.window = window
         #: (time, shed_metrics, retry_denied_total) cumulative history.
         self._history: Deque[Tuple[float, int, int]] = deque()
         self._tracked: List[Any] = []
@@ -209,7 +209,7 @@ class EvidenceCollector:
             faults_lost = faults_recovered = loss_backlog = 0
 
         self._history.append((now, shed_metrics, retry_denied))
-        while len(self._history) > 1 and self._history[1][0] <= now - self.window:
+        while len(self._history) > 1 and self._history[1][0] <= now - WINDOW:
             self._history.popleft()
         t0, shed0, denied0 = self._history[0]
         span = now - t0

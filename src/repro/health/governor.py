@@ -1,6 +1,6 @@
 """The operating-mode governor: bands that change policy, not just reports.
 
-One control loop on simulated time: every ``tick`` ms it takes a
+One control loop on simulated time: every :data:`TICK` ms it takes a
 reconciled :class:`~repro.health.evidence.HealthEvidence` snapshot,
 steps the :class:`~repro.health.bands.BandMachine`, ledgers any
 transition (with the evidence that justified it), and applies the
@@ -31,10 +31,10 @@ PR-6 zero-overhead envelope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
-from repro.health.bands import Band, BandMachine, BandRules
+from repro.health.bands import Band, BandMachine
 from repro.health.evidence import EvidenceCollector, HealthEvidence
 from repro.health.ledger import HealthLedger
 from repro.simkernel.kernel import Timeout
@@ -61,8 +61,8 @@ class BandPolicy:
     pause_non_critical: bool = False
 
 
-#: The default band → policy ladder: each band strictly tightens on the
-#: one above it, Failed adds the pause.
+#: The band → policy ladder: each band strictly tightens on the one
+#: above it, Failed adds the pause.
 DEFAULT_POLICIES: Mapping[Band, BandPolicy] = {
     Band.STABLE: BandPolicy(),
     Band.STRAINED: BandPolicy(
@@ -85,24 +85,16 @@ DEFAULT_POLICIES: Mapping[Band, BandPolicy] = {
 }
 
 
+#: Observation cadence (simulated ms between evidence snapshots).
+TICK = 10.0
+
+
 @dataclass(frozen=True)
 class GovernorConfig:
     """Everything the governor needs besides the system itself."""
 
-    rules: BandRules = field(default_factory=BandRules)
-    #: Minimum simulated ms in a band before degrading one further step.
-    degrade_dwell: float = 40.0
-    #: Minimum continuously-calm simulated ms before recovering one step.
-    recover_dwell: float = 120.0
-    #: Observation cadence (simulated ms between evidence snapshots).
-    tick: float = 10.0
-    #: Sliding evidence window the rates are computed over.
-    window: float = 60.0
     #: Component names whose admission is never paused in Failed.
     critical: FrozenSet[str] = frozenset()
-    policies: Mapping[Band, BandPolicy] = field(
-        default_factory=lambda: DEFAULT_POLICIES
-    )
 
 
 class Governor:
@@ -111,13 +103,8 @@ class Governor:
     def __init__(self, system, config: Optional[GovernorConfig] = None) -> None:
         self.system = system
         self.config = config or GovernorConfig()
-        self.collector = EvidenceCollector(system, window=self.config.window)
-        self.machine = BandMachine(
-            rules=self.config.rules,
-            degrade_dwell=self.config.degrade_dwell,
-            recover_dwell=self.config.recover_dwell,
-            now=system.kernel.now,
-        )
+        self.collector = EvidenceCollector(system)
+        self.machine = BandMachine(now=system.kernel.now)
         self.ledger = HealthLedger()
         self.last_evidence: Optional[HealthEvidence] = None
         #: Governed controllers (attach()); None = that coupling is off.
@@ -171,7 +158,7 @@ class Governor:
 
     def _loop(self):
         while True:
-            yield Timeout(self.config.tick)
+            yield Timeout(TICK)
             self.poll()
 
     def stop_loop(self) -> None:
@@ -202,7 +189,7 @@ class Governor:
         record = None
         if transition is not None:
             record = self.ledger.append(transition, evidence)
-        self._apply(self.config.policies[self.machine.band])
+        self._apply(DEFAULT_POLICIES[self.machine.band])
         return record
 
     # ------------------------------------------------------------ policy hooks
@@ -269,11 +256,8 @@ class Governor:
             )
 
 
-def enable_governor(
-    system, config: Optional[GovernorConfig] = None, start: bool = True
-) -> Governor:
-    """Build (and by default start) a Governor for ``system``."""
+def enable_governor(system, config: Optional[GovernorConfig] = None) -> Governor:
+    """Build and start a Governor for ``system``."""
     governor = Governor(system, config)
-    if start:
-        governor.start()
+    governor.start()
     return governor

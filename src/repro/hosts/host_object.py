@@ -153,7 +153,7 @@ class HostObjectImpl(LegionObjectImpl):
         """Start an object process from its OPR; returns its Object Address."""
         tracer = self.services.tracer
         span = None
-        if tracer is not None and tracer.active:
+        if tracer is not None:
             server = getattr(self, "server", None)
             span = tracer.start(
                 "activate",

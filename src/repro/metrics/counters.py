@@ -65,9 +65,9 @@ class MetricsRegistry:
 
     # -- writing ---------------------------------------------------------------
 
-    def incr(self, component: ComponentId, event: str, amount: int = 1) -> None:
-        """Add ``amount`` to the component's ``event`` counter."""
-        self._counts[component][event] += amount
+    def incr(self, component: ComponentId, event: str) -> None:
+        """Add one to the component's ``event`` counter."""
+        self._counts[component][event] += 1
 
     def reset(self) -> None:
         """Zero everything (between warm-up and measurement phases)."""
@@ -75,25 +75,25 @@ class MetricsRegistry:
 
     # -- reading ---------------------------------------------------------------
 
-    def get(self, component: ComponentId, event: str = REQUESTS) -> int:
-        """The counter value (0 if the component never reported)."""
-        return self._counts.get(component, {}).get(event, 0)
+    def get(self, component: ComponentId) -> int:
+        """The component's ``requests`` count (0 if it never reported)."""
+        return self._counts.get(component, {}).get(self.REQUESTS, 0)
 
-    def totals_by_kind(self, event: str = REQUESTS) -> Dict[ComponentKind, int]:
-        """Sum of ``event`` over all components of each kind."""
+    def totals_by_kind(self) -> Dict[ComponentKind, int]:
+        """Sum of ``requests`` over all components of each kind."""
         out: Dict[ComponentKind, int] = defaultdict(int)
         for comp, events in self._counts.items():
-            out[comp.kind] += events.get(event, 0)
+            out[comp.kind] += events.get(self.REQUESTS, 0)
         return dict(out)
 
-    def max_by_kind(self, kind: ComponentKind, event: str = REQUESTS) -> int:
-        """The *maximum* ``event`` count over components of ``kind``.
+    def max_by_kind(self, kind: ComponentKind) -> int:
+        """The *maximum* ``requests`` count over components of ``kind``.
 
         This is the paper's bottleneck metric: a kind scales if its max
         per-component load stays bounded as the system grows.
         """
         loads = [
-            events.get(event, 0)
+            events.get(self.REQUESTS, 0)
             for comp, events in self._counts.items()
             if comp.kind == kind
         ]

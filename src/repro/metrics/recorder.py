@@ -105,16 +105,16 @@ class SeriesRecorder:
 
     # -- rendering ----------------------------------------------------------------
 
-    def to_table(self, title: str = "", float_fmt: str = "{:.2f}") -> str:
+    def to_table(self, title: str = "") -> str:
         """An aligned text table of all rows and series."""
         names = self.series_names()
         header = [self.x_label] + names
         rows: List[List[str]] = []
         for x, values in self._rows:
-            row = [self._fmt(x, float_fmt)]
+            row = [self._fmt(x)]
             for name in names:
                 v = values.get(name)
-                row.append("-" if v is None else self._fmt(v, float_fmt))
+                row.append("-" if v is None else self._fmt(v))
             rows.append(row)
         widths = [
             max(len(header[i]), *(len(r[i]) for r in rows)) if rows else len(header[i])
@@ -134,10 +134,11 @@ class SeriesRecorder:
         return "\n".join(lines)
 
     @staticmethod
-    def _fmt(value: float, float_fmt: str) -> str:
+    def _fmt(value: float) -> str:
+        """Integers as integers, everything else to two decimals."""
         if float(value).is_integer() and abs(value) < 1e15:
             return str(int(value))
-        return float_fmt.format(value)
+        return f"{value:.2f}"
 
     def __len__(self) -> int:
         return len(self._rows)

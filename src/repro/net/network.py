@@ -203,7 +203,7 @@ class Network:
     def _trace_incident(self, message: Message, what: str, link: LinkClass) -> None:
         """Record a network-injected failure on the message's trace."""
         tracer = self.tracer
-        if tracer is None or message.trace is None or not tracer.active:
+        if tracer is None or message.trace is None:
             return
         tracer.instant(
             what, "net", parent=message.trace, component="net:fabric", link=link.value

@@ -1,6 +1,6 @@
 """PersistentStore: one simulated disk of a jurisdiction.
 
-A flat namespace of OPR files with byte-capacity accounting.  The store is
+A flat namespace of OPR files with byte accounting.  The store is
 deliberately dumb -- write/read/delete/list -- because the paper gives all
 lifecycle intelligence to Magistrates; the store just has to hold bytes
 and give them back.
@@ -9,7 +9,7 @@ and give them back.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.errors import StorageError
 from repro.persistence.opr import OPRecord, PersistentAddress
@@ -18,41 +18,22 @@ from repro.persistence.opr import OPRecord, PersistentAddress
 class PersistentStore:
     """A simulated disk identified by (jurisdiction, store name)."""
 
-    def __init__(
-        self,
-        jurisdiction: str,
-        name: str,
-        capacity_bytes: Optional[int] = None,
-    ) -> None:
+    def __init__(self, jurisdiction: str, name: str) -> None:
         self.jurisdiction = jurisdiction
         self.name = name
-        self.capacity_bytes = capacity_bytes
         self._files: Dict[str, bytes] = {}
         self._counter = itertools.count(1)
-
-    # -- capacity -----------------------------------------------------------------
 
     @property
     def used_bytes(self) -> int:
         """Bytes currently stored."""
         return sum(len(blob) for blob in self._files.values())
 
-    def has_room_for(self, nbytes: int) -> bool:
-        """Whether ``nbytes`` more would fit."""
-        if self.capacity_bytes is None:
-            return True
-        return self.used_bytes + nbytes <= self.capacity_bytes
-
     # -- file operations ---------------------------------------------------------------
 
     def write(self, record: OPRecord) -> PersistentAddress:
         """Store an OPR; returns its fresh Object Persistent Address."""
         blob = record.to_bytes()
-        if not self.has_room_for(len(blob)):
-            raise StorageError(
-                f"store {self.jurisdiction}:{self.name} full "
-                f"({self.used_bytes}/{self.capacity_bytes} bytes)"
-            )
         filename = f"opr-{record.loid.class_id}.{record.loid.class_specific}-{next(self._counter)}"
         self._files[filename] = blob
         return PersistentAddress(self.jurisdiction, self.name, filename)
@@ -98,8 +79,7 @@ class PersistentStore:
         return len(self._files)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        cap = "∞" if self.capacity_bytes is None else str(self.capacity_bytes)
         return (
             f"<PersistentStore {self.jurisdiction}:{self.name} "
-            f"files={len(self._files)} used={self.used_bytes}/{cap}>"
+            f"files={len(self._files)} used={self.used_bytes}>"
         )

@@ -6,7 +6,7 @@ must be visible from each of its hosts." (sections 2.2, 3.1, Fig. 11)
 
 The Vault is that aggregate: the union of a jurisdiction's
 :class:`PersistentStore` disks, with placement (which disk gets a new OPR)
-chosen by free space.  It also keeps the LOID → Persistent Address index a
+chosen by use: the emptiest disk.  It also keeps the LOID → Persistent Address index a
 Magistrate needs to find the OPR of an object it manages.
 """
 
@@ -48,27 +48,19 @@ class Vault:
     # -- OPR lifecycle -----------------------------------------------------------
 
     def store_opr(self, record: OPRecord) -> PersistentAddress:
-        """Write an OPR onto the emptiest disk with room; index it by LOID.
+        """Write an OPR onto the emptiest disk; index it by LOID.
 
         Re-storing an object (a new deactivation) replaces its old OPR.
         """
         if not self._stores:
             raise StorageError(f"vault {self.jurisdiction} has no stores attached")
         old = self._index.get(record.loid.identity)
-        blob_size = record.size
-        candidates = sorted(
-            self._stores.values(), key=lambda s: (s.used_bytes, s.name)
-        )
-        for store in candidates:
-            if store.has_room_for(blob_size):
-                address = store.write(record)
-                if old is not None:
-                    self._try_delete(old)
-                self._index[record.loid.identity] = address
-                return address
-        raise StorageError(
-            f"no store in vault {self.jurisdiction} has room for {blob_size} bytes"
-        )
+        store = min(self._stores.values(), key=lambda s: (s.used_bytes, s.name))
+        address = store.write(record)
+        if old is not None:
+            self._try_delete(old)
+        self._index[record.loid.identity] = address
+        return address
 
     def load_opr(self, loid: LOID) -> OPRecord:
         """Load the OPR of ``loid``; raises if this vault holds none."""

@@ -10,13 +10,12 @@ physical addresses."  The creation side lives on class objects
       ├─ ReplicaCatalog (per site)      # LOID -> local replica set
       ├─ GlobalReplicaIndex (one)       # LOID -> {site: count}
       └─ services.replication           # ReplicaDirectory
-    class Derive(..., consistency=...)  # per-class policy choice
     cls.CreateReplicated(n, ...)        # places replicas, gossips news
     runtime.invoke(loid, "Get", ...)    # locality-ordered FIRST reads
     ReplicaSession(runtime, binding, policy)   # primary-copy / read-any
     ReplicaRepairService(system)        # background regrow, yields to load
 
-Modules: :mod:`selection` (config + locality ordering), :mod:`catalog`
+Modules: :mod:`selection` (locality ordering), :mod:`catalog`
 (the two-tier replica-location fabric), :mod:`policy` (consistency
 sessions), :mod:`store` (the versioned KV workload), :mod:`repair`
 (probes, one-shot repair, background service), :mod:`directory` (the
@@ -33,7 +32,7 @@ from repro.replication.repair import (
     probe_replicas,
     repair_replica_group,
 )
-from repro.replication.selection import LocalitySelector, ReplicationConfig
+from repro.replication.selection import LocalitySelector
 from repro.replication.store import ReplicatedStoreImpl
 
 __all__ = [
@@ -47,7 +46,6 @@ __all__ = [
     "ReplicaRepairService",
     "ReplicaSession",
     "ReplicatedStoreImpl",
-    "ReplicationConfig",
     "enable_replication",
     "probe_replicas",
     "repair_replica_group",

@@ -5,10 +5,9 @@ DataGrid replica-location service popularised -- one ReplicaCatalog
 object per jurisdiction (site) plus a single lightweight
 GlobalReplicaIndex -- and installs a :class:`ReplicaDirectory` on
 ``SystemServices.replication``.  The directory itself is pure plumbing,
-like SystemServices: it remembers where the catalogs live and which
-config is in force.  All *state* lives in the catalog and index objects,
-which are ordinary application-level Legion objects reached through the
-message plane.
+like SystemServices: it remembers where the catalogs live.  All *state*
+lives in the catalog and index objects, which are ordinary
+application-level Legion objects reached through the message plane.
 
 Runtimes read the directory where they need it -- when a call reaches a
 multi-element FIRST address -- so installing it takes effect on the next
@@ -20,18 +19,17 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from repro.net.latency import LatencyModel
-from repro.replication.selection import LocalitySelector, ReplicationConfig
+from repro.replication.selection import LocalitySelector
 
 
 class ReplicaDirectory:
     """Where the per-site catalogs and the global index live.
 
     Stored on ``services.replication``.  Holds no replica state -- only
-    bindings of the catalog fabric plus the :class:`ReplicationConfig`.
+    bindings of the catalog fabric.
     """
 
-    def __init__(self, config: Optional[ReplicationConfig] = None) -> None:
-        self.config = config or ReplicationConfig()
+    def __init__(self) -> None:
         #: site name -> Binding of that site's ReplicaCatalog.
         self.catalogs: Dict[str, Any] = {}
         #: Binding of the GlobalReplicaIndex (cross-jurisdiction lookup).
@@ -40,10 +38,8 @@ class ReplicaDirectory:
 
     def nearest_first(self, latency: LatencyModel, src_host: int, elements: tuple) -> tuple:
         """The order a caller on ``src_host`` should try a replica group in:
-        nearest-first by link class with ``locality`` on, group order with
-        it off.  Every runtime shares the one (memoised) selector."""
-        if not self.config.locality:
-            return elements
+        nearest-first by link class.  Every runtime shares the one
+        (memoised) selector."""
         if self._selector is None or self._selector.latency is not latency:
             self._selector = LocalitySelector(latency)
         return self._selector.order(src_host, elements)
@@ -70,7 +66,7 @@ class ReplicaDirectory:
         return sorted(self.catalogs)
 
 
-def enable_replication(system, config: Optional[ReplicationConfig] = None):
+def enable_replication(system):
     """Build the catalog fabric and install the directory on ``system``.
 
     Creates a ReplicaCatalog instance per site (pinned to the site's
@@ -89,7 +85,7 @@ def enable_replication(system, config: Optional[ReplicationConfig] = None):
     if existing is not None:
         return existing
 
-    directory = ReplicaDirectory(config)
+    directory = ReplicaDirectory()
     sites = [spec.name for spec in system.sites]
     first = sites[0]
 

@@ -1,11 +1,10 @@
-"""Per-class consistency policies over replica groups.
+"""Consistency policies over replica groups.
 
 The Multicomputer Object Store observation (PAPERS.md): no single
-coherence mechanism suits every object, so the *class* picks one to
-match its instances' access pattern.  Classes carry the choice as a
-string (``consistency=...`` at Derive time, read back with
-``GetConsistencyPolicy``); a :class:`ReplicaSession` turns the choice
-into wire protocol against a replica group:
+coherence mechanism suits every object, so each replicated workload
+picks one to match its access pattern.  The caller names the choice as
+a string (a scenario's ``consistency`` key); a :class:`ReplicaSession`
+turns it into wire protocol against a replica group:
 
 * ``READ_ANY`` -- immutable objects (frozen OPRs).  Reads are plain
   ``invoke``: the locality-ordered FIRST path picks the nearest live
@@ -28,14 +27,14 @@ simulation process and speak to specific elements via
 from __future__ import annotations
 
 import enum
-from typing import Any, Optional
+from typing import Any
 
 from repro.errors import DeliveryFailure, ReplicationError
 from repro.security.environment import CallEnvironment
 
 
 class ConsistencyPolicy(enum.Enum):
-    """The per-class consistency choices (string keys on class objects)."""
+    """The consistency choices (string keys in scenario specs)."""
 
     PRIMARY_COPY = "primary-copy"
     READ_ANY = "read-any"
@@ -51,23 +50,13 @@ class ReplicaSession:
     binding:
         The replica group's Binding (a multi-element FIRST address).
     policy:
-        A :class:`ConsistencyPolicy` or its string value (a class's
-        ``GetConsistencyPolicy()`` result plugs in directly).
+        A :class:`ConsistencyPolicy` or its string value.
     """
 
-    def __init__(
-        self,
-        runtime,
-        binding,
-        policy,
-        timeout: Optional[float] = None,
-        priority: int = 0,
-    ) -> None:
+    def __init__(self, runtime, binding, policy) -> None:
         self.runtime = runtime
         self.binding = binding
         self.policy = ConsistencyPolicy(policy)
-        self.timeout = timeout
-        self.priority = priority
 
     # ------------------------------------------------------------- plumbing
 
@@ -89,8 +78,6 @@ class ReplicaSession:
             method,
             args,
             self._env(),
-            self.timeout,
-            self.priority,
         )
         return value
 
@@ -102,13 +89,7 @@ class ReplicaSession:
             # The group address IS the protocol: locality-ordered FIRST
             # picks the nearest live copy and never waits on a partition
             # longer than one bounced hop per unreachable element.
-            value = yield from self.runtime.invoke(
-                self.binding.loid,
-                "Get",
-                key,
-                timeout=self.timeout,
-                priority=self.priority,
-            )
+            value = yield from self.runtime.invoke(self.binding.loid, "Get", key)
             return value
         # PRIMARY_COPY: nearest copy first, primary on staleness.
         services = self.runtime.services

@@ -39,6 +39,9 @@ from repro.security.environment import CallEnvironment
 from repro.simkernel.futures import SimFuture
 from repro.simkernel.kernel import Timeout
 
+#: Per-site start offset (simulated ms) so sweeps do not run in lockstep.
+STAGGER = 7.0
+
 #: The patient policy repair clients run: wide backoff, honors the
 #: Overloaded retry_after pushback (repair re-offers only when the
 #: server said it has room), rides out partitions and in-flight
@@ -46,11 +49,9 @@ from repro.simkernel.kernel import Timeout
 REPAIR_RETRY_POLICY = RetryPolicy(
     max_attempts=10,
     base_backoff=20.0,
-    backoff_factor=2.0,
     max_backoff=400.0,
     budget=20_000.0,
-    retry_partitions=True,
-    retry_resolution_failures=True,
+    retry_unreachable=True,
 )
 
 
@@ -108,7 +109,6 @@ def repair_replica_group(
     binding: Binding,
     class_loid: LOID,
     env: Optional[CallEnvironment] = None,
-    timeout: Optional[float] = None,
 ):
     """Probe the group and report each dead member to the class.
 
@@ -119,7 +119,7 @@ def repair_replica_group(
     """
     if env is None:
         env = CallEnvironment.originating(runtime.loid)
-    status = yield from probe_replicas(runtime, binding, env, timeout)
+    status = yield from probe_replicas(runtime, binding, env)
     current = binding
     for element in status.dead:
         current = yield from runtime.invoke(
@@ -139,8 +139,6 @@ class ReplicaRepairService:
     ----------
     interval:
         Simulated ms between repair sweeps of one site's catalog.
-    stagger:
-        Per-site start offset so sweeps do not run in lockstep.
     priority:
         Flow-control priority stamped on every repair call.  Negative,
         so under overload admission control sheds/evicts repair traffic
@@ -154,7 +152,6 @@ class ReplicaRepairService:
         self,
         system,
         interval: float = 150.0,
-        stagger: float = 11.0,
         priority: int = -1,
         pacing: float = 5.0,
     ) -> None:
@@ -166,7 +163,6 @@ class ReplicaRepairService:
         self.system = system
         self.directory = directory
         self.interval = interval
-        self.stagger = stagger
         self.priority = priority
         self.pacing = pacing
         #: Per-attempt timeout for repair probes and copy calls.
@@ -198,7 +194,7 @@ class ReplicaRepairService:
             )
 
     def _loop(self, site: str, index: int):
-        yield Timeout(self.interval + index * self.stagger)
+        yield Timeout(self.interval + index * STAGGER)
         while True:
             try:
                 yield from self.sweep_site(site)

@@ -6,14 +6,10 @@ by trying a FIRST group's elements nearest-first.  Nearness is the
 ``repro/net`` link class of (caller host, replica host): same-host
 before same-site before wide-area.  The sort is stable, so replicas at
 equal distance keep their group order and every run stays deterministic.
-
-``ReplicationConfig`` holds the subsystem's one knob, ``locality``; the
-repair service's cadence and priority are its own constructor arguments.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from repro.net.latency import LatencyModel, LinkClass
@@ -24,20 +20,6 @@ LINK_RANK: Dict[LinkClass, int] = {
     LinkClass.SAME_SITE: 1,
     LinkClass.WIDE_AREA: 2,
 }
-
-
-@dataclass(frozen=True)
-class ReplicationConfig:
-    """Tunables of the geo-replication data plane.
-
-    Parameters
-    ----------
-    locality:
-        Try FIRST groups nearest-first from the caller's host.  Off
-        leaves the historical group order untouched.
-    """
-
-    locality: bool = True
 
 
 class LocalitySelector:

@@ -84,8 +84,6 @@ class TrustSetPolicy(MayIPolicy):
     """
 
     trusted: Set[LOID] = field(default_factory=set)
-    #: Also require the immediate caller to be trusted (defence in depth).
-    check_calling_agent: bool = False
 
     def trust(self, principal: LOID) -> None:
         """Add a principal to the trust set."""
@@ -96,11 +94,7 @@ class TrustSetPolicy(MayIPolicy):
         self.trusted.discard(principal)
 
     def may_i(self, method: str, env: CallEnvironment) -> bool:
-        if env.responsible_agent not in self.trusted:
-            return False
-        if self.check_calling_agent and env.calling_agent not in self.trusted:
-            return False
-        return True
+        return env.responsible_agent in self.trusted
 
 
 @dataclass

@@ -29,7 +29,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import BootstrapError
 from repro.binding.agent import BindingAgentImpl
-from repro.core.class_types import ClassFlavor
 from repro.core.context import SystemServices
 from repro.core.legion_class import ClassObjectImpl
 from repro.core.object_base import LegionObjectImpl
@@ -121,7 +120,6 @@ class LegionSystem:
         seed: int = 0,
         agent_cache_capacity: int = 4096,
         binding_ttl: Optional[float] = None,
-        latency_model: Optional[LatencyModel] = None,
         flow=None,
     ) -> "LegionSystem":
         """Assemble a system with one jurisdiction per site.
@@ -136,7 +134,7 @@ class LegionSystem:
         system.sites = list(sites)
         system.kernel = SimKernel()
         rng = RngStreams(seed)
-        lat = latency_model or LatencyModel()
+        lat = LatencyModel()
         system.network = Network(system.kernel, lat, rng=rng.stream("network"))
         system.services = SystemServices(
             kernel=system.kernel,
@@ -197,7 +195,7 @@ class LegionSystem:
         legion_class = self.core.legion_class
         relations = self.services.relations
 
-        def start_class(name: str, superclass_role_or_name: str, flavor=ClassFlavor.REGULAR) -> ObjectServer:
+        def start_class(name: str, superclass_role_or_name: str) -> ObjectServer:
             if superclass_role_or_name in self.core.servers:
                 super_loid = self.core.loid(superclass_role_or_name)
             else:
@@ -207,7 +205,6 @@ class LegionSystem:
             impl = ClassObjectImpl(
                 class_name=name,
                 class_id=class_id,
-                flavor=flavor,
                 superclass=super_loid,
             )
             server = ObjectServer(
@@ -240,11 +237,11 @@ class LegionSystem:
             return server
 
         # Fig. 8 host hierarchy (parents before children).
-        start_class("UnixHost", "LegionHost", ClassFlavor.REGULAR)
-        start_class("SPMDHost", "LegionHost", ClassFlavor.REGULAR)
-        start_class("UnixSMMP", "UnixHost", ClassFlavor.REGULAR)
-        start_class("CM5", "SPMDHost", ClassFlavor.REGULAR)
-        start_class("CrayT3D", "SPMDHost", ClassFlavor.REGULAR)
+        start_class("UnixHost", "LegionHost")
+        start_class("SPMDHost", "LegionHost")
+        start_class("UnixSMMP", "UnixHost")
+        start_class("CM5", "SPMDHost")
+        start_class("CrayT3D", "SPMDHost")
         # Standard infrastructure classes (Fig. 9 pattern).
         start_class("StandardMagistrate", "LegionMagistrate")
         start_class("StandardBindingAgent", "LegionBindingAgent")
@@ -452,15 +449,14 @@ class LegionSystem:
         instance_factory: str = "",
         factory: Optional[Callable[..., LegionObjectImpl]] = None,
         superclass: Union[LOID, str, None] = None,
-        context_name: Optional[str] = None,
         **options: Any,
     ) -> Binding:
         """Derive a new user class (from LegionObject by default).
 
         ``factory`` (a callable) is registered in the implementation
         registry under ``instance_factory`` if given.  Returns the new
-        class object's Binding and binds ``context_name`` (default
-        ``classes/<name>``) in the name space.
+        class object's Binding and binds ``classes/<name>`` in the name
+        space.
         """
         if factory is not None:
             if not instance_factory:
@@ -475,7 +471,7 @@ class LegionSystem:
         else:
             super_loid = superclass
         binding: Binding = self.call(super_loid, "Derive", name, options)
-        self.bind_name(context_name or f"classes/{name}", binding.loid)
+        self.bind_name(f"classes/{name}", binding.loid)
         return binding
 
     def create_instance(
@@ -506,19 +502,16 @@ class LegionSystem:
 
     # ------------------------------------------------------------------- tracing
 
-    def enable_tracing(self, recorder=None):
-        """Install a causal-trace recorder; returns it.
+    def enable_tracing(self):
+        """Install a fresh causal-trace recorder; returns it.
 
         Every message sent from now on carries a
         :class:`~repro.trace.context.TraceContext` and every invocation,
-        resolution, dispatch, and activation records a span.  Call with a
-        prepared :class:`~repro.trace.SpanRecorder` to share one recorder
-        between phases, or with nothing for a fresh active one.
+        resolution, dispatch, and activation records a span.
         """
         from repro.trace.recorder import SpanRecorder
 
-        if recorder is None:
-            recorder = SpanRecorder(self.kernel)
+        recorder = SpanRecorder(self.kernel)
         self.services.tracer = recorder
         self.network.tracer = recorder
         return recorder

@@ -11,9 +11,9 @@ Hot-path contract (the "zero-overhead no-op mode" of the tracing design):
 * When tracing is off, ``services.tracer`` is ``None`` and every
   instrumented code path reduces to one attribute load plus an ``is not
   None`` test -- no span objects, no contexts, no dict writes.
-* When a recorder is installed but paused (``active = False``), call
-  sites skip span creation the same way; pausing is how experiments keep
-  warm-up traffic out of the measured trace.
+* Experiments keep warm-up traffic out of the measured trace by
+  dropping its spans: ``LegionSystem.reset_measurements()`` calls
+  :meth:`SpanRecorder.clear` together with the counter resets.
 * Span ids are allocated from a recorder-local monotone counter.  The
   simulation kernel executes events in a deterministic total order, so
   allocation order -- and with it every id, timestamp, and parent edge --
@@ -104,12 +104,8 @@ class SpanRecorder:
     kernel's simulated clock.
     """
 
-    def __init__(self, kernel, active: bool = True) -> None:
+    def __init__(self, kernel) -> None:
         self.kernel = kernel
-        #: Master switch checked (together with ``is not None``) by every
-        #: instrumented hot path.  Flipping it off mid-run leaves already
-        #: open spans to be finished normally.
-        self.active = active
         self.spans: List[Span] = []
         self._by_id: Dict[int, Span] = {}
         self._next_id = 0
@@ -189,5 +185,4 @@ class SpanRecorder:
         return len(self.spans)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "active" if self.active else "paused"
-        return f"<SpanRecorder {state} spans={len(self.spans)}>"
+        return f"<SpanRecorder spans={len(self.spans)}>"

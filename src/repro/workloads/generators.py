@@ -272,13 +272,18 @@ class OpenLoopDriver(SessionLoopDriver):
             yield fut
 
 
+#: Share of ChurnDriver rounds that Move their object (the rest Deactivate).
+MOVE_FRACTION = 0.5
+
+
 class ChurnDriver:
     """Manufacture stale bindings by cycling objects through magistrates.
 
     Every ``interval`` simulated ms, pick a random managed object and
     either Deactivate it (a later reference re-activates it at a possibly
     different address) or Move it to another magistrate.  This is the
-    workload knob behind experiment E6 (section 4.1.4).
+    workload knob behind experiment E6 (section 4.1.4).  The loop runs
+    until its process is killed.
     """
 
     def __init__(
@@ -290,8 +295,6 @@ class ChurnDriver:
         class_loid: LOID,
         rng,
         interval: float = 50.0,
-        move_fraction: float = 0.5,
-        rounds: int = 10,
     ) -> None:
         self.kernel = kernel
         self.client = driver_client
@@ -300,12 +303,10 @@ class ChurnDriver:
         self.class_loid = class_loid
         self.rng = rng
         self.interval = interval
-        self.move_fraction = move_fraction
-        self.rounds = rounds
         self.churn_events = 0
 
     def _loop(self):
-        for _round in range(self.rounds):
+        while True:
             yield Timeout(self.interval)
             loid = self.objects[self.rng.randrange(len(self.objects))]
             try:
@@ -320,7 +321,7 @@ class ChurnDriver:
             try:
                 if (
                     len(self.magistrates) > 1
-                    and self.rng.random() < self.move_fraction
+                    and self.rng.random() < MOVE_FRACTION
                 ):
                     others = [m for m in self.magistrates if m != magistrate]
                     target = others[self.rng.randrange(len(others))]

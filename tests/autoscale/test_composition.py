@@ -23,10 +23,8 @@ from repro.system.legion import LegionSystem, SiteSpec
 PATIENT = RetryPolicy(
     max_attempts=10,
     base_backoff=20.0,
-    backoff_factor=2.0,
     max_backoff=200.0,
-    retry_partitions=True,
-    retry_resolution_failures=True,
+    retry_unreachable=True,
 )
 
 

@@ -2,7 +2,7 @@
 
 The LoadMonitor's whole contract is "observe without touching": counter
 deltas over simulated-time windows (surviving a mid-flight counter
-reset) and queue depths straight out of the process tables.  The
+reset).  The
 ClonePoolRouter's contract is epoch-gated refresh plus a round-robin
 index that survives pool shrinkage.
 """
@@ -49,18 +49,10 @@ class TestLoadMonitor:
         # The cumulative count went 8 -> 2; a naive delta would be -6.
         assert sample.rates[str(cls.loid)] * window == 2
 
-    def test_queue_depths_cover_live_class_objects(self):
-        system, cls = _build()
-        monitor = LoadMonitor(system)
-        queues = monitor.queue_depths()
-        # The hot class is live and idle: present, with nothing in flight.
-        assert queues[str(cls.loid)] == 0
-
     def test_pool_aggregation_ignores_foreign_components(self):
         sample = LoadSample(
             time=0.0,
             rates={"a": 1.0, "b": 2.0, "c": 4.0},
-            queues={"a": 1, "c": 3},
         )
         assert sample.pool_rate(["a", "b", "missing"]) == 3.0
 

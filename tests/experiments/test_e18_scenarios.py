@@ -25,7 +25,7 @@ def test_units_cover_the_scenario_x_arm_matrix():
 
 
 def test_optional_flags_add_their_arms():
-    flags = E18.bind({"overload": 6.0, "autoscale": 0.7, "replicas": 3})
+    flags = E18.bind({"overload": 6.0, "autoscale": 1.0, "replicas": 3})
     units = E18.units(True, flags)
     arms = {u[1] for u in units}
     assert {"overload", "autoscale", "replicas"} <= arms
@@ -46,7 +46,7 @@ def test_the_optional_arms_hold_their_claims():
     # The one tier-1 run of _measure_overload/_autoscale/_replicas and of
     # scenarios.drive.ReplicaRouting.
     (out,) = runner.run_many(
-        ["e18"], jobs=2, overload=6.0, autoscale=0.7, replicas=3
+        ["e18"], jobs=2, overload=6.0, autoscale=1.0, replicas=3
     )
     assert out.passed, out.report
     assert "overload arm" in out.report

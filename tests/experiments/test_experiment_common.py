@@ -47,8 +47,8 @@ class TestChecksAndResults:
 
 class TestHelpers:
     def test_uniform_sites(self):
-        sites = uniform_sites(3, hosts_per_site=2, prefix="org")
-        assert [s.name for s in sites] == ["org0", "org1", "org2"]
+        sites = uniform_sites(3, hosts_per_site=2)
+        assert [s.name for s in sites] == ["site0", "site1", "site2"]
         assert all(s.hosts == 2 for s in sites)
 
     def test_count_messages(self, fresh_legion):
@@ -62,7 +62,7 @@ class TestHelpers:
 
     def test_populate_creates_classes_and_instances(self, fresh_legion):
         system, _cls = fresh_legion
-        out = populate(system, n_classes=2, instances_per_class=3, name_prefix="pop")
+        out = populate(system, n_classes=2, instances_per_class=3)
         assert len(out) == 2
         for class_loid, instances in out.items():
             assert class_loid.is_class

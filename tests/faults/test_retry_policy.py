@@ -25,7 +25,7 @@ class TestBackoffMath:
         assert policy.backoff_delay(1, random.Random(0)) == 0.0
 
     def test_exponential_growth_and_cap(self):
-        policy = RetryPolicy(base_backoff=10.0, backoff_factor=2.0, max_backoff=35.0)
+        policy = RetryPolicy(base_backoff=10.0, max_backoff=35.0)
         rng = random.Random(0)
         assert policy.backoff_delay(2, rng) == 10.0
         assert policy.backoff_delay(3, rng) == 20.0
@@ -46,8 +46,7 @@ class TestBackoffMath:
     def test_default_policy_is_plain_four_attempts(self):
         assert DEFAULT_RETRY_POLICY.max_attempts == 4
         assert DEFAULT_RETRY_POLICY.base_backoff == 0.0
-        assert not DEFAULT_RETRY_POLICY.retry_partitions
-        assert not DEFAULT_RETRY_POLICY.retry_resolution_failures
+        assert not DEFAULT_RETRY_POLICY.retry_unreachable
 
 
 class TestRetryCounters:
@@ -86,7 +85,7 @@ class TestRetryCounters:
             base_backoff=100.0,
             max_backoff=100.0,
             budget=250.0,
-            retry_resolution_failures=True,
+            retry_unreachable=True,
         )
         client.runtime.default_timeout = 40.0  # bounds the refresh legs too
         # Black-hole every link: calls time out, retries burn the budget.
@@ -111,7 +110,7 @@ class TestRetryCounters:
         row = system.call(cls.loid, "GetRow", binding.loid)
         system.call(row.current_magistrates[0], "Deactivate", binding.loid)
         client.runtime.retry_policy = RetryPolicy(
-            max_attempts=6, base_backoff=15.0, retry_resolution_failures=True
+            max_attempts=6, base_backoff=15.0, retry_unreachable=True
         )
         tracer = system.enable_tracing()
         system.call(binding.loid, "Ping", client=client)

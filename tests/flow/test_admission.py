@@ -25,9 +25,19 @@ NO_RETRY = RetryPolicy(max_attempts=1)
 
 
 def _flow_server(services, impl, host, seq, **flow_kwargs) -> ObjectServer:
+    """A server built under its own FlowConfig: the config is installed
+    system-wide only while the server is constructed."""
     loid = LOID.for_instance(91, seq, services.secret)
-    return ObjectServer(
-        services, loid, impl, host=host, flow=FlowConfig(**flow_kwargs)
+    previous, services.flow = services.flow, FlowConfig(**flow_kwargs)
+    try:
+        return ObjectServer(services, loid, impl, host=host)
+    finally:
+        services.flow = previous
+
+
+def _sheds(services, server) -> int:
+    return services.metrics.labelled_counts(MetricsRegistry.SHED).get(
+        str(server.component), 0
     )
 
 
@@ -61,8 +71,8 @@ def test_capacity_overflow_sheds_with_retry_after(services):
     assert callee.admission.stats.admitted == 1
     assert callee.admission.stats.shed == {"capacity": 2}
     # Counter vocabulary: admitted work is REQUESTS, shed work is SHED.
-    assert services.metrics.get(callee.component, MetricsRegistry.REQUESTS) == 1
-    assert services.metrics.get(callee.component, MetricsRegistry.SHED) == 2
+    assert services.metrics.get(callee.component) == 1
+    assert _sheds(services, callee) == 2
 
 
 def test_queue_admits_up_to_limit_then_sheds(services):
@@ -239,8 +249,8 @@ def test_every_arrival_is_admitted_or_shed_within_the_bounds(
     shed = sum(stats.shed.values())
     assert admission.backlog == 0
     assert len(arrivals) == stats.admitted + shed
-    assert services.metrics.get(callee.component, MetricsRegistry.SHED) == shed
-    assert services.metrics.get(callee.component, MetricsRegistry.REQUESTS) == stats.admitted
+    assert _sheds(services, callee) == shed
+    assert services.metrics.get(callee.component) == stats.admitted
     observed = [i for i in services.fault_log.observed if i.kind == "request-shed"]
     assert len(observed) == shed
     assert caller.runtime.settled
@@ -253,13 +263,13 @@ def test_admission_ignores_non_admitted_kinds(services):
         admit_kinds=frozenset({ComponentKind.APPLICATION}),
     )
     loid = LOID.for_instance(91, 950, services.secret)
+    services.flow = cfg
     infra = ObjectServer(
         services,
         loid,
         EchoImpl("infra"),
         host=3,
         component_kind=ComponentKind.BINDING_AGENT,
-        flow=cfg,
     )
     assert infra.admission is None  # kind not admitted => no queue at all
 

@@ -32,9 +32,7 @@ def test_partition_retry_volume_is_capped_by_the_token_bucket():
     client.runtime.retry_policy = RetryPolicy(
         max_attempts=25,
         base_backoff=4.0,
-        backoff_factor=1.5,
-        retry_partitions=True,
-        retry_resolution_failures=True,
+        retry_unreachable=True,
         retry_tokens=TOKENS,
     )
     driver = ChaosDriver(system, FaultPlan(), FaultLog())
@@ -76,9 +74,8 @@ def test_refill_restores_tokens_over_time():
     client.runtime.retry_policy = RetryPolicy(
         max_attempts=40,
         base_backoff=8.0,
-        backoff_factor=1.0,
-        retry_partitions=True,
-        retry_resolution_failures=True,
+        max_backoff=8.0,  # a constant backoff
+        retry_unreachable=True,
         retry_tokens=1.0,
         retry_token_refill=0.05,  # one token per 20 simulated ms
     )

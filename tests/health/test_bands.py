@@ -4,10 +4,19 @@ from __future__ import annotations
 
 from types import SimpleNamespace
 
-import pytest
-
-from repro.errors import LegionError
-from repro.health.bands import SIGNALS, Band, BandMachine, BandRules
+from repro.health.bands import (
+    DEGRADE_DWELL,
+    LADDER,
+    RECOVER_DWELL,
+    RECOVER_FRACTION,
+    SIGNALS,
+    THRESHOLDS,
+    Band,
+    BandMachine,
+    breaches,
+    reasons_at,
+    severity,
+)
 
 
 def ev(**signals):
@@ -18,7 +27,6 @@ def ev(**signals):
 
 
 CALM = ev()
-RULES = BandRules()  # shed_rate base 0.3, ladder (1, 3, 9, 27)
 
 
 class TestBand:
@@ -39,49 +47,43 @@ class TestBand:
 
 class TestBandRules:
     def test_ladder_must_have_one_rung_per_degraded_band(self):
-        with pytest.raises(LegionError):
-            BandRules(ladder=(1.0, 2.0, 3.0))
+        assert len(LADDER) == len(Band) - 1
 
     def test_ladder_must_strictly_increase(self):
-        with pytest.raises(LegionError):
-            BandRules(ladder=(1.0, 3.0, 3.0, 27.0))
+        assert all(b > a for a, b in zip(LADDER, LADDER[1:], strict=False))
 
     def test_recover_fraction_bounds(self):
-        with pytest.raises(LegionError):
-            BandRules(recover_fraction=0.0)
-        with pytest.raises(LegionError):
-            BandRules(recover_fraction=1.5)
-        BandRules(recover_fraction=1.0)  # no hysteresis gap is legal
+        assert 0.0 < RECOVER_FRACTION <= 1.0
 
     def test_thresholds_must_be_positive(self):
-        with pytest.raises(LegionError):
-            BandRules(shed_rate=0.0)
+        assert sorted(THRESHOLDS) == [name for name, _attr in SIGNALS]
+        assert all(value > 0 for value in THRESHOLDS.values())
 
     def test_severity_climbs_the_ladder(self):
         # Base shed threshold 0.3; rungs at 0.3, 0.9, 2.7, 8.1.
-        assert RULES.severity(ev(shed_rate=0.2)) is Band.STABLE
-        assert RULES.severity(ev(shed_rate=0.4)) is Band.STRAINED
-        assert RULES.severity(ev(shed_rate=1.0)) is Band.ERODING
-        assert RULES.severity(ev(shed_rate=3.0)) is Band.COMPROMISED
-        assert RULES.severity(ev(shed_rate=10.0)) is Band.FAILED
+        assert severity(ev(shed_rate=0.2)) is Band.STABLE
+        assert severity(ev(shed_rate=0.4)) is Band.STRAINED
+        assert severity(ev(shed_rate=1.0)) is Band.ERODING
+        assert severity(ev(shed_rate=3.0)) is Band.COMPROMISED
+        assert severity(ev(shed_rate=10.0)) is Band.FAILED
 
     def test_breach_is_strictly_above_threshold(self):
-        assert RULES.breaches(ev(loss_backlog=2)) == []
-        assert RULES.breaches(ev(loss_backlog=3)) == [("loss_backlog", 1)]
+        assert breaches(ev(loss_backlog=2)) == []
+        assert breaches(ev(loss_backlog=3)) == [("loss_backlog", 1)]
 
     def test_severity_is_worst_signal(self):
         evidence = ev(shed_rate=0.4, queue_depth=100)  # sev 1 and sev 2
-        assert RULES.severity(evidence) is Band.ERODING
+        assert severity(evidence) is Band.ERODING
 
     def test_scale_tightens_thresholds(self):
         # 0.2 < 0.3 but above the half-scaled threshold 0.15.
         evidence = ev(shed_rate=0.2)
-        assert RULES.severity(evidence) is Band.STABLE
-        assert RULES.severity(evidence, scale=0.5) is Band.STRAINED
+        assert severity(evidence) is Band.STABLE
+        assert severity(evidence, scale=0.5) is Band.STRAINED
 
     def test_reasons_are_sorted_signal_names(self):
         evidence = ev(shed_rate=10.0, loss_backlog=100, queue_depth=1)
-        assert RULES.reasons_at(evidence, Band.FAILED) == [
+        assert reasons_at(evidence, Band.FAILED) == [
             "loss_backlog",
             "shed_rate",
         ]
@@ -92,8 +94,7 @@ HOT = ev(shed_rate=100.0)  # indicates Failed outright
 
 class TestBandMachine:
     def test_dwells_must_be_non_negative(self):
-        with pytest.raises(LegionError):
-            BandMachine(degrade_dwell=-1.0)
+        assert DEGRADE_DWELL >= 0 and RECOVER_DWELL >= 0
 
     def test_calm_evidence_holds_stable(self):
         machine = BandMachine()
@@ -101,7 +102,7 @@ class TestBandMachine:
         assert machine.band is Band.STABLE
 
     def test_first_degrade_from_stable_is_immediate(self):
-        machine = BandMachine(degrade_dwell=40.0)
+        machine = BandMachine()
         transition = machine.step(ev(shed_rate=0.4), 0.0)
         assert transition is not None
         assert (transition.from_band, transition.to_band) == (
@@ -112,7 +113,7 @@ class TestBandMachine:
         assert transition.reason == "shed_rate"
 
     def test_catastrophic_evidence_never_skips_a_band(self):
-        machine = BandMachine(degrade_dwell=40.0)
+        machine = BandMachine()
         bands = [machine.band]
         for tick in range(50):
             transition = machine.step(HOT, float(tick * 10))
@@ -123,40 +124,43 @@ class TestBandMachine:
         assert machine.band is Band.FAILED
 
     def test_degrade_dwell_gates_further_falls(self):
-        machine = BandMachine(degrade_dwell=40.0)
+        machine = BandMachine()
         machine.step(HOT, 0.0)  # Stable -> Strained
         assert machine.step(HOT, 10.0) is None  # only 10 ms in band
-        assert machine.step(HOT, 39.0) is None
-        transition = machine.step(HOT, 40.0)
+        assert machine.step(HOT, DEGRADE_DWELL - 1.0) is None
+        transition = machine.step(HOT, DEGRADE_DWELL)
         assert transition is not None and transition.to_band is Band.ERODING
 
     def test_recovery_needs_both_streak_and_time_in_band(self):
-        machine = BandMachine(degrade_dwell=0.0, recover_dwell=100.0)
+        machine = BandMachine()
         machine.step(HOT, 0.0)
-        # Calm from t=10: the streak matures at t=110.
+        # Calm from t=10: the streak matures at t=10 + RECOVER_DWELL.
         assert machine.step(CALM, 10.0) is None
-        assert machine.step(CALM, 109.0) is None
-        transition = machine.step(CALM, 110.0)
+        assert machine.step(CALM, 9.0 + RECOVER_DWELL) is None
+        transition = machine.step(CALM, 10.0 + RECOVER_DWELL)
         assert transition is not None
         assert transition.direction == "recover"
         assert transition.reason == "calm"
         assert machine.band is Band.STABLE
 
     def test_hot_tick_resets_the_calm_streak(self):
-        machine = BandMachine(degrade_dwell=0.0, recover_dwell=100.0)
+        machine = BandMachine()
         machine.step(HOT, 0.0)
         machine.step(CALM, 10.0)
-        machine.step(HOT, 90.0)  # Strained-level is not > Strained: no move,
+        hot_at = DEGRADE_DWELL + 10.0  # before the calm streak matures
+        machine.step(HOT, hot_at)
         assert machine.band is Band.ERODING or machine.band is Band.STRAINED
-        # ...but the streak restarted: calm at 100 only matures at 200.
-        machine.step(CALM, 100.0)
-        assert machine.step(CALM, 199.0) is None
-        assert machine.step(CALM, 200.0) is not None
+        # ...and the streak restarted: calm from hot_at + 10 matures only
+        # a full RECOVER_DWELL later.
+        calm_at = hot_at + 10.0
+        machine.step(CALM, calm_at)
+        assert machine.step(CALM, calm_at + RECOVER_DWELL - 1.0) is None
+        assert machine.step(CALM, calm_at + RECOVER_DWELL) is not None
 
     def test_hysteresis_gap_holds_the_band(self):
         # Above the recovery threshold (0.15) yet below the degrade
         # threshold (0.3): neither direction moves -- no oscillation.
-        machine = BandMachine(degrade_dwell=0.0, recover_dwell=50.0)
+        machine = BandMachine()
         machine.step(HOT, 0.0)
         lukewarm = ev(shed_rate=0.2)
         for tick in range(1, 30):
@@ -164,13 +168,14 @@ class TestBandMachine:
         assert machine.band is Band.STRAINED
 
     def test_recovery_climbs_one_band_per_dwell(self):
-        machine = BandMachine(degrade_dwell=0.0, recover_dwell=50.0)
+        machine = BandMachine()
         for tick in range(4):
-            machine.step(HOT, float(tick))
+            machine.step(HOT, tick * DEGRADE_DWELL)
         assert machine.band is Band.FAILED
         recovered = []
+        start = 4 * DEGRADE_DWELL
         for tick in range(100):
-            transition = machine.step(CALM, 10.0 + tick * 10)
+            transition = machine.step(CALM, start + tick * 10)
             if transition is not None:
                 assert transition.to_band == transition.from_band - 1
                 recovered.append(transition.to_band)

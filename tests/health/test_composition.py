@@ -22,7 +22,13 @@ from repro.faults.log import FaultLog
 from repro.faults.plan import FaultKind, FaultPlan
 from repro.faults.recovery import RecoverySweeper
 from repro.flow import FlowConfig
-from repro.health import Band, BandRules, GovernorConfig, enable_governor
+from repro.health import (
+    DEFAULT_POLICIES,
+    Band,
+    Governor,
+    GovernorConfig,
+    enable_governor,
+)
 from repro.metrics.counters import ComponentKind
 from repro.replication import ReplicaRepairService, enable_replication
 from repro.replication.store import ReplicatedStoreImpl
@@ -43,8 +49,7 @@ RETRY = RetryPolicy(
     max_attempts=4,
     base_backoff=5.0,
     max_backoff=50.0,
-    retry_partitions=True,
-    retry_resolution_failures=True,
+    retry_unreachable=True,
     retry_tokens=40.0,
     retry_token_refill=0.5,
 )
@@ -96,13 +101,7 @@ class TestGovernedChaosOverload:
         sweeper.start()
         governor = enable_governor(
             system,
-            GovernorConfig(
-                degrade_dwell=20.0,
-                recover_dwell=60.0,
-                tick=10.0,
-                window=40.0,
-                critical=frozenset({str(instance.loid)}),
-            ),
+            GovernorConfig(critical=frozenset({str(instance.loid)})),
         )
         governor.track(*clients)
         governor.attach(sweeper=sweeper)
@@ -174,13 +173,11 @@ class TestGovernedChaosOverload:
         client = system.new_client("pause-client")
         client.runtime.retry_policy = RetryPolicy(max_attempts=1)
 
-        governor = enable_governor(
-            system,
-            GovernorConfig(critical=frozenset({str(critical.loid)})),
-            start=False,
+        governor = Governor(
+            system, GovernorConfig(critical=frozenset({str(critical.loid)}))
         )
         governor.machine.band = Band.FAILED
-        governor._apply(governor.config.policies[Band.FAILED])
+        governor._apply(DEFAULT_POLICIES[Band.FAILED])
 
         outcomes = {}
 
@@ -202,7 +199,7 @@ class TestGovernedChaosOverload:
         assert outcomes["bystander"] == "shed:paused"
         # One step back up unpauses the bystander.
         governor.machine.band = Band.COMPROMISED
-        governor._apply(governor.config.policies[Band.COMPROMISED])
+        governor._apply(DEFAULT_POLICIES[Band.COMPROMISED])
         system.kernel.spawn(call("bystander", bystander.loid))
         system.kernel.run()
         assert outcomes["bystander"] == "ok"
@@ -224,17 +221,7 @@ class TestGovernorReplication:
         system.kernel.run()
 
         repair = ReplicaRepairService(system, interval=200.0)
-        governor = enable_governor(
-            system,
-            GovernorConfig(
-                rules=BandRules(under_replicated=1.0),
-                degrade_dwell=10.0,
-                recover_dwell=40.0,
-                tick=10.0,
-                window=40.0,
-            ),
-            start=False,
-        )
+        governor = Governor(system)
         governor.attach(repair=repair)
 
         # Crash one replica of each group: 2 under-replicated groups > 1.

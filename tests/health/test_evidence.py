@@ -100,7 +100,7 @@ class TestSignals:
 
     def test_shed_rate_diffs_across_the_window(self):
         system, instance, client = build()
-        collector = EvidenceCollector(system, window=1000.0)
+        collector = EvidenceCollector(system)
         collector.track(client)
         collector.snapshot()  # anchor sample at t0
         t0 = system.kernel.now
@@ -112,7 +112,7 @@ class TestSignals:
 
     def test_old_samples_slide_out_of_the_window(self):
         system, instance, client = build()
-        collector = EvidenceCollector(system, window=50.0)
+        collector = EvidenceCollector(system)
         collector.track(client)
         sheds = shed_some(system, instance, client)
         collector.snapshot()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import errors
-from repro.metrics.counters import ComponentId, ComponentKind, MetricsRegistry
+from repro.metrics.counters import ComponentId, ComponentKind
 
 
 class TestFig17Walk:
@@ -102,15 +102,13 @@ class TestCrossSite:
         # The remote client consulted ITS site's agent, not site0's.
         assert (
             metrics.get(
-                ComponentId(ComponentKind.BINDING_AGENT, site1),
-                MetricsRegistry.REQUESTS,
+                ComponentId(ComponentKind.BINDING_AGENT, site1)
             )
             >= 1
         )
         assert (
             metrics.get(
-                ComponentId(ComponentKind.BINDING_AGENT, site0),
-                MetricsRegistry.REQUESTS,
+                ComponentId(ComponentKind.BINDING_AGENT, site0)
             )
             == 0
         )

@@ -38,7 +38,6 @@ class TestCombinedAdversity:
             cls.loid,
             rng=system.services.rng.stream("stress-churn"),
             interval=60.0,
-            rounds=10**6,
         )
         churn_proc = system.kernel.spawn_process(churn._loop())
         traffic = TrafficDriver(

@@ -12,32 +12,37 @@ def comp(name, kind=ComponentKind.BINDING_AGENT):
     return ComponentId(kind, name)
 
 
+def bump(metrics, component, n):
+    for _ in range(n):
+        metrics.incr(component, "requests")
+
+
 class TestMetricsRegistry:
     def test_incr_and_get(self):
         metrics = MetricsRegistry()
-        metrics.incr(comp("a"), "requests")
-        metrics.incr(comp("a"), "requests", 2)
+        bump(metrics, comp("a"), 3)
+        metrics.incr(comp("a"), "shed")
         assert metrics.get(comp("a")) == 3
         assert metrics.get(comp("b")) == 0
 
     def test_max_by_kind(self):
         metrics = MetricsRegistry()
-        metrics.incr(comp("a"), "requests", 5)
-        metrics.incr(comp("b"), "requests", 9)
-        metrics.incr(comp("m", ComponentKind.MAGISTRATE), "requests", 100)
+        bump(metrics, comp("a"), 5)
+        bump(metrics, comp("b"), 9)
+        bump(metrics, comp("m", ComponentKind.MAGISTRATE), 100)
         assert metrics.max_by_kind(ComponentKind.BINDING_AGENT) == 9
         assert metrics.max_by_kind(ComponentKind.LEGION_CLASS) == 0
 
     def test_totals_by_kind(self):
         metrics = MetricsRegistry()
-        metrics.incr(comp("a"), "requests", 5)
-        metrics.incr(comp("b"), "requests", 9)
+        bump(metrics, comp("a"), 5)
+        bump(metrics, comp("b"), 9)
         assert metrics.totals_by_kind()[ComponentKind.BINDING_AGENT] == 14
 
     def test_loads(self):
         metrics = MetricsRegistry()
         for name, n in [("a", 1), ("b", 5), ("c", 3)]:
-            metrics.incr(comp(name), "requests", n)
+            bump(metrics, comp(name), n)
         assert metrics.loads(ComponentKind.BINDING_AGENT) == {"a": 1, "b": 5, "c": 3}
 
     def test_reset(self):

@@ -66,11 +66,6 @@ class TestPersistentStore:
         with pytest.raises(StorageError):
             other.read(address)
 
-    def test_capacity_enforced(self):
-        store = PersistentStore("uva", "tiny", capacity_bytes=10)
-        with pytest.raises(StorageError):
-            store.write(make_opr())
-
     def test_distinct_filenames(self):
         store = PersistentStore("uva", "disk0")
         a = store.write(make_opr(1))
@@ -85,10 +80,10 @@ class TestPersistentStore:
 
 
 class TestVault:
-    def make_vault(self, disks=2, capacity=None):
+    def make_vault(self, disks=2):
         vault = Vault("uva")
         for i in range(disks):
-            vault.add_store(PersistentStore("uva", f"disk{i}", capacity))
+            vault.add_store(PersistentStore("uva", f"disk{i}"))
         return vault
 
     def test_store_and_load(self):
@@ -137,10 +132,5 @@ class TestVault:
 
     def test_no_stores_raises(self):
         vault = Vault("uva")
-        with pytest.raises(StorageError):
-            vault.store_opr(make_opr())
-
-    def test_full_vault_raises(self):
-        vault = self.make_vault(disks=1, capacity=10)
         with pytest.raises(StorageError):
             vault.store_opr(make_opr())

@@ -16,7 +16,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.autoscale import AutoscaleConfig, CloneController, ClonePoolRouter
+from repro.autoscale import (
+    AutoscaleConfig,
+    CloneController,
+    ClonePoolRouter,
+    build_placement_agent,
+)
 from repro.errors import LegionError
 from repro.system.legion import LegionSystem, SiteSpec
 from repro.workloads.apps import CounterImpl
@@ -31,10 +36,12 @@ def _drive(config: AutoscaleConfig):
         [SiteSpec("east", hosts=3, max_processes=256)], seed=7
     )
     hot = system.create_class("HotClass", factory=CounterImpl)
-    controller = CloneController(system, hot, config)
+    controller = CloneController(
+        system, hot, config, build_placement_agent(system)
+    )
     controller.start()
     clients = [system.new_client(f"prop-{i}") for i in range(2)]
-    routers = [ClonePoolRouter(client, hot, refresh=15.0) for client in clients]
+    routers = [ClonePoolRouter(client, hot) for client in clients]
     by_client = {id(c): r for c, r in zip(clients, routers, strict=True)}
     for router in routers:
         router.start()
@@ -71,7 +78,6 @@ def test_policy_invariants_hold_for_random_watermarks(low, gap, cooldown):
         high_water=low + gap,
         low_water=low,
         cooldown=cooldown,
-        tick=8.0,
         max_clones=MAX_CLONES,
     )
     actions, burst_stats, trickle_stats = _drive(config)
@@ -114,7 +120,7 @@ def test_config_requires_a_hysteresis_gap(low, high):
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"high_water": 1.0, "low_water": 0.1, "tick": 0.0},
+        {"high_water": 1.0, "low_water": 0.1, "max_clones": -1},
         {"high_water": 1.0, "low_water": 0.1, "cooldown": -1.0},
         {"high_water": 1.0, "low_water": 0.1, "min_clones": 3, "max_clones": 2},
         {"high_water": 1.0, "low_water": 0.1, "min_clones": -1},

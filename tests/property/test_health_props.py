@@ -1,12 +1,11 @@
 """Property-based tests over the band machine's transition invariants.
 
-Hypothesis sweeps random evidence schedules (per-tick signal levels) and
-random dwell configurations; whatever the weather, the machine must
-uphold the archon72 contract:
+Hypothesis sweeps random evidence schedules (per-tick signal levels);
+whatever the weather, the machine must uphold the archon72 contract:
 
 * **never skips a band**: every transition moves exactly one step;
-* **dwell respected**: consecutive degrades are at least ``degrade_dwell``
-  apart, recoveries at least ``recover_dwell`` after entering the band;
+* **dwell respected**: consecutive degrades are at least ``DEGRADE_DWELL``
+  apart, recoveries at least ``RECOVER_DWELL`` after entering the band;
 * **no oscillation**: alternating hot/calm evidence faster than the
   recovery dwell never produces a recover transition -- hysteresis
   ratchets the band at its worst level instead of flapping;
@@ -21,9 +20,7 @@ from types import SimpleNamespace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.health.bands import Band, BandMachine, BandRules
-
-RULES = BandRules()  # shed_rate base 0.3, ladder (1, 3, 9, 27)
+from repro.health.bands import DEGRADE_DWELL, RECOVER_DWELL, Band, BandMachine
 
 
 def ev(shed_rate: float):
@@ -41,18 +38,12 @@ def ev(shed_rate: float):
 #: level per severity rung of the default shed ladder.
 LEVELS = st.sampled_from([0.0, 0.2, 0.5, 1.0, 5.0, 10.0])
 SCHEDULES = st.lists(LEVELS, min_size=1, max_size=60)
-DWELLS = st.tuples(
-    st.floats(min_value=0.0, max_value=50.0),
-    st.floats(min_value=10.0, max_value=200.0),
-)
 TICK = 10.0
 
 
-def drive(schedule, degrade_dwell=20.0, recover_dwell=60.0):
+def drive(schedule):
     """Run one schedule; returns (machine, transitions with timestamps)."""
-    machine = BandMachine(
-        rules=RULES, degrade_dwell=degrade_dwell, recover_dwell=recover_dwell
-    )
+    machine = BandMachine()
     transitions = []
     for tick, level in enumerate(schedule):
         now = tick * TICK
@@ -63,10 +54,9 @@ def drive(schedule, degrade_dwell=20.0, recover_dwell=60.0):
 
 
 @settings(max_examples=200)
-@given(schedule=SCHEDULES, dwells=DWELLS)
-def test_never_skips_a_band(schedule, dwells):
-    degrade_dwell, recover_dwell = dwells
-    machine, transitions = drive(schedule, degrade_dwell, recover_dwell)
+@given(schedule=SCHEDULES)
+def test_never_skips_a_band(schedule):
+    machine, transitions = drive(schedule)
     band = Band.STABLE
     for transition in transitions:
         assert transition.from_band is band
@@ -76,19 +66,18 @@ def test_never_skips_a_band(schedule, dwells):
 
 
 @settings(max_examples=200)
-@given(schedule=SCHEDULES, dwells=DWELLS)
-def test_dwell_times_are_respected(schedule, dwells):
-    degrade_dwell, recover_dwell = dwells
-    _machine, transitions = drive(schedule, degrade_dwell, recover_dwell)
+@given(schedule=SCHEDULES)
+def test_dwell_times_are_respected(schedule):
+    _machine, transitions = drive(schedule)
     entered = 0.0
     for transition in transitions:
         if transition.direction == "degrade":
             # The first fall from Stable is immediate by design; every
             # further fall waits out the dwell in the band it leaves.
             if transition.from_band is not Band.STABLE:
-                assert transition.time - entered >= degrade_dwell
+                assert transition.time - entered >= DEGRADE_DWELL
         else:
-            assert transition.time - entered >= recover_dwell
+            assert transition.time - entered >= RECOVER_DWELL
         entered = transition.time
 
 
@@ -101,9 +90,9 @@ def test_dwell_times_are_respected(schedule, dwells):
 def test_alternating_evidence_never_recovers(hot, period, cycles):
     # Hot/calm alternation with calm stretches shorter than the recovery
     # dwell: the band may degrade, must never recover -- no oscillation.
-    recover_dwell = 60.0  # calm stretches: period * TICK <= 50 < 60
+    assert 5 * TICK < RECOVER_DWELL  # calm stretches: period * TICK <= 50
     schedule = ([hot] * period + [0.0] * period) * cycles
-    _machine, transitions = drive(schedule, recover_dwell=recover_dwell)
+    _machine, transitions = drive(schedule)
     assert all(t.direction == "degrade" for t in transitions)
 
 

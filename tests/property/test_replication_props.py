@@ -34,15 +34,13 @@ VALUES = [f"value-{i}" for i in range(4)]
 PROPERTY_SETTINGS = settings(max_examples=10, suppress_health_check=[HealthCheck.too_slow])
 
 
-def build(seed, consistency):
+def build(seed):
     """A 3-site system, replication on, one 3-replica group per site."""
     system = LegionSystem.build(
         [SiteSpec(name, hosts=2) for name in SITES], seed=seed
     )
     enable_replication(system)
-    cls = system.create_class(
-        "PropStore", factory=ReplicatedStoreImpl, consistency=consistency
-    )
+    cls = system.create_class("PropStore", factory=ReplicatedStoreImpl)
     binding = system.call(cls.loid, "CreateReplicated", N_SITES, "first", 1)
     system.kernel.run()  # drain the placement gossip
     return system, cls, binding
@@ -76,7 +74,7 @@ class TestPrimaryCopyInvalidation:
         ),
     )
     def test_no_secondary_can_serve_the_old_value_as_fresh(self, seed, ops):
-        system, _cls, binding = build(seed, consistency="primary-copy")
+        system, _cls, binding = build(seed)
         session = ReplicaSession(system.console.runtime, binding, "primary-copy")
         primary = binding.address.elements[0]
         for key_idx, value_idx in ops:
@@ -113,7 +111,7 @@ class TestReadAnyLiveness:
     def test_partitioned_replica_never_blocks_a_read(
         self, seed, cuts, reader_site
     ):
-        system, _cls, binding = build(seed, consistency="read-any")
+        system, _cls, binding = build(seed)
         session = ReplicaSession(system.console.runtime, binding, "read-any")
         drive(system, session.seed((k, f"v:{k}") for k in KEYS), name="seed")
         system.kernel.run()
@@ -146,12 +144,12 @@ class TestChaosComposition:
     def test_crash_during_repair_sweeps_loses_no_state(
         self, seed, crash_at, victim_idx
     ):
-        system, cls, binding = build(seed, consistency="read-any")
+        system, cls, binding = build(seed)
         kernel = system.kernel
         session = ReplicaSession(system.console.runtime, binding, "read-any")
         drive(system, session.seed((k, f"v:{k}") for k in KEYS), name="seed")
         kernel.run()
-        service = ReplicaRepairService(system, interval=40.0, stagger=5.0)
+        service = ReplicaRepairService(system, interval=40.0)
         service.start()
         victim = binding.address.elements[victim_idx]
 

@@ -16,7 +16,6 @@ from repro.net.latency import LinkClass
 from repro.replication import (
     ReplicaRepairService,
     ReplicaSession,
-    ReplicationConfig,
     enable_replication,
 )
 from repro.replication.store import ReplicatedStoreImpl
@@ -25,16 +24,14 @@ from repro.system.legion import LegionSystem, SiteSpec
 KEYS = [f"k{i}" for i in range(4)]
 
 
-def build_geo(seed=0, consistency="read-any", replicas=3, sites=3, hosts=2):
+def build_geo(seed=0, replicas=3, sites=3, hosts=2):
     """A fresh ``sites``-site system with replication on and one seeded
     replicated GeoStore group; returns (system, directory, cls, binding)."""
     system = LegionSystem.build(
         [SiteSpec(f"site{i}", hosts=hosts) for i in range(sites)], seed=seed
     )
     directory = enable_replication(system)
-    cls = system.create_class(
-        "GeoStore", factory=ReplicatedStoreImpl, consistency=consistency
-    )
+    cls = system.create_class("GeoStore", factory=ReplicatedStoreImpl)
     binding = system.call(cls.loid, "CreateReplicated", replicas, "first", 1)
     session = ReplicaSession(system.console.runtime, binding, "read-any")
     system.kernel.run_until_complete(
@@ -128,17 +125,15 @@ class TestLocalitySelection:
         }
         assert all(count > 0 for count in served.values())
 
-    @pytest.mark.parametrize("replication", ["locality", "locality-off", "none"])
+    @pytest.mark.parametrize("replication", ["locality", "none"])
     def test_first_group_try_order(self, replication):
-        """Nearest-first from the caller's host with locality on; plain
-        group order with it off or with no directory installed."""
+        """Nearest-first from the caller's host with replication on; plain
+        group order with no directory installed."""
         system = LegionSystem.build(
             [SiteSpec(f"site{i}", hosts=2) for i in range(3)], seed=0
         )
         if replication != "none":
-            enable_replication(
-                system, ReplicationConfig(locality=replication == "locality")
-            )
+            enable_replication(system)
         cls = system.create_class("GeoStore", factory=ReplicatedStoreImpl)
         binding = system.call(cls.loid, "CreateReplicated", 3, "first", 1)
         session = ReplicaSession(system.console.runtime, binding, "read-any")
@@ -294,7 +289,7 @@ class TestRepairService:
         # re-raise it or stop() leaves zombie loops that hang kernel.run().
         system, _directory, _cls, binding = build_geo()
         kernel = system.kernel
-        service = ReplicaRepairService(system, interval=50.0, stagger=5.0)
+        service = ReplicaRepairService(system, interval=50.0)
         service.start()
         crash_element(system, binding.loid, binding.address.elements[0])
         kernel.run(until=kernel.now + 120.0)  # loops are mid-sweep in here

@@ -95,13 +95,6 @@ class TestMayIPolicies:
         policy.revoke(actor(1))
         assert not policy.may_i("X", self.env(ra=1))
 
-    def test_trust_set_defence_in_depth(self):
-        policy = TrustSetPolicy(check_calling_agent=True)
-        policy.trust(actor(1))
-        assert not policy.may_i("X", self.env(ra=1, ca=2))
-        policy.trust(actor(2))
-        assert policy.may_i("X", self.env(ra=1, ca=2))
-
     def test_method_filter(self):
         policy = MethodFilterPolicy(frozenset({"Get"}))
         assert policy.may_i("Get", self.env())

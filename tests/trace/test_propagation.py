@@ -101,14 +101,6 @@ class TestNoOpMode:
         assert tracer.spans == []
         assert system.services.tracer is None
 
-    def test_paused_recorder_records_nothing(self):
-        system, cls = build_system()
-        tracer = system.enable_tracing()
-        tracer.active = False
-        target = system.create_instance(cls.loid)
-        system.call(target.loid, "Ping", client=system.new_client("paused"))
-        assert tracer.spans == []
-
     def test_reset_measurements_clears_spans(self):
         system, cls = build_system()
         target = system.create_instance(cls.loid)
