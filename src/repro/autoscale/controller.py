@@ -120,7 +120,7 @@ class CloneController:
     def start(self) -> None:
         """Spawn the control loop (idempotent)."""
         if self._proc is None:
-            self._proc = self.system.kernel.spawn_process(
+            self._proc = self.system.kernel.spawn(
                 self._loop(), name=f"autoscaler-{self.class_loid}"
             )
 

@@ -60,7 +60,7 @@ class ClonePoolRouter:
     def start(self) -> None:
         """Spawn the refresh loop (idempotent)."""
         if self._proc is None:
-            self._proc = self.client.services.kernel.spawn_process(
+            self._proc = self.client.services.kernel.spawn(
                 self._loop(), name=f"clone-pool-{self.client.loid}"
             )
 

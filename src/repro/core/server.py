@@ -192,18 +192,18 @@ class ObjectServer:
 
         if isinstance(outcome, types.GeneratorType):
             # Long-running method: its own process; reply when it returns.
-            fut = self.services.kernel.spawn(outcome, name=invocation.method)
+            proc = self.services.kernel.spawn(outcome, name=invocation.method)
 
-            def _finish(done_fut) -> None:
+            def _finish(proc) -> None:
+                exc = proc._exception
                 if span is not None:
-                    exc = done_fut.exception()
-                    tracer.finish(span, type(exc).__name__ if exc else "ok")
-                if done_fut.failed():
-                    self._reply(request, MethodResult.failure(done_fut.exception()))
+                    tracer.finish(span, "ok" if exc is None else type(exc).__name__)
+                if exc is None:
+                    self._reply(request, MethodResult(proc._result))
                 else:
-                    self._reply(request, MethodResult(done_fut.result()))
+                    self._reply(request, MethodResult.failure(exc))
 
-            fut.add_done_callback(_finish)
+            proc._cb = _finish  # a fresh process's one callback slot
         else:
             if span is not None:
                 tracer.finish(span)

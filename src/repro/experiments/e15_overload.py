@@ -116,9 +116,7 @@ def _run_level(
 
     metrics = system.services.metrics
     metrics_shed = sum(metrics.snapshot(None, MetricsRegistry.SHED).values())
-    faultlog_shed = sum(
-        1 for i in system.services.fault_log.observed if i.kind == "request-shed"
-    )
+    faultlog_shed = system.services.fault_log.count("request-shed")
     runtimes = system.runtimes(clients)
     wire_shed = sum(rt.stats.shed for rt in runtimes)
 

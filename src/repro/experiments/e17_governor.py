@@ -260,7 +260,7 @@ def _run_arm(
 
     metrics = system.services.metrics
     metrics_shed = sum(metrics.snapshot(None, MetricsRegistry.SHED).values())
-    faultlog_shed = sum(1 for i in log.observed if i.kind == "request-shed")
+    faultlog_shed = log.count("request-shed")
     runtimes = system.runtimes(clients)
     wire_shed = sum(rt.stats.shed for rt in runtimes)
     lost = set(log.lost_objects())

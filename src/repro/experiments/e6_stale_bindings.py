@@ -53,7 +53,7 @@ def _run_level(churn_interval: float, seed: int, quick: bool):
             rng=system.services.rng.stream("e6-churn"),
             interval=churn_interval,
         )
-        churn_proc = system.kernel.spawn_process(churn._loop(), name="churn")
+        churn_proc = system.kernel.spawn(churn._loop(), name="churn")
     stats_fut = traffic.start()
     stats = system.kernel.run_until_complete(stats_fut, max_events=5_000_000)
     if churn_interval > 0:

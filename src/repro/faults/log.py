@@ -2,18 +2,18 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, NamedTuple, Tuple
 
 
-@dataclass(frozen=True)
-class FaultIncident:
+class FaultIncident(NamedTuple):
     """One timestamped incident, injected or observed."""
 
     time: float
     kind: str
     target: str
-    detail: str = ""
+    detail: str
 
 
 @dataclass
@@ -30,13 +30,23 @@ class FaultLog:
     injected: List[FaultIncident] = field(default_factory=list)
     observed: List[FaultIncident] = field(default_factory=list)
 
+    def __post_init__(self) -> None:
+        self._counts = Counter(i.kind for i in self.injected + self.observed)
+
     def inject(self, time: float, kind: str, target: str, detail: str = "") -> None:
         """Record an incident the driver caused."""
         self.injected.append(FaultIncident(time, kind, target, detail))
+        self._counts[kind] += 1
 
     def observe(self, time: float, kind: str, target: str, detail: str = "") -> None:
         """Record an incident the system noticed/repaired."""
         self.observed.append(FaultIncident(time, kind, target, detail))
+        self._counts[kind] += 1
+
+    def count(self, kind: str) -> int:
+        """Incidents of ``kind`` so far, in O(1).  The two ledgers use
+        disjoint kinds ("request-shed" is only ever observed)."""
+        return self._counts[kind]
 
     # ------------------------------------------------------------- reconciliation
 

@@ -44,7 +44,7 @@ class RecoverySweeper:
         for index, site in enumerate(sorted(self.system.magistrates)):
             server = self.system.magistrates[site]
             self._procs.append(
-                self.system.kernel.spawn_process(
+                self.system.kernel.spawn(
                     self._loop(server, index), name=f"recovery-sweep-{site}"
                 )
             )

@@ -195,9 +195,7 @@ class EvidenceCollector:
         retry_denied = sum(rt.stats.retry_denied for rt in runtimes)
         fault_log = system.services.fault_log
         if fault_log is not None:
-            shed_faultlog = sum(
-                1 for i in fault_log.observed if i.kind == "request-shed"
-            )
+            shed_faultlog = fault_log.count("request-shed")
             lost = set(fault_log.lost_objects())
             recovered = set(fault_log.recovered_objects())
             faults_lost, faults_recovered = len(lost), len(recovered)

@@ -152,7 +152,7 @@ class Governor:
     def start(self) -> None:
         """Spawn the governing loop on the simulation kernel (idempotent)."""
         if self._proc is None:
-            self._proc = self.system.kernel.spawn_process(
+            self._proc = self.system.kernel.spawn(
                 self._loop(), name="health-governor"
             )
 

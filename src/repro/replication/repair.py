@@ -188,7 +188,7 @@ class ReplicaRepairService:
             return
         for index, site in enumerate(self.directory.sites()):
             self._procs.append(
-                self.system.kernel.spawn_process(
+                self.system.kernel.spawn(
                     self._loop(site, index), name=f"replica-repair-{site}"
                 )
             )

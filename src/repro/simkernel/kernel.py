@@ -10,8 +10,8 @@ Processes are plain Python generators.  A process may ``yield``:
 * another generator -- spawned as a child process and awaited;
 * ``None`` -- yield the floor: resume after all currently-due events.
 
-A process's ``return`` value becomes the result of the :class:`SimFuture`
-returned by :meth:`SimKernel.spawn`.
+:meth:`SimKernel.spawn` returns the :class:`Process`, itself the
+:class:`SimFuture` of the generator's ``return`` value.
 
 The loop is strictly deterministic: events at equal times run in schedule
 order (a monotonically increasing sequence number breaks ties).
@@ -23,19 +23,18 @@ Hot-path design (the fast path every experiment sweep lives on):
   unique.  Nothing cancels: a :meth:`SimKernel.deadline` runs only if its
   future is still pending; one settled first is dropped from its delay's
   FIFO lane (one heap entry per lane) and counts no event.
-* Resuming a process from a resolved future does **not** allocate a fresh
-  0-delay event when nothing else is due at the current instant; the
-  resume runs on a bounded FIFO *trampoline* drained after the current
-  event's callback returns.  Because the trampoline runs exactly where the
-  0-delay event would have run (after the current callback, before any
-  strictly-later event, in resolution order), the event *order* -- and
-  therefore every simulated-time result -- is bit-identical to the naive
-  always-schedule kernel.  When another event *is* due at the same instant
-  the kernel falls back to a real event, preserving seq-order fairness.
-  Trampolined resumes still count in :attr:`SimKernel.events_executed`.
-* The trampoline is depth-bounded (:attr:`SimKernel.TRAMPOLINE_LIMIT`):
-  a pathological zero-time resolve/resume loop spills back into the heap
-  as ordinary events so ``max_events`` guards still engage.
+* A process's first step and every resume from a resolved future skip the
+  heap when nothing else is due at the current instant: they run on a
+  bounded FIFO *trampoline* that the loop drains inline after the current
+  callback returns -- exactly where the 0-delay event would have run
+  (before any strictly-later event, in queueing order), so event order,
+  ``now`` and :attr:`SimKernel.events_executed` are bit-identical to the
+  naive always-heap kernel.  When another event *is* due at this instant
+  the step becomes a real event and keeps its place in seq order.  Past
+  :attr:`SimKernel.TRAMPOLINE_LIMIT` steps a zero-time loop spills into
+  the heap, so ``max_events`` guards still engage.
+* One object per spawn: the process settles itself inline and drops its
+  generator the moment it returns.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ from collections import deque
 from types import GeneratorType
 from typing import Any, Callable, Deque, Dict, Generator, List, Optional, Tuple
 
-from repro.errors import ProcessKilled, SimulationDeadlock, SimulationError
+from repro.errors import FutureError, ProcessKilled, SimulationDeadlock, SimulationError
 from repro.simkernel.futures import SimFuture
 
 ProcessGen = Generator[Any, Any, Any]
@@ -80,27 +79,29 @@ def _spent(_value: Any) -> None:
     """What a finished :class:`Process` points its two callbacks at.
 
     They were bound methods of itself -- the only cycle -- so a finished
-    process, its generator and its future are freed by refcount when the
-    last waiter lets go.  A callable, not ``None``: a resume still on its
-    way (killed while parked, the future resolves later) is queued all
-    the same and counts its one event -- ``events_executed`` is in digests.
+    process is freed by refcount when the last waiter lets go.  A
+    callable, not ``None``: a resume still on its way (killed while
+    parked, the future resolves later) is queued all the same and counts
+    its one event -- ``events_executed`` is in digests.
     """
 
 
-class Process:
-    """A running simulation process wrapping a generator.
-
-    Not constructed directly -- use :meth:`SimKernel.spawn`.
+class Process(SimFuture):
+    """A running generator and the future of its return value, one object
+    (as an asyncio ``Task`` is a ``Future``).  Not constructed directly --
+    use :meth:`SimKernel.spawn`.  Only its own generator settles it:
+    ``set_result``/``set_exception`` raise :class:`~repro.errors.FutureError`.
     """
 
-    __slots__ = ("kernel", "gen", "future", "name", "_alive", "_step_cb", "_fut_cb")
+    __slots__ = ("kernel", "gen", "_step_cb", "_fut_cb")
 
     def __init__(self, kernel: "SimKernel", gen: ProcessGen, name: str) -> None:
+        # SimFuture.__init__, minus its frame: one process per spawn.
+        self._state = "pending"
+        self._result = self._exception = self._cb = self._callbacks = None
+        self.name = name
         self.kernel = kernel
         self.gen = gen
-        self.future = SimFuture(name or "process")
-        self.name = name
-        self._alive = True
         # Bound methods are allocated on every attribute access; the two
         # below are passed to the scheduler on every step, so bind once.
         self._step_cb = self._step_send
@@ -109,36 +110,43 @@ class Process:
     @property
     def alive(self) -> bool:
         """True until the generator returns, raises, or is killed."""
-        return self._alive
+        return self.gen is not None
 
     def kill(self, reason: str = "killed") -> None:
         """Throw :class:`ProcessKilled` into the process at its next step."""
-        if not self._alive:
-            return
-        self.kernel.post(0.0, self._step_throw, ProcessKilled(reason))
+        if self.gen is not None:
+            self.kernel.post(0.0, self._step_throw, ProcessKilled(reason))
+
+    def set_result(self, *_: Any) -> None:
+        """Refused: a process is settled by its own generator only."""
+        raise FutureError(f"process {self.name!r} is settled by its generator only")
+
+    set_exception = set_result
 
     # -- stepping -----------------------------------------------------------
 
     def _step_send(self, value: Any) -> None:
-        if not self._alive:
+        gen = self.gen
+        if gen is None:
             return
         try:
-            yielded = self.gen.send(value)
+            yielded = gen.send(value)
         except StopIteration as stop:
             self._finish(stop.value)
             return
         except BaseException as exc:  # noqa: BLE001 - mirrored to future
             self._fail(exc)
             return
+        kind = type(yielded)
         if (
-            type(yielded) is SimFuture
+            (kind is SimFuture or kind is Process)
             and yielded._cb is None
             and yielded._state == "pending"
         ):
             # The step every remote call parks on: first waiter of a
             # pending future is add_done_callback's slot store, done here.
             yielded._cb = self._fut_cb
-        elif type(yielded) is Timeout:
+        elif kind is Timeout:
             # post(yielded.delay, self._step_cb, None), minus the frame
             # (the delay was checked when the Timeout was built).
             kernel = self.kernel
@@ -151,7 +159,7 @@ class Process:
             self._handle_yield(yielded)
 
     def _step_throw(self, exc: BaseException) -> None:
-        if not self._alive:
+        if self.gen is None:
             return
         try:
             yielded = self.gen.throw(exc)
@@ -169,8 +177,8 @@ class Process:
         elif isinstance(yielded, Timeout):
             self.kernel.post(yielded.delay, self._step_cb, None)
         elif isinstance(yielded, Generator):
-            child = self.kernel.spawn(yielded, name=self.name + ".child")
-            child.add_done_callback(self._fut_cb)
+            # A fresh process: its callback slot is free.
+            self.kernel.spawn(yielded, name=self.name + ".child")._cb = self._fut_cb
         elif yielded is None:
             self.kernel.post(0.0, self._step_cb, None)
         else:
@@ -196,14 +204,30 @@ class Process:
             kernel._micro.append((fn, arg))
 
     def _finish(self, value: Any) -> None:
-        self._alive = False
+        # SimFuture.set_result's body; the generator and its frame go now,
+        # even while a waiter still holds the process.
+        self.gen = None
         self._step_cb = self._fut_cb = _spent
-        self.future.set_result(value)
+        self._state = "done"
+        self._result = value
+        cb = self._cb
+        if cb is not None:
+            self._cb = None
+            cb(self)
+        if self._callbacks:
+            self._run_callbacks()
 
     def _fail(self, exc: BaseException) -> None:
-        self._alive = False
+        self.gen = None
         self._step_cb = self._fut_cb = _spent
-        self.future.set_exception(exc)
+        self._state = "failed"
+        self._exception = exc
+        cb = self._cb
+        if cb is not None:
+            self._cb = None
+            cb(self)
+        if self._callbacks:
+            self._run_callbacks()
 
 
 class SimKernel:
@@ -295,12 +319,13 @@ class SimKernel:
             heapq.heappush(self._queue, (entry[0], entry[1], None, lane))
         lane.append(entry)
 
-    def spawn(self, gen: ProcessGen, name: str = "") -> SimFuture:
-        """Start ``gen`` as a process; returns a future for its return value.
+    def spawn(self, gen: ProcessGen, name: str = "") -> Process:
+        """Start ``gen`` as a process and return it: the future of its
+        return value, and what :meth:`Process.kill` kills.
 
-        The first step of the process runs on a fresh event at the current
-        time, never synchronously inside ``spawn`` -- so spawn order, not
-        call-stack shape, determines execution order.
+        The first step never runs synchronously inside ``spawn`` -- so
+        spawn order, not call-stack shape, determines execution order.  It
+        is queued as a resume is (module docstring, "Hot-path").
         """
         # type-is first: native generators (every process in practice)
         # skip the typing-ABC __instancecheck__ walk on the spawn path.
@@ -311,20 +336,12 @@ class SimKernel:
             )
         self._processes_spawned += 1
         proc = Process(self, gen, name or f"proc-{self._processes_spawned}")
-        # post(0.0, proc._step_cb, None), minus the frame: one spawn per call.
-        self._seq += 1
-        heapq.heappush(self._queue, (self.now, self._seq, proc._step_cb, (None,)))
-        return proc.future
-
-    def spawn_process(self, gen: ProcessGen, name: str = "") -> Process:
-        """Like :meth:`spawn` but returns the :class:`Process` (killable)."""
-        if type(gen) is not GeneratorType and not isinstance(gen, Generator):
-            raise SimulationError(
-                f"spawn_process() needs a generator, got {type(gen).__name__}"
-            )
-        self._processes_spawned += 1
-        proc = Process(self, gen, name or f"proc-{self._processes_spawned}")
-        self.post(0.0, proc._step_cb, None)
+        queue = self._queue
+        if queue and queue[0][0] <= self.now:
+            self._seq += 1
+            heapq.heappush(queue, (self.now, self._seq, proc._step_cb, (None,)))
+        else:
+            self._micro.append((proc._step_cb, None))
         return proc
 
     # -- deadline lanes (the lane's entry is on top of the heap) -------------
@@ -357,27 +374,24 @@ class SimKernel:
     # -- trampoline ---------------------------------------------------------
 
     def _drain_micro(self) -> None:
+        """Run the trampoline (``_drive`` has this loop inline).  Past
+        ``TRAMPOLINE_LIMIT`` steps a zero-time loop spills into the heap
+        (FIFO order kept by ascending seqs) so ``max_events`` sees it."""
         micro = self._micro
         budget = self.TRAMPOLINE_LIMIT
-        while micro:
-            if budget == 0:
-                # Pathological zero-time loop: spill the remainder into the
-                # heap (FIFO order is preserved by ascending seqs) so the
-                # outer loop's max_events guard can see it.
-                while micro:
-                    fn, arg = micro.popleft()
-                    self.post(0.0, fn, arg)
-                return
+        while micro and budget:
             fn, arg = micro.popleft()
             budget -= 1
             self._events_executed += 1
             fn(arg)
+        while micro:
+            self.post(0.0, *micro.popleft())
 
     # -- running ------------------------------------------------------------
 
     def step(self) -> bool:
         """Run the single next unit of work.  False if nothing is pending."""
-        if self._micro:  # resumes queued outside an event (e.g. test code)
+        if self._micro:  # steps queued outside an event (a spawn, test code)
             self._drain_micro()
             return True
         queue = self._queue
@@ -436,15 +450,16 @@ class SimKernel:
         Stops when nothing is pending, *before* the first live event later
         than ``until``, or once ``fut`` is no longer pending; raises past
         ``max_events`` units of work, a unit being what one ``step()``
-        does -- a heap event with the resumes it trampolines, or a
-        stand-alone drain of resumes queued outside an event.
+        does -- a heap event with the steps it trampolines, or a
+        stand-alone drain of steps queued outside an event (due ``now``).
         """
         queue = self._queue
         micro = self._micro
+        popleft = micro.popleft
         pop = heapq.heappop
         executed = 0
         while fut is None or fut._state == "pending":
-            if not micro:  # else: resumes queued outside an event; no pop
+            if not micro:  # else: steps queued outside an event; no pop
                 if not queue:
                     return
                 time, seq, fn, args = queue[0]
@@ -452,6 +467,8 @@ class SimKernel:
                     continue  # a deadline lane re-keyed or gone: look again
                 if until is not None and time > until:
                     return
+            elif until is not None and self.now > until:
+                return
             if executed == max_events:
                 raise SimulationError(f"exceeded max_events={max_events}")
             executed += 1
@@ -463,8 +480,15 @@ class SimKernel:
                 self.now = time
                 self._events_executed += 1
                 fn(*args)
-            if micro:
-                self._drain_micro()  # leaves micro empty (spills go to queue)
+            if micro:  # _drain_micro, minus its frame
+                budget = self.TRAMPOLINE_LIMIT
+                while micro and budget:
+                    fn, arg = popleft()
+                    budget -= 1
+                    self._events_executed += 1
+                    fn(arg)
+                while micro:  # the spill
+                    self.post(0.0, *popleft())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<SimKernel t={self.now:.3f} queued={len(self._queue)}>"

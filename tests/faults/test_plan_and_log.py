@@ -93,3 +93,15 @@ class TestFaultLog:
         assert summary["recovery_time_mean"] == 4.0
         blob = json.dumps(log.to_json(), sort_keys=True)
         assert "object-recovered" in blob
+
+    def test_count_is_the_ledgers_rescanned(self):
+        log = FaultLog()
+        for n in range(5):
+            log.observe(float(n), "request-shed", "application:x", "queue full")
+        log.inject(6.0, "object-lost", "a")
+        log.observe(7.0, "object-recovered", "a")
+        for kind in ("request-shed", "object-lost", "object-recovered", "host-crash"):
+            rescanned = sum(i.kind == kind for i in log.injected + log.observed)
+            assert log.count(kind) == rescanned
+        assert log.count("request-shed") == 5
+        assert log.observed[0] == (0.0, "request-shed", "application:x", "queue full")

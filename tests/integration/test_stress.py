@@ -39,7 +39,7 @@ class TestCombinedAdversity:
             rng=system.services.rng.stream("stress-churn"),
             interval=60.0,
         )
-        churn_proc = system.kernel.spawn_process(churn._loop())
+        churn_proc = system.kernel.spawn(churn._loop())
         traffic = TrafficDriver(
             system.kernel,
             clients,

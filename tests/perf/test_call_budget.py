@@ -11,7 +11,7 @@ delivery, reply delivery, resume) and two messages.
 Every configuration walks the same invoke and dispatch bodies, so each
 has its own steady-state ceiling here, and going back to the plain
 configuration costs the plain figure on the very next call.  Measured:
-80 calls plain, 119 with a tracer active, 98 under
+77 calls plain, 116 with a tracer active, 95 under
 ``FlowConfig(capacity=64, credit_window=8)``; each ceiling is exactly
 its count.  The deadline a reply settles leaves nothing behind: after
 200 warm calls the kernel heap holds at most one entry, its lane.
@@ -26,6 +26,7 @@ split calls differently, so the ratchet runs on CPython 3.11 only (the
 version the ledger's baseline was cut on).
 """
 
+import gc
 import sys
 from dataclasses import replace
 
@@ -43,7 +44,7 @@ pytestmark = pytest.mark.skipif(
 
 #: Python + builtin calls one warm call may make (ROADMAP item 1).  Each
 #: ceiling here is the measured count, so a single added call fails.
-CALL_BUDGET = 80
+CALL_BUDGET = 77
 
 
 def warm_testbed(flow=None):
@@ -57,19 +58,27 @@ def warm_testbed(flow=None):
 
 
 def count_calls(fn, *args):
-    """``(fn(*args), the Python + builtin calls it made)``."""
+    """``(fn(*args), the Python + builtin calls it made)``.
+
+    The collector is off while counting: earlier tests' cyclic garbage
+    (a parked generator closed by the collector resumes its frame) would
+    otherwise be counted against ``fn`` whenever a collection fell inside.
+    """
     counts = {"call": 0, "c_call": 0}
 
     def hook(_frame, event, _arg):
         if event in counts:
             counts[event] += 1
 
+    gc.collect()
+    gc.disable()
     previous = sys.getprofile()
     sys.setprofile(hook)
     try:
         result = fn(*args)
     finally:
         sys.setprofile(previous)  # itself one counted c_call
+        gc.enable()
     return result, counts["call"] + counts["c_call"]
 
 
@@ -100,8 +109,8 @@ def test_settled_deadlines_leave_the_heap():
     "flow, traced, ceiling",
     [
         (None, False, CALL_BUDGET),
-        (None, True, 119),  # + invoke / resolve / request / handle spans
-        (FlowConfig(capacity=64, credit_window=8), False, 98),  # + admission, credits
+        (None, True, 116),  # + invoke / resolve / request / handle spans
+        (FlowConfig(capacity=64, credit_window=8), False, 95),  # + admission, credits
     ],
     ids=["plain", "traced", "flow"],
 )
@@ -132,8 +141,9 @@ def test_an_open_loop_request_fits_its_budget():
     11.7, ``run`` -> ``_peek`` -> ``step`` per event), 26,724 kernel
     events = 7.58989 per request.  One loop made it 131.48 sliced or not;
     request deadlines that nothing cancels made it 126.0906 (443,965
-    calls), and that is the ceiling; the events are the simulation's and
-    may not move at all.
+    calls); a process that is its own future, with its first step on the
+    trampoline, made it 118.3212 (416,609 calls), and that is the
+    ceiling; the events are the simulation's and may not move at all.
     """
     spec = get_scenario("diurnal-regional")
     spec = replace(
@@ -156,4 +166,4 @@ def test_an_open_loop_request_fits_its_budget():
     settled = driver.stats.calls_succeeded + driver.stats.calls_failed
     assert settled == driver.stats.calls_issued == 3521
     assert kernel.events_executed - events == 26724
-    assert calls / settled <= 126.0906
+    assert calls / settled <= 118.3213

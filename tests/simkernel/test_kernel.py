@@ -164,11 +164,11 @@ class TestProcesses:
                 cleaned.append(True)
                 raise
 
-        ticket = kernel.spawn_process(proc())
-        kernel.schedule(1.0, lambda: ticket.kill("stop"))
+        process = kernel.spawn(proc())
+        kernel.schedule(1.0, lambda: process.kill("stop"))
         kernel.run()
         assert cleaned == [True]
-        assert ticket.future.failed()
+        assert process.failed()
 
     def test_deadlock_detected(self, kernel):
         never = SimFuture()

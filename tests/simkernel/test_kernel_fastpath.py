@@ -5,12 +5,14 @@ These pin down the invariants the tuple-heap/trampoline design must
 keep: a deadline whose future has settled -- the only way one is
 cancelled -- never runs, counts no event, never moves the clock and is
 not in ``pending_events``; settled deadlines never pile up in the heap;
-trampolined resumes preserve event order and the ``events_executed``
-count; and ``run()``, ``run(until=)``, ``run(max_events=)`` and
+trampolined first steps and resumes preserve event order and the
+``events_executed`` count, against a kernel that puts every step on the
+heap; and ``run()``, ``run(until=)``, ``run(max_events=)`` and
 ``run_until_complete`` are ``step()`` after ``step()`` and nothing else.
 """
 
 import sys
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -353,7 +355,14 @@ ACTIONS = st.recursive(
         # deadline when ``first``.
         st.tuples(st.just("deadline"), DELAYS, DELAYS, st.booleans()),
     ),
-    lambda inner: st.tuples(st.just("child"), st.lists(inner, max_size=3)),
+    lambda inner: st.one_of(
+        st.tuples(st.just("child"), st.lists(inner, max_size=3)),  # yield a generator
+        # kernel.spawn, after a post due at the same instant when ``post``;
+        # the process is yielded (joined) when ``join``.
+        st.tuples(
+            st.just("spawn"), st.lists(inner, max_size=3), st.booleans(), st.booleans()
+        ),
+    ),
     max_leaves=8,
 )
 
@@ -369,11 +378,31 @@ class TinyTrampoline(SimKernel):
     TRAMPOLINE_LIMIT = 4  # so a 12-resume spin spills into the heap
 
 
+class _Posted(deque):
+    """A trampoline that posts each step as a 0-delay heap event instead."""
+
+    def __init__(self, kernel):
+        super().__init__()
+        self.kernel = kernel
+
+    def append(self, step):
+        self.kernel.post(0.0, *step)
+
+
+class HeapKernel(SimKernel):
+    """The naive kernel the trampoline is held to: every first step and
+    every resume is a heap event of its own."""
+
+    def __init__(self):
+        super().__init__()
+        self._micro = _Posted(self)
+
+
 class Program:
     """One random program built on a fresh kernel; ``log`` is what ran."""
 
-    def __init__(self, spec):
-        self.kernel = kernel = TinyTrampoline()
+    def __init__(self, spec, kernel_type=TinyTrampoline):
+        self.kernel = kernel = kernel_type()
         self.log = log = []
 
         def body(tag, actions):
@@ -405,6 +434,13 @@ class Program:
                     kernel.deadline(fut, delay, log.append, (tag, n, "deadline"))
                     if not first:
                         kernel.post(settle_delay, fut.set_result, None)
+                elif kind == "spawn":
+                    _, actions, post, join = action
+                    if post:
+                        kernel.post(0.0, log.append, (tag, n, "post"))
+                    proc = kernel.spawn(body(f"{tag}.{n}", actions))
+                    if join:
+                        assert (yield proc) == f"{tag}.{n}"
                 else:
                     yield body(f"{tag}.{n}", action[1])
             log.append((tag, "end", kernel.now))
@@ -412,14 +448,17 @@ class Program:
 
         self.futures = []
         for i, (start, actions, kill) in enumerate(spec):
-            proc = kernel.spawn_process(body(f"p{i}", [("sleep", start), *actions]))
-            self.futures.append(proc.future)
+            proc = kernel.spawn(body(f"p{i}", [("sleep", start), *actions]))
+            self.futures.append(proc)
             if kill is not None:
                 kernel.post(kill, proc.kill)
 
     def state(self):
         kernel = self.kernel
         return (list(self.log), kernel.now, kernel.events_executed, kernel.pending_events)
+
+    def outcomes(self):
+        return [outcome(fut.result) for fut in self.futures]
 
     # The reference drivers: step() and nothing else.
 
@@ -440,8 +479,9 @@ class Program:
     def steps_until(self, until):
         kernel = self.kernel
         while True:
-            due = self.next_due()
-            if not kernel._micro and (due is None or due > until):
+            # Steps queued outside an event are due now.
+            due = kernel.now if kernel._micro else self.next_due()
+            if due is None or due > until:
                 break
             kernel.step()
         kernel.now = max(kernel.now, until)
@@ -517,6 +557,22 @@ class TestOneLoop:
         got.kernel.run()
         assert got.state() == ref.state()
 
+    def test_steps_queued_outside_an_event_wait_for_an_until_that_reaches_now(self):
+        kernel = SimKernel()
+        kernel.post(5.0, lambda: None)
+        kernel.run()
+        ran = []
+
+        def proc():
+            ran.append(kernel.now)
+            yield Timeout(1.0)
+
+        kernel.spawn(proc())  # outside any event: on the trampoline, due at 5.0
+        kernel.run(until=3.0)
+        assert (ran, kernel.now, kernel.pending_events) == ([], 5.0, 1)
+        kernel.run(until=5.0)
+        assert (ran, kernel.pending_events) == ([5.0], 1)
+
     def test_run_until_the_past_leaves_the_clock_alone(self):
         kernel = SimKernel()
         ran = []
@@ -567,3 +623,42 @@ class TestOneLoop:
         assert kernel.events_executed == 2 and kernel.pending_events == 1
         kernel.run(max_events=1)
         assert kernel.now == 1.0
+
+
+class TestAgainstTheHeapKernel:
+    """The trampoline changes no order: the real kernel (at its real
+    ``TRAMPOLINE_LIMIT``, which these programs never reach -- a spill
+    re-posts with fresh seqs) against :class:`HeapKernel`, on the same
+    programs, spawns from trampolined resumes and beside same-instant
+    posts included."""
+
+    @settings(max_examples=150)
+    @given(PROGRAMS, st.lists(st.integers(0, 40).map(lambda n: n / 4), max_size=8))
+    def test_every_run_until_stop_matches(self, spec, slices):
+        ref, got = Program(spec, HeapKernel), Program(spec, SimKernel)
+        assert got.state() == ref.state()
+        for until in slices:
+            ref.kernel.run(until=until)
+            got.kernel.run(until=until)
+            assert got.state() == ref.state()
+        ref.kernel.run()
+        got.kernel.run()
+        assert got.state() == ref.state()
+        assert got.kernel.pending_events == 0
+        assert got.outcomes() == ref.outcomes()
+
+    @settings(max_examples=150)
+    @given(PROGRAMS, st.data())
+    def test_run_until_complete_gives_the_same_outcomes(self, spec, data):
+        """A future may settle mid-instant, where the real kernel's drain
+        has run steps the heap kernel still holds, so these stops compare
+        outcomes; everything is compared once both have drained."""
+        ref, got = Program(spec, HeapKernel), Program(spec, SimKernel)
+        for index in data.draw(st.permutations(range(len(spec)))):
+            expected = outcome(lambda: ref.kernel.run_until_complete(ref.futures[index]))
+            fut = got.futures[index]
+            assert outcome(lambda: got.kernel.run_until_complete(fut)) == expected
+        ref.kernel.run()
+        got.kernel.run()
+        assert got.state() == ref.state()
+        assert got.outcomes() == ref.outcomes()

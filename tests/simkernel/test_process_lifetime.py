@@ -13,7 +13,7 @@ import weakref
 
 import pytest
 
-from repro.errors import ProcessKilled, SimulationError
+from repro.errors import FutureError, ProcessKilled, SimulationError
 from repro.simkernel.futures import SimFuture
 from repro.simkernel.kernel import Process, SimKernel, Timeout
 from repro.system.legion import LegionSystem, SiteSpec
@@ -54,9 +54,12 @@ def test_the_call_path_leaves_no_cyclic_garbage(no_collector):
 
 
 def test_a_finished_process_dies_with_its_last_reference(no_collector):
-    """Process and SimFuture are ``__slots__`` classes without a weakref
-    slot, so the process is looked for among the tracked objects and the
-    future is watched through the result it holds."""
+    """The process is its own future, so a waiter holding the result holds
+    the process -- but not its generator: that and its frame go the
+    moment it returns.  The process goes with its last reference, and
+    neither leaves the collector anything.  Process is a ``__slots__``
+    class without a weakref slot, so it is looked for among the tracked
+    objects and watched through the result it holds."""
 
     class Result:
         pass
@@ -77,19 +80,36 @@ def test_a_finished_process_dies_with_its_last_reference(no_collector):
         yield gate
         return Result()
 
-    proc = kernel.spawn_process(parent())
+    proc = kernel.spawn(parent())
     kernel.post(5.0, gate.set_result, None)
-    fut = proc.future
     generator = weakref.ref(proc.gen)
-    del proc
     assert live_processes(others) == 1
     kernel.run(until=2.0)
     assert live_processes(others) == 1  # the child is gone, the parent is parked
+    assert generator() is not None
     kernel.run()
-    assert live_processes(others) == 0 and generator() is None
-    result = weakref.ref(fut.result())
-    del fut
-    assert result() is None
+    assert generator() is None and not proc.alive  # freed at finish, proc still held
+    assert live_processes(others) == 1
+    result = weakref.ref(proc.result())
+    del proc
+    assert live_processes(others) == 0 and result() is None
+    assert gc.collect() == 0
+
+
+def test_only_its_own_generator_settles_a_process(kernel):
+    def mine():
+        yield Timeout(1.0)
+        return "mine"
+
+    proc = kernel.spawn(mine())
+    with pytest.raises(FutureError, match="settled by its generator only"):
+        proc.set_result("yours")
+    with pytest.raises(FutureError, match="settled by its generator only"):
+        proc.set_exception(ValueError("yours"))
+    assert kernel.run_until_complete(proc) == "mine"
+    with pytest.raises(FutureError):
+        proc.set_result("too late")
+    assert proc.result() == "mine"
 
 
 def test_a_late_resume_of_a_killed_process_counts_one_event_and_runs_nothing(kernel):
@@ -103,13 +123,13 @@ def test_a_late_resume_of_a_killed_process_counts_one_event_and_runs_nothing(ker
         yield fut
         ran.append("resumed")
 
-    procs = [kernel.spawn_process(parked(fut)) for fut in futures]
+    procs = [kernel.spawn(parked(fut)) for fut in futures]
     kernel.run()
     for proc in procs:
         proc.kill()
     kernel.run()
     assert [proc.alive for proc in procs] == [False, False]
-    assert all(isinstance(proc.future.exception(), ProcessKilled) for proc in procs)
+    assert all(isinstance(proc.exception(), ProcessKilled) for proc in procs)
 
     events = kernel.events_executed
     futures[0].set_result("too late")
