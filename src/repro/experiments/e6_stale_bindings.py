@@ -62,7 +62,7 @@ def _run_level(churn_interval: float, seed: int, quick: bool):
 
     stale = sum(c.runtime.stats.stale_detected for c in clients)
     refreshes = sum(c.runtime.stats.refreshes for c in clients)
-    return stats, stale, refreshes, churn.churn_events if churn else 0
+    return stats, stale, refreshes, churn.churn_events if churn else 0, system
 
 
 def run(quick: bool = True, seed: int = 0) -> ExperimentResult:
@@ -81,7 +81,7 @@ def run(quick: bool = True, seed: int = 0) -> ExperimentResult:
     levels = [0, 200, 50] if quick else [0, 400, 200, 100, 50]
     saw_stale_under_churn = False
     for interval in levels:
-        stats, stale, refreshes, churn_events = _run_level(interval, seed, quick)
+        stats, stale, refreshes, churn_events, _system = _run_level(interval, seed, quick)
         recorder.add(
             interval,
             churn_events=churn_events,

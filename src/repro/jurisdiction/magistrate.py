@@ -19,8 +19,7 @@ the creation and migration protocols need):
 * ``CreateObject(opr, host_hint)`` -- the class-object cooperation path of
   section 4.2 ("the actual creation of the object is carried out by the
   Magistrate and Host Object").
-* ``ImportObject(bytes)`` / ``ExportObject(LOID)`` -- the receiving/sending
-  halves of migration.
+* ``ImportObject(bytes)`` -- the receiving half of migration.
 * ``ReportExceptions(host, list)`` -- Host Objects report reaped crashes.
 
 Every method is guarded by the magistrate's MayI policy (site autonomy:
@@ -36,7 +35,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import (
-    BindingNotFound,
     DeliveryFailure,
     InvocationTimeout,
     LegionError,
@@ -54,14 +52,43 @@ from repro.naming.binding import Binding
 from repro.naming.loid import LOID
 from repro.net.address import ObjectAddress
 from repro.persistence.opr import OPRecord
-from repro.simkernel.futures import SimFuture, single_flight
+from repro.simkernel.futures import SimFuture
 
 
 class ObjectState(enum.Enum):
-    """The two object states of section 3.1."""
+    """The life of a managed object: section 3.1's two states, and three more."""
 
     ACTIVE = "active"
     INERT = "inert"
+    #: Inert through a failure: activating it is a recovery.
+    LOST = "lost"
+    #: Replica processes (section 4.3); the class owns the group address.
+    GROUP = "group"
+    #: The OPR went to another magistrate: Activate and RecoverObject
+    #: follow it there until the class acknowledges NoteMigrated.
+    MOVED = "moved"
+
+    # Every request looks LIFECYCLE up: hash in C, not in ``Enum.__hash__``.
+    __hash__ = object.__hash__
+
+
+ACTIVE, INERT, LOST, GROUP, MOVED = ObjectState
+#: The lifecycle, declared once: for each state, the requests it accepts
+#: and the state each leaves the record in (None: the record goes; Fail: a
+#: failure the magistrate observes).  Any other request is refused with
+#: ``REFUSALS[request]`` (the class then tries its next magistrate) or
+#: LifecycleError.
+LIFECYCLE: Dict[ObjectState, Dict[str, Optional[ObjectState]]] = {
+    ACTIVE: dict(Activate=ACTIVE, Checkpoint=ACTIVE, RecoverObject=ACTIVE, Deactivate=INERT,
+                 Copy=INERT, Move=MOVED, Fail=LOST, Delete=None),
+    INERT: dict(Activate=ACTIVE, RecoverObject=ACTIVE, Deactivate=INERT, Checkpoint=INERT,
+                Copy=INERT, Move=MOVED, Delete=None),
+    LOST: dict(Activate=ACTIVE, RecoverObject=ACTIVE, Deactivate=LOST, Checkpoint=LOST,
+               Copy=LOST, Move=MOVED, Delete=None),
+    GROUP: dict(Delete=None),
+    MOVED: dict(Activate=MOVED, RecoverObject=MOVED, Delete=None),
+}
+REFUSALS = {"Activate": RequestRefused, "RecoverObject": RequestRefused}
 
 
 @dataclass
@@ -71,20 +98,17 @@ class ManagedObject:
     loid: LOID
     class_loid: LOID
     state: ObjectState
-    #: Host Object the process runs on (Active only).
-    host: Optional[LOID] = None
-    #: Current Object Address (Active only).
-    address: Optional[ObjectAddress] = None
+    #: Host Object the process runs on (ACTIVE), or the magistrate the
+    #: object moved to (MOVED).
+    host: Optional[LOID]
+    #: Current Object Address (ACTIVE only).
+    address: Optional[ObjectAddress]
     #: The OPR template (identity + factory chain, no state); combined with
     #: freshly saved state on each deactivation.
-    template: Optional[OPRecord] = None
+    template: OPRecord
     #: For system-level replicated objects (section 4.3): the (host LOID,
     #: Object Address) of each replica process this magistrate runs.
     replicas: List[Tuple[LOID, ObjectAddress]] = field(default_factory=list)
-    #: True when the object went Inert through failure (demotion), not a
-    #: clean Deactivate; the next successful activation is a *recovery*
-    #: and is reported to ``services.fault_log`` as such.
-    lost: bool = False
 
 
 class MagistrateImpl(LegionObjectImpl):
@@ -104,10 +128,8 @@ class MagistrateImpl(LegionObjectImpl):
         #: Host identities believed crashed (probe failed hard).  Placement
         #: skips them; re-adopting the host via AddHost clears the mark.
         self.suspect_hosts: set = set()
-        #: object identity → in-flight recovery future, so concurrent
-        #: RecoverObject calls for one lost object coalesce onto a single
-        #: probe + reactivation instead of double-activating.
-        self._recovering: Dict[Tuple[int, int], SimFuture] = {}
+        #: object identity → its one transition in flight (see _transition).
+        self._inflight: Dict[Tuple[int, int], list] = {}
 
     # --------------------------------------------------------------------- hosts
 
@@ -146,10 +168,10 @@ class MagistrateImpl(LegionObjectImpl):
             )
         self.placement_suggestions[loid.identity] = host
 
-    def _choose_host(self, hint: Optional[LOID], loid: Optional[LOID] = None) -> LOID:
+    def _choose_host(self, hint: Optional[LOID], loid: LOID) -> LOID:
         """Pick the Host Object for an activation: the hint (or a standing
         suggestion for ``loid``), else round-robin over unsuspected hosts."""
-        if hint is None and loid is not None:
+        if hint is None:
             hint = self.placement_suggestions.pop(loid.identity, None)
         if hint is not None:
             if all(h.loid != hint for h in self.hosts):
@@ -215,13 +237,12 @@ class MagistrateImpl(LegionObjectImpl):
         """
         return True
 
-    def _checked(self, opr: OPRecord) -> OPRecord:
+    def _checked(self, opr: OPRecord) -> None:
         if not self.admit_opr(opr):
             raise RequestRefused(
                 f"magistrate of {self.jurisdiction.name} refuses {opr.loid} "
                 f"(implementation {opr.factory_chain[0][0]!r})"
             )
-        return opr
 
     # ------------------------------------------------------------------- creation
 
@@ -239,14 +260,7 @@ class MagistrateImpl(LegionObjectImpl):
         env = ctx.nested_env(self.loid) if ctx else self.own_env()
         host = self._choose_host(host_hint, opr.loid)
         address = yield from self.runtime.invoke(host, "Activate", opr, env=env)
-        self.managed[opr.loid.identity] = ManagedObject(
-            loid=opr.loid,
-            class_loid=opr.class_loid,
-            state=ObjectState.ACTIVE,
-            host=host,
-            address=address,
-            template=opr.with_state(None),
-        )
+        self._adopt(opr, ACTIVE, host, address)
         return address
 
     @legion_method("address CreateReplica(opr, LOID)")
@@ -263,10 +277,11 @@ class MagistrateImpl(LegionObjectImpl):
         """
         self._checked(opr)
         env = ctx.nested_env(self.loid) if ctx else self.own_env()
-        used = {host for host, _addr in self._replicas_of(opr.loid)}
+        record = self.managed.get(opr.loid.identity)
+        used = {host for host, _addr in record.replicas} if record else set()
         host = None
         if host_hint is not None:
-            host = self._choose_host(host_hint)
+            host = self._choose_host(host_hint, opr.loid)
         else:
             for candidate in self.hosts:
                 if candidate.loid not in used:
@@ -280,19 +295,15 @@ class MagistrateImpl(LegionObjectImpl):
         address = yield from self.runtime.invoke(host, "Activate", opr, env=env)
         record = self.managed.get(opr.loid.identity)
         if record is None:
-            record = ManagedObject(
-                loid=opr.loid,
-                class_loid=opr.class_loid,
-                state=ObjectState.ACTIVE,
-                template=opr.with_state(None),
-            )
-            self.managed[opr.loid.identity] = record
+            record = self._adopt(opr, GROUP, None, None)
         record.replicas.append((host, address))
         return address
 
-    def _replicas_of(self, loid: LOID) -> List[Tuple[LOID, ObjectAddress]]:
-        record = self.managed.get(loid.identity)
-        return list(record.replicas) if record is not None else []
+    def _adopt(self, opr: OPRecord, state: ObjectState, host, address) -> ManagedObject:
+        """Take charge of ``opr``'s object: its record, born in ``state``."""
+        record = ManagedObject(opr.loid, opr.class_loid, state, host, address, opr.with_state(None))
+        self.managed[opr.loid.identity] = record
+        return record
 
     # ------------------------------------------------------------------ activation
 
@@ -312,67 +323,32 @@ class MagistrateImpl(LegionObjectImpl):
         second parameter lets "a Scheduling Agent (or any other Legion
         object) provide suggestions about where to run the object".
         """
-        record = self._get_managed(loid)
-        if record.state is ObjectState.ACTIVE:
-            if record.address is None and record.replicas:
-                # A system-level replicated object (section 4.3): the
-                # *class* owns the combined group address; a magistrate
-                # only knows its local replicas and cannot activate "the"
-                # object at a single address.
-                raise RequestRefused(
-                    f"{loid} is a replica group; its class manages the "
-                    "group address"
-                )
-            return record.address
-        env = ctx.nested_env(self.loid) if ctx else self.own_env()
-        opr = self.jurisdiction.vault.load_opr(loid)
+        return self._transition(loid, "Activate", ctx, self._activate, host_hint)
+
+    def _activate(self, record: ManagedObject, env, host_hint: Optional[LOID]):
+        if record.state is ACTIVE:
+            return record.address, ()
+        opr = self.jurisdiction.vault.load_opr(record.loid)
         self._checked(opr)
-        host = self._choose_host(host_hint, loid)
+        host = self._choose_host(host_hint, record.loid)
         address = yield from self.runtime.invoke(host, "Activate", opr, env=env)
-        self.jurisdiction.vault.delete_opr(loid)
-        record.state = ObjectState.ACTIVE
-        record.host = host
-        record.address = address
-        if record.lost:
-            # This activation repaired a failure (demotion), whichever path
-            # requested it -- RecoverObject, a sweep, or a plain Activate
-            # after the class cleared the stale row.
-            record.lost = False
-            log = getattr(self.services, "fault_log", None)
-            if log is not None:
-                log.observe(
-                    self.services.kernel.now, "object-recovered", str(loid),
-                    detail=f"reactivated on {host}",
-                )
-        yield from self._notify_class(
-            record, "NoteActivated", loid, address, self.loid, env=env
+        self._enter(record, ACTIVE, host, address, "Activate")
+        return address, self._notify_class(
+            record, "NoteActivated", record.loid, address, self.loid, env=env
         )
-        return address
 
     @legion_method("Deactivate(LOID)")
     def deactivate(self, loid: LOID, *, ctx: Optional[InvocationContext] = None):
         """Move an object to the Inert state: OPR into the vault (3.1)."""
-        record = self._get_managed(loid)
-        if record.state is ObjectState.INERT:
-            return  # idempotent
-        if record.replicas:
-            raise LifecycleError(
-                f"{loid} is a replica group: it has no single process to "
-                "deactivate; shrink it via ReportDeadReplica or remove it "
-                "via Delete"
-            )
-        env = ctx.nested_env(self.loid) if ctx else self.own_env()
-        state = yield from self.runtime.invoke(
-            record.host, "Deactivate", loid, env=env
-        )
-        assert record.template is not None
-        opr = record.template.with_state(state)
-        self.jurisdiction.vault.store_opr(opr)
-        record.state = ObjectState.INERT
-        record.host = None
-        record.address = None
-        yield from self._notify_class(
-            record, "NoteDeactivated", loid, self.loid, env=env
+        return self._transition(loid, "Deactivate", ctx, self._deactivate)
+
+    def _deactivate(self, record: ManagedObject, env):
+        if record.state is not ACTIVE:
+            return None, ()  # idempotent: nothing runs
+        yield from self._save(record, env, "Deactivate")
+        self._enter(record, INERT, None, None, "Deactivate")
+        return None, self._notify_class(
+            record, "NoteDeactivated", record.loid, self.loid, env=env
         )
 
     # ------------------------------------------------------------------- recovery
@@ -382,20 +358,14 @@ class MagistrateImpl(LegionObjectImpl):
         """Snapshot a running object's state into the vault, without
         stopping it.  A later host crash reactivates from this point
         (RecoverObject) instead of losing the state with the process."""
-        record = self._get_managed(loid)
-        if record.state is ObjectState.INERT:
-            return  # the vault OPR already IS the latest state
-        if record.replicas:
-            raise LifecycleError(
-                f"{loid} is a replica group: its replicas carry the "
-                "redundancy; there is no single process to checkpoint"
-            )
-        env = ctx.nested_env(self.loid) if ctx else self.own_env()
-        state = yield from self.runtime.invoke(
-            record.host, "CheckpointObject", loid, env=env
-        )
-        assert record.template is not None
-        self.jurisdiction.vault.store_opr(record.template.with_state(state))
+        return self._transition(loid, "Checkpoint", ctx, self._save, "CheckpointObject")
+
+    def _save(self, record: ManagedObject, env, method: str):
+        """Vault a running object's state (an Inert one's OPR IS its state)."""
+        if record.state is ACTIVE:
+            state = yield from self.runtime.invoke(record.host, method, record.loid, env=env)
+            self.jurisdiction.vault.store_opr(record.template.with_state(state))
+        return None, ()
 
     @legion_method("address RecoverObject(LOID)")
     def recover_object(self, loid: LOID, *, ctx: Optional[InvocationContext] = None):
@@ -408,53 +378,36 @@ class MagistrateImpl(LegionObjectImpl):
         first.  Concurrent calls for one object coalesce onto a single
         probe + reactivation.
         """
-        record = self._get_managed(loid)
-        address = yield from single_flight(
-            self._recovering, loid.identity, "recover", self._recover_object(record, ctx)
-        )
-        return address
+        return self._transition(loid, "RecoverObject", ctx, self._recover)
 
-    def _recover_object(self, record: ManagedObject, ctx):
+    def _recover(self, record: ManagedObject, env):
         loid = record.loid
         lost_host = record.host
-        env = ctx.nested_env(self.loid) if ctx else self.own_env()
-        if record.state is ObjectState.ACTIVE:
-            if record.address is None and record.replicas:
+        if record.state is ACTIVE:
+            # Work off the snapshot: the probe yields, and a concurrent
+            # sweep may demote this very record (record.host -> None)
+            # while we wait.
+            status, value = yield from self._probe_host(
+                lost_host, "HasProcess", (loid,), env
+            )
+            if status == "unknown":
+                # Cannot judge liveness (partition, loss); recovering
+                # now could split-brain the object.  Let the caller
+                # retry once the network settles.
                 raise RequestRefused(
-                    f"{loid} is a replica group; its class manages the group address"
+                    f"cannot prove {loid} lost: host {lost_host} unreachable"
                 )
-            alive = False
-            if lost_host is not None:
-                # Work off the snapshot: the probe yields, and a concurrent
-                # sweep may demote this very record (record.host -> None)
-                # while we wait.
-                status, value = yield from self._probe_host(
-                    lost_host, "HasProcess", (loid,), env
-                )
-                if status == "unknown":
-                    # Cannot judge liveness (partition, loss); recovering
-                    # now could split-brain the object.  Let the caller
-                    # retry once the network settles.
-                    raise RequestRefused(
-                        f"cannot prove {loid} lost: host {lost_host} unreachable"
-                    )
-                if status == "dead":
-                    self.suspect_hosts.add(lost_host.identity)
-                alive = status == "alive" and bool(value)
-            if alive and record.state is ObjectState.ACTIVE:
-                return record.address  # transient fault; the address works
-            if record.state is ObjectState.ACTIVE:
-                self._demote_to_inert(record, "process lost")
-        # Inert now: reactivate from the persisted OPR -- but keep the
-        # checkpoint, because activate_on consumes the vault copy and a
-        # second crash before the next checkpoint must not lose the state.
-        checkpoint = None
-        if self.jurisdiction.vault.holds(loid):
-            checkpoint = self.jurisdiction.vault.load_opr(loid)
-        address = yield from self.activate_on(loid, None, ctx=ctx)
-        if checkpoint is not None:
-            self.jurisdiction.vault.store_opr(checkpoint)
-        return address
+            if status == "dead":
+                self.suspect_hosts.add(lost_host.identity)
+            alive = status == "alive" and bool(value)
+            if alive and record.state is ACTIVE:
+                return record.address, ()  # transient fault; the address works
+            if record.state is ACTIVE:
+                self._enter(record, LOST, None, None, "process lost")
+        # Lost (or Inert) now: reactivate; riders answer once the class knows.
+        address, notice = yield from self._activate(record, env, None)
+        yield from notice
+        return address, ()
 
     @legion_method("list SweepHosts()")
     def sweep_hosts(self, *, ctx: Optional[InvocationContext] = None):
@@ -480,25 +433,26 @@ class MagistrateImpl(LegionObjectImpl):
             residents = [
                 r
                 for r in self.managed.values()
-                if r.state is ObjectState.ACTIVE and r.host == host.loid
+                if r.state is ACTIVE and r.host == host.loid
             ]
             # Class objects (clones) first: their instances' recoveries may
             # route through them, and an autoscaler wants the pool healed
             # before the pool's tenants.
             residents.sort(
                 key=lambda r: (
-                    r.template is None
-                    or r.template.component_kind != "class-object"
+                    r.template.component_kind != "class-object"
                 )
             )
             for record in residents:
-                self._demote_to_inert(record, f"host {host.loid} lost")
+                if record.state is ACTIVE and record.host == host.loid:
+                    # (not if recovered meanwhile: RecoverObject confirms that)
+                    self._enter(record, LOST, None, None, f"host {host.loid} lost")
                 try:
                     yield from self.recover_object(record.loid, ctx=ctx)
                 except ProcessKilled:
                     raise  # the sweeping process itself is being torn down
                 except Exception:  # noqa: BLE001 - no surviving capacity yet
-                    # Leave the record Inert; a later sweep (or the class's
+                    # Leave the record Lost; a later sweep (or the class's
                     # GetBinding-on-stale path) retries the reactivation.
                     # Tell the class, so a routing pool (clone autoscaling)
                     # stops sending traffic at a provably dead address.
@@ -506,26 +460,6 @@ class MagistrateImpl(LegionObjectImpl):
                         record, "NoteDeactivated", record.loid, self.loid, env=env
                     )
         return failed
-
-    def _demote_to_inert(self, record: ManagedObject, reason: str) -> None:
-        """Mark a lost Active object Inert, recoverable from the vault.
-
-        Prefers an existing checkpoint OPR; falls back to the creation
-        template (state since the last checkpoint is lost, but the object
-        survives -- better than dropping it from management).
-        """
-        loid = record.loid
-        if not self.jurisdiction.vault.holds(loid) and record.template is not None:
-            self.jurisdiction.vault.store_opr(record.template)
-        record.state = ObjectState.INERT
-        record.host = None
-        record.address = None
-        record.lost = True
-        log = getattr(self.services, "fault_log", None)
-        if log is not None:
-            log.observe(
-                self.services.kernel.now, "object-demoted", str(loid), detail=reason
-            )
 
     # -------------------------------------------------------------------- deletion
 
@@ -538,27 +472,21 @@ class MagistrateImpl(LegionObjectImpl):
         unsuccessful.  Stale bindings may exist, but will be eventually
         removed as objects unsuccessfully try to use them."
         """
-        record = self.managed.get(loid.identity)
-        if record is None:
-            return  # idempotent: not ours (any more)
-        env = ctx.nested_env(self.loid) if ctx else self.own_env()
-        if record.state is ObjectState.ACTIVE and record.host is not None:
+        if loid.identity not in self.managed:
+            return None  # idempotent: not ours (any more)
+        return self._transition(loid, "Delete", ctx, self._delete)
+
+    def _delete(self, record: ManagedObject, env):
+        loid = record.loid
+        if record.state is ACTIVE:
             yield from self.runtime.invoke(record.host, "KillObject", loid, env=env)
         for host, _address in record.replicas:
             yield from self.runtime.invoke(host, "KillObject", loid, env=env)
         self.jurisdiction.vault.delete_opr(loid)
         del self.managed[loid.identity]
+        return None, ()
 
     # ------------------------------------------------------------------- migration
-
-    @legion_method("bytes ExportObject(LOID)")
-    def export_object(self, loid: LOID, *, ctx: Optional[InvocationContext] = None):
-        """Deactivate (if needed) and hand out the OPR bytes (Copy's source)."""
-        record = self._get_managed(loid)
-        if record.state is ObjectState.ACTIVE:
-            yield from self.deactivate(loid, ctx=ctx)
-        opr = self.jurisdiction.vault.load_opr(loid)
-        return opr.to_bytes()
 
     @legion_method("ImportObject(bytes)")
     def import_object(self, blob: bytes, *, ctx: Optional[InvocationContext] = None) -> None:
@@ -570,12 +498,7 @@ class MagistrateImpl(LegionObjectImpl):
         opr = OPRecord.from_bytes(blob)
         self._checked(opr)
         self.jurisdiction.vault.store_opr(opr)
-        self.managed[opr.loid.identity] = ManagedObject(
-            loid=opr.loid,
-            class_loid=opr.class_loid,
-            state=ObjectState.INERT,
-            template=opr.with_state(None),
-        )
+        self._adopt(opr, INERT, None, None)
 
     @legion_method("Copy(LOID, LOID)")
     def copy(self, loid: LOID, target_magistrate: LOID, *, ctx: Optional[InvocationContext] = None):
@@ -585,31 +508,34 @@ class MagistrateImpl(LegionObjectImpl):
         creating an Object Persistent Representation, and to send the
         Object Persistent Representation to the other Magistrate."
         """
-        env = ctx.nested_env(self.loid) if ctx else self.own_env()
-        record = yield from self._send_opr(loid, target_magistrate, env, ctx)
-        yield from self._notify_class(
-            record, "NoteCopied", loid, target_magistrate, env=env
+        return self._transition(loid, "Copy", ctx, self._copy, target_magistrate)
+
+    def _copy(self, record: ManagedObject, env, target_magistrate: LOID):
+        yield from self._send_opr(record, env, target_magistrate)
+        return None, self._notify_class(
+            record, "NoteCopied", record.loid, target_magistrate, env=env
         )
 
     @legion_method("Move(LOID, LOID)")
     def move(self, loid: LOID, target_magistrate: LOID, *, ctx: Optional[InvocationContext] = None):
         """Change the managing Magistrate: "equivalent to Copy() then Delete()"."""
-        env = ctx.nested_env(self.loid) if ctx else self.own_env()
-        record = yield from self._send_opr(loid, target_magistrate, env, ctx)
-        self.jurisdiction.vault.delete_opr(loid)
-        del self.managed[loid.identity]
-        yield from self._notify_class(
-            record, "NoteMigrated", loid, self.loid, target_magistrate, env=env
+        return self._transition(loid, "Move", ctx, self._move, target_magistrate)
+
+    def _move(self, record: ManagedObject, env, target_magistrate: LOID):
+        yield from self._send_opr(record, env, target_magistrate)
+        self._enter(record, MOVED, target_magistrate, None, "Move")
+        return None, self._notify_class(
+            record, "NoteMigrated", record.loid, self.loid, target_magistrate, env=env
         )
 
-    def _send_opr(self, loid: LOID, target_magistrate: LOID, env, ctx):
-        """The leg Copy and Move share: export here, ImportObject there.
-        Returns the (still managed) record for the class notification."""
-        blob = yield from self.export_object(loid, ctx=ctx)
+    def _send_opr(self, record: ManagedObject, env, target_magistrate: LOID):
+        """The leg Copy and Move share: deactivate here, ImportObject there."""
+        _, notice = yield from self._deactivate(record, env)
+        yield from notice
+        blob = self.jurisdiction.vault.load_opr(record.loid).to_bytes()
         yield from self.runtime.invoke(
             target_magistrate, "ImportObject", blob, env=env
         )
-        return self._get_managed(loid)
 
     # ------------------------------------------------------------------- reporting
 
@@ -617,22 +543,20 @@ class MagistrateImpl(LegionObjectImpl):
     def report_exceptions(self, host: LOID, reaped: List[Tuple[LOID, str]]) -> None:
         """A Host Object reports crashed processes it reaped.
 
-        Crashed Active objects fall back to Inert-with-last-OPR if the
+        Crashed Active objects fall back to Lost-with-last-OPR if the
         vault still has one, otherwise they are dropped from management
         (their class will fail future GetBinding with BindingNotFound).
         """
         for loid, reason in reaped:
             self.exception_log.append((host, loid, reason or ""))
             record = self.managed.get(loid.identity)
-            if record is None:
-                continue
-            if record.state is ObjectState.ACTIVE and record.host != host:
-                # The object was already recovered onto another host before
-                # this report arrived; demoting it now would kill a healthy
-                # process's record.  The report is stale -- log only.
+            if record is None or record.state is not ACTIVE or record.host != host:
+                # Not running there: recovered elsewhere (or already down)
+                # before this report arrived; demoting it now would kill a
+                # healthy process's record.  The report is stale -- log only.
                 continue
             if self.jurisdiction.vault.holds(loid):
-                self._demote_to_inert(record, reason or "crashed")
+                self._enter(record, LOST, None, None, reason or "crashed")
             else:
                 del self.managed[loid.identity]
 
@@ -640,13 +564,92 @@ class MagistrateImpl(LegionObjectImpl):
 
     @legion_method("state GetObjectState(LOID)")
     def get_object_state(self, loid: LOID) -> ObjectState:
-        """Whether the object is currently Active or Inert here."""
+        """The object's lifecycle state here."""
         return self._get_managed(loid).state
 
     @legion_method("int ManagedCount()")
     def managed_count(self) -> int:
         """How many objects this magistrate currently manages."""
         return len(self.managed)
+
+    # ------------------------------------------------------------------ lifecycle
+
+    def _transition(self, loid: LOID, request: str, ctx, body, *args):
+        """Run ``body(record, env, *args)`` as the object's one transition in
+        flight: the same request rides it, any other waits until its move is
+        made, then acts on that state; refused requests raise, and MOVED's are
+        the target's.  ``body`` returns (value, notice: tell the class after)."""
+        env = ctx.nested_env(self.loid) if ctx else self.own_env()
+        key = loid.identity
+        entry = self._inflight.get(key)
+        while entry is not None:
+            # The first to wait on a transition makes its future.
+            inflight = entry[2] = entry[2] or SimFuture(entry[0])
+            if entry[0] == request:
+                value = yield inflight
+                return value
+            record = self.managed.get(key)
+            if record is None or record.state is entry[1]:
+                break  # its move is made: act on that state, beside its tail
+            try:
+                yield inflight
+            except Exception:  # noqa: BLE001 - its failure is its caller's
+                if not inflight.done():
+                    raise  # thrown into this waiter (a kill)
+            entry = self._inflight.get(key)
+        record = self.managed.get(key) or self._get_managed(loid)  # (raises if absent)
+        accepted = LIFECYCLE[record.state]
+        if request not in accepted:
+            raise REFUSALS.get(request, LifecycleError)(
+                f"{loid} is {record.state.value} at the magistrate of "
+                f"{self.jurisdiction.name}: {request} refused (legal: {', '.join(accepted)})"
+            )
+        if record.state is MOVED and accepted[request] is MOVED:
+            value = yield from self.runtime.invoke(record.host, request, loid, env=env)
+            return value
+        mine = None
+        if entry is None:  # [request, the state it moves to, future if awaited]
+            mine = self._inflight[key] = [request, accepted[request], None]
+        try:
+            value, notice = yield from body(record, env, *args)
+        except BaseException as exc:
+            if mine is not None:
+                del self._inflight[key]
+                if mine[2] is not None:
+                    mine[2].set_exception(exc)
+            raise
+        if mine is not None:
+            del self._inflight[key]
+            if mine[2] is not None:
+                mine[2].set_result(value)
+        yield from notice
+        return value
+
+    def _enter(self, record: ManagedObject, state: ObjectState, host, address, why: str):
+        """Make one lifecycle move, the only write of a record's state, host
+        and address; raise on a move ``LIFECYCLE`` does not list.  Entering
+        LOST keeps an OPR (the template if none was checkpointed) and logs
+        ``why``; LOST -> ACTIVE is a recovery and keeps that OPR for a second
+        crash; INERT -> ACTIVE consumes it, as entering MOVED drops it."""
+        loid, moves = record.loid, LIFECYCLE[record.state].values()
+        if state not in moves:
+            raise LifecycleError(
+                f"{loid} cannot move from {record.state.value} to {state.value} "
+                f"(legal: {', '.join(sorted({s.value for s in moves if s is not None}))})"
+            )
+        vault, event = self.jurisdiction.vault, None
+        if state is LOST:
+            if not vault.holds(loid):
+                vault.store_opr(record.template)
+            event = ("object-demoted", why)
+        elif state is MOVED or record.state is INERT:
+            vault.delete_opr(loid)
+        elif record.state is LOST:  # -> ACTIVE
+            event = ("object-recovered", f"reactivated on {host}")
+        log = getattr(self.services, "fault_log", None) if event else None
+        if log is not None:
+            log.observe(self.services.kernel.now, event[0], str(loid), detail=event[1])
+        record.state, record.host, record.address = state, host, address
 
     # -------------------------------------------------------------------- helpers
 
@@ -663,12 +666,15 @@ class MagistrateImpl(LegionObjectImpl):
 
         Best-effort: a class that is unreachable (or that never created
         the object, e.g. bootstrap objects) must not wedge lifecycle
-        operations, so failures are swallowed.
+        operations, so failures are swallowed.  Once the class has heard,
+        a MOVED record has nothing left to answer for, and goes.
         """
         try:
             yield from self.runtime.invoke(record.class_loid, method, *args, env=env)
         except Exception:  # noqa: BLE001 - notification is best-effort
-            pass
+            return
+        if record.state is MOVED and self.managed.get(record.loid.identity) is record:
+            del self.managed[record.loid.identity]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

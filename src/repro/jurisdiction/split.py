@@ -26,7 +26,7 @@ from typing import List, Optional
 from repro.errors import LegionError
 from repro.core.server import ObjectServer
 from repro.jurisdiction.jurisdiction import Jurisdiction
-from repro.jurisdiction.magistrate import MagistrateImpl, ObjectState
+from repro.jurisdiction.magistrate import MagistrateImpl
 from repro.metrics.counters import ComponentKind
 from repro.naming.loid import LOID
 from repro.persistence.storage import PersistentStore
@@ -109,23 +109,17 @@ def split_jurisdiction(
     )
     system.kernel.run_until_complete(fut)
 
-    # Objects currently Active on the transferred hosts follow the hosts;
-    # Inert objects stay in the old vault (their OPRs already live there).
+    # Objects currently Active on the transferred hosts follow the hosts
+    # (only an Active record names a Host Object); Inert objects stay in
+    # the old vault (their OPRs already live there).
     moved_hosts = {s.loid for s in moved_host_servers}
     to_move = [
         record.loid
         for record in old_impl.managed.values()
-        if record.state is ObjectState.ACTIVE and record.host in moved_hosts
+        if record.host in moved_hosts
     ]
-    console = system.console
     for loid in to_move:
-        fut = system.kernel.spawn(
-            console.runtime.invoke(
-                old_magistrate_server.loid, "Move", loid, new_loid
-            ),
-            name=f"split-move-{loid}",
-        )
-        system.kernel.run_until_complete(fut)
+        system.call(old_magistrate_server.loid, "Move", loid, new_loid)
 
     # New creations may now be placed on the new magistrate too.
     for role in ("LegionObject", "LegionClass"):

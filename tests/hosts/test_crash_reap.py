@@ -61,10 +61,10 @@ class TestGhostEntries:
             lost == binding.loid and reason == "induced fault"
             for _host, lost, reason in mag_impl.exception_log
         )
-        # Checkpointed OPR in the vault: the record falls back to Inert.
+        # Checkpointed OPR in the vault: the record falls back to Lost, an
+        # Inert state whose next activation is a recovery.
         record = mag_impl.managed[binding.loid.identity]
-        assert record.state is ObjectState.INERT
-        assert record.lost
+        assert record.state is ObjectState.LOST
 
     def test_reap_without_crashes_is_empty_noop(self, fresh_legion):
         system, _cls = fresh_legion
