@@ -23,7 +23,7 @@ from typing import Any, List, Optional
 
 from repro.core.object_base import LegionObjectImpl, _Export
 from repro.idl.interface import Interface
-from repro.security.environment import CallEnvironment
+from repro.security.mayi import MayIPolicy
 
 
 class _BoundExport:
@@ -77,8 +77,6 @@ class CompositeImpl(LegionObjectImpl):
         self.exposures: List[Optional[set]] = [
             None if e is None else set(e) for e in exposures
         ]
-        # The composite's policy is its primary part's policy.
-        self.mayi_policy = self.parts[0].mayi_policy
 
     def _exposes(self, index: int, name: str) -> bool:
         allowed = self.exposures[index]
@@ -135,9 +133,16 @@ class CompositeImpl(LegionObjectImpl):
             merged = merged.merged_with(contribution)
         return merged
 
-    def may_i(self, method: str, env: CallEnvironment) -> bool:
-        """Primary part's policy governs the whole composite."""
-        return self.parts[0].may_i(method, env)
+    @property
+    def mayi_policy(self) -> MayIPolicy:  # type: ignore[override]
+        """The primary part's policy governs the whole composite, read
+        live: a policy set on the part or on the composite applies to the
+        next request either way."""
+        return self.parts[0].mayi_policy
+
+    @mayi_policy.setter
+    def mayi_policy(self, policy: MayIPolicy) -> None:
+        self.parts[0].mayi_policy = policy
 
     # -- wiring --------------------------------------------------------------------
 

@@ -15,7 +15,9 @@ subclass at the caller.
 Every round trip builds one of each, so both are named tuples: immutable
 (one invocation is shared by every leg of an ALL / K-of-N fan-out) and
 built by a single ``tuple.__new__`` rather than one
-``object.__setattr__`` per field, as a frozen dataclass would.
+``object.__setattr__`` per field, as a frozen dataclass would.  The call
+path calls ``tuple.__new__(MethodResult, (value, "", "", None))`` itself,
+every field spelled out, to skip the named tuple's own ``__new__`` frame.
 """
 
 from __future__ import annotations
@@ -99,7 +101,7 @@ class MethodResult(NamedTuple):
 
     def unwrap(self) -> Any:
         """Return the value or raise the reconstructed remote error."""
-        if self.ok:
+        if not self.error_type:
             return self.value
         if self.error_type == "Overloaded":
             raise errors.Overloaded(

@@ -38,7 +38,7 @@ from repro.naming.binding import Binding
 from repro.naming.cache import BindingCache
 from repro.naming.loid import LOID
 from repro.net.address import AddressSemantic, ObjectAddress, ObjectAddressElement
-from repro.net.message import Message, Undeliverable
+from repro.net.message import Message, MessageKind, Undeliverable, correlation_ids
 from repro.security.environment import CallEnvironment
 from repro.simkernel.futures import SimFuture, gather, k_of, single_flight
 from repro.simkernel.kernel import SimKernel, Timeout
@@ -295,7 +295,7 @@ class LegionRuntime:
         fut = self._pending.pop(message.correlation_id, None)
         if self._request_spans:
             self._finish_request_span(message.correlation_id, "ok")
-        if fut is None or fut.done():
+        if fut is None or fut._state != "pending":
             return  # late reply after timeout; drop
         payload = message.payload
         if type(payload) is MethodResult and payload.error_type == "Overloaded":
@@ -311,7 +311,7 @@ class LegionRuntime:
         fut = self._pending.pop(message.correlation_id, None)
         if self._request_spans:
             self._finish_request_span(message.correlation_id, "delivery-failure")
-        if fut is None or fut.done():
+        if fut is None or fut._state != "pending":
             return
         self.stats.delivery_failures += 1
         reason: Undeliverable = message.payload
@@ -367,7 +367,10 @@ class LegionRuntime:
         and with :class:`InvocationTimeout` if a deadline was set and no
         reply arrived in time.
         """
-        message = Message.request(self.element, element, invocation)
+        # Message.request(self.element, element, invocation), minus its frame.
+        message = Message(
+            MessageKind.REQUEST, self.element, element, invocation, next(correlation_ids)
+        )
         # The name is debugging metadata only; formatting the invocation
         # eagerly here would dominate the warm-call profile, so keep the
         # cheap constant part (errors still carry the full invocation).
@@ -441,15 +444,18 @@ class LegionRuntime:
         """The invocation to put on the wire; under a FlowConfig it also
         carries the flow metadata (absolute deadline, priority)."""
         if self._flow is None:
-            return MethodInvocation(target, method, args, env)
+            return tuple.__new__(MethodInvocation, (target, method, args, env, 0, None))
         deadline = timeout if timeout is not None else self.default_timeout
-        return MethodInvocation(
-            target,
-            method,
-            args,
-            env,
-            priority,
-            None if deadline is None else self.kernel.now + deadline,
+        return tuple.__new__(
+            MethodInvocation,
+            (
+                target,
+                method,
+                args,
+                env,
+                priority,
+                None if deadline is None else self.kernel.now + deadline,
+            ),
         )
 
     def _credited_send(self, element, invocation: MethodInvocation, timeout):
@@ -756,7 +762,9 @@ class LegionRuntime:
                     ):
                         result: MethodResult = yield self.send_request(
                             address.elements[0],
-                            MethodInvocation(target, method, args, env),
+                            tuple.__new__(
+                                MethodInvocation, (target, method, args, env, 0, None)
+                            ),
                             timeout,
                         )
                         value = result.unwrap()

@@ -20,7 +20,7 @@ registry -- the raw data of the Section 5 scalability experiments.
 
 from __future__ import annotations
 
-import types
+from types import GeneratorType
 from typing import Optional
 
 from repro.errors import LegionError, MethodNotFound, Overloaded, SecurityDenied
@@ -131,12 +131,18 @@ class ObjectServer:
             )
         self.impl.handle_event(message.payload, message.source)
 
-    def _dispatch(self, message: Message) -> None:
-        """Start executing one (admitted) REQUEST."""
-        invocation = message.payload
+    def _dispatch(self, request: Message) -> None:
+        """Run one (admitted) REQUEST; ``_reply`` to it exactly once.
+
+        One frame per request: MayI, export lookup, run, reply.  MayI is
+        asked of the impl's ``mayi_policy`` as it stands now, so a policy
+        swapped on a live impl refuses the very next request.
+        """
+        invocation: MethodInvocation = request.payload
         self.in_flight += 1
-        self.services.metrics.incr(self.component, MetricsRegistry.REQUESTS)
-        tracer = self.services.tracer
+        services = self.services
+        services.metrics.incr(self.component, MetricsRegistry.REQUESTS)
+        tracer = services.tracer
         span = None
         env = invocation.env
         if tracer is not None:
@@ -146,27 +152,21 @@ class ObjectServer:
             span = tracer.start(
                 "handle " + invocation.method,
                 "handle",
-                parent=message.trace,
+                parent=request.trace,
                 component=self._component_label,
             )
             env = env.with_trace(span.context)
-        self._execute(message, env, span)
-
-    def _execute(self, request: Message, env, span) -> None:
-        """Run one invocation; ``_reply`` to it exactly once."""
-        invocation: MethodInvocation = request.payload
-        tracer = self.services.tracer
+        impl = self.impl
+        method = invocation.method
+        args = invocation.args
         try:
-            if not self.impl.may_i(invocation.method, invocation.env):
+            if not impl.mayi_policy.may_i(method, invocation.env):
                 raise SecurityDenied(
-                    f"{self.loid} refused {invocation.method} for "
-                    f"{invocation.env.calling_agent}"
+                    f"{self.loid} refused {method} for {invocation.env.calling_agent}"
                 )
-            export = self.impl.find_export(invocation.method, len(invocation.args))
+            export = impl.find_export(method, len(args))
             if export is None:
-                raise MethodNotFound(
-                    f"{self.loid} exports no {invocation.method}/{invocation.arity}"
-                )
+                raise MethodNotFound(f"{self.loid} exports no {method}/{len(args)}")
         except LegionError as exc:
             if span is not None:
                 tracer.finish(span, type(exc).__name__)
@@ -175,31 +175,28 @@ class ObjectServer:
 
         try:
             if export.wants_ctx:
-                ctx = InvocationContext(env, invocation.target, invocation.method)
-                outcome = export.fn(self.impl, *invocation.args, ctx=ctx)
+                outcome = export.fn(
+                    impl, *args, ctx=InvocationContext(env, invocation.target, method)
+                )
             else:
-                outcome = export.fn(self.impl, *invocation.args)
-        except LegionError as exc:
-            if span is not None:
-                tracer.finish(span, type(exc).__name__)
-            self._reply(request, MethodResult.failure(exc))
-            return
+                outcome = export.fn(impl, *args)
         except Exception as exc:  # noqa: BLE001 - marshalled to caller
             if span is not None:
                 tracer.finish(span, type(exc).__name__)
             self._reply(request, MethodResult.failure(exc))
             return
 
-        if isinstance(outcome, types.GeneratorType):
+        if type(outcome) is GeneratorType:
             # Long-running method: its own process; reply when it returns.
-            proc = self.services.kernel.spawn(outcome, name=invocation.method)
+            proc = services.kernel.spawn(outcome, name=method)
 
             def _finish(proc) -> None:
                 exc = proc._exception
                 if span is not None:
                     tracer.finish(span, "ok" if exc is None else type(exc).__name__)
                 if exc is None:
-                    self._reply(request, MethodResult(proc._result))
+                    result = tuple.__new__(MethodResult, (proc._result, "", "", None))
+                    self._reply(request, result)
                 else:
                     self._reply(request, MethodResult.failure(exc))
 
@@ -207,13 +204,23 @@ class ObjectServer:
         else:
             if span is not None:
                 tracer.finish(span)
-            self._reply(request, MethodResult(outcome))
+            self._reply(request, tuple.__new__(MethodResult, (outcome, "", "", None)))
 
     def _reply(self, request: Message, result: MethodResult) -> None:
         if self.in_flight > 0:
             self.in_flight -= 1
         if self.active:
-            self.services.network.send(request.reply_with(result))
+            # request.reply_with(result), minus its frame.
+            self.services.network.send(
+                Message(
+                    MessageKind.REPLY,
+                    request.destination,
+                    request.source,
+                    result,
+                    request.correlation_id,
+                    request.trace,
+                )
+            )
         # else: deactivated mid-method; caller will see a stale binding
         if self.admission is not None:
             self.admission.pump()

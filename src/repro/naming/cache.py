@@ -84,7 +84,7 @@ class BindingCache:
         if binding is None:
             self.stats.misses += 1
             return None
-        if not binding.valid_at(now):
+        if now >= binding.expires_at:  # not binding.valid_at(now), minus its frame
             del self._entries[key]
             self.stats.expired += 1
             self.stats.misses += 1

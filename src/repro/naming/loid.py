@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from dataclasses import dataclass
-from typing import Iterator, Tuple
+from dataclasses import dataclass, field
+from typing import Iterator, List, Tuple
 
 from repro.errors import InvalidLOID
 
@@ -68,6 +68,12 @@ class LOID:
     class_id: int
     class_specific: int
     public_key: int = 0
+    #: The (class_id, class_specific) pair used for routing lookups.  Every
+    #: cache probe, table lookup and pending key reads it, so it is built
+    #: once here; it is derived, so equality, hashing, order, ``repr`` and
+    #: the pickled form (three fields: ``Vault`` places OPRs by their
+    #: size) all leave it out.
+    identity: Tuple[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (0 <= self.class_id <= _U64):
@@ -76,13 +82,9 @@ class LOID:
             raise InvalidLOID(f"class_specific {self.class_specific} exceeds 64 bits")
         if not (0 <= self.public_key <= _KEY_MASK):
             raise InvalidLOID(f"public_key exceeds {PUBLIC_KEY_BITS} bits")
+        object.__setattr__(self, "identity", (self.class_id, self.class_specific))
 
     # -- structure -----------------------------------------------------------
-
-    @property
-    def identity(self) -> Tuple[int, int]:
-        """The (class_id, class_specific) pair used for routing lookups."""
-        return (self.class_id, self.class_specific)
 
     @property
     def is_class(self) -> bool:
@@ -144,6 +146,27 @@ class LOID:
     def __str__(self) -> str:
         kind = "C" if self.is_class else "O"
         return f"{kind}<{self.class_id}.{self.class_specific}>"
+
+
+# The pickled state is the three fields; ``identity`` is rebuilt on load.
+# Assigned after the decorator: on CPython 3.10 (and 3.11 before 3.11.4)
+# ``slots=True`` on a frozen dataclass overwrites any ``__getstate__`` /
+# ``__setstate__`` defined in the class body with its own, which would
+# pickle ``identity`` as a fourth field.
+def _loid_getstate(loid: LOID) -> List[int]:
+    return [loid.class_id, loid.class_specific, loid.public_key]
+
+
+def _loid_setstate(loid: LOID, state: List[int]) -> None:
+    class_id, class_specific, public_key = state
+    object.__setattr__(loid, "class_id", class_id)
+    object.__setattr__(loid, "class_specific", class_specific)
+    object.__setattr__(loid, "public_key", public_key)
+    object.__setattr__(loid, "identity", (class_id, class_specific))
+
+
+LOID.__getstate__ = _loid_getstate  # type: ignore[method-assign]
+LOID.__setstate__ = _loid_setstate  # type: ignore[method-assign]
 
 
 class LOIDAllocator:

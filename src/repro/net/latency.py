@@ -19,8 +19,11 @@ local ≪ wide-area ordering does.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
+
+from repro.errors import NetworkError
 
 
 class LinkClass(enum.Enum):
@@ -52,7 +55,10 @@ class LatencyModel:
     Parameters
     ----------
     base:
-        Per-class one-way base latency (milliseconds of simulated time).
+        Per-class one-way base latency (milliseconds of simulated time):
+        one finite, non-negative figure for every :class:`LinkClass`.
+        Checked here, once: ``Network.send`` schedules deliveries with
+        it unchecked.
     """
 
     base: Dict[LinkClass, float] = field(
@@ -66,6 +72,17 @@ class LatencyModel:
     links: Dict[Tuple[int, int], LinkClass] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+
+    def __post_init__(self) -> None:
+        for link in LinkClass:
+            if link not in self.base:
+                raise NetworkError(f"LatencyModel.base has no latency for {link}")
+            latency = self.base[link]
+            if not (math.isfinite(latency) and latency >= 0):
+                raise NetworkError(
+                    f"LatencyModel.base[{link}] is {latency!r}; a one-way "
+                    "latency must be finite and non-negative"
+                )
 
     def assign_host(self, host: int, site: str) -> None:
         """Record that ``host`` (a 32-bit host id) belongs to ``site``."""

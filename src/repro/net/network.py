@@ -22,6 +22,7 @@ The network never interprets payloads; it moves envelopes.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Set
 
@@ -189,7 +190,14 @@ class Network:
             # A silent drop: the sender only learns via its own timeout.
             return
 
-        self.kernel.post(one_way, self._deliver, message, one_way)
+        # kernel.post(one_way, self._deliver, message, one_way), minus the
+        # frame: the latency model rejects a negative base when it is built.
+        kernel = self.kernel
+        kernel._seq += 1
+        heapq.heappush(
+            kernel._queue,
+            (kernel.now + one_way, kernel._seq, self._deliver, (message, one_way)),
+        )
 
     def _deliver(self, message: Message, one_way: float) -> None:
         ep = self._endpoints.get(message.destination)

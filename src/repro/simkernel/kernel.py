@@ -255,6 +255,9 @@ class SimKernel:
         #: reads it on every message; only the run loops below write it.
         self.now = 0.0
         self._seq = 0
+        #: (time, seq, fn, args) heap.  ``Network.send`` pushes its
+        #: deliveries here itself, bumping ``_seq`` exactly as ``post``
+        #: does, so it depends on this entry layout (and bypasses ``post``).
         self._queue: List[_Entry] = []
         #: delay → its non-empty deadline lane (one heap entry each).
         self._lanes: Dict[float, _Lane] = {}
@@ -436,11 +439,14 @@ class SimKernel:
         Raises :class:`SimulationDeadlock` if the queue drains first.
         """
         self._drive(None, max_events, fut)
-        if fut._state == "pending":
-            raise SimulationDeadlock(
-                f"event queue drained before future {fut.name!r} resolved"
-            )
-        return fut.result()
+        state = fut._state
+        if state == "done":
+            return fut._result
+        if state == "failed":
+            raise fut._exception
+        raise SimulationDeadlock(
+            f"event queue drained before future {fut.name!r} resolved"
+        )
 
     def _drive(
         self, until: Optional[float], max_events: Optional[int], fut: Optional[SimFuture]

@@ -3,11 +3,14 @@
 import pytest
 
 from repro import errors
-from repro.core.method import MethodInvocation
+from repro.core.composite import CompositeImpl
+from repro.core.method import MethodInvocation, MethodResult
+from repro.core.object_base import LegionObjectImpl, legion_method
 from repro.naming.binding import Binding
 from repro.net.address import AddressSemantic, ObjectAddress
 from repro.security.environment import CallEnvironment
-from repro.security.mayi import DenyAll
+from repro.security.mayi import AllowAll, DenyAll
+from repro.simkernel.kernel import Timeout
 
 from .conftest import EchoImpl, run_call, start_object
 
@@ -100,6 +103,99 @@ class TestSecurityGate:
         # Probing is itself refused under DenyAll -- that IS the answer.
         with pytest.raises(errors.SecurityDenied):
             run_call(services, caller, callee.loid, "MayI", "Echo")
+
+
+class _SlowFailImpl(LegionObjectImpl):
+    @legion_method("SlowFail(float)")
+    def slow_fail(self, delay: float):
+        yield Timeout(delay)
+        raise ValueError("late failure")
+
+
+class TestDispatch:
+    """The one dispatch frame: MayI read live (a composite's is its primary
+    part's), generator methods replying from their process."""
+
+    def test_composite_part_that_denies_still_refuses(self, services):
+        composite = CompositeImpl([EchoImpl("part"), EchoImpl("other")])
+        server = start_object(services, composite, host=2)
+        caller = start_object(services, EchoImpl("caller"), host=1)
+        caller.runtime.seed_binding(server.binding())
+        assert run_call(services, caller, server.loid, "Echo", "x") == "part:x"
+        # A policy the primary part takes on after construction governs.
+        composite.parts[0].mayi_policy = DenyAll()
+        assert isinstance(composite.mayi_policy, DenyAll)
+        with pytest.raises(errors.SecurityDenied):
+            run_call(services, caller, server.loid, "Echo", "x")
+        # One swapped on the composite, as scenarios do, lands on the part.
+        composite.mayi_policy = AllowAll()
+        assert isinstance(composite.parts[0].mayi_policy, AllowAll)
+        assert run_call(services, caller, server.loid, "Echo", "y") == "part:y"
+        composite.mayi_policy = DenyAll()
+        with pytest.raises(errors.SecurityDenied):
+            run_call(services, caller, server.loid, "Echo", "z")
+
+    def test_call_path_envelopes_equal_their_named_tuples(
+        self, services, echo_pair, monkeypatch
+    ):
+        # The call path builds both with tuple.__new__, every field spelled
+        # out; a field added here must be added there too.
+        assert MethodInvocation._fields == (
+            "target", "method", "args", "env", "priority", "deadline"
+        )
+        assert MethodInvocation._field_defaults == {"priority": 0, "deadline": None}
+        assert MethodResult._fields == (
+            "value", "error_type", "error_message", "error_detail"
+        )
+        assert MethodResult._field_defaults == {
+            "value": None, "error_type": "", "error_message": "", "error_detail": None
+        }
+        caller, callee = echo_pair
+        env = caller.impl.own_env()
+        built = caller.runtime._invocation(callee.loid, "Echo", ("a",), env, None, 0)
+        assert built == MethodInvocation(callee.loid, "Echo", ("a",), env)
+        sent = []
+        send = services.network.send
+        monkeypatch.setattr(
+            services.network, "send", lambda m: (sent.append(m.payload), send(m))
+        )
+        assert run_call(services, caller, callee.loid, "Echo", "a") == "callee:a"
+        finished_at = run_call(services, caller, callee.loid, "Slow", 2.0)
+        first = next(p for p in sent if type(p) is MethodInvocation)
+        assert first == MethodInvocation(callee.loid, "Echo", ("a",), first.env)
+        # A plain method's reply, then a generator method's.
+        results = [p for p in sent if type(p) is MethodResult]
+        assert results == [MethodResult("callee:a"), MethodResult(finished_at)]
+
+    def test_policy_swapped_on_a_live_impl_refuses_the_next_request(
+        self, services, echo_pair
+    ):
+        caller, callee = echo_pair
+        assert run_call(services, caller, callee.loid, "Echo", "a") == "callee:a"
+        callee.impl.mayi_policy = DenyAll()
+        with pytest.raises(errors.SecurityDenied):
+            run_call(services, caller, callee.loid, "Echo", "b")
+        assert callee.impl.calls == 1  # the refused request never ran
+        callee.impl.mayi_policy = AllowAll()
+        assert run_call(services, caller, callee.loid, "Echo", "c") == "callee:c"
+
+    def test_generator_method_replies_when_its_process_returns(
+        self, services, echo_pair
+    ):
+        caller, callee = echo_pair
+        sent_at = services.kernel.now
+        finished_at = run_call(services, caller, callee.loid, "Slow", 10.0)
+        assert finished_at == sent_at + 1.0 + 10.0  # one hop, then the method
+        assert services.kernel.now == finished_at + 1.0  # the reply's hop
+        assert callee.in_flight == 0 and caller.runtime.settled
+
+    def test_generator_method_failure_is_marshalled(self, services):
+        caller = start_object(services, EchoImpl("caller"), host=1)
+        callee = start_object(services, _SlowFailImpl(), host=2)
+        caller.runtime.seed_binding(callee.binding())
+        with pytest.raises(errors.InvocationFailed, match="late failure"):
+            run_call(services, caller, callee.loid, "SlowFail", 5.0)
+        assert callee.in_flight == 0 and caller.runtime.settled
 
 
 class TestStaleBindings:

@@ -1,5 +1,8 @@
 """Unit tests for LOIDs (paper 3.2, Fig. 12)."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.errors import InvalidLOID
@@ -62,6 +65,42 @@ class TestLOID:
         b = LOID(1, 2)
         assert a < b
         assert len({a, b, LOID(1, 1)}) == 2
+
+    def test_identity_is_the_locator_pair(self):
+        loid = LOID(70, 3, 12345)
+        assert loid.identity == (loid.class_id, loid.class_specific) == (70, 3)
+
+    def test_identity_takes_no_part_in_equality_hash_or_order(self):
+        a = LOID(70, 3, 12345)
+        b = LOID(70, 3, 12345)
+        object.__setattr__(b, "identity", (0, 0))  # differs in identity only
+        assert a == b
+        assert hash(a) == hash(b)
+        assert not a < b and not b < a and a <= b and b <= a
+
+    def test_repr_has_no_identity(self):
+        assert repr(LOID(70, 3, 12345)) == (
+            "LOID(class_id=70, class_specific=3, public_key=12345)"
+        )
+
+    def test_replace_recomputes_identity(self):
+        moved = dataclasses.replace(LOID(70, 3, 12345), class_specific=9)
+        assert moved.identity == (70, 9)
+
+    def test_pickle_keeps_the_three_field_form(self):
+        """``Vault`` places OPRs by their size: a stored identity must not
+        grow the pickled LOID (56 bytes at protocol 5, as before)."""
+        assert len(pickle.dumps(LOID(70, 3, 12345), protocol=5)) == 56
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_roundtrip_restores_identity(self, protocol):
+        loid = LOID(70, 3, 12345)
+        back = pickle.loads(pickle.dumps(loid, protocol=protocol))
+        assert back == loid and back.identity == (70, 3)
+
+    def test_unpack_restores_identity(self):
+        back = LOID.unpack(LOID(70, 3, 12345).pack())
+        assert back == LOID(70, 3, 12345) and back.identity == (70, 3)
 
     def test_key_derivation_depends_on_all_inputs(self):
         base = derive_public_key(1, 2, 3)

@@ -59,6 +59,24 @@ class TestDelivery:
         base = net.latency.base
         assert base[net.latency.classify(1, 2)] < base[net.latency.classify(1, 3)]
 
+    def test_a_send_orders_with_kernel_posts_as_a_post_would(self, net, kernel):
+        # send pushes its delivery onto the kernel heap itself; it must take
+        # the (time, seq) place a kernel.post of that delivery would take.
+        kernel.post(3.0, lambda: None)
+        kernel.run()
+        src, _ = register_sink(net, 1)
+        dst = net.allocate_element(2)
+        order = []
+        net.register(dst, lambda m: order.append(m.payload))
+        one_way = net.latency.base[net.latency.classify(1, 2)]
+        kernel.post(one_way, order.append, "post-before")
+        net.send(Message.request(src, dst, "send"))
+        kernel.post(one_way, order.append, "post-after")
+        kernel.post(one_way / 2, order.append, "earlier")
+        kernel.run()
+        assert order == ["earlier", "post-before", "send", "post-after"]
+        assert kernel.now == 3.0 + one_way
+
     def test_per_class_accounting(self, net, kernel):
         src, _ = register_sink(net, 1)
         dst, _ = register_sink(net, 3)
@@ -170,3 +188,24 @@ class TestLatencyModel:
         latency = LatencyModel.uniform(2.5)
         assert latency.base[latency.classify(1, 1)] == 2.5
         assert latency.base[latency.classify(1, 99)] == 2.5
+
+    def test_zero_latency_is_allowed(self):
+        assert LatencyModel.uniform(0.0).base[LinkClass.WIDE_AREA] == 0.0
+
+    @pytest.mark.parametrize("bad", [-1, -0.5, float("nan"), float("inf")])
+    def test_uniform_rejects_a_bad_latency(self, bad):
+        with pytest.raises(NetworkError, match=r"LinkClass\.SAME_HOST\] is"):
+            LatencyModel.uniform(bad)
+
+    @pytest.mark.parametrize("bad", [-2.0, float("nan"), float("-inf")])
+    def test_one_bad_class_is_named_with_its_value(self, bad):
+        base = {c: 1.0 for c in LinkClass}
+        base[LinkClass.SAME_SITE] = bad
+        with pytest.raises(NetworkError) as err:
+            LatencyModel(base=base)
+        assert f"LinkClass.SAME_SITE] is {bad!r}" in str(err.value)
+
+    def test_a_missing_class_is_named(self):
+        base = {c: 1.0 for c in LinkClass if c is not LinkClass.WIDE_AREA}
+        with pytest.raises(NetworkError, match="no latency for LinkClass.WIDE_AREA"):
+            LatencyModel(base=base)
