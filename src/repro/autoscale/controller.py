@@ -145,7 +145,8 @@ class CloneController:
 
     def _tick(self):
         sample = self.monitor.sample()
-        clones = yield from self.client.runtime.invoke(self.class_loid, "GetClones")
+        _epoch, pool = yield from self.client.runtime.invoke(self.class_loid, "GetClonePool")
+        clones = pool[1:]
         members = [str(self.class_loid)] + [str(c.loid) for c in clones]
         total = sample.pool_rate(members)
         shed = sample.pool_shed_rate(members)

@@ -17,7 +17,10 @@ cooperating core objects.  Its pieces:
 * :mod:`repro.core.table` -- the class object's logical table (Fig. 16).
 * :mod:`repro.core.legion_class` -- class objects with the class-mandatory
   member functions (Create, Derive, InheritFrom, Delete, GetBinding,
-  GetInterface) and the Abstract / Private / Fixed class types.
+  GetInterface) and the Abstract / Private / Fixed class types; its
+  collaborators :mod:`repro.core.class_derivation` (Derive, InheritFrom),
+  :mod:`repro.core.class_clones` (the clone pool) and
+  :mod:`repro.core.class_replicas` (replica groups) are mixed into it.
 * :mod:`repro.core.metaclass` -- LegionClass itself: class-identifier
   allocation and the responsibility pairs used to locate class objects
   (section 4.1.3).

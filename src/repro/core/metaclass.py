@@ -100,7 +100,7 @@ class LegionClassImpl(ClassObjectImpl):
         """
         if not loid.is_class:
             class_id, _zero = loid.class_identity()
-            return self._class_loid_for(class_id)
+            return LOID.for_class(class_id, self.services.secret)
         if loid.class_id in self.direct_bindings:
             return self.loid
         creator = self.responsible_for.get(loid.class_id)
@@ -109,9 +109,6 @@ class LegionClassImpl(ClassObjectImpl):
                 f"LegionClass never allocated class id {loid.class_id}"
             )
         return creator
-
-    def _class_loid_for(self, class_id: int) -> LOID:
-        return LOID.for_class(class_id, self.services.secret)
 
     @legion_method("binding GetCoreBinding(LOID)")
     def get_core_binding(self, loid: LOID) -> Binding:
@@ -136,13 +133,12 @@ class LegionClassImpl(ClassObjectImpl):
 
     # ---------------------------------------------------------------- bootstrap
 
-    @legion_method("RegisterCoreClass(binding, string)")
     def register_core_class(self, binding: Binding, name: str) -> None:
         """Record a bootstrap-started core class (section 4.2.1).
 
         The core Abstract classes are "started exactly once -- when the
         Legion system comes alive" -- outside the normal Create()/Derive()
-        path, so they register here to become locatable.
+        path, so bootstrap registers them here to make them locatable.
         """
         class_id = binding.loid.class_id
         self.direct_bindings[class_id] = binding
@@ -150,17 +146,7 @@ class LegionClassImpl(ClassObjectImpl):
         if class_id >= self._next_class_id:
             self._next_class_id = class_id + 1
 
-    @legion_method("RefreshCoreBinding(binding)")
-    def refresh_core_binding(self, binding: Binding) -> None:
-        """Update a core object's binding (e.g. after planned migration)."""
-        self.direct_bindings[binding.loid.class_id] = binding
-
     # ---------------------------------------------------------------- directory
-
-    @legion_method("string ClassName(int)")
-    def class_name_of(self, class_id: int) -> str:
-        """The name registered for ``class_id`` ('' if unknown)."""
-        return self.class_names.get(class_id, "")
 
     @legion_method("int ClassCount()")
     def class_count(self) -> int:

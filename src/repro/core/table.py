@@ -62,10 +62,6 @@ class TableRow:
         """Whether this row is a system-level replica group (4.3)."""
         return self.replica_want > 0
 
-    def magistrate_allowed(self, magistrate: LOID) -> bool:
-        """Whether the candidate list admits ``magistrate``."""
-        return self.candidate_magistrates is None or magistrate in self.candidate_magistrates
-
 
 class LogicalTable:
     """The table a class object maintains over its instances/subclasses."""
@@ -93,49 +89,18 @@ class LogicalTable:
         """The row for ``loid`` or None."""
         return self._rows.get(loid.identity)
 
-    def mark_deleted(self, loid: LOID) -> TableRow:
-        """Flag the row deleted (Delete() semantics); returns the row."""
+    def mark_deleted(self, loid: LOID) -> None:
+        """Flag the row deleted (Delete() semantics)."""
         row = self.get(loid)
         row.deleted = True
         row.object_address = None
         row.current_magistrates = []
-        return row
-
-    # -- field updates -------------------------------------------------------------
-
-    def set_address(self, loid: LOID, address: Optional[ObjectAddress]) -> None:
-        """Record the Object Address (or NIL) for an object."""
-        self.get(loid).object_address = address
-
-    def add_magistrate(self, loid: LOID, magistrate: LOID) -> None:
-        """Add a magistrate to the Current Magistrate List (idempotent)."""
-        row = self.get(loid)
-        if magistrate not in row.current_magistrates:
-            row.current_magistrates.append(magistrate)
-
-    def remove_magistrate(self, loid: LOID, magistrate: LOID) -> None:
-        """Drop a magistrate from the Current Magistrate List (idempotent)."""
-        row = self.get(loid)
-        if magistrate in row.current_magistrates:
-            row.current_magistrates.remove(magistrate)
 
     # -- queries ----------------------------------------------------------------------
 
     def instances(self) -> List[TableRow]:
         """Rows created by Create(), excluding deleted ones."""
         return [r for r in self._rows.values() if not r.is_subclass and not r.deleted]
-
-    def subclasses(self) -> List[TableRow]:
-        """Rows created by Derive(), excluding deleted ones."""
-        return [r for r in self._rows.values() if r.is_subclass and not r.deleted]
-
-    def active_rows(self) -> List[TableRow]:
-        """Rows whose Object Address is currently known."""
-        return [
-            r
-            for r in self._rows.values()
-            if r.object_address is not None and not r.deleted
-        ]
 
     def __len__(self) -> int:
         return sum(1 for r in self._rows.values() if not r.deleted)

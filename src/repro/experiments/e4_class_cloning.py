@@ -13,7 +13,7 @@ Two client behaviours are measured:
 * **naive** -- clients keep calling the original class; it forwards
   Create() to clones round-robin.  Correctness is preserved and the
   *work* moves, but the original still sees every request envelope.
-* **clone-aware** -- clients fetch GetClones() once and spread their own
+* **clone-aware** -- clients fetch GetClonePool() once and spread their own
   requests over {original} ∪ clones, the paper's "different clones in
   different domains" model.  The hot object's request load drops by
   ~(clones+1)×.
@@ -46,7 +46,7 @@ def _creation_burst(n_clones: int, n_creates: int, clone_aware: bool, seed: int)
     )
 
     # Clone-aware clients learn the pool once, then go direct.
-    pool = [hot] + (system.call(hot.loid, "GetClones") if clone_aware else [])
+    pool = [hot] + (system.call(hot.loid, "GetClonePool")[1][1:] if clone_aware else [])
 
     system.reset_measurements()
     for i in range(n_creates):

@@ -123,7 +123,5 @@ def split_jurisdiction(
 
     # New creations may now be placed on the new magistrate too.
     for role in ("LegionObject", "LegionClass"):
-        candidates = system.core[role].impl.candidate_magistrates
-        if candidates is not None and new_loid not in candidates:
-            candidates.append(new_loid)
+        system.core[role].impl.add_candidate_magistrate(new_loid)
     return new_server

@@ -25,7 +25,8 @@ from typing import Dict
 from repro.errors import BootstrapError
 from repro.core.class_types import ClassFlavor
 from repro.core.context import SystemServices
-from repro.core.legion_class import CLASS_OBJECT_FACTORY, ClassObjectImpl
+from repro.core.class_derivation import CLASS_OBJECT_FACTORY
+from repro.core.legion_class import ClassObjectImpl
 from repro.core.metaclass import LegionClassImpl
 from repro.core.relations import RelationGraph
 from repro.core.server import ObjectServer

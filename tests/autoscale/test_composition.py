@@ -19,6 +19,7 @@ from repro.faults.driver import ChaosDriver, eligible_hosts
 from repro.faults.log import FaultLog
 from repro.faults.plan import FaultPlan
 from repro.system.legion import LegionSystem, SiteSpec
+from tests.invariants import clone_pool_violations, live_impl
 
 PATIENT = RetryPolicy(
     max_attempts=10,
@@ -77,6 +78,10 @@ def _object_server(system, host_id, loid):
     return system.host_servers[host_id].impl.processes.find(loid).server
 
 
+def _assert_pool_sound(system, cls):
+    assert clone_pool_violations(live_impl(system, cls.loid)) == []
+
+
 def _crash(system, host_id):
     ChaosDriver(system, FaultPlan(), FaultLog()).crash_host(host_id)
 
@@ -123,6 +128,7 @@ class TestCrashMidDrain:
         assert all(b is not None for b in bindings)
         # The parent still serves fresh traffic (no delegation left).
         assert system.create_instance(cls.loid) is not None
+        _assert_pool_sound(system, cls)
 
 
 class TestRecoveryRacingRetirement:
@@ -152,6 +158,7 @@ class TestRecoveryRacingRetirement:
         assert system.call(clone.loid, "CloneEpoch", client=patient) == 0
         # ...and even that resurrection does not re-enter the pool.
         assert system.call(cls.loid, "CloneCount") == 0
+        _assert_pool_sound(system, cls)
 
 
 class TestSweepReapsRoutedClone:
@@ -159,20 +166,21 @@ class TestSweepReapsRoutedClone:
         system, cls = _build()
         clone, host_id = _clone_on_crashable_host(system, cls)
         epoch_before = system.call(cls.loid, "CloneEpoch")
-        old_pool = system.call(cls.loid, "GetClones")
+        old_pool = system.call(cls.loid, "GetClonePool")[1][1:]
         _crash(system, host_id)
         _sweep_all(system)
         # The sweep recovered the clone (class objects first) on another
         # host; the pool still routes at it, through a refreshed binding.
         assert system.call(cls.loid, "CloneCount") == 1
         assert system.call(cls.loid, "CloneEpoch") > epoch_before
-        new_pool = system.call(cls.loid, "GetClones")
+        new_pool = system.call(cls.loid, "GetClonePool")[1][1:]
         assert new_pool[0].loid == clone.loid
         assert new_pool[0].address != old_pool[0].address
         new_host = _find_host(system, clone.loid)
         assert new_host is not None and new_host != host_id
         # Delegated creation flows through the recovered clone.
         assert system.create_instance(cls.loid) is not None
+        _assert_pool_sound(system, cls)
 
     def test_failed_recovery_drops_clone_from_pool(self):
         system, cls = _build()
@@ -197,3 +205,4 @@ class TestSweepReapsRoutedClone:
         assert system.create_instance(cls.loid) is not None
         assert system.call(clone.loid, "CloneEpoch") == 0
         assert system.call(cls.loid, "CloneCount") == 0
+        _assert_pool_sound(system, cls)

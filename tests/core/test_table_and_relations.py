@@ -52,36 +52,12 @@ class TestLogicalTable:
         assert row.current_magistrates == []
         assert row.loid not in table  # membership excludes deleted rows
 
-    def test_magistrate_list_updates(self):
-        table = LogicalTable()
-        row = self.make_row()
-        table.add(row)
-        table.add_magistrate(row.loid, loid(4, 1))
-        table.add_magistrate(row.loid, loid(4, 1))  # idempotent
-        assert row.current_magistrates == [loid(4, 1)]
-        table.remove_magistrate(row.loid, loid(4, 1))
-        table.remove_magistrate(row.loid, loid(4, 1))  # idempotent
-        assert row.current_magistrates == []
-
     def test_instance_subclass_partition(self):
         table = LogicalTable()
         table.add(self.make_row(1))
         table.add(TableRow(loid=loid(11, 0), is_subclass=True))
-        assert len(table.instances()) == 1
-        assert len(table.subclasses()) == 1
-
-    def test_candidate_restriction(self):
-        unrestricted = self.make_row(1)
-        assert unrestricted.magistrate_allowed(loid(4, 9))
-        restricted = TableRow(loid=loid(10, 2), candidate_magistrates=[loid(4, 1)])
-        assert restricted.magistrate_allowed(loid(4, 1))
-        assert not restricted.magistrate_allowed(loid(4, 2))
-
-    def test_active_rows(self):
-        table = LogicalTable()
-        table.add(self.make_row(1, object_address=address()))
-        table.add(self.make_row(2))
-        assert len(table.active_rows()) == 1
+        assert [row.loid for row in table.instances()] == [loid(10, 1)]
+        assert len(table) == 2
 
 
 class TestRelationGraph:

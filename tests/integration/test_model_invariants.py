@@ -121,5 +121,6 @@ class TestLogicalTableInvariants:
                     server = entry.server
             if server is None:
                 continue
-            for row in server.impl.table.active_rows():
-                assert system.call(row.loid, "Ping") == "pong"
+            for row in server.impl.table:
+                if row.object_address is not None:
+                    assert system.call(row.loid, "Ping") == "pong"

@@ -45,3 +45,31 @@ def process_violations(system) -> List[str]:
         if n > 1 and loid.identity not in groups
     ]
     return problems
+
+
+def live_impl(system, loid):
+    """The implementation of the live process serving ``loid``."""
+    for server in system.host_servers.values():
+        entry = server.impl.processes.find(loid)
+        if entry is not None and not entry.crashed:
+            return entry.server.impl
+    raise AssertionError(f"{loid} is not running on any host")
+
+
+def clone_pool_violations(impl) -> List[str]:
+    """A class object routes new work only at clones that exist.
+
+    Every member of the clone pool must be a live (not deleted) row of the
+    class's own table, and the round-robin index must point inside the
+    pool (0 when it is empty); otherwise delegated Create()/Derive()
+    requests land on a deleted object.
+    """
+    problems = [
+        f"clone {clone.loid} is in the pool but is no live row of {impl.class_name}"
+        for clone in impl.clones
+        if clone.loid not in impl.table
+    ]
+    size = len(impl.clones)
+    if not (0 <= impl._clone_rr < size or impl._clone_rr == size == 0):
+        problems.append(f"_clone_rr {impl._clone_rr} lies outside a pool of {size}")
+    return problems
