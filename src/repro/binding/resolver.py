@@ -29,6 +29,7 @@ Agents use them, but so can tests driving the procedure directly.
 
 from __future__ import annotations
 
+import functools
 from typing import Optional
 
 from repro.errors import BindingNotFound
@@ -36,6 +37,18 @@ from repro.core.runtime import LegionRuntime
 from repro.naming.binding import Binding
 from repro.naming.loid import LOID
 from repro.security.environment import CallEnvironment
+
+
+@functools.lru_cache(maxsize=1024)
+def class_loid_for(class_id: int, secret: int) -> LOID:
+    """``LOID.for_class(class_id, secret)``, derived once.
+
+    The class's public key is a SHA-256 of its identity and the secret;
+    a system has few classes, so every later escalation to one reuses
+    the first derivation.  A LOID is immutable, so one instance serves
+    every caller; the bound keeps a long-lived process from growing it.
+    """
+    return LOID.for_class(class_id, secret)
 
 
 def locate_class_binding(runtime: LegionRuntime, class_loid: LOID, env: CallEnvironment):
@@ -128,7 +141,7 @@ def resolve_loid(runtime: LegionRuntime, query, env: CallEnvironment):
 
     # Non-class object: field surgery gives the responsible class.
     class_id, _zero = loid.class_identity()
-    responsible = LOID.for_class(class_id, services.secret)
+    responsible = class_loid_for(class_id, services.secret)
     tracer = services.tracer
     if tracer is not None:
         tracer.annotate(env.trace, responsible=str(responsible))

@@ -87,6 +87,12 @@ class SystemServices:
     #: cache at activation (the simulated analogue of compiled-in addresses
     #: of well-known services).
     core_bindings: Dict[str, Any] = field(default_factory=dict)
+    #: ``core_bindings`` keyed by LOID identity, the copy every new
+    #: runtime seeds from; ``ObjectServer`` builds it once the core
+    #: table is complete.
+    core_seed: Dict[Any, Any] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
     #: The Binding Agent newly activated objects are configured with, unless
     #: their creator overrides it.  "The persistent state of each Legion
     #: object contains the Object Address of its Binding Agent" (3.6).

@@ -202,9 +202,9 @@ class LegionRuntime:
         #: (immutable, so one instance serves them all).
         self._origin_env = CallEnvironment.originating(loid)
         #: Metrics-style "kind:name" label used on spans this runtime
-        #: records; the owning ObjectServer overwrites it with its
-        #: ComponentId so traces and counters share a vocabulary.
-        self.component_label = str(loid)
+        #: records; the owning ObjectServer sets it to its ComponentId's
+        #: label so traces and counters share a vocabulary.
+        self.component_label = ""
         #: correlation id → open "request" span (only populated while a
         #: tracer is installed; stays empty -- one truthiness test -- otherwise).
         self._request_spans: Dict[int, Any] = {}
@@ -257,6 +257,12 @@ class LegionRuntime:
         if permanent:
             self._permanent[binding.loid.identity] = binding
         self.cache.insert(binding)
+
+    def seed_permanent(self, bindings: Dict[tuple, Binding]) -> None:
+        """``seed_binding(b, permanent=True)`` for each of ``bindings``
+        (identity → Binding, in order), as one copy into each map."""
+        self._permanent.update(bindings)
+        self.cache.insert_all(bindings)
 
     def lookup_binding(self, loid: LOID) -> Optional[Binding]:
         """Cache lookup with fallback to the permanent well-known seeds."""

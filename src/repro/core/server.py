@@ -21,7 +21,7 @@ registry -- the raw data of the Section 5 scalability experiments.
 from __future__ import annotations
 
 from types import GeneratorType
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 from repro.errors import LegionError, MethodNotFound, Overloaded, SecurityDenied
 from repro.core.method import InvocationContext, MethodInvocation, MethodResult
@@ -33,6 +33,22 @@ from repro.naming.binding import Binding
 from repro.naming.loid import LOID
 from repro.net.address import ObjectAddress
 from repro.net.message import Message, MessageKind
+
+
+def _core_seed(services) -> Dict[Tuple[int, int], Binding]:
+    """identity → Binding of every core object, built once per system.
+
+    Only bootstrap writes ``services.core_bindings``, one role at a time,
+    so a snapshot whose size matches the table is current; the cores
+    started mid-bootstrap each see the table as it stood.
+    """
+    seed = services.core_seed
+    if len(seed) != len(services.core_bindings):
+        seed = services.core_seed = {
+            binding.loid.identity: binding
+            for binding in services.core_bindings.values()
+        }
+    return seed
 
 
 class ObjectServer:
@@ -54,11 +70,15 @@ class ObjectServer:
         self.impl = impl
         self.host = host
         self.element = services.network.allocate_element(host, node)
+        #: This server's single-element Object Address, built once.
+        self.address = ObjectAddress.single(self.element)
         self.runtime = LegionRuntime(services, loid, self.element, cache_capacity)
-        self.component = ComponentId(component_kind, component_name or str(loid))
-        #: Pre-rendered span label; shared with the runtime so client-side
-        #: (request) and server-side (handle) spans name components alike.
-        self._component_label = str(self.component)
+        name = component_name or str(loid)
+        self.component = ComponentId(component_kind, name)
+        #: Pre-rendered span label, ``str(self.component)`` formatted here
+        #: once; shared with the runtime so client-side (request) and
+        #: server-side (handle) spans name components alike.
+        self._component_label = f"{component_kind._value_}:{name}"
         self.runtime.component_label = self._component_label
         self._endpoint = services.network.register(self.element, self.handle_message)
         self.active = True
@@ -74,16 +94,17 @@ class ObjectServer:
             if flow_config is not None and flow_config.admits(component_kind)
             else None
         )
-        # Seed the runtime: well-known core bindings plus the system's
-        # default Binding Agent (creators may override either afterwards).
-        for core_binding in services.core_bindings.values():
-            if core_binding.loid != loid:
-                self.runtime.seed_binding(core_binding, permanent=True)
-        if (
-            services.default_binding_agent is not None
-            and services.default_binding_agent.loid != loid
-        ):
-            self.runtime.set_binding_agent(services.default_binding_agent)
+        # Seed the runtime: well-known core bindings (a core object leaves
+        # out its own) plus the system's default Binding Agent (creators
+        # may override either afterwards).
+        identity = loid.identity
+        seed = _core_seed(services)
+        if identity in seed:
+            seed = {key: binding for key, binding in seed.items() if key != identity}
+        self.runtime.seed_permanent(seed)
+        agent = services.default_binding_agent
+        if agent is not None and agent.loid.identity != identity:
+            self.runtime.binding_agent = agent
         # Wire the implementation.
         impl.loid = loid
         impl.runtime = self.runtime
@@ -92,11 +113,6 @@ class ObjectServer:
         impl.on_activated()
 
     # ------------------------------------------------------------------ address
-
-    @property
-    def address(self) -> ObjectAddress:
-        """This server's single-element Object Address."""
-        return ObjectAddress.single(self.element)
 
     def binding(self) -> Binding:
         """A never-expiring Binding for this server's LOID and address."""

@@ -76,9 +76,9 @@ class ChaosDriver:
             return  # unknown or already down
         impl = server.impl
         now = self.system.kernel.now
-        for entry in list(impl.processes.running()):
+        for entry in impl.processes.running():
             entry.server.deactivate()
-            entry.exception = f"host {host_id} crashed"
+            impl.processes.mark_crashed(entry, f"host {host_id} crashed")
             self.log.inject(now, "object-lost", str(entry.loid), f"host {host_id}")
         impl.accepting = False
         server.deactivate()

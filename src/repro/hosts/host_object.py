@@ -134,7 +134,7 @@ class HostObjectImpl(LegionObjectImpl):
             raise RequestRefused(f"host {self.host_id} is not accepting objects")
         if (
             self.max_processes is not None
-            and len(self.processes.running()) >= self.max_processes
+            and self.processes.live >= self.max_processes
         ):
             raise NoCapacity(
                 f"host {self.host_id} is full "
@@ -211,7 +211,7 @@ class HostObjectImpl(LegionObjectImpl):
             component_kind=kind,
         )
         if self.site_binding_agent is not None:
-            server.runtime.set_binding_agent(self.site_binding_agent)
+            server.runtime.binding_agent = self.site_binding_agent
         self.processes.add(
             ProcessEntry(
                 loid=opr.loid,
@@ -348,7 +348,7 @@ class HostObjectImpl(LegionObjectImpl):
         """
         entry = self.processes.get(loid)
         entry.server.deactivate()
-        entry.exception = reason
+        self.processes.mark_crashed(entry, reason)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

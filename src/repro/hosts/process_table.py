@@ -25,6 +25,8 @@ class ProcessEntry:
     cpu_share: float = 1.0
     memory_bytes: int = 0
     #: Set when the process died abnormally; reaping reports and clears it.
+    #: Written only by :meth:`ProcessTable.mark_crashed`, which keeps the
+    #: table's live count.
     exception: Optional[str] = None
 
     @property
@@ -34,10 +36,16 @@ class ProcessEntry:
 
 
 class ProcessTable:
-    """All processes on one host, keyed by LOID identity."""
+    """All processes on one host, keyed by LOID identity.
+
+    ``live`` counts the non-crashed entries, so admission reads a host's
+    population in O(1) instead of listing it.
+    """
 
     def __init__(self) -> None:
         self._entries: Dict[Tuple[int, int], ProcessEntry] = {}
+        #: Entries not crashed: ``len(running())`` without the list.
+        self.live = 0
 
     def add(self, entry: ProcessEntry) -> None:
         """Record a started process; a LOID runs at most once per host."""
@@ -45,6 +53,18 @@ class ProcessTable:
         if key in self._entries:
             raise HostError(f"{entry.loid} already runs on this host")
         self._entries[key] = entry
+        if entry.exception is None:
+            self.live += 1
+
+    def mark_crashed(self, entry: ProcessEntry, reason: str) -> None:
+        """Record that ``entry``'s process died abnormally with ``reason``.
+
+        The entry stays until reaped but no longer holds a slot; crashing
+        it again only replaces the reason.
+        """
+        if entry.exception is None:
+            self.live -= 1
+        entry.exception = reason
 
     def get(self, loid: LOID) -> ProcessEntry:
         """The entry for ``loid``; raises :class:`HostError` if absent."""
@@ -62,6 +82,8 @@ class ProcessTable:
         entry = self._entries.pop(loid.identity, None)
         if entry is None:
             raise HostError(f"{loid} is not running on this host")
+        if entry.exception is None:
+            self.live -= 1
         return entry
 
     def crashed_entries(self) -> List[ProcessEntry]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.naming.binding import Binding
 from repro.naming.loid import LOID
@@ -103,6 +103,20 @@ class BindingCache:
         if self.capacity is not None and len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
             self.stats.evictions += 1
+
+    def insert_all(self, bindings: Dict[Tuple[int, int], Binding]) -> None:
+        """``insert`` each of ``bindings`` (identity → Binding) in order.
+
+        When they fit an empty cache, that is one dict copy.
+        """
+        if self._entries or (
+            self.capacity is not None and len(bindings) > self.capacity
+        ):
+            for binding in bindings.values():
+                self.insert(binding)
+            return
+        self._entries.update(bindings)
+        self.stats.inserts += len(bindings)
 
     def invalidate(self, loid: LOID) -> bool:
         """Drop the entry for ``loid`` if present (InvalidateBinding(LOID))."""

@@ -57,9 +57,10 @@ class TestProcessTable:
         table = ProcessTable()
         alive = self.entry(1)
         dead = self.entry(2)
-        dead.exception = "segfault"
         table.add(alive)
         table.add(dead)
+        table.mark_crashed(dead, "segfault")
+        assert dead.exception == "segfault"
         assert table.crashed_entries() == [dead]
         assert table.running() == [alive]
 

@@ -1,5 +1,7 @@
 """Unit tests for OPRs, stores, and vaults (paper 3.1)."""
 
+import random
+
 import pytest
 
 from repro.errors import StorageError
@@ -134,3 +136,37 @@ class TestVault:
         vault = Vault("uva")
         with pytest.raises(StorageError):
             vault.store_opr(make_opr())
+
+
+class TestPlacementByteCount:
+    """``used_bytes`` is a running count, so placement reads it in O(1);
+    it must place exactly as re-summing every blob did."""
+
+    @staticmethod
+    def resummed(store):
+        return sum(len(blob) for blob in store._files.values())
+
+    def test_a_random_history_places_as_the_resum_did(self):
+        rng = random.Random(20260)
+        vault = Vault("j")
+        stores = [PersistentStore("j", name) for name in ("d0", "d1", "d2")]
+        for store in stores:
+            vault.add_store(store)
+        held = set()
+        for step in range(400):
+            seq = rng.randrange(1, 40)
+            if seq in held and rng.random() < 0.3:
+                vault.delete_opr(LOID.for_instance(40, seq))
+                held.discard(seq)
+            else:
+                # Re-storing an object writes the new OPR before dropping
+                # the old one, so the old blob still counts at placement.
+                expected = min(stores, key=lambda s: (self.resummed(s), s.name))
+                state = bytes(rng.randrange(256) for _ in range(rng.randrange(0, 300)))
+                address = vault.store_opr(make_opr(seq, state=state))
+                assert address.store == expected.name, step
+                held.add(seq)
+            for store in stores:
+                assert store.used_bytes == self.resummed(store), step
+        assert vault.opr_count == len(held)
+        assert {s.used_bytes > 0 for s in stores} == {True}

@@ -51,6 +51,23 @@ class TestPropagation:
         assert any(s.component.startswith("binding-agent:") for s in handles)
         assert any(s.component.startswith("application:") for s in handles)
 
+    def test_span_labels_are_the_metrics_component_ids(self):
+        # The server formats its label once; it must read as str(ComponentId).
+        system, cls = build_system()
+        system.create_instance(cls.loid)
+        servers = [
+            *system.core.servers.values(),
+            *system.host_servers.values(),
+            *system.magistrates.values(),
+            *system.agents.values(),
+            system.console,
+        ]
+        for host_server in system.host_servers.values():
+            servers += [entry.server for entry in host_server.impl.processes.running()]
+        for server in servers:
+            assert server._component_label == str(server.component)
+            assert server.runtime.component_label == server._component_label
+
     def test_request_spans_record_link_class_and_status(self):
         system, cls = build_system()
         target = system.create_instance(cls.loid)
