@@ -26,13 +26,13 @@ import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from repro.errors import LegionError, ProcessKilled
+from repro.errors import LegionError
 from repro.autoscale.monitor import LoadMonitor
 from repro.core.server import ObjectServer
 from repro.metrics.counters import ComponentKind
 from repro.naming.binding import Binding
 from repro.scheduling.agent import LeastLoadedPlacementAgent
-from repro.simkernel.kernel import Timeout
+from repro.simkernel.kernel import Periodic
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,7 @@ def build_placement_agent(system) -> ObjectServer:
     return server
 
 
-class CloneController:
+class CloneController(Periodic):
     """One control loop bound to one (hot) class object."""
 
     def __init__(
@@ -102,6 +102,7 @@ class CloneController:
         placement: ObjectServer,
     ) -> None:
         self.system = system
+        self.kernel = system.kernel
         self.class_loid = class_binding.loid
         self.config = config
         self.placement_loid = placement.loid
@@ -113,35 +114,11 @@ class CloneController:
         self.actions: List[Tuple[float, str, str]] = []
         self._last_grow = float("-inf")
         self._last_shrink = float("-inf")
-        self._proc = None
-
-    # ---------------------------------------------------------------- lifecycle
-
-    def start(self) -> None:
-        """Spawn the control loop (idempotent)."""
-        if self._proc is None:
-            self._proc = self.system.kernel.spawn(
-                self._loop(), name=f"autoscaler-{self.class_loid}"
-            )
-
-    def stop(self) -> None:
-        """Kill the control loop."""
-        if self._proc is not None:
-            self._proc.kill()
-            self._proc = None
 
     # -------------------------------------------------------------------- loop
 
-    def _loop(self):
-        yield Timeout(TICK)
-        while True:
-            try:
-                yield from self._tick()
-            except ProcessKilled:
-                raise  # stop() tore the loop down; ProcessKilled must win
-            except LegionError:
-                pass  # a tick interrupted by faults just runs again later
-            yield Timeout(TICK)
+    def _loops(self):
+        return [(f"autoscaler-{self.class_loid}", TICK, lambda: TICK, self._tick)]
 
     def _tick(self):
         sample = self.monitor.sample()

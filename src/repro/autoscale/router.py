@@ -14,25 +14,24 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.errors import LegionError, ProcessKilled
 from repro.naming.binding import Binding
 from repro.naming.loid import LOID
-from repro.simkernel.kernel import Timeout
+from repro.simkernel.kernel import Periodic
 
 #: Simulated ms between two ``CloneEpoch()`` polls.
 REFRESH = 20.0
 
 
-class ClonePoolRouter:
+class ClonePoolRouter(Periodic):
     """One client's rotating view of one class's clone pool."""
 
     def __init__(self, client, class_binding: Binding) -> None:
         self.client = client
+        self.kernel = client.services.kernel
         self.class_binding = class_binding
         self.pool: List[Binding] = [class_binding]
         self.epoch: Optional[int] = None
         self._rr = 0
-        self._proc = None
 
     def choose(self) -> LOID:
         """The next pool member's LOID (credit-aware round-robin).
@@ -57,31 +56,12 @@ class ClonePoolRouter:
         self._rr += 1
         return member.loid
 
-    def start(self) -> None:
-        """Spawn the refresh loop (idempotent)."""
-        if self._proc is None:
-            self._proc = self.client.services.kernel.spawn(
-                self._loop(), name=f"clone-pool-{self.client.loid}"
-            )
-
-    def stop(self) -> None:
-        """Kill the refresh loop."""
-        if self._proc is not None:
-            self._proc.kill()
-            self._proc = None
-
-    def _loop(self):
-        while True:
-            try:
-                yield from self.refresh_once()
-            except ProcessKilled:
-                raise
-            except LegionError:
-                pass  # the parent is busy or unreachable; keep the old pool
-            yield Timeout(REFRESH)
+    def _loops(self):
+        return [(f"clone-pool-{self.client.loid}", 0.0, lambda: REFRESH, self.refresh_once)]
 
     def refresh_once(self):
-        """One poll: re-fetch the pool only if the epoch moved."""
+        """One poll: re-fetch the pool only if the epoch moved (a failed
+        poll keeps the old pool)."""
         epoch = yield from self.client.runtime.invoke(
             self.class_binding.loid, "CloneEpoch"
         )

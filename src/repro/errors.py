@@ -28,8 +28,12 @@ class SimulationDeadlock(SimulationError):
     """``run()`` was asked to reach a condition but the event queue drained."""
 
 
-class ProcessKilled(SimulationError):
-    """Raised inside a simulation process that was killed externally."""
+class ProcessKilled(BaseException):
+    """Raised inside a simulation process that was killed externally.
+
+    A ``BaseException``, as ``asyncio.CancelledError`` is, so that no
+    ``except LegionError`` or ``except Exception`` can swallow a kill.
+    """
 
 
 class FutureError(SimulationError):

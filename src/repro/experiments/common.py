@@ -9,6 +9,10 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
+from repro.faults.driver import ChaosDriver, eligible_hosts
+from repro.faults.log import FaultLog
+from repro.faults.plan import FaultKind, FaultPlan
+from repro.faults.recovery import RecoverySweeper
 from repro.flow import FlowConfig
 from repro.metrics.counters import ComponentKind
 from repro.metrics.recorder import SeriesRecorder
@@ -193,13 +197,73 @@ def checkpoint(system: LegionSystem, class_loid: LOID, loid: LOID) -> None:
     system.call(row.current_magistrates[0], "Checkpoint", loid)
 
 
-def final_sweep(system: LegionSystem) -> None:
-    """One final ``sweep_hosts`` per magistrate, in site order, so losses
-    after the traffic window are also repaired (and logged) before
-    reconciliation."""
-    for site in sorted(system.magistrates):
-        fut = system.spawn(system.magistrates[site].impl.sweep_hosts())
-        system.kernel.run_until_complete(fut)
+class ChaosArm:
+    """The chaos stack of E13, E17 and E18 ``--faults``: a FaultLog, a
+    seeded FaultPlan over the crashable hosts (rng stream ``stream``), the
+    ChaosDriver applying it, and a RecoverySweeper.  The caller starts
+    ``driver`` and ``sweeper`` when its chaos phase begins."""
+
+    def __init__(
+        self, system: LegionSystem, stream: str, horizon: float, intensity: float,
+        objects: List[str], interval: float, mix: Optional[Mapping[FaultKind, float]],
+    ) -> None:
+        self.system = system
+        self.log = FaultLog()
+        self.plan = FaultPlan.generate(
+            system.services.rng.stream(stream),
+            horizon=horizon,
+            intensity=intensity,
+            hosts=eligible_hosts(system),
+            sites=[s.name for s in system.sites],
+            objects=objects,
+            mix=mix,
+        )
+        self.driver = ChaosDriver(system, self.plan, self.log)
+        self.sweeper = RecoverySweeper(system, interval=interval)
+
+    def wind_down(self) -> int:
+        """Stop the sweeps, drain the kernel (late chaos events, heals and
+        restores), then one final ``sweep_hosts`` per magistrate in site
+        order, so losses after the traffic window are also repaired (and
+        logged) before reconciliation.  Returns the messages sent before
+        that final sweep."""
+        self.sweeper.stop()
+        kernel = self.system.kernel
+        kernel.run()
+        sent = self.system.network.stats.messages_sent
+        for site in sorted(self.system.magistrates):
+            fut = self.system.spawn(self.system.magistrates[site].impl.sweep_hosts())
+            kernel.run_until_complete(fut)
+        return sent
+
+    def losses(self) -> Tuple[List[str], List[str]]:
+        """The objects the log saw lost, and those never recovered (sorted)."""
+        lost = sorted(set(self.log.lost_objects()))
+        recovered = set(self.log.recovered_objects())
+        return lost, [o for o in lost if o not in recovered]
+
+
+def drain_clones(system: LegionSystem, class_loid: LOID) -> bool:
+    """Scale-down, with the traffic gone: run the kernel in 100 ms slices
+    for up to 6 simulated s until the class's clone pool is empty (each
+    retirement is a drain plus a Deactivate, one per controller tick);
+    whether it got there."""
+    deadline = system.kernel.now + 6_000.0
+    while system.kernel.now < deadline and system.call(class_loid, "CloneCount") > 0:
+        system.kernel.run(until=system.kernel.now + 100.0)
+    return system.call(class_loid, "CloneCount") == 0
+
+
+def settle_governor(governor, drain: Callable[[], Any]) -> List[dict]:
+    """Wind a governor down: stop its loop (an endless tick would pin the
+    drain), run ``drain()``, observe the drained world once more, then
+    restore every baseline.  Returns the ledger's records."""
+    governor.stop_loop()
+    drain()
+    governor.poll()
+    records = governor.ledger.to_json()
+    governor.stop()
+    return records
 
 
 def count_messages(system: LegionSystem, fn: Callable[[], Any]) -> Tuple[Any, int]:

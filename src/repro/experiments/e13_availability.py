@@ -20,18 +20,15 @@ from __future__ import annotations
 
 from repro.core.runtime import RetryPolicy
 from repro.experiments.common import (
+    ChaosArm,
     Experiment,
     ExperimentResult,
     Flags,
     checkpoint,
-    final_sweep,
     uniform_sites,
     write_report,
 )
-from repro.faults.driver import ChaosDriver, eligible_hosts
-from repro.faults.log import FaultLog
-from repro.faults.plan import FaultPlan
-from repro.faults.recovery import RecoverySweeper
+from repro.faults.driver import protected_hosts
 from repro.metrics.recorder import SeriesRecorder
 from repro.system.legion import LegionSystem
 from repro.workloads.apps import CounterImpl
@@ -56,14 +53,14 @@ def _run_level(intensity: float, seed: int, quick: bool):
     calls_per_client = 30 if quick else 80
     horizon = 1_500.0 if quick else 4_000.0
     system = LegionSystem.build(uniform_sites(2, hosts_per_site=3), seed=seed)
-    # The class object is infrastructure: pin it to a protected host (each
-    # site's first host stays up, like the magistrates and agents it needs).
+    # The class object is infrastructure: pin it to a protected host (it
+    # stays up, like the magistrates and agents the class needs).
     site0 = system.sites[0].name
     cls = system.create_class(
         "Counter",
         factory=CounterImpl,
         magistrate=system.magistrates[site0].loid,
-        host=system.host_servers[system.site_hosts[site0][0]].loid,
+        host=system.host_servers[protected_hosts(system)[site0]].loid,
     )
     objects = [system.create_instance(cls.loid) for _ in range(n_objects)]
     loids = [b.loid for b in objects]
@@ -83,17 +80,9 @@ def _run_level(intensity: float, seed: int, quick: bool):
     rng = system.services.rng.stream("e13")
 
     system.reset_measurements()
-    log = FaultLog()
-    plan = FaultPlan.generate(
-        system.services.rng.stream("e13-faults"),
-        horizon=horizon,
-        intensity=intensity,
-        hosts=eligible_hosts(system),
-        sites=[s.name for s in system.sites],
-        objects=[str(loid) for loid in loids],
+    arm = ChaosArm(
+        system, "e13-faults", horizon, intensity, [str(loid) for loid in loids], 100.0, None
     )
-    driver = ChaosDriver(system, plan, log)
-    sweeper = RecoverySweeper(system, interval=100.0)
     traffic = TrafficDriver(
         system.kernel,
         clients,
@@ -104,15 +93,11 @@ def _run_level(intensity: float, seed: int, quick: bool):
         think_time=10.0,
         timeout=250.0,
     )
-    driver.start()
-    sweeper.start()
+    arm.driver.start()
+    arm.sweeper.start()
     stats_fut = traffic.start()
     stats = system.kernel.run_until_complete(stats_fut, max_events=20_000_000)
-    sweeper.stop()
-    system.kernel.run()  # late chaos events, heals, and restores drain here
-    repair_messages = system.network.stats.messages_sent
-
-    final_sweep(system)
+    repair_messages = arm.wind_down()
 
     # Verification: every object answers with its checkpointed state.  A
     # still-lost object is recovered by this very call (the reactive path),
@@ -125,8 +110,7 @@ def _run_level(intensity: float, seed: int, quick: bool):
     return {
         "system": system,
         "stats": stats,
-        "log": log,
-        "plan": plan,
+        "arm": arm,
         "state_intact": state_intact,
         "repair_messages": repair_messages,
         "sim_clock": system.kernel.now,
@@ -151,14 +135,15 @@ def units(quick: bool, flags: Flags) -> list:
 def measure(intensity: float, quick: bool, seed: int, flags: Flags) -> dict:
     """Run one intensity; reduce the live system to a picklable partial."""
     out = _run_level(intensity, seed, quick)
-    log = out["log"]
+    arm = out["arm"]
+    lost, unrecovered = arm.losses()
     return {
         "intensity": intensity,
         "stats": out["stats"],
-        "summary": log.summary(),
-        "lost": sorted(set(log.lost_objects())),
-        "recovered": sorted(set(log.recovered_objects())),
-        "fault_log_json": log.to_json(),
+        "summary": arm.log.summary(),
+        "lost": lost,
+        "unrecovered": unrecovered,
+        "fault_log_json": arm.log.to_json(),
         "state_intact": out["state_intact"],
         "repair_messages": out["repair_messages"],
         "sim_clock": out["sim_clock"],
@@ -225,12 +210,11 @@ def finish(partials, quick: bool, seed: int, flags: Flags) -> ExperimentResult:
             f"intensity={intensity:g}: state preserved through recovery",
             out["state_intact"],
         )
-        lost = set(out["lost"])
-        recovered = set(out["recovered"])
+        lost, unrecovered = out["lost"], out["unrecovered"]
         result.check(
             f"intensity={intensity:g}: every lost object was recovered",
-            lost <= recovered,
-            f"lost={len(lost)} recovered={len(recovered & lost)}",
+            not unrecovered,
+            f"lost={len(lost)} recovered={len(lost) - len(unrecovered)}",
         )
         if intensity > 0.0 and summary["injected"] > 0:
             saw_chaos = True

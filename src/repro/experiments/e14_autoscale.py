@@ -33,7 +33,7 @@ from repro.autoscale import (
     ClonePoolRouter,
     build_placement_agent,
 )
-from repro.experiments.common import ExperimentResult, write_report
+from repro.experiments.common import ExperimentResult, drain_clones, write_report
 from repro.metrics.counters import ComponentKind
 from repro.metrics.recorder import SeriesRecorder
 from repro.system.legion import LegionSystem, SiteSpec
@@ -141,13 +141,7 @@ def _run_level(level: int, seed: int, quick: bool, autoscaled: bool):
 
     drained_to_min = None
     if autoscaled:
-        # Scale-down: with the traffic gone the pool must drain back.
-        # Each retirement costs a drain (up to RETIRE_DRAIN_BUDGET) plus a
-        # Deactivate, one per controller tick.
-        deadline = system.kernel.now + 6_000.0
-        while system.kernel.now < deadline and system.call(hot.loid, "CloneCount") > 0:
-            system.kernel.run(until=system.kernel.now + 100.0)
-        drained_to_min = system.call(hot.loid, "CloneCount") == 0
+        drained_to_min = drain_clones(system, hot.loid)
         controller.stop()
     for router in routers:
         router.stop()

@@ -35,18 +35,17 @@ from typing import Any, Dict, List, Tuple
 from repro.errors import LegionError
 from repro.core.runtime import RetryPolicy
 from repro.experiments.common import (
+    ChaosArm,
     Experiment,
     ExperimentResult,
     Flags,
     checkpoint,
-    final_sweep,
     serial_flow,
+    settle_governor,
     write_report,
 )
-from repro.faults.driver import ChaosDriver, eligible_hosts
-from repro.faults.log import FaultLog
-from repro.faults.plan import FaultKind, FaultPlan
-from repro.faults.recovery import RecoverySweeper
+from repro.faults.driver import protected_hosts
+from repro.faults.plan import FaultKind
 from repro.health import GovernorConfig, HealthLedger, enable_governor
 from repro.metrics.counters import MetricsRegistry
 from repro.metrics.recorder import SeriesRecorder
@@ -107,14 +106,12 @@ def _run_arm(
     system = LegionSystem.build(
         [SiteSpec("main", hosts=3)], seed=seed, flow=FLOW if governed else None
     )
-    log = FaultLog()
-    system.services.fault_log = log
 
-    # Class objects are infrastructure: pin them to the protected first
-    # host (as E13 does) so chaos can crash instances but never the
-    # recovery control path itself.
+    # Class objects are infrastructure: pin them to the protected host (as
+    # E13 does) so chaos can crash instances but never the recovery
+    # control path itself.
     site0 = system.sites[0].name
-    protected = system.host_servers[system.site_hosts[site0][0]].loid
+    protected = system.host_servers[protected_hosts(system)[site0]].loid
     cls = system.create_class(
         "SerialService",
         factory=lambda: SerialServiceImpl(service_time=SERVICE_TIME),
@@ -152,19 +149,13 @@ def _run_arm(
     # The storm's chaos: drawn up front from the seeded stream, started
     # (relative to then-now) when the storm phase begins.
     storm_start = sum(d for _n, d, _l in phases[:2])
-    storm_duration = phases[2][1]
-    plan = FaultPlan.generate(
-        system.services.rng.stream("e17-faults"),
-        horizon=storm_duration,
-        intensity=10.0,
-        hosts=eligible_hosts(system),
-        sites=[s.name for s in system.sites],
-        objects=[str(b.loid) for b in fodder],
-        mix={FaultKind.HOST_CRASH: 0.5, FaultKind.OBJECT_CRASH: 0.5},
+    arm = ChaosArm(
+        system, "e17-faults", phases[2][1], 10.0, [str(b.loid) for b in fodder], 120.0,
+        {FaultKind.HOST_CRASH: 0.5, FaultKind.OBJECT_CRASH: 0.5},
     )
-    driver = ChaosDriver(system, plan, log)
-    sweeper = RecoverySweeper(system, interval=120.0)
-    sweeper.start()
+    # Installed now (not when the storm starts): sheds are logged too.
+    system.services.fault_log = arm.log
+    arm.sweeper.start()
 
     governor = None
     if governed:
@@ -175,11 +166,11 @@ def _run_arm(
         config = GovernorConfig(critical=frozenset({str(instance.loid)}))
         governor = enable_governor(system, config)
         governor.track(*clients)
-        governor.attach(sweeper=sweeper)
+        governor.attach(sweeper=arm.sweeper)
 
     start = system.kernel.now
     total = sum(d for _n, d, _l in phases)
-    system.kernel.schedule(storm_start, driver.start)
+    system.kernel.schedule(storm_start, arm.driver.start)
     traffic = OpenLoopDriver(
         system.kernel,
         clients[:N_CLIENTS],
@@ -205,35 +196,31 @@ def _run_arm(
 
     probes = system.kernel.spawn(probe_loop(), name="e17-probes")
     system.kernel.run_until_complete(gather([done, probes]), max_events=50_000_000)
-    sweeper.stop()
-    if governor is not None:
-        governor.stop_loop()  # endless tick loop would pin the drain below
-    system.kernel.run()  # drain backlog, late chaos restores, retries
 
-    final_sweep(system)
-    # Touch every fodder object: a straggler lost on a live host is
-    # recovered by this very call (the reactive path), as in E13.  The
-    # tracked prober does the touching so any shed stays triple-entry.
     def touch(loid):
         try:
             yield from prober.runtime.invoke(loid, "Get", timeout=TIMEOUT)
         except LegionError:
             pass  # reconciliation below reports it as unrecovered
-    for binding in fodder:
-        fut = system.kernel.spawn(touch(binding.loid), name="e17-touch")
-        system.kernel.run_until_complete(fut)
+
+    def wind_down():
+        arm.wind_down()  # drains backlog, late chaos restores, retries
+        # Touch every fodder object: a straggler lost on a live host is
+        # recovered by this very call (the reactive path), as in E13.  The
+        # tracked prober does the touching so any shed stays triple-entry.
+        for binding in fodder:
+            fut = system.kernel.spawn(touch(binding.loid), name="e17-touch")
+            system.kernel.run_until_complete(fut)
 
     ledger_records: List[Dict[str, Any]] = []
     band_final = "stable"
     audits: List[Any] = []
-    if governor is not None:
-        record = governor.poll()  # observe the post-storm world once more
-        del record
-        evidence = governor.last_evidence
-        audits.append(TraceAudit.evidence_reconciles(evidence))
-        ledger_records = governor.ledger.to_json()
+    if governor is None:
+        wind_down()
+    else:
+        ledger_records = settle_governor(governor, wind_down)
+        audits.append(TraceAudit.evidence_reconciles(governor.last_evidence))
         band_final = governor.band.label
-        governor.stop()
 
     # Phase-windowed goodput (successes per ms, by settle time).
     phase_rows = []
@@ -260,11 +247,10 @@ def _run_arm(
 
     metrics = system.services.metrics
     metrics_shed = sum(metrics.snapshot(None, MetricsRegistry.SHED).values())
-    faultlog_shed = log.count("request-shed")
+    faultlog_shed = arm.log.count("request-shed")
     runtimes = system.runtimes(clients)
     wire_shed = sum(rt.stats.shed for rt in runtimes)
-    lost = set(log.lost_objects())
-    recovered = set(log.recovered_objects())
+    lost, unrecovered = arm.losses()
 
     return {
         "phases": phase_rows,
@@ -274,9 +260,9 @@ def _run_arm(
         "faultlog_shed": faultlog_shed,
         "wire_shed": wire_shed,
         "settled": all(rt.settled for rt in runtimes),
-        "chaos_events": len(plan.events),
+        "chaos_events": len(arm.plan.events),
         "lost": len(lost),
-        "unrecovered": len(lost - recovered),
+        "unrecovered": len(unrecovered),
         "ledger": ledger_records,
         "band_final": band_final,
         "audits": audits,

@@ -31,19 +31,17 @@ from dataclasses import replace
 from typing import Dict, List, Tuple
 
 from repro.experiments.common import (
+    ChaosArm,
     Experiment,
     ExperimentResult,
     Flags,
     checkpoint,
-    final_sweep,
+    drain_clones,
     serial_flow,
+    settle_governor,
     write_report,
 )
 from repro.experiments.e13_availability import CHAOS_RETRY_POLICY
-from repro.faults.driver import ChaosDriver, eligible_hosts
-from repro.faults.log import FaultLog
-from repro.faults.plan import FaultPlan
-from repro.faults.recovery import RecoverySweeper
 from repro.health import GovernorConfig, HealthLedger, enable_governor
 from repro.metrics.recorder import SeriesRecorder
 from repro.scenarios import (
@@ -190,40 +188,30 @@ def _measure_faults(spec: ScenarioSpec, seed: int, intensity: float) -> dict:
     for client in dep.all_clients():
         client.runtime.retry_policy = CHAOS_RETRY_POLICY
 
-    log = FaultLog()
-    fault_plan = FaultPlan.generate(
-        system.services.rng.stream(f"e18-faults-{spec.name}"),
-        horizon=spec.duration,
-        intensity=intensity,
-        hosts=eligible_hosts(system),
-        sites=[s.name for s in system.sites],
-        objects=[str(loid) for loid in instance_loids],
+    arm = ChaosArm(
+        system, f"e18-faults-{spec.name}", spec.duration, intensity,
+        [str(loid) for loid in instance_loids], 100.0, None,
     )
-    chaos = ChaosDriver(system, fault_plan, log)
-    sweeper = RecoverySweeper(system, interval=100.0)
     driver = ScenarioDriver(
         dep, plan, use_deadlines=False, timeout=CHAOS_TIMEOUT
     )
-    chaos.start()
-    sweeper.start()
+    arm.driver.start()
+    arm.sweeper.start()
     stats_fut = driver.start()
     system.kernel.run_until_complete(stats_fut, max_events=MAX_EVENTS)
-    sweeper.stop()
-    system.kernel.run()  # late chaos events, heals, and restores drain here
-    final_sweep(system)
+    arm.wind_down()
     # Every instance must still answer with the checkpointed sentinel; a
     # straggler lost on a live host is recovered by this very call.
     state_intact = all(
         system.call(loid, "Read", SENTINEL_KEY) >= 1 for loid in instance_loids
     )
     partial = _base_partial(driver)
-    lost = sorted(set(log.lost_objects()))
-    recovered = set(log.recovered_objects())
+    lost, unrecovered = arm.losses()
     partial.update(
         {
-            "faults": log.summary(),
+            "faults": arm.log.summary(),
             "lost": len(lost),
-            "unrecovered": [o for o in lost if o not in recovered],
+            "unrecovered": unrecovered,
             "state_intact": state_intact,
         }
     )
@@ -244,19 +232,13 @@ def _measure_governor(spec: ScenarioSpec, seed: int, mult: float) -> dict:
     driver = ScenarioDriver(dep, plan, use_deadlines=False)
     stats_fut = driver.start()
     system.kernel.run_until_complete(stats_fut, max_events=MAX_EVENTS)
-    governor.stop_loop()  # endless tick loop would pin the drain below
-    system.kernel.run()
-    governor.poll()  # observe the drained world once more
-    records = governor.ledger.to_json()
-    ledger_ok = HealthLedger.verify_records(records) is None
-    band = governor.band.label
-    governor.stop()
+    records = settle_governor(governor, system.kernel.run)
     partial = _base_partial(driver)
     partial.update(
         {
-            "ledger_ok": ledger_ok,
+            "ledger_ok": HealthLedger.verify_records(records) is None,
             "ledger_records": len(records),
-            "band_final": band,
+            "band_final": governor.band.label,
             "bands_seen": sorted({r["to_band"] for r in records}),
         }
     )
@@ -319,14 +301,7 @@ def _measure_autoscale(spec: ScenarioSpec, seed: int, mult: float) -> dict:
     driver = ScenarioDriver(dep, plan, invoke_via=invoke_via, timeout=400.0)
     stats_fut = driver.start()
     system.kernel.run_until_complete(stats_fut, max_events=MAX_EVENTS)
-    # Scale-down: with the traffic gone the pool must drain back.
-    deadline = system.kernel.now + 6_000.0
-    while (
-        system.kernel.now < deadline
-        and system.call(hot.loid, "CloneCount") > 0
-    ):
-        system.kernel.run(until=system.kernel.now + 100.0)
-    drained = system.call(hot.loid, "CloneCount") == 0
+    drained = drain_clones(system, hot.loid)
     controller.stop()
     for router in routers.values():
         router.stop()

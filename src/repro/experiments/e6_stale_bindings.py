@@ -53,11 +53,15 @@ def _run_level(churn_interval: float, seed: int, quick: bool):
             rng=system.services.rng.stream("e6-churn"),
             interval=churn_interval,
         )
-        churn_proc = system.kernel.spawn(churn._loop(), name="churn")
+        churn.start()
     stats_fut = traffic.start()
     stats = system.kernel.run_until_complete(stats_fut, max_events=5_000_000)
-    if churn_interval > 0:
-        churn_proc.kill()
+    if churn is not None:
+        # The churn round in flight when the traffic ends runs to its end
+        # (its Move may already be at the magistrate); then the loop stops.
+        while churn.busy and system.kernel.step():
+            pass
+        churn.stop()
         system.kernel.run()
 
     stale = sum(c.runtime.stats.stale_detected for c in clients)

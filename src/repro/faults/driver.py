@@ -2,22 +2,27 @@
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List
 
 from repro.faults.log import FaultLog
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
 from repro.net.latency import LinkClass
 
 
-def eligible_hosts(system) -> List[int]:
-    """Host ids a chaos run may crash: everything but each site's first
-    host, which carries the site's magistrate, binding agent, and (at the
-    first site) the core class objects.  Crashing those infrastructure
-    singletons has no recovery path in this reproduction -- the paper
-    assumes replicated core services -- so availability experiments keep
-    them up and kill everything else.
+def protected_hosts(system) -> Dict[str, int]:
+    """Each site's protected host id: its first host, which carries the
+    site's magistrate, binding agent, and (at the first site) the core
+    class objects.  Crashing those infrastructure singletons has no
+    recovery path in this reproduction -- the paper assumes replicated
+    core services -- so chaos never crashes them, and availability
+    experiments pin the classes they need there.
     """
-    protected = {ids[0] for ids in system.site_hosts.values() if ids}
+    return {site: ids[0] for site, ids in system.site_hosts.items() if ids}
+
+
+def eligible_hosts(system) -> List[int]:
+    """Host ids a chaos run may crash: every host but the protected ones."""
+    protected = set(protected_hosts(system).values())
     return [h for h in sorted(system.host_servers) if h not in protected]
 
 
@@ -35,7 +40,7 @@ class ChaosDriver:
         self.system = system
         self.plan = plan
         self.log = log
-        self._protected = {ids[0] for ids in system.site_hosts.values() if ids}
+        self._protected = set(protected_hosts(system).values())
         self._started = False
 
     def start(self) -> None:
@@ -70,7 +75,7 @@ class ChaosDriver:
         """The whole host dies: every resident process is killed and every
         endpoint on the host (including the Host Object's own) vanishes."""
         if host_id in self._protected:
-            return  # infrastructure hosts are out of scope (see eligible_hosts)
+            return  # infrastructure hosts are out of scope (see protected_hosts)
         server = self.system.host_servers.get(host_id)
         if server is None or not server.active:
             return  # unknown or already down

@@ -10,17 +10,10 @@ distribution is bounded by the sweep interval rather than by traffic.
 
 from __future__ import annotations
 
-from typing import List
-
-from repro.errors import LegionError, ProcessKilled
-from repro.simkernel.kernel import Timeout
-
-#: Per-magistrate start offset (simulated ms) so sweeps do not run in
-#: lockstep.
-STAGGER = 7.0
+from repro.simkernel.kernel import Periodic
 
 
-class RecoverySweeper:
+class RecoverySweeper(Periodic):
     """One sweep process per magistrate, staggered to avoid lockstep.
 
     ``repair`` optionally couples a companion service with start/stop
@@ -31,39 +24,30 @@ class RecoverySweeper:
 
     def __init__(self, system, interval: float = 120.0, repair=None) -> None:
         self.system = system
+        self.kernel = system.kernel
         self.interval = interval
         self.repair = repair
-        self._procs: List = []
+
+    def _loops(self):
+        magistrates = self.system.magistrates
+        return [
+            (
+                f"recovery-sweep-{site}",
+                self.interval,
+                lambda: self.interval,
+                magistrates[site].impl.sweep_hosts,
+            )
+            for site in sorted(magistrates)
+        ]
 
     def start(self) -> None:
         """Spawn the per-magistrate sweep loops (and the repair companion)."""
         if self.repair is not None:
             self.repair.start()
-        if self._procs:
-            return
-        for index, site in enumerate(sorted(self.system.magistrates)):
-            server = self.system.magistrates[site]
-            self._procs.append(
-                self.system.kernel.spawn(
-                    self._loop(server, index), name=f"recovery-sweep-{site}"
-                )
-            )
-
-    def _loop(self, server, index: int):
-        yield Timeout(self.interval + index * STAGGER)
-        while True:
-            try:
-                yield from server.impl.sweep_hosts()
-            except ProcessKilled:
-                raise  # stop() tore this loop down; ProcessKilled must win
-            except LegionError:
-                pass  # a sweep interrupted by chaos just runs again later
-            yield Timeout(self.interval)
+        super().start()
 
     def stop(self) -> None:
         """Kill the sweep processes (end of the measured phase)."""
-        for proc in self._procs:
-            proc.kill()
-        self._procs.clear()
+        super().stop()
         if self.repair is not None:
             self.repair.stop()

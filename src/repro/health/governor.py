@@ -37,7 +37,7 @@ from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Tuple
 from repro.health.bands import Band, BandMachine
 from repro.health.evidence import EvidenceCollector, HealthEvidence
 from repro.health.ledger import HealthLedger
-from repro.simkernel.kernel import Timeout
+from repro.simkernel.kernel import Periodic
 
 
 @dataclass(frozen=True)
@@ -97,11 +97,12 @@ class GovernorConfig:
     critical: FrozenSet[str] = frozenset()
 
 
-class Governor:
+class Governor(Periodic):
     """Bind a BandMachine + ledger to a live system and govern its policy."""
 
     def __init__(self, system, config: Optional[GovernorConfig] = None) -> None:
         self.system = system
+        self.kernel = system.kernel
         self.config = config or GovernorConfig()
         self.collector = EvidenceCollector(system)
         self.machine = BandMachine(now=system.kernel.now)
@@ -119,7 +120,6 @@ class Governor:
         self._base_sweep: Optional[float] = None
         self._base_repair: Optional[Tuple[float, int, float]] = None
         self._retry_runtimes: List[Any] = []
-        self._proc = None
 
     # ---------------------------------------------------------------- plumbing
 
@@ -149,27 +149,13 @@ class Governor:
 
     # ------------------------------------------------------------------- loop
 
-    def start(self) -> None:
-        """Spawn the governing loop on the simulation kernel (idempotent)."""
-        if self._proc is None:
-            self._proc = self.system.kernel.spawn(
-                self._loop(), name="health-governor"
-            )
+    def _loops(self):
+        return [("health-governor", TICK, lambda: TICK, self.poll)]
 
-    def _loop(self):
-        while True:
-            yield Timeout(TICK)
-            self.poll()
-
-    def stop_loop(self) -> None:
-        """Kill the governing loop (policy stays as last applied).
-
-        Call before draining the kernel: the loop is an endless tick
-        process, so ``kernel.run()`` would never go idle under it.
-        """
-        if self._proc is not None:
-            self._proc.kill()
-            self._proc = None
+    #: Kill the governing loop (policy stays as last applied).  Call before
+    #: draining the kernel: the loop is an endless tick process, so
+    #: ``kernel.run()`` would never go idle under it.
+    stop_loop = Periodic.stop
 
     def stop(self) -> None:
         """Kill the loop and restore every captured baseline."""

@@ -41,7 +41,6 @@ from repro.errors import (
     LifecycleError,
     NoCapacity,
     PartitionedError,
-    ProcessKilled,
     RequestRefused,
     UnknownObject,
 )
@@ -52,7 +51,7 @@ from repro.naming.binding import Binding
 from repro.naming.loid import LOID
 from repro.net.address import ObjectAddress
 from repro.persistence.opr import OPRecord
-from repro.simkernel.futures import SimFuture
+from repro.simkernel.futures import SimFuture, shared_failure
 
 
 class ObjectState(enum.Enum):
@@ -208,8 +207,6 @@ class MagistrateImpl(LegionObjectImpl):
         """
         try:
             binding = yield from self.runtime.resolve(host_loid, trace=env.trace)
-        except ProcessKilled:
-            raise  # the probing process is being torn down, not evidence
         except LegionError:
             return ("unknown", None)  # control-path trouble, not host evidence
         try:
@@ -222,8 +219,6 @@ class MagistrateImpl(LegionObjectImpl):
         except DeliveryFailure:
             self.runtime.cache.invalidate_exact(binding)
             return ("dead", None)
-        except ProcessKilled:
-            raise
         except LegionError:
             return ("unknown", None)
 
@@ -449,8 +444,6 @@ class MagistrateImpl(LegionObjectImpl):
                     self._enter(record, LOST, None, None, f"host {host.loid} lost")
                 try:
                     yield from self.recover_object(record.loid, ctx=ctx)
-                except ProcessKilled:
-                    raise  # the sweeping process itself is being torn down
                 except Exception:  # noqa: BLE001 - no surviving capacity yet
                     # Leave the record Lost; a later sweep (or the class's
                     # GetBinding-on-stale path) retries the reactivation.
@@ -594,8 +587,7 @@ class MagistrateImpl(LegionObjectImpl):
             try:
                 yield inflight
             except Exception:  # noqa: BLE001 - its failure is its caller's
-                if not inflight.done():
-                    raise  # thrown into this waiter (a kill)
+                pass
             entry = self._inflight.get(key)
         record = self.managed.get(key) or self._get_managed(loid)  # (raises if absent)
         accepted = LIFECYCLE[record.state]
@@ -616,7 +608,7 @@ class MagistrateImpl(LegionObjectImpl):
             if mine is not None:
                 del self._inflight[key]
                 if mine[2] is not None:
-                    mine[2].set_exception(exc)
+                    mine[2].set_exception(shared_failure(exc))
             raise
         if mine is not None:
             del self._inflight[key]

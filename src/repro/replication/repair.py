@@ -22,13 +22,13 @@ traffic before any foreground request: repair yields, foreground wins.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, List, Optional, Tuple
 
 from repro.errors import (
     BindingNotFound,
     DeliveryFailure,
     LegionError,
-    ProcessKilled,
 )
 from repro.core.method import MethodInvocation
 from repro.core.runtime import LegionRuntime, RetryPolicy
@@ -37,10 +37,7 @@ from repro.naming.loid import LOID
 from repro.net.address import ObjectAddressElement
 from repro.security.environment import CallEnvironment
 from repro.simkernel.futures import SimFuture
-from repro.simkernel.kernel import Timeout
-
-#: Per-site start offset (simulated ms) so sweeps do not run in lockstep.
-STAGGER = 7.0
+from repro.simkernel.kernel import Periodic, Timeout
 
 #: The patient policy repair clients run: wide backoff, honors the
 #: Overloaded retry_after pushback (repair re-offers only when the
@@ -129,7 +126,7 @@ def repair_replica_group(
     return current
 
 
-class ReplicaRepairService:
+class ReplicaRepairService(Periodic):
     """Background re-replication, one staggered sweep loop per site.
 
     Requires ``enable_replication`` to have run: the per-site catalogs
@@ -161,6 +158,7 @@ class ReplicaRepairService:
                 "ReplicaRepairService needs enable_replication() first"
             )
         self.system = system
+        self.kernel = system.kernel
         self.directory = directory
         self.interval = interval
         self.priority = priority
@@ -170,7 +168,6 @@ class ReplicaRepairService:
         #: site -> client console the repair traffic originates from
         #: (placed at the site, so probes of local replicas stay local).
         self._clients: dict = {}
-        self._procs: List = []
         #: (site, loid, kind) audit rows: kind in {"shrink", "regrow"}.
         self.actions: List[Tuple[str, Any, str]] = []
 
@@ -182,27 +179,16 @@ class ReplicaRepairService:
             self._clients[site] = client
         return client.runtime
 
-    def start(self) -> None:
-        """Spawn the per-site sweep loops (idempotent)."""
-        if self._procs:
-            return
-        for index, site in enumerate(self.directory.sites()):
-            self._procs.append(
-                self.system.kernel.spawn(
-                    self._loop(site, index), name=f"replica-repair-{site}"
-                )
+    def _loops(self):
+        return [
+            (
+                f"replica-repair-{site}",
+                self.interval,
+                lambda: self.interval,
+                partial(self.sweep_site, site),
             )
-
-    def _loop(self, site: str, index: int):
-        yield Timeout(self.interval + index * STAGGER)
-        while True:
-            try:
-                yield from self.sweep_site(site)
-            except ProcessKilled:
-                raise  # stop() tore this loop down; ProcessKilled must win
-            except LegionError:
-                pass  # a sweep interrupted by chaos just runs again later
-            yield Timeout(self.interval)
+            for site in self.directory.sites()
+        ]
 
     def sweep_site(self, site: str):
         """One pass over ``site``'s catalog: probe, shrink, regrow.
@@ -237,8 +223,6 @@ class ReplicaRepairService:
                 class_loid, "GetBinding", loid,
                 timeout=self.timeout, priority=self.priority,
             )
-        except ProcessKilled:
-            raise  # stop() kills mid-call; LegionError must not eat it
         except LegionError:
             return  # group gone or class unreachable: next sweep retries
         status = yield from probe_replicas(
@@ -265,8 +249,6 @@ class ReplicaRepairService:
                     self.system.magistrates[hint_site].loid,
                     timeout=self.timeout, priority=self.priority,
                 )
-            except ProcessKilled:
-                raise  # stop() kills mid-call; LegionError must not eat it
             except LegionError:
                 return  # no capacity / no seed source / unreachable: retry later
             grown = [e for e in binding.address.elements if e not in before]
@@ -276,9 +258,3 @@ class ReplicaRepairService:
                 status.alive.append(element)
                 self.actions.append((site, loid, "regrow"))
         runtime.cache.insert(binding)
-
-    def stop(self) -> None:
-        """Kill the sweep processes (end of the measured phase)."""
-        for proc in self._procs:
-            proc.kill()
-        self._procs.clear()

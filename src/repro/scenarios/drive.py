@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.faults.driver import protected_hosts
 from repro.naming.loid import LOID
 from repro.security.mayi import ACLPolicy
 from repro.simkernel.kernel import Timeout
@@ -93,8 +94,8 @@ def deploy(
     """Build the live system a scenario runs against.
 
     ``pin_classes`` places every class object (and its magistrate role)
-    on site 0's first host -- the protected-host recipe the fault arm
-    uses so chaos never kills the metadata spine.
+    on site 0's protected host (:func:`~repro.faults.driver.protected_hosts`),
+    so chaos never kills the metadata spine.
     """
     site_names = [f"site{i}" for i in range(spec.sites)]
     system = LegionSystem.build(
@@ -131,7 +132,7 @@ def deploy(
         site0 = site_names[0]
         pin_hints = {
             "magistrate": system.magistrates[site0].loid,
-            "host": system.host_servers[system.site_hosts[site0][0]].loid,
+            "host": system.host_servers[protected_hosts(system)[site0]].loid,
         }
     classes: List[object] = []
     instances: Dict[Tuple[int, int], List[LOID]] = {}

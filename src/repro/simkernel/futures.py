@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterable, List, Optional
 
-from repro.errors import FutureError
+from repro.errors import FutureError, ProcessKilled, SimulationError
 
 _PENDING = "pending"
 _DONE = "done"
@@ -230,13 +230,23 @@ def k_of(futures: Iterable[SimFuture], k: int, name: str = "k_of") -> SimFuture:
     return out
 
 
+def shared_failure(exc: BaseException) -> BaseException:
+    """``exc`` as the riders of a failed leader's future see it: a kill
+    stays with the process it was aimed at, and they get an error they
+    can catch."""
+    if isinstance(exc, ProcessKilled):
+        return SimulationError(f"abandoned: its leader was killed ({exc})")
+    return exc
+
+
 def single_flight(table: dict, key: Any, name: str, body):
     """Run ``body`` once per ``key``, however many callers arrive meanwhile.
 
     A generator for ``yield from``.  The first caller runs the ``body``
     generator with a future (labelled ``name``) parked under
     ``table[key]``; later callers yield that future -- their ``body`` is
-    never started -- and get the first one's value or exception.  The
+    never started -- and get the first one's value or exception (a kill
+    as :func:`shared_failure` passes it on).  The
     key is cleared before the future resolves, so the next caller after
     either outcome runs its body again.
     """
@@ -249,7 +259,7 @@ def single_flight(table: dict, key: Any, name: str, body):
         value = yield from body
     except BaseException as exc:
         del table[key]
-        fut.set_exception(exc)
+        fut.set_exception(shared_failure(exc))
         raise
     del table[key]
     fut.set_result(value)

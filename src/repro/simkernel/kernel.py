@@ -11,7 +11,8 @@ Processes are plain Python generators.  A process may ``yield``:
 * ``None`` -- yield the floor: resume after all currently-due events.
 
 :meth:`SimKernel.spawn` returns the :class:`Process`, itself the
-:class:`SimFuture` of the generator's ``return`` value.
+:class:`SimFuture` of the generator's ``return`` value;
+:meth:`SimKernel.every` spawns the one periodic loop background services run.
 
 The loop is strictly deterministic: events at equal times run in schedule
 order (a monotonically increasing sequence number breaks ties).
@@ -44,7 +45,7 @@ from collections import deque
 from types import GeneratorType
 from typing import Any, Callable, Deque, Dict, Generator, List, Optional, Tuple
 
-from repro.errors import FutureError, ProcessKilled, SimulationDeadlock, SimulationError
+from repro.errors import FutureError, LegionError, ProcessKilled, SimulationDeadlock, SimulationError
 from repro.simkernel.futures import SimFuture
 
 ProcessGen = Generator[Any, Any, Any]
@@ -347,6 +348,33 @@ class SimKernel:
             self._micro.append((proc._step_cb, None))
         return proc
 
+    def every(
+        self, name: str, first: float, interval: Callable[[], float], step: Callable[[], Any]
+    ) -> Process:
+        """Run ``step()`` once a round until killed; return the process
+        (what a background service's ``stop()`` kills).
+
+        The first round starts ``first`` ms from now (at once if 0), each
+        later one ``interval()`` ms after the last ended -- read per round,
+        so a retuned interval takes effect from the next.  A round may be
+        a generator, run to its end; a :class:`~repro.errors.LegionError`
+        ends it early, and the next round runs on time.
+        """
+
+        def rounds() -> ProcessGen:
+            if first:
+                yield Timeout(first)
+            while True:
+                try:
+                    body = step()
+                    if type(body) is GeneratorType:
+                        yield from body
+                except LegionError:
+                    pass  # a round cut short by a fault just runs again next time
+                yield Timeout(interval())
+
+        return self.spawn(rounds(), name)
+
     # -- deadline lanes (the lane's entry is on top of the heap) -------------
 
     def _settle(self, lane: _Lane, seq: int) -> bool:
@@ -498,3 +526,31 @@ class SimKernel:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<SimKernel t={self.now:.3f} queued={len(self._queue)}>"
+
+
+class Periodic:
+    """A background service: :meth:`start` runs each loop :meth:`_loops`
+    lists -- ``(name, first, interval, step)``, as :meth:`SimKernel.every`
+    takes them -- on ``self.kernel``, and :meth:`stop` kills them, even
+    mid-call."""
+
+    #: Start offset (simulated ms) of each sibling loop after the first
+    #: (one per site), so they do not run in lockstep.
+    STAGGER = 7.0
+
+    kernel: SimKernel
+    _procs: Tuple[Process, ...] = ()
+
+    def start(self) -> None:
+        """Spawn the loops (idempotent), the i-th ``i * STAGGER`` ms late."""
+        if not self._procs:
+            self._procs = tuple(
+                self.kernel.every(name, first + i * self.STAGGER, interval, step)
+                for i, (name, first, interval, step) in enumerate(self._loops())
+            )
+
+    def stop(self) -> None:
+        """Kill the loops."""
+        for proc in self._procs:
+            proc.kill()
+        self._procs = ()

@@ -19,7 +19,7 @@ from repro.errors import LegionError, Overloaded, SecurityDenied
 from repro.core.server import ObjectServer
 from repro.naming.loid import LOID
 from repro.simkernel.futures import SimFuture, gather
-from repro.simkernel.kernel import SimKernel, Timeout
+from repro.simkernel.kernel import Periodic, SimKernel, Timeout
 
 
 class ZipfPopularity:
@@ -276,14 +276,14 @@ class OpenLoopDriver(SessionLoopDriver):
 MOVE_FRACTION = 0.5
 
 
-class ChurnDriver:
+class ChurnDriver(Periodic):
     """Manufacture stale bindings by cycling objects through magistrates.
 
     Every ``interval`` simulated ms, pick a random managed object and
     either Deactivate it (a later reference re-activates it at a possibly
     different address) or Move it to another magistrate.  This is the
     workload knob behind experiment E6 (section 4.1.4).  The loop runs
-    until its process is killed.
+    from :meth:`start` until :meth:`stop`.
     """
 
     def __init__(
@@ -304,34 +304,36 @@ class ChurnDriver:
         self.rng = rng
         self.interval = interval
         self.churn_events = 0
+        #: True while a round is in flight (``stop()`` would cut it short).
+        self.busy = False
 
-    def _loop(self):
-        while True:
-            yield Timeout(self.interval)
+    def _loops(self):
+        return [("churn", self.interval, lambda: self.interval, self._churn)]
+
+    def _churn(self):
+        # A LegionError ends the round: racing concurrent traffic is expected.
+        self.busy = True
+        try:
             loid = self.objects[self.rng.randrange(len(self.objects))]
-            try:
-                row = yield from self.client.runtime.invoke(
-                    self.class_loid, "GetRow", loid
-                )
-            except LegionError:
-                continue
+            row = yield from self.client.runtime.invoke(
+                self.class_loid, "GetRow", loid
+            )
             if not row.current_magistrates:
-                continue
+                return
             magistrate = row.current_magistrates[0]
-            try:
-                if (
-                    len(self.magistrates) > 1
-                    and self.rng.random() < MOVE_FRACTION
-                ):
-                    others = [m for m in self.magistrates if m != magistrate]
-                    target = others[self.rng.randrange(len(others))]
-                    yield from self.client.runtime.invoke(
-                        magistrate, "Move", loid, target
-                    )
-                else:
-                    yield from self.client.runtime.invoke(
-                        magistrate, "Deactivate", loid
-                    )
-                self.churn_events += 1
-            except LegionError:
-                continue  # racing with concurrent traffic is expected
+            if (
+                len(self.magistrates) > 1
+                and self.rng.random() < MOVE_FRACTION
+            ):
+                others = [m for m in self.magistrates if m != magistrate]
+                target = others[self.rng.randrange(len(others))]
+                yield from self.client.runtime.invoke(
+                    magistrate, "Move", loid, target
+                )
+            else:
+                yield from self.client.runtime.invoke(
+                    magistrate, "Deactivate", loid
+                )
+            self.churn_events += 1
+        finally:
+            self.busy = False

@@ -236,11 +236,11 @@ class TestLifecycle:
     def test_start_is_idempotent(self):
         system, _instance, _client = build()
         governor = enable_governor(system)
-        proc = governor._proc
+        procs = governor._procs
         governor.start()
-        assert governor._proc is proc
+        assert governor._procs is procs and len(procs) == 1
         governor.stop()
-        assert governor._proc is None
+        assert governor._procs == ()
 
     def test_config_replace_fills_critical_per_run(self):
         base = GovernorConfig()

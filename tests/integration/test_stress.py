@@ -39,7 +39,7 @@ class TestCombinedAdversity:
             rng=system.services.rng.stream("stress-churn"),
             interval=60.0,
         )
-        churn_proc = system.kernel.spawn(churn._loop())
+        churn.start()
         traffic = TrafficDriver(
             system.kernel,
             clients,
@@ -53,7 +53,7 @@ class TestCombinedAdversity:
         stats = system.kernel.run_until_complete(
             traffic.start(), max_events=10_000_000
         )
-        churn_proc.kill()
+        churn.stop()
         system.kernel.run()
 
         # Correctness half: every success really happened, exactly once or
