@@ -33,6 +33,7 @@ from repro.metrics.counters import ComponentKind
 from repro.naming.binding import Binding
 from repro.scheduling.agent import LeastLoadedPlacementAgent
 from repro.simkernel.kernel import Periodic
+from repro.system.bootstrap import start_out_of_band
 
 
 @dataclass(frozen=True)
@@ -79,13 +80,9 @@ def build_placement_agent(system) -> ObjectServer:
     ]
     impl = LeastLoadedPlacementAgent(magistrates)
     loid = scheduler_class.impl._allocate_instance_loid()
-    server = ObjectServer(
-        system.services,
-        loid,
-        impl,
-        host=system.site_hosts[system.sites[0].name][0],
-        component_kind=ComponentKind.SCHEDULER,
-        component_name="placement",
+    host = system.site_hosts[system.sites[0].name][0]
+    server = start_out_of_band(
+        system.services, loid, impl, host, ComponentKind.SCHEDULER, "placement", 128
     )
     system.call(scheduler_class.loid, "RegisterOutOfBand", server.binding())
     return server

@@ -143,8 +143,7 @@ class Derivation:
         if only is not None:
             base_interface = base_interface.restricted_to(only)
         # Record the relation first: it validates against cycles.
-        if self.services.relations is not None:
-            self.services.relations.record_inherits_from(self.loid, base)
+        self.services.relations.record_inherits_from(self.loid, base)
         self.instance_interface = self.instance_interface.merged_with(
             base_interface, name=self.class_name
         )

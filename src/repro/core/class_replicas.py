@@ -201,10 +201,8 @@ class ReplicaGroups:
         from repro.replication.selection import LINK_RANK
 
         sources = list(row.object_address.elements)
-        network = getattr(self.services, "network", None)
-        if network is not None:
-            classify = network.latency.classify
-            sources.sort(key=lambda s: LINK_RANK[classify(element.host, s.host)])
+        classify = self.services.network.latency.classify
+        sources.sort(key=lambda s: LINK_RANK[classify(element.host, s.host)])
         for source in sources:
             try:
                 blob = yield from self.runtime.call_element(
@@ -227,7 +225,7 @@ class ReplicaGroups:
         paths.  A no-op unless ``enable_replication`` installed the
         directory -- replication-off runs send nothing.
         """
-        directory = getattr(self.services, "replication", None)
+        directory = self.services.replication
         runtime = getattr(self, "runtime", None)
         if directory is None or runtime is None or not elements:
             return

@@ -10,7 +10,7 @@ bootstrap procedure builds and threads through object activation:
 * the system secret (public-key derivation, section 3.2),
 * the implementation registry (name → factory; the simulated analogue of
   "an executable program, the name of an executable", section 4.2),
-* well-known LOIDs of the core Abstract class objects (section 2.1.3),
+* well-known bindings of the core Abstract class objects (section 2.1.3),
 * the metrics registry and relation graph used by experiments and tests.
 
 SystemServices contains *no policy* and makes *no decisions*; it is pure
@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional
 
 from repro.errors import BootstrapError
+from repro.core.relations import RelationGraph
 from repro.metrics.counters import MetricsRegistry
 from repro.naming.loid import LOID
 from repro.net.network import Network
@@ -81,15 +82,14 @@ class SystemServices:
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
     secret: int = 0x1E610
     impls: ImplRegistry = field(default_factory=ImplRegistry)
-    #: Well-known core objects by role name ("LegionClass", "LegionHost", ...).
-    well_known: Dict[str, LOID] = field(default_factory=dict)
-    #: Bindings of the core objects; seeded into every new object's binding
-    #: cache at activation (the simulated analogue of compiled-in addresses
-    #: of well-known services).
+    #: Bindings of the well-known core objects by role name
+    #: ("LegionClass", "LegionHost", ...); seeded into every new object's
+    #: binding cache at activation (the simulated analogue of compiled-in
+    #: addresses of well-known services).
     core_bindings: Dict[str, Any] = field(default_factory=dict)
     #: ``core_bindings`` keyed by LOID identity, the copy every new
-    #: runtime seeds from; ``ObjectServer`` builds it once the core
-    #: table is complete.
+    #: runtime seeds from; bootstrap sets it once the core table is
+    #: complete.
     core_seed: Dict[Any, Any] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
@@ -97,8 +97,8 @@ class SystemServices:
     #: their creator overrides it.  "The persistent state of each Legion
     #: object contains the Object Address of its Binding Agent" (3.6).
     default_binding_agent: Any = None
-    #: Lazily-imported relation graph (set by bootstrap; avoids import cycle).
-    relations: Any = None
+    #: The Fig. 2 relation graph (is-a, kind-of, inherits-from).
+    relations: RelationGraph = field(default_factory=RelationGraph)
     #: The causal-tracing recorder (:class:`repro.trace.SpanRecorder`), or
     #: ``None`` when tracing is off.  Every instrumented hot path guards on
     #: ``tracer is not None`` -- the zero-overhead no-op mode -- so
@@ -125,7 +125,7 @@ class SystemServices:
     def well_known_loid(self, role: str) -> LOID:
         """The LOID of a core object by role; raises if not bootstrapped."""
         try:
-            return self.well_known[role]
+            return self.core_bindings[role].loid
         except KeyError:
             raise BootstrapError(
                 f"core object {role!r} not registered; did bootstrap run?"

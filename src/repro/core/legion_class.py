@@ -272,12 +272,10 @@ class ClassObjectImpl(ClonePool, ReplicaGroups, Derivation, LegionObjectImpl):
                 replica_want=replica_want,
             )
         )
-        relations = self.services.relations
-        if relations is not None:
-            if is_subclass:
-                relations.record_kind_of(loid, self.loid)
-            else:
-                relations.record_is_a(loid, self.loid)
+        if is_subclass:
+            self.services.relations.record_kind_of(loid, self.loid)
+        else:
+            self.services.relations.record_is_a(loid, self.loid)
         return self._binding_for(loid, address)
 
     # ------------------------------------------------------------------- Delete
@@ -299,8 +297,7 @@ class ClassObjectImpl(ClonePool, ReplicaGroups, Derivation, LegionObjectImpl):
         self.table.mark_deleted(loid)
         if self.clones:
             self._drop_clone(loid)
-        if self.services.relations is not None:
-            self.services.relations.forget(loid)
+        self.services.relations.forget(loid)
         self._propagate("invalidate", loid)
 
     # ----------------------------------------------------------------- GetBinding
@@ -501,16 +498,7 @@ class ClassObjectImpl(ClonePool, ReplicaGroups, Derivation, LegionObjectImpl):
             and binding.loid.class_specific >= self._next_sequence
         ):
             self._next_sequence = binding.loid.class_specific + 1
-        self.table.add(
-            TableRow(
-                loid=binding.loid,
-                object_address=binding.address,
-                current_magistrates=[],
-                scheduling_agent=self.scheduling_agent,
-            )
-        )
-        if self.services.relations is not None:
-            self.services.relations.record_is_a(binding.loid, self.loid)
+        self._add_row(binding.loid, binding.address, [], False, 0)
 
     # --------------------------------------------------------------- reflective hooks
 

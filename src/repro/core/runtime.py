@@ -215,7 +215,7 @@ class LegionRuntime:
         self._permanent: Dict[tuple, Binding] = {}
         #: The flow-control configuration (repro.flow), or None.  Every
         #: flow feature below guards on it so the default costs nothing.
-        flow = getattr(services, "flow", None)
+        flow = services.flow
         self._flow = flow
         #: Caller-side credit windows (credit-based backpressure).
         self.credits: Optional[CreditLedger] = (
@@ -248,19 +248,13 @@ class LegionRuntime:
         """Install the Binding Agent this object consults on cache misses."""
         self.binding_agent = agent
 
-    def seed_binding(self, binding: Binding, permanent: bool = False) -> None:
-        """Pre-load the cache (bootstrap and AddBinding-style propagation).
-
-        ``permanent=True`` marks a well-known binding that survives any
-        invalidation (used for the core class objects).
-        """
-        if permanent:
-            self._permanent[binding.loid.identity] = binding
+    def seed_binding(self, binding: Binding) -> None:
+        """Pre-load the cache (AddBinding-style propagation)."""
         self.cache.insert(binding)
 
     def seed_permanent(self, bindings: Dict[tuple, Binding]) -> None:
-        """``seed_binding(b, permanent=True)`` for each of ``bindings``
-        (identity → Binding, in order), as one copy into each map."""
+        """Pre-load well-known bindings (identity → Binding, in order)
+        that survive any invalidation: the core class objects."""
         self._permanent.update(bindings)
         self.cache.insert_all(bindings)
 

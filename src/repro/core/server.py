@@ -21,7 +21,7 @@ registry -- the raw data of the Section 5 scalability experiments.
 from __future__ import annotations
 
 from types import GeneratorType
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
 from repro.errors import LegionError, MethodNotFound, Overloaded, SecurityDenied
 from repro.core.method import InvocationContext, MethodInvocation, MethodResult
@@ -33,22 +33,6 @@ from repro.naming.binding import Binding
 from repro.naming.loid import LOID
 from repro.net.address import ObjectAddress
 from repro.net.message import Message, MessageKind
-
-
-def _core_seed(services) -> Dict[Tuple[int, int], Binding]:
-    """identity → Binding of every core object, built once per system.
-
-    Only bootstrap writes ``services.core_bindings``, one role at a time,
-    so a snapshot whose size matches the table is current; the cores
-    started mid-bootstrap each see the table as it stood.
-    """
-    seed = services.core_seed
-    if len(seed) != len(services.core_bindings):
-        seed = services.core_seed = {
-            binding.loid.identity: binding
-            for binding in services.core_bindings.values()
-        }
-    return seed
 
 
 class ObjectServer:
@@ -95,10 +79,11 @@ class ObjectServer:
             else None
         )
         # Seed the runtime: well-known core bindings (a core object leaves
-        # out its own) plus the system's default Binding Agent (creators
-        # may override either afterwards).
+        # out its own; the cores themselves start before the table is
+        # complete and bootstrap seeds them afterwards) plus the system's
+        # default Binding Agent (creators may override either afterwards).
         identity = loid.identity
-        seed = _core_seed(services)
+        seed = services.core_seed
         if identity in seed:
             seed = {key: binding for key, binding in seed.items() if key != identity}
         self.runtime.seed_permanent(seed)

@@ -14,7 +14,7 @@ from repro.faults.log import FaultLog
 from repro.faults.plan import FaultKind, FaultPlan
 from repro.faults.recovery import RecoverySweeper
 from repro.flow import FlowConfig
-from repro.metrics.counters import ComponentKind
+from repro.metrics.counters import ComponentKind, MetricsRegistry
 from repro.metrics.recorder import SeriesRecorder
 from repro.naming.binding import Binding
 from repro.naming.loid import LOID
@@ -264,6 +264,25 @@ def settle_governor(governor, drain: Callable[[], Any]) -> List[dict]:
     records = governor.ledger.to_json()
     governor.stop()
     return records
+
+
+def settlement(system: LegionSystem, clients, records, fault_log: FaultLog) -> Dict[str, Any]:
+    """How an open-loop run's requests settled: outcome tallies, the
+    count issued, the shed count three ways (metrics, FaultLog, wire)
+    and whether every runtime settled."""
+    outcomes = {"ok": 0, "shed": 0, "failed": 0}
+    for rec in records:
+        outcomes[rec["outcome"]] += 1
+    metrics = system.services.metrics
+    runtimes = system.runtimes(clients)
+    return {
+        "outcomes": outcomes,
+        "issued": len(records),
+        "metrics_shed": sum(metrics.snapshot(None, MetricsRegistry.SHED).values()),
+        "faultlog_shed": fault_log.count("request-shed"),
+        "wire_shed": sum(rt.stats.shed for rt in runtimes),
+        "settled": all(rt.settled for rt in runtimes),
+    }
 
 
 def count_messages(system: LegionSystem, fn: Callable[[], Any]) -> Tuple[Any, int]:

@@ -40,6 +40,7 @@ from repro.experiments.common import (
     Flags,
     export_trace,
     serial_flow,
+    settlement,
     trace_recorder,
     write_report,
 )
@@ -110,16 +111,7 @@ def _run_level(
         for r in records
         if r["outcome"] == "ok" and w0 <= r["done"] <= w1
     )
-    outcomes = {"ok": 0, "shed": 0, "failed": 0}
-    for rec in records:
-        outcomes[rec["outcome"]] += 1
-
-    metrics = system.services.metrics
-    metrics_shed = sum(metrics.snapshot(None, MetricsRegistry.SHED).values())
-    faultlog_shed = system.services.fault_log.count("request-shed")
-    runtimes = system.runtimes(clients)
-    wire_shed = sum(rt.stats.shed for rt in runtimes)
-
+    settled = settlement(system, clients, records, system.services.fault_log)
     audits: List[Any] = []
     trace_path = None
     if recorder is not None:
@@ -127,7 +119,7 @@ def _run_level(
         audits.append(audit.admitted_load_bound(FLOW.capacity, prefix="application:"))
         audits.append(
             audit.shed_reconciles_with(
-                metrics.labelled_counts(MetricsRegistry.SHED),
+                system.services.metrics.labelled_counts(MetricsRegistry.SHED),
                 prefix="application:",
             )
         )
@@ -140,12 +132,7 @@ def _run_level(
             if ok_latencies
             else float("inf")
         ),
-        "outcomes": outcomes,
-        "issued": len(records),
-        "metrics_shed": metrics_shed,
-        "faultlog_shed": faultlog_shed,
-        "wire_shed": wire_shed,
-        "settled": all(rt.settled for rt in runtimes),
+        **settled,
         "audits": audits,
         "trace_path": trace_path,
         "sim_clock": system.kernel.now,

@@ -42,12 +42,12 @@ from repro.experiments.common import (
     checkpoint,
     serial_flow,
     settle_governor,
+    settlement,
     write_report,
 )
 from repro.faults.driver import protected_hosts
 from repro.faults.plan import FaultKind
 from repro.health import GovernorConfig, HealthLedger, enable_governor
-from repro.metrics.counters import MetricsRegistry
 from repro.metrics.recorder import SeriesRecorder
 from repro.simkernel.futures import gather
 from repro.simkernel.kernel import Timeout
@@ -241,25 +241,12 @@ def _run_arm(
             }
         )
         edge = w1
-    outcomes = {"ok": 0, "shed": 0, "failed": 0}
-    for rec in records:
-        outcomes[rec["outcome"]] += 1
-
-    metrics = system.services.metrics
-    metrics_shed = sum(metrics.snapshot(None, MetricsRegistry.SHED).values())
-    faultlog_shed = arm.log.count("request-shed")
-    runtimes = system.runtimes(clients)
-    wire_shed = sum(rt.stats.shed for rt in runtimes)
+    settled = settlement(system, clients, records, arm.log)
     lost, unrecovered = arm.losses()
 
     return {
         "phases": phase_rows,
-        "outcomes": outcomes,
-        "issued": len(records),
-        "metrics_shed": metrics_shed,
-        "faultlog_shed": faultlog_shed,
-        "wire_shed": wire_shed,
-        "settled": all(rt.settled for rt in runtimes),
+        **settled,
         "chaos_events": len(arm.plan.events),
         "lost": len(lost),
         "unrecovered": len(unrecovered),

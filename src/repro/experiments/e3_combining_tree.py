@@ -31,6 +31,7 @@ from repro.metrics.recorder import SeriesRecorder
 from repro.naming.binding import Binding
 from repro.core.server import ObjectServer
 from repro.security.environment import CallEnvironment
+from repro.system.bootstrap import start_out_of_band
 from repro.system.legion import LegionSystem
 
 
@@ -40,14 +41,8 @@ def _spawn_agent_on(system: LegionSystem, parent: Optional[Binding], label: str)
     impl = BindingAgentImpl(parent=parent)
     loid = agent_class.impl._allocate_instance_loid()
     host = system.site_hosts[system.sites[0].name][0]
-    server = ObjectServer(
-        system.services,
-        loid,
-        impl,
-        host=host,
-        component_kind=ComponentKind.BINDING_AGENT,
-        component_name=label,
-        cache_capacity=4096,
+    server = start_out_of_band(
+        system.services, loid, impl, host, ComponentKind.BINDING_AGENT, label, 4096
     )
     server.runtime.set_binding_agent(system.services.default_binding_agent)
     # Register with the class (the 4.2.1 contact-your-class step), so the

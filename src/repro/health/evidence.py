@@ -163,7 +163,7 @@ class EvidenceCollector:
 
     def _under_replicated(self) -> int:
         """Groups below target, straight off the GlobalReplicaIndex impl."""
-        directory = getattr(self.system.services, "replication", None)
+        directory = self.system.services.replication
         if directory is None:
             return 0
         impl = self._index_impl

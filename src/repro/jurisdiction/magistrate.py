@@ -638,7 +638,7 @@ class MagistrateImpl(LegionObjectImpl):
             vault.delete_opr(loid)
         elif record.state is LOST:  # -> ACTIVE
             event = ("object-recovered", f"reactivated on {host}")
-        log = getattr(self.services, "fault_log", None) if event else None
+        log = self.services.fault_log if event else None
         if log is not None:
             log.observe(self.services.kernel.now, event[0], str(loid), detail=event[1])
         record.state, record.host, record.address = state, host, address

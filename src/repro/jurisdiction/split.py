@@ -30,6 +30,7 @@ from repro.jurisdiction.magistrate import MagistrateImpl
 from repro.metrics.counters import ComponentKind
 from repro.naming.loid import LOID
 from repro.persistence.storage import PersistentStore
+from repro.system.bootstrap import start_out_of_band
 
 
 def split_jurisdiction(
@@ -81,13 +82,9 @@ def split_jurisdiction(
     magistrate_class = system.standard_classes["StandardMagistrate"]
     new_impl = MagistrateImpl(new_jurisdiction)
     new_loid = magistrate_class.impl._allocate_instance_loid()
-    new_server = ObjectServer(
-        system.services,
-        new_loid,
-        new_impl,
-        host=moved_host_servers[0].impl.host_id,
-        component_kind=ComponentKind.MAGISTRATE,
-        component_name=new_name,
+    new_server = start_out_of_band(
+        system.services, new_loid, new_impl, moved_host_servers[0].impl.host_id,
+        ComponentKind.MAGISTRATE, new_name, 128,
     )
     agent_binding = system.agents[site].binding()
     new_server.runtime.set_binding_agent(agent_binding)

@@ -81,7 +81,7 @@ def enable_replication(system):
     """
     from repro.replication.catalog import GlobalReplicaIndexImpl, ReplicaCatalogImpl
 
-    existing = getattr(system.services, "replication", None)
+    existing = system.services.replication
     if existing is not None:
         return existing
 

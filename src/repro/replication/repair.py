@@ -152,7 +152,7 @@ class ReplicaRepairService(Periodic):
         priority: int = -1,
         pacing: float = 5.0,
     ) -> None:
-        directory = getattr(system.services, "replication", None)
+        directory = system.services.replication
         if directory is None:
             raise LegionError(
                 "ReplicaRepairService needs enable_replication() first"

@@ -12,8 +12,8 @@ Legion system comes alive."
 
 :func:`bootstrap_core` is that "exactly once": it constructs the six core
 class objects directly (no magistrate, no host object -- they do not exist
-yet), registers them with LegionClass, publishes their bindings as
-well-known, and records the Fig. 7 relations (LegionClass is derived from
+yet), registers them with LegionClass, publishes their bindings in the core
+table, and records the Fig. 7 relations (LegionClass is derived from
 LegionObject; so are the other core Abstract classes).
 """
 
@@ -28,7 +28,7 @@ from repro.core.context import SystemServices
 from repro.core.class_derivation import CLASS_OBJECT_FACTORY
 from repro.core.legion_class import ClassObjectImpl
 from repro.core.metaclass import LegionClassImpl
-from repro.core.relations import RelationGraph
+from repro.core.object_base import LegionObjectImpl
 from repro.core.server import ObjectServer
 from repro.binding.agent import BindingAgentImpl
 from repro.metrics.counters import ComponentKind
@@ -98,49 +98,66 @@ def register_standard_factories(services: SystemServices) -> None:
             impls.register(name, factory)
 
 
+def start_out_of_band(
+    services: SystemServices,
+    loid: LOID,
+    impl: LegionObjectImpl,
+    host: int,
+    kind: ComponentKind,
+    name: str,
+    cache_capacity: int,
+) -> ObjectServer:
+    """Start ``impl`` as ``loid`` on ``host`` "from outside Legion".
+
+    No magistrate and no Host Object take part: this is the shell-script
+    start of section 4.2.1 that every core object, standard class, Host
+    Object, Magistrate and Binding Agent gets.  Making the object known
+    to its class is the caller's next step.
+    """
+    return ObjectServer(
+        services,
+        loid,
+        impl,
+        host=host,
+        component_kind=kind,
+        component_name=name,
+        cache_capacity=cache_capacity,
+    )
+
+
 def bootstrap_core(services: SystemServices, core_host: int) -> CoreObjects:
     """Start the core Abstract class objects on ``core_host``.
 
     Must run exactly once per system; raises :class:`BootstrapError` on a
-    second attempt (the well-known table would already be populated).
+    second attempt (the core table would already be populated).
     """
-    if services.well_known:
+    if services.core_bindings:
         raise BootstrapError("core objects already bootstrapped")
-    if services.relations is None:
-        services.relations = RelationGraph()
     register_standard_factories(services)
 
     servers: Dict[str, ObjectServer] = {}
     for role, (class_id, flavor) in CORE_CLASS_SPECS.items():
         if role == "LegionClass":
             impl: ClassObjectImpl = LegionClassImpl()
+            kind = ComponentKind.LEGION_CLASS
         else:
             impl = ClassObjectImpl(class_name=role, class_id=class_id, flavor=flavor)
+            kind = ComponentKind.CLASS_OBJECT
         loid = LOID.for_class(class_id, services.secret)
-        kind = (
-            ComponentKind.LEGION_CLASS
-            if role == "LegionClass"
-            else ComponentKind.CLASS_OBJECT
-        )
-        server = ObjectServer(
-            services,
-            loid,
-            impl,
-            host=core_host,
-            component_kind=kind,
-            component_name=role,
-            cache_capacity=4096,
-        )
+        server = start_out_of_band(services, loid, impl, core_host, kind, role, 4096)
         servers[role] = server
-        services.well_known[role] = loid
         services.core_bindings[role] = server.binding()
 
-    # Now that every core binding exists, seed them into the core servers'
-    # own runtimes (they were constructed before the table was complete).
+    # The core table is complete: every object started from now on seeds
+    # from it, and each core (started before it was) takes it once now.
+    seed = services.core_seed = {
+        binding.loid.identity: binding for binding in services.core_bindings.values()
+    }
     for server in servers.values():
-        for binding in services.core_bindings.values():
-            if binding.loid != server.loid:
-                server.runtime.seed_binding(binding, permanent=True)
+        identity = server.loid.identity
+        server.runtime.seed_permanent(
+            {key: binding for key, binding in seed.items() if key != identity}
+        )
 
     # Register the cores with LegionClass so the responsibility walk of
     # section 4.1.3 terminates here, and record the Fig. 7 relations.

@@ -32,9 +32,7 @@ from repro.binding.agent import BindingAgentImpl
 from repro.core.context import SystemServices
 from repro.core.legion_class import ClassObjectImpl
 from repro.core.object_base import LegionObjectImpl
-from repro.core.relations import RelationGraph
 from repro.core.server import ObjectServer
-from repro.hosts.host_object import HostObjectImpl
 from repro.hosts.host_types import (
     CM5HostImpl,
     CrayT3DHostImpl,
@@ -54,24 +52,23 @@ from repro.persistence.storage import PersistentStore
 from repro.simkernel.futures import SimFuture
 from repro.simkernel.kernel import SimKernel
 from repro.simkernel.rng import RngStreams
-from repro.system.bootstrap import CoreObjects, bootstrap_core
+from repro.system.bootstrap import CoreObjects, bootstrap_core, start_out_of_band
 
-#: host_type string → Host Object implementation class (Fig. 8).
-HOST_TYPES: Dict[str, type] = {
-    "unix": UnixHostImpl,
-    "unix-smmp": UnixSMMPHostImpl,
-    "spmd": SPMDHostImpl,
-    "cm-5": CM5HostImpl,
-    "cray-t3d": CrayT3DHostImpl,
+#: host_type → (Host Object implementation, class name, superclass
+#: name): the Fig. 8 hierarchy, parents before children.
+HOST_TYPES: Dict[str, Tuple[type, str, str]] = {
+    "unix": (UnixHostImpl, "UnixHost", "LegionHost"),
+    "spmd": (SPMDHostImpl, "SPMDHost", "LegionHost"),
+    "unix-smmp": (UnixSMMPHostImpl, "UnixSMMP", "UnixHost"),
+    "cm-5": (CM5HostImpl, "CM5", "SPMDHost"),
+    "cray-t3d": (CrayT3DHostImpl, "CrayT3D", "SPMDHost"),
 }
 
-#: host_type → (class name, superclass name) for the Fig. 8 hierarchy.
-HOST_CLASS_HIERARCHY: Dict[str, Tuple[str, str]] = {
-    "unix": ("UnixHost", "LegionHost"),
-    "spmd": ("SPMDHost", "LegionHost"),
-    "unix-smmp": ("UnixSMMP", "UnixHost"),
-    "cm-5": ("CM5", "SPMDHost"),
-    "cray-t3d": ("CrayT3D", "SPMDHost"),
+#: The standard infrastructure classes (Fig. 9 pattern): name → superclass.
+INFRASTRUCTURE_CLASSES: Dict[str, str] = {
+    "StandardMagistrate": "LegionMagistrate",
+    "StandardBindingAgent": "LegionBindingAgent",
+    "StandardScheduler": "LegionScheduler",
 }
 
 
@@ -85,6 +82,33 @@ class SiteSpec:
     disks: int = 1
     #: Processes per host (None = the host type's default).
     max_processes: Optional[int] = None
+
+
+def _check_sites(sites: Sequence[SiteSpec]) -> None:
+    """Refuse what the builder cannot honour, naming the site, the field
+    and its legal values."""
+    if not sites:
+        raise BootstrapError("a Legion system needs at least one site")
+    names: set = set()
+    for spec in sites:
+        where = f"site {spec.name!r}"
+        if spec.name in names:
+            raise BootstrapError(f"{where}: name is taken; every site needs its own")
+        names.add(spec.name)
+        if spec.host_type not in HOST_TYPES:
+            raise BootstrapError(
+                f"{where}: host_type {spec.host_type!r} is not one of {', '.join(HOST_TYPES)}"
+            )
+        for field_name, value in (("hosts", spec.hosts), ("disks", spec.disks)):
+            if value < 1:
+                raise BootstrapError(f"{where}: {field_name} must be at least 1")
+        host_impl = HOST_TYPES[spec.host_type][0]
+        if spec.max_processes is not None and not issubclass(host_impl, UnixHostImpl):
+            sized = [t for t, (impl, *_) in HOST_TYPES.items() if issubclass(impl, UnixHostImpl)]
+            raise BootstrapError(
+                f"{where}: max_processes is for host_type {' or '.join(sized)}, "
+                f"not {spec.host_type!r}"
+            )
 
 
 class LegionSystem:
@@ -128,8 +152,7 @@ class LegionSystem:
         object activates, so every ObjectServer and runtime in the system
         (bootstrap included) is built under the same flow-control regime.
         """
-        if not sites:
-            raise BootstrapError("a Legion system needs at least one site")
+        _check_sites(sites)
         system = cls()
         system.sites = list(sites)
         system.kernel = SimKernel()
@@ -140,7 +163,6 @@ class LegionSystem:
             kernel=system.kernel,
             network=system.network,
             rng=rng,
-            relations=RelationGraph(),
             flow=flow,
         )
 
@@ -191,173 +213,94 @@ class LegionSystem:
 
     def _bootstrap_standard_classes(self, core_host: int) -> None:
         """Start the Fig. 8 host classes and the standard infrastructure
-        classes out-of-band, registering each with LegionClass."""
+        classes out-of-band; each enters its creator's logical table, and
+        LegionClass records the creator as responsible for locating it."""
         legion_class = self.core.legion_class
-        relations = self.services.relations
-
-        def start_class(name: str, superclass_role_or_name: str) -> ObjectServer:
-            if superclass_role_or_name in self.core.servers:
-                super_loid = self.core.loid(superclass_role_or_name)
-            else:
-                super_loid = self.standard_classes[superclass_role_or_name].loid
-            class_id = legion_class.allocate_class_id(super_loid, name)
-            loid = LOID.for_class(class_id, self.services.secret)
+        classes = dict(self.core.servers)
+        hierarchy = [(name, parent) for _impl, name, parent in HOST_TYPES.values()]
+        for name, parent in [*hierarchy, *INFRASTRUCTURE_CLASSES.items()]:
+            creator = classes[parent]
+            class_id = legion_class.allocate_class_id(creator.loid, name)
             impl = ClassObjectImpl(
                 class_name=name,
                 class_id=class_id,
-                superclass=super_loid,
+                superclass=creator.loid,
             )
-            server = ObjectServer(
-                self.services,
-                loid,
-                impl,
-                host=core_host,
-                component_kind=ComponentKind.CLASS_OBJECT,
-                component_name=name,
-                cache_capacity=4096,
+            loid = LOID.for_class(class_id, self.services.secret)
+            server = start_out_of_band(
+                self.services, loid, impl, core_host, ComponentKind.CLASS_OBJECT,
+                name, 4096,
             )
-            for binding in self.services.core_bindings.values():
-                server.runtime.seed_binding(binding, permanent=True)
-            relations.record_kind_of(loid, super_loid)
-            # The creating (responsible) class must be able to locate the
-            # new class object: enter it in the creator's logical table.
-            creator_server = self._server_for(super_loid)
-            if creator_server is not None:
-                from repro.core.table import TableRow
-
-                creator_server.impl.table.add(
-                    TableRow(
-                        loid=loid,
-                        object_address=server.address,
-                        current_magistrates=[],
-                        is_subclass=True,
-                    )
-                )
-            self.standard_classes[name] = server
-            return server
-
-        # Fig. 8 host hierarchy (parents before children).
-        start_class("UnixHost", "LegionHost")
-        start_class("SPMDHost", "LegionHost")
-        start_class("UnixSMMP", "UnixHost")
-        start_class("CM5", "SPMDHost")
-        start_class("CrayT3D", "SPMDHost")
-        # Standard infrastructure classes (Fig. 9 pattern).
-        start_class("StandardMagistrate", "LegionMagistrate")
-        start_class("StandardBindingAgent", "LegionBindingAgent")
-        start_class("StandardScheduler", "LegionScheduler")
-
-    def _server_for(self, loid: LOID) -> Optional[ObjectServer]:
-        for server in self.core.servers.values():
-            if server.loid == loid:
-                return server
-        for server in self.standard_classes.values():
-            if server.loid == loid:
-                return server
-        return None
+            creator.impl._add_row(loid, server.address, [], True, 0)
+            classes[name] = self.standard_classes[name] = server
 
     def _build_site(self, spec: SiteSpec, agent_cache: int) -> None:
-        """One site: jurisdiction, disks, hosts, magistrate, binding agent."""
+        """One site: jurisdiction, disks, hosts, magistrate, binding agent.
+
+        Host Objects are started "from a command line" on each host, the
+        Magistrate and the Binding Agent on the site's first host; the
+        site is wired together directly, and then each contacts its class
+        to register, by real Legion invocation (section 4.2.1).
+        """
         jurisdiction = Jurisdiction(spec.name)
         for i in range(spec.disks):
             jurisdiction.vault.add_store(PersistentStore(spec.name, f"disk{i}"))
         self.jurisdictions[spec.name] = jurisdiction
+        host_impl, host_class, _superclass = HOST_TYPES[spec.host_type]
+        sized = {} if spec.max_processes is None else {"max_processes": spec.max_processes}
+        first_host = self.site_hosts[spec.name][0]
 
-        host_class_name, _parent = HOST_CLASS_HIERARCHY[spec.host_type]
-        host_class = self.standard_classes[host_class_name]
-        host_impl_type = HOST_TYPES[spec.host_type]
+        started: List[Tuple[ObjectServer, LOID]] = []  # (server, its class)
 
-        # Host Objects: started "from a command line" on each host, then
-        # they contact their class to register (done below, by message).
-        site_host_servers: List[ObjectServer] = []
-        for host_id in self.site_hosts[spec.name]:
-            kwargs: Dict[str, Any] = {"host_id": host_id}
-            if spec.max_processes is not None and spec.host_type in ("unix", "unix-smmp"):
-                kwargs["max_processes"] = spec.max_processes
-            impl: HostObjectImpl = host_impl_type(**kwargs)
-            loid = host_class.impl._allocate_instance_loid()
-            server = ObjectServer(
-                self.services,
-                loid,
-                impl,
-                host=host_id,
-                component_kind=ComponentKind.HOST_OBJECT,
-                component_name=f"{spec.name}/h{host_id}",
+        def start(
+            class_name: str, impl: LegionObjectImpl, host: int, kind: ComponentKind,
+            name: str, cache: int,
+        ) -> ObjectServer:
+            cls = self.standard_classes[class_name]
+            loid = cls.impl._allocate_instance_loid()
+            server = start_out_of_band(self.services, loid, impl, host, kind, name, cache)
+            started.append((server, cls.loid))
+            return server
+
+        hosts = [
+            start(
+                host_class, host_impl(host_id=host_id, **sized), host_id,
+                ComponentKind.HOST_OBJECT, f"{spec.name}/h{host_id}", 128,
             )
-            self.host_servers[host_id] = server
-            site_host_servers.append(server)
-            jurisdiction.add_host(host_id, loid)
-
-        # The site's Magistrate, on the site's first host.
-        magistrate_class = self.standard_classes["StandardMagistrate"]
+            for host_id in self.site_hosts[spec.name]
+        ]
         magistrate_impl = MagistrateImpl(jurisdiction)
-        magistrate_loid = magistrate_class.impl._allocate_instance_loid()
-        magistrate_server = ObjectServer(
-            self.services,
-            magistrate_loid,
-            magistrate_impl,
-            host=self.site_hosts[spec.name][0],
-            component_kind=ComponentKind.MAGISTRATE,
-            component_name=spec.name,
+        magistrate = start(
+            "StandardMagistrate", magistrate_impl, first_host,
+            ComponentKind.MAGISTRATE, spec.name, 128,
         )
-        self.magistrates[spec.name] = magistrate_server
-        jurisdiction.magistrate = magistrate_loid
-
-        # The site's Binding Agent, on the site's first host.
-        agent_class = self.standard_classes["StandardBindingAgent"]
-        agent_impl = BindingAgentImpl()
-        agent_loid = agent_class.impl._allocate_instance_loid()
-        agent_server = ObjectServer(
-            self.services,
-            agent_loid,
-            agent_impl,
-            host=self.site_hosts[spec.name][0],
-            component_kind=ComponentKind.BINDING_AGENT,
-            component_name=spec.name,
-            cache_capacity=agent_cache,
+        agent = start(
+            "StandardBindingAgent", BindingAgentImpl(), first_host,
+            ComponentKind.BINDING_AGENT, spec.name, agent_cache,
         )
-        self.agents[spec.name] = agent_server
+        self.magistrates[spec.name] = magistrate
+        self.agents[spec.name] = agent
+        jurisdiction.magistrate = magistrate.loid
 
-        # Wire the site together (bring-up is direct; registration is by
-        # real Legion invocation, per section 4.2.1).
-        agent_binding = agent_server.binding()
         # The agent consults itself on its own cache misses (the message
         # still travels the network; self-resolution bottoms out at the
         # seeded LegionClass binding).
-        agent_server.runtime.set_binding_agent(agent_binding)
-        magistrate_server.runtime.set_binding_agent(agent_binding)
-        for server in site_host_servers:
-            impl = server.impl
-            impl.site_binding_agent = agent_binding
-            impl.magistrate = magistrate_loid
+        agent_binding = agent.binding()
+        for server, _cls in started:
             server.runtime.set_binding_agent(agent_binding)
+        for server in hosts:
+            self.host_servers[server.host] = server
+            jurisdiction.add_host(server.host, server.loid)
+            server.impl.site_binding_agent = agent_binding
+            server.impl.magistrate = magistrate.loid
             magistrate_impl.add_host(server.binding())
+        for server, cls in started:
             self._registrations.append(
                 self.kernel.spawn(
-                    server.runtime.invoke(
-                        host_class.loid, "RegisterOutOfBand", server.binding()
-                    ),
-                    name=f"register-host-{server.loid}",
+                    server.runtime.invoke(cls, "RegisterOutOfBand", server.binding()),
+                    name=f"register-{server.runtime.component_label}",
                 )
             )
-        self._registrations.append(
-            self.kernel.spawn(
-                magistrate_server.runtime.invoke(
-                    magistrate_class.loid,
-                    "RegisterOutOfBand",
-                    magistrate_server.binding(),
-                ),
-                name=f"register-magistrate-{spec.name}",
-            )
-        )
-        self._registrations.append(
-            self.kernel.spawn(
-                agent_server.runtime.invoke(
-                    agent_class.loid, "RegisterOutOfBand", agent_server.binding()
-                ),
-                name=f"register-agent-{spec.name}",
-            )
-        )
 
     # ------------------------------------------------------------------- clients
 
@@ -372,14 +315,9 @@ class LegionSystem:
         host_id = self.site_hosts[site][0]
         seq = next(self._client_seq)
         loid = LOID.for_instance(self._CLIENT_CLASS_ID, seq, self.services.secret)
-        impl = LegionObjectImpl()
-        server = ObjectServer(
-            self.services,
-            loid,
-            impl,
-            host=host_id,
-            component_kind=ComponentKind.OTHER,
-            component_name=name or f"client-{seq}",
+        server = start_out_of_band(
+            self.services, loid, LegionObjectImpl(), host_id, ComponentKind.OTHER,
+            name or f"client-{seq}", 128,
         )
         server.runtime.set_binding_agent(self.agents[site].binding())
         return server

@@ -19,15 +19,14 @@ from repro.system.legion import LegionSystem, SiteSpec
 from repro.workloads.apps import CounterImpl
 
 
-def binding_by_binding(services, loid, capacity, rounds=1):
+def binding_by_binding(services, loid, capacity):
     """(entries, permanent, stats) of the per-binding seeding loop."""
     cache = BindingCache(capacity=capacity)
     permanent = {}
-    for _ in range(rounds):
-        for binding in services.core_bindings.values():
-            if binding.loid != loid:
-                permanent[binding.loid.identity] = binding
-                cache.insert(binding)
+    for binding in services.core_bindings.values():
+        if binding.loid != loid:
+            permanent[binding.loid.identity] = binding
+            cache.insert(binding)
     return cache.entries(), permanent, cache.stats
 
 
@@ -81,29 +80,17 @@ def test_a_core_class_object_leaves_out_its_own_binding(system):
 
 
 def test_a_core_object_started_during_bootstrap(system):
-    # The cores were seeded again once the table was complete.
+    # The cores start before the table is complete; bootstrap seeds each
+    # once afterwards, exactly as a later start would be.
     for role, server in system.core.servers.items():
-        _, permanent, _ = binding_by_binding(system.services, server.loid, 4096)
-        assert server.runtime._permanent == permanent, role
+        expected = binding_by_binding(system.services, server.loid, 4096)
+        assert state_of(server.runtime)[:2] == expected[:2], role
+        assert server.runtime.cache.stats.inserts == len(expected[0]), role
 
 
 def test_a_class_from_create_class(system, seeded):
     loid = system.create_class("SeededClass", factory=CounterImpl).loid
     assert seeded[loid] == binding_by_binding(system.services, loid, 128)
-
-
-def test_a_class_seeded_again_after_activation(system):
-    """The standard classes' start-up seeds once more, binding by binding,
-    on top of the snapshot copy."""
-    services = system.services
-    loid = LOID.for_class(4242, services.secret)
-    server = ObjectServer(
-        services, loid, LegionObjectImpl(), host=system.site_hosts["uva"][0],
-        cache_capacity=4096,
-    )
-    for binding in services.core_bindings.values():
-        server.runtime.seed_binding(binding, permanent=True)
-    assert state_of(server.runtime) == binding_by_binding(services, loid, 4096, rounds=2)
 
 
 def test_a_cache_smaller_than_the_seed_evicts_as_before(system):

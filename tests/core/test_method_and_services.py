@@ -3,16 +3,20 @@
 import pytest
 
 from repro import errors
-from repro.core.context import ImplRegistry
+from repro.core.context import ImplRegistry, SystemServices
 from repro.core.method import (
     InvocationContext,
     MethodInvocation,
     MethodResult,
 )
+from repro.naming.binding import Binding
 from repro.naming.loid import LOID
-from repro.net.address import AddressSemantic, ObjectAddress
+from repro.net.address import AddressSemantic, ObjectAddress, ObjectAddressElement
+from repro.net.latency import LatencyModel
 from repro.net.message import Message, MessageKind, Undeliverable
+from repro.net.network import Network
 from repro.security.environment import CallEnvironment
+from repro.simkernel.rng import RngStreams
 
 from .conftest import EchoImpl, start_object
 
@@ -199,8 +203,17 @@ class TestSystemServices:
     def test_well_known_requires_bootstrap(self, services):
         with pytest.raises(errors.BootstrapError):
             services.well_known_loid("LegionClass")
-        services.well_known["LegionClass"] = loid(9)
+        address = ObjectAddress.single(ObjectAddressElement.sim(1, 1))
+        services.core_bindings["LegionClass"] = Binding(loid(9), address)
         assert services.well_known_loid("LegionClass") == loid(9)
+
+    def test_a_bare_services_has_a_relation_graph(self, kernel):
+        rng = RngStreams(7)
+        network = Network(kernel, LatencyModel.uniform(1.0), rng=rng.stream("n"))
+        services = SystemServices(kernel=kernel, network=network, rng=rng)
+        # Every class object records its births here unguarded.
+        services.relations.record_is_a(loid(1), LOID.for_class(20))
+        assert services.relations.class_of(loid(1)) == LOID.for_class(20)
 
 
 class TestSMMPNodes:

@@ -225,7 +225,7 @@ def test_every_arrival_is_admitted_or_shed_within_the_bounds(
     caller.runtime.retry_policy = NO_RETRY
     # A caller-side timeout invalidates the cached binding; a permanent
     # seed keeps every later call going to the callee all the same.
-    caller.runtime.seed_binding(callee.binding(), permanent=True)
+    caller.runtime.seed_permanent({callee.loid.identity: callee.binding()})
 
     def fire(priority, timeout, service):
         kernel.spawn(

@@ -34,7 +34,8 @@ class TestBootstrapCore:
         core = bootstrap_core(services, core_host=1)
         assert set(core.servers) == set(CORE_CLASS_SPECS)
         for role in CORE_CLASS_SPECS:
-            assert services.well_known[role] == core.loid(role)
+            assert services.core_bindings[role] == core[role].binding()
+            assert services.well_known_loid(role) == core.loid(role)
             assert services.network.is_registered(
                 core.servers[role].element
             )
@@ -107,6 +108,59 @@ class TestLegionSystemBuild:
         )
         platforms = {s.impl.platform for s in system.host_servers.values()}
         assert platforms == {"unix", "unix-smmp", "cray-t3d"}
+
+
+@pytest.mark.parametrize(
+    "sites, field, legal",
+    [
+        pytest.param(
+            [SiteSpec("x", host_type="vax")], "host_type",
+            "unix, spmd, unix-smmp, cm-5, cray-t3d", id="host_type",
+        ),
+        pytest.param([SiteSpec("x", hosts=0)], "hosts", "at least 1", id="hosts"),
+        pytest.param([SiteSpec("x", disks=0)], "disks", "at least 1", id="disks"),
+        pytest.param([SiteSpec("x"), SiteSpec("x", hosts=1)], "name", "its own", id="name"),
+        *(
+            pytest.param(
+                [SiteSpec("x", host_type=kind, max_processes=8)], "max_processes",
+                "unix or unix-smmp", id=f"max_processes-{kind}",
+            )
+            for kind in ("spmd", "cm-5", "cray-t3d")
+        ),
+    ],
+)
+def test_a_site_the_builder_cannot_honour_fails_at_the_boundary(sites, field, legal):
+    with pytest.raises(errors.BootstrapError) as info:
+        LegionSystem.build(sites)
+    message = str(info.value)
+    assert message.startswith("site 'x': ") and field in message and legal in message
+
+
+def test_every_object_started_outside_legion_has_its_row():
+    """Host Objects, magistrates, agents and the standard classes: the
+    row each gets in its class's (or creator's) logical table."""
+    system = LegionSystem.build(
+        [SiteSpec("uva", hosts=2), SiteSpec("hpc", hosts=1, host_type="cm-5")], seed=1
+    )
+    classes = [*system.core.servers.values(), *system.standard_classes.values()]
+    by_loid = {server.loid: server for server in classes}
+    by_class_id = {server.loid.class_id: server for server in classes}
+
+    def row(server, owner):
+        r = owner.impl.table.get(server.loid)
+        fields = (r.current_magistrates, r.scheduling_agent, r.candidate_magistrates)
+        return r.object_address, *fields, r.is_subclass
+
+    for server in system.standard_classes.values():
+        creator = by_loid[server.impl.superclass]
+        assert row(server, creator) == (server.address, [], None, None, True)
+    instances = [
+        *system.host_servers.values(), *system.magistrates.values(), *system.agents.values()
+    ]
+    for server in instances:
+        owner = by_class_id[server.loid.class_id]
+        assert row(server, owner) == (server.address, [], None, None, False)
+    assert len(system.standard_classes) == 8 and len(instances) == 7
 
 
 class TestFacade:
