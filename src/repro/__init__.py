@@ -46,7 +46,6 @@ from repro.hosts.host_object import HostObjectImpl
 from repro.idl import (
     Interface,
     MethodSignature,
-    parse_corba_interface,
     parse_interface,
     parse_signature,
 )
@@ -102,7 +101,6 @@ __all__ = [
     "ObjectState",
     "OPRecord",
     "PersistentAddress",
-    "parse_corba_interface",
     "parse_interface",
     "parse_signature",
     "RelationGraph",

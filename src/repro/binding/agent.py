@@ -136,11 +136,6 @@ class BindingAgentImpl(LegionObjectImpl):
         """Explicitly propagate a binding into this agent's cache."""
         self.runtime.cache.insert(binding)
 
-    @legion_method("int CacheSize()")
-    def cache_size(self) -> int:
-        """Number of bindings currently cached (monitoring)."""
-        return len(self.runtime.cache)
-
     def handle_event(self, payload, source) -> None:
         """Invalidation news from subscribed classes (section 4.1.4).
 

@@ -53,16 +53,3 @@ class ClassFlavor(enum.Flag):
                 f"class {class_name} is Fixed: InheritFrom() is empty, "
                 "it inherits only from its superclass"
             )
-
-    def describe(self) -> str:
-        """Human-readable flag list, e.g. ``"Abstract+Fixed"``."""
-        if self is ClassFlavor.REGULAR:
-            return "Regular"
-        parts = []
-        if self & ClassFlavor.ABSTRACT:
-            parts.append("Abstract")
-        if self & ClassFlavor.PRIVATE:
-            parts.append("Private")
-        if self & ClassFlavor.FIXED:
-            parts.append("Fixed")
-        return "+".join(parts)

@@ -145,10 +145,3 @@ class LegionClassImpl(ClassObjectImpl):
         self.class_names.setdefault(class_id, name)
         if class_id >= self._next_class_id:
             self._next_class_id = class_id + 1
-
-    # ---------------------------------------------------------------- directory
-
-    @legion_method("int ClassCount()")
-    def class_count(self) -> int:
-        """How many class identifiers have been handed out or registered."""
-        return len(self.class_names)

@@ -143,21 +143,6 @@ class RelationGraph:
 
     # -- transitive queries -------------------------------------------------------------
 
-    def ancestry(self, cls: LOID) -> List[LOID]:
-        """The kind-of chain from ``cls`` up to its root, inclusive."""
-        chain = [cls]
-        seen = {cls}
-        current = cls
-        while True:
-            parent = self.superclass_of(current)
-            if parent is None:
-                return chain
-            if parent in seen:  # pragma: no cover - guarded at insert
-                raise ObjectModelError(f"kind-of cycle through {parent}")
-            chain.append(parent)
-            seen.add(parent)
-            current = parent
-
     def _inherits_closure(self, cls: LOID) -> Set[LOID]:
         closure: Set[LOID] = set()
         stack = [cls]
@@ -172,10 +157,6 @@ class RelationGraph:
     def all_bases(self, cls: LOID) -> Set[LOID]:
         """Transitive inherits-from closure (excluding ``cls`` itself)."""
         return self._inherits_closure(cls)
-
-    def is_derived_from(self, cls: LOID, ancestor: LOID) -> bool:
-        """Whether ``ancestor`` is on ``cls``'s kind-of chain."""
-        return ancestor in self.ancestry(cls)
 
     # -- invariants ------------------------------------------------------------------------
 
@@ -196,18 +177,8 @@ class RelationGraph:
             )
         )
 
-    def edge_count(self, kind: Optional[RelationKind] = None) -> int:
-        """Number of edges, optionally of one kind."""
-        return sum(
-            1
-            for targets in self._out.values()
-            for kinds in targets.values()
-            for edge_kind in kinds
-            if kind is None or edge_kind is kind
-        )
-
     def __contains__(self, loid: LOID) -> bool:
         return loid in self._out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<RelationGraph nodes={len(self._out)} edges={self.edge_count()}>"
+        return f"<RelationGraph nodes={len(self._out)}>"

@@ -15,6 +15,10 @@ class LegionError(Exception):
     """Base class for all errors raised by the Legion reproduction."""
 
 
+class InvalidArgument(LegionError):
+    """A public entry point was given a value outside its legal range."""
+
+
 # ---------------------------------------------------------------------------
 # Simulation-kernel errors
 # ---------------------------------------------------------------------------

@@ -406,8 +406,6 @@ def finish(partials, quick: bool, seed: int, flags: Flags) -> ExperimentResult:
     ]
     report = flags["report"]
     if report is not None:
-        from repro.health.ledger import canonical
-
         path = write_report(
             report,
             "e17-governor",
@@ -423,9 +421,7 @@ def finish(partials, quick: bool, seed: int, flags: Flags) -> ExperimentResult:
             },
         )
         ledger_path = os.path.join(report, f"e17-ledger-seed{seed}.jsonl")
-        with open(ledger_path, "w") as fh:
-            for rec in ledger:
-                fh.write(canonical(rec) + "\n")
+        HealthLedger.write_records(ledger, ledger_path)
         notes.append(f"report: {path}")
         notes.append(f"ledger: {ledger_path}")
     result.notes = "\n".join(notes)

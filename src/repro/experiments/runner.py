@@ -252,12 +252,6 @@ def run_many(
         return [_merge(*task, entry) for task, entry in zip(tasks, queued, strict=True)]
 
 
-def run_one(name: str, quick: bool, seed: int, **flags) -> RunOutcome:
-    """:func:`run_many` of one task, inline."""
-    (outcome,) = run_many([name], quick=quick, seeds=(seed,), **flags)
-    return outcome
-
-
 def render_summary(outcomes: Sequence[RunOutcome], multi_seed: bool) -> str:
     """The trailing PASS/FAIL table plus the one-line verdict."""
     lines = ["=" * 60]

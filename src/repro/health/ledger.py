@@ -107,11 +107,12 @@ class HealthLedger:
     def to_json(self) -> List[Dict[str, Any]]:
         return [r.to_json() for r in self.records]
 
-    def write(self, path) -> None:
+    @staticmethod
+    def write_records(records: List[Dict[str, Any]], path) -> None:
         """One canonical JSON record per line (the artifact format)."""
         with open(path, "w") as fh:
-            for record in self.records:
-                fh.write(canonical(record.to_json()) + "\n")
+            for record in records:
+                fh.write(canonical(record) + "\n")
 
     @staticmethod
     def load_records(path) -> List[Dict[str, Any]]:

@@ -4,7 +4,7 @@ Usage::
 
     python -m repro.health.verify LEDGER [LEDGER ...]
 
-Each LEDGER is a JSONL file written by :meth:`HealthLedger.write` (one
+Each LEDGER is a JSONL file written by :meth:`HealthLedger.write_records` (one
 canonical record per line).  The chain is recomputed from GENESIS: any
 edited, dropped, or reordered record makes the process exit non-zero and
 name the first bad sequence number.  Verification depends only on the

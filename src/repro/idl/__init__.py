@@ -6,8 +6,8 @@ object fully describes that object's interface, which is inherited from its
 class.  Legion class interfaces can be described in an Interface
 Description Language." (paper section 2)
 
-The paper says Legion will support at least two IDLs (CORBA IDL and MPL);
-this reproduction ships one small C-flavoured IDL whose grammar covers the
+The paper names two IDLs (CORBA IDL and MPL); this reproduction ships one
+small C-flavoured IDL for both (DESIGN.md §1) whose grammar covers the
 signatures the paper itself writes, e.g. ``binding GetBinding(LOID)`` and
 ``binding Activate(LOID, LOID)``.  Interfaces are value objects supporting
 the *merge* operation that InheritFrom() needs and the *conformance* check
@@ -18,7 +18,6 @@ any way" (section 5.2.2).
 from repro.idl.signature import MethodSignature, Parameter
 from repro.idl.interface import Interface
 from repro.idl.parser import parse_interface, parse_signature
-from repro.idl.corba import parse_corba_interface
 
 __all__ = [
     "MethodSignature",
@@ -26,5 +25,4 @@ __all__ = [
     "Interface",
     "parse_interface",
     "parse_signature",
-    "parse_corba_interface",
 ]

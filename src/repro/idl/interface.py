@@ -14,7 +14,7 @@ inherited from its class.  Two operations matter for the object model:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 from repro.errors import InterfaceError
 from repro.idl.signature import MethodSignature
@@ -128,15 +128,6 @@ class Interface:
     def equivalent_to(self, other: "Interface") -> bool:
         """Mutual conformance: identical method sets (names may differ)."""
         return self.conforms_to(other) and other.conforms_to(self)
-
-    def missing_from(self, other: "Interface") -> List[MethodSignature]:
-        """Signatures of ``other`` that this interface lacks (diagnostics)."""
-        return sorted(
-            sig
-            for key, sig in other._by_key.items()
-            if key not in self._by_key
-            or not self._by_key[key].compatible_with(sig)
-        )
 
     # -- protocol -----------------------------------------------------------------
 

@@ -24,16 +24,16 @@ from repro.idl.signature import MethodSignature, Parameter
 _TOKEN = re.compile(r"\s*(?:(//[^\n]*)|([A-Za-z_][A-Za-z0-9_]*)|([{}();,]))")
 
 
-def _tokenize(text: str, token: re.Pattern, dialect: str) -> List[str]:
+def _tokenize(text: str) -> List[str]:
     tokens: List[str] = []
     pos = 0
     while pos < len(text):
-        match = token.match(text, pos)
+        match = _TOKEN.match(text, pos)
         if match is None:
             remainder = text[pos:].strip()
             if not remainder:
                 break
-            raise InterfaceError(f"{dialect} syntax error near {remainder[:20]!r}")
+            raise InterfaceError(f"IDL syntax error near {remainder[:20]!r}")
         comment, ident, punct = match.groups()
         if ident:
             tokens.append(ident)
@@ -45,18 +45,15 @@ def _tokenize(text: str, token: re.Pattern, dialect: str) -> List[str]:
 
 
 class _Cursor:
-    """The token stream of ``text``, shared with :mod:`repro.idl.corba`:
-    ``token`` is the dialect's lexeme pattern (comment, identifier,
-    punctuation groups) and ``dialect`` names it in error messages."""
+    """The token stream of ``text``."""
 
-    def __init__(self, text: str, token: re.Pattern = _TOKEN, dialect: str = "IDL") -> None:
-        self.tokens = _tokenize(text, token, dialect)
-        self.dialect = dialect
+    def __init__(self, text: str) -> None:
+        self.tokens = _tokenize(text)
         self.i = 0
 
     def peek(self) -> str:
         if self.i >= len(self.tokens):
-            raise InterfaceError(f"unexpected end of {self.dialect} input")
+            raise InterfaceError("unexpected end of IDL input")
         return self.tokens[self.i]
 
     def next(self) -> str:

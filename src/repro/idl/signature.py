@@ -75,12 +75,3 @@ class MethodSignature:
         params = ", ".join(str(p) for p in self.parameters)
         prefix = f"{self.returns} " if self.returns else ""
         return f"{prefix}{self.name}({params})"
-
-    @classmethod
-    def simple(cls, name: str, *param_types: str, returns: Optional[str] = None) -> "MethodSignature":
-        """Shorthand: ``MethodSignature.simple("GetBinding", "LOID", returns="binding")``."""
-        return cls(
-            name=name,
-            parameters=tuple(Parameter(t) for t in param_types),
-            returns=returns,
-        )

@@ -95,14 +95,6 @@ class SeriesRecorder:
             raise ValueError("slope: all x values coincide after transform")
         return sum((x - mx) * (y - my) for x, y in zip(xs, ys, strict=True)) / denom
 
-    def ratio(self, name: str) -> float:
-        """last/first value of a series (coarse growth factor)."""
-        values = [v for v in self.series(name) if v is not None]
-        if len(values) < 2:
-            raise ValueError(f"need >= 2 points for a ratio of {name!r}")
-        first = values[0]
-        return values[-1] / first if first else math.inf
-
     # -- rendering ----------------------------------------------------------------
 
     def to_table(self, title: str = "") -> str:

@@ -110,11 +110,3 @@ class LatencyModel:
                 link = LinkClass.WIDE_AREA
         self.links[src_host, dst_host] = link
         return link
-
-    @classmethod
-    def uniform(cls, latency: float) -> "LatencyModel":
-        """A degenerate model where every link has the same latency.
-
-        Useful in unit tests where locality is irrelevant.
-        """
-        return cls(base={c: latency for c in LinkClass})

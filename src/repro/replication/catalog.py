@@ -13,7 +13,7 @@ placement through one-way EVENT messages -- class objects gossip
 ``replica-news`` on CreateReplicated / AddReplica / ReportDeadReplica,
 catalogs forward ``site-holds`` digests to the index -- so keeping the
 map current costs no round trips on any foreground path.  Queries
-(the repair service's ``Tracked`` scans, replica counts) are normal
+(the repair service's ``Tracked`` scans, ``UnderReplicated``) are normal
 method invocations.
 """
 
@@ -49,12 +49,6 @@ class ReplicaCatalogImpl(LegionObjectImpl):
     def set_index(self, element: Any) -> None:
         """Point this catalog at the global index."""
         self.index_element = element
-
-    @legion_method("int ReplicaCount(LOID)")
-    def replica_count(self, loid: LOID) -> int:
-        """How many replicas of ``loid`` this site holds."""
-        entry = self.entries.get(loid.identity)
-        return 0 if entry is None else len(entry["elements"])
 
     @legion_method("list Tracked()")
     def tracked(self) -> List[Tuple[LOID, int, LOID]]:
@@ -125,16 +119,6 @@ class GlobalReplicaIndexImpl(LegionObjectImpl):
 
     def persistent_attributes(self) -> List[str]:
         return ["holdings", "groups", "digests_seen"]
-
-    @legion_method("list SitesOf(LOID)")
-    def sites_of(self, loid: LOID) -> List[Tuple[str, int]]:
-        """Which sites hold replicas of ``loid``: sorted (site, count)."""
-        return sorted(self.holdings.get(loid.identity, {}).items())
-
-    @legion_method("int TotalReplicas(LOID)")
-    def total_replicas(self, loid: LOID) -> int:
-        """Global replica count of ``loid`` across all sites."""
-        return sum(self.holdings.get(loid.identity, {}).values())
 
     @legion_method("list UnderReplicated()")
     def under_replicated(self) -> List[Tuple[LOID, int, int, Optional[LOID]]]:

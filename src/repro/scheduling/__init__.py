@@ -7,24 +7,12 @@ intended to be implemented outside of the Magistrate in Scheduling Agents.
 The Scheduling Agents will implement their policies by making calls on the
 primitive scheduling functions exported by the Magistrates." (section 3.8)
 
-:class:`SchedulingAgentImpl` is the base; the shipped policies cover the
-obvious space (round-robin, random, static pinning, least-loaded).  A
-class object configured with a scheduling agent consults it on every
+:class:`SchedulingAgentImpl` is the base; the one shipped policy is
+least-loaded, which the autoscaler drives.  Other policies are the user's.
+A class object configured with a scheduling agent consults it on every
 Create()/Derive() to pick the target magistrate.
 """
 
-from repro.scheduling.agent import (
-    LeastLoadedSchedulingAgent,
-    RandomSchedulingAgent,
-    RoundRobinSchedulingAgent,
-    SchedulingAgentImpl,
-    StaticSchedulingAgent,
-)
+from repro.scheduling.agent import LeastLoadedSchedulingAgent, SchedulingAgentImpl
 
-__all__ = [
-    "SchedulingAgentImpl",
-    "RoundRobinSchedulingAgent",
-    "RandomSchedulingAgent",
-    "StaticSchedulingAgent",
-    "LeastLoadedSchedulingAgent",
-]
+__all__ = ["SchedulingAgentImpl", "LeastLoadedSchedulingAgent"]

@@ -25,12 +25,6 @@ class SchedulingAgentImpl(LegionObjectImpl):
         #: class has no candidate restriction.
         self.magistrates: List[LOID] = list(magistrates or [])
 
-    @legion_method("AddMagistrate(LOID)")
-    def add_magistrate(self, magistrate: LOID) -> None:
-        """Extend the pool (e.g. when a jurisdiction splits, section 2.2)."""
-        if magistrate not in self.magistrates:
-            self.magistrates.append(magistrate)
-
     def _pool(self, candidates: Optional[List[LOID]]) -> List[LOID]:
         pool = candidates if candidates is not None else self.magistrates
         if not pool:
@@ -49,50 +43,6 @@ class SchedulingAgentImpl(LegionObjectImpl):
         raise SchedulingError(
             f"{type(self).__name__} does not implement a choice policy"
         )
-
-
-class RoundRobinSchedulingAgent(SchedulingAgentImpl):
-    """Cycle through the pool; even spread regardless of load."""
-
-    def __init__(self, magistrates: Optional[List[LOID]] = None) -> None:
-        super().__init__(magistrates)
-        self._next = 0
-
-    def choose_magistrate(self, asking_class, candidates, *, ctx=None):
-        pool = self._pool(candidates)
-        choice = pool[self._next % len(pool)]
-        self._next += 1
-        return choice
-
-
-class RandomSchedulingAgent(SchedulingAgentImpl):
-    """Uniform random choice; stateless and contention-free."""
-
-    def choose_magistrate(self, asking_class, candidates, *, ctx=None):
-        pool = self._pool(candidates)
-        rng = self.services.rng.stream("scheduling-random")
-        return pool[rng.randrange(len(pool))]
-
-
-class StaticSchedulingAgent(SchedulingAgentImpl):
-    """Pin every class to one magistrate (per-class overrides allowed).
-
-    Models a site that wants all of its objects under its own magistrate
-    (the autonomy posture of section 2.2).
-    """
-
-    def __init__(self, default: LOID, per_class: Optional[dict] = None) -> None:
-        super().__init__([default])
-        self.default = default
-        self.per_class = dict(per_class or {})
-
-    def choose_magistrate(self, asking_class, candidates, *, ctx=None):
-        choice = self.per_class.get(asking_class.identity, self.default)
-        if candidates is not None and choice not in candidates:
-            raise SchedulingError(
-                f"pinned magistrate {choice} is not a candidate for {asking_class}"
-            )
-        return choice
 
 
 class LeastLoadedSchedulingAgent(SchedulingAgentImpl):

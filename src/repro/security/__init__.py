@@ -5,8 +5,8 @@ beautiful": Legion itself guarantees nothing but provides hooks so objects
 define and enforce their own policy.  The hooks are:
 
 * ``MayI()`` -- consulted before every method executes; this package ships
-  a family of :class:`MayIPolicy` objects (allow-all for the "no security"
-  default, deny-all, ACLs, trust sets, and jurisdiction policies).
+  a few :class:`MayIPolicy` objects (allow-all for the "no security"
+  default, deny-all, ACLs, trust sets); richer policies are the user's.
 * ``Iam()`` -- identity: objects prove who they are with the public-key
   field of their LOID (:mod:`repro.security.identity`).
 * The **call environment** -- every method invocation carries the triple
@@ -19,7 +19,6 @@ from repro.security.identity import Credentials, verify_identity
 from repro.security.mayi import (
     ACLPolicy,
     AllowAll,
-    CompositePolicy,
     DenyAll,
     MayIPolicy,
     TrustSetPolicy,
@@ -34,5 +33,4 @@ __all__ = [
     "DenyAll",
     "ACLPolicy",
     "TrustSetPolicy",
-    "CompositePolicy",
 ]

@@ -8,7 +8,7 @@ Security Agent, and the Calling Agent."
   rewritten at every hop.
 * The **Responsible Agent** is the principal on whose behalf the chain of
   calls runs (typically the user's top-level object); it propagates
-  unchanged unless explicitly re-rooted.
+  unchanged.
 * The **Security Agent** is the object consulted for policy decisions; it
   propagates unchanged by default.
 """
@@ -59,15 +59,6 @@ class CallEnvironment:
         """
         return CallEnvironment(
             responsible_agent=self.responsible_agent,
-            security_agent=self.security_agent,
-            calling_agent=caller,
-            trace=self.trace,
-        )
-
-    def rerooted(self, new_responsible: LOID, caller: LOID) -> "CallEnvironment":
-        """Re-root responsibility (an agent acting on its *own* behalf)."""
-        return CallEnvironment(
-            responsible_agent=new_responsible,
             security_agent=self.security_agent,
             calling_agent=caller,
             trace=self.trace,

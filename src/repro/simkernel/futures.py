@@ -143,20 +143,6 @@ class SimFuture:
         return f"<SimFuture{label} {self._state}>"
 
 
-def completed(value: Any = None, name: str = "") -> SimFuture:
-    """Return an already-resolved future holding ``value``."""
-    fut = SimFuture(name)
-    fut.set_result(value)
-    return fut
-
-
-def failed(exc: BaseException, name: str = "") -> SimFuture:
-    """Return an already-failed future holding ``exc``."""
-    fut = SimFuture(name)
-    fut.set_exception(exc)
-    return fut
-
-
 def gather(futures: Iterable[SimFuture], name: str = "gather") -> SimFuture:
     """Combine futures into one resolving with the list of all results.
 

@@ -55,6 +55,10 @@ ProcessGen = Generator[Any, Any, Any]
 #: lane's entry is (time, seq, None, lane).
 _Entry = Tuple[float, int, Optional[Callable[..., None]], Any]
 
+#: A delay is legal iff ``0.0 <= delay < _INF``: comparisons only, so NaN
+#: (which compares false both ways) is refused with the negatives.
+_INF = float("inf")
+
 
 class _Lane(deque):
     """The deadlines of one delay, ``(time, seq, fut, fn, args)``: a FIFO
@@ -71,8 +75,8 @@ class Timeout:
     __slots__ = ("delay",)
 
     def __init__(self, delay: float) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative timeout {delay}")
+        if not 0.0 <= delay < _INF:
+            raise SimulationError(f"{'negative' if delay < 0 else 'non-finite'} timeout {delay}")
         self.delay = delay
 
 
@@ -289,8 +293,8 @@ class SimKernel:
 
     def post(self, delay: float, fn: Callable[..., None], *args: Any) -> None:
         """Run ``fn(*args)`` after ``delay`` simulated time units."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
+        if not 0.0 <= delay < _INF:
+            raise SimulationError(f"cannot schedule at delay={delay}: the past, NaN or inf")
         self._seq += 1
         heapq.heappush(self._queue, (self.now + delay, self._seq, fn, args))
 
@@ -308,8 +312,8 @@ class SimKernel:
         moves the clock.  Queuing first drops the lane's settled heads, so
         a busy lane does not keep settled futures alive until it comes due.
         """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
+        if not 0.0 <= delay < _INF:
+            raise SimulationError(f"cannot schedule at delay={delay}: the past, NaN or inf")
         self._seq += 1
         entry = (self.now + delay, self._seq, fut, fn, args)
         lanes = self._lanes

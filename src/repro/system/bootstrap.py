@@ -41,11 +41,7 @@ from repro.naming.loid import (
     CLASS_ID_LEGION_SCHEDULER,
     LOID,
 )
-from repro.scheduling.agent import (
-    LeastLoadedSchedulingAgent,
-    RandomSchedulingAgent,
-    RoundRobinSchedulingAgent,
-)
+from repro.scheduling.agent import LeastLoadedSchedulingAgent
 
 #: Role name → (class id, flavor).  All core classes are Abstract except
 #: LegionClass, which must Create/Derive (it is the metaclass), and
@@ -90,8 +86,6 @@ def register_standard_factories(services: SystemServices) -> None:
         impls.register(CLASS_OBJECT_FACTORY, ClassObjectImpl)
     for name, factory in [
         ("legion.binding-agent", BindingAgentImpl),
-        ("legion.scheduler.round-robin", RoundRobinSchedulingAgent),
-        ("legion.scheduler.random", RandomSchedulingAgent),
         ("legion.scheduler.least-loaded", LeastLoadedSchedulingAgent),
     ]:
         if name not in impls:

@@ -24,10 +24,11 @@ Legion method invocations travelling through the simulated network.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.errors import BootstrapError
+from repro.errors import BootstrapError, InvalidArgument
 from repro.binding.agent import BindingAgentImpl
 from repro.core.context import SystemServices
 from repro.core.legion_class import ClassObjectImpl
@@ -355,8 +356,13 @@ class LegionSystem:
 
         ``target`` may be a LOID or a Context name.  The call originates
         at the console (or the given client), travels the simulated
-        network, and this method returns the unwrapped result.
+        network, and this method returns the unwrapped result.  A
+        ``timeout`` is None (the runtime's default) or finite and > 0.
         """
+        if timeout is not None and not 0.0 < timeout < math.inf:
+            raise InvalidArgument(
+                f"call timeout={timeout!r}: must be None or a finite number > 0"
+            )
         loid = self.lookup(target) if isinstance(target, str) else target
         origin = client or self.console
         fut = self.kernel.spawn(
@@ -394,8 +400,12 @@ class LegionSystem:
         ``factory`` (a callable) is registered in the implementation
         registry under ``instance_factory`` if given.  Returns the new
         class object's Binding and binds ``classes/<name>`` in the name
-        space.
+        space, so ``name`` is non-empty and not yet taken.
         """
+        if not isinstance(name, str) or not name:
+            raise InvalidArgument(f"class name {name!r}: must be a non-empty string")
+        if f"classes/{name}" in self.context:
+            raise InvalidArgument(f"class name {name!r}: classes/{name} is already bound")
         if factory is not None:
             if not instance_factory:
                 instance_factory = f"app.{name}"

@@ -14,10 +14,10 @@ This package parameterises exactly those knobs:
 * :class:`ChurnDriver` -- deactivation/migration churn that manufactures
   stale bindings (section 4.1.4);
 * :mod:`repro.workloads.apps` -- small application objects (counter,
-  key-value store, compute worker) used by examples and experiments.
+  key-value store, serial services) used by examples and experiments.
 """
 
-from repro.workloads.apps import CounterImpl, KVStoreImpl, WorkerImpl
+from repro.workloads.apps import CounterImpl, KVStoreImpl
 from repro.workloads.generators import (
     ChurnDriver,
     LocalityMix,
@@ -28,7 +28,6 @@ from repro.workloads.generators import (
 __all__ = [
     "CounterImpl",
     "KVStoreImpl",
-    "WorkerImpl",
     "ZipfPopularity",
     "LocalityMix",
     "TrafficDriver",

@@ -34,11 +34,6 @@ class CounterImpl(LegionObjectImpl):
         """The current value."""
         return self.value
 
-    @legion_method("Reset()")
-    def reset(self) -> None:
-        """Back to zero."""
-        self.value = 0
-
 
 class KVStoreImpl(LegionObjectImpl):
     """A key-value store: the paper's "remote files and data" made easy
@@ -59,55 +54,6 @@ class KVStoreImpl(LegionObjectImpl):
     def get(self, key: str) -> Any:
         """The value under ``key`` (KeyError crosses as InvocationFailed)."""
         return self.data[key]
-
-    @legion_method("bool Has(string)")
-    def has(self, key: str) -> bool:
-        """Whether ``key`` is present."""
-        return key in self.data
-
-    @legion_method("value Delete(string)")
-    def delete(self, key: str) -> Any:
-        """Remove and return the value under ``key``."""
-        return self.data.pop(key)
-
-    @legion_method("int Size()")
-    def size(self) -> int:
-        """Number of stored keys."""
-        return len(self.data)
-
-    @legion_method("list Keys()")
-    def keys(self) -> List[str]:
-        """All keys, sorted."""
-        return sorted(self.data)
-
-
-class WorkerImpl(LegionObjectImpl):
-    """A compute worker: simulates work by sleeping simulated time.
-
-    Models the paper's motivating wide-area computations: a caller farms
-    Compute() calls out to workers placed across sites.
-    """
-
-    def __init__(self, speed: float = 1.0) -> None:
-        #: Work units per simulated millisecond.
-        self.speed = float(speed)
-        self.completed = 0
-
-    def persistent_attributes(self) -> List[str]:
-        return ["speed", "completed"]
-
-    @legion_method("float Compute(float)")
-    def compute(self, work_units: float):
-        """Burn ``work_units`` of simulated compute; returns elapsed ms."""
-        duration = float(work_units) / self.speed
-        yield Timeout(duration)
-        self.completed += 1
-        return duration
-
-    @legion_method("int Completed()")
-    def completed_count(self) -> int:
-        """How many Compute() calls have finished."""
-        return self.completed
 
 
 class SerialServiceImpl(LegionObjectImpl):

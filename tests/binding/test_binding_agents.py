@@ -11,7 +11,7 @@ class TestGetBinding:
         system, cls = fresh_legion
         agent = system.agents[system.sites[0].name]
         binding = system.call(cls.loid, "Create", {})
-        system.call(agent.loid, "CacheSize")  # warm console→agent resolution
+        system.call(agent.loid, "Ping")  # warm console→agent resolution
         agent.impl.agent_stats.reset()
         first = system.call(agent.loid, "GetBinding", binding.loid)
         second = system.call(agent.loid, "GetBinding", binding.loid)
@@ -64,9 +64,9 @@ class TestAddInvalidate:
         agent = system.agents[system.sites[0].name]
         binding = system.call(cls.loid, "Create", {})
         system.call(agent.loid, "GetBinding", binding.loid)
-        size_before = system.call(agent.loid, "CacheSize")
+        size_before = len(agent.impl.runtime.cache)
         system.call(agent.loid, "InvalidateBinding", binding.loid)
-        assert system.call(agent.loid, "CacheSize") == size_before - 1
+        assert len(agent.impl.runtime.cache) == size_before - 1
 
     def test_invalidate_exact_spares_fresh(self, fresh_legion):
         system, cls = fresh_legion

@@ -8,7 +8,7 @@ from hypothesis import settings
 from repro.core.context import SystemServices
 from repro.core.relations import RelationGraph
 from repro.metrics.counters import MetricsRegistry
-from repro.net.latency import LatencyModel
+from repro.net.latency import LatencyModel, LinkClass
 from repro.net.network import Network
 from repro.simkernel.kernel import SimKernel
 from repro.simkernel.rng import RngStreams
@@ -34,7 +34,7 @@ def kernel() -> SimKernel:
 def services(kernel) -> SystemServices:
     """Bare SystemServices with a uniform-latency network (no Legion)."""
     rng = RngStreams(7)
-    latency = LatencyModel.uniform(1.0)
+    latency = LatencyModel(base=dict.fromkeys(LinkClass, 1.0))
     network = Network(kernel, latency, rng=rng.stream("net"))
     return SystemServices(
         kernel=kernel,

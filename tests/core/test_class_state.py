@@ -24,7 +24,7 @@ CLASS_EXPORTS = (
     "SaveState", "SetCandidateMagistrates", "SetSchedulingAgent",
     "SubscribeInvalidations",
 )
-LEGION_CLASS_EXPORTS = ("AllocateClassID", "ClassCount", "GetCoreBinding", "LocateResponsible")
+LEGION_CLASS_EXPORTS = ("AllocateClassID", "GetCoreBinding", "LocateResponsible")
 
 
 class Greeter(LegionObjectImpl):

@@ -42,10 +42,6 @@ class TestClassFlavor:
             flavor.check_inherit_from("X")
         flavor.check_derive("X")
 
-    def test_describe(self):
-        assert ClassFlavor.REGULAR.describe() == "Regular"
-        assert (ClassFlavor.ABSTRACT | ClassFlavor.FIXED).describe() == "Abstract+Fixed"
-
 
 class PartA(LegionObjectImpl):
     def __init__(self):

@@ -12,7 +12,7 @@ from repro.core.method import (
 from repro.naming.binding import Binding
 from repro.naming.loid import LOID
 from repro.net.address import AddressSemantic, ObjectAddress, ObjectAddressElement
-from repro.net.latency import LatencyModel
+from repro.net.latency import LatencyModel, LinkClass
 from repro.net.message import Message, MessageKind, Undeliverable
 from repro.net.network import Network
 from repro.security.environment import CallEnvironment
@@ -209,7 +209,8 @@ class TestSystemServices:
 
     def test_a_bare_services_has_a_relation_graph(self, kernel):
         rng = RngStreams(7)
-        network = Network(kernel, LatencyModel.uniform(1.0), rng=rng.stream("n"))
+        latency = LatencyModel(base=dict.fromkeys(LinkClass, 1.0))
+        network = Network(kernel, latency, rng=rng.stream("n"))
         services = SystemServices(kernel=kernel, network=network, rng=rng)
         # Every class object records its births here unguarded.
         services.relations.record_is_a(loid(1), LOID.for_class(20))

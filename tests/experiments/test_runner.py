@@ -15,7 +15,6 @@ from repro.experiments.runner import (
     main,
     render_summary,
     run_many,
-    run_one,
 )
 from repro.metrics.recorder import SeriesRecorder
 
@@ -40,7 +39,7 @@ def _boom(*_args, **_kwargs):
 
 
 def test_run_one_returns_primitives():
-    outcome = run_one("e1", quick=True, seed=0)
+    (outcome,) = run_many(["e1"], quick=True, seeds=(0,))
     assert outcome.name == "e1"
     assert outcome.experiment == "E1"
     assert outcome.passed and outcome.failed == ()
@@ -121,7 +120,7 @@ def test_elapsed_is_the_unit_walls_plus_finish(monkeypatch):
 
 def test_crashed_experiment_is_a_failure(monkeypatch):
     monkeypatch.setitem(RUNNERS, "e1", whole(_boom))
-    outcome = run_one("e1", quick=True, seed=0)
+    (outcome,) = run_many(["e1"], quick=True, seeds=(0,))
     assert not outcome.passed and outcome.failed == ("crashed",)
     assert "e1: CRASHED" in outcome.report
     assert "injected crash" in outcome.report
@@ -175,7 +174,7 @@ def test_flags_reach_only_the_runners_that_declare_them(monkeypatch):
         raise RuntimeError("stop here")
 
     monkeypatch.setitem(RUNNERS, "e12", whole(takes_faults, "faults"))
-    run_one("e12", quick=True, seed=0, faults=2.0, mega=7)
+    run_many(["e12"], quick=True, seeds=(0,), faults=2.0, mega=7)
     assert seen == {"faults": 2.0}
     # Direct use of a record is strict: a flag it does not declare is a bug.
     with pytest.raises(TypeError, match="mega"):

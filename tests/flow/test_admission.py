@@ -15,7 +15,7 @@ from repro.faults.log import FaultLog
 from repro.flow.config import FlowConfig
 from repro.metrics.counters import ComponentKind, MetricsRegistry
 from repro.naming.loid import LOID
-from repro.net.latency import LatencyModel
+from repro.net.latency import LatencyModel, LinkClass
 from repro.net.network import Network
 from repro.simkernel.kernel import SimKernel
 from repro.simkernel.rng import RngStreams
@@ -210,7 +210,9 @@ def test_every_arrival_is_admitted_or_shed_within_the_bounds(
     rng = RngStreams(7)
     services = SystemServices(
         kernel=kernel,
-        network=Network(kernel, LatencyModel.uniform(1.0), rng=rng.stream("net")),
+        network=Network(
+            kernel, LatencyModel(base=dict.fromkeys(LinkClass, 1.0)), rng=rng.stream("net")
+        ),
         rng=rng,
         metrics=MetricsRegistry(),
     )

@@ -128,7 +128,7 @@ class TestFileRoundTrip:
     def test_write_load_verify(self, tmp_path):
         path = tmp_path / "ledger.jsonl"
         ledger = chain(4)
-        ledger.write(path)
+        HealthLedger.write_records(ledger.to_json(), path)
         records = HealthLedger.load_records(path)
         assert records == ledger.to_json()
         assert HealthLedger.verify_records(records) is None
@@ -136,14 +136,14 @@ class TestFileRoundTrip:
 
     def test_cli_ok_exit_zero(self, tmp_path, capsys):
         path = tmp_path / "ledger.jsonl"
-        chain(4).write(path)
+        HealthLedger.write_records(chain(4).to_json(), path)
         assert main([str(path)]) == 0
         out = capsys.readouterr().out
         assert "OK" in out and "4 records" in out
 
     def test_cli_tampered_exit_nonzero(self, tmp_path, capsys):
         path = tmp_path / "ledger.jsonl"
-        chain(3).write(path)
+        HealthLedger.write_records(chain(3).to_json(), path)
         lines = path.read_text().splitlines()
         record = json.loads(lines[1])
         record["reason"] = "edited"

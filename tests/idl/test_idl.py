@@ -10,7 +10,7 @@ from repro.idl.signature import MethodSignature, Parameter
 
 class TestSignature:
     def test_simple_construction(self):
-        sig = MethodSignature.simple("GetBinding", "LOID", returns="binding")
+        sig = parse_signature("binding GetBinding(LOID)")
         assert sig.arity == 1
         assert sig.key == ("GetBinding", ("LOID",))
 
@@ -21,19 +21,21 @@ class TestSignature:
             Parameter(type_name="has space")
 
     def test_overloads_have_distinct_keys(self):
-        one = MethodSignature.simple("Activate", "LOID", returns="binding")
-        two = MethodSignature.simple("Activate", "LOID", "LOID", returns="binding")
+        one = parse_signature("binding Activate(LOID)")
+        two = parse_signature("binding Activate(LOID, LOID)")
         assert one.key != two.key
 
     def test_compatibility(self):
-        a = MethodSignature.simple("F", "int", returns="int")
-        b = MethodSignature.simple("F", "int", returns="int")
-        c = MethodSignature.simple("F", "int", returns="string")
+        a = parse_signature("int F(int)")
+        b = parse_signature("int F(int)")
+        c = parse_signature("string F(int)")
         assert a.compatible_with(b)
         assert not a.compatible_with(c)
 
     def test_str_roundtrips_through_parser(self):
-        sig = MethodSignature.simple("Activate", "LOID", "LOID", returns="binding")
+        sig = MethodSignature(
+            name="Activate", parameters=(Parameter("LOID"), Parameter("LOID")), returns="binding"
+        )
         assert parse_signature(str(sig)) == sig
 
 
@@ -114,41 +116,35 @@ class TestInterface:
         with pytest.raises(InterfaceError):
             Interface(
                 [
-                    MethodSignature.simple("F", "int", returns="int"),
-                    MethodSignature.simple("F", "int", returns="string"),
+                    parse_signature("int F(int)"),
+                    parse_signature("string F(int)"),
                 ]
             )
 
     def test_merge_unions_and_coalesces(self):
-        a = Interface([MethodSignature.simple("F", returns="int")])
+        a = Interface([parse_signature("int F()")])
         b = Interface(
             [
-                MethodSignature.simple("F", returns="int"),
-                MethodSignature.simple("G"),
+                parse_signature("int F()"),
+                parse_signature("G()"),
             ]
         )
         merged = a.merged_with(b)
         assert len(merged) == 2
 
     def test_merge_conflict_raises(self):
-        a = Interface([MethodSignature.simple("F", returns="int")])
-        b = Interface([MethodSignature.simple("F", returns="string")])
+        a = Interface([parse_signature("int F()")])
+        b = Interface([parse_signature("string F()")])
         with pytest.raises(InterfaceError):
             a.merged_with(b)
 
     def test_conformance_is_superset_semantics(self):
-        small = Interface([MethodSignature.simple("F", returns="int")])
-        big = small.merged_with(Interface([MethodSignature.simple("G")]))
+        small = Interface([parse_signature("int F()")])
+        big = small.merged_with(Interface([parse_signature("G()")]))
         assert big.conforms_to(small)
         assert not small.conforms_to(big)
         assert not big.equivalent_to(small)
         assert big.equivalent_to(big)
-
-    def test_missing_from(self):
-        small = Interface([MethodSignature.simple("F", returns="int")])
-        big = small.merged_with(Interface([MethodSignature.simple("G")]))
-        missing = small.missing_from(big)
-        assert [m.name for m in missing] == ["G"]
 
     def test_restricted_to(self):
         iface = self.make()

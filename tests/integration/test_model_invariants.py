@@ -58,10 +58,11 @@ class TestRelationsInvariants:
         system, classes, _instances = populated
         relations = system.services.relations
         legion_object = system.core.loid("LegionObject")
-        for loid in classes:
-            assert relations.ancestry(loid)[-1] == legion_object, str(loid)
-        for server in system.standard_classes.values():
-            assert relations.ancestry(server.loid)[-1] == legion_object
+        for loid in [*classes, *(s.loid for s in system.standard_classes.values())]:
+            root = loid
+            while relations.superclass_of(root) is not None:
+                root = relations.superclass_of(root)
+            assert root == legion_object, str(loid)
 
     def test_every_instance_has_exactly_one_class(self, populated):
         system, _classes, instances = populated

@@ -1,7 +1,5 @@
 """Unit tests for counters and the series recorder."""
 
-import math
-
 import pytest
 
 from repro.metrics.counters import ComponentId, ComponentKind, MetricsRegistry
@@ -94,15 +92,3 @@ class TestSeriesRecorder:
         rec.add(1, y=1)
         with pytest.raises(ValueError):
             rec.slope("y")
-
-    def test_ratio(self):
-        rec = SeriesRecorder()
-        rec.add(1, y=2)
-        rec.add(2, y=8)
-        assert rec.ratio("y") == 4.0
-
-    def test_ratio_from_zero_is_inf(self):
-        rec = SeriesRecorder()
-        rec.add(1, y=0)
-        rec.add(2, y=8)
-        assert rec.ratio("y") == math.inf

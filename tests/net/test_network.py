@@ -185,17 +185,18 @@ class TestLatencyModel:
         assert latency.classify(1, 99) is LinkClass.WIDE_AREA  # unassigned
 
     def test_uniform_model(self):
-        latency = LatencyModel.uniform(2.5)
+        latency = LatencyModel(base=dict.fromkeys(LinkClass, 2.5))
         assert latency.base[latency.classify(1, 1)] == 2.5
         assert latency.base[latency.classify(1, 99)] == 2.5
 
     def test_zero_latency_is_allowed(self):
-        assert LatencyModel.uniform(0.0).base[LinkClass.WIDE_AREA] == 0.0
+        latency = LatencyModel(base=dict.fromkeys(LinkClass, 0.0))
+        assert latency.base[LinkClass.WIDE_AREA] == 0.0
 
     @pytest.mark.parametrize("bad", [-1, -0.5, float("nan"), float("inf")])
     def test_uniform_rejects_a_bad_latency(self, bad):
         with pytest.raises(NetworkError, match=r"LinkClass\.SAME_HOST\] is"):
-            LatencyModel.uniform(bad)
+            LatencyModel(base=dict.fromkeys(LinkClass, bad))
 
     @pytest.mark.parametrize("bad", [-2.0, float("nan"), float("-inf")])
     def test_one_bad_class_is_named_with_its_value(self, bad):

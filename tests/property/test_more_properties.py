@@ -114,8 +114,8 @@ class TestRelationGraphProperties:
         for child, parent in zip(loids[1:], loids[:-1], strict=True):
             graph.record_kind_of(child, parent)
         assert graph.sinks() == [loids[0]]
-        chain = graph.ancestry(loids[-1])
-        assert chain == list(reversed(loids))
+        for child, parent in zip(loids[1:], loids[:-1], strict=True):
+            assert graph.superclass_of(child) == parent
 
     @given(
         st.lists(

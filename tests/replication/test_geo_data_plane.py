@@ -20,6 +20,7 @@ from repro.replication import (
 )
 from repro.replication.store import ReplicatedStoreImpl
 from repro.system.legion import LegionSystem, SiteSpec
+from tests.invariants import live_impl
 
 KEYS = [f"k{i}" for i in range(4)]
 
@@ -80,16 +81,16 @@ class TestCatalogGossip:
         system, directory, cls, binding = build_geo()
         for site in directory.sites():
             catalog = directory.catalogs[site]
-            assert system.call(catalog.loid, "ReplicaCount", binding.loid) == 1
+            entry = live_impl(system, catalog.loid).entries[binding.loid.identity]
+            assert len(entry["elements"]) == 1
             tracked = system.call(catalog.loid, "Tracked")
             assert (binding.loid, 3, cls.loid) in tracked
 
     def test_index_aggregates_site_counts(self):
         system, directory, _cls, binding = build_geo()
         index = directory.index
-        assert system.call(index.loid, "TotalReplicas", binding.loid) == 3
-        sites = dict(system.call(index.loid, "SitesOf", binding.loid))
-        assert sites == {"site0": 1, "site1": 1, "site2": 1}
+        holdings = live_impl(system, index.loid).holdings[binding.loid.identity]
+        assert holdings == {"site0": 1, "site1": 1, "site2": 1}
         assert system.call(index.loid, "UnderReplicated") == []
 
     def test_shrink_news_surfaces_under_replication(self):
@@ -99,7 +100,8 @@ class TestCatalogGossip:
         system.call(cls.loid, "ReportDeadReplica", binding.loid, element)
         system.kernel.run()  # drain the removal gossip
         index = directory.index
-        assert system.call(index.loid, "TotalReplicas", binding.loid) == 2
+        holdings = live_impl(system, index.loid).holdings[binding.loid.identity]
+        assert sum(holdings.values()) == 2
         under = system.call(index.loid, "UnderReplicated")
         assert [(u[0], u[1], u[2]) for u in under] == [(binding.loid, 2, 3)]
 

@@ -5,12 +5,7 @@ import pytest
 from repro import errors
 from repro.metrics.counters import ComponentKind
 from repro.core.server import ObjectServer
-from repro.scheduling.agent import (
-    LeastLoadedSchedulingAgent,
-    RandomSchedulingAgent,
-    RoundRobinSchedulingAgent,
-    StaticSchedulingAgent,
-)
+from repro.scheduling.agent import LeastLoadedSchedulingAgent
 
 
 def start_scheduler(system, impl, name="sched"):
@@ -30,51 +25,16 @@ def start_scheduler(system, impl, name="sched"):
 
 
 class TestPolicies:
-    def test_round_robin_cycles(self, fresh_legion):
-        system, cls = fresh_legion
-        magistrates = [m.loid for m in system.magistrates.values()]
-        sched = start_scheduler(system, RoundRobinSchedulingAgent(magistrates))
-        picks = [
-            system.call(sched.loid, "ChooseMagistrate", cls.loid, None)
-            for _ in range(4)
-        ]
-        assert picks[0] != picks[1]
-        assert picks[0] == picks[2]
-        assert picks[1] == picks[3]
-
     def test_candidates_override_pool(self, fresh_legion):
         system, cls = fresh_legion
         magistrates = [m.loid for m in system.magistrates.values()]
-        sched = start_scheduler(system, RoundRobinSchedulingAgent(magistrates))
+        sched = start_scheduler(system, LeastLoadedSchedulingAgent(magistrates))
         only = [magistrates[1]]
         picks = {
             system.call(sched.loid, "ChooseMagistrate", cls.loid, only)
             for _ in range(3)
         }
         assert picks == {magistrates[1]}
-
-    def test_random_stays_in_pool(self, fresh_legion):
-        system, cls = fresh_legion
-        magistrates = [m.loid for m in system.magistrates.values()]
-        sched = start_scheduler(system, RandomSchedulingAgent(magistrates))
-        picks = {
-            system.call(sched.loid, "ChooseMagistrate", cls.loid, None)
-            for _ in range(10)
-        }
-        assert picks <= set(magistrates)
-
-    def test_static_pins_and_respects_candidates(self, fresh_legion):
-        system, cls = fresh_legion
-        magistrates = [m.loid for m in system.magistrates.values()]
-        sched = start_scheduler(system, StaticSchedulingAgent(magistrates[0]))
-        assert (
-            system.call(sched.loid, "ChooseMagistrate", cls.loid, None)
-            == magistrates[0]
-        )
-        with pytest.raises(errors.SchedulingError):
-            system.call(
-                sched.loid, "ChooseMagistrate", cls.loid, [magistrates[1]]
-            )
 
     def test_least_loaded_prefers_empty_magistrate(self, fresh_legion):
         system, cls = fresh_legion
@@ -89,21 +49,9 @@ class TestPolicies:
 
     def test_empty_pool_rejected(self, fresh_legion):
         system, cls = fresh_legion
-        sched = start_scheduler(system, RoundRobinSchedulingAgent([]))
+        sched = start_scheduler(system, LeastLoadedSchedulingAgent([]))
         with pytest.raises(errors.SchedulingError):
             system.call(sched.loid, "ChooseMagistrate", cls.loid, None)
-
-    def test_add_magistrate_extends_pool(self, fresh_legion):
-        system, cls = fresh_legion
-        magistrates = [m.loid for m in system.magistrates.values()]
-        sched = start_scheduler(system, RoundRobinSchedulingAgent([magistrates[0]]))
-        system.call(sched.loid, "AddMagistrate", magistrates[1])
-        system.call(sched.loid, "AddMagistrate", magistrates[1])  # idempotent
-        picks = {
-            system.call(sched.loid, "ChooseMagistrate", cls.loid, None)
-            for _ in range(4)
-        }
-        assert picks == set(magistrates)
 
 
 class TestClassUsesSchedulingAgent:
@@ -111,7 +59,7 @@ class TestClassUsesSchedulingAgent:
         system, _cls = fresh_legion
         site1 = system.sites[1].name
         pinned = system.magistrates[site1].loid
-        sched = start_scheduler(system, StaticSchedulingAgent(pinned), "pinner")
+        sched = start_scheduler(system, LeastLoadedSchedulingAgent([pinned]), "pinner")
         from repro.workloads.apps import CounterImpl
 
         cls = system.create_class(

@@ -1,17 +1,12 @@
 """Unit tests for the security hooks (paper 2.4)."""
 
-import pytest
-
 from repro.naming.loid import LOID
 from repro.security.environment import CallEnvironment
 from repro.security.identity import Credentials, verify_identity
 from repro.security.mayi import (
     ACLPolicy,
     AllowAll,
-    CompositePolicy,
     DenyAll,
-    MethodFilterPolicy,
-    PredicatePolicy,
     TrustSetPolicy,
 )
 
@@ -38,11 +33,6 @@ class TestCallEnvironment:
         deeper = env.forwarded_by(actor(3))
         assert deeper.responsible_agent == actor(1)
         assert deeper.calling_agent == actor(3)
-
-    def test_rerooting_changes_ra(self):
-        env = CallEnvironment.originating(actor(1)).rerooted(actor(9), actor(2))
-        assert env.responsible_agent == actor(9)
-        assert env.calling_agent == actor(2)
 
 
 class TestIdentity:
@@ -77,8 +67,7 @@ class TestMayIPolicies:
         assert not DenyAll().may_i("Anything", self.env())
 
     def test_acl_checks_calling_agent(self):
-        policy = ACLPolicy()
-        policy.allow("Read", actor(2))
+        policy = ACLPolicy(acl={"Read": {actor(2)}})
         assert policy.may_i("Read", self.env(ca=2))
         assert not policy.may_i("Read", self.env(ca=3))
         assert not policy.may_i("Write", self.env(ca=2))  # default deny
@@ -92,31 +81,3 @@ class TestMayIPolicies:
         policy.trust(actor(1))
         assert policy.may_i("X", self.env(ra=1, ca=99))
         assert not policy.may_i("X", self.env(ra=2, ca=1))
-        policy.revoke(actor(1))
-        assert not policy.may_i("X", self.env(ra=1))
-
-    def test_method_filter(self):
-        policy = MethodFilterPolicy(frozenset({"Get"}))
-        assert policy.may_i("Get", self.env())
-        assert not policy.may_i("Put", self.env())
-
-    def test_predicate(self):
-        policy = PredicatePolicy(lambda method, env: method.startswith("Get"))
-        assert policy.may_i("GetState", self.env())
-        assert not policy.may_i("SetState", self.env())
-
-    def test_composition_operators(self):
-        trusted = TrustSetPolicy()
-        trusted.trust(actor(1))
-        reads = MethodFilterPolicy(frozenset({"Get"}))
-        both = trusted & reads
-        either = trusted | reads
-        assert both.may_i("Get", self.env(ra=1))
-        assert not both.may_i("Put", self.env(ra=1))
-        assert either.may_i("Put", self.env(ra=1))
-        assert either.may_i("Get", self.env(ra=9))
-        assert not either.may_i("Put", self.env(ra=9))
-
-    def test_composite_mode_validation(self):
-        with pytest.raises(ValueError):
-            CompositePolicy([AllowAll()], mode="xor")

@@ -5,8 +5,6 @@ import pytest
 from repro.errors import FutureError
 from repro.simkernel.futures import (
     SimFuture,
-    completed,
-    failed,
     gather,
     k_of,
     single_flight,
@@ -50,7 +48,8 @@ class TestSimFuture:
             fut.set_exception("not an exception")  # type: ignore[arg-type]
 
     def test_callback_after_resolution_runs_immediately(self):
-        fut = completed(5)
+        fut = SimFuture()
+        fut.set_result(5)
         seen = []
         fut.add_done_callback(lambda f: seen.append(f.result()))
         assert seen == [5]
@@ -64,16 +63,22 @@ class TestSimFuture:
         assert order == ["a", "b"]
 
     def test_then_chains_value(self):
-        out = completed(3).then(lambda v: v * 2)
+        fut = SimFuture()
+        fut.set_result(3)
+        out = fut.then(lambda v: v * 2)
         assert out.result() == 6
 
     def test_then_propagates_failure(self):
-        out = failed(KeyError("k")).then(lambda v: v)
+        fut = SimFuture()
+        fut.set_exception(KeyError("k"))
+        out = fut.then(lambda v: v)
         assert out.failed()
         assert isinstance(out.exception(), KeyError)
 
     def test_then_captures_mapper_exception(self):
-        out = completed(1).then(lambda v: 1 / 0)
+        fut = SimFuture()
+        fut.set_result(1)
+        out = fut.then(lambda v: 1 / 0)
         assert out.failed()
         assert isinstance(out.exception(), ZeroDivisionError)
 

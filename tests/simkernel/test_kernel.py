@@ -27,6 +27,17 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             kernel.schedule(-0.1, lambda: None)
 
+    @pytest.mark.parametrize("delay", [float("nan"), float("inf")])
+    def test_non_finite_delay_rejected(self, kernel, delay):
+        """NaN passed the old ``delay < 0`` check and broke heap order."""
+        with pytest.raises(SimulationError, match="non-finite timeout"):
+            Timeout(delay)
+        with pytest.raises(SimulationError, match=f"delay={delay}"):
+            kernel.post(delay, lambda: None)
+        with pytest.raises(SimulationError, match=f"delay={delay}"):
+            kernel.deadline(SimFuture("f"), delay, lambda: None)
+        assert kernel.pending_events == 0
+
     def test_cancellation(self, kernel):
         """Settling a deadline's future is what cancels it."""
         hits = []

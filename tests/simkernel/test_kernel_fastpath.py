@@ -19,8 +19,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ProcessKilled, SimulationDeadlock, SimulationError
-from repro.simkernel.futures import SimFuture, completed
+from repro.simkernel.futures import SimFuture
 from repro.simkernel.kernel import SimKernel, Timeout
+
+
+def settled():
+    """An already-resolved future: yielding it resumes at once."""
+    fut = SimFuture()
+    fut.set_result(None)
+    return fut
 
 
 def deadlines(kernel, n, delay, fn=lambda: None, *args):
@@ -301,7 +308,7 @@ class TestTrampoline:
 
         def chain(n):
             for _ in range(n):
-                yield completed(None)
+                yield settled()
             return "done"
 
         fut = kernel.spawn(chain(50))
@@ -314,7 +321,7 @@ class TestTrampoline:
 
         def forever():
             while True:
-                yield completed(None)
+                yield settled()
 
         kernel.spawn(forever())
         with pytest.raises(SimulationError, match="max_events"):
@@ -425,7 +432,7 @@ class Program:
                     yield None
                 elif kind == "spin":
                     for _ in range(action[1]):
-                        yield completed(None)
+                        yield settled()
                 elif kind == "deadline":
                     _, delay, settle_delay, first = action
                     fut = SimFuture()
@@ -595,7 +602,7 @@ class TestOneLoop:
         ran = []
         for due in (1.0, 2.0, 9.0):
             kernel.post(due, ran.append, due)
-        kernel.deadline(completed(None), 3.0, ran.append, "settled")
+        kernel.deadline(settled(), 3.0, ran.append, "settled")
         kernel.run(until=5.0, max_events=2)  # budget spent, nothing more due by 5
         assert (ran, kernel.now) == ([1.0, 2.0], 5.0)
         with pytest.raises(SimulationError, match="max_events=0"):

@@ -17,7 +17,7 @@ from repro.errors import FutureError, ProcessKilled, SimulationError
 from repro.simkernel.futures import SimFuture
 from repro.simkernel.kernel import Process, SimKernel, Timeout
 from repro.system.legion import LegionSystem, SiteSpec
-from repro.workloads.apps import CounterImpl, WorkerImpl
+from repro.workloads.apps import CounterImpl, SerialServiceImpl
 
 
 @pytest.fixture
@@ -40,16 +40,16 @@ def test_the_call_path_leaves_no_cyclic_garbage(no_collector):
     counter = system.create_instance(
         system.create_class("Counter", factory=CounterImpl).loid
     ).loid
-    worker = system.create_instance(
-        system.create_class("Worker", factory=WorkerImpl).loid
+    service = system.create_instance(
+        system.create_class("Serial", factory=SerialServiceImpl).loid
     ).loid
     assert system.call(counter, "Ping") == "pong"  # bind both: the rest is warm
-    assert system.call(worker, "Compute", 2.0) == 2.0
+    system.call(service, "Work")
     gc.collect()
 
     for _ in range(500):
         system.call(counter, "Ping")
-        system.call(worker, "Compute", 2.0)
+        system.call(service, "Work")
     assert gc.collect() == 0
 
 

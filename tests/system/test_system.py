@@ -1,5 +1,7 @@
 """Tests for bootstrap (4.2.1) and the LegionSystem facade."""
 
+import re
+
 import pytest
 
 from repro import errors
@@ -7,7 +9,7 @@ from repro.core.class_types import ClassFlavor
 from repro.core.context import SystemServices
 from repro.core.relations import RelationGraph
 from repro.metrics.counters import MetricsRegistry
-from repro.net.latency import LatencyModel
+from repro.net.latency import LatencyModel, LinkClass
 from repro.net.network import Network
 from repro.simkernel.kernel import SimKernel
 from repro.simkernel.rng import RngStreams
@@ -21,7 +23,9 @@ def bare_services():
     rng = RngStreams(3)
     return SystemServices(
         kernel=kernel,
-        network=Network(kernel, LatencyModel.uniform(1.0), rng=rng.stream("n")),
+        network=Network(
+            kernel, LatencyModel(base=dict.fromkeys(LinkClass, 1.0)), rng=rng.stream("n")
+        ),
         rng=rng,
         metrics=MetricsRegistry(),
         relations=RelationGraph(),
@@ -181,6 +185,26 @@ class TestFacade:
         relations = system.services.relations
         assert relations.superclass_of(sub.loid) == system.lookup("classes/Base2")
 
+    @pytest.mark.parametrize("name", ["", "Counter"])
+    def test_class_names_fail_at_the_boundary(self, fresh_legion, name):
+        """An empty name, or one ``classes/`` already binds, is refused
+        by name; the existing binding is left alone."""
+        system, cls = fresh_legion
+        with pytest.raises(errors.InvalidArgument, match=f"class name {name!r}"):
+            system.create_class(name, factory=CounterImpl)
+        assert system.lookup("classes/Counter") == cls.loid
+
+    @pytest.mark.parametrize("timeout", [float("nan"), 0.0, -1.0, float("inf")])
+    def test_a_bad_call_timeout_is_refused_and_poisons_nothing(self, fresh_legion, timeout):
+        """NaN used to wedge the object: every later call to it timed out
+        in GetBinding.  0 and -1 raised a misleading BindingNotFound and a
+        raw SimulationError."""
+        system, cls = fresh_legion
+        instance = system.create_instance(cls.loid).loid
+        with pytest.raises(errors.InvalidArgument, match=re.escape(f"timeout={timeout!r}")):
+            system.call(instance, "Ping", timeout=timeout)
+        assert system.call(instance, "Ping") == "pong"
+
     def test_new_client_is_not_a_legion_resource(self, legion):
         system, _cls = legion
         client = system.new_client("outsider", site=system.sites[1].name)
@@ -188,8 +212,8 @@ class TestFacade:
         assert client.loid not in system.services.relations
         # But they can call into Legion.
         assert system.call(
-            system.core.loid("LegionClass"), "ClassCount", client=client
-        ) > 0
+            system.core.loid("LegionClass"), "Ping", client=client
+        ) == "pong"
 
     def test_runtimes_lists_infrastructure_running_objects_and_given_clients(
         self, fresh_legion
