@@ -11,15 +11,24 @@ sessions that *arrive* during that tick; a session carries its complete
 precompiled trajectory (request kinds, think gaps, final disposition),
 so no backend draws randomness at replay time and kernel interleaving
 can never perturb the workload.
+
+The draw order is the contract: every replay reads this stream, so
+moving one draw re-cuts ``experiments_output.txt`` and the ledger
+digest (``tests/scenarios/test_stream_oracle.py`` pins it).  Compiling
+costs the draws and nothing more: the records are named tuples built by
+``tuple.__new__``, and ``randrange``/``expovariate`` and Knuth's Poisson
+are inlined as the exact ``random.Random`` recipes, so no Python frame
+runs per session or per request (``tests/perf/test_compile_budget.py``).
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from operator import itemgetter
+from typing import List, NamedTuple, Sequence, Tuple
 
+from repro.errors import InvalidArgument
 from repro.simkernel.rng import RngStreams
 
 from .spec import ScenarioSpec, validate
@@ -28,8 +37,7 @@ from .spec import ScenarioSpec, validate
 KEYSPACE = 16
 
 
-@dataclass(frozen=True)
-class Request:
+class Request(NamedTuple):
     """One request of a session: kind plus the think gap before it."""
 
     kind: str
@@ -37,8 +45,7 @@ class Request:
     denied: bool  # privileged request from an unprivileged tenant
 
 
-@dataclass(frozen=True)
-class Arrival:
+class Arrival(NamedTuple):
     """One session arrival with its full precompiled trajectory."""
 
     offset: float  # ms after the tick start
@@ -52,26 +59,13 @@ class Arrival:
     requests: Tuple[Request, ...]
 
 
-@dataclass(frozen=True)
-class TickPlan:
+class TickPlan(NamedTuple):
     """All sessions arriving during one tick of the timeline."""
 
     index: int
     t0: float
     phase: str
     arrivals: Tuple[Arrival, ...]
-
-
-def _poisson(rng, mean: float) -> int:
-    """Knuth's Poisson sampler (exact, fine for per-tick means)."""
-    if mean <= 0.0:
-        return 0
-    threshold = math.exp(-mean)
-    count, product = 0, rng.random()
-    while product > threshold:
-        count += 1
-        product *= rng.random()
-    return count
 
 
 def _cdf(weights: Sequence[float]) -> List[float]:
@@ -112,14 +106,36 @@ def compile_events(
 
     ``rate_scale`` uniformly multiplies every arrival rate (the
     ``--overload`` composition knob); it changes how many sessions are
-    drawn but not the shape of the language.
+    drawn but not the shape of the language.  It must lie in
+    ``[0, inf)``.
+
+    Each draw is the one ``random.Random`` makes for the method the
+    comment beside it names: ``randrange(n)`` is CPython's
+    ``_randbelow`` rejection loop over ``getrandbits(n.bit_length())``
+    and ``expovariate(lambd)`` is ``-log(1.0 - random()) / lambd``.
     """
     validate(spec)
+    if not 0.0 <= rate_scale < math.inf:  # NaN fails both comparisons
+        raise InvalidArgument(f"rate_scale must be in [0, inf), got {rate_scale!r}")
     rng = RngStreams(seed).stream(f"scenario-{spec.name}")
+    random, getrandbits, log = rng.random, rng.getrandbits, math.log
+    new = tuple.__new__
+    sites, tick_ms, locality = spec.sites, spec.tick_ms, spec.mix.locality
+    targets = spec.targets_per_site
+    k_other = (sites - 1).bit_length()
+    k_slot = targets.bit_length()
+    k_key = KEYSPACE.bit_length()
     zipf = _zipf_cdf(spec.n_classes, spec.mix.zipf_s)
     tenant_cdf = _cdf([t.weight for t in spec.tenants])
     kind_names = list(spec.mix.kinds)
     kind_cdf = _cdf([spec.mix.kinds[k] for k in kind_names])
+    # One shared think-0 request per (kind, tenant privilege): a session's
+    # first request, and every later one when the phase has no think time.
+    firsts_by_privilege = {
+        ok: [new(Request, (k, 0.0, k == "privileged" and not ok)) for k in kind_names]
+        for ok in (False, True)
+    }
+    tenant_firsts = [firsts_by_privilege[t.privileged] for t in spec.tenants]
     phase_ends: List[float] = []
     acc = 0.0
     for phase in spec.phases:
@@ -132,61 +148,56 @@ def compile_events(
         phase = spec.phases[phase_index]
         phase_start = phase_ends[phase_index] - phase.duration
         session = phase.session
+        think_time, p_continue = session.think_time, session.p_continue
+        max_requests = session.max_requests
+        lambd = 1.0 / think_time if think_time > 0 else 0.0
         arrivals: List[Arrival] = []
-        for site in range(spec.sites):
+        for site in range(sites):
             rate = site_rate(spec, phase_index, site, t0 - phase_start)
-            mean = max(0.0, rate) * spec.tick_ms * rate_scale
-            for _ in range(_poisson(rng, mean)):
-                offset = rng.random() * spec.tick_ms
-                tenant = bisect_right(tenant_cdf, rng.random())
-                klass = bisect_right(zipf, rng.random())
-                if spec.sites > 1 and rng.random() >= spec.mix.locality:
-                    target_site = rng.randrange(spec.sites - 1)
+            mean = max(0.0, rate) * tick_ms * rate_scale
+            # Knuth's Poisson sampler (exact, fine for per-tick means).
+            count = 0
+            if mean > 0.0:
+                threshold = math.exp(-mean)
+                product = random()
+                while product > threshold:
+                    count += 1
+                    product *= random()
+            for _ in range(count):
+                offset = random() * tick_ms
+                tenant = bisect_right(tenant_cdf, random())
+                klass = bisect_right(zipf, random())
+                if sites > 1 and random() >= locality:
+                    target_site = getrandbits(k_other)  # randrange(sites - 1)
+                    while target_site >= sites - 1:
+                        target_site = getrandbits(k_other)
                     if target_site >= site:
                         target_site += 1
                 else:
                     target_site = site
-                slot = rng.randrange(spec.targets_per_site)
-                key = rng.randrange(KEYSPACE)
-                privileged_ok = spec.tenants[tenant].privileged
-                requests: List[Request] = []
-                while True:
-                    kind = kind_names[bisect_right(kind_cdf, rng.random())]
-                    think = 0.0
-                    if requests and session.think_time > 0:
-                        think = rng.expovariate(1.0 / session.think_time)
-                    requests.append(
-                        Request(
-                            kind=kind,
-                            think=think,
-                            denied=(kind == "privileged" and not privileged_ok),
-                        )
-                    )
-                    if len(requests) >= session.max_requests:
-                        completed = True
-                        break
-                    if rng.random() >= session.p_continue:
-                        completed = False
-                        break
+                slot = getrandbits(k_slot)  # randrange(targets)
+                while slot >= targets:
+                    slot = getrandbits(k_slot)
+                key = getrandbits(k_key)  # randrange(KEYSPACE)
+                while key >= KEYSPACE:
+                    key = getrandbits(k_key)
+                firsts = tenant_firsts[tenant]
+                requests = [firsts[bisect_right(kind_cdf, random())]]
+                while len(requests) < max_requests and random() < p_continue:
+                    req = firsts[bisect_right(kind_cdf, random())]
+                    if think_time > 0:
+                        think = -log(1.0 - random()) / lambd  # expovariate(lambd)
+                        req = new(Request, (req.kind, think, req.denied))
+                    requests.append(req)
+                completed = len(requests) >= max_requests
                 arrivals.append(
-                    Arrival(
-                        offset=offset,
-                        site=site,
-                        tenant=tenant,
-                        klass=klass,
-                        target_site=target_site,
-                        slot=slot,
-                        key=key,
-                        completed=completed,
-                        requests=tuple(requests),
-                    )
+                    new(Arrival, (offset, site, tenant, klass, target_site, slot, key,
+                                  completed, tuple(requests)))
                 )
-        arrivals.sort(key=lambda a: a.offset)
-        plan.append(
-            TickPlan(index=index, t0=t0, phase=phase.name, arrivals=tuple(arrivals))
-        )
+        arrivals.sort(key=itemgetter(0))  # by offset; stable
+        plan.append(new(TickPlan, (index, t0, phase.name, tuple(arrivals))))
         index += 1
-        t0 = index * spec.tick_ms
+        t0 = index * tick_ms
     return plan
 
 

@@ -16,6 +16,7 @@ actionable error naming the offending path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Any, Mapping, Optional, Tuple
 
@@ -143,7 +144,19 @@ def _require(cond: bool, path: str, message: str) -> None:
         _fail(path, message)
 
 
+def _require_finite(record: Any, prefix: str) -> None:
+    """Refuse an infinite or NaN number in any field of one spec record.
+
+    The range checks below compare, and ``inf`` passes a lower bound: a
+    phase of ``duration=inf`` would compile forever.
+    """
+    for knob, value in vars(record).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            _fail(f"{prefix}{knob}", f"{knob} must be finite, got {value}")
+
+
 def _validate_arrival(a: ArrivalSpec, path: str) -> None:
+    _require_finite(a, f"{path}.")
     _require(
         a.kind in ARRIVAL_KINDS,
         f"{path}.kind",
@@ -176,6 +189,7 @@ def _validate_arrival(a: ArrivalSpec, path: str) -> None:
 
 
 def _validate_session(s: SessionSpec, path: str) -> None:
+    _require_finite(s, f"{path}.")
     _require(
         s.think_time >= 0,
         f"{path}.think_time",
@@ -204,6 +218,7 @@ def _validate_session(s: SessionSpec, path: str) -> None:
 def validate(spec: ScenarioSpec) -> ScenarioSpec:
     """Check every constraint; return the spec or raise ScenarioSpecError."""
     _require(bool(spec.name), "name", "scenario name must be non-empty")
+    _require_finite(spec, "")
     _require(spec.sites >= 1, "sites", f"sites must be >= 1, got {spec.sites}")
     _require(
         spec.n_classes >= 1,
@@ -223,6 +238,7 @@ def validate(spec: ScenarioSpec) -> ScenarioSpec:
     )
     _require(bool(spec.tenants), "tenants", "at least one tenant is required")
     for i, tenant in enumerate(spec.tenants):
+        _require_finite(tenant, f"tenants[{i}].")
         _require(
             tenant.weight > 0,
             f"tenants[{i}].weight",
@@ -240,6 +256,7 @@ def validate(spec: ScenarioSpec) -> ScenarioSpec:
         "tenants",
         f"tenant names must be unique, got {names}",
     )
+    _require_finite(spec.mix, "mix.")
     _require(bool(spec.mix.kinds), "mix.kinds", "at least one request kind")
     for kind in spec.mix.kinds:
         _require(
@@ -273,6 +290,7 @@ def validate(spec: ScenarioSpec) -> ScenarioSpec:
     for i, phase in enumerate(spec.phases):
         path = f"phases[{i}]"
         _require(bool(phase.name), f"{path}.name", "phase name must be non-empty")
+        _require_finite(phase, f"{path}.")
         _require(
             phase.duration > 0,
             f"{path}.duration",

@@ -1,5 +1,8 @@
 """Compiled event streams and the rich-object replay."""
 
+import pytest
+
+from repro.errors import InvalidArgument
 from repro.scenarios import (
     ScenarioDriver,
     compile_events,
@@ -53,6 +56,14 @@ def test_rate_scale_multiplies_the_offered_load():
     base = stream_stats(compile_events(spec, 0))["sessions"]
     scaled = stream_stats(compile_events(spec, 0, rate_scale=4.0))["sessions"]
     assert scaled > 2 * base
+
+
+@pytest.mark.parametrize("rate_scale", [float("nan"), float("inf"), -1.0])
+def test_rate_scale_outside_its_range_is_refused(rate_scale):
+    with pytest.raises(InvalidArgument) as err:
+        compile_events(from_dict(TINY), 0, rate_scale=rate_scale)
+    assert "rate_scale" in str(err.value)
+    assert "[0, inf)" in str(err.value)
 
 
 def test_arrivals_respect_site_and_class_bounds():

@@ -13,6 +13,9 @@ from repro.scenarios import (
 from repro.scenarios.spec import ScenarioSpec
 
 
+INF, NAN = float("inf"), float("nan")
+
+
 def minimal(**overrides):
     data = {
         "name": "t",
@@ -97,6 +100,58 @@ def test_missing_name_is_actionable():
             "tenants[0].weight",
         ),
         (lambda d: d.update(checkpoint_restart=True), "'checkpoint_restart'"),
+        # Non-finite numbers: ``inf`` passes every lower bound, and a phase
+        # of ``duration=inf`` used to compile forever.
+        (
+            lambda d: d["phases"][0].update(duration=INF),
+            "phases[0].duration: duration must be finite",
+        ),
+        (lambda d: d.update(tick_ms=INF), "tick_ms: tick_ms must be finite"),
+        (lambda d: d.update(service_time=INF), "service_time: service_time must be finite"),
+        (lambda d: d.update(read_time=INF), "read_time: read_time must be finite"),
+        (lambda d: d.update(batch_units=INF), "batch_units: batch_units must be finite"),
+        (lambda d: d.update(sites=INF), "sites: sites must be finite"),
+        (
+            lambda d: d["phases"][0].update(arrival={"rate": INF}),
+            "phases[0].arrival.rate: rate must be finite",
+        ),
+        (
+            lambda d: d["phases"][0].update(arrival={"kind": "diurnal", "period": INF}),
+            "phases[0].arrival.period: period must be finite",
+        ),
+        (
+            lambda d: d["phases"][0].update(arrival={"amplitude": NAN}),
+            "phases[0].arrival.amplitude: amplitude must be finite",
+        ),
+        (
+            lambda d: d["phases"][0].update(arrival={"kind": "flash", "surge_at": INF}),
+            "phases[0].arrival.surge_at: surge_at must be finite",
+        ),
+        (
+            lambda d: d["phases"][0].update(arrival={"kind": "flash", "surge_duration": INF}),
+            "phases[0].arrival.surge_duration: surge_duration must be finite",
+        ),
+        (
+            lambda d: d["phases"][0].update(arrival={"kind": "flash", "surge_mult": INF}),
+            "phases[0].arrival.surge_mult: surge_mult must be finite",
+        ),
+        (
+            lambda d: d["phases"][0].update(session={"think_time": INF}),
+            "phases[0].session.think_time: think_time must be finite",
+        ),
+        (
+            lambda d: d["phases"][0].update(session={"max_requests": INF}),
+            "phases[0].session.max_requests: max_requests must be finite",
+        ),
+        (lambda d: d.update(tenants=[{"weight": INF}]), "tenants[0].weight: weight must be finite"),
+        (
+            lambda d: d.update(tenants=[{"deadline": INF}]),
+            "tenants[0].deadline: deadline must be finite",
+        ),
+        (
+            lambda d: d.update(mix={"kinds": {"work": 1.0}, "zipf_s": INF}),
+            "mix.zipf_s: zipf_s must be finite",
+        ),
     ],
 )
 def test_invalid_specs_fail_with_the_offending_path(mutate, needle):
