@@ -15,8 +15,11 @@ class LegionError(Exception):
     """Base class for all errors raised by the Legion reproduction."""
 
 
-class InvalidArgument(LegionError):
-    """A public entry point was given a value outside its legal range."""
+class InvalidArgument(LegionError, ValueError):
+    """A public entry point was given a value outside its legal range.
+
+    Also a ``ValueError``, the exception Python code raises for a bad
+    value, so callers that catch that keep working."""
 
 
 # ---------------------------------------------------------------------------

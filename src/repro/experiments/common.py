@@ -272,7 +272,7 @@ def settlement(system: LegionSystem, clients, records, fault_log: FaultLog) -> D
     and whether every runtime settled."""
     outcomes = {"ok": 0, "shed": 0, "failed": 0}
     for rec in records:
-        outcomes[rec["outcome"]] += 1
+        outcomes[rec.outcome] += 1
     metrics = system.services.metrics
     runtimes = system.runtimes(clients)
     return {

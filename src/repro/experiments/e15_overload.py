@@ -107,9 +107,9 @@ def _run_level(
 
     w0, w1 = start + warmup, start + warmup + measure
     ok_latencies = sorted(
-        r["done"] - r["issue"]
+        r.done - r.issue
         for r in records
-        if r["outcome"] == "ok" and w0 <= r["done"] <= w1
+        if r.outcome == "ok" and w0 <= r.done <= w1
     )
     settled = settlement(system, clients, records, system.services.fault_log)
     audits: List[Any] = []

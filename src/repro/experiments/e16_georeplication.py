@@ -318,13 +318,13 @@ def _measure_repair(arm: str, seed: int, quick: bool, mult: int) -> Dict[str, An
         sum(
             1
             for r in records
-            if r["outcome"] == "ok" and w0 <= r["done"] <= w1
+            if r.outcome == "ok" and w0 <= r.done <= w1
         )
         / measure
     )
     outcomes = {"ok": 0, "shed": 0, "failed": 0}
     for rec in records:
-        outcomes[rec["outcome"]] += 1
+        outcomes[rec.outcome] += 1
     runtimes = system.runtimes([system.console] + clients + repair_clients)
     return {
         "arm": arm,

@@ -230,7 +230,7 @@ def _run_arm(
         ok = sum(
             1
             for r in records
-            if r["outcome"] == "ok" and r["done"] is not None and w0 <= r["done"] < w1
+            if r.outcome == "ok" and r.done is not None and w0 <= r.done < w1
         )
         phase_rows.append(
             {

@@ -85,9 +85,9 @@ def _phase_outcomes(driver: ScenarioDriver) -> Dict[str, Dict[str, int]]:
     out: Dict[str, Dict[str, int]] = {}
     for rec in driver.records:
         bucket = out.setdefault(
-            rec["phase"], {"ok": 0, "shed": 0, "denied": 0, "failed": 0, "pending": 0}
+            rec.phase, {"ok": 0, "shed": 0, "denied": 0, "failed": 0, "pending": 0}
         )
-        bucket[rec["outcome"]] += 1
+        bucket[rec.outcome] += 1
     return out
 
 
@@ -165,7 +165,7 @@ def _measure_plain(spec: ScenarioSpec, seed: int, _param: float) -> dict:
 def _kind_counts(driver: ScenarioDriver) -> Dict[str, int]:
     counts: Dict[str, int] = {}
     for rec in driver.records:
-        counts[rec["kind"]] = counts.get(rec["kind"], 0) + 1
+        counts[rec.kind] = counts.get(rec.kind, 0) + 1
     return counts
 
 

@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence
+
+from repro.errors import InvalidArgument
 
 
 class FaultKind(enum.Enum):
@@ -28,7 +32,9 @@ class FaultEvent:
     into the driver's target table (OBJECT_CRASH), a
     :class:`~repro.net.latency.LinkClass` value string (LINK_DEGRADE), or
     an (site, site) pair joined with ``|`` (PARTITION).  ``duration`` and
-    ``severity`` only apply to the transient kinds.
+    ``severity`` (a LINK_DEGRADE's drop probability) only apply to the
+    transient kinds.  ``time`` and ``duration`` are finite and >= 0;
+    ``severity`` is in [0, 1].
     """
 
     time: float
@@ -36,6 +42,16 @@ class FaultEvent:
     target: str
     duration: float = 0.0
     severity: float = 0.0
+
+    def __post_init__(self) -> None:
+        # Chained comparisons, which NaN fails too.
+        for name, value in (("time", self.time), ("duration", self.duration)):
+            if not 0.0 <= value < math.inf:
+                raise InvalidArgument(f"FaultEvent {name}={value!r}: must be in [0, inf)")
+        if not 0.0 <= self.severity <= 1.0:
+            raise InvalidArgument(
+                f"FaultEvent severity={self.severity!r}: must be in [0, 1]"
+            )
 
 
 #: The link classes a LINK_DEGRADE may hit (LinkClass value strings).
@@ -91,8 +107,8 @@ class FaultPlan:
             weights.pop(FaultKind.PARTITION, None)
         if not weights:
             return cls()
-        kinds = sorted(weights, key=lambda k: k.value)
-        totals = sum(weights[k] for k in kinds)
+        kinds = sorted(weights, key=attrgetter("value"))
+        totals = sum(map(weights.__getitem__, kinds))
         mean_gap = 1000.0 / intensity
         crashable = list(hosts)
         events: List[FaultEvent] = []

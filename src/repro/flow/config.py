@@ -18,9 +18,11 @@ capacity anyway.  Two cooperating mechanisms, both off by default:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import FrozenSet, Optional
 
+from repro.errors import InvalidArgument
 from repro.metrics.counters import ComponentKind
 
 
@@ -45,14 +47,23 @@ class FlowConfig:
     credit_window: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.capacity is not None and self.capacity < 1:
-            raise ValueError("capacity must be >= 1 (or None to disable)")
-        if self.queue_limit < 0:
-            raise ValueError("queue_limit must be >= 0")
-        if self.service_estimate <= 0.0:
-            raise ValueError("service_estimate must be > 0")
-        if self.credit_window is not None and self.credit_window < 1:
-            raise ValueError("credit_window must be >= 1 (or None to disable)")
+        # Chained comparisons, which NaN fails too.
+        if self.capacity is not None and not 1 <= self.capacity < math.inf:
+            raise InvalidArgument(
+                f"FlowConfig capacity={self.capacity!r}: must be in [1, inf) or None"
+            )
+        if not 0 <= self.queue_limit < math.inf:
+            raise InvalidArgument(
+                f"FlowConfig queue_limit={self.queue_limit!r}: must be in [0, inf)"
+            )
+        if not 0.0 < self.service_estimate < math.inf:
+            raise InvalidArgument(
+                f"FlowConfig service_estimate={self.service_estimate!r}: must be in (0, inf)"
+            )
+        if self.credit_window is not None and not 1 <= self.credit_window < math.inf:
+            raise InvalidArgument(
+                f"FlowConfig credit_window={self.credit_window!r}: must be in [1, inf) or None"
+            )
 
     def admits(self, kind: ComponentKind) -> bool:
         """True when admission control governs servers of ``kind``."""

@@ -27,7 +27,7 @@ from repro.security.mayi import ACLPolicy
 from repro.simkernel.kernel import Timeout
 from repro.system.legion import LegionSystem, SiteSpec
 from repro.workloads.apps import ScenarioServiceImpl
-from repro.workloads.generators import SessionLoopDriver
+from repro.workloads.generators import CallRecord, SessionLoopDriver
 
 from .events import Arrival, Request, TickPlan
 from .spec import ScenarioSpec
@@ -192,7 +192,7 @@ class ScenarioDriver(SessionLoopDriver):
         self.use_deadlines = use_deadlines
         self.invoke_via = invoke_via
         self.sessions = SessionTally()
-        self.records: List[dict] = []
+        self.records: List[CallRecord] = []
         #: Kernel time when the pump started -- the scenario's t=0.  The
         #: system bootstrap consumes simulated time before any driver
         #: runs, so arrival offsets and phase windows are relative.
@@ -214,17 +214,12 @@ class ScenarioDriver(SessionLoopDriver):
         for req in a.requests:
             if req.think > 0:
                 yield Timeout(req.think)
-            rec = {
-                "phase": phase,
-                "tenant": a.tenant,
-                "site": a.site,
-                "klass": a.klass,
-                "kind": req.kind,
-                "expect_denied": req.denied,
-                "issue": self.kernel.now,
-                "done": None,
-                "outcome": "pending",
-            }
+            rec = CallRecord()
+            rec.issue = self.kernel.now
+            rec.done = None
+            rec.outcome = "pending"
+            rec.phase = phase
+            rec.kind = req.kind
             self.records.append(rec)
             self.stats.calls_issued += 1
             yield from self._invoke_once(
@@ -262,7 +257,7 @@ class ScenarioDriver(SessionLoopDriver):
     def outcome_counts(self) -> Dict[str, int]:
         counts = {"ok": 0, "shed": 0, "denied": 0, "failed": 0, "pending": 0}
         for rec in self.records:
-            counts[rec["outcome"]] += 1
+            counts[rec.outcome] += 1
         return counts
 
     def phase_goodput(self) -> List[dict]:
@@ -278,9 +273,9 @@ class ScenarioDriver(SessionLoopDriver):
             ok = [
                 r
                 for r in self.records
-                if r["outcome"] == "ok" and lo <= r["issue"] < hi
+                if r.outcome == "ok" and lo <= r.issue < hi
             ]
-            latencies = sorted(r["done"] - r["issue"] for r in ok)
+            latencies = sorted(r.done - r.issue for r in ok)
             p99 = latencies[int(0.99 * (len(latencies) - 1))] if latencies else 0.0
             goodput = len(ok) / ((hi - lo) * capacity) if capacity else 0.0
             rows.append(

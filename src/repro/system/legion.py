@@ -152,8 +152,18 @@ class LegionSystem:
         ``flow`` installs a :class:`repro.flow.FlowConfig` before any
         object activates, so every ObjectServer and runtime in the system
         (bootstrap included) is built under the same flow-control regime.
+        ``agent_cache_capacity`` is an integer >= 1; ``binding_ttl`` is
+        None (bindings never expire) or finite and > 0.
         """
         _check_sites(sites)
+        if not 1 <= agent_cache_capacity < math.inf:
+            raise InvalidArgument(
+                f"agent_cache_capacity={agent_cache_capacity!r}: must be in [1, inf)"
+            )
+        if binding_ttl is not None and not 0.0 < binding_ttl < math.inf:
+            raise InvalidArgument(
+                f"binding_ttl={binding_ttl!r}: must be None or in (0, inf)"
+            )
         system = cls()
         system.sites = list(sites)
         system.kernel = SimKernel()

@@ -99,6 +99,26 @@ class TrafficStats:
         return self.calls_succeeded / self.calls_issued if self.calls_issued else 0.0
 
 
+class CallRecord:
+    """One driver call: when it was issued and settled, how, and which
+    phase and request kind the plan gave it.
+
+    ``done`` is None and ``outcome`` ``"pending"`` until the call settles;
+    ``phase`` is None outside a scenario replay.  Slots, and no Python
+    ``__init__``: a record costs 72 bytes and building one fires no
+    profiler event, so every driver fills the five slots itself.
+    ``r["done"]`` reads a slot like a dict key, for callers that index
+    records; any other key raises ``KeyError``.
+    """
+
+    __slots__ = ("issue", "done", "outcome", "phase", "kind")
+
+    def __getitem__(self, key: str):
+        if key not in CallRecord.__slots__:
+            raise KeyError(key)
+        return getattr(self, key)
+
+
 class SessionLoopDriver:
     """Shared session-loop core for every traffic driver.
 
@@ -124,7 +144,7 @@ class SessionLoopDriver:
         self.timeout = timeout
         self.stats = TrafficStats()
 
-    def _invoke_once(self, call, rec: dict, what: str):
+    def _invoke_once(self, call, rec: CallRecord, what: str):
         """Run one invocation (the generator ``call``) to its outcome.
 
         The outcome -- ``ok``, ``shed`` (Overloaded), ``denied``
@@ -137,20 +157,20 @@ class SessionLoopDriver:
         try:
             yield from call
         except Overloaded:
-            rec["outcome"] = "shed"
+            rec.outcome = "shed"
             stats.calls_failed += 1
         except SecurityDenied:
-            rec["outcome"] = "denied"
+            rec.outcome = "denied"
             stats.calls_failed += 1
         except LegionError as exc:
-            rec["outcome"] = "failed"
+            rec.outcome = "failed"
             stats.calls_failed += 1
             if len(stats.errors) < 32:
                 stats.errors.append(f"{what}: {exc}")
         else:
-            rec["outcome"] = "ok"
+            rec.outcome = "ok"
             stats.calls_succeeded += 1
-        rec["done"] = self.kernel.now
+        rec.done = self.kernel.now
 
     def _client_loop(self, client: ObjectServer):
         raise NotImplementedError
@@ -198,12 +218,18 @@ class TrafficDriver(SessionLoopDriver):
     def _client_loop(self, client: ObjectServer):
         for _i in range(self.calls_per_client):
             target = self.choose_target(client)
+            # Closed loops report totals only: the record is not kept.
+            rec = CallRecord()
+            rec.issue = self.kernel.now
+            rec.done = None
+            rec.outcome = "pending"
+            rec.phase = None
+            rec.kind = self.method
             self.stats.calls_issued += 1
             call = client.runtime.invoke(
                 target, self.method, *self.args, timeout=self.timeout
             )
-            # Closed loops report totals only: the record is not kept.
-            yield from self._invoke_once(call, {}, self.method)
+            yield from self._invoke_once(call, rec, self.method)
             if self.think_time > 0:
                 yield Timeout(self.think_time)
 
@@ -223,9 +249,10 @@ class OpenLoopDriver(SessionLoopDriver):
 
     ``choose_call(client)`` returns ``(target_loid, method, args)`` per
     call, so a mixed workload (cheap method traffic plus occasional
-    Create()s) is one callback.  ``records`` keeps one ``{"issue",
-    "done", "outcome"}`` dict per fired call, in firing order: goodput
-    windows and latency percentiles need the raw samples.
+    Create()s) is one callback.  ``records`` keeps one
+    :class:`CallRecord` per fired call (``kind`` is the method), in
+    firing order: goodput windows and latency percentiles need the raw
+    samples.
     """
 
     kind = "openloop"
@@ -243,7 +270,7 @@ class OpenLoopDriver(SessionLoopDriver):
         self.choose_call = choose_call
         self.schedule = list(schedule)
         self.stagger = stagger
-        self.records: List[dict] = []
+        self.records: List[CallRecord] = []
 
     def _client_loop(self, client: ObjectServer):
         kernel = self.kernel
@@ -255,7 +282,12 @@ class OpenLoopDriver(SessionLoopDriver):
             end = kernel.now + duration
             while kernel.now < end:
                 target, method, args = self.choose_call(client)
-                rec = {"issue": kernel.now, "done": None, "outcome": "pending"}
+                rec = CallRecord()
+                rec.issue = kernel.now
+                rec.done = None
+                rec.outcome = "pending"
+                rec.phase = None
+                rec.kind = method
                 self.records.append(rec)
                 self.stats.calls_issued += 1
                 call = client.runtime.invoke(

@@ -2,9 +2,13 @@
 
 import json
 import random
+import re
 
+import pytest
+
+from repro.errors import InvalidArgument
 from repro.faults.log import FaultLog
-from repro.faults.plan import FaultKind, FaultPlan
+from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
 
 HOSTS = [2, 3, 5]
 SITES = ["east", "west"]
@@ -60,6 +64,28 @@ class TestFaultPlan:
                 a, b = event.target.split("|")
                 assert a != b
                 assert {a, b} <= set(SITES)
+
+@pytest.mark.parametrize(
+    "field, value, legal",
+    [
+        ("time", -5.0, "[0, inf)"),
+        ("time", float("nan"), "[0, inf)"),
+        ("time", float("inf"), "[0, inf)"),
+        ("duration", -1.0, "[0, inf)"),
+        ("duration", float("nan"), "[0, inf)"),
+        ("severity", -0.1, "[0, 1]"),
+        ("severity", 1.5, "[0, 1]"),
+        ("severity", float("nan"), "[0, 1]"),
+    ],
+)
+def test_a_fault_event_out_of_range_is_refused(field, value, legal):
+    """Each of these constructed without complaint."""
+    kwargs = {"time": 10.0, "kind": FaultKind.LINK_DEGRADE, "target": "wide-area"}
+    kwargs[field] = value
+    message = re.escape(f"FaultEvent {field}={value!r}: must be in {legal}")
+    with pytest.raises(InvalidArgument, match=message):
+        FaultEvent(**kwargs)
+
 
 class TestFaultLog:
     def test_recovery_pairs_with_latest_earlier_loss(self):

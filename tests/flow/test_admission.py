@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +12,7 @@ from repro.core.context import SystemServices
 from repro.core.method import MethodResult
 from repro.core.runtime import RetryPolicy
 from repro.core.server import ObjectServer
-from repro.errors import Overloaded
+from repro.errors import InvalidArgument, Overloaded
 from repro.faults.log import FaultLog
 from repro.flow.config import FlowConfig
 from repro.metrics.counters import ComponentKind, MetricsRegistry
@@ -288,6 +290,25 @@ def test_admission_ignores_non_admitted_kinds(services):
 def test_flow_config_rejects_nonsense(kwargs):
     with pytest.raises(ValueError):
         FlowConfig(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("capacity", 0),
+        ("capacity", float("nan")),
+        ("capacity", float("inf")),
+        ("queue_limit", float("nan")),
+        ("service_estimate", float("nan")),
+        ("service_estimate", float("inf")),
+        ("credit_window", float("nan")),
+    ],
+)
+def test_flow_config_names_the_field_value_and_range(name, value):
+    """NaN and infinity were accepted; 0 raised a bare ValueError."""
+    message = re.escape(f"FlowConfig {name}={value!r}: must be in ")
+    with pytest.raises(InvalidArgument, match=message):
+        FlowConfig(**{name: value})
 
 
 @pytest.mark.parametrize("removed", ["window", "limit"])

@@ -30,12 +30,14 @@ version the ledger's baseline was cut on).
 
 import gc
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import pytest
 
 from repro.flow.config import FlowConfig
 from repro.scenarios import ScenarioDriver, compile_events, deploy, get_scenario
+from repro.scenarios import drive as drive_module
 from repro.system.legion import LegionSystem, SiteSpec
 from repro.workloads.apps import CounterImpl
 
@@ -148,7 +150,13 @@ def test_an_open_loop_request_fits_its_budget():
     wire and dispatch made it 102.7430 (361,758 calls); process starts
     that copy the core seed once and build their address once made it
     102.3664 (360,432 calls), and that is the ceiling; the events are the
-    simulation's and may not move at all.
+    simulation's and may not move at all.  A slotted ``CallRecord`` in
+    place of a dict per request left it at 360,432.
+
+    The same replay prices what ``driver.records`` holds: the bytes
+    allocated in ``drive.py`` that clearing the list frees, per record --
+    the record and its list slot; the time floats are the kernel's.  A
+    nine-key dict made it 279.7; a ``CallRecord`` makes it 81.2.
     """
     spec = get_scenario("diurnal-regional")
     spec = replace(
@@ -167,8 +175,22 @@ def test_an_open_loop_request_fits_its_budget():
             kernel.run(until=start + length * part / 8)
         kernel.run()  # every session runs to its disposition
 
-    _, calls = count_calls(drive)
+    def held_by_drive() -> int:
+        snapshot = tracemalloc.take_snapshot()
+        only = [tracemalloc.Filter(True, drive_module.__file__)]
+        return sum(t.size for t in snapshot.filter_traces(only).traces)
+
+    tracemalloc.start()
+    try:
+        _, calls = count_calls(drive)
+        records = len(driver.records)
+        held = held_by_drive()
+        driver.records.clear()
+        held -= held_by_drive()
+    finally:
+        tracemalloc.stop()
     settled = driver.stats.calls_succeeded + driver.stats.calls_failed
-    assert settled == driver.stats.calls_issued == 3521
+    assert settled == driver.stats.calls_issued == records == 3521
     assert kernel.events_executed - events == 26724
     assert calls / settled <= 102.3664
+    assert held / records <= 100

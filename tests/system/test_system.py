@@ -140,6 +140,27 @@ def test_a_site_the_builder_cannot_honour_fails_at_the_boundary(sites, field, le
     assert message.startswith("site 'x': ") and field in message and legal in message
 
 
+@pytest.mark.parametrize(
+    "option, value, legal",
+    [
+        ("agent_cache_capacity", 0, "[1, inf)"),
+        ("agent_cache_capacity", float("nan"), "[1, inf)"),
+        ("agent_cache_capacity", float("inf"), "[1, inf)"),
+        ("binding_ttl", -1, "(0, inf)"),
+        ("binding_ttl", 0.0, "(0, inf)"),
+        ("binding_ttl", float("nan"), "(0, inf)"),
+        ("binding_ttl", float("inf"), "(0, inf)"),
+    ],
+)
+def test_a_build_option_out_of_range_fails_at_the_boundary(option, value, legal):
+    """Both used to pass through: a cache capacity of 0 raised the
+    cache's own ValueError deep in the build, a negative TTL was kept."""
+    with pytest.raises(errors.InvalidArgument) as info:
+        LegionSystem.build([SiteSpec("x")], **{option: value})
+    message = str(info.value)
+    assert message.startswith(f"{option}={value!r}: ") and legal in message
+
+
 def test_every_object_started_outside_legion_has_its_row():
     """Host Objects, magistrates, agents and the standard classes: the
     row each gets in its class's (or creator's) logical table."""
