@@ -3,8 +3,8 @@
 :class:`BulkEngine` drives a :class:`~repro.megascale.frame.StateFrame`
 through ticks: each tick takes the whole tick's call targets as one array
 and applies them with a handful of vectorised operations (count the
-arrivals per id, clip at the admission limit, add the serves and sheds,
-tally per class).  No per-object Python runs for the bulk population --
+arrivals per id, clip at the admission limit, add the serves, tally per
+class).  No per-object Python runs for the bulk population --
 that is the entire point.
 
 The kernel groups the tick's bulk targets with ``np.unique`` and updates
@@ -30,11 +30,12 @@ and routes escalated calls through ``runtime.invoke``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.errors import LegionError
-from repro.megascale.frame import BULK, PROMOTED, StateFrame
+from repro.megascale.frame import BULK, PROMOTED, StateFrame, check_int
 
 
 @dataclass
@@ -78,9 +79,12 @@ class BulkEngine:
     """Vectorised transitions for the bulk band + the escalation boundary.
 
     ``hot_ids`` are the scenario's standing "interesting set": calls to
-    them always escalate.  ``per_tick_limit`` caps how many calls one
+    them always escalate; each is an int in ``[0, frame.size)``.
+    ``per_tick_limit`` (None, or an int >= 0) caps how many calls one
     bulk row admits per tick; the excess is shed (and tallied -- the
-    settlement identity keeps its ``+ shed`` term).
+    settlement identity keeps its ``+ shed`` term).  A promoted twin
+    folds back once ``demote_after`` ticks (an int >= 0) pass without a
+    call to it.
     """
 
     def __init__(
@@ -94,12 +98,16 @@ class BulkEngine:
         self.np = frame.np
         self.frame = frame
         self.boundary = boundary
+        if per_tick_limit is not None:
+            per_tick_limit = check_int(
+                "BulkEngine", "per_tick_limit", per_tick_limit, 0, math.inf
+            )
         self.per_tick_limit = per_tick_limit
-        self.demote_after = int(demote_after)
+        self.demote_after = check_int("BulkEngine", "demote_after", demote_after, 0, math.inf)
         self.ledger = EngineLedger()
         self.hot = self.np.zeros(frame.size, dtype=bool)
         for i in hot_ids:
-            self.hot[i] = True
+            self.hot[check_int("BulkEngine", "hot id", i, 0, frame.size)] = True
         #: promoted id → last tick a call touched it (drives demotion).
         self._last_touch: Dict[int, int] = {}
         #: promoted id → escalated calls issued and not yet settled; a
@@ -153,16 +161,10 @@ class BulkEngine:
                 served = np.minimum(arrivals, self.per_tick_limit)
             else:
                 served = arrivals
-            shed = arrivals - served
-            klass = frame.klass[ids]
             frame.value[ids] += served
-            frame.calls[ids] += served
-            np.add.at(frame.class_calls, klass, served)
-            if bool(shed.any()):
-                frame.shed[ids] += shed
-                np.add.at(frame.class_sheds, klass, shed)
+            np.add.at(frame.class_calls, frame.klass[ids], served)
             out.bulk_served = int(served.sum())
-            out.shed = int(shed.sum())
+            out.shed = bulk_targets.size - out.bulk_served
             self.ledger.bulk_completed += out.bulk_served
             self.ledger.shed += out.shed
 
@@ -190,7 +192,9 @@ class BulkEngine:
         """One escalated call settled on the rich side; close the ledger."""
         self._in_flight[i] -= 1
         self.ledger.escalated_completed += 1
-        self.frame.class_calls[int(self.frame.klass[i])] += 1
+        k = int(self.frame.klass[i])
+        self.frame.class_calls[k] += 1
+        self.frame.class_escalated[k] += 1
 
     # --------------------------------------------------------------- promotion
 

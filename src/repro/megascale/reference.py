@@ -29,8 +29,6 @@ class RefObject:
     host: int
     state: str = "bulk"  # bulk | promoted
     value: int = 0
-    calls: int = 0
-    shed: int = 0
 
 
 @dataclass
@@ -70,7 +68,7 @@ class ReferenceMachine:
         self.objects: List[RefObject] = []
         self.hot = set(int(i) for i in hot_ids)
         self.class_calls = [0] * n_classes
-        self.class_sheds = [0] * n_classes
+        self.class_escalated = [0] * n_classes
         self.ledger = RefLedger()
         self._twins: Dict[int, int] = {}  # promoted id → twin value
         self._last_touch: Dict[int, int] = {}
@@ -105,14 +103,10 @@ class ReferenceMachine:
                 served = min(count, self.per_tick_limit)
             else:
                 served = count
-            shed = count - served
             obj.value += served
-            obj.calls += served
-            obj.shed += shed
             self.class_calls[obj.klass] += served
-            self.class_sheds[obj.klass] += shed
             self.ledger.bulk_completed += served
-            self.ledger.shed += shed
+            self.ledger.shed += count - served
         for t in escalated:
             self._escalated_call(t, tick)
 
@@ -125,6 +119,7 @@ class ReferenceMachine:
         self._twins[i] += 1
         self.ledger.escalated_completed += 1
         self.class_calls[obj.klass] += 1
+        self.class_escalated[obj.klass] += 1
 
     # --------------------------------------------------------------- promotion
 

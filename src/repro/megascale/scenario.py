@@ -26,14 +26,15 @@ The columnar backend is only trusted where that proof holds.
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.errors import LegionError
+from repro.errors import InvalidArgument, LegionError
 from repro.megascale.compat import require_numpy
 from repro.megascale.engine import BulkEngine
-from repro.megascale.frame import StateFrame
+from repro.megascale.frame import StateFrame, check_int
 from repro.metrics.counters import ComponentKind
 from repro.system.legion import LegionSystem, SiteSpec
 
@@ -58,9 +59,25 @@ class MegaScenario:
     demote_after: int = 2
 
     def __post_init__(self) -> None:
-        if self.population < max(self.n_classes, self.bulk_hosts, self.hot, 1):
-            raise LegionError(
-                "population must cover classes, bulk hosts, and the hot set"
+        for name, low in (
+            ("population", 1), ("n_classes", 1), ("bulk_hosts", 1), ("sites", 1),
+            ("hosts_per_site", 1), ("ticks", 0), ("calls_per_tick", 0), ("hot", 0),
+            ("touches_per_tick", 0), ("demote_after", 0),
+        ):
+            check_int("MegaScenario", name, getattr(self, name), low, math.inf)
+        if not 0.0 < self.tick_ms < math.inf:
+            raise InvalidArgument(
+                f"MegaScenario tick_ms={self.tick_ms!r}: must be in (0, inf)"
+            )
+        if self.population < max(self.n_classes, self.bulk_hosts, self.hot):
+            raise InvalidArgument(
+                f"MegaScenario population={self.population!r}: must cover classes, "
+                "bulk hosts, and the hot set"
+            )
+        if self.touches_per_tick and not self.hot:
+            raise InvalidArgument(
+                f"MegaScenario touches_per_tick={self.touches_per_tick!r}: "
+                "needs hot >= 1 to land on"
             )
 
     def hot_ids(self) -> List[int]:
@@ -337,8 +354,7 @@ def run_columnar(spec: MegaScenario, seed: int) -> MegaOutcome:
             "demotions": ledger.demotions,
             "rich_calls": boundary.rich_calls,
             "twin_class_calls": twin_calls,
-            "escalated_by_class_match": twin_calls
-            == _escalated_by_class(engine),
+            "escalated_by_class_match": twin_calls == frame.class_escalated.tolist(),
             "allocator_high_water": frame.allocator.high_water,
             "band_histogram": frame.band_histogram(),
             "failures": list(boundary.failures),
@@ -346,21 +362,6 @@ def run_columnar(spec: MegaScenario, seed: int) -> MegaOutcome:
         sim_clock=system.kernel.now,
         sim_events=system.kernel.events_executed,
     )
-
-
-def _escalated_by_class(engine: BulkEngine) -> List[int]:
-    """The engine-side escalated tally per class (cross-check vs metrics)."""
-    frame = engine.frame
-    out = [0] * frame.n_classes
-    total_by_class = [int(c) for c in frame.class_calls]
-    # class_calls = bulk + escalated; bulk per class is recomputable from
-    # the per-row calls column (escalated completions never touch it).
-    bulk_by_class = engine.np.bincount(
-        frame.klass, weights=frame.calls, minlength=frame.n_classes
-    ).astype(engine.np.int64)
-    for k in range(frame.n_classes):
-        out[k] = total_by_class[k] - int(bulk_by_class[k])
-    return out
 
 
 def run_rich(spec: MegaScenario, seed: int) -> MegaOutcome:

@@ -69,6 +69,14 @@ def drive_pair(seed, n=400, ticks=10, per_tick=250, limit=2):
 
 
 def assert_twins_equal(engine, ref):
+    """Per-row values, per-class tallies, ledgers and checksum agree.
+
+    Neither machine keeps per-row served or shed counts, and none are
+    needed.  A row starts at value 0 and each served call adds 1, so its
+    value is what it served; what it shed is its arrivals less that.
+    Both machines see the same arrivals, so equal per-row values imply
+    equal per-row served and shed counts.
+    """
     frame = engine.frame
     el, rl = engine.ledger, ref.ledger
     assert (el.issued, el.bulk_completed, el.escalated_completed, el.shed) == (
@@ -80,10 +88,8 @@ def assert_twins_equal(engine, ref):
     assert (el.promotions, el.demotions) == (rl.promotions, rl.demotions)
     assert engine.settled() and ref.settled()
     assert [int(x) for x in frame.class_calls] == ref.class_calls
-    assert [int(x) for x in frame.class_sheds] == ref.class_sheds
+    assert [int(x) for x in frame.class_escalated] == ref.class_escalated
     assert [int(v) for v in frame.value] == [o.value for o in ref.objects]
-    assert [int(v) for v in frame.calls] == [o.calls for o in ref.objects]
-    assert [int(v) for v in frame.shed] == [o.shed for o in ref.objects]
     assert frame.value_checksum() == ref.value_checksum()
     assert frame.band_histogram() == ref.band_histogram()
 

@@ -1,5 +1,7 @@
 """``BulkEngine.tick`` at its boundary: what it rejects, what it costs.
 
+* an engine or scenario argument outside its legal range is refused when
+  it is built, with an ``InvalidArgument`` naming it;
 * a tick is validated before anything is counted -- a rejected one leaves
   the settlement ledger as it was;
 * non-integer and non-1-D targets fail with a ``LegionError`` naming the
@@ -18,7 +20,7 @@ import weakref
 
 import pytest
 
-from repro.errors import LegionError
+from repro.errors import InvalidArgument, LegionError
 from repro.megascale import BulkEngine, LiveEscalationBoundary, MegaScenario
 from repro.megascale.scenario import build_live_system
 from tests.megascale.test_frame import make_frame
@@ -27,6 +29,61 @@ from tests.megascale.test_frame import make_frame
 def build(n=10, n_classes=3, n_hosts=4, **engine_kwargs):
     frame = make_frame(n, n_classes, n_hosts)
     return frame, BulkEngine(frame, **engine_kwargs)
+
+
+class TestEngineArgumentsFailAtTheBoundary:
+    @pytest.mark.parametrize("limit", [-1, 1.5, float("nan"), True])
+    def test_per_tick_limit_is_none_or_an_int_at_least_0(self, limit):
+        frame = make_frame(4)
+        with pytest.raises(
+            InvalidArgument, match=rf"per_tick_limit={limit!r}: must be an int in \[0, inf\)"
+        ):
+            BulkEngine(frame, per_tick_limit=limit)
+
+    def test_a_zero_limit_sheds_every_bulk_call(self):
+        frame, engine = build(4, per_tick_limit=0)
+        out = engine.tick(0, [0, 0, 1])
+        assert (out.bulk_served, out.shed) == (0, 3)
+        assert int(frame.value.sum()) == 0 and engine.settled()
+
+    @pytest.mark.parametrize("hot", [-1, 4, 9, 1.0])
+    def test_hot_ids_must_name_a_row(self, hot):
+        frame = make_frame(4)
+        with pytest.raises(InvalidArgument, match=rf"hot id={hot!r}: must be an int in \[0, 4\)"):
+            BulkEngine(frame, hot_ids=[hot])
+
+    def test_demote_after_is_an_int_at_least_0(self):
+        frame = make_frame(4)
+        with pytest.raises(InvalidArgument, match=r"demote_after=-5: must be an int in \[0, inf\)"):
+            BulkEngine(frame, demote_after=-5)
+
+
+class TestScenarioArgumentsFailAtTheBoundary:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("calls_per_tick", -1),
+            ("ticks", -3),
+            ("n_classes", 0),
+            ("demote_after", -1),
+            ("touches_per_tick", -1),
+            ("ticks", 2.5),
+            ("population", 0),
+        ],
+    )
+    def test_int_fields_refuse_values_out_of_range(self, field, value):
+        with pytest.raises(InvalidArgument, match=rf"MegaScenario {field}={value!r}: must be an int"):
+            MegaScenario(**{"population": 10, field: value})
+
+    @pytest.mark.parametrize("tick_ms", [float("nan"), 0.0, -1.0, float("inf")])
+    def test_tick_ms_is_positive_and_finite(self, tick_ms):
+        with pytest.raises(InvalidArgument, match=r"tick_ms=.*: must be in \(0, inf\)"):
+            MegaScenario(population=10, tick_ms=tick_ms)
+
+    def test_touches_need_a_hot_set(self):
+        with pytest.raises(InvalidArgument, match="touches_per_tick=2: needs hot >= 1"):
+            MegaScenario(population=10, hot=0)
+        assert MegaScenario(population=10, hot=0, touches_per_tick=0).hot_ids() == []
 
 
 class TestRejectedTickLeavesNoTrace:

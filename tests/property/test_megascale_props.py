@@ -5,7 +5,7 @@ scenarios; for each one:
 
 * the frame-at-once :class:`BulkEngine` kernels must land on *exactly*
   the state the numpy-free per-agent :class:`ReferenceMachine` reaches --
-  ledgers, per-class tallies, per-id values/calls/sheds, checksums;
+  ledgers, per-class tallies, per-id values, checksums;
 * ``demote(promote(x))`` round-trips a row's columns exactly, for
   arbitrary column contents;
 * the id allocator only ever moves forward, whatever the alloc sequence.
@@ -91,8 +91,6 @@ def test_demote_promote_round_trips_exactly(seed, n, pick):
         host=rng.integers(0, 4, size=n).astype(np.int32),
     )
     frame.value[:] = rng.integers(0, 10**12, size=n)
-    frame.calls[:] = rng.integers(0, 10**6, size=n)
-    frame.cache_epoch[:] = rng.integers(-1, 50, size=n).astype(np.int32)
 
     before = frame.snapshot_row(i)
     occupancy_before = [int(x) for x in frame.host_occupancy]
