@@ -15,7 +15,7 @@ always safe, but constructing a frame without numpy raises a
 """
 
 from repro.megascale.compat import HAVE_NUMPY, require_numpy
-from repro.megascale.frame import BULK, PROMOTED, IdAllocator, StateFrame
+from repro.megascale.frame import BULK, HOT, PROMOTED, IdAllocator, StateFrame
 from repro.megascale.engine import BulkEngine, EngineLedger, TickOutcome
 from repro.megascale.reference import ReferenceMachine, RefLedger, RefObject
 from repro.megascale.scenario import (
@@ -33,6 +33,7 @@ __all__ = [
     "HAVE_NUMPY",
     "require_numpy",
     "BULK",
+    "HOT",
     "PROMOTED",
     "IdAllocator",
     "StateFrame",

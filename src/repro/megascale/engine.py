@@ -7,10 +7,12 @@ arrivals per id, clip at the admission limit, add the serves, tally per
 class).  No per-object Python runs for the bulk population --
 that is the entire point.
 
-The kernel groups the tick's bulk targets with ``np.unique`` and updates
-only the rows they name -- ``ReferenceMachine.tick``'s ``Counter(bulk)``
-loop, vectorised: O(k log k) in the tick's ``k`` bulk targets, nothing
-proportional to the population, so a tick pays for what it touches.
+The kernel routes a tick's targets with one gather of the frame's band
+flags, sorts its bulk targets in place as int32 keys and reads each id's
+arrivals off the run starts -- ``ReferenceMachine.tick``'s
+``Counter(bulk)`` loop, vectorised: O(k log k) in the tick's ``k`` bulk
+targets, nothing proportional to the population, so a tick pays for what
+it touches.  Each temporary is released once it has been read.
 
 The *escalation boundary* is where the bulk world meets the rich-object
 path.  Any id the scenario actually touches -- a call on a designated
@@ -34,8 +36,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.errors import LegionError
-from repro.megascale.frame import BULK, PROMOTED, StateFrame, check_int
+from repro.errors import InvalidArgument
+from repro.megascale.frame import BULK, HOT, PROMOTED, StateFrame, check_int
 
 
 @dataclass
@@ -79,7 +81,8 @@ class BulkEngine:
     """Vectorised transitions for the bulk band + the escalation boundary.
 
     ``hot_ids`` are the scenario's standing "interesting set": calls to
-    them always escalate; each is an int in ``[0, frame.size)``.
+    them always escalate; each is an int in ``[0, frame.size)``, and the
+    engine sets its row's HOT bit in the frame.
     ``per_tick_limit`` (None, or an int >= 0) caps how many calls one
     bulk row admits per tick; the excess is shed (and tallied -- the
     settlement identity keeps its ``+ shed`` term).  A promoted twin
@@ -105,9 +108,8 @@ class BulkEngine:
         self.per_tick_limit = per_tick_limit
         self.demote_after = check_int("BulkEngine", "demote_after", demote_after, 0, math.inf)
         self.ledger = EngineLedger()
-        self.hot = self.np.zeros(frame.size, dtype=bool)
         for i in hot_ids:
-            self.hot[check_int("BulkEngine", "hot id", i, 0, frame.size)] = True
+            frame.state[check_int("BulkEngine", "hot id", i, 0, frame.size)] |= HOT
         #: promoted id → last tick a call touched it (drives demotion).
         self._last_touch: Dict[int, int] = {}
         #: promoted id → escalated calls issued and not yet settled; a
@@ -130,41 +132,54 @@ class BulkEngine:
         frame = self.frame
         t = np.asarray(targets)
         if t.ndim != 1:
-            raise LegionError(
+            raise InvalidArgument(
                 f"tick: targets must be a 1-D sequence of ids, got shape {t.shape}"
             )
         if t.size == 0:
             return TickOutcome(tick=tick)
         if t.dtype.kind not in "iu":
-            raise LegionError(
+            raise InvalidArgument(
                 f"tick: targets must be integer ids, got dtype {t.dtype}"
             )
-        t = t.astype(np.int64, copy=False)
-        if int(t.min()) < 0 or int(t.max()) >= frame.size:
-            raise LegionError("tick: target id out of range")
-        if self.hot.size < frame.size:  # the frame grew; new rows are not hot
-            self.hot = np.concatenate(
-                [self.hot, np.zeros(frame.size - self.hot.size, dtype=bool)]
+        low, high = int(t.min()), int(t.max())
+        if low < 0 or high >= frame.size:
+            raise InvalidArgument(
+                f"tick: target id {low if low < 0 else high} out of range "
+                f"[0, {frame.size})"
             )
+        t = t.astype(np.intp, copy=False)
 
         out = TickOutcome(tick=tick, issued=int(t.size))
         self.ledger.issued += out.issued
-        escalate_mask = self.hot[t] | (frame.state[t] != BULK)
-        bulk_targets = t[~escalate_mask]
-        esc_targets = t[escalate_mask]
+        bulk = frame.state[t] == BULK
+        keys = t[bulk].astype(np.int32)  # ids < MAX_ROWS: extend refuses more
+        esc_targets = t[np.logical_not(bulk, out=bulk)]
+        del bulk
 
-        # --- the bulk band: array arithmetic over the rows the tick names
-        # (``ids`` are distinct, which is what makes the fancy ``+=`` exact).
-        if bulk_targets.size:
-            ids, arrivals = np.unique(bulk_targets, return_counts=True)
+        # --- the bulk band: sort the keys, count each run, update the rows
+        # it names (``ids`` are distinct, which makes ``add.at`` exact).
+        # ``bounds`` holds each run's start, then ``k``: the sentinel edge
+        # gives the last run its length without a concatenate.
+        k = keys.size
+        if k:
+            keys.sort()
+            edge = np.empty(k + 1, dtype=bool)
+            edge[0] = edge[k] = True
+            np.not_equal(keys[1:], keys[:-1], out=edge[1:k])
+            bounds = edge.nonzero()[0]
+            del edge
+            ids = keys[bounds[:-1]].astype(np.intp)
+            del keys
+            arrivals = bounds[1:] - bounds[:-1]
+            del bounds
             if self.per_tick_limit is not None:
-                served = np.minimum(arrivals, self.per_tick_limit)
+                served = np.minimum(arrivals, self.per_tick_limit, out=arrivals)
             else:
                 served = arrivals
-            frame.value[ids] += served
+            np.add.at(frame.value, ids, served)
             np.add.at(frame.class_calls, frame.klass[ids], served)
             out.bulk_served = int(served.sum())
-            out.shed = bulk_targets.size - out.bulk_served
+            out.shed = k - out.bulk_served
             self.ledger.bulk_completed += out.bulk_served
             self.ledger.shed += out.shed
 
@@ -176,7 +191,7 @@ class BulkEngine:
 
     def _escalated_call(self, i: int, tick: int) -> None:
         """Route one call through the rich-object path (promoting first)."""
-        if int(self.frame.state[i]) != PROMOTED:
+        if not self.frame.state[i] & PROMOTED:
             self._promote([i])
         self._last_touch[i] = tick
         self._in_flight[i] += 1

@@ -2,9 +2,8 @@
 
 One :class:`StateFrame` holds the *bulk* population of a mega-scale
 scenario -- millions of objects as parallel arrays instead of millions of
-Python objects.  A row is one component: its class, the host slot it
-occupies, its lifecycle band and its application state (a counter value)
--- 17 bytes.
+Python objects.  A row is one component: its class, its band flags and
+its application state (a counter value) -- 13 bytes.
 Transitions apply frame-at-once (vivarium-style): one tick is a handful
 of vectorised operations over the rows it names (see
 :mod:`repro.megascale.engine`), never a per-object callback.
@@ -25,10 +24,16 @@ from typing import Dict, List
 from repro.errors import InvalidArgument, LegionError
 from repro.megascale.compat import require_numpy
 
-#: Lifecycle bands of a bulk row.  BULK rows take frame-at-once
-#: transitions; PROMOTED rows are owned by the rich-object path (their
-#: bulk columns are frozen until demotion).
-BULK, PROMOTED = 0, 1
+#: The flag bits of a row's ``state`` byte.  A row with no bit set is
+#: BULK and takes frame-at-once transitions.  PROMOTED is its lifecycle
+#: band: the rich-object path owns the row and its columns are frozen
+#: until demotion.  HOT marks a standing member of an engine's hot set;
+#: it survives promote and demote.  Any set bit routes a call to the
+#: rich path, so a tick routes with one gather.
+BULK, PROMOTED, HOT = 0, 1, 2
+
+#: Rows a frame may hold: the tick kernel sorts its ids as int32 keys.
+MAX_ROWS = 2**31 - 1
 
 BAND_NAMES = {BULK: "bulk", PROMOTED: "promoted"}
 
@@ -75,20 +80,18 @@ class IdAllocator:
 
 
 class StateFrame:
-    """Parallel columns over a dense id space, plus per-class/host tallies.
+    """Parallel columns over a dense id space, plus per-class tallies.
 
-    Four columns (one entry per id, 17 bytes a row):
+    Three columns (one entry per id, 13 bytes a row):
 
     * ``klass``      -- class index (int32)
-    * ``host``       -- host-slot index (int32)
-    * ``state``      -- lifecycle band: BULK / PROMOTED (uint8)
+    * ``state``      -- band flags: PROMOTED and HOT bits (uint8)
     * ``value``      -- application state: the counter value (int64)
 
     Aggregates maintained incrementally by the kernels:
 
     * ``class_calls`` -- completed calls per class, bulk and escalated
     * ``class_escalated`` -- the escalated share of ``class_calls``
-    * ``host_occupancy`` -- live bulk rows per host slot
     """
 
     def __init__(self, n_classes: int, n_hosts: int) -> None:
@@ -99,12 +102,10 @@ class StateFrame:
         self.allocator = IdAllocator()
         size = 0
         self.klass = np.empty(size, dtype=np.int32)
-        self.host = np.empty(size, dtype=np.int32)
         self.state = np.empty(size, dtype=np.uint8)
         self.value = np.empty(size, dtype=np.int64)
         self.class_calls = np.zeros(self.n_classes, dtype=np.int64)
         self.class_escalated = np.zeros(self.n_classes, dtype=np.int64)
-        self.host_occupancy = np.zeros(self.n_hosts, dtype=np.int64)
 
     # ------------------------------------------------------------------ sizing
 
@@ -120,23 +121,29 @@ class StateFrame:
         """Allocate ``count`` fresh rows; returns their id array.
 
         ``klass``/``host`` may be ints or integer arrays of length
-        ``count``; new rows start in the BULK band with zeroed state.
+        ``count``; new rows start BULK, not hot, with zeroed state.
+        ``host`` is range-checked and not stored: no reader needs it.
         Every argument is checked before a row is allocated, so a
         refused extend leaves the frame as it was.
         """
         np = self.np
         count = check_int("StateFrame.extend", "count", count, 0, math.inf)
-        klass = self._index_arg("klass", klass, count, self.n_classes)
-        host = self._index_arg("host", host, count, self.n_hosts)
         start = self.size
+        if count > MAX_ROWS - start:
+            raise InvalidArgument(
+                f"StateFrame.extend count={count}: the frame holds {start} rows and "
+                f"may hold at most {MAX_ROWS} (ids are int32 keys), so at most "
+                f"{MAX_ROWS - start} more"
+            )
+        klass = self._index_arg("klass", klass, count, self.n_classes)
+        self._index_arg("host", host, count, self.n_hosts)
         ids = self.allocator.alloc(count)
-        for name, fill in (("klass", klass), ("host", host), ("state", BULK), ("value", 0)):
+        for name, fill in (("klass", klass), ("state", BULK), ("value", 0)):
             old = getattr(self, name)
             grown = np.empty(ids.stop, dtype=old.dtype)
             grown[:start] = old
             grown[start:] = fill
             setattr(self, name, grown)
-        self.host_occupancy += np.bincount(self.host[start:], minlength=self.n_hosts)
         return np.arange(ids.start, ids.stop, dtype=np.int64)
 
     def _index_arg(self, name: str, value, count: int, bound: int):
@@ -158,12 +165,12 @@ class StateFrame:
     # -------------------------------------------------------------- escalation
 
     def snapshot_row(self, i: int) -> Dict[str, int]:
-        """A row's full column state, as plain ints (picklable)."""
+        """A row's columns as plain ints (picklable); ``state`` is the
+        band bit alone."""
         return {
             "id": int(i),
             "klass": int(self.klass[i]),
-            "host": int(self.host[i]),
-            "state": int(self.state[i]),
+            "state": int(self.state[i]) & PROMOTED,
             "value": int(self.value[i]),
         }
 
@@ -174,18 +181,16 @@ class StateFrame:
         boundary's analogue of a magistrate restoring from an OPR).  The
         rows' ids stay allocated and their columns stay in place --
         frozen -- so ``demote`` can fold the rich state back onto the
-        *same* id.  Host occupancy drops while promoted (the rich twin
-        occupies a real process slot instead).
+        *same* id.  A row's HOT bit is left as it was.
         """
         np = self.np
         id_arr = np.asarray(ids, dtype=np.int64)
         if id_arr.size == 0:
             return []
-        if bool((self.state[id_arr] == PROMOTED).any()):
+        if bool((self.state[id_arr] & PROMOTED).any()):
             raise LegionError("promote: row already promoted")
         snapshots = [self.snapshot_row(int(i)) for i in id_arr]
-        self.state[id_arr] = PROMOTED
-        np.add.at(self.host_occupancy, self.host[id_arr], -1)
+        self.state[id_arr] |= PROMOTED
         return snapshots
 
     def demote(self, i: int, value: int) -> None:
@@ -193,20 +198,21 @@ class StateFrame:
 
         ``value`` is the twin's application state.  The id is the same
         one ``promote`` snapshotted -- the allocator never recycled it in
-        between (see :class:`IdAllocator`).
+        between (see :class:`IdAllocator`).  A row's HOT bit is left as
+        it was.
         """
-        if int(self.state[i]) != PROMOTED:
+        flags = int(self.state[i])
+        if not flags & PROMOTED:
             raise LegionError(f"demote: row {i} is not promoted")
         self.value[i] = int(value)
-        self.state[i] = BULK
-        self.host_occupancy[self.host[i]] += 1
+        self.state[i] = flags & ~PROMOTED
 
     # --------------------------------------------------------------- reporting
 
     def band_histogram(self) -> Dict[str, int]:
-        """Row counts per lifecycle band."""
+        """Row counts per lifecycle band (the PROMOTED bit alone)."""
         np = self.np
-        counts = np.bincount(self.state, minlength=2)
+        counts = np.bincount(self.state & PROMOTED, minlength=2)
         return {BAND_NAMES[band]: int(counts[band]) for band in (BULK, PROMOTED)}
 
     def value_checksum(self) -> int:

@@ -6,8 +6,8 @@ a run, or trace and audit rows recorded before the churn would silently
 refer to a different logical object after it.
 
 The memory ratchet prices a row without an interpreter pin: the frame's
-per-row columns sum to at most 17 bytes, and growing a frame by 10^5
-rows peaks at most 26 traced bytes a row, returned ids included.
+per-row columns sum to at most 13 bytes, and growing a frame by 10^5
+rows peaks at most 22 traced bytes a row, returned ids included.
 """
 
 import tracemalloc
@@ -15,7 +15,7 @@ import tracemalloc
 import pytest
 
 from repro.errors import InvalidArgument, LegionError
-from repro.megascale import BULK, PROMOTED, BulkEngine, IdAllocator, StateFrame
+from repro.megascale import BULK, HOT, PROMOTED, BulkEngine, IdAllocator, StateFrame
 
 
 def make_frame(n=12, n_classes=3, n_hosts=4):
@@ -88,14 +88,18 @@ class TestStateFrame:
         with pytest.raises(LegionError):
             frame.extend(1, klass=0, host=-1)
 
-    def test_occupancy_tracks_extend_promote_demote(self):
-        frame = make_frame(8, n_hosts=2)
-        assert [int(x) for x in frame.host_occupancy] == [4, 4]
-        frame.promote([0, 2])  # both on host 0
-        assert [int(x) for x in frame.host_occupancy] == [2, 4]
-        frame.demote(0, value=7)
-        assert [int(x) for x in frame.host_occupancy] == [3, 4]
-        assert int(frame.value[0]) == 7
+    def test_band_reports_read_the_promoted_bit_alone(self):
+        frame = make_frame(4)
+        frame.state[2] |= HOT
+        assert frame.snapshot_row(2)["state"] == BULK
+        (snap,) = frame.promote([2])
+        assert snap["state"] == BULK
+        assert int(frame.state[2]) == HOT | PROMOTED
+        assert frame.band_histogram() == {"bulk": 3, "promoted": 1}
+        assert frame.snapshot_row(2)["state"] == PROMOTED
+        frame.demote(2, value=5)
+        assert int(frame.state[2]) == HOT
+        assert frame.band_histogram() == {"bulk": 4, "promoted": 0}
 
     def test_promote_demote_round_trips_the_value(self):
         frame = make_frame(4)
@@ -135,7 +139,7 @@ class TestStateFrame:
 
 
 class TestFrameHoldsWhatIsRead:
-    def test_row_columns_sum_to_at_most_17_bytes(self):
+    def test_row_columns_sum_to_at_most_13_bytes(self):
         frame = make_frame(1000)
         np = frame.np
         columns = {
@@ -143,10 +147,10 @@ class TestFrameHoldsWhatIsRead:
             for name, col in vars(frame).items()
             if isinstance(col, np.ndarray) and col.shape == (frame.size,)
         }
-        assert sum(col.itemsize for col in columns.values()) <= 17
-        assert set(columns) == {"klass", "host", "state", "value"}
+        assert sum(col.itemsize for col in columns.values()) <= 13
+        assert set(columns) == {"klass", "state", "value"}
 
-    def test_extend_peaks_at_most_26_bytes_a_row(self):
+    def test_extend_peaks_at_most_22_bytes_a_row(self):
         n = 100_000
         np = make_frame().np
         klass = (np.arange(n) % 3).astype(np.int32)
@@ -162,7 +166,7 @@ class TestFrameHoldsWhatIsRead:
         finally:
             tracemalloc.stop()
         assert len(ids) == n
-        assert (peak - before) / n <= 26
+        assert (peak - before) / n <= 22
 
 
 # ---------------------------------------------------------- bad arguments
@@ -199,7 +203,6 @@ class TestFrameArgumentsFailAtTheBoundary:
         with pytest.raises(InvalidArgument, match=r"host: entries must be in \[0, 2\), got \[0, 5\]"):
             frame.extend(2, klass=0, host=np.array([0, 5], dtype=np.int64))
         assert frame.size == 4 and frame.allocator.high_water == 4
-        assert [int(x) for x in frame.host_occupancy] == [2, 2]
 
     def test_count_must_be_an_int(self):
         frame = StateFrame(n_classes=2, n_hosts=2)
@@ -214,4 +217,14 @@ class TestFrameArgumentsFailAtTheBoundary:
         ids = frame.extend(3, klass=np.array([2, 0, 1], dtype=np.uint8), host=[1, 1, 0])
         assert list(ids) == [0, 1, 2]
         assert [int(x) for x in frame.klass] == [2, 0, 1]
-        assert [int(x) for x in frame.host_occupancy] == [1, 2]
+
+    def test_growth_past_int32_ids_is_refused_before_allocating(self):
+        """The tick kernel sorts ids as int32 keys: 2^31 - 1 rows at most."""
+        frame = make_frame(4)
+        with pytest.raises(
+            InvalidArgument, match=r"count=2147483644: the frame holds 4 rows .* 2147483643 more"
+        ):
+            frame.extend(2**31 - 4, klass=0, host=0)
+        with pytest.raises(InvalidArgument, match=r"count=2147483648: .* at most 2147483647 "):
+            StateFrame(n_classes=1, n_hosts=1).extend(2**31, klass=0, host=0)
+        assert frame.size == 4 and frame.allocator.high_water == 4

@@ -93,7 +93,6 @@ def test_demote_promote_round_trips_exactly(seed, n, pick):
     frame.value[:] = rng.integers(0, 10**12, size=n)
 
     before = frame.snapshot_row(i)
-    occupancy_before = [int(x) for x in frame.host_occupancy]
     checksum_before = frame.value_checksum()
 
     (snap,) = frame.promote([i])
@@ -102,7 +101,6 @@ def test_demote_promote_round_trips_exactly(seed, n, pick):
 
     assert frame.snapshot_row(i) == before
     assert int(frame.state[i]) == BULK
-    assert [int(x) for x in frame.host_occupancy] == occupancy_before
     assert frame.value_checksum() == checksum_before
 
 
