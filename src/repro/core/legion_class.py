@@ -32,6 +32,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.errors import (
     BindingNotFound,
     DeliveryFailure,
+    InvalidArgument,
     InvocationFailed,
     NoCapacity,
     ObjectDeleted,
@@ -57,6 +58,9 @@ from repro.naming.loid import LOID
 from repro.persistence.opr import OPRecord
 from repro.security.environment import CallEnvironment
 from repro.simkernel.futures import SimFuture
+
+#: The keys ``Create(hints)`` recognises; any other key is refused.
+CREATE_HINTS = ("magistrate", "host", "init", "no_delegate")
 
 
 class ClassObjectImpl(ClonePool, ReplicaGroups, Derivation, LegionObjectImpl):
@@ -234,8 +238,14 @@ class ClassObjectImpl(ClonePool, ReplicaGroups, Derivation, LegionObjectImpl):
         Recognised hints: ``magistrate`` (LOID suggestion), ``host`` (LOID
         of a Host Object in the magistrate's jurisdiction), ``init``
         (extra factory kwargs), ``no_delegate`` (bypass clone delegation,
-        used internally and by tests).
+        used internally and by tests).  Any other key is refused with
+        InvalidArgument.
         """
+        for key in hints:
+            if key not in CREATE_HINTS:
+                raise InvalidArgument(
+                    f"Create hint {key!r} is not one of {', '.join(CREATE_HINTS)}"
+                )
         self.flavor.check_create(self.class_name)
         env = ctx.nested_env(self.loid) if ctx else self.own_env()
 

@@ -48,6 +48,7 @@ _REMOTE_ERROR_TYPES = {
     "ObjectModelError": errors.ObjectModelError,
     "ReplicationError": errors.ReplicationError,
     "ContextError": errors.ContextError,
+    "InvalidArgument": errors.InvalidArgument,
 }
 
 

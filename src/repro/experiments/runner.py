@@ -137,7 +137,7 @@ FLAGS = (
         "columnar mega-scale population for mega-aware experiments: "
         "e9 appends a frame-at-once size ladder up to N objects, e18 "
         "replays its scenarios over N columnar callers instead of its "
-        "default 10^6 (requires the numpy 'mega' extra)",
+        "default 10^6",
     ),
 )
 FLAG_NAMES = tuple(keyword for keyword, _options, _help in FLAGS)

@@ -8,13 +8,8 @@ touches crosses the escalation boundary into the ordinary rich-object
 path and folds back when quiet.  ``repro.megascale.reference`` is the
 numpy-free per-agent twin the differential tests trust; the scenario
 module runs the same seeded plan through either backend.
-
-numpy is optional (the ``repro[mega]`` extra): importing this package is
-always safe, but constructing a frame without numpy raises a
-:class:`~repro.errors.LegionError` naming the fix.
 """
 
-from repro.megascale.compat import HAVE_NUMPY, require_numpy
 from repro.megascale.frame import BULK, HOT, PROMOTED, IdAllocator, StateFrame
 from repro.megascale.engine import BulkEngine, EngineLedger, TickOutcome
 from repro.megascale.reference import ReferenceMachine, RefLedger, RefObject
@@ -30,8 +25,6 @@ from repro.megascale.scenario import (
 )
 
 __all__ = [
-    "HAVE_NUMPY",
-    "require_numpy",
     "BULK",
     "HOT",
     "PROMOTED",

@@ -36,6 +36,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+import numpy as np
+
 from repro.errors import InvalidArgument
 from repro.megascale.frame import BULK, HOT, PROMOTED, StateFrame, check_int
 
@@ -98,7 +100,6 @@ class BulkEngine:
         boundary=None,
         demote_after: int = 3,
     ) -> None:
-        self.np = frame.np
         self.frame = frame
         self.boundary = boundary
         if per_tick_limit is not None:
@@ -128,7 +129,6 @@ class BulkEngine:
         validated before anything is counted, so a rejected tick leaves
         the frame and the ledger as they were.
         """
-        np = self.np
         frame = self.frame
         t = np.asarray(targets)
         if t.ndim != 1:

@@ -21,8 +21,9 @@ import math
 import numbers
 from typing import Dict, List
 
+import numpy as np
+
 from repro.errors import InvalidArgument, LegionError
-from repro.megascale.compat import require_numpy
 
 #: The flag bits of a row's ``state`` byte.  A row with no bit set is
 #: BULK and takes frame-at-once transitions.  PROMOTED is its lifecycle
@@ -95,8 +96,6 @@ class StateFrame:
     """
 
     def __init__(self, n_classes: int, n_hosts: int) -> None:
-        np = require_numpy("StateFrame")
-        self.np = np
         self.n_classes = check_int("StateFrame", "n_classes", n_classes, 1, math.inf)
         self.n_hosts = check_int("StateFrame", "n_hosts", n_hosts, 1, math.inf)
         self.allocator = IdAllocator()
@@ -126,7 +125,6 @@ class StateFrame:
         Every argument is checked before a row is allocated, so a
         refused extend leaves the frame as it was.
         """
-        np = self.np
         count = check_int("StateFrame.extend", "count", count, 0, math.inf)
         start = self.size
         if count > MAX_ROWS - start:
@@ -149,7 +147,7 @@ class StateFrame:
     def _index_arg(self, name: str, value, count: int, bound: int):
         """``value`` as an integer scalar or a length-``count`` integer
         array, every entry in ``[0, bound)``; InvalidArgument otherwise."""
-        arr = self.np.asarray(value)
+        arr = np.asarray(value)
         if arr.dtype.kind not in "iu" or arr.shape not in ((), (count,)):
             raise InvalidArgument(
                 f"StateFrame.extend {name}: must be an int or an integer array of "
@@ -183,7 +181,6 @@ class StateFrame:
         frozen -- so ``demote`` can fold the rich state back onto the
         *same* id.  A row's HOT bit is left as it was.
         """
-        np = self.np
         id_arr = np.asarray(ids, dtype=np.int64)
         if id_arr.size == 0:
             return []
@@ -211,7 +208,6 @@ class StateFrame:
 
     def band_histogram(self) -> Dict[str, int]:
         """Row counts per lifecycle band (the PROMOTED bit alone)."""
-        np = self.np
         counts = np.bincount(self.state & PROMOTED, minlength=2)
         return {BAND_NAMES[band]: int(counts[band]) for band in (BULK, PROMOTED)}
 
@@ -223,7 +219,6 @@ class StateFrame:
         a swapped pair of rows changes it.  Computable identically by the
         per-agent reference machine (plain int arithmetic, no float).
         """
-        np = self.np
         n = self.size
         if n == 0:
             return 0

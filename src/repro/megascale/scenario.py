@@ -31,8 +31,9 @@ import weakref
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+import numpy as np
+
 from repro.errors import InvalidArgument, LegionError
-from repro.megascale.compat import require_numpy
 from repro.megascale.engine import BulkEngine
 from repro.megascale.frame import StateFrame, check_int
 from repro.metrics.counters import ComponentKind
@@ -102,7 +103,6 @@ def build_plan(spec: MegaScenario, seed: int) -> List[Any]:
     by tick, so both backends -- and every ``--jobs``
     worker -- see byte-identical plans.
     """
-    np = require_numpy("the mega scenario plan")
     from repro.simkernel.rng import RngStreams
 
     rng = RngStreams(seed).numpy_stream(f"mega-calls-{spec.population}")
@@ -300,7 +300,6 @@ class LiveEscalationBoundary:
 
 def run_columnar(spec: MegaScenario, seed: int) -> MegaOutcome:
     """The columnar backend: bulk frame + live escalation boundary."""
-    np = require_numpy("the columnar scenario backend")
     plan = build_plan(spec, seed)
     system, classes, client = build_live_system(spec, seed)
 

@@ -84,9 +84,7 @@ class SeriesRecorder:
         if log_log:
             xs = [math.log(x) for x in xs]
             ys = [math.log(max(y, 1e-12)) for y in ys]
-        # Ordinary least squares, closed form.  Pure Python keeps the
-        # core reproduction numpy-free (numpy is the ``repro[mega]``
-        # extra, needed only by the columnar mega-scale backend).
+        # Ordinary least squares, closed form.
         n = len(xs)
         mx = sum(xs) / n
         my = sum(ys) / n

@@ -25,12 +25,7 @@ import hashlib
 import json
 from typing import List, Sequence
 
-from repro.megascale.compat import require_numpy
-
-try:  # optional ``repro[mega]`` extra
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy-less installs only
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from .events import TickPlan, compile_events
 from .spec import ScenarioSpec
@@ -58,7 +53,6 @@ def compile_frames(spec: ScenarioSpec, plan: Sequence[TickPlan]) -> dict:
     cumulative think gaps -- the open-loop rendering of the session
     state machine) and sorted FIFO per tick.
     """
-    require_numpy("the scenario mega backend")
     times: List[float] = []
     tids: List[int] = []
     costs: List[float] = []
@@ -107,7 +101,6 @@ def run_scenario_mega(
     spec: ScenarioSpec, seed: int, population: int = 1_000_000
 ) -> dict:
     """One scenario at ``population`` callers through the frame kernels."""
-    require_numpy("the scenario mega backend")
     plan = compile_events(spec, seed)
     frames = compile_frames(spec, plan)
     n_targets = frames["n_targets"]

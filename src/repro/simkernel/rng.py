@@ -14,10 +14,7 @@ import hashlib
 import random
 from typing import Dict
 
-try:  # numpy is the optional ``repro[mega]`` extra; only numpy_stream needs it
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy-less installs only
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 
 def _derive_seed(master_seed: int, name: str) -> int:
@@ -44,12 +41,8 @@ class RngStreams:
             self._streams[name] = random.Random(_derive_seed(self.master_seed, name))
         return self._streams[name]
 
-    def numpy_stream(self, name: str) -> "np.random.Generator":
+    def numpy_stream(self, name: str) -> np.random.Generator:
         """The NumPy stream for ``name`` (created on first use)."""
-        if np is None:
-            from repro.megascale.compat import require_numpy
-
-            require_numpy(f"numpy_stream({name!r})")
         if name not in self._np_streams:
             self._np_streams[name] = np.random.default_rng(
                 _derive_seed(self.master_seed, "np:" + name)

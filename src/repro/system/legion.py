@@ -323,6 +323,10 @@ class LegionSystem:
         with any class -- per the paper's "client hosts" footnote.
         """
         site = site or self.sites[0].name
+        if site not in self.site_hosts:
+            raise InvalidArgument(
+                f"new_client site {site!r}: not one of {', '.join(self.site_hosts)}"
+            )
         host_id = self.site_hosts[site][0]
         seq = next(self._client_seq)
         loid = LOID.for_instance(self._CLIENT_CLASS_ID, seq, self.services.secret)

@@ -10,10 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-try:  # numpy is the optional ``repro[mega]`` extra; only Zipf sampling needs it
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy-less installs only
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro.errors import LegionError, Overloaded, SecurityDenied
 from repro.core.server import ObjectServer
@@ -31,11 +28,7 @@ class ZipfPopularity:
     exact rather than tail-truncated.
     """
 
-    def __init__(self, n: int, s: float = 1.0, rng: Optional["np.random.Generator"] = None) -> None:
-        if np is None:
-            from repro.megascale.compat import require_numpy
-
-            require_numpy("ZipfPopularity")
+    def __init__(self, n: int, s: float = 1.0, rng: Optional[np.random.Generator] = None) -> None:
         if n < 1:
             raise LegionError(f"ZipfPopularity needs n >= 1, got {n}")
         if s < 0:

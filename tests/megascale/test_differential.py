@@ -16,6 +16,7 @@ hold at 10^2-10^4.
 
 import os
 
+import numpy as np
 import pytest
 
 from repro.megascale import (
@@ -44,7 +45,6 @@ def overlap_scales():
 
 def drive_pair(seed, n=400, ticks=10, per_tick=250, limit=2):
     """Drive engine and reference through one identical seeded scenario."""
-    np = pytest.importorskip("numpy")
     rng = np.random.default_rng(seed)
     n_classes, n_hosts = 4, 5
     hot = [0, n // 3, 2 * n // 3]

@@ -1,17 +1,12 @@
-"""The ``--mega`` wiring on E9: sharding stays byte-identical, numpy stays
-optional.
+"""The ``--mega`` wiring on E9: sharding stays byte-identical.
 
 ``--mega N`` appends a columnar ladder (N/100, N/10, N -- floored at
 10^4) to E9's sweep.  The sharded-runner contract must survive the new
 arm: ``--jobs`` is purely a wall-clock optimisation, so the rendered
 report has to match the sequential reference byte for byte at any
-worker count.  And because numpy is an optional extra, a numpy-less
-install must fail with one actionable LegionError, not a traceback.
+worker count.
 """
 
-import pytest
-
-from repro.errors import LegionError
 from repro.experiments.e9_scaling import EXPERIMENT as E9
 from repro.experiments.e9_scaling import e9_mega_sizes, run_e9_mega_unit
 from repro.experiments.runner import run_many
@@ -61,13 +56,3 @@ def test_jobs_1_and_2_mega_reports_are_byte_identical():
     assert seq.report == par.report, "e9 --mega diverged across --jobs"
     assert "mega" in seq.report
 
-
-def test_numpyless_install_gets_one_actionable_error(monkeypatch):
-    from repro.megascale import compat
-
-    monkeypatch.setattr(compat, "HAVE_NUMPY", False)
-    with pytest.raises(LegionError) as exc:
-        compat.require_numpy("the --mega flag")
-    message = str(exc.value)
-    assert "the --mega flag" in message
-    assert 'pip install "repro[mega]"' in message

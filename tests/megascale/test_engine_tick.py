@@ -23,6 +23,7 @@ import gc
 import tracemalloc
 import weakref
 
+import numpy as np
 import pytest
 
 from repro.errors import InvalidArgument, LegionError
@@ -121,7 +122,6 @@ class TestRejectedTickLeavesNoTrace:
     def test_a_named_id_is_checked_before_any_cast(self):
         """2^32 + 3 would name row 3 as an int32 key; it is refused."""
         frame, engine = build()
-        np = frame.np
         with pytest.raises(InvalidArgument, match=r"target id 4294967299 out of range"):
             engine.tick(0, np.array([2**32 + 3], dtype=np.uint64))
         assert int(frame.value[3]) == 0 and engine.settled()
@@ -216,7 +216,6 @@ class TestKernelEdgesMatchTheReference:
     @pytest.mark.parametrize("limit", [0, None])
     def test_limits_zero_and_none(self, limit):
         engine, ref = self.twins(hot=[4], limit=limit)
-        np = engine.np
         rng = np.random.default_rng(0)
         for tick in range(3):
             self.step(engine, ref, tick, rng.integers(0, 10, size=40))
@@ -240,7 +239,6 @@ def test_sparse_tick_allocates_for_the_tick_not_the_frame():
     tick made whole-frame temporaries)."""
     n = 1_000_000
     frame, engine = build(n, 1000, 500, per_tick_limit=2)
-    np = frame.np
     rng = np.random.default_rng(0)
     engine.tick(0, rng.integers(0, n, size=1000))  # numpy's lazy imports
     targets = rng.integers(0, n, size=1000)
@@ -261,7 +259,6 @@ def test_dense_tick_peaks_at_most_30_bytes_a_call():
     once read (36.9 bytes a call when ``np.unique`` grouped the tick)."""
     n, k = 1_000_000, 500_000
     frame, engine = build(n, 1000, 500, per_tick_limit=2)
-    np = frame.np
     rng = np.random.default_rng(0)
     engine.tick(0, rng.integers(0, n, size=k))  # numpy's lazy imports
     targets = rng.integers(0, n, size=k)

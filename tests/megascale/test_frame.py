@@ -12,6 +12,7 @@ rows peaks at most 22 traced bytes a row, returned ids included.
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from repro.errors import InvalidArgument, LegionError
@@ -20,7 +21,6 @@ from repro.megascale import BULK, HOT, PROMOTED, BulkEngine, IdAllocator, StateF
 
 def make_frame(n=12, n_classes=3, n_hosts=4):
     frame = StateFrame(n_classes=n_classes, n_hosts=n_hosts)
-    np = frame.np
     frame.extend(
         n,
         klass=(np.arange(n) % n_classes).astype(np.int32),
@@ -141,7 +141,6 @@ class TestStateFrame:
 class TestFrameHoldsWhatIsRead:
     def test_row_columns_sum_to_at_most_13_bytes(self):
         frame = make_frame(1000)
-        np = frame.np
         columns = {
             name: col
             for name, col in vars(frame).items()
@@ -152,7 +151,6 @@ class TestFrameHoldsWhatIsRead:
 
     def test_extend_peaks_at_most_22_bytes_a_row(self):
         n = 100_000
-        np = make_frame().np
         klass = (np.arange(n) % 3).astype(np.int32)
         host = (np.arange(n) % 4).astype(np.int32)
         StateFrame(n_classes=3, n_hosts=4).extend(n, klass=klass, host=host)  # warm
@@ -181,14 +179,12 @@ class TestFrameArgumentsFailAtTheBoundary:
 
     def test_class_array_of_the_wrong_length(self):
         frame = StateFrame(n_classes=2, n_hosts=2)
-        np = frame.np
         with pytest.raises(InvalidArgument, match=r"klass: .*length 3.*shape \(2,\)"):
             frame.extend(3, klass=np.array([0, 1]), host=0)
         assert frame.size == 0
 
     def test_float_classes_are_not_truncated(self):
         frame = StateFrame(n_classes=2, n_hosts=2)
-        np = frame.np
         with pytest.raises(InvalidArgument, match="klass: .*float64"):
             frame.extend(2, klass=np.array([0.7, 1.9]), host=0)
         with pytest.raises(InvalidArgument, match="klass: .*float64"):
@@ -199,7 +195,6 @@ class TestFrameArgumentsFailAtTheBoundary:
 
     def test_refused_range_leaves_the_frame_as_it_was(self):
         frame = make_frame(4, n_classes=2, n_hosts=2)
-        np = frame.np
         with pytest.raises(InvalidArgument, match=r"host: entries must be in \[0, 2\), got \[0, 5\]"):
             frame.extend(2, klass=0, host=np.array([0, 5], dtype=np.int64))
         assert frame.size == 4 and frame.allocator.high_water == 4
@@ -213,7 +208,6 @@ class TestFrameArgumentsFailAtTheBoundary:
 
     def test_integer_arrays_of_any_width_are_accepted(self):
         frame = StateFrame(n_classes=3, n_hosts=2)
-        np = frame.np
         ids = frame.extend(3, klass=np.array([2, 0, 1], dtype=np.uint8), host=[1, 1, 0])
         assert list(ids) == [0, 1, 2]
         assert [int(x) for x in frame.klass] == [2, 0, 1]

@@ -11,20 +11,18 @@ scenarios; for each one:
 * the id allocator only ever moves forward, whatever the alloc sequence.
 """
 
-import pytest
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-np = pytest.importorskip("numpy", reason="repro[mega] extra not installed")
-
-from repro.megascale import (  # noqa: E402
+from repro.megascale import (
     BULK,
     BulkEngine,
     IdAllocator,
     ReferenceMachine,
     StateFrame,
 )
-from tests.megascale.test_differential import assert_twins_equal  # noqa: E402
+from tests.megascale.test_differential import assert_twins_equal
 
 scenarios = st.fixed_dictionaries(
     {

@@ -15,7 +15,6 @@ probabilities, topology) and seeds; for each one:
 
 import dataclasses
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -129,7 +128,6 @@ def test_compiled_stream_conserves_sessions(spec, seed):
 @settings(max_examples=25)
 @given(spec=specs(), seed=st.integers(0, 2**31 - 1))
 def test_rich_and_mega_backends_see_identical_arrivals(spec, seed):
-    pytest.importorskip("numpy", reason="repro[mega] extra not installed")
     from repro.scenarios.mega import frame_arrivals
 
     assert frame_arrivals(spec, seed) == per_tick_arrivals(

@@ -16,6 +16,7 @@ from repro.simkernel.rng import RngStreams
 from repro.system.bootstrap import CORE_CLASS_SPECS, bootstrap_core
 from repro.system.legion import LegionSystem, SiteSpec
 from repro.workloads.apps import CounterImpl, KVStoreImpl
+from tests.invariants import live_impl
 
 
 def bare_services():
@@ -225,6 +226,32 @@ class TestFacade:
         with pytest.raises(errors.InvalidArgument, match=re.escape(f"timeout={timeout!r}")):
             system.call(instance, "Ping", timeout=timeout)
         assert system.call(instance, "Ping") == "pong"
+
+    @pytest.mark.parametrize(
+        "create",
+        [
+            lambda system, cls: system.create_instance(cls.loid, bogus_hint=3),
+            lambda system, cls: system.call(cls.loid, "Create", {"bogus_hint": 3}),
+        ],
+        ids=["create_instance", "wire"],
+    )
+    def test_an_unknown_create_hint_is_refused_by_name(self, fresh_legion, create):
+        """``bogus_hint=3`` used to be ignored and the instance made."""
+        system, cls = fresh_legion
+        table = live_impl(system, cls.loid).table
+        rows = len(table)
+        with pytest.raises(errors.InvalidArgument) as info:
+            create(system, cls)
+        message = str(info.value)
+        assert "'bogus_hint'" in message
+        assert "magistrate, host, init, no_delegate" in message
+        assert len(table) == rows
+
+    def test_an_unknown_client_site_is_refused_by_name(self, legion):
+        """It used to raise a bare ``KeyError: 'zzz'``."""
+        system, _cls = legion
+        with pytest.raises(errors.InvalidArgument, match="site 'zzz': not one of uva, doe"):
+            system.new_client("c", site="zzz")
 
     def test_new_client_is_not_a_legion_resource(self, legion):
         system, _cls = legion
