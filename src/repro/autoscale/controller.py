@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from repro.errors import LegionError
+from repro.errors import InvalidArgument
 from repro.autoscale.monitor import LoadMonitor
 from repro.core.server import ObjectServer
 from repro.metrics.counters import ComponentKind
@@ -49,17 +49,25 @@ class AutoscaleConfig:
     max_clones: int = 8
 
     def __post_init__(self) -> None:
-        if self.low_water >= self.high_water:
-            raise LegionError(
-                f"hysteresis gap required: low_water {self.low_water} must be "
-                f"< high_water {self.high_water}"
+        # Chained comparisons, which NaN fails too.
+        if not 0.0 <= self.low_water < self.high_water < math.inf:
+            raise InvalidArgument(
+                f"AutoscaleConfig low_water={self.low_water!r}, high_water="
+                f"{self.high_water!r}: need 0 <= low_water < high_water < inf "
+                "(a hysteresis gap)"
             )
-        if self.cooldown < 0:
-            raise LegionError(f"cooldown must be >= 0, got {self.cooldown}")
+        if not 0.0 <= self.cooldown < math.inf:
+            raise InvalidArgument(
+                f"AutoscaleConfig cooldown={self.cooldown!r}: must be in [0, inf)"
+            )
+        for name in ("min_clones", "max_clones"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise InvalidArgument(f"AutoscaleConfig {name}={value!r}: must be an int")
         if not 0 <= self.min_clones <= self.max_clones:
-            raise LegionError(
-                f"need 0 <= min_clones <= max_clones, got "
-                f"{self.min_clones}..{self.max_clones}"
+            raise InvalidArgument(
+                f"AutoscaleConfig min_clones={self.min_clones!r}, max_clones="
+                f"{self.max_clones!r}: need 0 <= min_clones <= max_clones"
             )
 
 

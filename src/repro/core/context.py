@@ -67,10 +67,6 @@ class ImplRegistry:
     def __contains__(self, name: str) -> bool:
         return name in self._factories
 
-    def names(self):
-        """Registered factory names, sorted."""
-        return sorted(self._factories)
-
 
 @dataclass
 class SystemServices:

@@ -90,11 +90,6 @@ class MethodResult(NamedTuple):
     #: than a message: today only Overloaded's ``retry_after`` hint.
     error_detail: Any = None
 
-    @property
-    def ok(self) -> bool:
-        """True when the invocation succeeded."""
-        return not self.error_type
-
     @classmethod
     def failure(cls, exc: BaseException) -> "MethodResult":
         """Marshal an exception raised by the remote method."""

@@ -146,16 +146,13 @@ class LegionObjectImpl:
 
     # -- security hooks -----------------------------------------------------------
 
-    def may_i(self, method: str, env: CallEnvironment) -> bool:
-        """The MayI() check run before every dispatch."""
-        return self.mayi_policy.may_i(method, env)
-
     @legion_method("bool MayI(string)")
     def mayi_method(self, method_name: str, *, ctx: Optional[InvocationContext] = None) -> bool:
         """Wire-level MayI(): would ``method_name`` be admitted for the
-        caller's environment?  Lets callers probe policy without tripping it."""
+        caller's environment?  Lets callers probe policy without tripping it.
+        It asks the same ``mayi_policy`` the dispatch loop asks."""
         env = ctx.env if ctx is not None else self.own_env()
-        return self.may_i(method_name, env)
+        return self.mayi_policy.may_i(method_name, env)
 
     @legion_method("credentials Iam(int)")
     def iam(self, challenge: int) -> Credentials:

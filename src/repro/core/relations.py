@@ -133,14 +133,6 @@ class RelationGraph:
         """All base classes (inherits-from targets)."""
         return self._neighbours(self._out, cls, RelationKind.INHERITS_FROM)
 
-    def instances_of(self, cls: LOID) -> List[LOID]:
-        """All recorded instances (is-a sources) of a class."""
-        return self._neighbours(self._in, cls, RelationKind.IS_A)
-
-    def subclasses_of(self, cls: LOID) -> List[LOID]:
-        """All direct subclasses (kind-of sources) of a class."""
-        return self._neighbours(self._in, cls, RelationKind.KIND_OF)
-
     # -- transitive queries -------------------------------------------------------------
 
     def _inherits_closure(self, cls: LOID) -> Set[LOID]:
@@ -153,10 +145,6 @@ class RelationGraph:
                     closure.add(base)
                     stack.append(base)
         return closure
-
-    def all_bases(self, cls: LOID) -> Set[LOID]:
-        """Transitive inherits-from closure (excluding ``cls`` itself)."""
-        return self._inherits_closure(cls)
 
     # -- invariants ------------------------------------------------------------------------
 

@@ -57,11 +57,6 @@ class ExperimentResult:
         """Record one assertion."""
         self.checks.append(Check(name, bool(passed), detail))
 
-    @property
-    def passed(self) -> bool:
-        """True when every recorded check passed."""
-        return all(c.passed for c in self.checks)
-
     def render(self) -> str:
         """The printable report: claim, table, checks."""
         lines = [

@@ -365,10 +365,9 @@ def _measure_mega(spec: ScenarioSpec, seed: int, population: int) -> dict:
     """The whole scenario through the columnar backend at ``population``."""
     from repro.scenarios.mega import frame_arrivals, run_scenario_mega
 
-    report = run_scenario_mega(spec, seed, population=int(population))
-    frames_agree = frame_arrivals(spec, seed) == per_tick_arrivals(
-        compile_events(spec, seed)
-    )
+    plan = compile_events(spec, seed)
+    report = run_scenario_mega(spec, seed, population=int(population), plan=plan)
+    frames_agree = frame_arrivals(spec, seed, plan) == per_tick_arrivals(plan)
     return {
         "population": report["population"],
         "scale": report["scale"],

@@ -31,9 +31,6 @@ class NamedImpl(LegionObjectImpl):
     def __init__(self) -> None:
         self.name = "anonymous"
 
-    def persistent_attributes(self):
-        return ["name"]
-
     @legion_method("string Name()")
     def get_name(self) -> str:
         return self.name
@@ -44,9 +41,6 @@ class GreeterImpl(LegionObjectImpl):
 
     def __init__(self) -> None:
         self.greeting = "hello"
-
-    def persistent_attributes(self):
-        return ["greeting"]
 
     @legion_method("string Greet()")
     def greet(self) -> str:

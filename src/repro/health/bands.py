@@ -46,11 +46,8 @@ class Band(enum.IntEnum):
         """Canonical lower-case name used in ledgers and reports."""
         return self.name.lower()
 
-    @property
-    def description(self) -> str:
-        return _DESCRIPTIONS[self]
 
-
+#: What each band means, in one line.
 _DESCRIPTIONS = {
     Band.STABLE: "normal operations; signals inside every threshold",
     Band.STRAINED: "repeated pressure; admission and retries tighten",

@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
+from repro.errors import InvalidArgument
 from repro.health.bands import Band, BandMachine
 from repro.health.evidence import EvidenceCollector, HealthEvidence
 from repro.health.ledger import HealthLedger
@@ -95,6 +96,15 @@ class GovernorConfig:
 
     #: Component names whose admission is never paused in Failed.
     critical: FrozenSet[str] = frozenset()
+
+    def __post_init__(self) -> None:
+        # A str would pass ``name in critical`` as a substring test.
+        if not isinstance(self.critical, (set, frozenset)) or not all(
+            isinstance(name, str) for name in self.critical
+        ):
+            raise InvalidArgument(
+                f"GovernorConfig critical={self.critical!r}: must be a set of component names"
+            )
 
 
 class Governor(Periodic):

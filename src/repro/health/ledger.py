@@ -148,7 +148,3 @@ class HealthLedger:
                 return f"record {index}: hash mismatch (record edited?)"
             prev = record["hash"]
         return None
-
-    def verify(self) -> Optional[str]:
-        """Self-check the in-memory chain (None = intact)."""
-        return self.verify_records(self.to_json())

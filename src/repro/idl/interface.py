@@ -49,10 +49,6 @@ class Interface:
         """All signatures, sorted for deterministic iteration."""
         return tuple(sorted(self._by_key.values()))
 
-    def names(self) -> Tuple[str, ...]:
-        """Distinct method names, sorted."""
-        return tuple(sorted({s.name for s in self._by_key.values()}))
-
     def has_method(self, name: str, arity: Optional[int] = None) -> bool:
         """Whether any overload of ``name`` (optionally of ``arity``) exists.
 

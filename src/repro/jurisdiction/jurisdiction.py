@@ -54,14 +54,6 @@ class Jurisdiction:
         if host_object in self.host_objects:
             self.host_objects.remove(host_object)
 
-    def contains_host(self, host_id: int) -> bool:
-        """Whether ``host_id`` belongs to this jurisdiction."""
-        return host_id in self.host_ids
-
-    def overlaps(self, other: "Jurisdiction") -> bool:
-        """Whether the two jurisdictions share any host (non-disjointness)."""
-        return bool(self.host_ids & other.host_ids)
-
     # -- hierarchy -----------------------------------------------------------------
 
     def ancestors(self) -> List["Jurisdiction"]:

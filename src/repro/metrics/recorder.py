@@ -25,11 +25,6 @@ class SeriesRecorder:
         """Record one sweep point."""
         self._rows.append((float(x), {k: float(v) for k, v in values.items()}))
 
-    @property
-    def xs(self) -> List[float]:
-        """The sweep axis, in insertion order."""
-        return [x for x, _ in self._rows]
-
     def series_names(self) -> List[str]:
         """All series names seen, in first-appearance order."""
         names: List[str] = []

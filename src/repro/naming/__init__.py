@@ -15,7 +15,7 @@ The Legion naming system (paper sections 3.2 and 3.5) has three layers:
   names to LOIDs").
 """
 
-from repro.naming.loid import LOID, PUBLIC_KEY_BITS, LOIDAllocator
+from repro.naming.loid import LOID, PUBLIC_KEY_BITS
 from repro.naming.binding import Binding, NEVER_EXPIRES
 from repro.naming.cache import BindingCache, CacheStats
 from repro.naming.context import Context
@@ -24,7 +24,6 @@ from repro.naming.context_object import ContextObjectImpl
 __all__ = [
     "LOID",
     "PUBLIC_KEY_BITS",
-    "LOIDAllocator",
     "Binding",
     "NEVER_EXPIRES",
     "BindingCache",

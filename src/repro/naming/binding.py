@@ -33,14 +33,6 @@ class Binding:
     address: ObjectAddress
     expires_at: float = NEVER_EXPIRES
 
-    def valid_at(self, now: float) -> bool:
-        """Whether the binding is unexpired at simulated time ``now``."""
-        return now < self.expires_at
-
-    def refreshed(self, address: ObjectAddress, expires_at: float = NEVER_EXPIRES) -> "Binding":
-        """A new binding for the same LOID with a fresh address/expiry."""
-        return Binding(self.loid, address, expires_at)
-
     def __str__(self) -> str:
         exp = "∞" if self.expires_at == NEVER_EXPIRES else f"{self.expires_at:.1f}"
         return f"{self.loid}→{self.address}@{exp}"

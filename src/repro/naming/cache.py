@@ -84,7 +84,7 @@ class BindingCache:
         if binding is None:
             self.stats.misses += 1
             return None
-        if now >= binding.expires_at:  # not binding.valid_at(now), minus its frame
+        if now >= binding.expires_at:  # expired: a miss
             del self._entries[key]
             self.stats.expired += 1
             self.stats.misses += 1
@@ -139,14 +139,6 @@ class BindingCache:
             self.stats.invalidations += 1
             return True
         return False
-
-    def clear(self) -> None:
-        """Empty the cache (counters are preserved)."""
-        self._entries.clear()
-
-    def entries(self) -> Tuple[Binding, ...]:
-        """A snapshot of current entries, LRU-first."""
-        return tuple(self._entries.values())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         cap = "∞" if self.capacity is None else str(self.capacity)

@@ -24,9 +24,8 @@ key never compares equal to the genuine one.
 from __future__ import annotations
 
 import hashlib
-import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, List, Tuple
+from typing import List, Tuple
 
 from repro.errors import InvalidLOID
 
@@ -168,26 +167,3 @@ def _loid_setstate(loid: LOID, state: List[int]) -> None:
 LOID.__getstate__ = _loid_getstate  # type: ignore[method-assign]
 LOID.__setstate__ = _loid_setstate  # type: ignore[method-assign]
 
-
-class LOIDAllocator:
-    """Per-class LOID factory: sequence-numbered class-specific fields.
-
-    "it is likely that the Class Specific field will often be used by
-    classes as a sequence number to guarantee the generation of unique
-    LOID's" (section 3.2).  One allocator per class object.
-    """
-
-    def __init__(self, class_id: int, secret: int = 0, start: int = 1) -> None:
-        if start < 1:
-            raise InvalidLOID("instance sequences start at 1; 0 marks class objects")
-        self.class_id = class_id
-        self.secret = secret
-        self._counter = itertools.count(start)
-
-    def next_instance(self) -> LOID:
-        """A fresh, unique instance LOID for this class."""
-        return LOID.for_instance(self.class_id, next(self._counter), self.secret)
-
-    def __iter__(self) -> Iterator[LOID]:
-        while True:
-            yield self.next_instance()

@@ -132,10 +132,6 @@ class Network:
         if ep is not None:
             ep.active = False
 
-    def is_registered(self, element: ObjectAddressElement) -> bool:
-        """Whether the element currently has a live endpoint."""
-        return element in self._endpoints
-
     # -- failure injection -----------------------------------------------------
 
     def partition(self, site_a: str, site_b: str) -> None:
@@ -145,10 +141,6 @@ class Network:
     def heal(self, site_a: str, site_b: str) -> None:
         """Remove a partition (idempotent)."""
         self._partitions.discard(frozenset((site_a, site_b)))
-
-    def heal_all(self) -> None:
-        """Remove every partition."""
-        self._partitions.clear()
 
     def _partitioned(self, src_host: int, dst_host: int) -> bool:
         a = self.latency.site_of(src_host)

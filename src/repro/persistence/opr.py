@@ -107,11 +107,6 @@ class OPRecord:
         except (KeyError, pickle.UnpicklingError, EOFError) as exc:
             raise StorageError(f"corrupt Object Persistent Representation: {exc}") from exc
 
-    @property
-    def size(self) -> int:
-        """Approximate byte size (for store capacity accounting)."""
-        return len(self.to_bytes())
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = f"{len(self.state)}B" if self.state is not None else "fresh"
         return f"<OPRecord {self.loid} impl={self.factory_chain[0][0]} state={state}>"

@@ -9,7 +9,7 @@ and give them back.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List
+from typing import Dict
 
 from repro.errors import StorageError
 from repro.persistence.opr import OPRecord, PersistentAddress
@@ -64,10 +64,6 @@ class PersistentStore:
             and address.store == self.name
             and address.filename in self._files
         )
-
-    def list_files(self) -> List[str]:
-        """All stored filenames, sorted."""
-        return sorted(self._files)
 
     def _check_ours(self, address: PersistentAddress) -> None:
         if address.jurisdiction != self.jurisdiction or address.store != self.name:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -81,13 +81,17 @@ def compile_frames(spec: ScenarioSpec, plan: Sequence[TickPlan]) -> dict:
     }
 
 
-def frame_arrivals(spec: ScenarioSpec, seed: int) -> List[int]:
+def frame_arrivals(
+    spec: ScenarioSpec, seed: int, plan: Optional[List[TickPlan]] = None
+) -> List[int]:
     """Per-frame session arrivals as the columnar backend sees them.
 
     The rich backend's counts are ``events.per_tick_arrivals``; the two
-    must agree frame for frame (a Hypothesis property).
+    must agree frame for frame (a Hypothesis property).  ``plan`` is
+    ``compile_events(spec, seed)``, compiled here when not given.
     """
-    plan = compile_events(spec, seed)
+    if plan is None:
+        plan = compile_events(spec, seed)
     frames = compile_frames(spec, plan)
     n_ticks = len(plan)
     session_times = frames["time"][frames["first"]]
@@ -98,10 +102,17 @@ def frame_arrivals(spec: ScenarioSpec, seed: int) -> List[int]:
 
 
 def run_scenario_mega(
-    spec: ScenarioSpec, seed: int, population: int = 1_000_000
+    spec: ScenarioSpec,
+    seed: int,
+    population: int = 1_000_000,
+    plan: Optional[List[TickPlan]] = None,
 ) -> dict:
-    """One scenario at ``population`` callers through the frame kernels."""
-    plan = compile_events(spec, seed)
+    """One scenario at ``population`` callers through the frame kernels.
+
+    ``plan`` is ``compile_events(spec, seed)``, compiled here when not
+    given."""
+    if plan is None:
+        plan = compile_events(spec, seed)
     frames = compile_frames(spec, plan)
     n_targets = frames["n_targets"]
     tick_ms = spec.tick_ms

@@ -112,11 +112,6 @@ class Process(SimFuture):
         self._step_cb = self._step_send
         self._fut_cb = self._on_future
 
-    @property
-    def alive(self) -> bool:
-        """True until the generator returns, raises, or is killed."""
-        return self.gen is not None
-
     def kill(self, reason: str = "killed") -> None:
         """Throw :class:`ProcessKilled` into the process at its next step."""
         if self.gen is not None:

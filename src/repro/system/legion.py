@@ -100,9 +100,14 @@ def _check_sites(sites: Sequence[SiteSpec]) -> None:
             raise BootstrapError(
                 f"{where}: host_type {spec.host_type!r} is not one of {', '.join(HOST_TYPES)}"
             )
-        for field_name, value in (("hosts", spec.hosts), ("disks", spec.disks)):
-            if value < 1:
-                raise BootstrapError(f"{where}: {field_name} must be at least 1")
+        counts = [("hosts", spec.hosts, ""), ("disks", spec.disks, "")]
+        if spec.max_processes is not None:
+            counts.append(("max_processes", spec.max_processes, "None or "))
+        for field_name, value, none_ok in counts:
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise BootstrapError(
+                    f"{where}: {field_name}={value!r} must be {none_ok}an int at least 1"
+                )
         host_impl = HOST_TYPES[spec.host_type][0]
         if spec.max_processes is not None and not issubclass(host_impl, UnixHostImpl):
             sized = [t for t, (impl, *_) in HOST_TYPES.items() if issubclass(impl, UnixHostImpl)]
@@ -477,11 +482,6 @@ class LegionSystem:
         self.services.tracer = recorder
         self.network.tracer = recorder
         return recorder
-
-    def disable_tracing(self) -> None:
-        """Return to the zero-overhead no-op mode (spans are discarded)."""
-        self.services.tracer = None
-        self.network.tracer = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

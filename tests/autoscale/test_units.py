@@ -7,7 +7,10 @@ ClonePoolRouter's contract is epoch-gated refresh plus a round-robin
 index that survives pool shrinkage.
 """
 
-from repro.autoscale import ClonePoolRouter, LoadMonitor, LoadSample
+import pytest
+
+from repro.autoscale import AutoscaleConfig, ClonePoolRouter, LoadMonitor, LoadSample
+from repro.errors import InvalidArgument
 from repro.system.legion import LegionSystem, SiteSpec
 from repro.workloads.apps import CounterImpl
 
@@ -91,3 +94,24 @@ class TestClonePoolRouter:
         system.kernel.run_until_complete(fut)
         assert router._rr < len(router.pool)
         assert router.choose() == cls.loid
+
+
+NAN, INF = float("nan"), float("inf")
+BASE = {"high_water": 1.0, "low_water": 0.1}
+#: The refused field as the error must name it -> the config's arguments.
+REFUSED = {
+    "high_water=nan": {**BASE, "high_water": NAN},
+    "high_water=inf": {**BASE, "high_water": INF},
+    "low_water=nan": {**BASE, "low_water": NAN},
+    "low_water=1.0": {"high_water": 0.1, "low_water": 1.0},
+    "cooldown=nan": {**BASE, "cooldown": NAN},
+    "max_clones=2.5": {**BASE, "max_clones": 2.5},
+    "min_clones=True": {**BASE, "min_clones": True},
+}
+
+
+@pytest.mark.parametrize("field, kwargs", REFUSED.items(), ids=list(REFUSED))
+def test_autoscale_config_refuses_what_it_cannot_honour_by_field(field, kwargs):
+    with pytest.raises(InvalidArgument) as info:
+        AutoscaleConfig(**kwargs)
+    assert field in str(info.value)

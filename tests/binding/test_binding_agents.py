@@ -150,7 +150,7 @@ class TestResolverDirect:
         system, cls = fresh_legion
         binding = system.call(cls.loid, "Create", {})
         client = system.new_client("resolver-test")
-        client.runtime.cache.clear()
+        client.runtime.cache._entries.clear()
         client.runtime.seed_binding(
             system.services.core_bindings["LegionClass"]
         )
@@ -169,7 +169,7 @@ class TestResolverDirect:
         system, cls = fresh_legion
         sub = system.call(cls.loid, "Derive", "ResolverSub", {})
         client = system.new_client("resolver-chain")
-        client.runtime.cache.clear()
+        client.runtime.cache._entries.clear()
         client.runtime.seed_binding(
             system.services.core_bindings["LegionClass"]
         )

@@ -58,7 +58,7 @@ def test_tracing_toggles_take_effect_on_the_next_call():
     assert {("invoke", caller), ("request", caller), ("handle", callee)} <= recorded
     assert all(s.end is not None for s in recorder.spans)
 
-    system.disable_tracing()
+    system.services.tracer = system.network.tracer = None
     count = len(recorder.spans)
     assert system.call(loid, "Ping") == "pong"
     assert len(recorder.spans) == count
@@ -111,7 +111,7 @@ def _cold_warm_stale(config: str):
         system.enable_tracing()
     values = [system.call(loid, "Increment", 3, client=client) for loid in loids]
     if config == "toggled":
-        system.disable_tracing()
+        system.services.tracer = system.network.tracer = None
     values += [system.call(loid, "Get", client=client) for loid in loids]
     poison(system, runtime, loids[0])
     values.append(system.call(loids[0], "Increment", 1, client=client))

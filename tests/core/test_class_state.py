@@ -86,11 +86,16 @@ class TestOneSavedState:
         assert system.call(instance.loid, "Greet") == "hello"
 
 
+def method_names(interface):
+    """An interface's distinct method names, sorted."""
+    return tuple(sorted({sig.name for sig in interface}))
+
+
 class TestExportsArePinned:
     def test_class_mandatory_interface(self):
-        assert CLASS_MANDATORY_INTERFACE.names() == CLASS_EXPORTS
+        assert method_names(CLASS_MANDATORY_INTERFACE) == CLASS_EXPORTS
 
     def test_legion_class(self):
-        assert LegionClassImpl.exported_interface().names() == tuple(
+        assert method_names(LegionClassImpl.exported_interface()) == tuple(
             sorted(CLASS_EXPORTS + LEGION_CLASS_EXPORTS)
         )

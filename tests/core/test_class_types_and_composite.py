@@ -117,4 +117,4 @@ class TestComposite:
         gated.mayi_policy = DenyAll()
         composite = CompositeImpl([gated, PartB()])
         env = CallEnvironment.originating(LOID.for_instance(1, 1))
-        assert not composite.may_i("Who", env)
+        assert not composite.mayi_policy.may_i("Who", env)

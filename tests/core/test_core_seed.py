@@ -27,11 +27,11 @@ def binding_by_binding(services, loid, capacity):
         if binding.loid != loid:
             permanent[binding.loid.identity] = binding
             cache.insert(binding)
-    return cache.entries(), permanent, cache.stats
+    return tuple(cache._entries.values()), permanent, cache.stats
 
 
 def state_of(runtime):
-    return runtime.cache.entries(), dict(runtime._permanent), runtime.cache.stats
+    return tuple(runtime.cache._entries.values()), dict(runtime._permanent), runtime.cache.stats
 
 
 @pytest.fixture

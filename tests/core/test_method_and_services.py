@@ -29,7 +29,7 @@ class TestMethodResult:
     def test_success_unwrap(self):
         assert MethodResult(42).unwrap() == 42
         assert MethodResult().unwrap() is None
-        assert MethodResult(42).ok
+        assert not MethodResult(42).error_type
 
     def test_fields_are_read_only(self):
         result = MethodResult(42)
@@ -61,7 +61,7 @@ class TestMethodResult:
         ]
         for original, expected_type in cases:
             result = MethodResult.failure(original)
-            assert not result.ok
+            assert result.error_type
             with pytest.raises(expected_type):
                 result.unwrap()
 
@@ -196,7 +196,7 @@ class TestImplRegistry:
         registry = ImplRegistry()
         registry.register("b", lambda: 1)
         registry.register("a", lambda: 1)
-        assert registry.names() == ["a", "b"]
+        assert sorted(registry._factories) == ["a", "b"]
 
 
 class TestSystemServices:

@@ -227,7 +227,7 @@ class TestStaleBindings:
         partitioned = bounce()
         assert type(partitioned) is errors.PartitionedError
         assert str(partitioned) == f"delivery to {callee.element} failed: network partition"
-        services.network.heal_all()
+        services.network._partitions.clear()
         callee.deactivate()
         stale = bounce()
         assert type(stale) is errors.DeliveryFailure
@@ -237,7 +237,7 @@ class TestStaleBindings:
 
     def test_expired_cached_binding_is_a_miss(self, services, echo_pair):
         caller, callee = echo_pair
-        caller.runtime.cache.clear()
+        caller.runtime.cache._entries.clear()
         caller.runtime.seed_binding(
             Binding(callee.loid, callee.address, expires_at=5.0)
         )
@@ -320,7 +320,7 @@ class TestServerLifecycle:
         callee.deactivate()
         services.kernel.run()
         assert pending.failed()
-        assert not services.network.is_registered(callee.element)
+        assert callee.element not in services.network._endpoints
 
     def test_double_deactivate_harmless(self, services, echo_pair):
         _caller, callee = echo_pair

@@ -32,5 +32,5 @@ def test_traced_overload_run_audits_and_exports(tmp_path):
 
 def test_overload_multiplier_overrides_the_sweep_top():
     result = E15.run(quick=True, seed=0, overload=3)
-    assert result.passed, [str(c) for c in result.checks if not c.passed]
-    assert max(result.recorder.xs) == 3
+    assert all(c.passed for c in result.checks), [str(c) for c in result.checks if not c.passed]
+    assert max(x for x, _ in result.recorder._rows) == 3

@@ -25,9 +25,9 @@ class TestChecksAndResults:
     def test_passed_requires_all_checks(self):
         result = self.make_result()
         result.check("a", True)
-        assert result.passed
+        assert [c.passed for c in result.checks] == [True]
         result.check("b", False, "broke")
-        assert not result.passed
+        assert [c.passed for c in result.checks] == [True, False]
 
     def test_render_contains_everything(self):
         result = self.make_result()

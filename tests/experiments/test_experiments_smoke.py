@@ -42,12 +42,12 @@ def test_split_ablations_hold(name, quick_sweep):
 def test_e12_full_arm_fits_its_testbed():
     # 16 classes x 24 instances: nothing else in tier-1 runs a --full arm.
     result = e12_loids.run(quick=False, seed=0)
-    assert result.passed, result.render()
+    assert all(c.passed for c in result.checks), result.render()
 
 
 def test_experiments_are_seed_deterministic():
     a = e1_binding_path.run(quick=True, seed=3)
     b = e1_binding_path.run(quick=True, seed=3)
-    assert a.recorder.xs == b.recorder.xs
+    assert [x for x, _ in a.recorder._rows] == [x for x, _ in b.recorder._rows]
     for name in a.recorder.series_names():
         assert a.recorder.series(name) == b.recorder.series(name)

@@ -228,4 +228,4 @@ class TestScheduledChaos:
         system.kernel.run(until=system.kernel.now + 120.0)
         sweeper.stop()
         system.kernel.run()  # must terminate: the sweep loops are dead
-        assert not any(p.alive for p in procs)
+        assert all(p.gen is None for p in procs)

@@ -329,7 +329,7 @@ def test_flow_config_admits():
 
 def test_overloaded_marshalling_roundtrip():
     wire = MethodResult.failure(Overloaded("queue full", retry_after=7.5))
-    assert not wire.ok
+    assert wire.error_type
     with pytest.raises(Overloaded) as info:
         wire.unwrap()
     assert info.value.retry_after == 7.5

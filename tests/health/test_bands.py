@@ -11,6 +11,7 @@ from repro.health.bands import (
     RECOVER_FRACTION,
     SIGNALS,
     THRESHOLDS,
+    _DESCRIPTIONS,
     Band,
     BandMachine,
     breaches,
@@ -42,7 +43,7 @@ class TestBand:
     def test_labels_and_descriptions(self):
         for band in Band:
             assert band.label == band.name.lower()
-            assert band.description
+            assert _DESCRIPTIONS[band]
 
 
 class TestBandRules:

@@ -27,6 +27,7 @@ from repro.health import (
     Band,
     Governor,
     GovernorConfig,
+    HealthLedger,
     enable_governor,
 )
 from repro.metrics.counters import ComponentKind
@@ -160,7 +161,7 @@ class TestGovernedChaosOverload:
         assert evidence.consistent, evidence.ledgers()
         # The band timeline never skipped a band and its ledger verifies.
         assert one_step_each(governor.ledger)
-        assert governor.ledger.verify() is None
+        assert HealthLedger.verify_records(governor.ledger.to_json()) is None
         governor.stop()
 
     def test_failed_pause_sheds_non_critical_but_serves_critical(self):
@@ -257,7 +258,7 @@ class TestGovernorReplication:
                 break
         assert recovered
         assert repair.interval == 200.0  # baseline restored at Stable
-        assert governor.ledger.verify() is None
+        assert HealthLedger.verify_records(governor.ledger.to_json()) is None
         assert [r.direction for r in governor.ledger.records] == [
             "degrade",
             "recover",

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import pytest
+
 from repro.autoscale import AutoscaleConfig
 from repro.core.runtime import RetryPolicy
+from repro.errors import InvalidArgument
 from repro.faults.log import FaultLog
 from repro.faults.recovery import RecoverySweeper
 from repro.flow import FlowConfig
@@ -247,3 +250,10 @@ class TestLifecycle:
         filled = replace(base, critical=frozenset({"1.2.3"}))
         assert filled.critical == frozenset({"1.2.3"})
         assert base.critical == frozenset()
+
+
+@pytest.mark.parametrize("critical", ["abc", frozenset({1}), ["a"]])
+def test_governor_config_refuses_a_critical_that_is_not_a_set_of_names(critical):
+    with pytest.raises(InvalidArgument) as info:
+        GovernorConfig(critical=critical)
+    assert "critical=" in str(info.value)

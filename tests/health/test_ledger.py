@@ -64,8 +64,9 @@ class TestChain:
         assert "hash" not in record.body()
 
     def test_verify_passes_intact_chain(self):
-        assert chain(4).verify() is None
-        assert HealthLedger().verify() is None  # empty is trivially intact
+        assert HealthLedger.verify_records(chain(4).to_json()) is None
+        # Empty is trivially intact.
+        assert HealthLedger.verify_records(HealthLedger().to_json()) is None
 
     def test_serialization_is_deterministic(self):
         lines_a = [canonical(r) for r in chain(4).to_json()]

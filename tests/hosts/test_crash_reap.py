@@ -37,7 +37,7 @@ class TestGhostEntries:
         entry = server.impl.processes.find(binding.loid)
         assert entry is not None and entry.crashed
         assert entry.exception == "induced fault"
-        assert not system.network.is_registered(entry.server.address.elements[0])
+        assert entry.server.address.elements[0] not in system.network._endpoints
         assert not system.call(server.loid, "HasProcess", binding.loid)
         # The ghost still counts toward the table but not toward load.
         assert binding.loid in server.impl.processes

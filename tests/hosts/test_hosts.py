@@ -79,7 +79,7 @@ class TestHostActivation:
         host = start_host(services, UnixHostImpl(host_id=5))
         opr = make_opr(services)
         address = host.impl.activate(opr)
-        assert services.network.is_registered(address.primary())
+        assert address.primary() in services.network._endpoints
         assert opr.loid in host.impl.processes
 
     def test_activate_restores_state(self, services):
@@ -119,7 +119,7 @@ class TestHostActivation:
         entry.server.impl.value = 9
         state = host.impl.deactivate(opr.loid)
         assert opr.loid not in host.impl.processes
-        assert not services.network.is_registered(address.primary())
+        assert address.primary() not in services.network._endpoints
         fresh = CounterImpl()
         fresh.restore_state(state)
         assert fresh.value == 9
@@ -154,7 +154,7 @@ class TestHostActivation:
         opr = make_opr(services)
         address = host.impl.activate(opr)
         host.impl.crash_object(opr.loid, "oom")
-        assert not services.network.is_registered(address.primary())
+        assert address.primary() not in services.network._endpoints
         # Reap without a magistrate: returns the reaped list.
         fut = services.kernel.spawn(host.impl.reap())
         reaped = services.kernel.run_until_complete(fut)

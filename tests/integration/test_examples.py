@@ -39,6 +39,24 @@ EXPECTED_MARKERS = {
         "reactivated",
         "speedup from locality",
     ],
+    # One marker per group of interfaces the tour covers.
+    "paper_interfaces.py": [
+        "[ok] §3.4 Fig.8  spmd      Activate claims 8 nodes",  # host types
+        "[ok] §3.4 Fig.8  cm-5      Activate claims 32 nodes",
+        "[ok] §3.4 Fig.8  cray-t3d  Activate claims 2 nodes",
+        "[ok] §3.4 Fig.8  unix-smmp puts the processor number",
+        "[ok] §2.2        split_jurisdiction",  # split
+        "[ok] §3.3        Object Address pack/unpack",  # address format
+        "[ok] §2.4 §3.2   Iam()",  # Iam/MayI
+        "[ok] §2.4        MayI('Greet') -> True",
+        "[ok] §2.3        Reap()",  # Reap
+        "[ok] §4.1        BindPath/LookupPath",  # contexts
+        "[ok] §2.1 §3.2   Create() with no hints",  # class-mandatory calls
+        "[ok] §2.1.1      Derive(string) then InheritFrom(LOID, list)",
+        "[ok] §4.3        AddReplica(LOID)",
+        "[ok] §3.7        SetSchedulingAgent",
+        "== 0 failed;",
+    ],
 }
 
 

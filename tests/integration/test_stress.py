@@ -77,7 +77,7 @@ class TestCombinedAdversity:
         assert "fail" in outcomes  # west-hosted objects are unreachable
 
         # ...and everything heals afterwards.
-        system.network.heal_all()
+        system.network._partitions.clear()
         for loid in loids:
             assert system.call(loid, "Ping", client=east_client) == "pong"
 

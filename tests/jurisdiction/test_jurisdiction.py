@@ -13,10 +13,10 @@ class TestMembership:
     def test_add_and_remove_hosts(self):
         j = Jurisdiction("uva")
         j.add_host(1, host_object(1))
-        assert j.contains_host(1)
+        assert 1 in j.host_ids
         assert j.host_objects == [host_object(1)]
         j.remove_host(1, host_object(1))
-        assert not j.contains_host(1)
+        assert 1 not in j.host_ids
         assert j.host_objects == []
 
     def test_add_host_idempotent(self):
@@ -33,9 +33,9 @@ class TestMembership:
         a.add_host(1, host_object(1))
         b.add_host(1, host_object(1))
         b.add_host(2, host_object(2))
-        assert a.overlaps(b)
-        assert b.overlaps(a)
-        assert not a.overlaps(Jurisdiction("c"))
+        assert a.host_ids & b.host_ids
+        assert b.host_ids & a.host_ids
+        assert not a.host_ids & Jurisdiction("c").host_ids
 
 
 class TestHierarchy:

@@ -36,7 +36,7 @@ class TestSplit:
         new_j = system.jurisdictions["big-split"]
         assert len(old_j.host_objects) == 2
         assert len(new_j.host_objects) == 2
-        assert not old_j.overlaps(new_j)
+        assert not old_j.host_ids & new_j.host_ids
         assert new_j.parent is old_j  # hierarchy (Fig. 10)
         assert new_j.magistrate == new_server.loid
 

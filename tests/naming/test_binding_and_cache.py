@@ -1,5 +1,7 @@
 """Unit tests for Bindings (3.5) and BindingCaches (5.2.1)."""
 
+import dataclasses
+
 import pytest
 
 from repro.naming.binding import Binding, NEVER_EXPIRES
@@ -19,18 +21,18 @@ def make_binding(seq=1, host=1, expires=NEVER_EXPIRES):
 class TestBinding:
     def test_never_expires_default(self):
         binding = make_binding()
-        assert binding.valid_at(0.0)
-        assert binding.valid_at(1e18)
+        assert 0.0 < binding.expires_at
+        assert 1e18 < binding.expires_at
 
     def test_expiry(self):
         binding = make_binding(expires=10.0)
-        assert binding.valid_at(9.999)
-        assert not binding.valid_at(10.0)
+        assert 9.999 < binding.expires_at
+        assert not 10.0 < binding.expires_at
 
     def test_refreshed_keeps_loid(self):
         binding = make_binding()
         new_address = ObjectAddress.single(ObjectAddressElement.sim(9, 2048))
-        refreshed = binding.refreshed(new_address, 50.0)
+        refreshed = dataclasses.replace(binding, address=new_address, expires_at=50.0)
         assert refreshed.loid == binding.loid
         assert refreshed.address == new_address
         assert refreshed.expires_at == 50.0

@@ -2,13 +2,14 @@
 
 import dataclasses
 import pickle
+from types import SimpleNamespace
 
 import pytest
 
+from repro.core.legion_class import ClassObjectImpl
 from repro.errors import InvalidLOID
 from repro.naming.loid import (
     LOID,
-    LOIDAllocator,
     PUBLIC_KEY_BITS,
     derive_public_key,
 )
@@ -110,23 +111,21 @@ class TestLOID:
 
 
 class TestAllocator:
+    """A class object numbers its instances: the class-specific field as
+    a sequence number (section 3.2)."""
+
+    @staticmethod
+    def allocator():
+        cls = ClassObjectImpl("Seq", class_id=8)
+        cls.services = SimpleNamespace(secret=0)
+        return cls._allocate_instance_loid
+
     def test_sequences_start_at_one(self):
-        allocator = LOIDAllocator(class_id=8, secret=0)
-        assert allocator.next_instance().class_specific == 1
+        assert self.allocator()().class_specific == 1
 
     def test_unique_and_monotone(self):
-        allocator = LOIDAllocator(class_id=8, secret=0)
-        loids = [allocator.next_instance() for _ in range(100)]
+        allocate = self.allocator()
+        loids = [allocate() for _ in range(100)]
         assert len({l.identity for l in loids}) == 100
         specifics = [l.class_specific for l in loids]
         assert specifics == sorted(specifics)
-
-    def test_start_below_one_rejected(self):
-        with pytest.raises(InvalidLOID):
-            LOIDAllocator(class_id=8, start=0)
-
-    def test_iteration_protocol(self):
-        allocator = LOIDAllocator(class_id=8)
-        it = iter(allocator)
-        assert next(it).class_specific == 1
-        assert next(it).class_specific == 2

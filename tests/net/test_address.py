@@ -76,7 +76,7 @@ class TestElement:
         assert clone is not element
         assert type(clone) is ObjectAddressElement and clone == element
         assert repr(clone) == repr(element)
-        assert network.is_registered(clone)
+        assert clone in network._endpoints
         assert network._endpoints[clone] is network._endpoints[element]
 
 

@@ -132,7 +132,7 @@ def test_removing_the_tracer_restores_the_plain_figure_at_once():
     plain = calls_of_one_ping(system, loid)
     system.enable_tracing()
     assert calls_of_one_ping(system, loid) > plain
-    system.disable_tracing()
+    system.services.tracer = system.network.tracer = None
     assert calls_of_one_ping(system, loid) == plain
 
 

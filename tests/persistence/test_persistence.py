@@ -44,7 +44,7 @@ class TestOPRecord:
         assert stamped.factory_chain == opr.factory_chain
 
     def test_size_positive(self):
-        assert make_opr().size > 0
+        assert len(make_opr().to_bytes()) > 0
 
 
 class TestPersistentStore:
@@ -78,7 +78,7 @@ class TestPersistentStore:
         store = PersistentStore("uva", "disk0")
         store.write(make_opr(1))
         store.write(make_opr(2))
-        assert len(store.list_files()) == 2
+        assert len(store._files) == 2
 
 
 class TestVault:

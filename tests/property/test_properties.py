@@ -152,7 +152,7 @@ class TestCacheProperties:
             shadow[loid.identity] = binding
             assert len(cache) <= capacity
         # Every surviving entry must match the most recent insert for it.
-        for entry in cache.entries():
+        for entry in cache._entries.values():
             assert shadow[entry.loid.identity] == entry
 
     @given(st.lists(st.integers(1, 10), min_size=1, max_size=50))

@@ -165,7 +165,7 @@ class TestLocalitySelection:
                 == f"v:{KEYS[2]}"
             )
         finally:
-            system.network.heal_all()
+            system.network._partitions.clear()
 
 
 class TestAddReplica:

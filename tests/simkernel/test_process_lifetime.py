@@ -88,7 +88,7 @@ def test_a_finished_process_dies_with_its_last_reference(no_collector):
     assert live_processes(others) == 1  # the child is gone, the parent is parked
     assert generator() is not None
     kernel.run()
-    assert generator() is None and not proc.alive  # freed at finish, proc still held
+    assert generator() is None and proc.gen is None  # freed at finish, proc still held
     assert live_processes(others) == 1
     result = weakref.ref(proc.result())
     del proc
@@ -128,7 +128,7 @@ def test_a_late_resume_of_a_killed_process_counts_one_event_and_runs_nothing(ker
     for proc in procs:
         proc.kill()
     kernel.run()
-    assert [proc.alive for proc in procs] == [False, False]
+    assert [proc.gen for proc in procs] == [None, None]
     assert all(isinstance(proc.exception(), ProcessKilled) for proc in procs)
 
     events = kernel.events_executed

@@ -41,9 +41,7 @@ class TestBootstrapCore:
         for role in CORE_CLASS_SPECS:
             assert services.core_bindings[role] == core[role].binding()
             assert services.well_known_loid(role) == core.loid(role)
-            assert services.network.is_registered(
-                core.servers[role].element
-            )
+            assert core.servers[role].element in services.network._endpoints
 
     def test_second_bootstrap_rejected(self):
         services = bare_services()
@@ -124,6 +122,12 @@ class TestLegionSystemBuild:
         ),
         pytest.param([SiteSpec("x", hosts=0)], "hosts", "at least 1", id="hosts"),
         pytest.param([SiteSpec("x", disks=0)], "disks", "at least 1", id="disks"),
+        pytest.param([SiteSpec("x", hosts=2.5)], "hosts=2.5", "int at least 1", id="hosts-float"),
+        pytest.param([SiteSpec("x", disks=True)], "disks=True", "int at least 1", id="disks-bool"),
+        pytest.param(
+            [SiteSpec("x", max_processes=-3)], "max_processes=-3", "None or an int at least 1",
+            id="max_processes-negative",
+        ),
         pytest.param([SiteSpec("x"), SiteSpec("x", hosts=1)], "name", "its own", id="name"),
         *(
             pytest.param(

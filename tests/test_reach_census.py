@@ -2,22 +2,25 @@
 
 The census itself (every shipped driver under a profile hook, ~3 min)
 runs in CI's ``reach-census`` job.  Here: every ``ALLOWED`` key names a
-``def`` that exists, every entry has one of the seven categories, every
-``paper`` reason cites a section, the table is no longer than its
-ceiling, and the verdict flags both directions of drift.
+``def`` that exists, every entry has one of the five categories, the
+table is no longer than its ceiling, the verdict flags both directions
+of drift, and every example is both a census driver and a test.
 """
 
 import importlib.util
 import os
+from pathlib import Path
 
 import pytest
+
+from tests.integration.test_examples import EXAMPLES_DIR, EXPECTED_MARKERS
 
 _PATH = os.path.join(
     os.path.dirname(__file__), os.pardir, "benchmarks", "reach_census.py"
 )
 #: ``len(ALLOWED)``: the unreached non-dunder functions of ``src/repro``.
 #: A change that cuts one lowers this to the new length.
-CEILING = 124
+CEILING = 27
 
 
 @pytest.fixture(scope="module")
@@ -33,12 +36,10 @@ def test_every_allowed_key_is_a_def(census):
 
 
 def test_every_entry_has_a_category_and_a_reason(census):
-    assert len(census.CATEGORIES) == 7
+    assert len(census.CATEGORIES) == 5
     for key, (category, reason) in census.ALLOWED.items():
         assert category in census.CATEGORIES, key
         assert reason.strip(), key
-        if category == "paper":
-            assert "§" in reason, key
 
 
 def test_the_table_only_shrinks(census):
@@ -55,3 +56,13 @@ def test_the_verdict_flags_unlisted_and_stale_entries(census):
         f"unreached and not in ALLOWED: {unlisted}",
         f"in ALLOWED but reached (remove the entry): {stale}",
     ]
+
+
+def test_every_example_is_a_census_driver_with_markers(census):
+    examples = sorted(path.name for path in EXAMPLES_DIR.glob("*.py"))
+    driven = sorted(
+        Path(target).name for _kind, target, _argv in census.DRIVERS
+        if target.startswith("examples/")
+    )
+    assert driven == examples
+    assert sorted(EXPECTED_MARKERS) == examples
