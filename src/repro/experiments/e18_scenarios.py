@@ -366,8 +366,8 @@ def _measure_mega(spec: ScenarioSpec, seed: int, population: int) -> dict:
     from repro.scenarios.mega import frame_arrivals, run_scenario_mega
 
     plan = compile_events(spec, seed)
-    report = run_scenario_mega(spec, seed, population=int(population), plan=plan)
-    frames_agree = frame_arrivals(spec, seed, plan) == per_tick_arrivals(plan)
+    report = run_scenario_mega(spec, plan, population=int(population))
+    frames_agree = frame_arrivals(spec, plan) == per_tick_arrivals(plan)
     return {
         "population": report["population"],
         "scale": report["scale"],

@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
-from .events import TickPlan, compile_events
+from .events import TickPlan
 from .spec import ScenarioSpec
 
 #: A target's backlog is capped at this many ticks of work; beyond it,
@@ -81,17 +81,13 @@ def compile_frames(spec: ScenarioSpec, plan: Sequence[TickPlan]) -> dict:
     }
 
 
-def frame_arrivals(
-    spec: ScenarioSpec, seed: int, plan: Optional[List[TickPlan]] = None
-) -> List[int]:
+def frame_arrivals(spec: ScenarioSpec, plan: Sequence[TickPlan]) -> List[int]:
     """Per-frame session arrivals as the columnar backend sees them.
 
-    The rich backend's counts are ``events.per_tick_arrivals``; the two
-    must agree frame for frame (a Hypothesis property).  ``plan`` is
-    ``compile_events(spec, seed)``, compiled here when not given.
+    ``plan`` is ``compile_events(spec, seed)``.  The rich backend's counts
+    are ``events.per_tick_arrivals(plan)``; the two must agree frame for
+    frame (a Hypothesis property).
     """
-    if plan is None:
-        plan = compile_events(spec, seed)
     frames = compile_frames(spec, plan)
     n_ticks = len(plan)
     session_times = frames["time"][frames["first"]]
@@ -102,17 +98,11 @@ def frame_arrivals(
 
 
 def run_scenario_mega(
-    spec: ScenarioSpec,
-    seed: int,
-    population: int = 1_000_000,
-    plan: Optional[List[TickPlan]] = None,
+    spec: ScenarioSpec, plan: Sequence[TickPlan], population: int = 1_000_000
 ) -> dict:
     """One scenario at ``population`` callers through the frame kernels.
 
-    ``plan`` is ``compile_events(spec, seed)``, compiled here when not
-    given."""
-    if plan is None:
-        plan = compile_events(spec, seed)
+    ``plan`` is ``compile_events(spec, seed)``."""
     frames = compile_frames(spec, plan)
     n_targets = frames["n_targets"]
     tick_ms = spec.tick_ms

@@ -4,6 +4,7 @@ import pytest
 
 from repro import errors
 from repro.naming.binding import Binding
+from tests._state import clear_cache
 
 
 class TestGetBinding:
@@ -150,7 +151,7 @@ class TestResolverDirect:
         system, cls = fresh_legion
         binding = system.call(cls.loid, "Create", {})
         client = system.new_client("resolver-test")
-        client.runtime.cache._entries.clear()
+        clear_cache(client.runtime.cache)
         client.runtime.seed_binding(
             system.services.core_bindings["LegionClass"]
         )
@@ -169,7 +170,7 @@ class TestResolverDirect:
         system, cls = fresh_legion
         sub = system.call(cls.loid, "Derive", "ResolverSub", {})
         client = system.new_client("resolver-chain")
-        client.runtime.cache._entries.clear()
+        clear_cache(client.runtime.cache)
         client.runtime.seed_binding(
             system.services.core_bindings["LegionClass"]
         )

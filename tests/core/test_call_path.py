@@ -18,6 +18,7 @@ from repro.naming.binding import Binding
 from repro.net.address import ObjectAddress
 from repro.system.legion import LegionSystem
 from repro.workloads.apps import CounterImpl
+from tests._state import disable_tracing
 
 
 def build_system(flow=None, seed=21, instances=1):
@@ -58,7 +59,7 @@ def test_tracing_toggles_take_effect_on_the_next_call():
     assert {("invoke", caller), ("request", caller), ("handle", callee)} <= recorded
     assert all(s.end is not None for s in recorder.spans)
 
-    system.services.tracer = system.network.tracer = None
+    disable_tracing(system)
     count = len(recorder.spans)
     assert system.call(loid, "Ping") == "pong"
     assert len(recorder.spans) == count
@@ -111,7 +112,7 @@ def _cold_warm_stale(config: str):
         system.enable_tracing()
     values = [system.call(loid, "Increment", 3, client=client) for loid in loids]
     if config == "toggled":
-        system.services.tracer = system.network.tracer = None
+        disable_tracing(system)
     values += [system.call(loid, "Get", client=client) for loid in loids]
     poison(system, runtime, loids[0])
     values.append(system.call(loids[0], "Increment", 1, client=client))

@@ -11,6 +11,7 @@ from repro.net.address import AddressSemantic, ObjectAddress
 from repro.security.environment import CallEnvironment
 from repro.security.mayi import AllowAll, DenyAll
 from repro.simkernel.kernel import Timeout
+from tests._state import clear_cache, heal_all
 
 from .conftest import EchoImpl, run_call, start_object
 
@@ -227,7 +228,7 @@ class TestStaleBindings:
         partitioned = bounce()
         assert type(partitioned) is errors.PartitionedError
         assert str(partitioned) == f"delivery to {callee.element} failed: network partition"
-        services.network._partitions.clear()
+        heal_all(services.network)
         callee.deactivate()
         stale = bounce()
         assert type(stale) is errors.DeliveryFailure
@@ -237,7 +238,7 @@ class TestStaleBindings:
 
     def test_expired_cached_binding_is_a_miss(self, services, echo_pair):
         caller, callee = echo_pair
-        caller.runtime.cache._entries.clear()
+        clear_cache(caller.runtime.cache)
         caller.runtime.seed_binding(
             Binding(callee.loid, callee.address, expires_at=5.0)
         )

@@ -3,20 +3,11 @@
 import pytest
 
 from repro.errors import ObjectModelError, UnknownObject
-from repro.core.relations import RelationGraph, RelationKind
+from repro.core.relations import RelationGraph
 from repro.core.table import LogicalTable, TableRow
 from repro.naming.loid import LOID
 from repro.net.address import ObjectAddress, ObjectAddressElement
-
-
-def instances_of(graph, cls):
-    """The is-a sources of ``cls``, read from the graph's in-edges."""
-    return RelationGraph._neighbours(graph._in, cls, RelationKind.IS_A)
-
-
-def subclasses_of(graph, cls):
-    """The kind-of sources of ``cls``, read from the graph's in-edges."""
-    return RelationGraph._neighbours(graph._in, cls, RelationKind.KIND_OF)
+from tests._state import instances_of, subclasses_of
 
 
 def loid(class_id, seq=0):

@@ -12,6 +12,7 @@ from repro.net.latency import LinkClass
 from repro.system.legion import LegionSystem, SiteSpec
 from repro.workloads.apps import CounterImpl
 from repro.workloads.generators import ChurnDriver, TrafficDriver
+from tests._state import heal_all
 
 
 class TestCombinedAdversity:
@@ -77,7 +78,7 @@ class TestCombinedAdversity:
         assert "fail" in outcomes  # west-hosted objects are unreachable
 
         # ...and everything heals afterwards.
-        system.network._partitions.clear()
+        heal_all(system.network)
         for loid in loids:
             assert system.call(loid, "Ping", client=east_client) == "pong"
 

@@ -40,6 +40,7 @@ from repro.scenarios import ScenarioDriver, compile_events, deploy, get_scenario
 from repro.scenarios import drive as drive_module
 from repro.system.legion import LegionSystem, SiteSpec
 from repro.workloads.apps import CounterImpl
+from tests._state import disable_tracing
 
 pytestmark = pytest.mark.skipif(
     sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
@@ -132,7 +133,7 @@ def test_removing_the_tracer_restores_the_plain_figure_at_once():
     plain = calls_of_one_ping(system, loid)
     system.enable_tracing()
     assert calls_of_one_ping(system, loid) > plain
-    system.services.tracer = system.network.tracer = None
+    disable_tracing(system)
     assert calls_of_one_ping(system, loid) == plain
 
 

@@ -5,16 +5,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ObjectModelError, StorageError
-from repro.core.relations import RelationGraph, RelationKind
+from repro.core.relations import RelationGraph
 from repro.naming.loid import LOID
 from repro.persistence.opr import OPRecord
 from repro.persistence.storage import PersistentStore
 from repro.persistence.vault import Vault
-
-
-def instances_of(graph, cls):
-    """The is-a sources of ``cls``, read from the graph's in-edges."""
-    return RelationGraph._neighbours(graph._in, cls, RelationKind.IS_A)
+from tests._state import instances_of
 
 
 u32 = st.integers(min_value=0, max_value=(1 << 32) - 1)

@@ -25,6 +25,7 @@ from repro.replication import (
 from repro.replication.store import ReplicatedStoreImpl
 from repro.simkernel.kernel import Timeout
 from repro.system.legion import LegionSystem, SiteSpec
+from tests._state import heal_all
 
 N_SITES = 3
 SITES = [f"site{i}" for i in range(N_SITES)]
@@ -129,7 +130,7 @@ class TestReadAnyLiveness:
                 # FIRST fallthrough reaches a live copy whatever the cuts.
                 assert drive(system, reader.read(key), name="read") == f"v:{key}"
         finally:
-            system.network._partitions.clear()
+            heal_all(system.network)
         # Bounded: element-by-element bounces, never a timeout stall.
         assert system.kernel.now - started < 1000.0
 

@@ -130,6 +130,5 @@ def test_compiled_stream_conserves_sessions(spec, seed):
 def test_rich_and_mega_backends_see_identical_arrivals(spec, seed):
     from repro.scenarios.mega import frame_arrivals
 
-    assert frame_arrivals(spec, seed) == per_tick_arrivals(
-        compile_events(spec, seed)
-    )
+    plan = compile_events(spec, seed)
+    assert frame_arrivals(spec, plan) == per_tick_arrivals(plan)

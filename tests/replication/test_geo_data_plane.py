@@ -21,6 +21,7 @@ from repro.replication import (
 from repro.replication.store import ReplicatedStoreImpl
 from repro.system.legion import LegionSystem, SiteSpec
 from tests.invariants import live_impl
+from tests._state import heal_all
 
 KEYS = [f"k{i}" for i in range(4)]
 
@@ -165,7 +166,7 @@ class TestLocalitySelection:
                 == f"v:{KEYS[2]}"
             )
         finally:
-            system.network._partitions.clear()
+            heal_all(system.network)
 
 
 class TestAddReplica:

@@ -11,6 +11,7 @@ from repro.experiments import e1_binding_path
 from repro.system.legion import LegionSystem, SiteSpec
 from repro.trace.ledger import LoadLedger
 from repro.workloads.apps import CounterImpl
+from tests._state import disable_tracing
 
 
 def build_system(seed=21):
@@ -112,7 +113,7 @@ class TestNoOpMode:
     def test_disable_returns_to_noop(self):
         system, cls = build_system()
         tracer = system.enable_tracing()
-        system.services.tracer = system.network.tracer = None
+        disable_tracing(system)
         target = system.create_instance(cls.loid)
         system.call(target.loid, "Ping", client=system.new_client("off2"))
         assert tracer.spans == []
