@@ -83,9 +83,9 @@ class SystemServices:
     #: binding cache at activation (the simulated analogue of compiled-in
     #: addresses of well-known services).
     core_bindings: Dict[str, Any] = field(default_factory=dict)
-    #: ``core_bindings`` keyed by LOID identity, the copy every new
-    #: runtime seeds from; bootstrap sets it once the core table is
-    #: complete.
+    #: ``core_bindings`` keyed by LOID identity: the one table every
+    #: application object's runtime references as its permanent bindings
+    #: (never mutated); bootstrap sets it once the core table is complete.
     core_seed: Dict[Any, Any] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )

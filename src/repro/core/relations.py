@@ -44,20 +44,28 @@ class RelationGraph:
     Edges point from the dependent object to the one it relates to:
     ``O --is-a--> C``, ``D --kind-of--> C``, ``C --inherits-from--> B``.
 
-    Two insertion-ordered adjacency maps, successors and predecessors;
-    every node has an entry in both, so :meth:`forget` costs the degree
-    of the forgotten node, never that of its class.
+    is-a, the one relation every instance has, is one ``instance → class``
+    entry in ``_is_a``; its class is a node of the class graph.  kind-of
+    and inherits-from, between classes, live in two insertion-ordered
+    adjacency maps, successors and predecessors; every class node has an
+    entry in both.  :meth:`forget` costs the degree of the forgotten node,
+    never that of its class.  Forgetting a class leaves its instances'
+    is-a entries; each goes with its own Delete().
     """
 
     def __init__(self) -> None:
+        self._is_a: Dict[LOID, LOID] = {}
         self._out: _Adjacency = {}
         self._in: _Adjacency = {}
 
+    def _add_node(self, node: LOID) -> None:
+        if node not in self._out:
+            self._out[node] = {}
+            self._in[node] = {}
+
     def _add_edge(self, source: LOID, target: LOID, kind: RelationKind) -> None:
-        for node in (source, target):
-            if node not in self._out:
-                self._out[node] = {}
-                self._in[node] = {}
+        self._add_node(source)
+        self._add_node(target)
         self._out[source].setdefault(target, []).append(kind)
         self._in[target].setdefault(source, []).append(kind)
 
@@ -65,13 +73,14 @@ class RelationGraph:
 
     def record_is_a(self, instance: LOID, cls: LOID) -> None:
         """O is-a C: set on Create().  At most one is-a edge per object."""
-        existing = self.class_of(instance)
+        existing = self._is_a.get(instance)
         if existing is not None:
             raise ObjectModelError(
                 f"{instance} already is-a {existing}; an object belongs to "
                 "exactly one class"
             )
-        self._add_edge(instance, cls, RelationKind.IS_A)
+        self._add_node(cls)
+        self._is_a[instance] = cls
 
     def record_kind_of(self, subclass: LOID, superclass: LOID) -> None:
         """D kind-of C: set on Derive().  At most one superclass."""
@@ -100,6 +109,7 @@ class RelationGraph:
 
     def forget(self, loid: LOID) -> None:
         """Remove an object and its incident edges (Delete())."""
+        self._is_a.pop(loid, None)
         if loid not in self._out:
             return
         for target in self._out.pop(loid):
@@ -121,8 +131,7 @@ class RelationGraph:
 
     def class_of(self, instance: LOID) -> Optional[LOID]:
         """The unique class an object is-a, or None."""
-        classes = self._neighbours(self._out, instance, RelationKind.IS_A)
-        return classes[0] if classes else None
+        return self._is_a.get(instance)
 
     def superclass_of(self, cls: LOID) -> Optional[LOID]:
         """The unique superclass a class is kind-of, or None (roots)."""
@@ -154,19 +163,18 @@ class RelationGraph:
         Section 2.1.3: "the class object for LegionObject is the only sink
         in the graph that is implied by the union of the kind-of and is-a
         relations" -- tests assert this returns exactly [LegionObject].
+        Every instance has its is-a edge, so only class nodes can be sinks.
         """
         return sorted(
             node
             for node, targets in self._out.items()
             if not any(
-                kind in (RelationKind.IS_A, RelationKind.KIND_OF)
-                for kinds in targets.values()
-                for kind in kinds
+                RelationKind.KIND_OF in kinds for kinds in targets.values()
             )
         )
 
     def __contains__(self, loid: LOID) -> bool:
-        return loid in self._out
+        return loid in self._out or loid in self._is_a
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<RelationGraph nodes={len(self._out)}>"
+        return f"<RelationGraph classes={len(self._out)} instances={len(self._is_a)}>"

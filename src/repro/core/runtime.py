@@ -5,7 +5,9 @@ layer which may implement a binding cache." (paper section 4.1.2)
 
 Each active object owns one runtime.  The runtime:
 
-* keeps the object's **binding cache** (first stop of every resolution);
+* keeps the object's **binding cache** (first stop of every resolution;
+  built on first use, since an object that only answers calls never
+  resolves);
 * knows the object's **Binding Agent** -- "the persistent state of each
   Legion object contains the Object Address of its Binding Agent"
   (section 3.6) -- and consults it on cache misses;
@@ -23,7 +25,8 @@ inside a simulation process.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import (
     BindingNotFound,
@@ -111,12 +114,43 @@ class RetryPolicy:
         return delay
 
 
+#: A read-only empty map: the starting value of each per-runtime table
+#: that most runtimes never write; the first write puts a dict in its place.
+_EMPTY: Mapping[Any, Any] = MappingProxyType({})
+
 #: The compatibility policy: identical semantics to the historical
 #: MAX_REFRESH_ATTEMPTS loop (see that constant's docstring).
 DEFAULT_RETRY_POLICY = RetryPolicy()
 
 
-@dataclass
+class _UnbuiltCache:
+    """A runtime's binding cache before anything has touched it.
+
+    An object that only answers calls never resolves a binding, so its
+    runtime starts with this stand-in rather than a :class:`BindingCache`
+    and a copy of the core bindings.  The first read or write of any
+    attribute builds the real cache (:meth:`LegionRuntime.build_cache`)
+    and forwards to it; so does every later use of a stale reference to
+    the stand-in.
+    """
+
+    __slots__ = ("_runtime", "_capacity")
+
+    def __init__(self, runtime: "LegionRuntime", capacity: Optional[int]) -> None:
+        object.__setattr__(self, "_runtime", runtime)
+        object.__setattr__(self, "_capacity", capacity)
+
+    def __getattr__(self, name: str) -> Any:
+        return getattr(self._runtime.build_cache(), name)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        setattr(self._runtime.build_cache(), name, value)
+
+    def __len__(self) -> int:
+        return len(self._runtime.build_cache())
+
+
+@dataclass(slots=True)
 class RuntimeStats:
     """Per-object communication statistics (feed the experiments).
 
@@ -183,7 +217,8 @@ class LegionRuntime:
         self.kernel: SimKernel = services.kernel
         self.loid = loid
         self.element = element
-        self.cache = BindingCache(capacity=cache_capacity)
+        #: The object's binding cache; a stand-in until first use.
+        self.cache: BindingCache = _UnbuiltCache(self, cache_capacity)  # type: ignore[assignment]
         self.stats = RuntimeStats()
         #: The object's Binding Agent (LOID + address), per section 3.6.
         self.binding_agent: Optional[Binding] = None
@@ -196,7 +231,7 @@ class LegionRuntime:
         #: (loid identity, stale address) → in-flight refresh future.  N
         #: concurrent invokes sharing one dead address coalesce onto a
         #: single GetBinding(stale) instead of storming the agent.
-        self._refreshing: Dict[tuple, SimFuture] = {}
+        self._refreshing: Dict[tuple, SimFuture] = _EMPTY  # type: ignore[assignment]
         self._pending: Dict[int, SimFuture] = {}
         #: The environment of every call chain this object originates
         #: (immutable, so one instance serves them all).
@@ -207,12 +242,14 @@ class LegionRuntime:
         self.component_label = ""
         #: correlation id → open "request" span (only populated while a
         #: tracer is installed; stays empty -- one truthiness test -- otherwise).
-        self._request_spans: Dict[int, Any] = {}
+        self._request_spans: Dict[int, Any] = _EMPTY  # type: ignore[assignment]
         #: Non-evictable well-known bindings (the core objects).  A
         #: transient failure (e.g. a partition) may invalidate the cached
         #: copy, but resolution falls back here, so connectivity loss is
         #: never promoted into permanent amnesia about the core objects.
-        self._permanent: Dict[tuple, Binding] = {}
+        #: Held by reference and never mutated: an application object
+        #: shares the system's one ``services.core_seed`` table.
+        self._permanent: Dict[tuple, Binding] = _EMPTY  # type: ignore[assignment]
         #: The flow-control configuration (repro.flow), or None.  Every
         #: flow feature below guards on it so the default costs nothing.
         flow = services.flow
@@ -252,11 +289,29 @@ class LegionRuntime:
         """Pre-load the cache (AddBinding-style propagation)."""
         self.cache.insert(binding)
 
+    def build_cache(self) -> BindingCache:
+        """The binding cache, built now if nothing has touched it yet:
+        seeded from the permanent bindings exactly as an eager seed would
+        have left it (same entries, same LRU order, same counters)."""
+        cache = self.cache
+        if type(cache) is _UnbuiltCache:
+            cache = self.cache = BindingCache(capacity=cache._capacity)
+            cache.insert_all(self._permanent)
+        return cache
+
     def seed_permanent(self, bindings: Dict[tuple, Binding]) -> None:
         """Pre-load well-known bindings (identity → Binding, in order)
-        that survive any invalidation: the core class objects."""
-        self._permanent.update(bindings)
-        self.cache.insert_all(bindings)
+        that survive any invalidation: the core class objects.
+
+        ``bindings`` is kept by reference, not copied; the caller must not
+        mutate it afterwards.  The first seed of an unbuilt cache waits
+        for the cache's first use.
+        """
+        permanent = self._permanent
+        if permanent or type(self.cache) is not _UnbuiltCache:
+            self.cache.insert_all(bindings)
+            bindings = {**permanent, **bindings}
+        self._permanent = bindings
 
     def lookup_binding(self, loid: LOID) -> Optional[Binding]:
         """Cache lookup with fallback to the permanent well-known seeds."""
@@ -390,6 +445,8 @@ class LegionRuntime:
                 link=link.value,
             )
             message.trace = span.context
+            if self._request_spans is _EMPTY:
+                self._request_spans = {}
             self._request_spans[message.correlation_id] = span
         deadline = timeout if timeout is not None else self.default_timeout
         if deadline is not None:
@@ -625,6 +682,8 @@ class LegionRuntime:
         GetBinding on the wire, one cache insert, no refresh storm.
         """
         key = (stale.loid.identity, stale.address)
+        if self._refreshing is _EMPTY:
+            self._refreshing = {}
         return single_flight(self._refreshing, key, "refresh", self._refresh(stale, trace))
 
     def _refresh(self, stale: Binding, trace: Any):

@@ -363,11 +363,12 @@ def _measure_replicas(spec: ScenarioSpec, seed: int, replicas: int) -> dict:
 
 def _measure_mega(spec: ScenarioSpec, seed: int, population: int) -> dict:
     """The whole scenario through the columnar backend at ``population``."""
-    from repro.scenarios.mega import frame_arrivals, run_scenario_mega
+    from repro.scenarios.mega import compile_frames, frame_arrivals, run_scenario_mega
 
     plan = compile_events(spec, seed)
-    report = run_scenario_mega(spec, plan, population=int(population))
-    frames_agree = frame_arrivals(spec, plan) == per_tick_arrivals(plan)
+    frames = compile_frames(spec, plan)
+    report = run_scenario_mega(spec, frames, population=int(population))
+    frames_agree = frame_arrivals(spec, frames) == per_tick_arrivals(plan)
     return {
         "population": report["population"],
         "scale": report["scale"],

@@ -129,7 +129,7 @@ class HostObjectImpl(LegionObjectImpl):
         """
         return 0
 
-    def _check_capacity(self) -> None:
+    def _check_capacity(self, opr: OPRecord) -> None:
         if not self.accepting:
             raise RequestRefused(f"host {self.host_id} is not accepting objects")
         if (
@@ -145,6 +145,14 @@ class HostObjectImpl(LegionObjectImpl):
             and self.processes.total_cpu_share >= self.cpu_load_limit
         ):
             raise NoCapacity(f"host {self.host_id} is at its CPU-load limit")
+        if self.memory_limit is not None and (
+            self.processes.total_memory + opr.annotations.get("memory_bytes", 0)
+            > self.memory_limit
+        ):
+            raise NoCapacity(
+                f"host {self.host_id} is at its memory limit "
+                f"({self.memory_limit} bytes)"
+            )
 
     # ------------------------------------------------------------------- Activate
 
@@ -173,7 +181,7 @@ class HostObjectImpl(LegionObjectImpl):
                 tracer.finish(span)
 
     def _activate(self, opr: OPRecord) -> ObjectAddress:
-        self._check_capacity()
+        self._check_capacity(opr)
         if not self.admit(opr):
             raise RequestRefused(
                 f"host {self.host_id} refuses to run {opr.loid} "

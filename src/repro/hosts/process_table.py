@@ -26,7 +26,7 @@ class ProcessEntry:
     memory_bytes: int = 0
     #: Set when the process died abnormally; reaping reports and clears it.
     #: Written only by :meth:`ProcessTable.mark_crashed`, which keeps the
-    #: table's live count.
+    #: table's live count and memory total.
     exception: Optional[str] = None
 
     @property
@@ -38,14 +38,17 @@ class ProcessEntry:
 class ProcessTable:
     """All processes on one host, keyed by LOID identity.
 
-    ``live`` counts the non-crashed entries, so admission reads a host's
-    population in O(1) instead of listing it.
+    ``live`` counts the non-crashed entries and ``total_memory`` sums
+    their memory, so admission reads a host's population and its memory
+    in O(1) instead of listing them.
     """
 
     def __init__(self) -> None:
         self._entries: Dict[Tuple[int, int], ProcessEntry] = {}
         #: Entries not crashed: ``len(running())`` without the list.
         self.live = 0
+        #: Sum of memory of live processes (the §3.9 memory accounting).
+        self.total_memory = 0
 
     def add(self, entry: ProcessEntry) -> None:
         """Record a started process; a LOID runs at most once per host."""
@@ -55,6 +58,7 @@ class ProcessTable:
         self._entries[key] = entry
         if entry.exception is None:
             self.live += 1
+            self.total_memory += entry.memory_bytes
 
     def mark_crashed(self, entry: ProcessEntry, reason: str) -> None:
         """Record that ``entry``'s process died abnormally with ``reason``.
@@ -64,6 +68,7 @@ class ProcessTable:
         """
         if entry.exception is None:
             self.live -= 1
+            self.total_memory -= entry.memory_bytes
         entry.exception = reason
 
     def get(self, loid: LOID) -> ProcessEntry:
@@ -84,6 +89,7 @@ class ProcessTable:
             raise HostError(f"{loid} is not running on this host")
         if entry.exception is None:
             self.live -= 1
+            self.total_memory -= entry.memory_bytes
         return entry
 
     def crashed_entries(self) -> List[ProcessEntry]:
@@ -98,11 +104,6 @@ class ProcessTable:
     def total_cpu_share(self) -> float:
         """Sum of CPU shares of live processes."""
         return sum(e.cpu_share for e in self.running())
-
-    @property
-    def total_memory(self) -> int:
-        """Sum of memory of live processes."""
-        return sum(e.memory_bytes for e in self.running())
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -51,7 +51,9 @@ def compile_frames(spec: ScenarioSpec, plan: Sequence[TickPlan]) -> dict:
 
     Requests are placed at their *nominal* times (arrival offset plus
     cumulative think gaps -- the open-loop rendering of the session
-    state machine) and sorted FIFO per tick.
+    state machine) and sorted FIFO per tick.  ``plan`` is
+    ``compile_events(spec, seed)``; :func:`frame_arrivals` and
+    :func:`run_scenario_mega` both read the one result.
     """
     times: List[float] = []
     tids: List[int] = []
@@ -78,18 +80,18 @@ def compile_frames(spec: ScenarioSpec, plan: Sequence[TickPlan]) -> dict:
         "denied": np.asarray(denied, dtype=bool)[order],
         "first": np.asarray(first, dtype=bool)[order],
         "n_targets": spec.targets_total,
+        "n_ticks": len(plan),
     }
 
 
-def frame_arrivals(spec: ScenarioSpec, plan: Sequence[TickPlan]) -> List[int]:
+def frame_arrivals(spec: ScenarioSpec, frames: dict) -> List[int]:
     """Per-frame session arrivals as the columnar backend sees them.
 
-    ``plan`` is ``compile_events(spec, seed)``.  The rich backend's counts
-    are ``events.per_tick_arrivals(plan)``; the two must agree frame for
-    frame (a Hypothesis property).
+    ``frames`` is ``compile_frames(spec, plan)``.  The rich backend's
+    counts are ``events.per_tick_arrivals(plan)``; the two must agree
+    frame for frame (a Hypothesis property).
     """
-    frames = compile_frames(spec, plan)
-    n_ticks = len(plan)
+    n_ticks = frames["n_ticks"]
     session_times = frames["time"][frames["first"]]
     index = np.minimum(
         (session_times // spec.tick_ms).astype(np.int64), n_ticks - 1
@@ -98,12 +100,11 @@ def frame_arrivals(spec: ScenarioSpec, plan: Sequence[TickPlan]) -> List[int]:
 
 
 def run_scenario_mega(
-    spec: ScenarioSpec, plan: Sequence[TickPlan], population: int = 1_000_000
+    spec: ScenarioSpec, frames: dict, population: int = 1_000_000
 ) -> dict:
     """One scenario at ``population`` callers through the frame kernels.
 
-    ``plan`` is ``compile_events(spec, seed)``."""
-    frames = compile_frames(spec, plan)
+    ``frames`` is ``compile_frames(spec, plan)``."""
     n_targets = frames["n_targets"]
     tick_ms = spec.tick_ms
     qcap = QCAP_TICKS * tick_ms
@@ -114,7 +115,7 @@ def run_scenario_mega(
     time_arr, tid_arr = frames["time"], frames["tid"]
     cost_arr, denied_arr = frames["cost"], frames["denied"]
     tick_of = (time_arr // tick_ms).astype(np.int64)
-    horizon = int(tick_of.max()) + 1 if len(tick_of) else len(plan)
+    horizon = int(tick_of.max()) + 1 if len(tick_of) else frames["n_ticks"]
 
     backlog = np.zeros(n_targets)  # ms of admitted, unserved work
     served_cum = np.zeros(n_targets)  # ms of work served so far

@@ -340,6 +340,9 @@ class LegionSystem:
             name or f"client-{seq}", 128,
         )
         server.runtime.set_binding_agent(self.agents[site].binding())
+        # A client exists to call: its cache is built now, not on its
+        # first call.
+        server.runtime.build_cache()
         return server
 
     def runtimes(self, clients=()) -> list:

@@ -9,8 +9,15 @@ from repro.core.relations import RelationGraph, RelationKind
 
 
 def instances_of(graph, cls):
-    """The is-a sources of ``cls``, read from the graph's in-edges."""
-    return RelationGraph._neighbours(graph._in, cls, RelationKind.IS_A)
+    """The is-a sources of ``cls``, read from the graph's instance map.
+
+    Identity is tested before equality, as container membership does.
+    """
+    return [
+        instance
+        for instance, of in graph._is_a.items()
+        if of is cls or of == cls
+    ]
 
 
 def subclasses_of(graph, cls):

@@ -74,3 +74,22 @@ def test_list_scenarios_flag_prints_the_catalog(capsys):
     for name in scenario_names():
         assert name in out
     assert "MayI" in out  # descriptions are shown, not just names
+
+
+def test_a_mega_cell_compiles_its_frame_columns_once(monkeypatch):
+    from repro.experiments import e18_scenarios
+    from repro.scenarios import mega
+
+    compiled = []
+    compile_frames = mega.compile_frames
+
+    def counting(spec, plan):
+        compiled.append(spec.name)
+        return compile_frames(spec, plan)
+
+    monkeypatch.setattr(mega, "compile_frames", counting)
+    flags = E18.bind({"mega": 50_000})
+    cell = next(u for u in E18.units(True, flags) if u[1] == "mega")
+    partial = e18_scenarios.measure(cell, True, 0, flags)
+    assert partial["frames_agree"]
+    assert len(compiled) == 1

@@ -15,7 +15,7 @@ from repro.naming.loid import LOID
 from repro.persistence.opr import OPRecord
 from repro.workloads.apps import CounterImpl
 
-from tests.core.conftest import start_object
+from tests.core.conftest import run_call, start_object
 
 
 def make_opr(services, seq=1, factory="app.counter", nodes=None, class_id=77):
@@ -140,6 +140,23 @@ class TestHostActivation:
             host.impl.activate(make_opr(services, 2))
         with pytest.raises(errors.HostError):
             host.impl.set_cpu_load(-1)
+
+    def test_memory_limit_over_the_wire(self, services):
+        """Section 3.9: SetMemoryUsage caps the memory an Activate may add."""
+        host = start_host(services, UnixHostImpl(host_id=5))
+        caller = start_object(services, host=1)
+        caller.runtime.seed_binding(host.binding())
+        run_call(services, caller, host.loid, "SetMemoryUsage", 1000)
+        first = make_opr(services, 1)
+        first.annotations["memory_bytes"] = 600
+        run_call(services, caller, host.loid, "Activate", first)
+        second = make_opr(services, 2)
+        second.annotations["memory_bytes"] = 600
+        with pytest.raises(errors.NoCapacity, match=r"host 5 .*\(1000 bytes\)"):
+            run_call(services, caller, host.loid, "Activate", second)
+        assert second.loid not in host.impl.processes
+        state = run_call(services, caller, host.loid, "GetState")
+        assert state.memory_used == 600
 
     def test_get_state_snapshot(self, services):
         host = start_host(services, UnixHostImpl(host_id=5, max_processes=10))

@@ -128,7 +128,8 @@ def test_compiled_stream_conserves_sessions(spec, seed):
 @settings(max_examples=25)
 @given(spec=specs(), seed=st.integers(0, 2**31 - 1))
 def test_rich_and_mega_backends_see_identical_arrivals(spec, seed):
-    from repro.scenarios.mega import frame_arrivals
+    from repro.scenarios.mega import compile_frames, frame_arrivals
 
     plan = compile_events(spec, seed)
-    assert frame_arrivals(spec, plan) == per_tick_arrivals(plan)
+    frames = compile_frames(spec, plan)
+    assert frame_arrivals(spec, frames) == per_tick_arrivals(plan)
