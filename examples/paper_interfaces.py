@@ -30,6 +30,7 @@ from repro import (
 )
 from repro.jurisdiction.split import split_jurisdiction
 from repro.naming.context_object import ContextObjectImpl
+from repro.naming.loid import LOID
 from repro.net.address import ObjectAddress, ObjectAddressElement
 from repro.replication.directory import enable_replication
 
@@ -225,6 +226,20 @@ def class_mandatory(tour: Tour) -> None:
         f"then {second.loid.class_specific}, a sequence",
         second.loid.class_specific == first.loid.class_specific + 1
         and second.loid.class_id == tour.counter.loid.class_id,
+    )
+    tour.call(tour.counter.loid, "Delete", first.loid)
+    never = LOID.for_instance(tour.counter.loid.class_id, 10**6, system.services.secret)
+    tour.check(
+        "§3.8",
+        "Delete() drops the instance's table row; GetBinding then reports "
+        "ObjectDeleted for it and UnknownObject for a LOID never issued",
+        tour.refused(errors.UnknownObject, lambda: tour.call(tour.counter.loid, "GetRow", first.loid))
+        and tour.refused(
+            errors.ObjectDeleted, lambda: tour.call(tour.counter.loid, "GetBinding", first.loid)
+        )
+        and tour.refused(
+            errors.UnknownObject, lambda: tour.call(tour.counter.loid, "GetBinding", never)
+        ),
     )
     tally = tour.call(tour.counter.loid, "Derive", "Tally")
     tour.call(tally.loid, "InheritFrom", tour.greeter.loid, ["Greet", "SetGreeting"])

@@ -34,6 +34,7 @@ from repro.errors import (
     DeliveryFailure,
     InvalidArgument,
     InvocationFailed,
+    LegionError,
     NoCapacity,
     ObjectDeleted,
     ObjectModelError,
@@ -159,11 +160,19 @@ class ClassObjectImpl(ClonePool, ReplicaGroups, Derivation, LegionObjectImpl):
         )
         return Binding(loid, address, expires)
 
+    def _missing(self, loid: LOID) -> LegionError:
+        """The error for a LOID with no row: an instance whose sequence
+        number we issued was deleted (its row went at Delete()); any
+        other LOID was never ours."""
+        if loid.class_id == self.class_id and 0 < loid.class_specific < self._next_sequence:
+            return ObjectDeleted(f"{loid} was deleted")
+        return UnknownObject(f"class {self.class_name} never created {loid}")
+
     def _live_row(self, loid: LOID) -> TableRow:
         """The table row of an object we created and have not deleted."""
         row = self.table.find(loid)
         if row is None:
-            raise UnknownObject(f"class {self.class_name} never created {loid}")
+            raise self._missing(loid)
         if row.deleted:
             raise ObjectDeleted(f"{loid} was deleted")
         return row
@@ -304,7 +313,7 @@ class ClassObjectImpl(ClonePool, ReplicaGroups, Derivation, LegionObjectImpl):
         env = ctx.nested_env(self.loid) if ctx else self.own_env()
         for magistrate in list(row.current_magistrates):
             yield from self.runtime.invoke(magistrate, "Delete", loid, env=env)
-        self.table.mark_deleted(loid)
+        self.table.delete(loid)
         if self.clones:
             self._drop_clone(loid)
         self.services.relations.forget(loid)
@@ -331,7 +340,7 @@ class ClassObjectImpl(ClonePool, ReplicaGroups, Derivation, LegionObjectImpl):
         # _live_row, inline: every cold bind in the system reads through here.
         row = self.table.find(loid)
         if row is None:
-            raise UnknownObject(f"class {self.class_name} never created {loid}")
+            raise self._missing(loid)
         if row.deleted:
             raise ObjectDeleted(f"{loid} was deleted")
         if row.object_address is not None:

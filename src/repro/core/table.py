@@ -53,8 +53,11 @@ class TableRow:
     #: recovery -- even at group size 1) and caps AddReplica growth, so
     #: racing repairers cannot inflate the group past its target.
     replica_want: int = 0
-    #: Set when the object has been Delete()d; retained briefly so stale
-    #: lookups get a definitive "gone" rather than a confusing miss.
+    #: Set when a *subclass* has been Delete()d.  Its row stays as the
+    #: record that it is gone, since a class LOID carries no sequence
+    #: number of ours; an instance's row is dropped at Delete(), and the
+    #: class tells "gone" from "never ours" by the sequence numbers it
+    #: has issued (``ClassObjectImpl._missing``).
     deleted: bool = False
 
     @property
@@ -89,9 +92,13 @@ class LogicalTable:
         """The row for ``loid`` or None."""
         return self._rows.get(loid.identity)
 
-    def mark_deleted(self, loid: LOID) -> None:
-        """Flag the row deleted (Delete() semantics)."""
+    def delete(self, loid: LOID) -> None:
+        """Delete() semantics: drop an instance's row; flag a subclass's
+        row deleted and clear its location fields."""
         row = self.get(loid)
+        if not row.is_subclass:
+            del self._rows[loid.identity]
+            return
         row.deleted = True
         row.object_address = None
         row.current_magistrates = []

@@ -278,18 +278,14 @@ class HostObjectImpl(LegionObjectImpl):
     @legion_method("state GetState()")
     def get_state(self) -> HostState:
         """Capacity snapshot (used by placement policies and monitors)."""
-        running = self.processes.running()
-        cpu = (
-            sum(e.cpu_share for e in running) / self.cpu_capacity
-            if self.cpu_capacity
-            else 0.0
-        )
+        processes = self.processes
+        cpu = processes.total_cpu_share / self.cpu_capacity if self.cpu_capacity else 0.0
         return HostState(
             host_id=self.host_id,
-            process_count=len(running),
+            process_count=processes.live,
             max_processes=self.max_processes,
             cpu_load=cpu,
-            memory_used=self.processes.total_memory,
+            memory_used=processes.total_memory,
             accepting=self.accepting,
         )
 

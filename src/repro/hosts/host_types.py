@@ -101,8 +101,7 @@ class SPMDHostImpl(HostObjectImpl):
             )
         address = super().activate(opr, ctx=ctx)
         self.nodes_in_use += size
-        entry = self.processes.get(opr.loid)
-        entry.cpu_share = float(size)
+        self.processes.set_cpu_share(self.processes.get(opr.loid), float(size))
         return address
 
     def _release(self, loid) -> None:

@@ -22,11 +22,13 @@ class ProcessEntry:
     loid: LOID
     server: object  # ObjectServer; typed loosely to avoid an import cycle
     started_at: float
+    #: Written after :meth:`ProcessTable.add` only through
+    #: :meth:`ProcessTable.set_cpu_share`, which keeps the CPU total.
     cpu_share: float = 1.0
     memory_bytes: int = 0
     #: Set when the process died abnormally; reaping reports and clears it.
     #: Written only by :meth:`ProcessTable.mark_crashed`, which keeps the
-    #: table's live count and memory total.
+    #: table's live count and totals.
     exception: Optional[str] = None
 
     @property
@@ -38,9 +40,12 @@ class ProcessEntry:
 class ProcessTable:
     """All processes on one host, keyed by LOID identity.
 
-    ``live`` counts the non-crashed entries and ``total_memory`` sums
-    their memory, so admission reads a host's population and its memory
-    in O(1) instead of listing them.
+    ``live`` counts the non-crashed entries and ``total_memory`` and
+    ``total_cpu_share`` sum their memory and CPU shares, so admission
+    reads a host's population, memory and CPU load in O(1) instead of
+    listing them.  The CPU total is a running float sum: it equals
+    ``sum()`` over the live entries exactly while the shares are whole
+    numbers, as the default share and the SPMD partition sizes are.
     """
 
     def __init__(self) -> None:
@@ -49,6 +54,8 @@ class ProcessTable:
         self.live = 0
         #: Sum of memory of live processes (the §3.9 memory accounting).
         self.total_memory = 0
+        #: Sum of CPU shares of live processes (the §3.9 CPU-load limit).
+        self.total_cpu_share = 0.0
 
     def add(self, entry: ProcessEntry) -> None:
         """Record a started process; a LOID runs at most once per host."""
@@ -59,6 +66,13 @@ class ProcessTable:
         if entry.exception is None:
             self.live += 1
             self.total_memory += entry.memory_bytes
+            self.total_cpu_share += entry.cpu_share
+
+    def set_cpu_share(self, entry: ProcessEntry, share: float) -> None:
+        """Change a recorded process's CPU share, keeping the total."""
+        if entry.exception is None:
+            self.total_cpu_share += share - entry.cpu_share
+        entry.cpu_share = share
 
     def mark_crashed(self, entry: ProcessEntry, reason: str) -> None:
         """Record that ``entry``'s process died abnormally with ``reason``.
@@ -69,6 +83,7 @@ class ProcessTable:
         if entry.exception is None:
             self.live -= 1
             self.total_memory -= entry.memory_bytes
+            self.total_cpu_share -= entry.cpu_share
         entry.exception = reason
 
     def get(self, loid: LOID) -> ProcessEntry:
@@ -90,6 +105,7 @@ class ProcessTable:
         if entry.exception is None:
             self.live -= 1
             self.total_memory -= entry.memory_bytes
+            self.total_cpu_share -= entry.cpu_share
         return entry
 
     def crashed_entries(self) -> List[ProcessEntry]:
@@ -99,11 +115,6 @@ class ProcessTable:
     def running(self) -> List[ProcessEntry]:
         """Live (non-crashed) processes."""
         return [e for e in self._entries.values() if not e.crashed]
-
-    @property
-    def total_cpu_share(self) -> float:
-        """Sum of CPU shares of live processes."""
-        return sum(e.cpu_share for e in self.running())
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -59,7 +59,12 @@ class MetricsRegistry:
     SHED = "shed"
 
     def __init__(self) -> None:
-        self._counts: Dict[ComponentId, Dict[str, int]] = defaultdict(
+        #: component -> REQUESTS count, holding every component ever
+        #: counted (0 if it only ever counted other events), in
+        #: first-count order: the one ordering every reader iterates.
+        self._requests: Dict[ComponentId, int] = defaultdict(int)
+        #: event -> component -> count, for every event but REQUESTS.
+        self._events: Dict[str, Dict[ComponentId, int]] = defaultdict(
             lambda: defaultdict(int)
         )
 
@@ -67,23 +72,31 @@ class MetricsRegistry:
 
     def incr(self, component: ComponentId, event: str) -> None:
         """Add one to the component's ``event`` counter."""
-        self._counts[component][event] += 1
+        if event == self.REQUESTS:
+            self._requests[component] += 1
+        else:
+            self._requests.setdefault(component, 0)
+            self._events[event][component] += 1
 
     def reset(self) -> None:
         """Zero everything (between warm-up and measurement phases)."""
-        self._counts.clear()
+        self._requests.clear()
+        self._events.clear()
 
     # -- reading ---------------------------------------------------------------
 
+    def _counts_of(self, event: str) -> Dict[ComponentId, int]:
+        return self._requests if event == self.REQUESTS else self._events.get(event, {})
+
     def get(self, component: ComponentId) -> int:
         """The component's ``requests`` count (0 if it never reported)."""
-        return self._counts.get(component, {}).get(self.REQUESTS, 0)
+        return self._requests.get(component, 0)
 
     def totals_by_kind(self) -> Dict[ComponentKind, int]:
         """Sum of ``requests`` over all components of each kind."""
         out: Dict[ComponentKind, int] = defaultdict(int)
-        for comp, events in self._counts.items():
-            out[comp.kind] += events.get(self.REQUESTS, 0)
+        for comp, count in self._requests.items():
+            out[comp.kind] += count
         return dict(out)
 
     def max_by_kind(self, kind: ComponentKind) -> int:
@@ -92,20 +105,13 @@ class MetricsRegistry:
         This is the paper's bottleneck metric: a kind scales if its max
         per-component load stays bounded as the system grows.
         """
-        loads = [
-            events.get(self.REQUESTS, 0)
-            for comp, events in self._counts.items()
-            if comp.kind == kind
-        ]
+        loads = [count for comp, count in self._requests.items() if comp.kind == kind]
         return max(loads, default=0)
 
     def loads(self, kind: ComponentKind, event: str = REQUESTS) -> Dict[str, int]:
         """Per-component ``event`` counts for one kind, keyed by name."""
-        return {
-            comp.name: events.get(event, 0)
-            for comp, events in self._counts.items()
-            if comp.kind == kind
-        }
+        counts = self._counts_of(event)
+        return {comp.name: counts.get(comp, 0) for comp in self._requests if comp.kind == kind}
 
     def labelled_counts(self, event: str = REQUESTS) -> Dict[str, int]:
         """All ``event`` counts keyed by the "kind:name" component label.
@@ -114,11 +120,8 @@ class MetricsRegistry:
         spans carry, so a trace-derived load ledger can be reconciled
         against these counters entry by entry (see repro.trace.audit).
         """
-        return {
-            str(comp): events.get(event, 0)
-            for comp, events in self._counts.items()
-            if events.get(event, 0)
-        }
+        counts = self._counts_of(event)
+        return {str(comp): counts[comp] for comp in self._requests if counts.get(comp, 0)}
 
     def snapshot(
         self, kind: Optional[ComponentKind] = None, event: str = REQUESTS
@@ -131,10 +134,8 @@ class MetricsRegistry:
         """
         if kind is not None:
             return self.loads(kind, event)
-        return {
-            str(comp): events.get(event, 0)
-            for comp, events in self._counts.items()
-        }
+        counts = self._counts_of(event)
+        return {str(comp): counts.get(comp, 0) for comp in self._requests}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<MetricsRegistry components={len(self._counts)}>"
+        return f"<MetricsRegistry components={len(self._requests)}>"

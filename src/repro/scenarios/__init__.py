@@ -2,7 +2,7 @@
 
 Specs (:mod:`.spec`) describe arrival processes, session lifecycles,
 target mixes, tenants, and phase timelines; :mod:`.events` compiles a
-spec + seed into a backend-neutral event stream; :mod:`.drive` replays
+spec + seed into a backend-neutral event stream held as columns; :mod:`.drive` replays
 it through the rich-object runtime and :mod:`.mega` through columnar
 frame kernels at mega-scale populations.  :mod:`.catalog` ships the
 named scenarios experiment E18 sweeps.
@@ -12,6 +12,7 @@ from .catalog import catalog, get_scenario, scenario_names
 from .events import (
     Arrival,
     Request,
+    ScenarioStream,
     TickPlan,
     compile_events,
     per_tick_arrivals,
@@ -41,6 +42,7 @@ __all__ = [
     "ScenarioDriver",
     "ScenarioSpec",
     "ScenarioSpecError",
+    "ScenarioStream",
     "SessionSpec",
     "SessionTally",
     "TenantSpec",

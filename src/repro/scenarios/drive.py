@@ -29,22 +29,25 @@ from repro.system.legion import LegionSystem, SiteSpec
 from repro.workloads.apps import ScenarioServiceImpl
 from repro.workloads.generators import CallRecord, SessionLoopDriver
 
-from .events import Arrival, Request, TickPlan
+from .events import Arrival, Request, ScenarioStream, StreamWindow
 from .spec import ScenarioSpec
 
 #: Hosts per scenario site (jurisdiction).
 HOSTS_PER_SITE = 2
 
+#: Sessions the pump reads from the stream's columns at a time.
+SESSIONS_PER_READ = 512
 
-def method_for(spec: ScenarioSpec, a: Arrival, req: Request) -> Tuple[str, tuple]:
-    """The application method and args one request maps to."""
-    if req.kind == "read":
-        return "Read", (a.key,)
-    if req.kind == "write":
-        return "Write", (a.key,)
-    if req.kind == "batch":
+
+def method_for(spec: ScenarioSpec, kind: str, key: int) -> Tuple[str, tuple]:
+    """The application method and args one request of ``kind`` maps to."""
+    if kind == "read":
+        return "Read", (key,)
+    if kind == "write":
+        return "Write", (key,)
+    if kind == "batch":
         return "Work", (spec.batch_units,)
-    if req.kind == "privileged":
+    if kind == "privileged":
         return "Privileged", ()
     return "Work", (1.0,)
 
@@ -79,9 +82,6 @@ class Deployment:
 
     def target_of(self, a: Arrival) -> LOID:
         return self.instances[(a.klass, a.target_site)][a.slot]
-
-    def client_of(self, a: Arrival) -> object:
-        return self.clients[(a.tenant, a.site)]
 
 
 def deploy(
@@ -175,7 +175,7 @@ class ScenarioDriver(SessionLoopDriver):
     def __init__(
         self,
         deployment: Deployment,
-        plan: List[TickPlan],
+        plan: ScenarioStream,
         *,
         use_deadlines: bool = True,
         timeout: Optional[float] = None,
@@ -202,48 +202,67 @@ class ScenarioDriver(SessionLoopDriver):
 
     def _default_invoke(self, client, a: Arrival, req: Request, timeout):
         target = self.deployment.target_of(a)
-        method, args = method_for(self.spec, a, req)
+        method, args = method_for(self.spec, req.kind, a.key)
         yield from client.runtime.invoke(target, method, *args, timeout=timeout)
 
-    def _session(self, a: Arrival, phase: str):
-        client = self.deployment.client_of(a)
+    def _session(self, w: StreamWindow, j: int, phase: str):
+        """Session ``j`` of window ``w``, read from the window's lists.
+
+        Without an ``invoke_via`` hook no record is built: the target
+        and each request's method come straight from the columns.
+        """
+        spec, deployment = self.spec, self.deployment
+        tenant = w.tenant[j]
+        client = deployment.clients[(tenant, w.site[j])]
         timeout = self.timeout
-        if self.use_deadlines and self.spec.tenants[a.tenant].deadline is not None:
-            timeout = self.spec.tenants[a.tenant].deadline
-        invoke = self.invoke_via or ScenarioDriver._default_invoke
-        for req in a.requests:
-            if req.think > 0:
-                yield Timeout(req.think)
+        if self.use_deadlines and spec.tenants[tenant].deadline is not None:
+            timeout = spec.tenants[tenant].deadline
+        invoke_via = self.invoke_via
+        if invoke_via is None:
+            target = deployment.instances[(w.klass[j], w.target_site[j])][w.slot[j]]
+            key = w.key[j]
+        else:
+            a = w.arrival(j)
+        lo = w.first[j]
+        for r in range(lo, w.first[j + 1]):
+            think = w.think[r]
+            if think > 0:
+                yield Timeout(think)
+            kind = w.kind[r]
             rec = CallRecord()
             rec.issue = self.kernel.now
             rec.done = None
             rec.outcome = "pending"
             rec.phase = phase
-            rec.kind = req.kind
+            rec.kind = kind
             self.records.append(rec)
             self.stats.calls_issued += 1
-            yield from self._invoke_once(
-                invoke(self, client, a, req, timeout), rec, req.kind
-            )
-        if a.completed:
+            if invoke_via is None:
+                method, args = method_for(spec, kind, key)
+                call = client.runtime.invoke(target, method, *args, timeout=timeout)
+            else:
+                call = invoke_via(self, client, a, a.requests[r - lo], timeout)
+            yield from self._invoke_once(call, rec, kind)
+        if w.completed[j]:
             self.sessions.completed += 1
         else:
             self.sessions.abandoned += 1
 
     def _pump(self):
+        kernel = self.kernel
         live = []
-        self.t_base = self.kernel.now
-        for tick in self.plan:
-            for a in tick.arrivals:
-                at = self.t_base + tick.t0 + a.offset
-                if at > self.kernel.now:
-                    yield Timeout(at - self.kernel.now)
-                self.sessions.started += 1
-                live.append(
-                    self.kernel.spawn(
-                        self._session(a, tick.phase), name="scenario-session"
+        self.t_base = kernel.now
+        for w in self.plan.windows(SESSIONS_PER_READ):
+            for k, t0 in enumerate(w.t0):
+                base, phase = self.t_base + t0, w.phase[k]
+                for j in range(w.start[k], w.start[k + 1]):
+                    at = base + w.offset[j]
+                    if at > kernel.now:
+                        yield Timeout(at - kernel.now)
+                    self.sessions.started += 1
+                    live.append(
+                        kernel.spawn(self._session(w, j, phase), name="scenario-session")
                     )
-                )
         for fut in live:  # every session must run to disposition
             yield fut
 

@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 
-from .events import TickPlan
+from .events import ScenarioStream
 from .spec import ScenarioSpec
 
 #: A target's backlog is capped at this many ticks of work; beyond it,
@@ -46,39 +46,43 @@ def _cost(spec: ScenarioSpec, kind: str) -> float:
     return spec.service_time
 
 
-def compile_frames(spec: ScenarioSpec, plan: Sequence[TickPlan]) -> dict:
+def compile_frames(spec: ScenarioSpec, plan: ScenarioStream) -> dict:
     """Flatten a compiled stream into columnar per-request arrays.
 
     Requests are placed at their *nominal* times (arrival offset plus
     cumulative think gaps -- the open-loop rendering of the session
     state machine) and sorted FIFO per tick.  ``plan`` is
     ``compile_events(spec, seed)``; :func:`frame_arrivals` and
-    :func:`run_scenario_mega` both read the one result.
+    :func:`run_scenario_mega` both read the one result.  The columns are
+    read whole: a session's clock advances one request position at a
+    time over every session still that long, so each nominal time is the
+    same sequence of float additions a walk of the session would make.
     """
-    times: List[float] = []
-    tids: List[int] = []
-    costs: List[float] = []
-    denied: List[bool] = []
-    first: List[bool] = []
-    for tick in plan:
-        for a in tick.arrivals:
-            t = tick.t0 + a.offset
-            tid = (a.klass * spec.sites + a.target_site) * spec.targets_per_site
-            tid += a.slot
-            for i, req in enumerate(a.requests):
-                t += req.think
-                times.append(t)
-                tids.append(tid)
-                costs.append(_cost(spec, req.kind))
-                denied.append(req.denied)
-                first.append(i == 0)
-    order = np.lexsort((np.arange(len(times)), np.asarray(times)))
+    counts = np.diff(plan.first.astype(np.int64))
+    first = plan.first[:-1].astype(np.int64)
+    tick_of = np.arange(len(plan)).repeat(np.diff(plan.start))
+    clock = plan.t0[tick_of] + plan.offset
+    times = np.empty(plan.requests)
+    live = np.arange(plan.sessions)
+    position = 0
+    while len(live):
+        at = first[live] + position
+        clock[live] += plan.think[at]
+        times[at] = clock[live]
+        position += 1
+        live = live[counts[live] > position]
+    tid = (plan.klass.astype(np.int64) * spec.sites + plan.target_site) * spec.targets_per_site
+    tid += plan.slot
+    costs = np.array([_cost(spec, kind) for kind in plan.kind_names])[plan.kind]
+    is_first = np.zeros(plan.requests, dtype=bool)
+    is_first[first] = True
+    order = np.lexsort((np.arange(len(times)), times))
     return {
-        "time": np.asarray(times)[order],
-        "tid": np.asarray(tids, dtype=np.int64)[order],
-        "cost": np.asarray(costs)[order],
-        "denied": np.asarray(denied, dtype=bool)[order],
-        "first": np.asarray(first, dtype=bool)[order],
+        "time": times[order],
+        "tid": tid.repeat(counts)[order],
+        "cost": costs[order],
+        "denied": plan.denied[order],
+        "first": is_first[order],
         "n_targets": spec.targets_total,
         "n_ticks": len(plan),
     }

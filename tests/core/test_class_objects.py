@@ -4,6 +4,9 @@ import pytest
 
 from repro import errors
 from repro.naming.binding import Binding
+from repro.naming.loid import LOID
+
+from tests.invariants import live_impl
 
 
 class TestCreate:
@@ -172,3 +175,72 @@ class TestMetaclass:
             system.core.loid("LegionMagistrate"),
         )
         assert binding.loid == system.core.loid("LegionMagistrate")
+
+
+class TestDeletedRows:
+    """A deleted instance leaves no row: the class tells a deleted object
+    from one it never created by the sequence numbers it has issued."""
+
+    def test_a_deleted_instance_leaves_no_row(self, fresh_legion):
+        system, cls = fresh_legion
+        impl = live_impl(system, cls.loid)
+        binding = system.call(cls.loid, "Create", {})
+        system.call(cls.loid, "Delete", binding.loid)
+        assert impl.table.find(binding.loid) is None
+
+    def test_both_errors_locally(self, fresh_legion):
+        system, cls = fresh_legion
+        impl = live_impl(system, cls.loid)
+        binding = system.call(cls.loid, "Create", {})
+        system.call(cls.loid, "Delete", binding.loid)
+        unissued = LOID.for_instance(cls.loid.class_id, impl._next_sequence, system.services.secret)
+        foreign = LOID.for_instance(cls.loid.class_id + 1, 1, system.services.secret)
+        with pytest.raises(errors.ObjectDeleted):
+            impl._live_row(binding.loid)
+        with pytest.raises(errors.ObjectDeleted):
+            next(impl.get_binding(binding.loid))
+        for ghost in (unissued, foreign):
+            with pytest.raises(errors.UnknownObject):
+                impl._live_row(ghost)
+            with pytest.raises(errors.UnknownObject):
+                next(impl.get_binding(ghost))
+
+    def test_both_errors_over_the_wire(self, fresh_legion):
+        system, cls = fresh_legion
+        binding = system.call(cls.loid, "Create", {})
+        system.call(cls.loid, "Delete", binding.loid)
+        client = system.new_client("remote", site="doe")
+        issued = system.call(cls.loid, "Create", {}, client=client)
+        unissued = LOID.for_instance(
+            cls.loid.class_id, issued.loid.class_specific + 1, system.services.secret
+        )
+        with pytest.raises(errors.ObjectDeleted):
+            system.call(cls.loid, "GetBinding", binding.loid, client=client)
+        system.call(cls.loid, "Delete", binding.loid, client=client)  # idempotent
+        with pytest.raises(errors.UnknownObject):
+            system.call(cls.loid, "GetBinding", unissued, client=client)
+        with pytest.raises(errors.UnknownObject):
+            system.call(cls.loid, "Delete", unissued, client=client)
+
+    def test_a_clone_keeps_its_own_sequence(self, fresh_legion):
+        system, cls = fresh_legion
+        clone = system.call(cls.loid, "Clone")
+        made = system.call(cls.loid, "Create", {})  # delegated to the clone
+        assert made.loid.class_id == clone.loid.class_id
+        system.call(clone.loid, "Delete", made.loid)
+        with pytest.raises(errors.ObjectDeleted):
+            system.call(clone.loid, "GetBinding", made.loid)
+        # The parent never issued that sequence number under its own id.
+        with pytest.raises(errors.UnknownObject):
+            system.call(cls.loid, "GetBinding", made.loid)
+
+    def test_rows_track_live_objects_over_create_delete_cycles(self, fresh_legion):
+        system, cls = fresh_legion
+        impl = live_impl(system, cls.loid)
+        kept = system.call(cls.loid, "Create", {})
+        rows = len(impl.table._rows)
+        for _ in range(25):
+            doomed = system.call(cls.loid, "Create", {})
+            system.call(cls.loid, "Delete", doomed.loid)
+        assert len(impl.table._rows) == rows == len(impl.table.instances())
+        assert kept.loid in impl.table

@@ -40,18 +40,32 @@ class TestLogicalTable:
     def test_deleted_row_can_be_replaced(self):
         table = LogicalTable()
         table.add(self.make_row())
-        table.mark_deleted(loid(10, 1))
+        table.delete(loid(10, 1))
         table.add(self.make_row())  # LOID reuse after deletion is allowed
 
-    def test_mark_deleted_clears_location_fields(self):
+    def test_delete_drops_an_instance_row(self):
         table = LogicalTable()
         row = self.make_row(object_address=address(), current_magistrates=[loid(4, 1)])
         table.add(row)
-        table.mark_deleted(row.loid)
+        table.delete(row.loid)
+        assert table.find(row.loid) is None
+        assert row.loid not in table
+        assert len(table._rows) == 0  # nothing of the instance stays
+
+    def test_delete_keeps_a_subclass_tombstone(self):
+        table = LogicalTable()
+        row = TableRow(
+            loid=loid(11, 0), object_address=address(), current_magistrates=[loid(4, 1)],
+            is_subclass=True,
+        )
+        table.add(row)
+        table.delete(row.loid)
+        assert table.find(row.loid) is row
         assert row.deleted
         assert row.object_address is None
         assert row.current_magistrates == []
         assert row.loid not in table  # membership excludes deleted rows
+        assert len(table) == 0
 
     def test_instance_subclass_partition(self):
         table = LogicalTable()

@@ -52,6 +52,7 @@ EXPECTED_MARKERS = {
         "[ok] §2.3        Reap()",  # Reap
         "[ok] §4.1        BindPath/LookupPath",  # contexts
         "[ok] §2.1 §3.2   Create() with no hints",  # class-mandatory calls
+        "[ok] §3.8        Delete() drops the instance's table row",
         "[ok] §2.1.1      Derive(string) then InheritFrom(LOID, list)",
         "[ok] §4.3        AddReplica(LOID)",
         "[ok] §3.7        SetSchedulingAgent",

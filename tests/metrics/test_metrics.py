@@ -51,6 +51,29 @@ class TestMetricsRegistry:
         assert metrics.snapshot() == {}
 
 
+    def test_first_count_order_spans_events(self):
+        metrics = MetricsRegistry()
+        a, b, c = comp("a"), comp("b"), comp("c")
+        metrics.incr(a, MetricsRegistry.SHED)  # a is first counted by a shed
+        bump(metrics, b, 2)
+        metrics.incr(a, MetricsRegistry.REQUESTS)
+        metrics.incr(c, MetricsRegistry.SHED)
+        kind = ComponentKind.BINDING_AGENT
+        assert list(metrics.labelled_counts().items()) == [
+            ("binding-agent:a", 1), ("binding-agent:b", 2),
+        ]
+        assert list(metrics.labelled_counts(MetricsRegistry.SHED).items()) == [
+            ("binding-agent:a", 1), ("binding-agent:c", 1),
+        ]
+        assert list(metrics.snapshot(event=MetricsRegistry.SHED).items()) == [
+            ("binding-agent:a", 1), ("binding-agent:b", 0), ("binding-agent:c", 1),
+        ]
+        assert list(metrics.loads(kind).items()) == [("a", 1), ("b", 2), ("c", 0)]
+        assert metrics.totals_by_kind() == {kind: 3}
+        assert metrics.max_by_kind(kind) == 2
+        assert metrics.get(c) == 0
+        assert metrics.loads(kind, "never") == {"a": 0, "b": 0, "c": 0}
+
 class TestSeriesRecorder:
     def test_table_rendering(self):
         rec = SeriesRecorder(x_label="n")

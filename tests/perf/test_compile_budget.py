@@ -2,21 +2,25 @@
 
 ``compile_events`` interprets a spec.  It is counted here under
 ``sys.setprofile`` as Python frames (``call`` events; builtin calls such
-as ``random()`` and ``bisect_right`` are the draws themselves and are not
-counted): validation, the CDF tables and one ``site_rate`` per (tick,
-site), and nothing per session or per request.  So a compile costs the
-same frames at ``rate_scale`` 1 and 4, although 4 draws about four times
-the sessions.  Measured, at seed 0:
+as ``random()``, ``bisect_right`` and each column's ``array.append`` are
+the draws themselves and are not counted): validation, the CDF tables
+and the few numpy calls that order the columns once, and nothing per
+session, per request or per (tick, site).  So a compile costs the same
+frames at ``rate_scale`` 1 and 4, although 4 draws about four times the
+sessions.  Measured, at seed 0:
 
-    scenario       before (rate_scale 1 -> 4)   after (1 and 4)
-    flash-crowd    4,384 -> 17,511              105
-    repository     6,543 -> 26,292              128
-    multi-tenant   5,342 -> 20,683              145
+    scenario       records (rate_scale 1 -> 4)   tuples    columns
+    flash-crowd    4,384 -> 17,511              105       72
+    repository     6,543 -> 26,292              128       71
+    multi-tenant   5,342 -> 20,683              145       106
 
-Before, every session cost 8.5-9.8 frames: ``randrange`` and its
-``_randbelow``, ``expovariate``, a Poisson helper, a frozen dataclass's
-``__init__`` per record and a sort-key ``lambda``.  Each ceiling below is
-the measured count, so one frame added per compile fails.
+With records built by frozen dataclasses, every session cost 8.5-9.8
+frames: ``randrange`` and its ``_randbelow``, ``expovariate``, a Poisson
+helper, a dataclass ``__init__`` per record and a sort-key ``lambda``.
+Named tuples built by ``tuple.__new__`` and inlined draws left one
+``site_rate`` frame per (tick, site); columns, with the rate law inlined
+too, leave none.  Each ceiling below is the measured count, so one frame
+added per compile fails.
 
 Counts are exact for a given interpreter, so, like the call budget, this
 runs on CPython 3.11 only.
@@ -35,7 +39,7 @@ pytestmark = pytest.mark.skipif(
 )
 
 #: Python frames one ``compile_events`` may run, per catalog scenario.
-FRAME_CEILINGS = {"flash-crowd": 105, "repository": 128, "multi-tenant": 145}
+FRAME_CEILINGS = {"flash-crowd": 72, "repository": 71, "multi-tenant": 106}
 
 
 def frames_of_one_compile(spec, rate_scale: float) -> int:

@@ -120,10 +120,11 @@ def test_each_lifecycle_edge_fits_its_budget(cycle, edge):
     assert cycle[edge][2] <= ceiling
 
 
-def calls_per_create(per_host, memory_limit=None):
+def calls_per_create(per_host, memory_limit=None, cpu_limit=None):
     """Fewest calls of three ``create_instance``s once every host of a
     2 x 2 testbed runs ``per_host`` processes (``max_processes`` set, and
-    each host's ``SetMemoryUsage`` limit when one is given).
+    each host's ``SetMemoryUsage`` / ``SetCPUload`` limit when one is
+    given).
 
     The fewest, because the kernel's deadline lane now and then re-keys a
     settled deadline (three calls) depending on simulated time alone.
@@ -132,9 +133,11 @@ def calls_per_create(per_host, memory_limit=None):
         [SiteSpec(site, hosts=2, max_processes=300) for site in ("uva", "doe")],
         seed=0,
     )
-    if memory_limit is not None:
-        for server in system.host_servers.values():
+    for server in system.host_servers.values():
+        if memory_limit is not None:
             server.impl.set_memory_usage(memory_limit)
+        if cpu_limit is not None:
+            server.impl.set_cpu_load(cpu_limit)
     cls = system.create_class("Crowd", factory=CounterImpl).loid
     hosts = [server.impl.processes for server in system.host_servers.values()]
     for _ in range(per_host * len(hosts)):
@@ -150,3 +153,8 @@ def test_a_create_costs_the_same_at_any_population():
 def test_a_create_under_a_memory_limit_costs_the_same_at_any_population():
     # Admission reads the host's memory total, not a sum over its processes.
     assert calls_per_create(1, 10**9) == calls_per_create(250, 10**9)
+
+
+def test_a_create_under_a_cpu_limit_costs_the_same_at_any_population():
+    # Admission reads the host's CPU-share total, not a sum over its processes.
+    assert calls_per_create(1, cpu_limit=1e9) == calls_per_create(250, cpu_limit=1e9)

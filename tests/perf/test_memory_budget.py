@@ -17,8 +17,16 @@ or unused state:
     everything else          2513   2513
     total                    4837   2832
 
+Two more ratchets price what is kept for the workload and what a
+deleted object leaves.  A compiled scenario stream holds columns, not
+records: 37.59 bytes per session with its requests (311.6 as named
+tuples).  A Create ... Delete cycle leaves 125.48 bytes once every
+bounded cache has turned over -- the metrics entry of the object's
+component (807.4 while the class table kept a deleted instance's row and
+metrics kept a dict of counters per component).
+
 Byte counts are exact for a given interpreter and a fresh process, so
-the ratchet runs in a child interpreter on CPython 3.11 only; the
+the ratchets run in a child interpreter on CPython 3.11 only; the
 structural cases below run everywhere.
 """
 
@@ -27,20 +35,60 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from repro.naming.cache import BindingCache
+from repro.scenarios import compile_events, get_scenario
 from repro.system.legion import LegionSystem, SiteSpec
 from repro.workloads.apps import CounterImpl
 
 from tests.invariants import live_impl
+from tests.perf.test_lifecycle_budget import lifecycle_cycle
 
 #: Bytes retained per ``create_instance``: the measured figure, no slack.
 BYTES_PER_CREATE = 2832.43
 
+#: Bytes a compiled scenario stream holds per session, its requests
+#: included: ``scenario_open``'s three scenarios, phases stretched x40,
+#: seed 0 (54,548 sessions, 108,222 requests).  Named tuples held 311.6.
+BYTES_PER_SESSION = 37.59
+
+#: Bytes one Create ... Delete cycle leaves behind once every bounded
+#: cache has turned over: today only the metrics entry of the object's
+#: component.  The class-table row of a deleted object and a dict of
+#: counters per component made it 807.4.
+BYTES_PER_LIFECYCLE = 125.48
+
 WARM, MEASURED = 50, 200
+
+
+def retained_by(run, warm=None) -> int:
+    """Bytes ``run()`` leaves allocated (collector off, tracemalloc's own
+    snapshots left out).  ``warm()``, if given, runs traced before the
+    first snapshot, so whatever ``run`` allocates in place of what
+    ``warm`` allocated nets out."""
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        if warm is not None:
+            warm()
+            gc.collect()
+        before = tracemalloc.take_snapshot()
+        run()
+        gc.collect()
+        after = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    own = [tracemalloc.Filter(False, tracemalloc.__file__)]
+    return sum(
+        stat.size_diff
+        for stat in after.filter_traces(own).compare_to(before.filter_traces(own), "filename")
+    )
 
 
 def cold_bind_testbed():
@@ -56,42 +104,84 @@ def bytes_per_create() -> float:
     system = cold_bind_testbed()
     cls = system.create_class("Retained", factory=CounterImpl)
     kept = [system.create_instance(cls.loid).loid for _ in range(WARM)]
-    gc.collect()
-    gc.disable()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.take_snapshot()
+
+    def create():
         for _ in range(MEASURED):
             kept.append(system.create_instance(cls.loid).loid)
-        gc.collect()
-        after = tracemalloc.take_snapshot()
-    finally:
-        tracemalloc.stop()
-        gc.enable()
-    # tracemalloc's own snapshot objects are not the program's.
-    own = [tracemalloc.Filter(False, tracemalloc.__file__)]
-    retained = sum(
-        stat.size_diff
-        for stat in after.filter_traces(own).compare_to(before.filter_traces(own), "filename")
+
+    return retained_by(create) / MEASURED
+
+
+def bytes_per_session() -> float:
+    """Bytes the compiled streams of ``scenario_open`` hold per session."""
+    specs = [
+        replace(spec, phases=tuple(replace(p, duration=p.duration * 40.0) for p in spec.phases))
+        for spec in map(get_scenario, ("diurnal-regional", "flash-crowd", "repository"))
+    ]
+    compile_events(specs[0], 0)  # first-use allocations are not the stream's
+    plans = []
+    held = retained_by(lambda: plans.extend(compile_events(spec, 0) for spec in specs))
+    return held / sum(plan.sessions for plan in plans)
+
+
+def bytes_per_lifecycle(cycles: int = 100) -> float:
+    """Bytes one more Create ... Delete cycle leaves allocated, averaged.
+
+    The cycle is ``test_lifecycle_budget.py``'s on its 3 x 2 testbed, with
+    an agent cache of 8 entries.  Tracing starts before a warm-up long
+    enough to turn every bounded cache over (the console's 128 entries
+    are the largest), so an entry that replaces one allocated before
+    tracing is not counted as kept.
+    """
+    system = LegionSystem.build(
+        [SiteSpec(f"site{i}", hosts=2) for i in range(3)], seed=0, agent_cache_capacity=8
     )
-    return retained / MEASURED
+    cls = system.create_class("Churn", factory=CounterImpl).loid
+    magistrates = [m.loid for m in system.magistrates.values()]
+
+    def edge(_name, target, method, *args):
+        return system.call(target, method, *args)
+
+    def churn(n):
+        for _ in range(n):
+            lifecycle_cycle(system, cls, magistrates, edge)
+
+    churn(3)
+    return retained_by(lambda: churn(cycles), warm=lambda: churn(150)) / cycles
 
 
-@pytest.mark.skipif(
-    sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
-    reason="byte counts are pinned on CPython 3.11",
-)
-def test_bytes_retained_per_created_instance():
-    # In a fresh interpreter: inside a long test session the same creates
-    # read a little more (0.7 B each), depending on what ran before.
+def measured_in_a_fresh_interpreter(name: str) -> float:
+    """``name()`` of this module, run in a child interpreter: inside a long
+    test session the same work reads a little more, depending on what ran
+    before (0.7 B per create)."""
     root = Path(__file__).resolve().parents[2]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]))
     measured = subprocess.run(
-        [sys.executable, "-c", "from tests.perf.test_memory_budget import "
-         "bytes_per_create; print(bytes_per_create())"],
+        [sys.executable, "-c", f"from tests.perf.test_memory_budget import {name}; print({name}())"],
         capture_output=True, text=True, check=True, cwd=root, env=env,
     ).stdout
-    assert float(measured) <= BYTES_PER_CREATE
+    return float(measured)
+
+
+pinned_on_311 = pytest.mark.skipif(
+    sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+    reason="byte counts are pinned on CPython 3.11",
+)
+
+
+@pinned_on_311
+def test_bytes_retained_per_created_instance():
+    assert measured_in_a_fresh_interpreter("bytes_per_create") <= BYTES_PER_CREATE
+
+
+@pinned_on_311
+def test_bytes_a_compiled_stream_holds_per_session():
+    assert measured_in_a_fresh_interpreter("bytes_per_session") <= BYTES_PER_SESSION
+
+
+@pinned_on_311
+def test_bytes_a_create_delete_cycle_leaves_behind():
+    assert measured_in_a_fresh_interpreter("bytes_per_lifecycle") <= BYTES_PER_LIFECYCLE
 
 
 @pytest.fixture
