@@ -900,6 +900,8 @@ class LegionRuntime:
         Settling each call's future also retires its deadline: the kernel
         never runs a deadline whose future has settled.
         """
+        if not self._pending:
+            return
         pending, self._pending = self._pending, {}
         for corr, fut in pending.items():
             if self._request_spans:

@@ -20,6 +20,7 @@ from repro.naming.binding import Binding
 from repro.naming.loid import LOID
 from repro.system.legion import LegionSystem, SiteSpec
 from repro.workloads.apps import CounterImpl
+from repro.workloads.calllog import CallLog
 
 
 @dataclass
@@ -261,18 +262,16 @@ def settle_governor(governor, drain: Callable[[], Any]) -> List[dict]:
     return records
 
 
-def settlement(system: LegionSystem, clients, records, fault_log: FaultLog) -> Dict[str, Any]:
+def settlement(system: LegionSystem, clients, log: CallLog, fault_log: FaultLog) -> Dict[str, Any]:
     """How an open-loop run's requests settled: outcome tallies, the
     count issued, the shed count three ways (metrics, FaultLog, wire)
     and whether every runtime settled."""
-    outcomes = {"ok": 0, "shed": 0, "failed": 0}
-    for rec in records:
-        outcomes[rec.outcome] += 1
+    counts = log.outcome_counts()
     metrics = system.services.metrics
     runtimes = system.runtimes(clients)
     return {
-        "outcomes": outcomes,
-        "issued": len(records),
+        "outcomes": {name: counts[name] for name in ("ok", "shed", "failed")},
+        "issued": len(log),
         "metrics_shed": sum(metrics.snapshot(None, MetricsRegistry.SHED).values()),
         "faultlog_shed": fault_log.count("request-shed"),
         "wire_shed": sum(rt.stats.shed for rt in runtimes),

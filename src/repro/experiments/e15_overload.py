@@ -34,6 +34,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.experiments.common import (
     Experiment,
     ExperimentResult,
@@ -101,17 +103,14 @@ def _run_level(
         stagger=interval / N_CLIENTS,
         timeout=TIMEOUT,
     )
-    records = driver.records
     system.kernel.run_until_complete(driver.start(), max_events=50_000_000)
     system.kernel.run()  # drain the service backlog and late replies
 
     w0, w1 = start + warmup, start + warmup + measure
-    ok_latencies = sorted(
-        r.done - r.issue
-        for r in records
-        if r.outcome == "ok" and w0 <= r.done <= w1
-    )
-    settled = settlement(system, clients, records, system.services.fault_log)
+    issue, done = driver.log.ok_times()
+    hit = (w0 <= done) & (done <= w1)
+    ok_latencies = np.sort(done[hit] - issue[hit]).tolist()
+    settled = settlement(system, clients, driver.log, system.services.fault_log)
     audits: List[Any] = []
     trace_path = None
     if recorder is not None:

@@ -37,6 +37,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List
 
+import numpy as np
+
 from repro.errors import LegionError
 from repro.experiments.common import (
     Experiment,
@@ -55,6 +57,7 @@ from repro.security.environment import CallEnvironment
 from repro.simkernel.futures import gather
 from repro.simkernel.kernel import Timeout
 from repro.system.legion import LegionSystem
+from repro.workloads.calllog import FAILED, OK, CallLog
 from repro.workloads.generators import OpenLoopDriver
 
 N_SITES = 3
@@ -139,31 +142,32 @@ def _measure_locality(replicas: int, seed: int, quick: bool) -> Dict[str, Any]:
         system.call(binding.loid, "Get", KEYS[0], client=client)
     system.reset_measurements()
 
-    records: List[Dict[str, Any]] = []
+    # One call log, its phase the reader's site: rows are written in
+    # issue order, as every driver writes its growing log.
+    names = [spec.name for spec in system.sites]
+    log = CallLog(("Get",), names)
 
-    def reader(client, site_name):
+    def reader(client, site):
         for i in range(reads):
-            rec: Dict[str, Any] = {
-                "site": site_name,
-                "issue": kernel.now,
-                "done": None,
-                "ok": False,
-            }
-            records.append(rec)
+            row = log.n
+            if row == log.capacity:
+                log.grow()
+            log.n = row + 1
+            log.issue[row] = kernel.now
+            log.phase[row] = site
             try:
                 yield from client.runtime.invoke(
                     binding.loid, "Get", KEYS[i % len(KEYS)], timeout=READ_TIMEOUT
                 )
-                rec["ok"] = True
-            except LegionError as exc:
-                rec["error"] = type(exc).__name__
-            rec["done"] = kernel.now
+                log.outcome[row] = OK
+            except LegionError:
+                log.outcome[row] = FAILED
+            log.done[row] = kernel.now
             yield Timeout(READ_PACE)
 
     # The partition that should hurt r=1 and not r=3: cut the primary
     # replica's site off from the next site in ring order.
     primary_site = latency.site_of(binding.address.elements[0].host)
-    names = [spec.name for spec in system.sites]
     neighbour = names[(names.index(primary_site) + 1) % len(names)]
 
     def chaos():
@@ -174,35 +178,35 @@ def _measure_locality(replicas: int, seed: int, quick: bool) -> Dict[str, Any]:
 
     start = kernel.now
     futures = [
-        system.spawn(reader(client, spec.name), name=f"e16-read-{spec.name}")
-        for client, spec in zip(clients, system.sites)
+        system.spawn(reader(client, site), name=f"e16-read-{names[site]}")
+        for site, client in enumerate(clients)
     ]
     futures.append(system.spawn(chaos(), name="e16-partition"))
     kernel.run_until_complete(gather(futures), max_events=50_000_000)
     kernel.run()  # late bounces and timers
 
-    def mean(rows):
-        return (
-            sum(r["done"] - r["issue"] for r in rows) / len(rows)
-            if rows
-            else 0.0
-        )
+    rows = log.rows()
+    issue = log.issue[rows]
+    latency = log.done[rows] - issue
 
-    local = [r for r in records if r["site"] in replica_sites]
+    def mean(latencies: List[float]) -> float:
+        return sum(latencies) / len(latencies) if latencies else 0.0
+
+    local = np.isin(log.phase[rows], [names.index(s) for s in replica_sites])
     w0, w1 = start + PART_AT, start + PART_AT + PART_LEN
-    in_part = [r for r in records if w0 <= r["issue"] <= w1]
+    in_part = (w0 <= issue) & (issue <= w1)
     wan = system.network.stats.by_class[LinkClass.WIDE_AREA]
     return {
         "replicas": replicas,
         "replica_sites": replica_sites,
-        "reads": len(records),
-        "failed": sum(1 for r in records if not r["ok"]),
-        "local_mean": mean(local),
-        "overall_mean": mean(records),
-        "partition_mean": mean(in_part),
-        "partition_reads": len(in_part),
+        "reads": len(log),
+        "failed": int(np.count_nonzero(log.outcome[rows] != OK)),
+        "local_mean": mean(latency[local].tolist()),
+        "overall_mean": mean(latency.tolist()),
+        "partition_mean": mean(latency[in_part].tolist()),
+        "partition_reads": int(np.count_nonzero(in_part)),
         "wan_msgs": wan,
-        "wan_per_read": wan / len(records) if records else 0.0,
+        "wan_per_read": wan / len(log) if len(log) else 0.0,
         "settled": all(
             rt.settled for rt in system.runtimes([system.console] + clients)
         ),
@@ -270,7 +274,6 @@ def _measure_repair(arm: str, seed: int, quick: bool, mult: int) -> Dict[str, An
         stagger=interval / FG_CLIENTS,
         timeout=FG_TIMEOUT,
     )
-    records = driver.records
     done = driver.start()
     chaos_fut = system.spawn(chaos(), name="e16-crash")
     kernel.run_until_complete(gather([done, chaos_fut]), max_events=50_000_000)
@@ -314,24 +317,16 @@ def _measure_repair(arm: str, seed: int, quick: bool, mult: int) -> Dict[str, An
         kernel.run_until_complete(system.spawn(audit(), name="e16-audit"))
 
     w0, w1 = start + warmup, start + warmup + measure
-    goodput = (
-        sum(
-            1
-            for r in records
-            if r.outcome == "ok" and w0 <= r.done <= w1
-        )
-        / measure
-    )
-    outcomes = {"ok": 0, "shed": 0, "failed": 0}
-    for rec in records:
-        outcomes[rec.outcome] += 1
+    _issue, ok_done = driver.log.ok_times()
+    goodput = int(np.count_nonzero((w0 <= ok_done) & (ok_done <= w1))) / measure
+    counts = driver.log.outcome_counts()
     runtimes = system.runtimes([system.console] + clients + repair_clients)
     return {
         "arm": arm,
         "mult": mult,
         "goodput": goodput,
-        "outcomes": outcomes,
-        "issued": len(records),
+        "outcomes": {name: counts[name] for name in ("ok", "shed", "failed")},
+        "issued": len(driver.log),
         "regrows": regrows,
         "restored": restored,
         "replica_keys": replica_keys,

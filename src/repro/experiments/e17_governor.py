@@ -32,6 +32,8 @@ from __future__ import annotations
 import os
 from typing import Any, Dict, List, Tuple
 
+import numpy as np
+
 from repro.errors import LegionError
 from repro.core.runtime import RetryPolicy
 from repro.experiments.common import (
@@ -179,7 +181,6 @@ def _run_arm(
         stagger=0.5,
         timeout=TIMEOUT,
     )
-    records = traffic.records
     done = traffic.start()
 
     def probe_loop():
@@ -225,13 +226,10 @@ def _run_arm(
     # Phase-windowed goodput (successes per ms, by settle time).
     phase_rows = []
     edge = start
+    _issue, ok_done = traffic.log.ok_times()
     for name, duration, level in phases:
         w0, w1 = edge, edge + duration
-        ok = sum(
-            1
-            for r in records
-            if r.outcome == "ok" and r.done is not None and w0 <= r.done < w1
-        )
+        ok = int(np.count_nonzero((w0 <= ok_done) & (ok_done < w1)))
         phase_rows.append(
             {
                 "phase": name,
@@ -241,7 +239,7 @@ def _run_arm(
             }
         )
         edge = w1
-    settled = settlement(system, clients, records, arm.log)
+    settled = settlement(system, clients, traffic.log, arm.log)
     lost, unrecovered = arm.losses()
 
     return {

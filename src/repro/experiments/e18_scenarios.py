@@ -30,6 +30,8 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, List, Tuple
 
+import numpy as np
+
 from repro.experiments.common import (
     ChaosArm,
     Experiment,
@@ -55,6 +57,7 @@ from repro.scenarios import (
     stream_stats,
 )
 from repro.scenarios.spec import ScenarioSpec
+from repro.workloads.calllog import first_seen, tally
 
 #: Per-call deadline under chaos (rides out a crash + recovery).
 CHAOS_TIMEOUT = 600.0
@@ -81,14 +84,15 @@ def _sized(spec: ScenarioSpec, quick: bool) -> ScenarioSpec:
 
 
 def _phase_outcomes(driver: ScenarioDriver) -> Dict[str, Dict[str, int]]:
-    """Per-phase outcome counts (by issue time, like phase_goodput)."""
-    out: Dict[str, Dict[str, int]] = {}
-    for rec in driver.records:
-        bucket = out.setdefault(
-            rec.phase, {"ok": 0, "shed": 0, "denied": 0, "failed": 0, "pending": 0}
-        )
-        bucket[rec.outcome] += 1
-    return out
+    """Per-phase outcome counts, phases in the order their first request
+    was issued."""
+    log = driver.log
+    rows = log.rows()
+    phases, outcomes = log.phase_codes(rows), log.outcome[rows]
+    return {
+        log.phase_names[code]: tally(outcomes[phases == code])
+        for code in first_seen(phases)
+    }
 
 
 def _shape_stats(spec: ScenarioSpec, plan) -> dict:
@@ -109,16 +113,23 @@ def _shape_stats(spec: ScenarioSpec, plan) -> dict:
             mean_out = sum(outside) / len(outside) if outside else 0.0
             shape["surge_ratio"] = mean_in / mean_out if mean_out else 0.0
         t0 += phase.duration
-    # Diurnal site peaks: the tick index where each site's arrivals peak.
+    # Diurnal site peaks: the tick index where each site's arrivals peak
+    # (the first such tick), -1 for a site without arrivals.
     if any(p.arrival.kind == "diurnal" for p in spec.phases):
-        by_site = [[0] * len(plan) for _ in range(spec.sites)]
-        for i, tick in enumerate(plan):
-            for a in tick.arrivals:
-                by_site[a.site][i] += 1
         shape["site_peaks"] = [
-            row.index(max(row)) if any(row) else -1 for row in by_site
+            int(row.argmax()) if row.any() else -1
+            for row in _site_arrivals(spec.sites, plan)
         ]
     return shape
+
+
+def _site_arrivals(sites: int, plan) -> np.ndarray:
+    """Session arrivals per (site, tick): one bincount over the columns."""
+    ticks = len(plan)
+    tick_of = np.arange(ticks).repeat(np.diff(plan.start))
+    return np.bincount(
+        plan.site.astype(np.int64) * ticks + tick_of, minlength=sites * ticks
+    ).reshape(sites, ticks)
 
 
 def _drain(driver: ScenarioDriver, stats_fut):
@@ -163,10 +174,11 @@ def _measure_plain(spec: ScenarioSpec, seed: int, _param: float) -> dict:
 
 
 def _kind_counts(driver: ScenarioDriver) -> Dict[str, int]:
-    counts: Dict[str, int] = {}
-    for rec in driver.records:
-        counts[rec.kind] = counts.get(rec.kind, 0) + 1
-    return counts
+    """Issued requests per kind, kinds in the order first issued."""
+    log = driver.log
+    kinds = log.kind[log.rows()]
+    counts = np.bincount(kinds).tolist()
+    return {log.kind_names[code]: counts[code] for code in first_seen(kinds)}
 
 
 def _measure_faults(spec: ScenarioSpec, seed: int, intensity: float) -> dict:

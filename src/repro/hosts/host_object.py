@@ -251,13 +251,18 @@ class HostObjectImpl(LegionObjectImpl):
 
     @legion_method("KillObject(LOID)")
     def kill_object(self, loid: LOID) -> None:
-        """Terminate a process without saving state (the Delete() path)."""
+        """Terminate a process without saving state (the Delete() path).
+
+        The object will not run again, so its metrics entry is folded
+        into its kind's retired totals.
+        """
         entry = self.processes.find(loid)
         if entry is None:
             return  # idempotent: already gone
-        if not entry.crashed:
+        if entry.exception is None:  # not crashed
             entry.server.deactivate()
         self.processes.remove(loid)
+        self.services.metrics.retire(entry.server.component)
 
     # --------------------------------------------------------------- resource limits
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from collections import defaultdict
-from typing import Dict, NamedTuple, Optional
+from typing import Dict, NamedTuple, Optional, Tuple
 
 
 class ComponentKind(enum.Enum):
@@ -50,6 +50,12 @@ class MetricsRegistry:
     ``incr(component, event)`` bumps a named event counter; ``requests``
     is the conventional event name every ObjectServer uses for an incoming
     REQUEST, so the scalability experiments have a uniform metric.
+
+    ``retire(component)`` folds a deleted object's counters into its
+    kind's retired totals, so churn leaves no entry per deleted object:
+    :meth:`totals_by_kind` still counts them, while the per-component
+    readers (``get``, ``max_by_kind``, ``loads``, ``labelled_counts``,
+    ``snapshot``) list live components only.
     """
 
     REQUESTS = "requests"
@@ -67,6 +73,8 @@ class MetricsRegistry:
         self._events: Dict[str, Dict[ComponentId, int]] = defaultdict(
             lambda: defaultdict(int)
         )
+        #: (event, kind) -> counts of retired components.
+        self._retired: Dict[Tuple[str, ComponentKind], int] = defaultdict(int)
 
     # -- writing ---------------------------------------------------------------
 
@@ -78,10 +86,21 @@ class MetricsRegistry:
             self._requests.setdefault(component, 0)
             self._events[event][component] += 1
 
+    def retire(self, component: ComponentId) -> None:
+        """Fold a deleted component's counters into its kind's retired
+        totals and drop its entries (a no-op if it holds none)."""
+        kind = component.kind
+        self._retired[self.REQUESTS, kind] += self._requests.pop(component, 0)
+        if self._events:
+            for event, counts in self._events.items():
+                if component in counts:
+                    self._retired[event, kind] += counts.pop(component)
+
     def reset(self) -> None:
         """Zero everything (between warm-up and measurement phases)."""
         self._requests.clear()
         self._events.clear()
+        self._retired.clear()
 
     # -- reading ---------------------------------------------------------------
 
@@ -93,10 +112,14 @@ class MetricsRegistry:
         return self._requests.get(component, 0)
 
     def totals_by_kind(self) -> Dict[ComponentKind, int]:
-        """Sum of ``requests`` over all components of each kind."""
+        """Sum of ``requests`` over all components of each kind, retired
+        ones included."""
         out: Dict[ComponentKind, int] = defaultdict(int)
         for comp, count in self._requests.items():
             out[comp.kind] += count
+        for (event, kind), count in self._retired.items():
+            if event == self.REQUESTS:
+                out[kind] += count
         return dict(out)
 
     def max_by_kind(self, kind: ComponentKind) -> int:

@@ -13,7 +13,6 @@ from .events import (
     Arrival,
     Request,
     ScenarioStream,
-    TickPlan,
     compile_events,
     per_tick_arrivals,
     stream_stats,
@@ -46,7 +45,6 @@ __all__ = [
     "SessionSpec",
     "SessionTally",
     "TenantSpec",
-    "TickPlan",
     "catalog",
     "compile_events",
     "deploy",

@@ -10,7 +10,8 @@ and a MayI ACL admitting only privileged tenants to ``Privileged()``.
 process per session, issuing the precompiled request trajectory with
 think gaps between requests, classifying every outcome (ok / shed /
 denied / failed) into both the shared :class:`TrafficStats` ledger and a
-per-call record list.  The driver builds on the same
+:class:`~repro.workloads.calllog.CallLog` indexed by the stream's
+request rows.  The driver builds on the same
 :class:`~repro.workloads.generators.SessionLoopDriver` core as the
 closed- and open-loop drivers, so call accounting is identical across
 all three.
@@ -21,13 +22,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.faults.driver import protected_hosts
 from repro.naming.loid import LOID
 from repro.security.mayi import ACLPolicy
 from repro.simkernel.kernel import Timeout
 from repro.system.legion import LegionSystem, SiteSpec
 from repro.workloads.apps import ScenarioServiceImpl
-from repro.workloads.generators import CallRecord, SessionLoopDriver
+from repro.workloads.calllog import CallLog
+from repro.workloads.generators import SessionLoopDriver
 
 from .events import Arrival, Request, ScenarioStream, StreamWindow
 from .spec import ScenarioSpec
@@ -184,6 +188,7 @@ class ScenarioDriver(SessionLoopDriver):
         super().__init__(
             deployment.system.kernel,
             deployment.all_clients(),
+            CallLog.of_stream(plan),
             timeout=timeout,
         )
         self.deployment = deployment
@@ -192,7 +197,6 @@ class ScenarioDriver(SessionLoopDriver):
         self.use_deadlines = use_deadlines
         self.invoke_via = invoke_via
         self.sessions = SessionTally()
-        self.records: List[CallRecord] = []
         #: Kernel time when the pump started -- the scenario's t=0.  The
         #: system bootstrap consumes simulated time before any driver
         #: runs, so arrival offsets and phase windows are relative.
@@ -205,13 +209,15 @@ class ScenarioDriver(SessionLoopDriver):
         method, args = method_for(self.spec, req.kind, a.key)
         yield from client.runtime.invoke(target, method, *args, timeout=timeout)
 
-    def _session(self, w: StreamWindow, j: int, phase: str):
+    def _session(self, w: StreamWindow, j: int):
         """Session ``j`` of window ``w``, read from the window's lists.
 
         Without an ``invoke_via`` hook no record is built: the target
-        and each request's method come straight from the columns.
+        and each request's method come straight from the columns.  Each
+        request writes its stream row of the log (its kind and phase are
+        the stream's already).
         """
-        spec, deployment = self.spec, self.deployment
+        spec, deployment, kernel, log = self.spec, self.deployment, self.kernel, self.log
         tenant = w.tenant[j]
         client = deployment.clients[(tenant, w.site[j])]
         timeout = self.timeout
@@ -223,26 +229,22 @@ class ScenarioDriver(SessionLoopDriver):
             key = w.key[j]
         else:
             a = w.arrival(j)
-        lo = w.first[j]
+        lo, row0 = w.first[j], w.row0
         for r in range(lo, w.first[j + 1]):
             think = w.think[r]
             if think > 0:
                 yield Timeout(think)
-            kind = w.kind[r]
-            rec = CallRecord()
-            rec.issue = self.kernel.now
-            rec.done = None
-            rec.outcome = "pending"
-            rec.phase = phase
-            rec.kind = kind
-            self.records.append(rec)
+            kind, row, n = w.kind[r], row0 + r, log.n
+            log.n = n + 1
+            log.order[n] = row
+            log.issue[row] = kernel.now
             self.stats.calls_issued += 1
             if invoke_via is None:
                 method, args = method_for(spec, kind, key)
                 call = client.runtime.invoke(target, method, *args, timeout=timeout)
             else:
                 call = invoke_via(self, client, a, a.requests[r - lo], timeout)
-            yield from self._invoke_once(call, rec, kind)
+            yield from self._invoke_once(call, row, kind)
         if w.completed[j]:
             self.sessions.completed += 1
         else:
@@ -254,14 +256,14 @@ class ScenarioDriver(SessionLoopDriver):
         self.t_base = kernel.now
         for w in self.plan.windows(SESSIONS_PER_READ):
             for k, t0 in enumerate(w.t0):
-                base, phase = self.t_base + t0, w.phase[k]
+                base = self.t_base + t0
                 for j in range(w.start[k], w.start[k + 1]):
                     at = base + w.offset[j]
                     if at > kernel.now:
                         yield Timeout(at - kernel.now)
                     self.sessions.started += 1
                     live.append(
-                        kernel.spawn(self._session(w, j, phase), name="scenario-session")
+                        kernel.spawn(self._session(w, j), name="scenario-session")
                     )
         for fut in live:  # every session must run to disposition
             yield fut
@@ -274,10 +276,7 @@ class ScenarioDriver(SessionLoopDriver):
     # ------------------------------------------------------------- summaries
 
     def outcome_counts(self) -> Dict[str, int]:
-        counts = {"ok": 0, "shed": 0, "denied": 0, "failed": 0, "pending": 0}
-        for rec in self.records:
-            counts[rec.outcome] += 1
-        return counts
+        return self.log.outcome_counts()
 
     def phase_goodput(self) -> List[dict]:
         """Per-phase delivered goodput as a fraction of capacity."""
@@ -287,25 +286,23 @@ class ScenarioDriver(SessionLoopDriver):
             windows[phase.name] = [t0, t0 + phase.duration]
             t0 += phase.duration
         capacity = self.spec.capacity_per_ms()
-        rows = []
+        issue, done = self.log.ok_times()
+        report = []
         for name, (lo, hi) in windows.items():
-            ok = [
-                r
-                for r in self.records
-                if r.outcome == "ok" and lo <= r.issue < hi
-            ]
-            latencies = sorted(r.done - r.issue for r in ok)
-            p99 = latencies[int(0.99 * (len(latencies) - 1))] if latencies else 0.0
-            goodput = len(ok) / ((hi - lo) * capacity) if capacity else 0.0
-            rows.append(
+            hit = (lo <= issue) & (issue < hi)
+            latencies = np.sort(done[hit] - issue[hit])
+            n_ok = len(latencies)
+            p99 = latencies[int(0.99 * (n_ok - 1))].item() if n_ok else 0.0
+            goodput = n_ok / ((hi - lo) * capacity) if capacity else 0.0
+            report.append(
                 {
                     "phase": name,
-                    "ok": len(ok),
+                    "ok": n_ok,
                     "goodput_x": round(goodput, 4),
                     "p99": round(p99, 2),
                 }
             )
-        return rows
+        return report
 
 
 @dataclass

@@ -15,10 +15,11 @@ offset (stably), and a session's requests are contiguous, so a session
 carries its complete precompiled trajectory: no backend draws randomness
 at replay time and kernel interleaving can never perturb the workload.
 
-Reading a tick (``stream[i]``, or iterating) builds that tick's records
-and only that tick's: a :class:`TickPlan` of :class:`Arrival` tuples of
-:class:`Request` tuples, all plain Python values.  The columnar backend,
-:func:`stream_stats` and :func:`per_tick_arrivals` read the columns.
+Every backend reads the columns: the timed replay a window of whole
+ticks at a time (:meth:`ScenarioStream.windows`), building a session's
+:class:`Arrival` record of :class:`Request` records (plain Python values)
+only for a hook that takes one; the columnar backend,
+:func:`stream_stats` and :func:`per_tick_arrivals` whole.
 
 The draw order is the contract: every replay reads this stream, so
 moving one draw re-cuts ``experiments_output.txt`` and the ledger
@@ -70,24 +71,16 @@ class Arrival(NamedTuple):
     requests: Tuple[Request, ...]
 
 
-class TickPlan(NamedTuple):
-    """All sessions arriving during one tick of the timeline."""
-
-    index: int
-    t0: float
-    phase: str
-    arrivals: Tuple[Arrival, ...]
-
-
 class StreamWindow(NamedTuple):
     """Consecutive whole ticks of a :class:`ScenarioStream` as plain lists.
 
     The window's tick ``k`` holds sessions ``start[k]:start[k + 1]`` of
     the per-session lists, and session
     ``j``'s requests are ``first[j]:first[j + 1]`` of the per-request
-    lists ``kind`` (names), ``think`` and ``denied``.  A replay reads
-    these directly and builds an :class:`Arrival` only for a hook that
-    takes one.
+    lists ``kind`` (names), ``think`` and ``denied``; request ``r`` of
+    the window is row ``row0 + r`` of the stream.  A replay reads these
+    directly and builds an :class:`Arrival` only for a hook that takes
+    one.
     """
 
     t0: List[float]
@@ -105,6 +98,7 @@ class StreamWindow(NamedTuple):
     kind: List[str]
     think: List[float]
     denied: List[bool]
+    row0: int
 
     def arrival(self, j: int) -> Arrival:
         """Session ``j``'s record."""
@@ -160,13 +154,6 @@ class ScenarioStream:
     def __len__(self) -> int:
         return len(self.t0)
 
-    def __iter__(self):
-        return map(self.tick, range(len(self.t0)))
-
-    def __getitem__(self, index):
-        ticks = range(len(self.t0))[index]
-        return list(map(self.tick, ticks)) if isinstance(index, slice) else self.tick(ticks)
-
     def window(self, lo: int, hi: int) -> StreamWindow:
         """Ticks ``lo:hi`` as plain Python lists: one slice a column."""
         s0, s1 = self.start[[lo, hi]].tolist()
@@ -188,6 +175,7 @@ class ScenarioStream:
             list(map(self.kind_names.__getitem__, self.kind[r0:r1].tolist())),
             self.think[r0:r1].tolist(),
             self.denied[r0:r1].tolist(),
+            r0,
         )
 
     def windows(self, sessions: int) -> Iterator[StreamWindow]:
@@ -199,11 +187,6 @@ class ScenarioStream:
             if start[hi] - start[lo] >= sessions or hi == last:
                 yield self.window(lo, hi)
                 lo = hi
-
-    def tick(self, i: int) -> TickPlan:
-        """Tick ``i``'s records, built from the columns now."""
-        w = self.window(i, i + 1)
-        return TickPlan(i, w.t0[0], w.phase[0], tuple(map(w.arrival, range(len(w.offset)))))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ScenarioStream):

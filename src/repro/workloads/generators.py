@@ -17,6 +17,7 @@ from repro.core.server import ObjectServer
 from repro.naming.loid import LOID
 from repro.simkernel.futures import SimFuture, gather
 from repro.simkernel.kernel import Periodic, SimKernel, Timeout
+from repro.workloads.calllog import DENIED, FAILED, OK, SHED, CallLog
 
 
 class ZipfPopularity:
@@ -92,31 +93,12 @@ class TrafficStats:
         return self.calls_succeeded / self.calls_issued if self.calls_issued else 0.0
 
 
-class CallRecord:
-    """One driver call: when it was issued and settled, how, and which
-    phase and request kind the plan gave it.
-
-    ``done`` is None and ``outcome`` ``"pending"`` until the call settles;
-    ``phase`` is None outside a scenario replay.  Slots, and no Python
-    ``__init__``: a record costs 72 bytes and building one fires no
-    profiler event, so every driver fills the five slots itself.
-    ``r["done"]`` reads a slot like a dict key, for callers that index
-    records; any other key raises ``KeyError``.
-    """
-
-    __slots__ = ("issue", "done", "outcome", "phase", "kind")
-
-    def __getitem__(self, key: str):
-        if key not in CallRecord.__slots__:
-            raise KeyError(key)
-        return getattr(self, key)
-
-
 class SessionLoopDriver:
     """Shared session-loop core for every traffic driver.
 
     A driver owns a kernel, a roster of client consoles, a shared
-    :class:`TrafficStats`, and one simulation process per client
+    :class:`TrafficStats`, a :class:`~repro.workloads.calllog.CallLog`
+    of every call it issued, and one simulation process per client
     (``_client_loop``).  ``_invoke_once`` is the single place an
     invocation outcome is classified and tallied, so closed-loop,
     open-loop, and scenario drivers (``repro.scenarios``) count calls
@@ -130,40 +112,49 @@ class SessionLoopDriver:
         self,
         kernel: SimKernel,
         clients: Sequence[ObjectServer],
+        log: CallLog,
         timeout: Optional[float] = None,
     ) -> None:
         self.kernel = kernel
         self.clients = list(clients)
+        self.log = log
         self.timeout = timeout
         self.stats = TrafficStats()
 
-    def _invoke_once(self, call, rec: CallRecord, what: str):
+    @property
+    def records(self) -> CallLog:
+        """Every issued call as a light view, in issue order."""
+        return self.log
+
+    def _invoke_once(self, call, row: int, what: str):
         """Run one invocation (the generator ``call``) to its outcome.
 
         The outcome -- ``ok``, ``shed`` (Overloaded), ``denied``
         (SecurityDenied) or ``failed`` (any other LegionError) -- is
-        tallied in ``stats`` and stamped on the call's record ``rec``
-        with the settle time.  ``what`` names the call in
-        ``stats.errors``, which keeps the first few ``failed`` messages.
+        tallied in ``stats`` and written to the log's ``row`` with the
+        settle time.  ``what`` names the call in ``stats.errors``, which
+        keeps the first few ``failed`` messages.
         """
         stats = self.stats
         try:
             yield from call
         except Overloaded:
-            rec.outcome = "shed"
+            outcome = SHED
             stats.calls_failed += 1
         except SecurityDenied:
-            rec.outcome = "denied"
+            outcome = DENIED
             stats.calls_failed += 1
         except LegionError as exc:
-            rec.outcome = "failed"
+            outcome = FAILED
             stats.calls_failed += 1
             if len(stats.errors) < 32:
                 stats.errors.append(f"{what}: {exc}")
         else:
-            rec.outcome = "ok"
+            outcome = OK
             stats.calls_succeeded += 1
-        rec.done = self.kernel.now
+        log = self.log  # a growing log may have new columns by now
+        log.outcome[row] = outcome
+        log.done[row] = self.kernel.now
 
     def _client_loop(self, client: ObjectServer):
         raise NotImplementedError
@@ -201,7 +192,7 @@ class TrafficDriver(SessionLoopDriver):
         think_time: float = 1.0,
         timeout: Optional[float] = None,
     ) -> None:
-        super().__init__(kernel, clients, timeout=timeout)
+        super().__init__(kernel, clients, CallLog((method,), None), timeout=timeout)
         self.choose_target = choose_target
         self.method = method
         self.args = tuple(args)
@@ -209,20 +200,19 @@ class TrafficDriver(SessionLoopDriver):
         self.think_time = think_time
 
     def _client_loop(self, client: ObjectServer):
+        log = self.log
         for _i in range(self.calls_per_client):
             target = self.choose_target(client)
-            # Closed loops report totals only: the record is not kept.
-            rec = CallRecord()
-            rec.issue = self.kernel.now
-            rec.done = None
-            rec.outcome = "pending"
-            rec.phase = None
-            rec.kind = self.method
+            row = log.n
+            if row == log.capacity:
+                log.grow()
+            log.n = row + 1
+            log.issue[row] = self.kernel.now  # kind 0, the method: the zero fill
             self.stats.calls_issued += 1
             call = client.runtime.invoke(
                 target, self.method, *self.args, timeout=self.timeout
             )
-            yield from self._invoke_once(call, rec, self.method)
+            yield from self._invoke_once(call, row, self.method)
             if self.think_time > 0:
                 yield Timeout(self.think_time)
 
@@ -242,10 +232,9 @@ class OpenLoopDriver(SessionLoopDriver):
 
     ``choose_call(client)`` returns ``(target_loid, method, args)`` per
     call, so a mixed workload (cheap method traffic plus occasional
-    Create()s) is one callback.  ``records`` keeps one
-    :class:`CallRecord` per fired call (``kind`` is the method), in
-    firing order: goodput windows and latency percentiles need the raw
-    samples.
+    Create()s) is one callback.  ``log`` keeps one row per fired call
+    (its kind is the method), in firing order: goodput windows and
+    latency percentiles need the raw samples.
     """
 
     kind = "openloop"
@@ -259,14 +248,13 @@ class OpenLoopDriver(SessionLoopDriver):
         stagger: float = 0.0,
         timeout: Optional[float] = None,
     ) -> None:
-        super().__init__(kernel, clients, timeout=timeout)
+        super().__init__(kernel, clients, CallLog((), None), timeout=timeout)
         self.choose_call = choose_call
         self.schedule = list(schedule)
         self.stagger = stagger
-        self.records: List[CallRecord] = []
 
     def _client_loop(self, client: ObjectServer):
-        kernel = self.kernel
+        kernel, log = self.kernel, self.log
         offset = self.clients.index(client) * self.stagger
         if offset > 0.0:
             yield Timeout(offset)
@@ -275,20 +263,22 @@ class OpenLoopDriver(SessionLoopDriver):
             end = kernel.now + duration
             while kernel.now < end:
                 target, method, args = self.choose_call(client)
-                rec = CallRecord()
-                rec.issue = kernel.now
-                rec.done = None
-                rec.outcome = "pending"
-                rec.phase = None
-                rec.kind = method
-                self.records.append(rec)
+                row = log.n
+                if row == log.capacity:
+                    log.grow()
+                log.n = row + 1
+                log.issue[row] = kernel.now
+                try:
+                    log.kind[row] = log.codes[method]
+                except KeyError:
+                    log.kind[row] = log.add_kind(method)
                 self.stats.calls_issued += 1
                 call = client.runtime.invoke(
                     target, method, *args, timeout=self.timeout
                 )
                 calls.append(
                     kernel.spawn(
-                        self._invoke_once(call, rec, method), name="openloop-call"
+                        self._invoke_once(call, row, method), name="openloop-call"
                     )
                 )
                 # Never sleep past the phase: the next one starts on time.

@@ -5,7 +5,10 @@ one; keeping each here means one file, not every test, knows where the
 state lives.
 """
 
+from typing import Iterator, NamedTuple, Tuple
+
 from repro.core.relations import RelationGraph, RelationKind
+from repro.scenarios import Arrival
 
 
 def instances_of(graph, cls):
@@ -38,3 +41,20 @@ def heal_all(network) -> None:
 def clear_cache(cache) -> None:
     """Empty a ``BindingCache``, keeping its counters."""
     cache._entries.clear()
+
+
+class TickPlan(NamedTuple):
+    """All sessions arriving during one tick of a compiled stream."""
+
+    index: int
+    t0: float
+    phase: str
+    arrivals: Tuple[Arrival, ...]
+
+
+def ticks(plan) -> Iterator[TickPlan]:
+    """A compiled stream's ticks as records, built from its columns one
+    tick at a time: the record view tests check the columns against."""
+    for i in range(len(plan)):
+        w = plan.window(i, i + 1)
+        yield TickPlan(i, w.t0[0], w.phase[0], tuple(map(w.arrival, range(len(w.offset)))))

@@ -10,9 +10,14 @@ artifact and the ``--list-scenarios`` listing.
 
 import json
 
+import pytest
+
 from repro.experiments import runner
 from repro.experiments.e18_scenarios import EXPERIMENT as E18
-from repro.scenarios import scenario_names
+from repro.experiments.e18_scenarios import _shape_stats, _site_arrivals
+from repro.scenarios import compile_events, get_scenario, scenario_names
+
+from tests._state import ticks
 
 
 def test_units_cover_the_scenario_x_arm_matrix():
@@ -93,3 +98,21 @@ def test_a_mega_cell_compiles_its_frame_columns_once(monkeypatch):
     partial = e18_scenarios.measure(cell, True, 0, flags)
     assert partial["frames_agree"]
     assert len(compiled) == 1
+
+
+@pytest.mark.parametrize("name", scenario_names())
+def test_site_arrivals_count_what_the_tick_records_hold(name):
+    """The diurnal site peaks read one bincount over the stream's columns;
+    on every catalog scenario it equals the count over the tick records,
+    and so do the peaks taken from it."""
+    spec = get_scenario(name)
+    for seed in (0, 1):
+        plan = compile_events(spec, seed)
+        by_site = [[0] * len(plan) for _ in range(spec.sites)]
+        for i, tick in enumerate(ticks(plan)):
+            for a in tick.arrivals:
+                by_site[a.site][i] += 1
+        assert _site_arrivals(spec.sites, plan).tolist() == by_site
+        peaks = [row.index(max(row)) if any(row) else -1 for row in by_site]
+        shape = _shape_stats(spec, plan)
+        assert shape.get("site_peaks", peaks) == peaks

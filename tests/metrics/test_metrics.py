@@ -46,9 +46,29 @@ class TestMetricsRegistry:
     def test_reset(self):
         metrics = MetricsRegistry()
         metrics.incr(comp("a"), "requests")
+        metrics.retire(comp("a"))
+        metrics.incr(comp("b"), "requests")
         metrics.reset()
-        assert metrics.get(comp("a")) == 0
+        assert metrics.get(comp("b")) == 0
         assert metrics.snapshot() == {}
+        assert metrics.totals_by_kind() == {}
+
+    def test_retire_keeps_the_totals_and_drops_the_entry(self):
+        metrics = MetricsRegistry()
+        app = ComponentKind.APPLICATION
+        bump(metrics, comp("a", app), 4)
+        metrics.incr(comp("a", app), MetricsRegistry.SHED)
+        bump(metrics, comp("b", app), 2)
+        totals = metrics.totals_by_kind()
+        metrics.retire(comp("a", app))
+        metrics.retire(comp("a", app))  # idempotent
+        metrics.retire(comp("never-counted", app))
+        assert metrics.totals_by_kind() == totals == {app: 6}
+        assert metrics.loads(app) == {"b": 2}
+        assert metrics.snapshot(None, MetricsRegistry.SHED) == {"application:b": 0}
+        assert metrics.get(comp("a", app)) == 0
+        bump(metrics, comp("a", app), 1)  # counted again: a new entry
+        assert metrics.totals_by_kind() == {app: 7}
 
 
     def test_first_count_order_spans_events(self):

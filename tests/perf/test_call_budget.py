@@ -37,8 +37,8 @@ import pytest
 
 from repro.flow.config import FlowConfig
 from repro.scenarios import ScenarioDriver, compile_events, deploy, get_scenario
-from repro.scenarios import drive as drive_module
 from repro.system.legion import LegionSystem, SiteSpec
+from repro.workloads import calllog
 from repro.workloads.apps import CounterImpl
 from tests._state import disable_tracing
 
@@ -50,6 +50,9 @@ pytestmark = pytest.mark.skipif(
 #: Python + builtin calls one warm call may make (ROADMAP item 1).  Each
 #: ceiling here is the measured count, so a single added call fails.
 CALL_BUDGET = 63
+
+#: Bytes the call log holds per open-loop request: the measured figure.
+BYTES_PER_REQUEST = 21.15
 
 
 def warm_testbed(flow=None):
@@ -155,19 +158,23 @@ def test_an_open_loop_request_fits_its_budget():
     ``_default_invoke`` generator and ``target_of``, made it 98.8362
     (348,002 calls), and that is the ceiling; the events are the
     simulation's and may not move at all.  A slotted ``CallRecord`` in
-    place of a dict per request left it at 360,432.
+    place of a dict per request left it at 360,432; a call log written
+    by subscript, without a ``list.append`` per request, reads 97.8344
+    (344,475 calls).
 
-    The same replay prices what ``driver.records`` holds: the bytes
-    allocated in ``drive.py`` that clearing the list frees, per record --
-    the record and its list slot; the time floats are the kernel's.  A
-    nine-key dict made it 279.7; a ``CallRecord`` makes it 81.2.
+    The same replay prices what the driver's call log holds: the bytes
+    allocated in ``calllog.py`` that dropping the log frees, per
+    request.  A nine-key dict per request made it 279.7 and a slotted
+    ``CallRecord`` 81.2 (the record and its list slot, in ``drive.py``;
+    the time floats it kept alive are the kernel's and were not
+    counted).  The log's columns -- two float64 times, an outcome byte
+    and an int32 issue order per stream row -- make it 21.15.
     """
     spec = get_scenario("diurnal-regional")
     spec = replace(
         spec, phases=tuple(replace(p, duration=p.duration * 4) for p in spec.phases)
     )
     deployment = deploy(spec, 0)
-    driver = ScenarioDriver(deployment, compile_events(spec, 0))
     kernel = deployment.system.kernel
     length = sum(p.duration for p in spec.phases)
     events = kernel.events_executed
@@ -179,22 +186,23 @@ def test_an_open_loop_request_fits_its_budget():
             kernel.run(until=start + length * part / 8)
         kernel.run()  # every session runs to its disposition
 
-    def held_by_drive() -> int:
+    def held_by_the_log() -> int:
         snapshot = tracemalloc.take_snapshot()
-        only = [tracemalloc.Filter(True, drive_module.__file__)]
+        only = [tracemalloc.Filter(True, calllog.__file__)]
         return sum(t.size for t in snapshot.filter_traces(only).traces)
 
     tracemalloc.start()
     try:
+        driver = ScenarioDriver(deployment, compile_events(spec, 0))
         _, calls = count_calls(drive)
         records = len(driver.records)
-        held = held_by_drive()
-        driver.records.clear()
-        held -= held_by_drive()
+        held = held_by_the_log()
+        driver.log = None
+        held -= held_by_the_log()
     finally:
         tracemalloc.stop()
     settled = driver.stats.calls_succeeded + driver.stats.calls_failed
     assert settled == driver.stats.calls_issued == records == 3521
     assert kernel.events_executed - events == 26724
     assert calls / settled <= 98.8362
-    assert held / records <= 100
+    assert held / records <= BYTES_PER_REQUEST

@@ -25,6 +25,8 @@ from repro.scenarios import (
     stream_stats,
 )
 
+from tests._state import ticks
+
 arrivals = st.one_of(
     st.fixed_dictionaries(
         {"kind": st.just("poisson"), "rate": st.floats(0.0, 1.5)}
@@ -103,7 +105,7 @@ def test_longer_timeline_extends_the_stream_by_prefix(spec, seed):
         ),
     )
     longer = compile_events(dataclasses.replace(spec, phases=phases), seed)
-    assert longer[: len(short)] == list(short)
+    assert list(ticks(longer))[: len(short)] == list(ticks(short))
 
 
 @settings(max_examples=40)
@@ -114,7 +116,7 @@ def test_compiled_stream_conserves_sessions(spec, seed):
     assert stats["sessions"] == stats["completed"] + stats["abandoned"]
     assert stats["sessions"] == sum(per_tick_arrivals(plan))
     max_requests = spec.phases[0].session.max_requests
-    for tick in plan:
+    for tick in ticks(plan):
         for a in tick.arrivals:
             assert 1 <= len(a.requests) <= max_requests
             assert a.completed == (len(a.requests) == max_requests) or (

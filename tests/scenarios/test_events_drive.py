@@ -13,6 +13,8 @@ from repro.scenarios import (
     stream_stats,
 )
 
+from tests._state import ticks
+
 TINY = {
     "name": "tiny",
     "sites": 2,
@@ -69,7 +71,7 @@ def test_rate_scale_outside_its_range_is_refused(rate_scale):
 def test_arrivals_respect_site_and_class_bounds():
     spec = get_scenario("multi-tenant")
     plan = compile_events(spec, 0)
-    for tick in plan:
+    for tick in ticks(plan):
         for a in tick.arrivals:
             assert 0 <= a.site < spec.sites
             assert 0 <= a.target_site < spec.sites

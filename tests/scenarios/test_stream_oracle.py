@@ -22,6 +22,8 @@ import pytest
 
 from repro.scenarios import compile_events, get_scenario
 
+from tests._state import ticks
+
 TICK_FIELDS = ("index", "t0", "phase", "arrivals")
 ARRIVAL_FIELDS = (
     "offset",
@@ -78,7 +80,7 @@ def _atom(value) -> str:
 def digest_of(plan) -> str:
     """sha256 of the stream's field values in declaration order, a record a line."""
     digest = hashlib.sha256()
-    for tick in plan:
+    for tick in ticks(plan):
         head = [_atom(getattr(tick, f)) for f in TICK_FIELDS[:-1]]
         digest.update(("T " + " ".join(head) + "\n").encode())
         for arrival in tick.arrivals:
