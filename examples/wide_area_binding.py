@@ -55,9 +55,7 @@ def main() -> None:
     driver = TrafficDriver(
         system.kernel,
         clients,
-        choose_target=lambda c: mix.choose(client_sites[c.loid.identity]),
-        method="Increment",
-        args=(1,),
+        choose_call=lambda c: (mix.choose(client_sites[c.loid.identity]), "Increment", (1,)),
         calls_per_client=25,
         think_time=2.0,
     )

@@ -282,11 +282,8 @@ class ClassObjectImpl(ClonePool, ReplicaGroups, Derivation, LegionObjectImpl):
                 object_address=address,
                 current_magistrates=magistrates,
                 scheduling_agent=self.scheduling_agent,
-                candidate_magistrates=(
-                    list(self.candidate_magistrates)
-                    if self.candidate_magistrates is not None
-                    else None
-                ),
+                # Shared, not copied: the class replaces its list on change.
+                candidate_magistrates=self.candidate_magistrates,
                 is_subclass=is_subclass,
                 replica_want=replica_want,
             )
@@ -542,9 +539,11 @@ class ClassObjectImpl(ClonePool, ReplicaGroups, Derivation, LegionObjectImpl):
     def add_candidate_magistrate(self, magistrate: LOID) -> None:
         """Extend THIS class's candidate list (e.g. after a jurisdiction
         split creates a new magistrate, section 2.2).  A None list means
-        'no restriction' and already admits the newcomer."""
+        'no restriction' and already admits the newcomer.  The list is
+        replaced, not extended: every row created so far shares the list
+        its class had then."""
         if self.candidate_magistrates is not None and magistrate not in self.candidate_magistrates:
-            self.candidate_magistrates.append(magistrate)
+            self.candidate_magistrates = self.candidate_magistrates + [magistrate]
 
 
 #: The class-mandatory interface (what every Legion class object exports).

@@ -40,9 +40,7 @@ def _run_capacity(capacity: int, seed: int, quick: bool):
     traffic = TrafficDriver(
         system.kernel,
         [client],
-        choose_target=lambda _c: loids[zipf.sample()],
-        method="Increment",
-        args=(1,),
+        choose_call=lambda _c: (loids[zipf.sample()], "Increment", (1,)),
         calls_per_client=calls,
         think_time=1.0,
     )

@@ -40,9 +40,7 @@ def _run_ttl(ttl, seed: int, quick: bool):
     traffic = TrafficDriver(
         system.kernel,
         [client],
-        choose_target=lambda _c: target.loid,
-        method="Increment",
-        args=(1,),
+        choose_call=lambda _c: (target.loid, "Increment", (1,)),
         calls_per_client=calls,
         think_time=20.0,  # spread over time so TTLs actually expire
     )
@@ -113,9 +111,7 @@ def _run_locality(local_fraction: float, seed: int, quick: bool):
     traffic = TrafficDriver(
         system.kernel,
         clients,
-        choose_target=lambda c: mix.choose(sites[c.loid.identity]),
-        method="Increment",
-        args=(1,),
+        choose_call=lambda c: (mix.choose(sites[c.loid.identity]), "Increment", (1,)),
         calls_per_client=calls,
         think_time=1.0,
     )

@@ -86,9 +86,7 @@ def _run_level(intensity: float, seed: int, quick: bool):
     traffic = TrafficDriver(
         system.kernel,
         clients,
-        choose_target=lambda _client: loids[rng.randrange(len(loids))],
-        method="Get",
-        args=(),
+        choose_call=lambda _client: (loids[rng.randrange(len(loids))], "Get", ()),
         calls_per_client=calls_per_client,
         think_time=10.0,
         timeout=250.0,

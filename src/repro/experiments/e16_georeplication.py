@@ -35,11 +35,11 @@ byte-identical across ``--jobs``.
 
 from __future__ import annotations
 
+import itertools
 from typing import Any, Dict, List
 
 import numpy as np
 
-from repro.errors import LegionError
 from repro.experiments.common import (
     Experiment,
     ExperimentResult,
@@ -57,8 +57,8 @@ from repro.security.environment import CallEnvironment
 from repro.simkernel.futures import gather
 from repro.simkernel.kernel import Timeout
 from repro.system.legion import LegionSystem
-from repro.workloads.calllog import FAILED, OK, CallLog
-from repro.workloads.generators import OpenLoopDriver
+from repro.workloads.calllog import OK
+from repro.workloads.generators import OpenLoopDriver, TrafficDriver
 
 N_SITES = 3
 HOSTS_PER_SITE = 2
@@ -142,28 +142,19 @@ def _measure_locality(replicas: int, seed: int, quick: bool) -> Dict[str, Any]:
         system.call(binding.loid, "Get", KEYS[0], client=client)
     system.reset_measurements()
 
-    # One call log, its phase the reader's site: rows are written in
-    # issue order, as every driver writes its growing log.
+    # One paced reader per site: a closed loop, so its log's phase of a
+    # row is the reader (client i reads at site i).
     names = [spec.name for spec in system.sites]
-    log = CallLog(("Get",), names)
-
-    def reader(client, site):
-        for i in range(reads):
-            row = log.n
-            if row == log.capacity:
-                log.grow()
-            log.n = row + 1
-            log.issue[row] = kernel.now
-            log.phase[row] = site
-            try:
-                yield from client.runtime.invoke(
-                    binding.loid, "Get", KEYS[i % len(KEYS)], timeout=READ_TIMEOUT
-                )
-                log.outcome[row] = OK
-            except LegionError:
-                log.outcome[row] = FAILED
-            log.done[row] = kernel.now
-            yield Timeout(READ_PACE)
+    keys = {id(client): itertools.cycle(KEYS) for client in clients}
+    readers = TrafficDriver(
+        kernel,
+        clients,
+        lambda client: (binding.loid, "Get", (next(keys[id(client)]),)),
+        calls_per_client=reads,
+        think_time=READ_PACE,
+        timeout=READ_TIMEOUT,
+    )
+    log = readers.log
 
     # The partition that should hurt r=1 and not r=3: cut the primary
     # replica's site off from the next site in ring order.
@@ -177,11 +168,7 @@ def _measure_locality(replicas: int, seed: int, quick: bool) -> Dict[str, Any]:
         system.network.heal(primary_site, neighbour)
 
     start = kernel.now
-    futures = [
-        system.spawn(reader(client, site), name=f"e16-read-{names[site]}")
-        for site, client in enumerate(clients)
-    ]
-    futures.append(system.spawn(chaos(), name="e16-partition"))
+    futures = [readers.start(), system.spawn(chaos(), name="e16-partition")]
     kernel.run_until_complete(gather(futures), max_events=50_000_000)
     kernel.run()  # late bounces and timers
 

@@ -299,16 +299,14 @@ def _measure_autoscale(spec: ScenarioSpec, seed: int, mult: float) -> dict:
     for router in routers.values():
         router.start()
 
-    def invoke_via(driver, client, a, req, timeout):
-        if a.klass == 0:  # the hot class: ride the clone pool
+    def invoke_via(driver, client, w, j, kind, timeout):
+        if w.klass[j] == 0:  # the hot class: ride the clone pool
             target = routers[id(client)].choose()
             yield from client.runtime.invoke(
                 target, "CloneEpoch", timeout=timeout
             )
         else:
-            yield from ScenarioDriver._default_invoke(
-                driver, client, a, req, timeout
-            )
+            yield from driver._default_invoke(client, w, j, kind, timeout)
 
     driver = ScenarioDriver(dep, plan, invoke_via=invoke_via, timeout=400.0)
     stats_fut = driver.start()

@@ -36,9 +36,7 @@ def _run_level(churn_interval: float, seed: int, quick: bool):
     traffic = TrafficDriver(
         system.kernel,
         clients,
-        choose_target=lambda _client: loids[rng.randrange(len(loids))],
-        method="Increment",
-        args=(1,),
+        choose_call=lambda _client: (loids[rng.randrange(len(loids))], "Increment", (1,)),
         calls_per_client=calls_per_client,
         think_time=5.0,
     )

@@ -97,9 +97,9 @@ def _run_config(
         traffic = TrafficDriver(
             system.kernel,
             clients,
-            choose_target=lambda client: mix.choose(client_sites[client.loid.identity]),
-            method="Increment",
-            args=(1,),
+            choose_call=lambda client: (
+                mix.choose(client_sites[client.loid.identity]), "Increment", (1,)
+            ),
             calls_per_client=calls_per_client,
             think_time=2.0,
         )
@@ -147,10 +147,11 @@ def e9_mega_sizes(mega: int, quick: bool = True) -> List[int]:
 def e9_mega_spec(size: int, quick: bool = True):
     """One rung's scenario: classes, host slots, and traffic all ∝ size.
 
-    Scaling every axis together is the point: per-class offered load is
-    then *flat* in the population, so a flat max-class-load curve means
-    no component's load is an increasing function of system size -- the
-    paper's principle restated at 10^6-10^7 objects.
+    Scaling every axis together makes per-class offered load the same at
+    every rung (about 1,500 calls), so the max per-class load is flat by
+    construction and says nothing about section 5.2.  What a rung
+    measures is the columnar backend itself: every call settles, and the
+    tick serves the same per-class throughput at 10^4 ids as at 10^6.
     """
     from repro.megascale.scenario import MegaScenario
 
@@ -369,9 +370,10 @@ def finish(partials, quick: bool, seed: int, flags: Flags) -> ExperimentResult:
             )
         mega_slope = mega_recorder.slope("max_class_load", log_log=True)
         result.check(
-            "mega: max per-class load ~flat across the population ladder",
+            "mega: columnar per-class throughput holds from 10^4 to 10^6 ids",
             mega_slope < 0.35,
-            f"log-log slope {mega_slope:.3f}",
+            f"max per-class calls, log-log slope {mega_slope:.3f}; "
+            "offered load per class is the same at every rung",
         )
         result.notes += (
             ("\n" if result.notes else "")
@@ -385,7 +387,7 @@ def finish(partials, quick: bool, seed: int, flags: Flags) -> ExperimentResult:
 #: the claim is re-checked from the *trace side*: the span ledger's max
 #: per-component load must be ~flat in system size, and at every size the
 #: ledger must reconcile exactly with the request counters the table is
-#: built from.  ``mega`` appends the columnar size ladder: the same
-#: load-slope claim checked at 10^6-10^7 objects through the
-#: frame-at-once backend.
+#: built from.  ``mega`` appends the columnar size ladder, which checks
+#: the frame-at-once backend rather than section 5.2: settlement,
+#: escalation and per-class throughput at 10^4-10^6 ids.
 EXPERIMENT = Experiment(("trace", "mega"), units, measure, finish)

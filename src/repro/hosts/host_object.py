@@ -28,22 +28,11 @@ from repro.core.method import InvocationContext
 from repro.core.object_base import LegionObjectImpl, legion_method
 from repro.core.server import ObjectServer
 from repro.hosts.process_table import ProcessEntry, ProcessTable
-from repro.metrics.counters import ComponentKind
+from repro.metrics.counters import OPR_KINDS
 from repro.naming.binding import Binding
 from repro.naming.loid import LOID
 from repro.net.address import ObjectAddress
 from repro.persistence.opr import OPRecord
-
-#: OPR ``component_kind`` string → metrics kind for the new server.
-_KIND_MAP = {
-    "application": ComponentKind.APPLICATION,
-    "class-object": ComponentKind.CLASS_OBJECT,
-    "binding-agent": ComponentKind.BINDING_AGENT,
-    "magistrate": ComponentKind.MAGISTRATE,
-    "host-object": ComponentKind.HOST_OBJECT,
-    "scheduler": ComponentKind.SCHEDULER,
-}
-
 
 class HostState:
     """The GetState() report: a plain, picklable capacity snapshot."""
@@ -209,7 +198,7 @@ class HostObjectImpl(LegionObjectImpl):
             impl = CompositeImpl(parts, exposures)
         if opr.state is not None:
             impl.restore_state(opr.state)
-        kind = _KIND_MAP.get(opr.component_kind, ComponentKind.OTHER)
+        kind = OPR_KINDS[opr.component_kind]
         server = ObjectServer(
             self.services,
             opr.loid,

@@ -47,6 +47,7 @@ from repro.errors import (
 from repro.core.method import InvocationContext
 from repro.core.object_base import LegionObjectImpl, legion_method
 from repro.jurisdiction.jurisdiction import Jurisdiction
+from repro.metrics.counters import OPR_KINDS
 from repro.naming.binding import Binding
 from repro.naming.loid import LOID
 from repro.net.address import ObjectAddress
@@ -473,6 +474,10 @@ class MagistrateImpl(LegionObjectImpl):
         loid = record.loid
         if record.state is ACTIVE:
             yield from self.runtime.invoke(record.host, "KillObject", loid, env=env)
+        elif record.state is INERT or record.state is LOST:
+            # No process to kill, so no host retires the metrics entry.
+            kind = OPR_KINDS[record.template.component_kind]
+            self.services.metrics.retire((kind, str(loid)))
         for host, _address in record.replicas:
             yield from self.runtime.invoke(host, "KillObject", loid, env=env)
         self.jurisdiction.vault.delete_opr(loid)

@@ -44,6 +44,18 @@ class ComponentId(NamedTuple):
         return f"{self.kind.value}:{self.name}"
 
 
+#: OPR ``component_kind`` string -> metrics kind of the object's server
+#: (any other string counts as ``OTHER``); read by subscript.
+OPR_KINDS: Dict[str, ComponentKind] = defaultdict(lambda: ComponentKind.OTHER, {
+    "application": ComponentKind.APPLICATION,
+    "class-object": ComponentKind.CLASS_OBJECT,
+    "binding-agent": ComponentKind.BINDING_AGENT,
+    "magistrate": ComponentKind.MAGISTRATE,
+    "host-object": ComponentKind.HOST_OBJECT,
+    "scheduler": ComponentKind.SCHEDULER,
+})
+
+
 class MetricsRegistry:
     """Central counter store; one per LegionSystem.
 
@@ -88,8 +100,11 @@ class MetricsRegistry:
 
     def retire(self, component: ComponentId) -> None:
         """Fold a deleted component's counters into its kind's retired
-        totals and drop its entries (a no-op if it holds none)."""
-        kind = component.kind
+        totals and drop its entries (a no-op if it holds none).
+
+        A plain ``(kind, name)`` tuple names the same component.
+        """
+        kind = component[0]
         self._retired[self.REQUESTS, kind] += self._requests.pop(component, 0)
         if self._events:
             for event, counts in self._events.items():

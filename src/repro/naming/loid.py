@@ -143,7 +143,7 @@ class LOID:
         )
 
     def __str__(self) -> str:
-        kind = "C" if self.is_class else "O"
+        kind = "C" if self.class_specific == 0 else "O"  # is_class, without its call
         return f"{kind}<{self.class_id}.{self.class_specific}>"
 
 

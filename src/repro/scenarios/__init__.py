@@ -10,8 +10,6 @@ named scenarios experiment E18 sweeps.
 
 from .catalog import catalog, get_scenario, scenario_names
 from .events import (
-    Arrival,
-    Request,
     ScenarioStream,
     compile_events,
     per_tick_arrivals,
@@ -31,13 +29,11 @@ from .spec import (
 from .drive import Deployment, ReplicaRouting, ScenarioDriver, SessionTally, deploy
 
 __all__ = [
-    "Arrival",
     "ArrivalSpec",
     "Deployment",
     "MixSpec",
     "PhaseSpec",
     "ReplicaRouting",
-    "Request",
     "ScenarioDriver",
     "ScenarioSpec",
     "ScenarioSpecError",

@@ -9,9 +9,9 @@ and a MayI ACL admitting only privileged tenants to ``Privileged()``.
 ``ScenarioDriver`` then replays a compiled event stream: one simulation
 process per session, issuing the precompiled request trajectory with
 think gaps between requests, classifying every outcome (ok / shed /
-denied / failed) into both the shared :class:`TrafficStats` ledger and a
-:class:`~repro.workloads.calllog.CallLog` indexed by the stream's
-request rows.  The driver builds on the same
+denied / failed) into a :class:`~repro.workloads.calllog.CallLog`
+indexed by the stream's request rows, the driver's only call counter.
+The driver builds on the same
 :class:`~repro.workloads.generators.SessionLoopDriver` core as the
 closed- and open-loop drivers, so call accounting is identical across
 all three.
@@ -33,7 +33,7 @@ from repro.workloads.apps import ScenarioServiceImpl
 from repro.workloads.calllog import CallLog
 from repro.workloads.generators import SessionLoopDriver
 
-from .events import Arrival, Request, ScenarioStream, StreamWindow
+from .events import ScenarioStream, StreamWindow
 from .spec import ScenarioSpec
 
 #: Hosts per scenario site (jurisdiction).
@@ -83,9 +83,6 @@ class Deployment:
 
     def all_clients(self) -> List[object]:
         return [self.clients[key] for key in sorted(self.clients)]
-
-    def target_of(self, a: Arrival) -> LOID:
-        return self.instances[(a.klass, a.target_site)][a.slot]
 
 
 def deploy(
@@ -169,9 +166,11 @@ def deploy(
 class ScenarioDriver(SessionLoopDriver):
     """Replay one compiled event stream against a deployment.
 
-    ``invoke_via(driver, client, arrival, request, timeout)`` may replace
-    the default target-method invocation (the ``--replicas`` arm routes
-    reads/writes through a :class:`ReplicaSession` this way).
+    ``invoke_via(driver, client, w, j, kind, timeout)`` may replace the
+    default target-method invocation of a request of ``kind`` by session
+    ``j`` of stream window ``w`` (the ``--replicas`` arm routes
+    reads/writes through a :class:`ReplicaSession` this way; a hook
+    falls back on :meth:`_default_invoke`).
     """
 
     kind = "scenario"
@@ -204,18 +203,20 @@ class ScenarioDriver(SessionLoopDriver):
 
     # ------------------------------------------------------------- plumbing
 
-    def _default_invoke(self, client, a: Arrival, req: Request, timeout):
-        target = self.deployment.target_of(a)
-        method, args = method_for(self.spec, req.kind, a.key)
+    def _default_invoke(self, client, w: StreamWindow, j: int, kind: str, timeout):
+        """A request of ``kind`` by session ``j`` of window ``w``, made as
+        the replay makes it without a hook."""
+        target = self.deployment.instances[(w.klass[j], w.target_site[j])][w.slot[j]]
+        method, args = method_for(self.spec, kind, w.key[j])
         yield from client.runtime.invoke(target, method, *args, timeout=timeout)
 
     def _session(self, w: StreamWindow, j: int):
         """Session ``j`` of window ``w``, read from the window's lists.
 
-        Without an ``invoke_via`` hook no record is built: the target
-        and each request's method come straight from the columns.  Each
-        request writes its stream row of the log (its kind and phase are
-        the stream's already).
+        The target and each request's method come straight from the
+        columns; a hook reads the same window.  Each request writes its
+        stream row of the log (its kind and phase are the stream's
+        already).
         """
         spec, deployment, kernel, log = self.spec, self.deployment, self.kernel, self.log
         tenant = w.tenant[j]
@@ -224,13 +225,9 @@ class ScenarioDriver(SessionLoopDriver):
         if self.use_deadlines and spec.tenants[tenant].deadline is not None:
             timeout = spec.tenants[tenant].deadline
         invoke_via = self.invoke_via
-        if invoke_via is None:
-            target = deployment.instances[(w.klass[j], w.target_site[j])][w.slot[j]]
-            key = w.key[j]
-        else:
-            a = w.arrival(j)
-        lo, row0 = w.first[j], w.row0
-        for r in range(lo, w.first[j + 1]):
+        target = deployment.instances[(w.klass[j], w.target_site[j])][w.slot[j]]
+        key, row0 = w.key[j], w.row0
+        for r in range(w.first[j], w.first[j + 1]):
             think = w.think[r]
             if think > 0:
                 yield Timeout(think)
@@ -238,12 +235,11 @@ class ScenarioDriver(SessionLoopDriver):
             log.n = n + 1
             log.order[n] = row
             log.issue[row] = kernel.now
-            self.stats.calls_issued += 1
             if invoke_via is None:
                 method, args = method_for(spec, kind, key)
                 call = client.runtime.invoke(target, method, *args, timeout=timeout)
             else:
-                call = invoke_via(self, client, a, a.requests[r - lo], timeout)
+                call = invoke_via(self, client, w, j, kind, timeout)
             yield from self._invoke_once(call, row, kind)
         if w.completed[j]:
             self.sessions.completed += 1
@@ -269,7 +265,7 @@ class ScenarioDriver(SessionLoopDriver):
             yield fut
 
     def start(self):
-        """Spawn the arrival pump; future resolves with TrafficStats."""
+        """Spawn the arrival pump; future resolves with :attr:`stats`."""
         pump = self.kernel.spawn(self._pump(), name="scenario-pump")
         return pump.then(lambda _results: self.stats, name="scenario-stats")
 
@@ -320,19 +316,22 @@ class ReplicaRouting:
     consistency: str
     sessions: Dict[Tuple[int, int, int], object] = field(default_factory=dict)
 
-    def session_for(self, driver: ScenarioDriver, client, a: Arrival):
+    def session_for(self, client, w: StreamWindow, j: int):
         from repro.replication.policy import ReplicaSession
 
-        key = (a.tenant, a.site, a.klass)
+        klass = w.klass[j]
+        key = (w.tenant[j], w.site[j], klass)
         if key not in self.sessions:
             self.sessions[key] = ReplicaSession(
-                client.runtime, self.bindings[a.klass], self.consistency
+                client.runtime, self.bindings[klass], self.consistency
             )
         return self.sessions[key]
 
-    def invoke_via(self, driver: ScenarioDriver, client, a, req, timeout):
-        session = self.session_for(driver, client, a)
-        if req.kind == "write":
-            yield from session.write(f"k{a.key}", a.key)
+    def invoke_via(self, driver: ScenarioDriver, client, w: StreamWindow, j: int,
+                   kind: str, timeout):
+        session = self.session_for(client, w, j)
+        key = w.key[j]
+        if kind == "write":
+            yield from session.write(f"k{key}", key)
         else:
-            yield from session.read(f"k{a.key}")
+            yield from session.read(f"k{key}")

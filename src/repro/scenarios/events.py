@@ -15,11 +15,11 @@ offset (stably), and a session's requests are contiguous, so a session
 carries its complete precompiled trajectory: no backend draws randomness
 at replay time and kernel interleaving can never perturb the workload.
 
-Every backend reads the columns: the timed replay a window of whole
-ticks at a time (:meth:`ScenarioStream.windows`), building a session's
-:class:`Arrival` record of :class:`Request` records (plain Python values)
-only for a hook that takes one; the columnar backend,
-:func:`stream_stats` and :func:`per_tick_arrivals` whole.
+Every backend reads the columns: the timed replay (and its hooks) a
+window of whole ticks at a time (:meth:`ScenarioStream.windows`), as
+plain Python lists; the columnar backend, :func:`stream_stats` and
+:func:`per_tick_arrivals` whole.  No backend builds a per-session
+record.
 
 The draw order is the contract: every replay reads this stream, so
 moving one draw re-cuts ``experiments_output.txt`` and the ledger
@@ -35,7 +35,6 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_right
-from itertools import repeat
 from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -49,28 +48,6 @@ from .spec import ScenarioSpec, validate
 KEYSPACE = 16
 
 
-class Request(NamedTuple):
-    """One request of a session: kind plus the think gap before it."""
-
-    kind: str
-    think: float
-    denied: bool  # privileged request from an unprivileged tenant
-
-
-class Arrival(NamedTuple):
-    """One session arrival with its full precompiled trajectory."""
-
-    offset: float  # ms after the tick start
-    site: int  # caller's jurisdiction
-    tenant: int  # index into spec.tenants
-    klass: int  # target class (Zipf-ranked: 0 is hottest)
-    target_site: int  # jurisdiction whose instance pool is targeted
-    slot: int  # instance index within (klass, target_site)
-    key: int  # data key for read/write requests
-    completed: bool  # ran to max_requests (else abandoned)
-    requests: Tuple[Request, ...]
-
-
 class StreamWindow(NamedTuple):
     """Consecutive whole ticks of a :class:`ScenarioStream` as plain lists.
 
@@ -78,9 +55,7 @@ class StreamWindow(NamedTuple):
     the per-session lists, and session
     ``j``'s requests are ``first[j]:first[j + 1]`` of the per-request
     lists ``kind`` (names), ``think`` and ``denied``; request ``r`` of
-    the window is row ``row0 + r`` of the stream.  A replay reads these
-    directly and builds an :class:`Arrival` only for a hook that takes
-    one.
+    the window is row ``row0 + r`` of the stream.
     """
 
     t0: List[float]
@@ -99,19 +74,6 @@ class StreamWindow(NamedTuple):
     think: List[float]
     denied: List[bool]
     row0: int
-
-    def arrival(self, j: int) -> Arrival:
-        """Session ``j``'s record."""
-        lo, hi = self.first[j], self.first[j + 1]
-        requests = tuple(
-            map(tuple.__new__, repeat(Request),
-                zip(self.kind[lo:hi], self.think[lo:hi], self.denied[lo:hi]))
-        )
-        return tuple.__new__(Arrival, (
-            self.offset[j], self.site[j], self.tenant[j], self.klass[j],
-            self.target_site[j], self.slot[j], self.key[j], self.completed[j],
-            requests,
-        ))
 
 
 #: The column names of a :class:`ScenarioStream`, by what they index.

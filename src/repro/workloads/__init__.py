@@ -9,8 +9,8 @@ This package parameterises exactly those knobs:
 * :class:`ZipfPopularity` -- skewed class/object popularity (the "popular
   class objects becoming bottlenecks" of section 5.2.2);
 * :class:`LocalityMix` -- the fraction of intra-site accesses;
-* :class:`TrafficDriver` -- per-client invocation loops over a chosen
-  target distribution;
+* :class:`TrafficDriver` -- per-client closed loops, each call the
+  ``(target, method, args)`` a ``choose_call(client)`` returns;
 * :class:`ChurnDriver` -- deactivation/migration churn that manufactures
   stale bindings (section 4.1.4);
 * :mod:`repro.workloads.apps` -- small application objects (counter,

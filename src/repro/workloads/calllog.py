@@ -11,15 +11,16 @@ A replay's log is indexed by the compiled stream's request rows: the
 stream already holds each request's kind and its session's phase, so
 the log only adds the three columns above and ``order``, an int32 column
 naming the row the n-th issued call wrote -- about 21 bytes a request,
-allocated once at ``plan.requests`` rows.  Any other log (open and
-closed loops, paced readers) writes rows in issue order, so it needs no
-``order``; it keeps its own kind (and, if it has phases, phase) code
-columns and doubles every column when it fills.
+allocated once at ``plan.requests`` rows; a replay writes it by
+subscript (``log.issue[row] = now``).  Any other log (open and closed
+loops) writes rows in issue order through :meth:`CallLog.append`, so it
+needs no ``order``; it keeps its own kind (and, if it has phases, phase)
+code columns and doubles every column when it fills.
 
-Writers store by subscript (``log.issue[row] = now``), never through a
-per-call Python function.  Readers summarise the columns with numpy, or
-iterate the log: ``iter(log)`` yields one light :class:`Call` view per
-issued call, in issue order.
+The log is its driver's only call counter: a row not yet settled (or,
+in a replay log, not yet issued) reads ``pending``.  Readers summarise
+the columns with numpy, or iterate the log: ``iter(log)`` yields one
+light :class:`Call` view per issued call, in issue order.
 """
 
 from __future__ import annotations
@@ -62,7 +63,9 @@ class CallLog:
         self.outcome = np.zeros(rows, dtype=np.uint8)
         self.order = None
         self.kind = np.zeros(rows, dtype=np.uint8)
-        self.phase = None if phase_names is None else np.zeros(rows, dtype=np.uint8)
+        self.phase = None if phase_names is None else np.zeros(
+            rows, dtype=np.min_scalar_type(len(phase_names))
+        )
         self.kind_names: List[str] = list(kind_names)
         self.phase_names = None if phase_names is None else tuple(phase_names)
         self.codes = {name: code for code, name in enumerate(self.kind_names)}
@@ -101,12 +104,23 @@ class CallLog:
                 new[:n] = old[:n]
                 setattr(self, name, new)
 
-    def add_kind(self, name: str) -> int:
-        """The code of a kind a growing log has not seen before."""
-        code = len(self.kind_names)
-        self.kind_names.append(name)
-        self.codes[name] = code
-        return code
+    def append(self, issue: float, kind: str, phase: Optional[int]) -> int:
+        """Write a growing log's next row -- a call of ``kind`` issued at
+        ``issue``, in phase code ``phase`` (None without phases) -- and
+        return it; the caller settles it by subscript."""
+        row = self.n
+        if row == self.capacity:
+            self.grow()
+        self.n = row + 1
+        self.issue[row] = issue
+        try:
+            self.kind[row] = self.codes[kind]
+        except KeyError:
+            self.kind[row] = self.codes[kind] = len(self.kind_names)
+            self.kind_names.append(kind)
+        if phase is not None:
+            self.phase[row] = phase
+        return row
 
     # -- reading -----------------------------------------------------------------
 

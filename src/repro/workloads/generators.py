@@ -7,8 +7,7 @@ separated from execution so experiments can inspect or replay plans.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -66,26 +65,37 @@ class LocalityMix:
         self.local_fraction = local_fraction
         self.rng = rng
         self._all_sites = sorted(self.targets_by_site)
+        self._position = {site: i for i, site in enumerate(self._all_sites)}
 
     def choose(self, caller_site: str) -> LOID:
-        """A target for a caller at ``caller_site``."""
+        """A target for a caller at ``caller_site``.
+
+        A remote pick is uniform over every other site (over every site
+        for a caller at none, or at the only one): the ``i``-th of the
+        sorted sites with the caller's skipped, so its cost and memory do
+        not grow with the number of sites.
+        """
         local = self.targets_by_site.get(caller_site, [])
         if local and self.rng.random() < self.local_fraction:
             return local[self.rng.randrange(len(local))]
-        remote_sites = [s for s in self._all_sites if s != caller_site] or self._all_sites
-        site = remote_sites[self.rng.randrange(len(remote_sites))]
+        sites = self._all_sites
+        mine = self._position.get(caller_site)
+        if mine is None or len(sites) == 1:
+            site = sites[self.rng.randrange(len(sites))]
+        else:
+            i = self.rng.randrange(len(sites) - 1)
+            site = sites[i + (i >= mine)]  # skip the caller's own site
         pool = self.targets_by_site[site]
         return pool[self.rng.randrange(len(pool))]
 
 
-@dataclass
-class TrafficStats:
-    """Outcome of one TrafficDriver run."""
+class TrafficStats(NamedTuple):
+    """A driver's call counts, read from its call log when asked."""
 
-    calls_issued: int = 0
-    calls_succeeded: int = 0
-    calls_failed: int = 0
-    errors: List[str] = field(default_factory=list)
+    calls_issued: int
+    calls_succeeded: int
+    calls_failed: int  # shed, denied or failed
+    errors: List[str]  # the first few ``failed`` messages
 
     @property
     def success_rate(self) -> float:
@@ -96,14 +106,14 @@ class TrafficStats:
 class SessionLoopDriver:
     """Shared session-loop core for every traffic driver.
 
-    A driver owns a kernel, a roster of client consoles, a shared
-    :class:`TrafficStats`, a :class:`~repro.workloads.calllog.CallLog`
-    of every call it issued, and one simulation process per client
-    (``_client_loop``).  ``_invoke_once`` is the single place an
-    invocation outcome is classified and tallied, so closed-loop,
-    open-loop, and scenario drivers (``repro.scenarios``) count calls
-    identically.  Subclasses set ``kind`` (the spawn-name prefix) and
-    implement ``_client_loop(client)``.
+    A driver owns a kernel, a roster of client consoles, a
+    :class:`~repro.workloads.calllog.CallLog` of every call it issued,
+    and one simulation process per client (``_client_loop``).  The log
+    is the only call counter: ``stats`` reads it.  ``_invoke_once`` is
+    the single place an invocation outcome is classified and written,
+    so closed-loop, open-loop, and scenario drivers (``repro.scenarios``)
+    count calls identically.  Subclasses set ``kind`` (the spawn-name
+    prefix) and implement ``_client_loop(index, client)``.
     """
 
     kind = "session"
@@ -119,51 +129,54 @@ class SessionLoopDriver:
         self.clients = list(clients)
         self.log = log
         self.timeout = timeout
-        self.stats = TrafficStats()
+        self.errors: List[str] = []
 
     @property
     def records(self) -> CallLog:
         """Every issued call as a light view, in issue order."""
         return self.log
 
+    @property
+    def stats(self) -> TrafficStats:
+        """The calls issued so far, counted from the log's outcome column
+        (a row not yet issued reads ``pending``, as an unsettled one does)."""
+        outcome = self.log.outcome
+        settled, ok = int(np.count_nonzero(outcome)), int(np.count_nonzero(outcome == OK))
+        return TrafficStats(self.log.n, ok, settled - ok, self.errors)
+
     def _invoke_once(self, call, row: int, what: str):
         """Run one invocation (the generator ``call``) to its outcome.
 
         The outcome -- ``ok``, ``shed`` (Overloaded), ``denied``
         (SecurityDenied) or ``failed`` (any other LegionError) -- is
-        tallied in ``stats`` and written to the log's ``row`` with the
-        settle time.  ``what`` names the call in ``stats.errors``, which
-        keeps the first few ``failed`` messages.
+        written to the log's ``row`` with the settle time.  ``what``
+        names the call in ``errors``, which keeps the first few
+        ``failed`` messages.
         """
-        stats = self.stats
         try:
             yield from call
         except Overloaded:
             outcome = SHED
-            stats.calls_failed += 1
         except SecurityDenied:
             outcome = DENIED
-            stats.calls_failed += 1
         except LegionError as exc:
             outcome = FAILED
-            stats.calls_failed += 1
-            if len(stats.errors) < 32:
-                stats.errors.append(f"{what}: {exc}")
+            if len(self.errors) < 32:
+                self.errors.append(f"{what}: {exc}")
         else:
             outcome = OK
-            stats.calls_succeeded += 1
         log = self.log  # a growing log may have new columns by now
         log.outcome[row] = outcome
         log.done[row] = self.kernel.now
 
-    def _client_loop(self, client: ObjectServer):
+    def _client_loop(self, index: int, client: ObjectServer):
         raise NotImplementedError
 
     def start(self) -> SimFuture:
-        """Spawn every client loop; future resolves with TrafficStats."""
+        """Spawn every client loop; future resolves with :attr:`stats`."""
         futures = [
-            self.kernel.spawn(self._client_loop(c), name=f"{self.kind}-{c.loid}")
-            for c in self.clients
+            self.kernel.spawn(self._client_loop(i, c), name=f"{self.kind}-{c.loid}")
+            for i, c in enumerate(self.clients)
         ]
         return gather(futures).then(
             lambda _results: self.stats, name=f"{self.kind}-stats"
@@ -171,12 +184,14 @@ class SessionLoopDriver:
 
 
 class TrafficDriver(SessionLoopDriver):
-    """Run invocation loops from a set of clients.
+    """Closed-loop traffic: each client waits for a reply before its next call.
 
-    Each client issues ``calls_per_client`` invocations of ``method`` with
-    ``args``, choosing a target per call via ``choose_target(client)``,
-    with ``think_time`` simulated ms between calls.  Returns a
-    :class:`TrafficStats` future (resolve by running the kernel).
+    Each client issues ``calls_per_client`` invocations, each of the
+    ``(target_loid, method, args)`` that ``choose_call(client)`` returns,
+    with ``think_time`` simulated ms after each.  The log's phase of a
+    row is its client (an index into ``clients``).  :meth:`start`
+    returns a :class:`TrafficStats` future (resolve by running the
+    kernel).
     """
 
     kind = "traffic"
@@ -185,34 +200,25 @@ class TrafficDriver(SessionLoopDriver):
         self,
         kernel: SimKernel,
         clients: Sequence[ObjectServer],
-        choose_target,
-        method: str = "Ping",
-        args: Tuple[Any, ...] = (),
+        choose_call,
         calls_per_client: int = 10,
         think_time: float = 1.0,
         timeout: Optional[float] = None,
     ) -> None:
-        super().__init__(kernel, clients, CallLog((method,), None), timeout=timeout)
-        self.choose_target = choose_target
-        self.method = method
-        self.args = tuple(args)
+        clients = list(clients)
+        phases = [str(c.loid) for c in clients]
+        super().__init__(kernel, clients, CallLog((), phases), timeout=timeout)
+        self.choose_call = choose_call
         self.calls_per_client = calls_per_client
         self.think_time = think_time
 
-    def _client_loop(self, client: ObjectServer):
-        log = self.log
+    def _client_loop(self, index: int, client: ObjectServer):
+        kernel, log = self.kernel, self.log
         for _i in range(self.calls_per_client):
-            target = self.choose_target(client)
-            row = log.n
-            if row == log.capacity:
-                log.grow()
-            log.n = row + 1
-            log.issue[row] = self.kernel.now  # kind 0, the method: the zero fill
-            self.stats.calls_issued += 1
-            call = client.runtime.invoke(
-                target, self.method, *self.args, timeout=self.timeout
-            )
-            yield from self._invoke_once(call, row, self.method)
+            target, method, args = self.choose_call(client)
+            row = log.append(kernel.now, method, index)
+            call = client.runtime.invoke(target, method, *args, timeout=self.timeout)
+            yield from self._invoke_once(call, row, method)
             if self.think_time > 0:
                 yield Timeout(self.think_time)
 
@@ -231,10 +237,11 @@ class OpenLoopDriver(SessionLoopDriver):
     be smooth rather than N-synchronised bursts.
 
     ``choose_call(client)`` returns ``(target_loid, method, args)`` per
-    call, so a mixed workload (cheap method traffic plus occasional
-    Create()s) is one callback.  ``log`` keeps one row per fired call
-    (its kind is the method), in firing order: goodput windows and
-    latency percentiles need the raw samples.
+    call, as it does for :class:`TrafficDriver`, so a mixed workload
+    (cheap method traffic plus occasional Create()s) is one callback.
+    ``log`` keeps one row per fired call (its kind is the method), in
+    firing order: goodput windows and latency percentiles need the raw
+    samples.
     """
 
     kind = "openloop"
@@ -253,9 +260,9 @@ class OpenLoopDriver(SessionLoopDriver):
         self.schedule = list(schedule)
         self.stagger = stagger
 
-    def _client_loop(self, client: ObjectServer):
+    def _client_loop(self, index: int, client: ObjectServer):
         kernel, log = self.kernel, self.log
-        offset = self.clients.index(client) * self.stagger
+        offset = index * self.stagger
         if offset > 0.0:
             yield Timeout(offset)
         calls = []
@@ -263,16 +270,7 @@ class OpenLoopDriver(SessionLoopDriver):
             end = kernel.now + duration
             while kernel.now < end:
                 target, method, args = self.choose_call(client)
-                row = log.n
-                if row == log.capacity:
-                    log.grow()
-                log.n = row + 1
-                log.issue[row] = kernel.now
-                try:
-                    log.kind[row] = log.codes[method]
-                except KeyError:
-                    log.kind[row] = log.add_kind(method)
-                self.stats.calls_issued += 1
+                row = log.append(kernel.now, method, None)
                 call = client.runtime.invoke(
                     target, method, *args, timeout=self.timeout
                 )

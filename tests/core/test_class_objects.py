@@ -127,6 +127,29 @@ class TestReflectiveHooks:
         assert row.candidate_magistrates == only
 
 
+    def test_rows_share_the_candidate_list_their_class_had(self, fresh_legion):
+        """A row holds its class's candidate list, not a copy; adding a
+        candidate replaces the class's list, so the rows created before
+        still read the list they were created with."""
+        system, cls = fresh_legion
+        impl = live_impl(system, cls.loid)
+        before = impl.candidate_magistrates
+        old = [system.create_instance(cls.loid).loid for _ in range(5)]
+        rows = [system.call(cls.loid, "GetRow", loid) for loid in old]
+        assert all(row.candidate_magistrates is before for row in rows)
+        answers = [list(row.candidate_magistrates) for row in rows]
+
+        newcomer = LOID.for_instance(cls.loid.class_id, 777777, system.services.secret)
+        system.call(cls.loid, "AddCandidateMagistrate", newcomer)
+        after = impl.candidate_magistrates
+        assert after == before + [newcomer] and before is not after
+        home = system.magistrates[system.sites[0].name].loid
+        young = system.create_instance(cls.loid, magistrate=home).loid
+        assert system.call(cls.loid, "GetRow", young).candidate_magistrates is after
+        rows = [system.call(cls.loid, "GetRow", loid) for loid in old]
+        assert [row.candidate_magistrates for row in rows] == answers
+
+
 class TestMetaclass:
     def test_class_ids_unique_and_monotone(self, legion):
         system, _cls = legion

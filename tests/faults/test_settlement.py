@@ -67,8 +67,7 @@ def test_every_request_settles(seed, drop_wide, drop_site, partition_at):
     traffic = TrafficDriver(
         system.kernel,
         clients,
-        choose_target=lambda _c: bindings[rng.randrange(len(bindings))].loid,
-        method="Get",
+        choose_call=lambda _c: (bindings[rng.randrange(len(bindings))].loid, "Get", ()),
         calls_per_client=8,
         think_time=5.0,
         timeout=150.0,

@@ -101,9 +101,7 @@ class TestLifecycleUnderLoad:
         driver = TrafficDriver(
             system.kernel,
             clients,
-            choose_target=lambda _c: binding.loid,
-            method="Increment",
-            args=(1,),
+            choose_call=lambda _c: (binding.loid, "Increment", (1,)),
             calls_per_client=20,
             think_time=0.5,
         )

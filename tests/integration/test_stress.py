@@ -44,9 +44,7 @@ class TestCombinedAdversity:
         traffic = TrafficDriver(
             system.kernel,
             clients,
-            choose_target=lambda _c: loids[rng.randrange(len(loids))],
-            method="Increment",
-            args=(1,),
+            choose_call=lambda _c: (loids[rng.randrange(len(loids))], "Increment", (1,)),
             calls_per_client=20,
             think_time=10.0,
             timeout=500.0,

@@ -94,6 +94,39 @@ class TestMetricsRegistry:
         assert metrics.get(c) == 0
         assert metrics.loads(kind, "never") == {"a": 0, "b": 0, "c": 0}
 
+WARM_CYCLES = 8
+
+
+@pytest.mark.parametrize("deactivate", [False, True], ids=["active", "inert"])
+def test_a_deleted_object_leaves_no_metrics_entry(fresh_legion, deactivate):
+    """Create -> Increment (-> Deactivate) -> Delete, N times: the object's
+    entry is retired whether its Delete found it Active (the host's
+    KillObject) or Inert (the magistrate, with no process to kill), and
+    retiring it keeps ``totals_by_kind``."""
+    system, cls = fresh_legion
+    metrics = system.services.metrics
+    app = ComponentKind.APPLICATION
+
+    def cycle():
+        loid = system.call(cls.loid, "Create", {}).loid
+        system.call(loid, "Increment", 1)
+        if deactivate:
+            magistrate = system.call(cls.loid, "GetRow", loid).current_magistrates[0]
+            system.call(magistrate, "Deactivate", loid)
+        served = metrics.totals_by_kind()[app]
+        system.call(cls.loid, "Delete", loid)
+        assert metrics.totals_by_kind()[app] == served
+        assert metrics.get(ComponentId(app, str(loid))) == 0
+
+    for _ in range(WARM_CYCLES):  # placement has visited every host by now
+        cycle()
+    entries = sorted(metrics.snapshot())
+    for _ in range(20):
+        cycle()
+    assert sorted(metrics.snapshot()) == entries
+    assert metrics.totals_by_kind()[app] == WARM_CYCLES + 20
+
+
 class TestSeriesRecorder:
     def test_table_rendering(self):
         rec = SeriesRecorder(x_label="n")

@@ -17,17 +17,24 @@ started object stopped building a binding cache it may never use and
 is-a became one map entry (Delete forgets it in one step), then when a
 torn-down runtime with nothing in flight stopped listing its pending
 calls and Delete began folding the object's metrics entry into its
-kind's retired totals (two calls cut on KillObject, three added):
+kind's retired totals (two calls cut on KillObject, three added), then
+when a LOID's ``str`` stopped calling ``is_class`` and the metrics kind
+of a started object became a subscript:
 
-    edge        msgs events  calls
-    Create         6     12  336 -> 306 -> 276
-    Increment      6     12  233 -> 225   (binds the new object)
-    GetRow         2      4   65
-    Deactivate     6     11  232 -> 229 -> 228
-    Get           13     25  616 -> 580 -> 570   (activates on reference)
-    Move          10     17  442 -> 437 -> 436
-    Increment     13     25  621 -> 585 -> 575   (activates at the new home)
-    Delete         6     12  229 -> 221 -> 221
+    edge          msgs events  calls
+    Create           6     12  336 -> 306 -> 276 -> 274
+    Increment        6     12  233 -> 225 -> 224   (binds the new object)
+    GetRow           2      4   65
+    Deactivate       6     11  232 -> 229 -> 228
+    Get             13     25  616 -> 580 -> 570 -> 568   (activates on reference)
+    Move            10     17  442 -> 437 -> 436
+    Increment       13     25  621 -> 585 -> 575 -> 573   (activates at the new home)
+    Delete           6     12  229 -> 221 -> 221
+    Inert Delete     4      9  166 -> 169   (the magistrate retires the entry)
+
+The Inert Delete is a second object's Create, Increment, GetRow and
+Deactivate (uncounted) and then its Delete: with no process to kill, the
+magistrate folds the metrics entry itself (three calls).
 
 Create at population: one ``create_instance`` costs the same number of
 calls at 1 and at 250 processes per host: 278 on the testbed below
@@ -54,14 +61,15 @@ pytestmark = pytest.mark.skipif(
 
 #: edge → (messages, kernel events, call ceiling) of the measured cycle.
 EDGE_BUDGET = {
-    "Create": (6, 12, 276),
-    "Increment": (6, 12, 225),
+    "Create": (6, 12, 274),
+    "Increment": (6, 12, 224),
     "GetRow": (2, 4, 65),
     "Deactivate": (6, 11, 228),
-    "Get": (13, 25, 570),
+    "Get": (13, 25, 568),
     "Move": (10, 17, 436),
-    "Increment again": (13, 25, 575),
+    "Increment again": (13, 25, 573),
     "Delete": (6, 12, 221),
+    "Inert Delete": (4, 9, 169),
 }
 
 WARM_CYCLES = 3
@@ -78,6 +86,15 @@ def lifecycle_cycle(system, cls, magistrates, edge):
     edge("Move", magistrate, "Move", loid, other)
     assert edge("Increment again", loid, "Increment", 1) == 8
     edge("Delete", cls, "Delete", loid)
+
+
+def inert_delete(system, cls, edge):
+    """A second object's life up to Inert, then its Delete."""
+    loid = system.call(cls, "Create", {}).loid
+    system.call(loid, "Increment", 7)
+    magistrate = system.call(cls, "GetRow", loid).current_magistrates[0]
+    system.call(magistrate, "Deactivate", loid)
+    edge("Inert Delete", cls, "Delete", loid)
 
 
 def measured_cycle():
@@ -108,6 +125,7 @@ def measured_cycle():
         return result
 
     lifecycle_cycle(system, cls, magistrates, counted)
+    inert_delete(system, cls, counted)
     return figures
 
 

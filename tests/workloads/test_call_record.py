@@ -56,16 +56,17 @@ def open_loop_records(system, target):
 
 
 def traffic_records(system, target):
+    client = system.new_client("c")
     driver = TrafficDriver(
         system.kernel,
-        [system.new_client("c")],
-        choose_target=lambda _c: target,
-        method="Get",
+        [client],
+        choose_call=lambda _c: (target, "Get", ()),
         calls_per_client=5,
     )
     stats = system.kernel.run_until_complete(driver.start())
     assert stats.calls_issued == len(driver.records) == 5
-    assert all(r.phase is None and r.kind == "Get" for r in driver.records)
+    # A closed loop's phase of a row is the client that issued it.
+    assert all(r.phase == str(client.loid) and r.kind == "Get" for r in driver.records)
     return driver.records
 
 

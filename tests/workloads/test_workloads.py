@@ -99,15 +99,16 @@ class TestTrafficDriver:
         driver = TrafficDriver(
             system.kernel,
             clients,
-            choose_target=lambda _c: target.loid,
-            method="Increment",
-            args=(1,),
+            choose_call=lambda _c: (target.loid, "Increment", (1,)),
             calls_per_client=5,
             think_time=1.0,
         )
         stats = system.kernel.run_until_complete(driver.start())
         assert stats.calls_issued == 10
         assert stats.success_rate == 1.0
+        # Counted from the call log, as plain ints a JSON report can hold.
+        assert [type(n) for n in stats[:3]] == [int, int, int]
+        assert stats == driver.stats
         assert system.call(target.loid, "Get") == 10
 
     def test_failures_recorded_not_raised(self, fresh_legion):
@@ -116,8 +117,7 @@ class TestTrafficDriver:
         driver = TrafficDriver(
             system.kernel,
             [system.new_client("t")],
-            choose_target=lambda _c: target.loid,
-            method="NoSuchMethod",
+            choose_call=lambda _c: (target.loid, "NoSuchMethod", ()),
             calls_per_client=3,
             think_time=0.0,
         )
