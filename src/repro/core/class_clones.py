@@ -19,6 +19,7 @@ from repro.core.method import InvocationContext
 from repro.core.object_base import legion_method
 from repro.naming.binding import Binding
 from repro.naming.loid import LOID
+from repro.net.address import ObjectAddress
 from repro.simkernel.kernel import Timeout
 
 #: RetireClone() drain loop: poll the clone's PendingDispatches() every
@@ -147,6 +148,7 @@ class ClonePool:
         first, so a client can spread traffic across the whole pool
         without special-casing the parent.
         """
-        pool = [self._binding_for(self.loid, self.server.address)]
+        own = ObjectAddress.single(self.runtime.element)
+        pool = [self._binding_for(self.loid, own)]
         pool.extend(self.clones)
         return (self.clone_epoch, pool)

@@ -152,7 +152,6 @@ class CompositeImpl(LegionObjectImpl):
             part.loid = self.loid
             part.runtime = self.runtime
             part.services = self.services
-            part.server = getattr(self, "server", None)  # type: ignore[attr-defined]
             part.on_activated()
 
     def on_deactivating(self) -> None:

@@ -27,7 +27,7 @@ Host Object exactly like any other object (section 4.2).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.errors import (
     BindingNotFound,
@@ -105,6 +105,11 @@ class ClassObjectImpl(ClonePool, ReplicaGroups, Derivation, LegionObjectImpl):
         self.table = LogicalTable()
         self._next_sequence = next_sequence
         self._magistrate_rr = 0
+        #: ``(list, frozenset of it)``: membership of a hinted magistrate
+        #: in ``candidate_magistrates`` is a hash probe, not a scan.  The
+        #: list is only ever replaced (rows share it), never mutated, so
+        #: the set is rebuilt when the list object changes.
+        self._candidate_set: Tuple[Optional[List[LOID]], FrozenSet[LOID]] = (None, frozenset())
         #: loid identity -> in-flight AddReplica future: concurrent grows
         #: of one group coalesce (see :meth:`add_replica`).  Runtime-only
         #: state, deliberately not persistent.
@@ -206,10 +211,14 @@ class ClassObjectImpl(ClonePool, ReplicaGroups, Derivation, LegionObjectImpl):
         """
         hinted = hints.get("magistrate")
         if hinted is not None:
-            if self.candidate_magistrates is not None and hinted not in self.candidate_magistrates:
-                raise SchedulingError(
-                    f"magistrate {hinted} is not a candidate for class {self.class_name}"
-                )
+            candidates = self.candidate_magistrates
+            if candidates is not None:
+                if self._candidate_set[0] is not candidates:
+                    self._candidate_set = (candidates, frozenset(candidates))
+                if hinted not in self._candidate_set[1]:
+                    raise SchedulingError(
+                        f"magistrate {hinted} is not a candidate for class {self.class_name}"
+                    )
             return hinted
         if self.scheduling_agent is not None:
             choice = yield from self.runtime.invoke(

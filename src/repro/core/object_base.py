@@ -180,7 +180,11 @@ class LegionObjectImpl:
         has finished its in-flight work (the probe itself is in flight
         while we answer, hence the ``- 1``).
         """
-        server = getattr(self, "server", None)
+        # The server hosting us owns the handler at our element; we hold
+        # no pointer back to it.
+        runtime = self.runtime
+        handler = runtime and self.services.network.handler_at(runtime.element)
+        server = getattr(handler, "__self__", None)
         return max(0, getattr(server, "in_flight", 1) - 1)
 
     @legion_method("bytes SaveState()")

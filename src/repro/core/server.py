@@ -64,7 +64,7 @@ class ObjectServer:
         #: server-side (handle) spans name components alike.
         self._component_label = f"{component_kind._value_}:{name}"
         self.runtime.component_label = self._component_label
-        self._endpoint = services.network.register(self.element, self.handle_message)
+        services.network.register(self.element, self.handle_message)
         self.active = True
         #: Requests dispatched but not yet replied to -- the server-side
         #: queue depth the autoscaler's LoadMonitor samples.
@@ -90,11 +90,12 @@ class ObjectServer:
         agent = services.default_binding_agent
         if agent is not None and agent.loid.identity != identity:
             self.runtime.binding_agent = agent
-        # Wire the implementation.
+        # Wire the implementation.  It gets no pointer back to this
+        # server: the server owns it, and a back-pointer would leave every
+        # retired process in a cycle for the collector.
         impl.loid = loid
         impl.runtime = self.runtime
         impl.services = services
-        impl.server = self  # type: ignore[attr-defined]
         impl.on_activated()
 
     # ------------------------------------------------------------------ address
@@ -272,7 +273,7 @@ class ObjectServer:
             return
         self.impl.on_deactivating()
         self.active = False
-        self._endpoint.unregister()
+        self.services.network.unregister(self.element)
         self.runtime.fail_pending("deactivated")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -123,7 +123,9 @@ class EvidenceCollector:
         #: (time, shed_metrics, retry_denied_total) cumulative history.
         self._history: Deque[Tuple[float, int, int]] = deque()
         self._tracked: List[Any] = []
-        self._index_impl: Any = None
+        #: The GlobalReplicaIndex's server, found on first use and again
+        #: once it deactivates.
+        self._index_server: Any = None
 
     # ----------------------------------------------------------------- wiring
 
@@ -166,23 +168,23 @@ class EvidenceCollector:
         directory = self.system.services.replication
         if directory is None:
             return 0
-        impl = self._index_impl
-        if impl is None or not getattr(impl, "server", None) or not impl.server.active:
+        server = self._index_server
+        if server is None or not server.active:
             from repro.replication.catalog import GlobalReplicaIndexImpl
 
-            impl = None
+            server = None
             for host_id in sorted(self.system.host_servers):
                 table = self.system.host_servers[host_id].impl.processes
                 for entry in table.running():
                     if isinstance(entry.server.impl, GlobalReplicaIndexImpl):
-                        impl = entry.server.impl
+                        server = entry.server
                         break
-                if impl is not None:
+                if server is not None:
                     break
-            self._index_impl = impl
-        if impl is None:
+            self._index_server = server
+        if server is None:
             return 0
-        return len(impl.under_replicated())
+        return len(server.impl.under_replicated())
 
     def snapshot(self) -> HealthEvidence:
         """One reconciled evidence snapshot at the current simulated time."""

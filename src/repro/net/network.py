@@ -60,19 +60,18 @@ class NetworkStats:
 
 
 class Endpoint:
-    """A registered (element, handler) pair; returned by ``register``."""
+    """A registered (element, handler) pair; returned by ``register``.
 
-    __slots__ = ("network", "element", "handler", "active")
+    It holds no pointer back to the network: ``Network.unregister`` by
+    element is the one way to remove it.
+    """
 
-    def __init__(self, network: "Network", element: ObjectAddressElement, handler: Handler):
-        self.network = network
+    __slots__ = ("element", "handler", "active")
+
+    def __init__(self, element: ObjectAddressElement, handler: Handler):
         self.element = element
         self.handler = handler
         self.active = True
-
-    def unregister(self) -> None:
-        """Remove this endpoint; subsequent sends to it fail as stale."""
-        self.network.unregister(self.element)
 
 
 class Network:
@@ -122,15 +121,24 @@ class Network:
         """Attach ``handler`` to ``element``; makes the address live."""
         if element in self._endpoints:
             raise NetworkError(f"element {element} already registered")
-        ep = Endpoint(self, element, handler)
+        ep = Endpoint(element, handler)
         self._endpoints[element] = ep
         return ep
+
+    def handler_at(self, element: ObjectAddressElement) -> Optional[Handler]:
+        """The handler registered at ``element``, or None."""
+        ep = self._endpoints.get(element)
+        return None if ep is None else ep.handler
 
     def unregister(self, element: ObjectAddressElement) -> None:
         """Detach the endpoint (idempotent)."""
         ep = self._endpoints.pop(element, None)
         if ep is not None:
             ep.active = False
+
+    def unregister_all(self) -> None:
+        """Detach every endpoint at once (its system is dropped)."""
+        self._endpoints.clear()
 
     # -- failure injection -----------------------------------------------------
 

@@ -374,6 +374,17 @@ class SimKernel:
 
         return self.spawn(rounds(), name)
 
+    def clear(self) -> None:
+        """Drop every scheduled event, deadline and queued resume.
+
+        What the kernel is left holding when its system is dropped: the
+        entries' callbacks are the last links of cycles through the
+        processes and servers they would resume.
+        """
+        self._queue.clear()
+        self._lanes.clear()
+        self._micro.clear()
+
     # -- deadline lanes (the lane's entry is on top of the heap) -------------
 
     def _settle(self, lane: _Lane, seq: int) -> bool:

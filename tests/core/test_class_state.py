@@ -61,7 +61,7 @@ class TestOneSavedState:
         impl = live_impl(system, cls.loid)
 
         fresh = ClassObjectImpl("Blank", 0)
-        fresh.loid, fresh.services, fresh.server = impl.loid, impl.services, impl.server
+        fresh.loid, fresh.services, fresh.runtime = impl.loid, impl.services, impl.runtime
         fresh.restore_state(impl.save_state())
 
         for loid in (instance.loid, group.loid):
