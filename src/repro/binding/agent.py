@@ -31,11 +31,12 @@ from repro.binding.resolver import resolve_loid
 from repro.core.method import InvocationContext
 from repro.core.object_base import LegionObjectImpl, legion_method
 from repro.errors import BindingNotFound, DeliveryFailure
+from repro.metrics.counters import Counters
 from repro.naming.binding import Binding
 
 
 @dataclass
-class AgentStats:
+class AgentStats(Counters):
     """Service-level counters (distinct from the plumbing cache stats)."""
 
     served: int = 0
@@ -43,11 +44,6 @@ class AgentStats:
     parent_escalations: int = 0
     class_escalations: int = 0
     refreshes: int = 0
-
-    def reset(self) -> None:
-        """Zero every counter."""
-        self.served = self.cache_hits = 0
-        self.parent_escalations = self.class_escalations = self.refreshes = 0
 
 
 class BindingAgentImpl(LegionObjectImpl):

@@ -37,6 +37,7 @@ from repro.errors import (
 )
 from repro.core.method import MethodInvocation, MethodResult
 from repro.flow.credits import CreditLedger
+from repro.metrics.counters import Counters
 from repro.naming.binding import Binding
 from repro.naming.cache import BindingCache
 from repro.naming.loid import LOID
@@ -150,7 +151,7 @@ DEFAULT_RETRY_POLICY = RetryPolicy()
 
 
 @dataclass(slots=True)
-class RuntimeStats:
+class RuntimeStats(Counters):
     """Per-object communication statistics (feed the experiments).
 
     When ``_pending`` is empty the request-plane counters reconcile::
@@ -185,15 +186,6 @@ class RuntimeStats:
     retry_denied: int = 0
     #: Sends that had to park on an exhausted credit window first.
     credit_waits: int = 0
-
-    def reset(self) -> None:
-        """Zero every counter."""
-        self.invocations = self.requests_sent = self.replies_received = 0
-        self.stale_detected = self.refreshes = self.timeouts = 0
-        self.agent_lookups = 0
-        self.attempts = self.rebinds = self.budget_exhausted = 0
-        self.delivery_failures = self.cancelled = 0
-        self.shed = self.retry_denied = self.credit_waits = 0
 
 
 class LegionRuntime:

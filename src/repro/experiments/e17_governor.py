@@ -172,7 +172,7 @@ def _run_arm(
 
     start = system.kernel.now
     total = sum(d for _n, d, _l in phases)
-    system.kernel.schedule(storm_start, arm.driver.start)
+    system.kernel.post(storm_start, arm.driver.start)
     traffic = OpenLoopDriver(
         system.kernel,
         clients[:N_CLIENTS],

@@ -52,7 +52,7 @@ class ChaosDriver:
         self.system.services.fault_log = self.log
         base = self.system.kernel.now
         for event in self.plan:
-            self.system.kernel.schedule(
+            self.system.kernel.post(
                 max(0.0, base + event.time - self.system.kernel.now),
                 self._apply,
                 event,
@@ -117,7 +117,7 @@ class ChaosDriver:
             network.drop_probability[link_class] = before
             self.log.inject(self.system.kernel.now, "link-restore", link)
 
-        self.system.kernel.schedule(duration, restore)
+        self.system.kernel.post(duration, restore)
 
     def partition(self, site_a: str, site_b: str, duration: float) -> None:
         """Split two sites for ``duration``, then heal."""
@@ -131,4 +131,4 @@ class ChaosDriver:
             network.heal(site_a, site_b)
             self.log.inject(self.system.kernel.now, "partition-heal", target)
 
-        self.system.kernel.schedule(duration, heal)
+        self.system.kernel.post(duration, heal)

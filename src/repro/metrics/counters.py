@@ -11,7 +11,23 @@ from __future__ import annotations
 
 import enum
 from collections import defaultdict
+from dataclasses import MISSING, fields
 from typing import Dict, NamedTuple, Optional, Tuple
+
+
+class Counters:
+    """Base of a counter dataclass, reset-able between experiment phases:
+    :meth:`reset` puts each field back to its declared default (a
+    ``default_factory`` builds a fresh one), so no class lists its fields
+    twice."""
+
+    __slots__ = ()
+
+    def reset(self) -> None:
+        """Put every counter back to its declared default."""
+        for f in fields(self):
+            default = f.default
+            setattr(self, f.name, f.default_factory() if default is MISSING else default)
 
 
 class ComponentKind(enum.Enum):

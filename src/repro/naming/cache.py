@@ -20,12 +20,13 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
+from repro.metrics.counters import Counters
 from repro.naming.binding import Binding
 from repro.naming.loid import LOID
 
 
 @dataclass
-class CacheStats:
+class CacheStats(Counters):
     """Counters for one cache; reset-able between experiment phases."""
 
     hits: int = 0
@@ -45,11 +46,6 @@ class CacheStats:
         """Fraction of lookups that hit; 0.0 when no lookups happened."""
         total = self.lookups
         return self.hits / total if total else 0.0
-
-    def reset(self) -> None:
-        """Zero every counter."""
-        self.hits = self.misses = self.expired = 0
-        self.evictions = self.invalidations = self.inserts = 0
 
 
 class BindingCache:

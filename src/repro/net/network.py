@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Set
 
 from repro.errors import NetworkError
+from repro.metrics.counters import Counters
 from repro.net.address import ObjectAddressElement
 from repro.net.latency import LatencyModel, LinkClass
 from repro.net.message import Message, MessageKind, Undeliverable
@@ -36,7 +37,7 @@ Handler = Callable[[Message], None]
 
 
 @dataclass
-class NetworkStats:
+class NetworkStats(Counters):
     """Aggregate traffic counters, reset-able between experiment phases."""
 
     messages_sent: int = 0
@@ -47,16 +48,6 @@ class NetworkStats:
     by_class: Dict[LinkClass, int] = field(
         default_factory=lambda: {c: 0 for c in LinkClass}
     )
-
-    def reset(self) -> None:
-        """Zero every counter (used between warm-up and measurement)."""
-        self.messages_sent = 0
-        self.messages_delivered = 0
-        self.delivery_failures = 0
-        self.drops = 0
-        self.partition_blocks = 0
-        for c in LinkClass:
-            self.by_class[c] = 0
 
 
 class Endpoint:

@@ -100,14 +100,12 @@ class SimFuture:
             self._run_callbacks()
 
     def _run_callbacks(self) -> None:
-        cb = self._cb
-        if cb is not None:
-            self._cb = None
+        """The overflow callbacks, once the first slot's has run (a
+        settled future's ``add_done_callback`` runs at once, so the slot
+        cannot refill)."""
+        callbacks, self._callbacks = self._callbacks, None
+        for cb in callbacks:
             cb(self)
-        if self._callbacks:
-            callbacks, self._callbacks = self._callbacks, None
-            for cb in callbacks:
-                cb(self)
 
     # -- chaining -----------------------------------------------------------
 
@@ -141,41 +139,6 @@ class SimFuture:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         label = f" {self.name!r}" if self.name else ""
         return f"<SimFuture{label} {self._state}>"
-
-
-def gather(futures: Iterable[SimFuture], name: str = "gather") -> SimFuture:
-    """Combine futures into one resolving with the list of all results.
-
-    Resolution order is irrelevant; results are returned in input order.
-    The first failure fails the gather (remaining results are discarded,
-    matching the semantics callers of multi-replica sends expect).
-    """
-    futs = list(futures)
-    out = SimFuture(name)
-    if not futs:
-        out.set_result([])
-        return out
-    remaining = len(futs)
-    results: List[Any] = [None] * remaining
-
-    def make_cb(i: int) -> Callable[[SimFuture], None]:
-        def _cb(fut: SimFuture) -> None:
-            nonlocal remaining
-            if out.done():
-                return
-            if fut.failed():
-                out.set_exception(fut.exception())  # type: ignore[arg-type]
-                return
-            results[i] = fut._result
-            remaining -= 1
-            if remaining == 0:
-                out.set_result(results)
-
-        return _cb
-
-    for i, fut in enumerate(futs):
-        fut.add_done_callback(make_cb(i))
-    return out
 
 
 def k_of(futures: Iterable[SimFuture], k: int, name: str = "k_of") -> SimFuture:
@@ -214,6 +177,23 @@ def k_of(futures: Iterable[SimFuture], k: int, name: str = "k_of") -> SimFuture:
     for i, fut in enumerate(futs):
         fut.add_done_callback(make_cb(i))
     return out
+
+
+def gather(futures: Iterable[SimFuture], name: str = "gather") -> SimFuture:
+    """Resolve with the list of every result, in input order.
+
+    :func:`k_of` over all the inputs, so the first failure fails it (later
+    results are discarded, as callers of multi-replica sends expect) and
+    ``gather([])`` is ``[]``; the order is put back by a synchronous
+    :meth:`SimFuture.then`, which adds no event.
+    """
+    futs = list(futures)
+    return k_of(futs, len(futs), name).then(_in_input_order, name)
+
+
+def _in_input_order(pairs: List[Any]) -> List[Any]:
+    """:func:`k_of`'s ``(index, value)`` pairs as values by index."""
+    return [value for _index, value in sorted(pairs)]
 
 
 def shared_failure(exc: BaseException) -> BaseException:

@@ -17,25 +17,13 @@ Processes are plain Python generators.  A process may ``yield``:
 The loop is strictly deterministic: events at equal times run in schedule
 order (a monotonically increasing sequence number breaks ties).
 
-Hot-path design (the fast path every experiment sweep lives on):
-
-* The heap holds bare tuples ``(time, seq, fn, args)`` -- no per-event
-  object allocation, no comparison ever reaches ``fn`` because ``seq`` is
-  unique.  Nothing cancels: a :meth:`SimKernel.deadline` runs only if its
-  future is still pending; one settled first is dropped from its delay's
-  FIFO lane (one heap entry per lane) and counts no event.
-* A process's first step and every resume from a resolved future skip the
-  heap when nothing else is due at the current instant: they run on a
-  bounded FIFO *trampoline* that the loop drains inline after the current
-  callback returns -- exactly where the 0-delay event would have run
-  (before any strictly-later event, in queueing order), so event order,
-  ``now`` and :attr:`SimKernel.events_executed` are bit-identical to the
-  naive always-heap kernel.  When another event *is* due at this instant
-  the step becomes a real event and keeps its place in seq order.  Past
-  :attr:`SimKernel.TRAMPOLINE_LIMIT` steps a zero-time loop spills into
-  the heap, so ``max_events`` guards still engage.
-* One object per spawn: the process settles itself inline and drops its
-  generator the moment it returns.
+Hot path (DESIGN.md §4b): the heap holds bare ``(time, seq, fn, args)``
+tuples, and nothing cancels -- a :meth:`SimKernel.deadline` whose future
+settled first counts no event.  A first step or a resume with nothing
+else due at this instant rides a bounded FIFO *trampoline* the loop
+drains right after the current callback, where the 0-delay event would
+have run, so event order, ``now`` and ``events_executed`` are the naive
+always-heap kernel's.
 """
 
 from __future__ import annotations
@@ -45,7 +33,9 @@ from collections import deque
 from types import GeneratorType
 from typing import Any, Callable, Deque, Dict, Generator, List, Optional, Tuple
 
-from repro.errors import FutureError, LegionError, ProcessKilled, SimulationDeadlock, SimulationError
+from repro.errors import (
+    FutureError, InvalidArgument, LegionError, ProcessKilled, SimulationDeadlock, SimulationError,
+)
 from repro.simkernel.futures import SimFuture
 
 ProcessGen = Generator[Any, Any, Any]
@@ -293,8 +283,8 @@ class SimKernel:
         self._seq += 1
         heapq.heappush(self._queue, (self.now + delay, self._seq, fn, args))
 
-    #: The same method under its callback-style names.
-    schedule = call_later = post
+    #: ``benchmarks/ledger/direct.py`` times :meth:`post` under this name.
+    schedule = post
 
     def deadline(
         self, fut: SimFuture, delay: float, fn: Callable[..., None], *args: Any
@@ -398,12 +388,6 @@ class SimKernel:
         self._rekey(lane)
         return True
 
-    def _take(self, lane: _Lane) -> Tuple[Callable[..., None], Tuple[Any, ...]]:
-        """Pop ``lane``'s live head for running: its ``(fn, args)``."""
-        entry = lane.popleft()
-        self._rekey(lane)
-        return entry[3], entry[4]
-
     def _rekey(self, lane: _Lane) -> None:
         if lane:
             head = lane[0]
@@ -412,47 +396,14 @@ class SimKernel:
             heapq.heappop(self._queue)
             del self._lanes[lane.delay]
 
-    # -- trampoline ---------------------------------------------------------
-
-    def _drain_micro(self) -> None:
-        """Run the trampoline (``_drive`` has this loop inline).  Past
-        ``TRAMPOLINE_LIMIT`` steps a zero-time loop spills into the heap
-        (FIFO order kept by ascending seqs) so ``max_events`` sees it."""
-        micro = self._micro
-        budget = self.TRAMPOLINE_LIMIT
-        while micro and budget:
-            fn, arg = micro.popleft()
-            budget -= 1
-            self._events_executed += 1
-            fn(arg)
-        while micro:
-            self.post(0.0, *micro.popleft())
-
     # -- running ------------------------------------------------------------
 
     def step(self) -> bool:
-        """Run the single next unit of work.  False if nothing is pending."""
-        if self._micro:  # steps queued outside an event (a spawn, test code)
-            self._drain_micro()
-            return True
-        queue = self._queue
-        while queue:
-            time, seq, fn, args = queue[0]
-            if fn is None:  # a deadline lane
-                if self._settle(args, seq):
-                    continue
-                fn, args = self._take(args)
-            else:
-                heapq.heappop(queue)
-            if time < self.now:  # pragma: no cover - defensive
-                raise SimulationError("event queue went backwards in time")
-            self.now = time
-            self._events_executed += 1
-            fn(*args)
-            if self._micro:
-                self._drain_micro()
-            return True
-        return False
+        """Run the single next unit of work (see :meth:`_drive`).  False if
+        none was due."""
+        executed = self._events_executed
+        self._drive(None, 1, None)
+        return self._events_executed != executed
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Drain the event queue.
@@ -460,23 +411,27 @@ class SimKernel:
         Parameters
         ----------
         until:
-            Stop once simulated time would exceed this (the clock is
-            advanced to ``until``, never moved back; later events remain
-            queued).
+            Stop once simulated time would exceed this finite time (the
+            clock is advanced to ``until``, never moved back; later events
+            remain queued).
         max_events:
-            Safety valve for runaway simulations: raises once this many
-            units of work (see :meth:`_drive`) have run and another is due.
+            Safety valve for runaway simulations, a non-negative ``int``:
+            raises once this many units of work (see :meth:`_drive`) have
+            run and another is due.
         """
-        self._drive(until, max_events, None)
+        if self._drive(until, max_events, None):
+            raise SimulationError(f"exceeded max_events={max_events}")
         if until is not None and self.now < until:
             self.now = until
 
     def run_until_complete(self, fut: SimFuture, max_events: Optional[int] = None) -> Any:
         """Run until ``fut`` resolves; return its result (or raise).
 
-        Raises :class:`SimulationDeadlock` if the queue drains first.
+        ``max_events`` is :meth:`run`'s.  Raises :class:`SimulationDeadlock`
+        if the queue drains first.
         """
-        self._drive(None, max_events, fut)
+        if self._drive(None, max_events, fut):
+            raise SimulationError(f"exceeded max_events={max_events}")
         state = fut._state
         if state == "done":
             return fut._result
@@ -488,15 +443,23 @@ class SimKernel:
 
     def _drive(
         self, until: Optional[float], max_events: Optional[int], fut: Optional[SimFuture]
-    ) -> None:
-        """The one loop: :meth:`step` after :meth:`step`, minus the frames.
+    ) -> bool:
+        """The one loop behind :meth:`step`, :meth:`run` and
+        :meth:`run_until_complete`.
 
-        Stops when nothing is pending, *before* the first live event later
-        than ``until``, or once ``fut`` is no longer pending; raises past
-        ``max_events`` units of work, a unit being what one ``step()``
-        does -- a heap event with the steps it trampolines, or a
-        stand-alone drain of steps queued outside an event (due ``now``).
+        Runs units of work -- a heap event with the steps it trampolines,
+        or a drain of steps queued outside an event (due ``now``) -- and
+        returns False when nothing is pending, *before* the first live
+        event later than ``until``, or once ``fut`` is no longer pending;
+        True once ``max_events`` units have run and another is due.  Past
+        ``TRAMPOLINE_LIMIT`` steps a zero-time loop spills into the heap
+        (FIFO order kept by ascending seqs), so ``max_events`` sees it.
         """
+        # Comparisons and an identity test only: every system.call ends here.
+        if until is not None and not until < _INF:
+            raise InvalidArgument(f"until={until!r}: must be a finite time (a past one is legal)")
+        if max_events is not None and (type(max_events) is not int or max_events < 0):
+            raise InvalidArgument(f"max_events={max_events!r}: must be None or an int >= 0")
         queue = self._queue
         micro = self._micro
         popleft = micro.popleft
@@ -505,26 +468,28 @@ class SimKernel:
         while fut is None or fut._state == "pending":
             if not micro:  # else: steps queued outside an event; no pop
                 if not queue:
-                    return
+                    return False
                 time, seq, fn, args = queue[0]
                 if fn is None and self._settle(args, seq):
                     continue  # a deadline lane re-keyed or gone: look again
                 if until is not None and time > until:
-                    return
+                    return False
             elif until is not None and self.now > until:
-                return
+                return False
             if executed == max_events:
-                raise SimulationError(f"exceeded max_events={max_events}")
+                return True
             executed += 1
             if not micro:
-                if fn is None:
-                    fn, args = self._take(args)
+                if fn is None:  # the lane's live head
+                    lane = args
+                    _, _, _, fn, args = lane.popleft()
+                    self._rekey(lane)
                 else:
                     pop(queue)
                 self.now = time
                 self._events_executed += 1
                 fn(*args)
-            if micro:  # _drain_micro, minus its frame
+            if micro:  # the trampoline
                 budget = self.TRAMPOLINE_LIMIT
                 while micro and budget:
                     fn, arg = popleft()
@@ -533,6 +498,7 @@ class SimKernel:
                     fn(arg)
                 while micro:  # the spill
                     self.post(0.0, *popleft())
+        return False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<SimKernel t={self.now:.3f} queued={len(self._queue)}>"

@@ -418,6 +418,9 @@ class LegionSystem:
             raise InvalidArgument(
                 f"call timeout={timeout!r}: must be None or a finite number > 0"
             )
+        # The kernel refuses it too, but only once the call is queued.
+        if max_events is not None and (type(max_events) is not int or max_events < 0):
+            raise InvalidArgument(f"call max_events={max_events!r}: must be None or an int >= 0")
         loid = self.lookup(target) if isinstance(target, str) else target
         origin = client or self.console
         fut = self.kernel.spawn(
@@ -493,10 +496,15 @@ class LegionSystem:
     # ------------------------------------------------------------------- metrics
 
     def reset_measurements(self) -> None:
-        """Zero all counters (between warm-up and measurement phases).
+        """Start a measurement phase: zero ``services.metrics`` (retired
+        totals included) and ``network.stats``, and drop recorded spans.
 
-        When tracing is on, recorded spans are dropped too, so a trace --
-        like the counters -- covers only the measurement phase.
+        Nothing else moves: the clock, ``kernel.events_executed`` and each
+        object's runtime, cache and agent stats keep counting.  A runtime's
+        settlement identity (``requests_sent == replies_received + ...``)
+        spans the phase boundary -- a request sent in the warm-up may
+        settle in the measurement -- so reset those one by one, where a
+        phase needs them from zero and nothing is in flight.
         """
         self.services.metrics.reset()
         self.network.stats.reset()

@@ -43,7 +43,7 @@ def test_nonzero_shed_rate_vetoes_shrink_until_dry():
     # A trickle of sheds keeps landing until t=50: the pool must not
     # shrink while customers are still being turned away.
     for t in range(1, 50, 5):
-        system.kernel.schedule(
+        system.kernel.post(
             float(t),
             lambda: system.services.metrics.incr(component, MetricsRegistry.SHED),
         )

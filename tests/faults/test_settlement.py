@@ -59,7 +59,7 @@ def test_every_request_settles(seed, drop_wide, drop_site, partition_at):
     system.network.drop_probability[LinkClass.SAME_SITE] = drop_site
     if partition_at is not None:
         driver = ChaosDriver(system, FaultPlan(), FaultLog())
-        system.kernel.call_later(
+        system.kernel.post(
             partition_at, lambda: driver.partition("east", "west", duration=60.0)
         )
 

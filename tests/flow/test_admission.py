@@ -109,7 +109,7 @@ def test_hopeless_deadline_is_shed_on_arrival(services):
     # Occupy the only slot far past the second call's deadline.
     blocker = kernel.spawn(caller.runtime.invoke(callee.loid, "Slow", 30.0))
     doomed_holder = []
-    kernel.schedule(
+    kernel.post(
         0.5,
         lambda: doomed_holder.append(
             kernel.spawn(
@@ -146,8 +146,8 @@ def test_full_queue_evicts_worst_priority_waiter(services):
 
     fire("blocker", "Slow", 10.0)
     # Staggered so arrival order at the callee is deterministic.
-    kernel.schedule(0.2, fire, "low", "Echo", "low")
-    kernel.schedule(0.4, fire, "high", "Echo", "high", 5)
+    kernel.post(0.2, fire, "low", "Echo", "low")
+    kernel.post(0.4, fire, "high", "Echo", "high", 5)
     kernel.run()
     assert futs["blocker"].exception() is None
     exc = futs["low"].exception()
@@ -164,7 +164,7 @@ def test_pushback_paced_retry_succeeds_without_rebinding(services):
     kernel = services.kernel
     blocker = kernel.spawn(caller.runtime.invoke(callee.loid, "Slow", 6.0))
     echo_holder = []
-    kernel.schedule(
+    kernel.post(
         0.5,
         lambda: echo_holder.append(
             kernel.spawn(caller.runtime.invoke(callee.loid, "Echo", "again"))
@@ -239,7 +239,7 @@ def test_every_arrival_is_admitted_or_shed_within_the_bounds(
         )
 
     for at, priority, timeout, service in arrivals:
-        kernel.schedule(at, fire, priority, timeout, service)
+        kernel.post(at, fire, priority, timeout, service)
 
     admission = callee.admission
     while kernel.step():

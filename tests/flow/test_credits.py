@@ -77,9 +77,9 @@ def test_credit_window_bounds_concurrency_end_to_end(services):
     def sample():
         peak[0] = max(peak[0], callee.in_flight)
         if not all(f.done() for f in futs):
-            kernel.schedule(0.25, sample)
+            kernel.post(0.25, sample)
 
-    kernel.schedule(0.25, sample)
+    kernel.post(0.25, sample)
     kernel.run()
     assert all(f.exception() is None for f in futs)
     # Two credits per (identity, element): never more than 2 dispatched.
@@ -102,7 +102,7 @@ def test_timeouts_release_credits_so_traffic_resumes(services):
         caller.runtime.invoke(callee.loid, "Slow", 50.0, timeout=5.0)
     )
     quick_holder = []
-    kernel.schedule(
+    kernel.post(
         1.0,
         lambda: quick_holder.append(
             kernel.spawn(caller.runtime.invoke(callee.loid, "Echo", "next"))

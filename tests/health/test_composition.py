@@ -117,7 +117,7 @@ class TestGovernedChaosOverload:
             mix={FaultKind.HOST_CRASH: 0.4, FaultKind.OBJECT_CRASH: 0.6},
         )
         driver = ChaosDriver(system, plan, log)
-        system.kernel.schedule(100.0, driver.start)
+        system.kernel.post(100.0, driver.start)
 
         def one_call(client):
             try:

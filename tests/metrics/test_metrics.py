@@ -1,9 +1,18 @@
 """Unit tests for counters and the series recorder."""
 
+from dataclasses import fields
+
 import pytest
 
-from repro.metrics.counters import ComponentId, ComponentKind, MetricsRegistry
+from repro.binding.agent import AgentStats
+from repro.core.runtime import RuntimeStats
+from repro.metrics.counters import ComponentId, ComponentKind, Counters, MetricsRegistry
 from repro.metrics.recorder import SeriesRecorder
+from repro.naming.cache import CacheStats
+from repro.net.network import NetworkStats
+
+#: Every counter dataclass: each resets from its field declarations.
+COUNTERS = [RuntimeStats, AgentStats, NetworkStats, CacheStats]
 
 
 def comp(name, kind=ComponentKind.BINDING_AGENT):
@@ -168,3 +177,23 @@ class TestSeriesRecorder:
         rec.add(1, y=1)
         with pytest.raises(ValueError):
             rec.slope("y")
+
+
+def test_every_counter_dataclass_is_listed():
+    assert set(Counters.__subclasses__()) == set(COUNTERS)
+
+
+@pytest.mark.parametrize("cls", COUNTERS, ids=lambda cls: cls.__name__)
+def test_reset_puts_every_field_back_to_its_declared_default(cls):
+    stats = cls()
+    for f in fields(stats):
+        value = getattr(stats, f.name)
+        if isinstance(value, dict):
+            value = {key: count + 1 for key, count in value.items()}
+        else:
+            value += 1
+        setattr(stats, f.name, value)
+    fresh = cls()
+    assert all(getattr(stats, f.name) != getattr(fresh, f.name) for f in fields(stats))
+    stats.reset()
+    assert stats == fresh

@@ -249,7 +249,7 @@ class TestKernelProperties:
         kernel = SimKernel()
         fired = []
         for delay in delays:
-            kernel.schedule(delay, lambda d=delay: fired.append(kernel.now))
+            kernel.post(delay, lambda d=delay: fired.append(kernel.now))
         kernel.run()
         assert fired == sorted(fired)
         assert len(fired) == len(delays)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ProcessKilled, SimulationDeadlock, SimulationError
+from repro.errors import InvalidArgument, ProcessKilled, SimulationDeadlock, SimulationError
 from repro.simkernel.futures import SimFuture
 from repro.simkernel.kernel import SimKernel, Timeout
 
@@ -10,8 +10,8 @@ from repro.simkernel.kernel import SimKernel, Timeout
 class TestScheduling:
     def test_events_run_in_time_order(self, kernel):
         order = []
-        kernel.schedule(5.0, lambda: order.append("late"))
-        kernel.schedule(1.0, lambda: order.append("early"))
+        kernel.post(5.0, lambda: order.append("late"))
+        kernel.post(1.0, lambda: order.append("early"))
         kernel.run()
         assert order == ["early", "late"]
         assert kernel.now == 5.0
@@ -19,13 +19,13 @@ class TestScheduling:
     def test_equal_times_run_in_schedule_order(self, kernel):
         order = []
         for i in range(5):
-            kernel.schedule(1.0, lambda i=i: order.append(i))
+            kernel.post(1.0, lambda i=i: order.append(i))
         kernel.run()
         assert order == [0, 1, 2, 3, 4]
 
     def test_negative_delay_rejected(self, kernel):
         with pytest.raises(SimulationError):
-            kernel.schedule(-0.1, lambda: None)
+            kernel.post(-0.1, lambda: None)
 
     @pytest.mark.parametrize("delay", [float("nan"), float("inf")])
     def test_non_finite_delay_rejected(self, kernel, delay):
@@ -50,7 +50,7 @@ class TestScheduling:
 
     def test_run_until_stops_the_clock(self, kernel):
         hits = []
-        kernel.schedule(10.0, lambda: hits.append("x"))
+        kernel.post(10.0, lambda: hits.append("x"))
         kernel.run(until=5.0)
         assert kernel.now == 5.0
         assert hits == []
@@ -59,20 +59,58 @@ class TestScheduling:
 
     def test_run_until_a_past_time_neither_rewinds_nor_runs(self, kernel):
         hits = []
-        kernel.schedule(5.0, lambda: None)
+        kernel.post(5.0, lambda: None)
         kernel.run()
-        kernel.schedule(10.0, lambda: hits.append("x"))
+        kernel.post(10.0, lambda: hits.append("x"))
         kernel.run(until=2.0)
         assert kernel.now == 5.0
         assert hits == []
 
     def test_max_events_guard(self, kernel):
         def rearm():
-            kernel.schedule(1.0, rearm)
+            kernel.post(1.0, rearm)
 
-        kernel.schedule(1.0, rearm)
+        kernel.post(1.0, rearm)
         with pytest.raises(SimulationError):
             kernel.run(max_events=100)
+
+
+class TestRunArguments:
+    """The loop's inputs fail at the boundary, naming the parameter, with
+    nothing run: ``until=inf`` used to move the clock to inf, ``nan`` was
+    ignored, and a negative, fractional or boolean ``max_events`` turned
+    the runaway valve off (``-1`` ran all 100 ticks)."""
+
+    @staticmethod
+    def ticking(kernel, ticks=100):
+        def tick(n):
+            if n:
+                kernel.post(1.0, tick, n - 1)
+
+        kernel.post(1.0, tick, ticks - 1)
+
+    @pytest.mark.parametrize("until", [float("inf"), float("nan")])
+    def test_a_non_finite_until_is_refused(self, kernel, until):
+        self.ticking(kernel)
+        with pytest.raises(InvalidArgument, match=f"until={until!r}"):
+            kernel.run(until=until)
+        assert (kernel.now, kernel.events_executed) == (0.0, 0)
+
+    @pytest.mark.parametrize("max_events", [-1, 2.5, True, "10"])
+    def test_a_max_events_that_is_not_a_count_is_refused(self, kernel, max_events):
+        self.ticking(kernel)
+        with pytest.raises(InvalidArgument, match=f"max_events={max_events!r}"):
+            kernel.run(max_events=max_events)
+        with pytest.raises(InvalidArgument, match=f"max_events={max_events!r}"):
+            kernel.run_until_complete(SimFuture(), max_events=max_events)
+        assert (kernel.now, kernel.events_executed) == (0.0, 0)
+
+    def test_an_until_in_the_past_stays_legal(self, kernel):
+        self.ticking(kernel)
+        kernel.run(until=float("-inf"))
+        assert (kernel.now, kernel.events_executed) == (0.0, 0)
+        kernel.run(until=50.0, max_events=50)
+        assert (kernel.now, kernel.events_executed) == (50.0, 50)
 
 
 class TestProcesses:
@@ -100,7 +138,7 @@ class TestProcesses:
             return value * 2
 
         fut = kernel.spawn(proc())
-        kernel.schedule(5.0, lambda: gate.set_result(21))
+        kernel.post(5.0, lambda: gate.set_result(21))
         kernel.run()
         assert fut.result() == 42
 
@@ -114,7 +152,7 @@ class TestProcesses:
                 return f"caught {exc}"
 
         fut = kernel.spawn(proc())
-        kernel.schedule(1.0, lambda: gate.set_exception(ValueError("inner")))
+        kernel.post(1.0, lambda: gate.set_exception(ValueError("inner")))
         kernel.run()
         assert fut.result() == "caught inner"
 
@@ -176,7 +214,7 @@ class TestProcesses:
                 raise
 
         process = kernel.spawn(proc())
-        kernel.schedule(1.0, lambda: process.kill("stop"))
+        kernel.post(1.0, lambda: process.kill("stop"))
         kernel.run()
         assert cleaned == [True]
         assert process.failed()

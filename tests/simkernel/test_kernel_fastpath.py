@@ -7,8 +7,9 @@ cancelled -- never runs, counts no event, never moves the clock and is
 not in ``pending_events``; settled deadlines never pile up in the heap;
 trampolined first steps and resumes preserve event order and the
 ``events_executed`` count, against a kernel that puts every step on the
-heap; and ``run()``, ``run(until=)``, ``run(max_events=)`` and
-``run_until_complete`` are ``step()`` after ``step()`` and nothing else.
+heap; and ``step()``, ``run()``, ``run(until=)``, ``run(max_events=)``
+and ``run_until_complete`` drive one loop, ``step()`` one unit of it at
+a time, stepped or run alike against the naive kernel.
 """
 
 import sys
@@ -66,7 +67,7 @@ class TestCancellationAccounting:
         kernel.run()
         fut.set_result(None)
         assert kernel._lanes == {} and kernel._queue == []
-        kernel.schedule(5, lambda: None)
+        kernel.post(5, lambda: None)
         assert kernel.pending_events == 1
         kernel.run()
         assert kernel.events_executed == 2
@@ -125,8 +126,8 @@ class TestCancellationAccounting:
         kernel = SimKernel()
         ran = []
         (fut,) = deadlines(kernel, 1, 1.0, ran.append, "a")
-        kernel.schedule(0.5, fut.set_result, None)
-        kernel.schedule(2.0, ran.append, "b")
+        kernel.post(0.5, fut.set_result, None)
+        kernel.post(2.0, ran.append, "b")
         kernel.run()
         assert ran == ["b"]
 
@@ -144,7 +145,7 @@ class TestCompaction:
 
     def test_mass_cancellation_compacts_heap(self):
         kernel = SimKernel()
-        kernel.schedule(500.0, lambda: None)
+        kernel.post(500.0, lambda: None)
         futs = deadlines(kernel, 200, 10.0)
         assert len(kernel._queue) == 2  # the event and one lane
         for fut in futs:
@@ -165,10 +166,10 @@ class TestCompaction:
         def settle_then_schedule():
             for fut in futs:
                 fut.set_result(None)
-            kernel.schedule(1.0, ran.append, "after-settle")
+            kernel.post(1.0, ran.append, "after-settle")
             deadlines(kernel, 1, 0.5, ran.append, "deadline")
 
-        kernel.schedule(0.0, settle_then_schedule)
+        kernel.post(0.0, settle_then_schedule)
         kernel.run()
         assert ran == ["deadline", "after-settle"]
 
@@ -180,7 +181,7 @@ class TestCompaction:
         for n, fut in enumerate(doomed):
             kernel.deadline(fut, 2.5, ran.append, n)
         for i in range(5):
-            kernel.schedule(float(i + 1), ran.append, i)
+            kernel.post(float(i + 1), ran.append, i)
         for n, fut in enumerate(doomed):
             if n != 75:
                 fut.set_result(None)
@@ -257,7 +258,7 @@ class TestTrampoline:
 
         def waiter():
             fut = SimFuture("w")
-            kernel.schedule(1.0, fut.set_result, 42)
+            kernel.post(1.0, fut.set_result, 42)
             value = yield fut
             return value
 
@@ -278,7 +279,7 @@ class TestTrampoline:
 
         for tag in ("a", "b", "c"):
             kernel.spawn(waiter(tag))
-        kernel.schedule(1.0, gate.set_result, None)
+        kernel.post(1.0, gate.set_result, None)
         kernel.run()
         assert order == ["a", "b", "c"]
 
@@ -297,8 +298,8 @@ class TestTrampoline:
         def resolve():
             gate.set_result(None)
 
-        kernel.schedule(1.0, resolve)
-        kernel.schedule(1.0, order.append, "same-instant")
+        kernel.post(1.0, resolve)
+        kernel.post(1.0, order.append, "same-instant")
         kernel.run()
         assert order == ["same-instant", "resumed"]
 
@@ -335,7 +336,7 @@ class TestTrampoline:
         def worker():
             for _ in range(10):
                 fut = SimFuture()
-                kernel.schedule(1.0, fut.set_result, None)
+                kernel.post(1.0, fut.set_result, None)
                 yield fut
                 yield Timeout(0.5)
             return kernel.now
@@ -536,8 +537,10 @@ class TestOneLoop:
     @settings(max_examples=150)
     @given(PROGRAMS, st.integers(0, 7))
     def test_run_max_events_resumed_after_the_raise(self, spec, chunk):
-        """``max_events`` counts step() units, and the raise loses nothing:
-        the next run() picks up at the very next unit."""
+        """``max_events`` counts step() units: ``run(max_events=n)`` raises
+        iff unit n+1 is due (``pending_events``, read off the queues), and
+        the raise loses nothing: the next run() picks up at the very next
+        unit."""
         ref, got = Program(spec), Program(spec)
         for _ in range(10):
             more = ref.steps(chunk)
@@ -669,3 +672,17 @@ class TestAgainstTheHeapKernel:
         got.kernel.run()
         assert got.state() == ref.state()
         assert got.outcomes() == ref.outcomes()
+
+    @settings(max_examples=150)
+    @given(PROGRAMS)
+    def test_stepping_and_running_agree_with_the_heap_kernel(self, spec):
+        """``while k.step()`` and ``k.run()`` are the same loop: the same
+        trace, clock and ``events_executed`` as the naive kernel's run."""
+        ref = Program(spec, HeapKernel)
+        stepped, ran = Program(spec, SimKernel), Program(spec, SimKernel)
+        ref.kernel.run()
+        while stepped.kernel.step():
+            pass
+        ran.kernel.run()
+        assert stepped.state() == ran.state() == ref.state()
+        assert stepped.outcomes() == ran.outcomes() == ref.outcomes()

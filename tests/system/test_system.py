@@ -232,6 +232,28 @@ class TestFacade:
         assert system.call(instance, "Ping") == "pong"
 
     @pytest.mark.parametrize(
+        "drive, name",
+        [
+            (lambda system, loid: system.run(until=float("inf")), "until=inf"),
+            (lambda system, loid: system.run(until=float("nan")), "until=nan"),
+            (lambda system, loid: system.call(loid, "Ping", max_events=-1), "max_events=-1"),
+            (lambda system, loid: system.call(loid, "Ping", max_events=2.5), "max_events=2.5"),
+            (lambda system, loid: system.call(loid, "Ping", max_events=True), "max_events=True"),
+        ],
+        ids=["until-inf", "until-nan", "max-events-neg", "max-events-float", "max-events-bool"],
+    )
+    def test_a_bad_run_bound_is_refused_and_queues_nothing(self, fresh_legion, drive, name):
+        """``until=inf`` moved the clock to inf, ``nan`` was ignored, and
+        these ``max_events`` turned the runaway valve off."""
+        system, cls = fresh_legion
+        instance = system.create_instance(cls.loid).loid
+        now, pending = system.kernel.now, system.kernel.pending_events
+        with pytest.raises(errors.InvalidArgument, match=re.escape(name)):
+            drive(system, instance)
+        assert (system.kernel.now, system.kernel.pending_events) == (now, pending)
+        assert system.call(instance, "Ping") == "pong"
+
+    @pytest.mark.parametrize(
         "create",
         [
             lambda system, cls: system.create_instance(cls.loid, bogus_hint=3),
